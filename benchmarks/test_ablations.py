@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for the reproduction's design choices.
 
 * device-constant scaling — the advisor's decisions should be invariant under
   a uniform re-scaling of the simulated device constants;

@@ -164,6 +164,22 @@ def _query_label(query: Query) -> str:
     return type(query).__name__
 
 
+def _shard_lines(shards) -> List[str]:
+    """The ``shards:`` verdict, for every query the wall-clock gate ruled on.
+
+    A sharded plan also prints its degradation ladder; a plan the gate
+    declined prints the two predictions it compared, so "why serial?" is
+    answered by the plan itself.  Structurally ineligible queries (row
+    store, pending delta, joins...) print nothing, as before.
+    """
+    if shards is None or not (shards.sharded or shards.predicted_ms):
+        return []
+    lines = [f"   shards: {shards.describe()}"]
+    if shards.sharded:
+        lines.append(f"   ladder: {shards.describe_ladder()}")
+    return lines
+
+
 def _operator_tree(plan: PhysicalPlan) -> List[str]:
     query = plan.query
     access = {table_plan.table: table_plan for table_plan in plan.table_plans}
@@ -190,10 +206,7 @@ def _operator_tree(plan: PhysicalPlan) -> List[str]:
             lines.append(f"   strategy: {strategy.describe()}")
         if plan.view_rewrite is not None:
             lines.append(f"   rewrite: {plan.view_rewrite.describe()}")
-        shards = access[query.table].shard_decision
-        if shards is not None and shards.sharded:
-            lines.append(f"   shards: {shards.describe()}")
-            lines.append(f"   ladder: {shards.describe_ladder()}")
+        lines.extend(_shard_lines(access[query.table].shard_decision))
         depth = 1
         for join in query.joins:
             pad = "   " * depth
@@ -208,10 +221,7 @@ def _operator_tree(plan: PhysicalPlan) -> List[str]:
         columns = ", ".join(query.columns) if query.columns else "*"
         suffix = f" LIMIT {query.limit}" if query.limit is not None else ""
         lines.append(f"-> Project {columns}{suffix}")
-        shards = access[query.table].shard_decision
-        if shards is not None and shards.sharded:
-            lines.append(f"   shards: {shards.describe()}")
-            lines.append(f"   ladder: {shards.describe_ladder()}")
+        lines.extend(_shard_lines(access[query.table].shard_decision))
         scan_lines(query.table, 1, query.predicate)
     elif isinstance(query, InsertQuery):
         lines.append(f"-> Insert into {query.table} ({query.num_rows} row(s))")

@@ -7,7 +7,7 @@ Two kinds of configuration live here:
   accesses, dictionary decodes, ...) into simulated time.  The paper measured
   wall-clock time on SAP HANA hardware; we substitute a deterministic device
   model so that experiments are reproducible and independent of the Python
-  interpreter (see DESIGN.md, Section 2).
+  interpreter.
 
 * :class:`AdvisorConfig` — tunable thresholds of the storage advisor
   (partitioning heuristics, enumeration limits, online re-evaluation period).
@@ -33,7 +33,7 @@ class DeviceModelConfig:
     accesses cost on the order of a cache miss, and the column store pays
     per-value dictionary maintenance on writes.  Absolute values are not meant
     to match the paper's hardware; only the *relative* behaviour of the two
-    stores matters for the reproduction (see DESIGN.md).
+    stores matters for the reproduction.
     """
 
     #: Sequential memory traffic, per byte (covers read + light processing).

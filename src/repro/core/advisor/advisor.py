@@ -40,7 +40,7 @@ from repro.core.cost_model.model import CostModel
 from repro.engine.database import HybridDatabase
 from repro.engine.matview import view_serve_bytes
 from repro.engine.schema import TableSchema
-from repro.engine.shard import shard_fan_out, shard_min_rows
+from repro.engine.shard import shard_fan_out, shard_gate
 from repro.engine.statistics import TableStatistics
 from repro.engine.timing import CostBreakdown, DeviceModel
 from repro.engine.types import Store
@@ -209,8 +209,10 @@ class StorageAdvisor:
         from :meth:`CostModel.estimate_key`, so repeated advising is served
         from cache and every invalidation rule (parameters, statistics)
         carries over.  *assignment* fixes per-table stores (e.g. from a
-        prior :meth:`recommend`); only column-store tables at or above the
-        shard row floor are considered.
+        prior :meth:`recommend`); only column-store tables are considered,
+        and of their queries only those the engine's own
+        :func:`~repro.engine.shard.shard_gate` would scatter — the what-if
+        never prices a sharded execution the planner would decline.
         """
         if len(workload) == 0:
             raise AdvisorError("cannot recommend shard keys for an empty workload")
@@ -227,11 +229,11 @@ class StorageAdvisor:
                 continue
             if stores.get(table, Store.COLUMN) is not Store.COLUMN:
                 continue
-            if profile.num_rows < shard_min_rows():
-                continue
             queries = [
                 query for query in workload.queries_for_table(table)
                 if query.table == table and self._shardable_query(query)
+                and shard_gate(query, profile.num_rows,
+                               profile.statistics.columns)[0]
             ]
             if not queries:
                 continue

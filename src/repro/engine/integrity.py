@@ -27,13 +27,14 @@ This module is the common core of the integrity layer:
   interaction — so every differential fuzzer stays bit-identical with
   integrity on or off.
 
-* **Eager shard verification** — the parent ships each column's expected
-  code-array crc (:func:`codes_checksum`, served from the same epoch
-  cache) with every shard task; workers recompute it over the attached
-  shared-memory segment before executing.  A mismatch fails the task,
-  which feeds PR 9's degradation ladder: republish → retry (fresh
-  segments copied from canonical memory) → serial, which never touches a
-  segment at all.
+* **Eager shard verification** — at publish the parent stamps one
+  :func:`codes_checksum` per ``(column, epoch, shard bounds)`` from
+  canonical memory and ships each task the crcs of its own row range;
+  the worker recomputes them, in place, over exactly the rows it is about
+  to read — on every task, so damage after the first query is still
+  caught.  A mismatch fails the task, which feeds PR 9's degradation
+  ladder: republish → retry (fresh segments copied from canonical
+  memory) → serial, which never touches a segment at all.
 
 * **The scrubber** — :func:`scrub` walks every table's partition units
   (``integrity_units()`` on ``StoredTable``/``PartitionedTable``),
@@ -66,13 +67,13 @@ from repro.errors import DataCorruptionError
 def codes_checksum(codes: np.ndarray) -> int:
     """crc32 of a code array's contents — the bytes a shared segment holds.
 
-    The array is viewed as contiguous int64 (the layout both the canonical
-    main store and the published shared-memory segments use), so the parent
-    and a worker computing this over equal contents always agree.
+    The crc runs over the array's own buffer: contiguous int64 (the layout
+    both the canonical main store and the published shared-memory segments
+    use, and any row-range slice of either) is read in place, anything else
+    is converted first, so the parent and a worker computing this over equal
+    contents always agree.
     """
-    return zlib.crc32(
-        np.ascontiguousarray(codes, dtype=np.int64).tobytes()
-    ) & 0xFFFFFFFF
+    return zlib.crc32(np.ascontiguousarray(codes, dtype=np.int64))
 
 
 def unit_checksum(codes: np.ndarray, dictionary) -> int:
@@ -82,11 +83,10 @@ def unit_checksum(codes: np.ndarray, dictionary) -> int:
     deterministic for equal values, NULL/NaN entries included — continued
     from the code-array crc so a flip in either part changes the result.
     """
-    crc = zlib.crc32(np.ascontiguousarray(codes, dtype=np.int64).tobytes())
     payload = pickle.dumps(
         tuple(dictionary.values), protocol=pickle.HIGHEST_PROTOCOL
     )
-    return zlib.crc32(payload, crc) & 0xFFFFFFFF
+    return zlib.crc32(payload, codes_checksum(codes))
 
 
 # -- process-wide configuration --------------------------------------------------------
@@ -197,8 +197,8 @@ class TableIntegrity:
     def __init__(self, table: str) -> None:
         self.table = table
         self.partition: Optional[str] = None
-        #: column -> (zone epoch, codes crc, full unit crc)
-        self._checksums: Dict[str, Tuple[int, int, int]] = {}
+        #: column -> (zone epoch, full unit crc)
+        self._checksums: Dict[str, Tuple[int, int]] = {}
         #: column -> zone epoch at which the lazy scan check last ran
         self._scan_verified: Dict[str, int] = {}
         #: column -> reason; entries survive until repair replaces the unit
@@ -234,46 +234,27 @@ class TableIntegrity:
 
     # -- checksums -----------------------------------------------------------------
 
-    def expected(self, column: str, codes: np.ndarray, dictionary,
-                 epoch: int) -> Tuple[int, int]:
-        """``(codes crc, unit crc)`` recorded for *column* at *epoch*.
-
-        Records a fresh baseline when the epoch moved (a mutation
-        legitimately changed the content).  The shard publisher reads the
-        codes crc from here, so segment verification and scan verification
-        share one definition of "expected".
-        """
-        cached = self._checksums.get(column)
-        if cached is not None and cached[0] == epoch:
-            return cached[1], cached[2]
-        codes_crc = codes_checksum(codes)
-        payload = pickle.dumps(
-            tuple(dictionary.values), protocol=pickle.HIGHEST_PROTOCOL
-        )
-        unit_crc = zlib.crc32(payload, codes_crc) & 0xFFFFFFFF
-        self._checksums[column] = (epoch, codes_crc, unit_crc)
-        return codes_crc, unit_crc
-
     def verify(self, column: str, codes: np.ndarray, dictionary,
                epoch: int) -> bool:
         """Recompute the unit checksum and compare with the recorded one.
 
-        Establishes the baseline (and trivially passes) when none exists
-        for the current epoch.  A mismatch quarantines the unit and returns
-        ``False`` — the caller decides whether to raise.
+        Records the baseline (and trivially passes) when none exists for the
+        current epoch — a mutation legitimately changed the content.  A
+        mismatch quarantines the unit and returns ``False`` — the caller
+        decides whether to raise.
         """
         _COUNTERS.units_verified += 1
+        actual = unit_checksum(codes, dictionary)
         cached = self._checksums.get(column)
         if cached is None or cached[0] != epoch:
-            self.expected(column, codes, dictionary, epoch)
+            self._checksums[column] = (epoch, actual)
             return True
-        actual = unit_checksum(codes, dictionary)
-        if actual == cached[2]:
+        if actual == cached[1]:
             return True
         _COUNTERS.corruption_detected += 1
         self.quarantine(
             column,
-            f"checksum mismatch (expected {cached[2]:#010x}, "
+            f"checksum mismatch (expected {cached[1]:#010x}, "
             f"found {actual:#010x})",
         )
         return False

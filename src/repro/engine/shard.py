@@ -42,6 +42,8 @@ falls through to the ordinary serial operator, which charges itself.
 The planner records a :class:`ShardDecision` per physical plan; like
 ``ScanDecision`` and ``AggregateStrategy`` it carries the zone-epoch token and
 the toggle state at derivation and is re-derived when either goes stale.
+Whether an eligible query shards at all, and how wide, is a cost decision:
+:mod:`repro.engine.shard_gate` predicts the wall time of both executors.
 The process-fault matrix (:data:`repro.testing.faults.PROCESS_FAULTS`) is
 injected at the exact parent-side points where each fault would bite; the
 resilience suite (``pytest -m resilience``) pins that every fault still
@@ -62,7 +64,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace as dataclass_replace
 from multiprocessing import shared_memory
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,6 +73,8 @@ from repro.engine.batch import EncodedColumn, evaluate_predicate_mask
 from repro.engine.column_store import ColumnStoreTable, compile_code_mask
 from repro.engine.deadline import deadline_check, deadline_remaining
 from repro.engine.integrity import codes_checksum, verify_on_attach_enabled
+from repro.engine.shard_gate import best_fan_out, usable_cores
+from repro.engine.statistics import ColumnStatistics
 from repro.engine.executor.agg_pushdown import (
     TIER_ZERO_SCAN,
     _partial_merge_safe,
@@ -83,7 +87,7 @@ from repro.engine.executor.aggregates import (
 from repro.engine.timing import CostAccountant
 from repro.errors import QueryTimeoutError
 from repro.query.ast import AggregationQuery, Query, SelectQuery
-from repro.testing.faults import process_fault
+from repro.testing.faults import active_plan, process_fault
 
 __all__ = [
     "ResilienceCounters",
@@ -94,19 +98,16 @@ __all__ = [
     "derive_shard_decision",
     "gather_timeout_for",
     "get_worker_pool",
-    "projected_parallel_ms",
     "resilience_counters",
     "shard_bounds",
     "shard_config",
     "shard_execution_disabled",
     "shard_execution_enabled",
     "shard_fan_out",
-    "shard_min_rows",
+    "shard_gate",
     "shutdown_worker_pool",
     "try_sharded_aggregation",
     "try_sharded_select",
-    "AGGREGATION_PARALLEL_COMPONENTS",
-    "SELECT_PARALLEL_COMPONENTS",
 ]
 
 _LOGGER = logging.getLogger("repro.engine.shard")
@@ -116,11 +117,14 @@ _LOGGER = logging.getLogger("repro.engine.shard")
 
 _SHARD_ENABLED = True
 
-#: Planner default fan-out: how many shards a sharded query scatters into.
-_SHARD_FAN_OUT = 4
+#: Planner default fan-out and pool size: one shard per usable core, so no
+#: shard waits for a time slice (4 workers on 2 cores woke the last one 5-13
+#: ms late); >= 2 so an explicit ``min_rows`` still scatters on one core.
+_SHARD_FAN_OUT = max(2, min(usable_cores(), 8))
 
-#: Tables below this row count never shard — dispatch overhead dominates.
-_SHARD_MIN_ROWS = 200_000
+#: ``None``: :func:`shard_gate` decides per query on predicted wall time; an
+#: integer shards every eligible query on a table of at least that many rows.
+_SHARD_MIN_ROWS: Optional[int] = None
 
 #: Base seconds the parent waits for a gather; scaled with the sharded row
 #: count by :func:`gather_timeout_for` so 1M-row benches can't flake under
@@ -162,10 +166,6 @@ def shard_fan_out() -> int:
     return _SHARD_FAN_OUT
 
 
-def shard_min_rows() -> int:
-    return _SHARD_MIN_ROWS
-
-
 def gather_timeout_for(num_rows: int) -> float:
     """The gather timeout for a *num_rows*-row sharded execution.
 
@@ -184,10 +184,12 @@ def shard_config(fan_out: Optional[int] = None, min_rows: Optional[int] = None,
                  backoff_s: Optional[float] = None):
     """Temporarily override the shard executor's configuration.
 
-    Tests use ``shard_config(min_rows=1)`` to shard small tables; recorded
-    :class:`ShardDecision` objects embed the ``(fan_out, min_rows)`` they
-    were derived under and go stale when it changes, exactly like a toggle
-    flip.  ``max_attempts``/``gather_timeout_s``/``backoff_s`` are runtime
+    ``min_rows=n`` replaces the default wall-clock gate with "shard every
+    eligible query on at least *n* rows" (tests use ``min_rows=1`` to shard
+    small tables); recorded :class:`ShardDecision` objects embed the
+    ``(fan_out, min_rows)`` they were derived under and go stale when it
+    changes, exactly like a toggle flip.
+    ``max_attempts``/``gather_timeout_s``/``backoff_s`` are runtime
     resilience knobs — they change how a scatter/gather fails, never what it
     computes, so they do not invalidate recorded decisions.
     """
@@ -302,6 +304,8 @@ class ShardDecision:
     config: Tuple[int, int]
     query: Optional[Query] = None
     max_attempts: int = 1
+    #: ``(serial, sharded)`` ms the wall-clock gate predicted, when it ruled.
+    predicted_ms: Optional[Tuple[float, float]] = None
 
     def matches(self, query: Query, token: Tuple[Any, ...]) -> bool:
         if self.enabled != shard_execution_enabled():
@@ -351,27 +355,45 @@ def shard_bounds(num_rows: int, fan_out: int) -> Tuple[Tuple[int, int], ...]:
     return tuple(bounds)
 
 
+def shard_gate(query: Query, num_rows: int, statistics,
+               ) -> Tuple[int, Optional[Tuple[float, float]]]:
+    """``(fan_out, prediction)`` for an eligible *query*; fan-out 0 = stay serial.
+
+    ``shard_config(min_rows=n)`` scatters every table of at least *n* rows at
+    the configured fan-out, unpredicted; by default the wall-clock gate
+    rules.  The planner and the advisor's what-if both ask here.
+    """
+    limit = min(_SHARD_FAN_OUT, num_rows)
+    if limit < 2:
+        return 0, None
+    if _SHARD_MIN_ROWS is not None:
+        return (limit if num_rows >= _SHARD_MIN_ROWS else 0), None
+    return best_fan_out(query, num_rows, statistics, limit)
+
+
 def derive_shard_decision(path, query: Query) -> ShardDecision:
     """Derive the sharding verdict for *query* over *path*.
 
-    Only single-table queries against a delta-free column store at or above
-    the row floor shard.  Aggregations additionally require provably
-    order-independent partial merges (the partition-partial NaN proof) and
-    must not already be answered zone-free; selections require a predicate
-    (an unfiltered SELECT is pure materialisation, which stays serial).
+    Only single-table queries against a delta-free column store are
+    eligible.  Aggregations additionally require provably order-independent
+    partial merges (the partition-partial NaN proof) and must not already be
+    answered zone-free; selections require a predicate (an unfiltered SELECT
+    is pure materialisation, which stays serial).  Whether an eligible query
+    then shards, and how wide, is :func:`shard_gate`'s call.
     """
     table = getattr(path, "table", None)
     token = path._zone_token()
 
     def verdict(sharded: bool, reason: str, fan_out: int = 0,
-                bounds: Tuple[Tuple[int, int], ...] = ()) -> ShardDecision:
+                bounds: Tuple[Tuple[int, int], ...] = (),
+                predicted_ms: Optional[Tuple[float, float]] = None) -> ShardDecision:
         return ShardDecision(
             table=getattr(table, "name", "?"), fan_out=fan_out, bounds=bounds,
             sharded=sharded, reason=reason, token=token,
             enabled=shard_execution_enabled(),
             pushdown=aggregate_pushdown_enabled(),
             config=(_SHARD_FAN_OUT, _SHARD_MIN_ROWS), query=query,
-            max_attempts=_SHARD_MAX_ATTEMPTS,
+            max_attempts=_SHARD_MAX_ATTEMPTS, predicted_ms=predicted_ms,
         )
 
     if not shard_execution_enabled():
@@ -384,8 +406,6 @@ def derive_shard_decision(path, query: Query) -> ShardDecision:
     if table.delta_rows:
         return verdict(False, "delta rows pending merge")
     num_rows = table.num_rows
-    if num_rows < _SHARD_MIN_ROWS:
-        return verdict(False, f"below {_SHARD_MIN_ROWS}-row floor")
     predicate = query.predicate
     if isinstance(query, AggregationQuery):
         if query.joins:
@@ -408,12 +428,29 @@ def derive_shard_decision(path, query: Query) -> ShardDecision:
             return verdict(False, "unresolvable predicate column")
         if not path.decision_for(predicate).partitions[0].scan:
             return verdict(False, "zone-pruned scan")
-    fan_out = min(_SHARD_FAN_OUT, num_rows)
-    if fan_out < 2:
-        return verdict(False, "fan-out below 2")
+    # What the catalog would record for the predicate's columns right now,
+    # from the exact O(1) synopses: dictionary cardinality and zone bounds.
+    statistics = {}
+    for name in (predicate.columns() if predicate is not None else ()):
+        zone = backend.column_zone(name)
+        statistics[name] = ColumnStatistics(
+            name, table.schema.column(name).dtype,
+            backend.column_distinct_count(name), zone.min_value, zone.max_value,
+        )
+    fan_out, predicted = shard_gate(query, num_rows, statistics)
+    if predicted is not None:
+        reason = (f"predicted {predicted[0]:.1f} ms serial "
+                  f"{'>=' if fan_out else '<'} {predicted[1]:.1f} ms sharded")
+    elif min(_SHARD_FAN_OUT, num_rows) < 2:
+        reason = "fan-out below 2"
+    else:
+        reason = f"below {_SHARD_MIN_ROWS}-row floor"
+    if not fan_out:
+        return verdict(False, reason, predicted_ms=predicted)
+    shape = f"{fan_out} x ~{num_rows // fan_out} rows"
     return verdict(
-        True, f"{fan_out} x ~{num_rows // fan_out} rows",
-        fan_out=fan_out, bounds=shard_bounds(num_rows, fan_out),
+        True, f"{shape}, {reason}" if predicted else shape, fan_out=fan_out,
+        bounds=shard_bounds(num_rows, fan_out), predicted_ms=predicted,
     )
 
 
@@ -553,8 +590,6 @@ def _worker_main(tasks, results) -> None:
         if not blob:
             break
         task = pickle.loads(blob)
-        if task.get("kind") == "stop":
-            break
         try:
             payload = _run_shard_task(task, cache)
         except BaseException as error:  # noqa: BLE001 — report, don't die
@@ -614,21 +649,19 @@ def _run_shard_task(task, cache) -> Dict[str, Any]:
         # deadline) must abandon us; the supervisor terminates and replaces.
         time.sleep(task.get("hang_s", 3600.0))
     columns = _attach_columns(task, cache)
-    checksums = task.get("checksums")
-    if checksums:
-        # Verify the *whole* attached segment against the checksum the
-        # parent stamped from canonical memory at publish time.  Per task,
-        # not per attach: a warm pool skips re-shipping at an unchanged
-        # epoch, so attach-time-only verification would silently serve a
-        # segment corrupted after the first query.
-        for name, expected in checksums.items():
-            codes, _dictionary = columns[name]
-            if codes_checksum(codes) != expected:
-                raise ShardExecutionError(
-                    f"shared-memory checksum mismatch for column {name!r}"
-                )
     start, stop = task["start"], task["stop"]
     num = stop - start
+    # Verify exactly the rows this task reads, in place, against the crc the
+    # parent stamped for this row range from canonical memory.  Per task,
+    # not per attach: a warm pool skips re-shipping at an unchanged epoch,
+    # so attach-time-only verification would silently serve a segment
+    # corrupted after the first query.
+    for name, expected in (task.get("checksums") or {}).items():
+        if codes_checksum(columns[name][0][start:stop]) != expected:
+            raise ShardExecutionError(
+                f"shared-memory checksum mismatch for column {name!r} "
+                f"rows [{start}, {stop})"
+            )
     query = task["query"]
     predicate = query.predicate
     positions: Optional[np.ndarray] = None
@@ -659,8 +692,7 @@ def _run_shard_task(task, cache) -> Dict[str, Any]:
         return result
     matched = num if positions is None else int(len(positions))
     available: Dict[str, Any] = {}
-    for name in task["base_columns"]:
-        codes, dictionary = columns[name]
+    for name, (codes, dictionary) in columns.items():
         sliced = codes[start:stop]
         if positions is not None:
             sliced = sliced[positions]
@@ -710,9 +742,10 @@ class ShardWorkerPool:
 
     One task queue per worker (shards go round-robin), one shared result
     queue.  ``_segments`` maps ``(namespace, column)`` to the published
-    ``(epoch, shm, length, dictionary, checksum)``; superseded epochs are unlinked
-    eagerly, everything else at :meth:`shutdown`.  ``_shipped`` tracks which
-    ``(namespace, column, epoch)`` dictionaries each worker already holds.
+    ``(epoch, shm, length, dictionary, {bounds: per-shard crcs})``;
+    superseded epochs are unlinked eagerly, everything else at
+    :meth:`shutdown`.  ``_shipped`` tracks which ``(namespace, column,
+    epoch)`` dictionaries each worker already holds.
 
     Supervision: :meth:`repair` replaces dead workers individually (the
     survivors keep their shipped dictionaries), the gather loop in
@@ -733,7 +766,7 @@ class ShardWorkerPool:
             self._workers.append(self._spawn_worker())
             self._shipped.append(set())
         self._segments: Dict[Tuple[int, str],
-                             Tuple[int, Any, int, Any, Optional[int]]] = {}
+                             Tuple[int, Any, int, Any, Dict[Tuple, Tuple]]] = {}
 
     def _spawn_worker(self) -> Tuple[Any, Any]:
         tasks = self._context.Queue()
@@ -751,6 +784,17 @@ class ShardWorkerPool:
     def worker_pids(self) -> List[int]:
         return [process.pid for process, _tasks in self._workers]
 
+    @staticmethod
+    def _reap(process, task_queue, grace_s: float) -> None:
+        """Stop one worker — *grace_s* to exit by itself — and close its queue."""
+        process.join(timeout=grace_s)
+        for stop in (process.terminate, process.kill):
+            if process.is_alive():
+                stop()
+                process.join(timeout=2.0)
+        _teardown("worker queue close", task_queue.close)
+        _teardown("worker queue join-thread", task_queue.cancel_join_thread)
+
     def replace_worker(self, index: int) -> None:
         """Terminate (if needed) and replace one worker, keeping the rest.
 
@@ -758,15 +802,7 @@ class ShardWorkerPool:
         segments and no dictionaries, so the next task that touches it
         re-ships.
         """
-        process, task_queue = self._workers[index]
-        if process.is_alive():
-            process.terminate()
-        process.join(timeout=2.0)
-        if process.is_alive():  # pragma: no cover - stuck in uninterruptible IO
-            process.kill()
-            process.join(timeout=2.0)
-        _teardown("worker queue close", task_queue.close)
-        _teardown("worker queue join-thread", task_queue.cancel_join_thread)
+        self._reap(*self._workers[index], grace_s=0.0)
         self._workers[index] = self._spawn_worker()
         self._shipped[index] = set()
         _COUNTERS.worker_replacements += 1
@@ -781,18 +817,19 @@ class ShardWorkerPool:
         return replaced
 
     def publish(self, namespace: int, epoch: int, backend: ColumnStoreTable,
-                names: Sequence[str]) -> Dict[str, Tuple[str, int, Optional[int]]]:
+                names: Sequence[str], bounds: Tuple[Tuple[int, int], ...],
+                ) -> Dict[str, Tuple[str, int, Optional[Tuple[int, ...]]]]:
         """Ensure current-epoch segments exist for *names*; return specs.
 
-        Each spec carries the column's expected code checksum (or ``None``
-        with attach verification disabled), computed from the *canonical*
-        backend memory at publish time — the workers recompute over the
-        attached segment per task, so any bit damage between the two
-        (a flipped segment byte, a stale attach) surfaces as a typed
-        shard error and walks the degradation ladder.
+        Each spec carries one expected code crc per shard of *bounds* (or
+        ``None`` with attach verification disabled), stamped once per
+        ``(column, epoch, bounds)`` from the *canonical* backend memory —
+        each task recomputes its own range over the attached segment, so
+        bit damage between the two surfaces as a typed shard error and
+        walks the degradation ladder.
         """
         verify = verify_on_attach_enabled()
-        specs: Dict[str, Tuple[str, int, Optional[int]]] = {}
+        specs: Dict[str, Tuple[str, int, Optional[Tuple[int, ...]]]] = {}
         for name in names:
             key = (namespace, name)
             entry = self._segments.get(key)
@@ -800,22 +837,24 @@ class ShardWorkerPool:
                 if entry is not None:
                     _unlink_segment(entry[1])
                 compressed = backend.compressed_column(name)
-                codes = np.ascontiguousarray(compressed.codes, dtype=np.int64)
+                codes = compressed.codes
                 shm = shared_memory.SharedMemory(
                     create=True, size=max(1, codes.nbytes)
                 )
                 _ledger_create(shm.name)
                 np.ndarray(codes.shape, dtype=np.int64, buffer=shm.buf)[:] = codes
-                checksum = (
-                    backend.integrity.expected(
-                        name, compressed.codes, compressed.dictionary, epoch
-                    )[0]
-                    if verify else None
-                )
-                entry = (epoch, shm, len(codes), compressed.dictionary, checksum)
+                entry = (epoch, shm, len(codes), compressed.dictionary, {})
                 self._segments[key] = entry
-            specs[name] = (entry[1].name, entry[2],
-                           entry[4] if verify else None)
+            crcs = None
+            if verify:
+                crcs = entry[4].get(bounds)
+                if crcs is None:
+                    codes = backend.compressed_column(name).codes
+                    crcs = entry[4][bounds] = tuple(
+                        codes_checksum(codes[start:stop])
+                        for start, stop in bounds
+                    )
+            specs[name] = (entry[1].name, entry[2], crcs)
         return specs
 
     def invalidate_namespace(self, namespace: int) -> None:
@@ -832,39 +871,31 @@ class ShardWorkerPool:
             for token in [t for t in shipped if t[0] == namespace]:
                 shipped.discard(token)
 
-    def sabotage_unlink(self, namespace: int) -> None:
-        """Fault injector: unlink one live segment out from under the workers.
+    def sabotage(self, namespace: int, flip_byte: Optional[int] = None) -> None:
+        """Fault injector: damage one live segment out from under the workers.
 
-        Models an unlink race (an external reclaim, a buggy second owner):
-        the segment name stays in the registry and in flight, but the file
-        is gone, so the next attach fails mid-query.  The resilience layer
-        must retry with a republished segment.
+        ``flip_byte=None`` unlinks it — an unlink race (an external reclaim,
+        a buggy second owner): the name stays in the registry and in flight
+        but the file is gone, so the next attach fails mid-query.  An int
+        flips one bit of that byte — silent memory corruption: the shard
+        whose row range holds the byte no longer matches the crc stamped at
+        publish, and its worker must notice before executing over it.
+        Either way the attempt fails with a typed error and the resilience
+        ladder republishes and retries.
         """
         for (ns, _name), entry in self._segments.items():
             if ns == namespace:
-                _unlink_segment(entry[1])
-                return
-
-    def sabotage_flip(self, namespace: int) -> None:
-        """Fault injector: flip one bit of a live shared segment.
-
-        Models silent memory corruption of a published segment (a DMA
-        scribble, a cosmic-ray flip): the segment stays attached and the
-        registry still advertises it, but its contents no longer match the
-        checksum stamped at publish time.  Workers must detect the mismatch
-        before executing over it, fail the attempt with a typed error, and
-        let the resilience ladder republish-and-retry.
-        """
-        for (ns, _name), entry in self._segments.items():
-            if ns == namespace:
-                entry[1].buf[0] ^= 0x01
+                if flip_byte is None:
+                    _unlink_segment(entry[1])
+                else:
+                    entry[1].buf[flip_byte] ^= 0x01
                 return
 
     def ship_list(self, worker: int, namespace: int, epoch: int,
-                  specs: Dict[str, Tuple[str, int, Optional[int]]]) -> List[Tuple]:
+                  specs: Dict[str, Tuple[str, int, Any]]) -> List[Tuple]:
         """The (column, segment, dictionary) payloads *worker* still lacks."""
         ship: List[Tuple] = []
-        for name, (shm_name, length, _checksum) in specs.items():
+        for name, (shm_name, length, _crcs) in specs.items():
             token = (namespace, name, epoch)
             if token in self._shipped[worker]:
                 continue
@@ -913,8 +944,7 @@ class ShardWorkerPool:
             if remaining is not None and remaining <= 0.0:
                 self._abandon(outstanding)
                 deadline_check()  # raises QueryTimeoutError
-            poll = _POLL_INTERVAL_S
-            poll = min(poll, max(0.001, end - time.monotonic()))
+            poll = min(_POLL_INTERVAL_S, max(0.001, end - time.monotonic()))
             if remaining is not None:
                 poll = min(poll, max(0.001, remaining))
             try:
@@ -963,17 +993,11 @@ class ShardWorkerPool:
         for _process, task_queue in self._workers:
             _teardown("worker stop signal", lambda q=task_queue: q.put(b""))
         for process, task_queue in self._workers:
-            process.join(timeout=2.0)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=2.0)
-            _teardown("worker queue close", task_queue.close)
-            _teardown("worker queue join-thread", task_queue.cancel_join_thread)
+            self._reap(process, task_queue, grace_s=2.0)
         _teardown("result queue close", self._results.close)
         _teardown("result queue join-thread", self._results.cancel_join_thread)
         for entry in self._segments.values():
-            shm = entry[1]
-            _unlink_segment(shm)
+            _unlink_segment(entry[1])
         self._segments.clear()
         self._workers = []
         self._shipped = []
@@ -996,14 +1020,11 @@ def get_worker_pool(start_method: Optional[str] = None) -> ShardWorkerPool:
     explicit :func:`shutdown_worker_pool` tears it down.
     """
     global _POOL
+    if _POOL is not None and start_method not in (None, _POOL.start_method):
+        shutdown_worker_pool()
     if _POOL is not None:
-        if start_method is not None and _POOL.start_method != start_method:
-            _POOL.shutdown()
-            _POOL = None
-        else:
-            _POOL.repair()
-            return _POOL
-    if _POOL is None:
+        _POOL.repair()
+    else:
         _POOL = ShardWorkerPool(
             num_workers=_SHARD_FAN_OUT,
             start_method=start_method or _default_start_method(),
@@ -1089,15 +1110,12 @@ def _scatter_gather(backend: ColumnStoreTable, query: Query,
                            deadline_remaining() or float("inf")))
             deadline_check()
         try:
-            specs = pool.publish(namespace, epoch, backend, columns)
+            specs = pool.publish(namespace, epoch, backend, columns,
+                                 decision.bounds)
             if process_fault("shard.shm.unlink_race"):
-                pool.sabotage_unlink(namespace)
+                pool.sabotage(namespace)
             if process_fault("shard.shm.bit_flip"):
-                pool.sabotage_flip(namespace)
-            checksums = {
-                name: spec[2] for name, spec in specs.items()
-                if spec[2] is not None
-            } or None
+                pool.sabotage(namespace, active_plan().flip_byte)
             tasks = []
             for index, (start, stop) in enumerate(decision.bounds):
                 worker = index % pool.num_workers
@@ -1106,8 +1124,11 @@ def _scatter_gather(backend: ColumnStoreTable, query: Query,
                     "namespace": namespace, "epoch": epoch,
                     "ship": pool.ship_list(worker, namespace, epoch, specs),
                     "columns": list(columns), "start": start, "stop": stop,
-                    "query": query, "base_columns": list(columns),
-                    "checksums": checksums,
+                    "query": query,
+                    "checksums": {
+                        name: spec[2][index] for name, spec in specs.items()
+                        if spec[2] is not None
+                    },
                 })
             _inject_process_faults(tasks)
             gathered = pool.run(tasks, timeout_s)
@@ -1121,16 +1142,42 @@ def _scatter_gather(backend: ColumnStoreTable, query: Query,
     ) from last_error
 
 
-def _record_degradation(accountant: CostAccountant, decision: ShardDecision,
-                        table_name: str, reason: str, attempts: int) -> None:
+def _record_degradation(accountant: CostAccountant, table_name: str,
+                        reason: str, attempts: int) -> None:
     """Count and describe one walk down the ladder to the serial rung."""
     _COUNTERS.shard_degradations += 1
-    rungs = ["shard-parallel"]
-    if attempts > 1:
-        rungs.append(f"retry x{attempts - 1}")
-    rungs.append("serial")
+    retry = f"retry x{attempts - 1} -> " if attempts > 1 else ""
     accountant.record_degradation(
-        table_name, f"{' -> '.join(rungs)} ({reason})"
+        table_name, f"shard-parallel -> {retry}serial ({reason})"
+    )
+
+
+def _gather_shards(path, query: Query, kind: str, columns: Sequence[str],
+                   accountant: CostAccountant) -> Optional[List[Dict[str, Any]]]:
+    """Per-shard results of *query*, or ``None`` to run serially.
+
+    ``None`` means the query was ineligible *or* exhausted the retry budget
+    — the degradation (if any) is recorded on the accountant, nothing is
+    charged; a deadline expiry raises instead.
+    """
+    decision = path.shard_decision_for(query)
+    if not decision.sharded:
+        return None
+    try:
+        return _scatter_gather(
+            path.table.backend, query, decision, kind, list(columns)
+        )
+    except ShardExecutionError as error:
+        _record_degradation(accountant, path.table.name, str(error),
+                            error.attempts)
+        return None
+
+
+def _record_shards(accountant: CostAccountant, table_name: str,
+                   results: List[Dict[str, Any]]) -> None:
+    accountant.record_shard_execution(
+        table_name, len(results),
+        tuple((result["scanned"], result["matched"]) for result in results),
     )
 
 
@@ -1141,47 +1188,33 @@ def try_sharded_aggregation(path, query: AggregationQuery,
 
     Scatter, gather and merge complete before the first charge lands; the
     serial collect-then-reduce charges are then replayed in call order, so a
-    fallback can never leave a partial bill behind.  ``None`` means the
-    query was ineligible *or* exhausted the retry budget — the degradation
-    (if any) is recorded on the accountant; a deadline expiry raises instead.
+    fallback can never leave a partial bill behind.
     """
-    decision = path.shard_decision_for(query)
-    if not decision.sharded:
+    results = _gather_shards(path, query, "agg", base_columns, accountant)
+    if results is None:
         return None
     table = path.table
     try:
-        results = _scatter_gather(
-            table.backend, query, decision, "agg", list(base_columns)
-        )
         rows = merge_partition_partials(
             query.aggregates, list(query.group_by),
             [result["partials"] for result in results],
         )
-    except ShardExecutionError as error:
-        _record_degradation(accountant, decision, table.name, str(error),
-                            getattr(error, "attempts", 1))
-        return None
     except TypeError:
-        _record_degradation(accountant, decision, table.name,
+        _record_degradation(accountant, table.name,
                             "unorderable partial merge", 1)
         return None
     matched = sum(result["matched"] for result in results)
     accountant.count_partition(table.name, scanned=True)
-    backend = table.backend
     if query.predicate is not None:
         table.charge_filter_scan(query.predicate, accountant)
-        for name in base_columns:
-            backend.charge_encoded_read(name, matched, accountant)
-    else:
-        for name in base_columns:
-            backend.charge_encoded_read(name, None, accountant)
+    for name in base_columns:
+        table.backend.charge_encoded_read(
+            name, None if query.predicate is None else matched, accountant
+        )
     accountant.charge_aggregate_updates(matched * len(query.aggregates))
     if query.group_by:
         accountant.charge_group_by_updates(matched)
-    accountant.record_shard_execution(
-        table.name, decision.fan_out,
-        tuple((result["scanned"], result["matched"]) for result in results),
-    )
+    _record_shards(accountant, table.name, results)
     return rows
 
 
@@ -1194,19 +1227,12 @@ def try_sharded_select(path, query: SelectQuery,
     row fetch itself — ``fetch_rows`` charges materialisation exactly as the
     serial path does, after the replayed scan charges.
     """
-    decision = path.shard_decision_for(query)
-    if not decision.sharded:
+    results = _gather_shards(
+        path, query, "select", sorted(query.predicate.columns()), accountant
+    )
+    if results is None:
         return None
     table = path.table
-    scan_columns = sorted(query.predicate.columns())
-    try:
-        results = _scatter_gather(
-            table.backend, query, decision, "select", scan_columns
-        )
-    except ShardExecutionError as error:
-        _record_degradation(accountant, decision, table.name, str(error),
-                            getattr(error, "attempts", 1))
-        return None
     positions = np.concatenate(
         [result["positions"] for result in results]
     ).astype(np.int64)
@@ -1215,46 +1241,5 @@ def try_sharded_select(path, query: SelectQuery,
     if query.limit is not None:
         positions = positions[: query.limit]
     rows = table.fetch_rows(positions, list(query.columns) or None, accountant)
-    accountant.record_shard_execution(
-        table.name, decision.fan_out,
-        tuple((result["scanned"], result["matched"]) for result in results),
-    )
+    _record_shards(accountant, table.name, results)
     return rows
-
-
-# -- parallel-runtime projection -------------------------------------------------------
-
-#: Components an aggregation shard performs inside the workers — they shrink
-#: to the largest shard's share under parallel execution.
-AGGREGATION_PARALLEL_COMPONENTS: FrozenSet[str] = frozenset({
-    "column_scan", "vector_compare", "predicate_eval", "dictionary_decode",
-    "tuple_reconstruction", "aggregate_update", "group_by",
-})
-
-#: A sharded selection parallelises only the scan; the row fetch happens in
-#: the parent after the gather.
-SELECT_PARALLEL_COMPONENTS: FrozenSet[str] = frozenset({
-    "column_scan", "vector_compare", "predicate_eval",
-})
-
-
-def projected_parallel_ms(cost, shard_rows: Sequence[Tuple[int, int]],
-                          fan_out: int, device,
-                          parallel_components: FrozenSet[str]) -> float:
-    """Deterministic simulated runtime of a sharded execution, in ms.
-
-    The serially-charged :class:`CostBreakdown` (bit-identical to the serial
-    reference by construction) is re-projected onto the worker crew: the
-    components in *parallel_components* ride the critical shard — the largest
-    ``scanned`` share of ``shard_rows`` — while everything else stays serial,
-    plus the device's per-shard dispatch overhead.
-    """
-    components = cost.components
-    work_ns = sum(
-        nanoseconds for name, nanoseconds in components.items()
-        if name in parallel_components
-    )
-    serial_ns = cost.total_ns - work_ns
-    scanned = [rows for rows, _matched in shard_rows]
-    critical = max(scanned) / max(1, sum(scanned)) if scanned else 1.0
-    return (serial_ns + work_ns * critical + device.shard_dispatch(fan_out)) / 1e6

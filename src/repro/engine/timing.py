@@ -12,7 +12,7 @@ Because the counters are produced by *actual* query execution over *actual*
 data, the simulated runtimes respond to data volume, compression rate, number
 of aggregates, selectivity, and store choice exactly the way the paper's
 measurements do, which is what the estimation-accuracy and recommendation
-experiments require (see DESIGN.md, Section 2).
+experiments require.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ class DeviceModel:
         """Scatter/gather overhead of a *fan_out*-way sharded execution.
 
         Used only by the parallel-runtime projection
-        (:func:`repro.engine.shard.projected_parallel_ms`) — never charged
+        (:func:`repro.engine.shard_gate.projected_parallel_ms`) — never charged
         to a :class:`CostBreakdown`, which stays bit-identical to serial.
         """
         return max(0, fan_out) * self.config.shard_dispatch_ns

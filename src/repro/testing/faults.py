@@ -106,6 +106,9 @@ class FaultPlan:
     at_hit: int = 1
     torn_bytes: Optional[int] = None
     every_hit: bool = False
+    #: ``shard.shm.bit_flip`` only: the segment byte to damage, so the flip
+    #: can land in any shard's row range (byte ``8 * row``).
+    flip_byte: int = 0
     #: Every point name hit while this plan was armed (coverage telemetry).
     hits: List[str] = field(default_factory=list)
 

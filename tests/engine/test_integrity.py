@@ -30,17 +30,22 @@ The contracts pinned here:
   ``SessionStats`` but charges zero simulated cost.
 """
 
+import pickle
+import zlib
+
 import numpy as np
 import pytest
 
 from repro.api import connect
 from repro.api.session import recover
 from repro.config import IntegrityConfig
+from repro.engine.compression import ColumnDictionary
 from repro.engine.integrity import (
     apply_integrity_config,
     codes_checksum,
     integrity_counters,
     integrity_disabled,
+    unit_checksum,
 )
 from repro.engine.database import HybridDatabase
 from repro.engine.partitioning import (
@@ -124,6 +129,34 @@ def test_codes_checksum_is_content_addressed():
     assert codes_checksum(strided) == codes_checksum(
         np.ascontiguousarray(strided)
     )
+
+
+@pytest.mark.parametrize("codes", [
+    np.arange(1_000, dtype=np.int64),                       # contiguous int64
+    np.arange(2_000, dtype=np.int64)[::2],                  # non-contiguous view
+    np.arange(1_000, dtype=np.int64)[250:750],              # a shard's row range
+    (np.arange(1_000) % 120).astype(np.int8),               # narrower dtypes
+    (np.arange(1_000) * 37).astype(np.int32),
+    np.empty(0, dtype=np.int64),
+], ids=["int64", "strided", "slice", "int8", "int32", "empty"])
+def test_zero_copy_checksums_keep_their_values(codes):
+    """Reading the buffer in place must not move a single recorded crc.
+
+    The reference is the definition the checksums had while they went
+    through a ``tobytes()`` copy: crc32 of the contents as contiguous int64,
+    continued over the pickled dictionary values for the unit checksum.
+    """
+    copied = zlib.crc32(
+        np.ascontiguousarray(codes, dtype=np.int64).tobytes()
+    ) & 0xFFFFFFFF
+    assert codes_checksum(codes) == copied
+    dictionary = ColumnDictionary(DataType.VARCHAR)
+    dictionary.bulk_build(["x", None, "a", "m"])
+    payload = pickle.dumps(
+        tuple(dictionary.values), protocol=pickle.HIGHEST_PROTOCOL
+    )
+    assert unit_checksum(codes, dictionary) == \
+        zlib.crc32(payload, copied) & 0xFFFFFFFF
 
 
 # -- snapshot corruption ---------------------------------------------------------------
@@ -404,7 +437,7 @@ def test_repair_with_nothing_quarantined_is_a_noop(tmp_path):
 
 # -- shared-memory corruption (shard workers) ------------------------------------------
 
-SHARD_FAST = dict(min_rows=1, gather_timeout_s=0.8, backoff_s=0.005)
+SHARD_FAST = dict(fan_out=4, min_rows=1, gather_timeout_s=0.8, backoff_s=0.005)
 
 
 @pytest.fixture
@@ -454,6 +487,63 @@ def test_persistent_shm_flip_degrades_via_checksum_mismatch(_pool_cleanup):
     ladder = result.degradations["ledger"]
     assert ladder.startswith("shard-parallel -> retry x1 -> serial")
     assert "checksum mismatch" in ladder
+
+
+#: 2 000 rows at fan-out 4: shard *k* owns rows ``[500k, 500k + 500)`` and
+#: therefore segment bytes ``[4000k, 4000k + 4000)``.
+SHARD_ROWS = 500
+
+
+def _flip_in_shard(database, flip_byte, every_hit):
+    query = (
+        aggregate("ledger").sum("amount").count()
+        .group_by("account").where(ge("amount", 10)).build()
+    )
+    with shard_execution_disabled():
+        reference = database.execute(query)
+    counters = resilience_counters().snapshot()
+    with shard_config(**SHARD_FAST):
+        plan = FaultPlan(crash_at="shard.shm.bit_flip", flip_byte=flip_byte,
+                         every_hit=every_hit)
+        with inject(plan):
+            result = database.execute(query)
+    # Whatever the ladder did, rows and charges match the serial reference.
+    assert sorted(map(repr, result.rows)) == sorted(map(repr, reference.rows))
+    assert result.cost.components == reference.cost.components
+    assert resilience_counters().shard_retries == counters.shard_retries + 1
+    return result
+
+
+@pytest.mark.parametrize("shard", range(4))
+def test_flip_in_any_shard_is_caught_by_that_shard(shard, _pool_cleanup):
+    """Slice-level verification covers every shard's range, not just byte 0.
+
+    A one-shot flip heals by republish + retry (still sharded); a
+    persistent one degrades to serial, and the error names exactly the row
+    range of the shard that holds the damaged byte — the other three tasks
+    verified their own ranges clean.
+    """
+    database = build_shard_database()
+    flip_byte = 8 * SHARD_ROWS * shard + 8 * 123 + 5  # mid-shard, mid-code
+    healed = _flip_in_shard(database, flip_byte, every_hit=False)
+    assert healed.shard_stats["ledger"][0] == 4 and not healed.degradations
+
+    degraded = _flip_in_shard(database, flip_byte, every_hit=True)
+    assert not degraded.shard_stats
+    ladder = degraded.degradations["ledger"]
+    assert ladder.startswith("shard-parallel -> retry x1 -> serial")
+    assert "checksum mismatch" in ladder
+    assert f"rows [{SHARD_ROWS * shard}, {SHARD_ROWS * (shard + 1)})" in ladder
+
+
+@pytest.mark.parametrize("flip_byte, owner", [
+    (8 * SHARD_ROWS - 1, "rows [0, 500)"),     # last byte of shard 0
+    (8 * SHARD_ROWS, "rows [500, 1000)"),      # first byte of shard 1
+])
+def test_flip_on_a_shard_boundary_belongs_to_exactly_one_shard(
+        flip_byte, owner, _pool_cleanup):
+    degraded = _flip_in_shard(build_shard_database(), flip_byte, every_hit=True)
+    assert owner in degraded.degradations["ledger"]
 
 
 # -- telemetry -------------------------------------------------------------------------

@@ -72,7 +72,7 @@ NUM_ROWS = 2_000
 #: Fast-failure knobs for the fault matrix: wedges time out in fractions of
 #: a second and retries back off in milliseconds, so the whole matrix runs
 #: in seconds while exercising exactly the production code paths.
-FAST = dict(min_rows=1, gather_timeout_s=0.8, backoff_s=0.005)
+FAST = dict(fan_out=4, min_rows=1, gather_timeout_s=0.8, backoff_s=0.005)
 
 
 def make_rows(num_rows, offset=0):

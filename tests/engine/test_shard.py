@@ -2,10 +2,12 @@
 
 The tentpole contracts pinned here:
 
-* :func:`derive_shard_decision` shards only delta-free plain column stores at
-  or above the row floor, with provably merge-safe aggregations and filtered
-  selections; the recorded :class:`ShardDecision` goes stale — and re-derives
-  — on DML, toggle flips and ``shard_config`` changes, like ``ScanDecision``;
+* :func:`derive_shard_decision` shards only delta-free plain column stores,
+  with provably merge-safe aggregations and filtered selections, where the
+  wall-clock gate predicts scatter/gather no slower than serial (or, under
+  ``shard_config(min_rows=n)``, at or above the row floor); the recorded
+  :class:`ShardDecision` goes stale — and re-derives — on DML, toggle flips
+  and ``shard_config`` changes, like ``ScanDecision``;
 * every sharded execution charges the :class:`CostBreakdown` **bit-identically**
   to the serial reference behind ``shard_execution_disabled()``, and a failed
   scatter/gather falls back to serial without leaving a partial bill behind;
@@ -30,17 +32,21 @@ from repro.engine.database import HybridDatabase
 from repro.engine.executor.rewrite import access_path_for
 from repro.engine.schema import Column, TableSchema
 from repro.engine.shard import (
-    AGGREGATION_PARALLEL_COMPONENTS,
-    SELECT_PARALLEL_COMPONENTS,
     ShardExecutionError,
     derive_shard_decision,
     get_worker_pool,
-    projected_parallel_ms,
     shard_bounds,
     shard_config,
     shard_execution_disabled,
     shutdown_worker_pool,
 )
+from repro.engine.shard_gate import (
+    AGGREGATION_PARALLEL_COMPONENTS,
+    SELECT_PARALLEL_COMPONENTS,
+    best_fan_out,
+    projected_parallel_ms,
+)
+from repro.engine.statistics import ColumnStatistics
 from repro.engine.types import DataType, Store
 from repro.query import Workload
 from repro.query.builder import aggregate, insert, select
@@ -132,9 +138,14 @@ class TestShardDecision:
 
         column_path = access_path_for(build_database(50).table_object("metrics"))
         decision = derive_shard_decision(column_path, query)
-        assert not decision.sharded and "floor" in decision.reason
+        assert not decision.sharded and "predicted" in decision.reason
 
-        with shard_config(min_rows=1):
+        with shard_config(fan_out=4, min_rows=100):
+            decision = derive_shard_decision(column_path, query)
+        assert not decision.sharded and "below 100-row floor" in decision.reason
+        assert decision.predicted_ms is None
+
+        with shard_config(fan_out=4, min_rows=1):
             decision = derive_shard_decision(column_path, query)
         assert decision.sharded
         assert decision.fan_out == 4
@@ -201,12 +212,108 @@ class TestShardDecision:
         assert not path.shard_decision_for(query).sharded
 
 
+# -- the wall-clock gate ---------------------------------------------------------------
+
+
+def _sales_query(shape):
+    """The benchmark's statement shapes over ``sales(region, day, revenue, qty)``."""
+    if shape == "grouped-1agg":
+        return aggregate("sales").sum("qty").group_by("region").build()
+    if shape == "grouped-2agg":
+        return aggregate("sales").sum("qty").sum("revenue").group_by("region").build()
+    if shape == "window-agg":
+        return (aggregate("sales").sum("revenue").group_by("region")
+                .where(between("day", 1200, 1230)).build())
+    assert shape == "selective-select"
+    return select("sales").columns("id", "revenue").where(eq("day", 1356)).build()
+
+
+#: What the catalog records for the predicate column of the shapes above.
+SALES_STATISTICS = {
+    "day": ColumnStatistics("day", DataType.INTEGER, 3_650, 0, 3_649),
+}
+
+#: shape -> rows -> the fan-out the gate picks at 2 / 4 / 8 usable cores
+#: (0 = serial).  Selective filtered shapes lose wherever a 2-core box can
+#: look: their serial path is one code-mask pass, cheaper per row than the
+#: crc a worker owes (only a 10M-row scan on 8 cores amortises it).
+#: Whole-table grouped shapes cross over between 100k and 200k rows (the
+#: e2e benchmark's ``olap_serial_100k`` must stay serial, its 200k-row smoke
+#: ``olap_shard_1m`` must still shard), and past the crossover more cores buy
+#: wider fan-outs — up to where another task's dispatch costs more than it
+#: saves.
+GATE_TABLE = {
+    "grouped-1agg": {100_000: (0, 0, 0), 200_000: (2, 3, 3),
+                     1_000_000: (2, 4, 7), 10_000_000: (2, 4, 8)},
+    "grouped-2agg": {100_000: (0, 0, 0), 200_000: (2, 4, 4),
+                     1_000_000: (2, 4, 8), 10_000_000: (2, 4, 8)},
+    "window-agg": {100_000: (0, 0, 0), 200_000: (0, 0, 0),
+                   1_000_000: (0, 0, 0), 10_000_000: (0, 0, 0)},
+    "selective-select": {100_000: (0, 0, 0), 200_000: (0, 0, 0),
+                         1_000_000: (0, 0, 0), 10_000_000: (0, 0, 8)},
+}
+
+
+@pytest.mark.parametrize("shape", sorted(GATE_TABLE))
+def test_gate_decision_table(shape):
+    query = _sales_query(shape)
+    for num_rows, expected in GATE_TABLE[shape].items():
+        picked = tuple(
+            best_fan_out(query, num_rows, SALES_STATISTICS, limit=cores,
+                         cores=cores)[0]
+            for cores in (2, 4, 8)
+        )
+        assert picked == expected, (shape, num_rows)
+
+
+def test_gate_is_a_pure_function_of_its_inputs():
+    """Same inputs, same verdict, same prediction — no clock in the decision."""
+    query = _sales_query("grouped-2agg")
+    first = best_fan_out(query, 200_000, SALES_STATISTICS, limit=2, cores=2)
+    assert all(
+        best_fan_out(query, 200_000, SALES_STATISTICS, limit=2, cores=2) == first
+        for _ in range(5)
+    )
+    fan_out, (serial_ms, sharded_ms) = first
+    assert fan_out == 2 and sharded_ms <= serial_ms
+    # One usable core can never win: the same work plus verification plus
+    # dispatch, on the same core.
+    assert best_fan_out(query, 10_000_000, SALES_STATISTICS, limit=2,
+                        cores=1)[0] == 0
+    # The recorded decision of a real table repeats too, reason included.
+    path = access_path_for(build_database(300).table_object("metrics"))
+    decisions = [derive_shard_decision(path, grouped_query()) for _ in range(3)]
+    assert decisions[0] == decisions[1] == decisions[2]
+    assert not decisions[0].sharded and decisions[0].predicted_ms is not None
+
+
+def test_explain_states_why_the_gate_declined():
+    from repro.api import connect
+
+    session = connect()
+    session.create_table(SCHEMA, Store.COLUMN)
+    session.load_rows("metrics", make_rows(800))
+    first = session.explain(grouped_query())
+    assert "shards: serial (predicted 0.0 ms serial < 0.4 ms sharded)" in first
+    assert "ladder:" not in first
+    assert session.explain(grouped_query()) == first
+    # A structurally ineligible query (row store) prints no verdict at all.
+    session.create_table(
+        TableSchema("plain", SCHEMA.columns), Store.ROW
+    )
+    session.load_rows("plain", [dict(row) for row in make_rows(10)])
+    assert "shards:" not in session.explain(
+        aggregate("plain").count().group_by("bucket").build()
+    )
+    session.close()
+
+
 # -- charge identity against the serial reference --------------------------------------
 
 
 class TestChargeIdentity:
     def assert_identical(self, database, query, expect_sharded=True):
-        with shard_config(min_rows=1):
+        with shard_config(fan_out=4, min_rows=1):
             sharded = database.execute(query)
         with shard_execution_disabled():
             reference = database.execute(query)
@@ -245,7 +352,7 @@ class TestChargeIdentity:
             select("metrics").columns("id", "bucket")
             .where(eq("bucket", "b2")).limit(17).build()
         )
-        with shard_config(min_rows=1):
+        with shard_config(fan_out=4, min_rows=1):
             sharded = database.execute(query)
         with shard_execution_disabled():
             reference = database.execute(query)
@@ -335,7 +442,7 @@ def test_explain_analyze_reports_shards():
     session = connect()
     session.create_table(SCHEMA, Store.COLUMN)
     session.load_rows("metrics", make_rows(800))
-    with shard_config(min_rows=1):
+    with shard_config(fan_out=4, min_rows=1):
         text = session.explain(grouped_query(), analyze=True)
     assert "shards: fan-out 4 (4 x ~200 rows)" in text
     assert "shard execution (scanned/matched):" in text
@@ -355,7 +462,7 @@ class TestShardAdvisor:
             + [select("metrics").where(ge("hits", 10)).build()] * 5,
             name="shardable",
         )
-        with shard_config(min_rows=1):
+        with shard_config(fan_out=4, min_rows=1):
             recommendations = advisor.recommend_shard_keys(database, workload)
             assert set(recommendations) == {"metrics"}
             recommendation = recommendations["metrics"]
@@ -390,7 +497,8 @@ class TestShardAdvisor:
         session = connect()
         session.create_table(SCHEMA, Store.COLUMN)
         session.load_rows("metrics", make_rows(2_000))
-        # Default 200k floor: the table is never shard-eligible.
+        # Default wall-clock gate: the engine would not scatter 2 000 rows,
+        # so the what-if never prices it.
         assert session.recommend_shard_keys(Workload([grouped_query()])) == {}
         session.close()
 
