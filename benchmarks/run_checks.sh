@@ -1,56 +1,29 @@
 #!/usr/bin/env sh
-# Full verification gate in one command:
+# Full verification gate in one command.  Each stage announces itself with
+# an `echo` line below; what those lines do not say:
 #
-#   tier-1   — the complete test + figure-reproduction suite (pytest from the
-#              repo root, exactly the ROADMAP command),
-#   perf     — the wall-clock regression smokes against BENCH_pipeline.json
-#              plus the session plan-cache smoke (prepared re-execution must
-#              beat cold parse+plan by >= 2x),
-#   bench    — the standalone bench-JSON comparator: re-measures every
-#              scenario recorded in BENCH_pipeline.json and fails when any
-#              regresses >2x versus the committed baseline; the aggregate-
-#              pushdown scenarios additionally gate their live speedup over
-#              the decode-then-reduce reference (grouped >=3x, zero-scan
-#              MIN/MAX >=20x), the delta/main write split gates per-row
-#              inserts at >=5x over the inline path, the 1M-row shard
-#              *simulated* projections (`*_sim_ms`) gate >=2x over serial at
-#              fan-out 4, and the matview serve gates >=5x over
-#              recompute-per-query,
-#   calibrate — informational: re-measures the five constants of the shard
-#              wall-clock gate (crc bytes/s, per-task dispatch, code-mask,
-#              group and aggregate ns/row) and prints them with the machine
-#              fingerprint next to the committed values; warns on > 2x
-#              drift, never fails,
-#   matview  — the materialized-view suite, standalone: refresh machinery,
-#              session serving/EXPLAIN/advisor tests, the matview-vs-base
-#              differential fuzzer and the serve-vs-recompute perf gates
-#              (also runs inside tier-1; this run proves the marker works),
-#   shard    — the shard-parallel scatter/gather suite, standalone: decision
-#              staleness, charge bit-identity vs the serial reference, the
-#              sharded differential fuzzer, spawn-vs-fork determinism and
-#              the 1M-row projection gates (also runs inside tier-1; this
-#              run proves the marker works),
-#   fuzz     — the seeded differential suites, standalone (cross-store,
-#              session-vs-legacy, pruning-vs-decode, and delta-vs-inline;
-#              they also run inside tier-1; this run proves the marker works),
-#   faults   — the crash-point recovery differential suite: a fault-injection
-#              harness crashes the WAL/merge/checkpoint paths at every
-#              declared crash point and recovery must land on the committed
-#              prefix,
-#   resilience — the process-fault matrix over the supervised shard pool:
-#              worker kill/hang, poisoned results, shm unlink races, shm
-#              bit flips and matview refresh crashes must all yield rows
-#              and charges bit-identical to the serial reference, with
-#              retries, individual worker replacement, deadline
-#              cancellation and a clean shared-memory segment audit,
-#   integrity — the corruption-fault matrix: flipped/truncated checkpoint
-#              snapshots are detected (never restored from), in-memory
-#              code-array flips are quarantined with typed errors naming
-#              the exact table/partition/column, WAL-backed repair restores
-#              rows and charges bit-identical, and checksum verification
-#              bills zero simulated cost (the delta_insert_100k_ms bench
-#              gate above doubles as the checksum-overhead guard),
-#   examples — the session-API examples as executable documentation.
+#   tier-1     — pytest from the repo root, exactly the ROADMAP command; every
+#                marker suite below also runs inside it (the standalone runs
+#                prove the markers select what they claim).
+#   perf/bench — wall-clock gates against BENCH_pipeline.json: any scenario
+#                regressing >2x fails, and the `--fail-under` list gates live
+#                speedups over each fast path's reference.  The shard
+#                `*_sim_ms` entries are *simulated* projections; the
+#                delta_insert gate doubles as the checksum-overhead guard.
+#   calibrate  — informational, never fails: re-measures the shard wall-clock
+#                gate's five constants next to the committed values.
+#   ledger     — seconds-long source check of the one-home-per-charge rule:
+#                fails if a deleted charge twin reappears under src/, or if
+#                shard.py / matview.py / executor/access.py call a primitive
+#                `accountant.charge_*` instead of a single-home function
+#                (charge_filter_scan, charge_column_read, charge_tuple_read,
+#                charge_aggregation).
+#   fuzz       — the seeded differentials: every fast path vs its toggled
+#                reference, on rows, CostBreakdown totals and charge order.
+#   faults / resilience / integrity — crash points, process faults and
+#                corruption: recovery lands on the committed prefix; every
+#                fault yields rows and charges bit-identical to the serial
+#                reference; corrupt units are quarantined, never served.
 #
 # Usage, from the repository root or this directory:
 #   benchmarks/run_checks.sh
@@ -84,6 +57,17 @@ python -m pytest -m matview -q tests benchmarks
 
 echo "== shard: scatter/gather differential + projection gates =="
 python -m pytest -m shard -q tests benchmarks
+
+echo "== ledger: one home per simulated-clock charge =="
+deleted='compile_code_leaves|_DRY_MASK|charge_column_scan|_charge_pruned_main_update|_charge_main_positions|validate_assignments|_answers_from_index'
+if grep -rnE --include='*.py' "$deleted" src/; then
+    echo "ledger: a deleted charge twin is back (see above)"; exit 1
+fi
+if grep -nE 'accountant\.charge_' src/repro/engine/shard.py \
+        src/repro/engine/matview.py src/repro/engine/executor/access.py; then
+    echo "ledger: primitive charge outside its single-home function (see above)"; exit 1
+fi
+echo "ledger clean."
 
 echo "== fuzz: differential suites =="
 python -m pytest -m fuzz -q tests

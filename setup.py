@@ -1,9 +1,9 @@
-"""Setuptools entry point.
+"""Setuptools entry point — the repository's only packaging metadata.
 
-Kept alongside ``pyproject.toml`` so that editable installs work in offline
-environments whose setuptools lacks the ``wheel`` package required by the
-PEP 660 editable-wheel path (``pip install -e .`` then falls back to the
-legacy ``setup.py develop`` route).
+A plain ``setup.py`` so that editable installs work in offline environments
+whose setuptools lacks the ``wheel`` package the PEP 660 editable-wheel path
+needs (``pip install -e .`` falls back to the legacy ``setup.py develop``
+route).
 """
 
 from setuptools import find_packages, setup

@@ -214,10 +214,14 @@ class Session:
         # Integrity counters follow the same process-wide pattern.
         self._integrity_baseline = integrity_counters().snapshot()
         self._closed = False
-        if resilience is not None:
-            apply_resilience_config(resilience)
-        if integrity is not None:
-            apply_integrity_config(integrity)
+        # Process-wide policies: remember what this session replaces so
+        # ``close()`` can put it back.
+        self._replaced_resilience = (
+            apply_resilience_config(resilience) if resilience is not None else None
+        )
+        self._replaced_integrity = (
+            apply_integrity_config(integrity) if integrity is not None else None
+        )
         if durability is not None:
             self.database.delta_merge_threshold = durability.delta_merge_threshold
         if wal_path is not None and self.database.wal is None:
@@ -245,9 +249,12 @@ class Session:
         return self._closed
 
     def close(self) -> None:
-        """Release cached plans and close an attached WAL.
+        """Release cached plans, restore process-wide policy, close the WAL.
 
-        Idempotent and exception-safe: calling it twice (or after a failed
+        A ``resilience=`` / ``integrity=`` config was installed process-wide;
+        closing re-installs the policy it replaced, so a later ``connect()``
+        does not inherit it (sessions *overlapping* in time still share one
+        policy — ROADMAP item 4).  Idempotent and exception-safe: calling it twice (or after a failed
         statement) is a no-op the second time, listeners are dropped so a
         half-torn-down monitor cannot be re-notified, and the WAL is flushed
         and closed even if clearing a cache were to fail.  The database
@@ -268,6 +275,10 @@ class Session:
             shutdown_worker_pool()
             audit_shared_segments()
         finally:
+            if self._replaced_resilience is not None:
+                apply_resilience_config(self._replaced_resilience)
+            if self._replaced_integrity is not None:
+                apply_integrity_config(self._replaced_integrity)
             wal = self.database.wal
             if wal is not None and not wal.closed:
                 wal.close()

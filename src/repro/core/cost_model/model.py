@@ -37,7 +37,6 @@ from repro.core.cost_model.estimator import (
 )
 from repro.core.cost_model.parameters import CostModelParameters, analytic_parameters
 from repro.engine.catalog import Catalog
-from repro.engine.statistics import TableStatistics
 from repro.engine.types import Store
 from repro.errors import EstimationError
 from repro.query.ast import Query, QueryType
@@ -158,17 +157,6 @@ class CostModel:
                 schema=catalog.schema(name), statistics=catalog.statistics_of(name)
             )
             for name in catalog.table_names()
-        }
-
-    @staticmethod
-    def profiles_from_statistics(
-        schemas: Mapping[str, "TableSchemaLike"],
-        statistics: Mapping[str, TableStatistics],
-    ) -> Dict[str, TableProfile]:
-        """Build profiles from explicit schema and statistics mappings."""
-        return {
-            name: TableProfile(schema=schemas[name], statistics=statistics[name])
-            for name in schemas
         }
 
     # -- query estimation ------------------------------------------------------------

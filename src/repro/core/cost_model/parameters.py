@@ -21,7 +21,7 @@ Two ways to obtain parameters:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.config import DeviceModelConfig
 from repro.engine.types import Store
@@ -145,14 +145,4 @@ def analytic_parameters(
             if store is Store.COLUMN:
                 weights["update_cells"] = config.cs_update_value_ns
             parameters.set_weights(store, query_type, CostTermWeights(weights))
-    return parameters
-
-
-def zero_parameters(stores: Iterable[Store] = Store,
-                    query_types: Iterable[QueryType] = QueryType) -> CostModelParameters:
-    """All-zero parameters (useful as a calibration starting point in tests)."""
-    parameters = CostModelParameters()
-    for store in stores:
-        for query_type in query_types:
-            parameters.set_weights(store, query_type, CostTermWeights({}))
     return parameters

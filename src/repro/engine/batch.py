@@ -13,10 +13,10 @@ row store its cached value arrays); operators work on the representation they
 receive — group-by factorizes dictionary codes in O(n) without decoding, hash
 joins probe on code arrays when both sides share a dictionary, and filtered
 column-store scans are compiled to **code-domain** masks in the storage
-layer (:func:`repro.engine.column_store.compile_code_mask`: value predicates
-become code intervals/memberships via ``bisect`` on the sorted dictionary,
-zone maps skip partitions the predicate provably cannot match) — and the
-dictionary is consulted only for the values that actually reach the result:
+layer (:func:`repro.engine.column_store.translate_code_predicate`: value
+predicates become code intervals/memberships via ``bisect`` on the sorted
+dictionary, zone maps skip partitions the predicate provably cannot match) —
+and the dictionary is consulted only for the values that reach the result:
 group keys decode once per *group*, and full decodes happen only at the
 ``QueryResult`` boundary (:meth:`ColumnBatch.to_rows` / ``fetch_rows``).
 Consumers that need values call :meth:`ColumnBatch.column` (decodes encoded

@@ -129,12 +129,6 @@ class Catalog:
         del self._views[name]
         self.bump_view_version()
 
-    def view_entry(self, name: str) -> ViewEntry:
-        try:
-            return self._views[name]
-        except KeyError:
-            raise CatalogError(f"unknown materialized view {name!r}") from None
-
     def has_view(self, name: str) -> bool:
         return name in self._views
 

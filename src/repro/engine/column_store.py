@@ -7,17 +7,25 @@ while reconstructing complete tuples, inserting rows and updating values pay
 per-cell penalties (dictionary maintenance, random accesses across columns).
 
 The sorted dictionary also provides the "implicit index" the paper mentions
-for point and range predicates: :func:`compile_code_mask` translates a value
-predicate — ``EQ/NE/LT/LE/GT/GE``, ``BETWEEN``, ``IN``, ``IS NULL`` and any
+for point and range predicates.  Compilation has two phases:
+:func:`translate_code_predicate` turns a value predicate —
+``EQ/NE/LT/LE/GT/GE``, ``BETWEEN``, ``IN``, ``IS NULL`` and any
 ``AND``/``OR``/``NOT`` combination of them — into code intervals and
-memberships via ``bisect`` on the dictionary, and evaluates it with
-vectorised integer comparisons over the code arrays.  No value is decoded;
-NULL (the reserved code 0) and NaN (sorted last) are excluded or included
-exactly as the scalar evaluator would.  Predicates the compiler cannot
-express (incomparable literal types, columns it does not know) fall back to
-the decode-and-compare path, which mirrors the row store's evaluator.
-``code_domain_disabled()`` forces that fallback everywhere — the
-differential fuzzer and the scan benchmarks use it as the reference path.
+memberships via ``bisect`` on the dictionary (the only step that can fail),
+and the mask function it returns applies them as vectorised integer
+comparisons over the code arrays.  No value is decoded; NULL (the reserved
+code 0) and NaN (sorted last) are excluded or included exactly as the scalar
+evaluator would.  Predicates the translator cannot express (incomparable
+literal types, columns it does not know) fall back to the decode-and-compare
+path, which mirrors the row store's evaluator.  ``code_domain_disabled()``
+forces that fallback everywhere — the differential fuzzer and the scan
+benchmarks use it as the reference path.
+
+**Charging**: :meth:`ColumnStoreTable.charge_filter_scan` (from the
+translation's verdict) and :meth:`ColumnStoreTable.charge_column_read` (from
+row counts) are the only places a read is billed.  The readers bill through
+them and then fetch; a caller that already knows the answer — a zone proof,
+a shard gather — bills through the same two and skips the fetch.
 
 **Delta/main split** (the paper's write-optimised store): DML inserts append
 to an uncompressed per-column delta buffer (:class:`DeltaColumn`) — no
@@ -41,8 +49,7 @@ of the snapshot while writers proceed.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,6 +57,7 @@ from repro.engine.batch import (
     BatchColumn,
     ColumnBatch,
     EncodedColumn,
+    decoded_array,
     evaluate_predicate_mask,
     values_to_array,
 )
@@ -57,6 +65,7 @@ from repro.engine.compression import CompressedColumn, code_width_bytes
 from repro.engine.integrity import TableIntegrity, verify_on_scan_enabled
 from repro.engine.schema import TableSchema
 from repro.engine.timing import CostAccountant
+from repro.engine.toggle import Toggle
 from repro.engine.types import Store
 from repro.engine.zonemap import ColumnZone, is_nan, next_zone_epoch, widen_zone
 from repro.errors import ExecutionError
@@ -81,31 +90,24 @@ from repro.query.predicates import (
 #: and measured costs follow the same access-path choice.
 SCAN_MATERIALIZATION_THRESHOLD = 0.15
 
-_CODE_DOMAIN_ENABLED = True
+_CODE_DOMAIN = Toggle()
 
 
 def code_domain_enabled() -> bool:
     """Whether predicates compile to code-domain masks (vs decode/compare)."""
-    return _CODE_DOMAIN_ENABLED
+    return _CODE_DOMAIN.enabled
 
 
-@contextmanager
-def code_domain_disabled() -> Iterator[None]:
+def code_domain_disabled():
     """Force the decode-and-compare fallback for every predicate.
 
     The differential fuzzer runs under this to pin result equivalence of the
     two paths, and the scan benchmarks use it as the reference measurement.
     """
-    global _CODE_DOMAIN_ENABLED
-    previous = _CODE_DOMAIN_ENABLED
-    _CODE_DOMAIN_ENABLED = False
-    try:
-        yield
-    finally:
-        _CODE_DOMAIN_ENABLED = previous
+    return _CODE_DOMAIN.disabled()
 
 
-_DELTA_WRITES_ENABLED = True
+_DELTA_WRITES = Toggle()
 
 #: Delta size (in rows) at which an insert triggers an automatic merge.
 DEFAULT_MERGE_THRESHOLD = 65536
@@ -113,11 +115,10 @@ DEFAULT_MERGE_THRESHOLD = 65536
 
 def delta_writes_enabled() -> bool:
     """Whether DML inserts append to the delta (vs inline dictionary encoding)."""
-    return _DELTA_WRITES_ENABLED
+    return _DELTA_WRITES.enabled
 
 
-@contextmanager
-def delta_writes_disabled() -> Iterator[None]:
+def delta_writes_disabled():
     """Force the inline-write reference path for every insert.
 
     The recovery and differential fuzzers run the reference executions under
@@ -125,13 +126,7 @@ def delta_writes_disabled() -> Iterator[None]:
     to the delta path.  (A delta already buffered keeps serving reads — the
     toggle governs where new writes go, not how existing rows are read.)
     """
-    global _DELTA_WRITES_ENABLED
-    previous = _DELTA_WRITES_ENABLED
-    _DELTA_WRITES_ENABLED = False
-    try:
-        yield
-    finally:
-        _DELTA_WRITES_ENABLED = previous
+    return _DELTA_WRITES.disabled()
 
 
 class DeltaColumn:
@@ -252,24 +247,30 @@ def _concat_values(main: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return np.concatenate([main, delta])
 
 
-#: A charge record of one compiled predicate leaf: the compressed column it
+#: A charge record of one translated predicate leaf: the compressed column it
 #: scans and whether it performed a dictionary (bisect) probe.
 CodeLeaf = Tuple[CompressedColumn, bool]
 
+#: The *apply* half of a translated predicate: row count -> boolean mask over
+#: the code arrays of the columns it was translated against.
+CodeMask = Callable[[int], np.ndarray]
 
-def compile_code_mask(
-    predicate: Predicate,
-    columns: Mapping[str, CompressedColumn],
-    num_rows: int,
-) -> Optional[Tuple[np.ndarray, List[CodeLeaf]]]:
-    """Compile *predicate* to a boolean mask over the code arrays.
 
-    Returns ``(mask, leaves)`` or ``None`` when any part of the predicate
-    cannot be answered in the code domain (unknown column, incomparable
-    literal type) — compilation is all-or-nothing and charge-free, so a
-    failed attempt never double-charges against the fallback path.  The
-    *leaves* list one entry per simple predicate evaluated, for the caller
-    to convert into cost charges.
+def translate_code_predicate(
+    predicate: Predicate, columns: Mapping[str, CompressedColumn]
+) -> Optional[Tuple[CodeMask, List[CodeLeaf]]]:
+    """Translate *predicate* into the code domain — dictionaries only.
+
+    Every value constant becomes a code, a code interval or a code
+    membership through the sorted dictionaries (``bisect``,
+    ``encode_existing``) — the only steps that can fail.  Returns
+    ``(apply, leaves)`` or ``None`` when any part of the predicate cannot be
+    answered in the code domain (unknown column, incomparable literal type);
+    translation is all-or-nothing and charge-free, so a failed attempt never
+    double-charges against the fallback path.  *leaves* list one entry per
+    simple predicate, in evaluation order, to bill from; ``apply(num_rows)``
+    evaluates the mask over the code arrays and may be skipped by a caller
+    that already knows the scan's answer.
 
     NULL awareness: a dictionary holding NULL reserves code 0 for it.  Value
     comparisons and ranges never include code 0 (``range_codes`` offsets its
@@ -279,201 +280,174 @@ def compile_code_mask(
     row-at-a-time semantics.
     """
     leaves: List[CodeLeaf] = []
-    mask = _compile_mask(predicate, columns, num_rows, leaves)
-    if mask is None:
+    apply = _translate(predicate, columns, leaves)
+    if apply is None:
         return None
-    return mask, leaves
+    return apply, leaves
 
 
-def compile_code_leaves(
-    predicate: Predicate, columns: Mapping[str, CompressedColumn]
-) -> Optional[List[CodeLeaf]]:
-    """Dry compilation: the leaves :func:`compile_code_mask` would evaluate.
-
-    Performs exactly the dictionary translations of a real compilation (the
-    only operations that can fail) but never touches a code array, so the
-    success verdict and the leaf list — and therefore the cost charges
-    derived from them — are guaranteed identical to the wet compilation.
-    Used to replay scan charges for scans that zone maps proved unnecessary.
-    """
-    leaves: List[CodeLeaf] = []
-    if _compile_mask(predicate, columns, 0, leaves, dry=True) is None:
-        return None
-    return leaves
+def _no_rows(codes: np.ndarray) -> np.ndarray:
+    return np.zeros(len(codes), dtype=bool)
 
 
-#: Placeholder returned for every mask during dry compilation.
-_DRY_MASK: Any = "dry"
-
-
-def _compile_mask(
+def _translate(
     predicate: Predicate,
     columns: Mapping[str, CompressedColumn],
-    num_rows: int,
     leaves: List[CodeLeaf],
-    dry: bool = False,
-) -> Optional[np.ndarray]:
+) -> Optional[CodeMask]:
     if isinstance(predicate, TruePredicate):
-        return _DRY_MASK if dry else np.ones(num_rows, dtype=bool)
+        return lambda num_rows: np.ones(num_rows, dtype=bool)
     if isinstance(predicate, (And, Or)):
-        combined: Optional[np.ndarray] = None
+        children: List[CodeMask] = []
         for child in predicate.predicates:
-            mask = _compile_mask(child, columns, num_rows, leaves, dry)
-            if mask is None:
+            translated = _translate(child, columns, leaves)
+            if translated is None:
                 return None
-            if dry or combined is None:
-                combined = mask
-            elif isinstance(predicate, And):
-                combined = combined & mask
-            else:
-                combined = combined | mask
+            children.append(translated)
+        if not children:
+            return None
+        conjunction = isinstance(predicate, And)
+
+        def combined(num_rows: int) -> np.ndarray:
+            mask = children[0](num_rows)
+            for child in children[1:]:
+                other = child(num_rows)
+                mask = mask & other if conjunction else mask | other
+            return mask
+
         return combined
     if isinstance(predicate, Not):
         # The leaf masks already encode NULL semantics (a NULL row fails
         # every comparison), so plain inversion matches the scalar
         # evaluator: NOT(amount > 5) *does* match NULL rows.
-        mask = _compile_mask(predicate.predicate, columns, num_rows, leaves, dry)
-        if mask is None:
+        inner = _translate(predicate.predicate, columns, leaves)
+        if inner is None:
             return None
-        return mask if dry else ~mask
-    if isinstance(predicate, IsNull):
+        return lambda num_rows: ~inner(num_rows)
+    if isinstance(predicate, (IsNull, Comparison, Between, InList)):
         column = columns.get(predicate.column)
         if column is None:
             return None
-        leaves.append((column, False))
-        if dry:
-            return _DRY_MASK
-        codes = column.codes
-        if column.dictionary.has_null:
-            return codes == 0
-        return np.zeros(len(codes), dtype=bool)
-    if isinstance(predicate, (Comparison, Between, InList)):
-        column = columns.get(predicate.column)
-        if column is None:
-            return None
-        mask = _leaf_code_mask(column, predicate, dry)
-        if mask is None:
+        try:
+            leaf = _translate_leaf(column.dictionary, predicate)
+        except TypeError:
             # The dictionary cannot answer this predicate (incomparable
-            # literal types); the whole compilation falls back.
+            # literal types); the whole translation falls back to the
+            # value-level evaluator, which mirrors the row store exactly.
             return None
-        leaves.append((column, True))
-        return mask
+        leaves.append((column, not isinstance(predicate, IsNull)))
+        return lambda num_rows: leaf(column.codes)
     return None
 
 
-def _leaf_code_mask(
-    column: CompressedColumn, predicate: Predicate, dry: bool = False
-) -> Optional[np.ndarray]:
-    """Mask of a simple predicate over *column*'s code array, or ``None``.
+def _translate_leaf(
+    dictionary, predicate: Predicate
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Mask function (codes -> mask) of a simple predicate over one column.
 
-    Value constants translate to code ranges through the sorted dictionary
-    (``bisect``); a ``TypeError`` from comparing a literal of an
-    incomparable type against the dictionary values aborts the translation
-    (the caller falls back to the value-level evaluator, which mirrors the
-    row store's behaviour exactly).  With ``dry=True`` the translations run
-    but the mask itself is skipped (see :func:`compile_code_leaves`).
+    Value constants translate to codes and code ranges through the sorted
+    dictionary; comparing a literal of an incomparable type against the
+    dictionary values raises ``TypeError`` out of here.
     """
-    codes = column.codes
-    dictionary = column.dictionary
-    try:
-        if isinstance(predicate, Comparison):
-            return _comparison_code_mask(column, codes, predicate, dry)
-        if isinstance(predicate, Between):
-            if dictionary.holds_null:
-                # BETWEEN never matches NULL, and the all-NULL dictionary
-                # cannot order its bounds.
-                return _DRY_MASK if dry else np.zeros(len(codes), dtype=bool)
-            lo, hi = dictionary.range_codes(
-                predicate.low, predicate.high,
-                predicate.include_low, predicate.include_high,
-            )
-            if dry:
-                return _DRY_MASK
+    if isinstance(predicate, IsNull):
+        if dictionary.has_null:
+            return lambda codes: codes == 0
+        return _no_rows
+    if isinstance(predicate, Comparison):
+        return _translate_comparison(dictionary, predicate)
+    if isinstance(predicate, Between):
+        if dictionary.holds_null:
+            # BETWEEN never matches NULL, and the all-NULL dictionary
+            # cannot order its bounds.
+            return _no_rows
+        lo, hi = dictionary.range_codes(
+            predicate.low, predicate.high,
+            predicate.include_low, predicate.include_high,
+        )
+        nan_code = dictionary.nan_code
+
+        def between_mask(codes: np.ndarray) -> np.ndarray:
             # ``range_codes`` offsets past the reserved NULL code, so NULL
             # rows (code 0) never fall inside the interval.
             mask = (codes >= lo) & (codes < hi)
-            nan_code = dictionary.nan_code
             if nan_code is not None:
                 # The scalar evaluator tests Between by *exclusion*
                 # (value < low / value > high), which NaN never fails.
                 mask |= codes == nan_code
             return mask
-        # A NaN member matches nothing (IN is chained equality); it also can
-        # never be *found* — ``encode_existing`` bisects only the orderable
-        # values — so it simply contributes no member code.
-        member_codes = [
-            dictionary.encode_existing(value) for value in predicate.values
-        ]
-        member_codes = [code for code in member_codes if code is not None]
-        if dry:
-            return _DRY_MASK
-        if not member_codes:
-            return np.zeros(len(codes), dtype=bool)
-        return np.isin(codes, np.asarray(member_codes, dtype=np.int64))
-    except TypeError:
-        return None
+
+        return between_mask
+    # A NaN member matches nothing (IN is chained equality); it also can
+    # never be *found* — ``encode_existing`` bisects only the orderable
+    # values — so it simply contributes no member code.
+    member_codes = [
+        dictionary.encode_existing(value) for value in predicate.values
+    ]
+    member_codes = [code for code in member_codes if code is not None]
+    if not member_codes:
+        return _no_rows
+    members = np.asarray(member_codes, dtype=np.int64)
+    return lambda codes: np.isin(codes, members)
 
 
-def _comparison_code_mask(
-    column: CompressedColumn, codes: np.ndarray, predicate: Comparison,
-    dry: bool = False,
-) -> np.ndarray:
-    dictionary = column.dictionary
+def _translate_comparison(
+    dictionary, predicate: Comparison
+) -> Callable[[np.ndarray], np.ndarray]:
     if predicate.value is None or dictionary.holds_null:
         # ``column <op> NULL`` never matches, and neither does any
         # comparison over an all-NULL column (row-at-a-time semantics:
         # a comparison involving NULL is false, whatever the operator).
-        return _DRY_MASK if dry else np.zeros(len(codes), dtype=bool)
+        return _no_rows
     has_null = dictionary.has_null
-    if predicate.op is CompareOp.EQ:
+    if predicate.op in (CompareOp.EQ, CompareOp.NE):
         code = dictionary.encode_existing(predicate.value)
-        if dry:
-            return _DRY_MASK
-        if code is None:
-            return np.zeros(len(codes), dtype=bool)
-        return codes == code
-    if predicate.op is CompareOp.NE:
-        code = dictionary.encode_existing(predicate.value)
-        if dry:
-            return _DRY_MASK
-        if code is None:
-            mask = np.ones(len(codes), dtype=bool)
-        else:
-            mask = codes != code
-        if has_null:
-            # NULL rows fail every comparison, != included.
-            mask &= codes != 0
-        return mask
-    if isinstance(predicate.value, float) and predicate.value != predicate.value:
+        if predicate.op is CompareOp.EQ:
+            return _no_rows if code is None else lambda codes: codes == code
+
+        def ne_mask(codes: np.ndarray) -> np.ndarray:
+            if code is None:
+                mask = np.ones(len(codes), dtype=bool)
+            else:
+                mask = codes != code
+            if has_null:
+                # NULL rows fail every comparison, != included.
+                mask &= codes != 0
+            return mask
+
+        return ne_mask
+    if is_nan(predicate.value):
         # Ordered comparison against a NaN literal is false for every
         # value (bisect would place NaN at position 0 and wrongly match
         # everything for >=).
-        return _DRY_MASK if dry else np.zeros(len(codes), dtype=bool)
+        return _no_rows
     # Ordered comparisons never match NaN row-at-a-time (every comparison
     # is False); a NaN dictionary entry sorts last, so exclude its code
     # from the range masks explicitly.
     nan_code = dictionary.nan_code
-    if predicate.op in (CompareOp.LT, CompareOp.LE):
+    below = predicate.op in (CompareOp.LT, CompareOp.LE)
+    if below:
         lo, hi = dictionary.range_codes(
             None, predicate.value, include_high=predicate.op is CompareOp.LE
         )
-        if dry:
-            return _DRY_MASK
-        mask = codes < hi
-        if has_null:
-            # The reserved NULL code 0 is below every value code.
-            mask &= codes != 0
     else:
         lo, hi = dictionary.range_codes(
             predicate.value, None, include_low=predicate.op is CompareOp.GE
         )
-        if dry:
-            return _DRY_MASK
-        # ``lo`` is offset past the NULL code, which excludes NULL rows.
-        mask = codes >= lo
-    if nan_code is not None:
-        mask &= codes != nan_code
-    return mask
+
+    def ordered_mask(codes: np.ndarray) -> np.ndarray:
+        if below:
+            mask = codes < hi
+            if has_null:
+                # The reserved NULL code 0 is below every value code.
+                mask &= codes != 0
+        else:
+            # ``lo`` is offset past the NULL code, which excludes NULL rows.
+            mask = codes >= lo
+        if nan_code is not None:
+            mask &= codes != nan_code
+        return mask
+
+    return ordered_mask
 
 
 class ColumnStoreTable:
@@ -645,7 +619,7 @@ class ColumnStoreTable:
         positions = []
         if pending:
             try:
-                if _DELTA_WRITES_ENABLED:
+                if _DELTA_WRITES.enabled:
                     self._extend_delta(pending)
                 else:
                     self._unseal_for_write()
@@ -827,17 +801,21 @@ class ColumnStoreTable:
 
         Updates merge the delta first (charge-free, position-preserving) and
         then mutate main exactly as the pre-delta pipeline did — *positions*
-        computed over the union before the merge stay valid.
+        computed over the union before the merge stay valid.  An update of
+        no rows still validates its SET values but is otherwise a no-op: no
+        merge, no copy-on-write, no zone-epoch bump.
         """
         if not assignments:
             return 0
-        self.merge_delta()
-        self._unseal_for_write()
-        self._bump_zone_epoch()
         coerced = {
             name: self.schema.column(name).dtype.coerce(value)
             for name, value in assignments.items()
         }
+        if len(positions) == 0:
+            return 0
+        self.merge_delta()
+        self._unseal_for_write()
+        self._bump_zone_epoch()
         for position in positions:
             for name, value in coerced.items():
                 if name == self._pk_column:
@@ -914,67 +892,97 @@ class ColumnStoreTable:
                 state.check_quarantine(name)  # raises the typed error
 
     def filter_positions(
-        self, predicate: Optional[Predicate], accountant: Optional[CostAccountant] = None
+        self,
+        predicate: Optional[Predicate],
+        accountant: Optional[CostAccountant] = None,
+        proven_empty: bool = False,
     ) -> Optional[np.ndarray]:
         """Return positions of rows matching *predicate* (``None`` = all rows).
 
-        Predicates compile to vectorized integer comparisons over the code
-        arrays via :func:`compile_code_mask` (the sorted dictionary is the
-        implicit index); predicates the compiler cannot express fall back to
-        decode-and-compare, which additionally pays per-value decode costs
-        for the referenced columns.
+        Predicates translate to vectorized integer comparisons over the code
+        arrays (:func:`translate_code_predicate` — the sorted dictionary is
+        the implicit index); predicates the translator cannot express fall
+        back to decode-and-compare, which additionally pays per-value decode
+        costs for the referenced columns.  *proven_empty* carries a zone-map
+        proof that no row matches: the scan is billed all the same, and
+        skipped.
         """
         if predicate is None:
             return None
-        self._integrity_check(
-            name for name in sorted(predicate.columns()) if name in self._columns
-        )
         delta_len = self._delta_len
-        if accountant is not None and delta_len:
-            accountant.record_delta_scan(
-                self.schema.name, self._num_rows - delta_len, delta_len
+        if not proven_empty:
+            self._integrity_check(
+                name for name in sorted(predicate.columns()) if name in self._columns
             )
-        if _CODE_DOMAIN_ENABLED and (not delta_len or self._delta_compile_ok(predicate)):
-            compiled = compile_code_mask(
-                predicate, self._columns, self._num_rows - delta_len
-            )
-            if compiled is not None:
-                mask, leaves = compiled
-                if accountant is not None:
-                    for column, probed in leaves:
-                        if probed:
-                            # Dictionary lookup of the literal(s).
-                            accountant.charge_index_probe()
-                        accountant.charge_sequential_read(
-                            "column_scan", self._logical_code_bytes(column.name)
-                        )
-                        accountant.charge_vector_compares(self._num_rows)
-                if delta_len:
-                    # The delta portion is evaluated in the value domain —
-                    # result-equivalent to the code domain (the differential
-                    # fuzzer pins this) and charge-free: the charges above
-                    # already cover the full logical column.
-                    arrays = {
-                        name: self._delta[name].array()
-                        for name in predicate.columns()
-                    }
-                    delta_mask = evaluate_predicate_mask(predicate, arrays, delta_len)
-                    mask = np.concatenate([mask, delta_mask])
-                return np.nonzero(mask)[0].astype(np.int64)
+            if accountant is not None and delta_len:
+                accountant.record_delta_scan(
+                    self.schema.name, self._num_rows - delta_len, delta_len
+                )
+        apply = self.charge_filter_scan(predicate, accountant)
+        if proven_empty:
+            return np.empty(0, dtype=np.int64)
+        if apply is not None:
+            mask = apply(self._num_rows - delta_len)
+            if delta_len:
+                # The delta portion is evaluated in the value domain —
+                # result-equivalent to the code domain (the differential
+                # fuzzer pins this) and charge-free: the scan charge already
+                # covers the full logical column.
+                arrays = {
+                    name: self._delta[name].array()
+                    for name in predicate.columns()
+                }
+                delta_mask = evaluate_predicate_mask(predicate, arrays, delta_len)
+                mask = np.concatenate([mask, delta_mask])
+            return np.nonzero(mask)[0].astype(np.int64)
         # Fallback: decode the referenced columns (vectorized gather) and
         # evaluate the predicate over the value arrays; predicates the
         # vectorized evaluator cannot express run the row-at-a-time loop.
-        referenced = sorted(predicate.columns())
-        if accountant is not None:
-            for name in referenced:
-                accountant.charge_sequential_read(
-                    "column_scan", self._logical_code_bytes(name)
-                )
-            accountant.charge_dict_decodes(self._num_rows * len(referenced))
-            accountant.charge_predicate_evals(self._num_rows)
-        arrays = {name: self._union_values_array(name) for name in referenced}
+        arrays = {
+            name: self._union_values_array(name)
+            for name in sorted(predicate.columns())
+        }
         mask = evaluate_predicate_mask(predicate, arrays, self._num_rows)
         return np.nonzero(mask)[0].astype(np.int64)
+
+    def charge_filter_scan(
+        self, predicate: Predicate, accountant: Optional[CostAccountant]
+    ) -> Optional[CodeMask]:
+        """Bill the filter scan of *predicate* — the one home of that charge.
+
+        A function of the table's shape and the translation's verdict, never
+        of how many rows match.  Returns the translated mask function
+        (``None`` = decode fallback) for a caller that goes on to evaluate;
+        one that already holds the answer bills here and stops.
+        """
+        apply: Optional[CodeMask] = None
+        leaves: List[CodeLeaf] = []
+        if _CODE_DOMAIN.enabled and (
+            not self._delta_len or self._delta_compile_ok(predicate)
+        ):
+            translated = translate_code_predicate(predicate, self._columns)
+            if translated is not None:
+                apply, leaves = translated
+        if accountant is None:
+            return apply
+        if apply is not None:
+            for column, probed in leaves:
+                if probed:
+                    # Dictionary lookup of the literal(s).
+                    accountant.charge_index_probe()
+                accountant.charge_sequential_read(
+                    "column_scan", self._logical_code_bytes(column.name)
+                )
+                accountant.charge_vector_compares(self._num_rows)
+            return apply
+        referenced = sorted(predicate.columns())
+        for name in referenced:
+            accountant.charge_sequential_read(
+                "column_scan", self._logical_code_bytes(name)
+            )
+        accountant.charge_dict_decodes(self._num_rows * len(referenced))
+        accountant.charge_predicate_evals(self._num_rows)
+        return None
 
     def _delta_compile_ok(self, predicate: Predicate) -> bool:
         """Whether code-domain compilation stays valid with a non-empty delta.
@@ -1023,41 +1031,6 @@ class ColumnStoreTable:
         except TypeError:
             return False
 
-    def charge_filter_scan(
-        self, predicate: Predicate, accountant: Optional[CostAccountant]
-    ) -> None:
-        """Replay the charges of :meth:`filter_positions` without scanning.
-
-        Zone-pruned DML uses this: when the zones prove *predicate* matches
-        no row, the scan is skipped but the query must cost exactly what the
-        seed pipeline charged for scanning and matching nothing.  The dry
-        compilation (:func:`compile_code_leaves`) reproduces the real
-        compiler's success verdict and leaf order, so the charges cannot
-        drift from the scanned path.
-        """
-        if accountant is None or predicate is None:
-            return
-        if _CODE_DOMAIN_ENABLED and (
-            not self._delta_len or self._delta_compile_ok(predicate)
-        ):
-            leaves = compile_code_leaves(predicate, self._columns)
-            if leaves is not None:
-                for column, probed in leaves:
-                    if probed:
-                        accountant.charge_index_probe()
-                    accountant.charge_sequential_read(
-                        "column_scan", self._logical_code_bytes(column.name)
-                    )
-                    accountant.charge_vector_compares(self._num_rows)
-                return
-        referenced = sorted(predicate.columns())
-        for name in referenced:
-            accountant.charge_sequential_read(
-                "column_scan", self._logical_code_bytes(name)
-            )
-        accountant.charge_dict_decodes(self._num_rows * len(referenced))
-        accountant.charge_predicate_evals(self._num_rows)
-
     def fetch_rows(
         self,
         positions: Optional[Sequence[int]],
@@ -1080,34 +1053,42 @@ class ColumnStoreTable:
         else:
             gather = np.asarray(positions, dtype=np.int64)
             num_positions = len(gather)
-        if accountant is not None:
-            for name in selected:
-                self._charge_materialisation(name, num_positions, accountant)
+        for name in selected:
+            self.charge_column_read(name, num_positions, accountant)
         batch = ColumnBatch(
             {name: self._union_values_array(name, gather) for name in selected},
             num_rows=num_positions,
         )
         return batch.to_rows()
 
-    def _charge_materialisation(
-        self, column: str, num_positions: int, accountant: CostAccountant
+    def charge_column_read(
+        self,
+        column: str,
+        num_positions: Optional[int],
+        accountant: Optional[CostAccountant],
     ) -> None:
-        """Charge for materialising *num_positions* values of one column.
+        """Bill reading *column* — the one home of the column-read charge.
 
-        Sparse position lists pay one tuple-reconstruction (random access +
-        decode) per value; dense position lists are served by a sequential
+        ``num_positions=None`` is the unfiltered read: a sequential scan of
+        the codes plus a decode per value.  An int materialises that many
+        positions: sparse position lists pay one tuple-reconstruction (random
+        access + decode) per value; dense ones are served by a sequential
         scan of the code array plus a decode per qualifying value, which is
         how a real column store late-materialises wide selections.
         """
-        if self._num_rows == 0:
+        if accountant is None:
             return
-        if num_positions <= self._num_rows * SCAN_MATERIALIZATION_THRESHOLD:
+        if num_positions is None:
+            num_positions = self._num_rows
+        elif self._num_rows == 0:
+            return
+        elif num_positions <= self._num_rows * SCAN_MATERIALIZATION_THRESHOLD:
             accountant.charge_tuple_reconstructions(num_positions)
-        else:
-            accountant.charge_sequential_read(
-                "column_scan", self._logical_code_bytes(column)
-            )
-            accountant.charge_dict_decodes(num_positions)
+            return
+        accountant.charge_sequential_read(
+            "column_scan", self._logical_code_bytes(column)
+        )
+        accountant.charge_dict_decodes(num_positions)
 
     def column_values(
         self,
@@ -1133,19 +1114,7 @@ class ColumnStoreTable:
         Charges are identical to the scalar accessor — the batch pipeline is a
         wall-clock optimisation, not a cost-model change.
         """
-        self._integrity_check((column,))
-        if positions is None:
-            if accountant is not None:
-                accountant.charge_sequential_read(
-                    "column_scan", self._logical_code_bytes(column)
-                )
-                accountant.charge_dict_decodes(self._num_rows)
-            return self._union_values_array(column, None)
-        if accountant is not None:
-            self._charge_materialisation(column, len(positions), accountant)
-        return self._union_values_array(
-            column, np.asarray(positions, dtype=np.int64)
-        )
+        return decoded_array(self.column_encoded(column, positions, accountant))
 
     def _union_values_array(
         self, column: str, positions: Optional[np.ndarray] = None
@@ -1188,26 +1157,6 @@ class ColumnStoreTable:
         """The main store's compressed column (shard publication reads it)."""
         return self._columns[column]
 
-    def charge_encoded_read(
-        self, column: str, num_positions: Optional[int],
-        accountant: CostAccountant,
-    ) -> None:
-        """Replay :meth:`column_encoded`'s charges without reading.
-
-        The sharded aggregation path gathers its inputs from worker
-        processes and then bills the serial collect exactly:
-        ``num_positions=None`` is the unfiltered full-column scan, an int is
-        a filtered materialisation of that many positions.  Only valid with
-        an empty delta — sharding never runs otherwise.
-        """
-        if num_positions is None:
-            accountant.charge_sequential_read(
-                "column_scan", self._logical_code_bytes(column)
-            )
-            accountant.charge_dict_decodes(self._num_rows)
-        else:
-            self._charge_materialisation(column, num_positions, accountant)
-
     def column_encoded(
         self,
         column: str,
@@ -1218,10 +1167,11 @@ class ColumnStoreTable:
 
         No value is decoded — downstream operators work on the codes and the
         dictionary is consulted only for the values that reach the result.
-        The *charges* are identical to :meth:`column_array` (including the
-        per-value decode charge): carrying codes is a wall-clock optimisation
-        of the simulator, not a cost-model change — the simulated system
-        still decodes each value it returns.
+        The *charges* are those of a decoded read (including the per-value
+        decode charge): carrying codes is a wall-clock optimisation of the
+        simulator, not a cost-model change — the simulated system still
+        decodes each value it returns.  :meth:`column_array` is this read,
+        decoded.
 
         With a non-empty delta the requested rows span two encodings, so the
         read degrades to a decoded value array (still a :data:`BatchColumn`;
@@ -1229,22 +1179,15 @@ class ColumnStoreTable:
         were always the decode charges.
         """
         self._integrity_check((column,))
-        compressed = self._columns[column]
-        if positions is None:
-            if accountant is not None:
-                accountant.charge_sequential_read(
-                    "column_scan", self._logical_code_bytes(column)
-                )
-                accountant.charge_dict_decodes(self._num_rows)
-            if self._delta_len:
-                return self._union_values_array(column, None)
-            return EncodedColumn(compressed.codes_at(None), compressed.dictionary)
-        if accountant is not None:
-            self._charge_materialisation(column, len(positions), accountant)
+        self.charge_column_read(
+            column, None if positions is None else len(positions), accountant
+        )
         if self._delta_len:
             return self._union_values_array(
-                column, np.asarray(positions, dtype=np.int64)
+                column,
+                None if positions is None else np.asarray(positions, dtype=np.int64),
             )
+        compressed = self._columns[column]
         return EncodedColumn(compressed.codes_at(positions), compressed.dictionary)
 
     def scan_columns(
@@ -1282,19 +1225,6 @@ class ColumnStoreTable:
             num_rows=self._num_rows,
         )
         return batch.to_rows()
-
-    def _row_as_dict(self, position: int) -> Dict[str, Any]:
-        main_size = self._num_rows - self._delta_len
-        if position >= main_size:
-            index = position - main_size
-            return {
-                name: self._delta[name].values[index]
-                for name in self.schema.column_names
-            }
-        return {
-            name: self._columns[name].value_at(position)
-            for name in self.schema.column_names
-        }
 
     # -- zone maps ----------------------------------------------------------------------
 

@@ -215,24 +215,6 @@ class ColumnDictionary:
                 return len(self._values) - 1 + self._offset
         return None
 
-    def value_bounds(self) -> Tuple[Any, Any, bool]:
-        """``(min, max, has_nan)`` over the real (non-NULL, non-NaN) values.
-
-        This is the zone-map view of the dictionary: after in-place updates
-        the dictionary may retain entries no stored code references, so the
-        bounds are a *superset* of the live value range — safe for pruning
-        (a wider zone can only miss a pruning opportunity, never drop rows).
-        Deletes rebuild the dictionary from the surviving codes, which
-        re-tightens the bounds.
-        """
-        values = self._values
-        has_nan = self.nan_code is not None
-        if has_nan:
-            values = values[:-1]
-        if not values:
-            return None, None, has_nan
-        return values[0], values[-1], has_nan
-
     def decode(self, code: int) -> Any:
         if self._has_null:
             return None if code == 0 else self._values[code - 1]

@@ -27,12 +27,12 @@ materialization**):
   (``SUM`` as ``bincount(codes) · decoded(dictionary)``, ``MIN``/``MAX``
   over the codes) — O(|dictionary|) instead of O(rows) decoded values;
 * filtered column-store scans run in the **code domain** end-to-end:
-  :func:`~repro.engine.column_store.compile_code_mask` translates
+  :func:`~repro.engine.column_store.translate_code_predicate` translates
   ``EQ/NE/LT/LE/GT/GE``, ``BETWEEN``, ``IN``, ``IS NULL`` and any
   ``AND``/``OR``/``NOT`` combination into code intervals and memberships via
   ``bisect`` on the sorted dictionary (NULL's reserved code 0 and NaN's
-  last-code convention respected), evaluated as vectorized int64
-  comparisons — no value decodes; predicates outside the compiler's reach
+  last-code convention respected), applied as vectorized int64
+  comparisons — no value decodes; predicates outside the translator's reach
   take the decode-and-compare fallback
   (:func:`~repro.engine.batch.vectorized_value_mask`);
 * values materialise only at the :class:`QueryResult` boundary
@@ -75,7 +75,8 @@ physical plan (re-derived on stale zone-epoch tokens, exactly like a
 * **zero-scan** — ungrouped ``COUNT(*)``/``COUNT(col)``/``MIN``/``MAX``
   whose predicate is absent or provably all-true/all-false per partition are
   answered from the zone synopses and row/null counts; nothing is decoded
-  and nothing is reduced (the scan's charges are still made — see below);
+  and nothing is reduced (the scan is still executed and billed — this tier
+  has no skip yet, see ROADMAP item 3);
 * **partition-partial** — partitioned tables aggregate each partition
   independently and merge the per-partition states associatively (``AVG``
   travels as ``(sum, count)``): zone-pruned partitions contribute nothing
@@ -86,10 +87,21 @@ physical plan (re-derived on stale zone-epoch tokens, exactly like a
 * **operator** — the generic reference: joins, row-store bases, undecidable
   predicates, and everything under ``aggregate_pushdown_disabled()``.
 
-UPDATE/DELETE predicate scans reuse the same ``ScanDecision`` machinery: a
-provably-empty DML scan is skipped with its charges *replayed*
-(``charge_filter_scan``), keeping write-path accounting identical to the
-seed.
+One home per charge
+===================
+
+Every simulated-clock charge is computed in exactly one function, from the
+table's *shape*, the predicate's *translation verdict* and *row counts* —
+never from a value: ``ColumnStoreTable.charge_filter_scan`` /
+``charge_column_read``, ``RowStoreTable.charge_tuple_read`` and
+:func:`~repro.engine.executor.operators.charge_aggregation`.  The rule for
+every executor is **bill, then fetch or skip**: the ordinary read bills and
+then fetches; a fast path that already knows the counts calls the same
+function and skips the fetch — the shard gather bills with Σ matched, and an
+UPDATE/DELETE whose ``ScanDecision`` proves the scan empty passes the proof
+down to ``filter_positions`` and is otherwise the ordinary statement (SET
+values validated, zero rows touched, no side effects).  Nothing re-enacts
+another path's accounting by hand.
 
 The batch pipeline is purely a wall-clock optimisation of the simulator:
 every :class:`~repro.engine.timing.CostAccountant` charge is identical to the

@@ -56,18 +56,6 @@ def empty_batch(columns: Sequence[str]) -> ColumnBatch:
     )
 
 
-def validate_assignments(schema, assignments: Mapping[str, Any]) -> None:
-    """Coerce UPDATE assignment values against *schema* (raising as the
-    backends' ``update_rows`` would).
-
-    A zone-pruned UPDATE skips ``update_rows`` entirely, but the seed path
-    validates the SET values even when zero rows match — an invalid value
-    must keep raising ``SchemaError`` whether or not the scan was pruned.
-    """
-    for name, value in assignments.items():
-        schema.column(name).dtype.coerce(value)
-
-
 def part_zones(part: StoredTable, predicate: Predicate) -> Dict[str, Any]:
     """The zone synopses of *part* for the columns *predicate* references."""
     zones: Dict[str, Any] = {}
@@ -200,20 +188,6 @@ class AccessPath:
         """
         raise NotImplementedError
 
-    def collect_columns(
-        self,
-        columns: Sequence[str],
-        predicate: Optional[Predicate],
-        accountant: CostAccountant,
-    ) -> Dict[str, List[Any]]:
-        """Return aligned value lists for *columns*, filtered by *predicate*.
-
-        Scalar convenience wrapper around :meth:`collect_batch` (identical
-        cost charges); kept for callers that want plain Python lists.
-        """
-        batch = self.collect_batch(columns, predicate, accountant)
-        return {name: batch.column_list(name) for name in columns}
-
     def select_rows(
         self,
         columns: Sequence[str],
@@ -305,23 +279,6 @@ class SimpleAccessPath(AccessPath):
         accountant.count_partition(self.table.name, scanned=scan)
         return scan
 
-    def _dml_scan_pruned(
-        self, predicate: Optional[Predicate], accountant: CostAccountant
-    ) -> bool:
-        """Whether a DML predicate scan is provably empty and may be skipped.
-
-        Inner paths never prune (the partitioned path owns the decision).
-        The skipped scan's charges are replayed so the write-path
-        :class:`~repro.engine.timing.CostBreakdown` stays bit-identical to
-        the seed accounting — pruning DML is a wall-clock optimisation only.
-        """
-        if predicate is None or self._inner or not zone_pruning_enabled():
-            return False
-        if self.decision_for(predicate).partitions[0].scan:
-            return False
-        self.table.charge_filter_scan(predicate, accountant)
-        return True
-
     # -- reads -------------------------------------------------------------------
 
     def collect_batch(
@@ -374,24 +331,42 @@ class SimpleAccessPath(AccessPath):
         self.table.insert_rows(rows, accountant)
         return len(rows)
 
+    def _dml_positions(
+        self,
+        predicate: Optional[Predicate],
+        accountant: CostAccountant,
+        proven_empty: bool,
+    ) -> np.ndarray:
+        """Positions an UPDATE/DELETE applies to, its predicate scan billed.
+
+        When the zones prove the scan empty (*proven_empty* from the outer
+        partitioned path, else this path's own decision) it is billed and
+        skipped; the statement is otherwise the ordinary one — pruning DML
+        is a wall-clock optimisation only.
+        """
+        if (not proven_empty and predicate is not None and not self._inner
+                and zone_pruning_enabled()):
+            proven_empty = not self.decision_for(predicate).partitions[0].scan
+        positions = self.table.filter_positions(predicate, accountant, proven_empty)
+        if positions is None:
+            positions = np.arange(self.table.num_rows, dtype=np.int64)
+        return positions
+
     def update(
         self,
         assignments: Mapping[str, Any],
         predicate: Optional[Predicate],
         accountant: CostAccountant,
+        proven_empty: bool = False,
     ) -> int:
-        if self._dml_scan_pruned(predicate, accountant):
-            validate_assignments(self.table.schema, assignments)
-            return 0
-        positions = self.table.filter_positions(predicate, accountant)
-        if positions is None:
-            positions = np.arange(self.table.num_rows, dtype=np.int64)
+        positions = self._dml_positions(predicate, accountant, proven_empty)
         return self.table.update_rows(positions, assignments, accountant)
 
-    def delete(self, predicate: Optional[Predicate], accountant: CostAccountant) -> int:
-        if self._dml_scan_pruned(predicate, accountant):
-            return 0
-        positions = self.table.filter_positions(predicate, accountant)
-        if positions is None:
-            positions = np.arange(self.table.num_rows, dtype=np.int64)
+    def delete(
+        self,
+        predicate: Optional[Predicate],
+        accountant: CostAccountant,
+        proven_empty: bool = False,
+    ) -> int:
+        positions = self._dml_positions(predicate, accountant, proven_empty)
         return self.table.delete_rows(positions, accountant)

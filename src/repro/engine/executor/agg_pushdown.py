@@ -45,10 +45,10 @@ reachable as the differential baseline.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
+from repro.engine.toggle import Toggle
 from repro.engine.types import Store
 from repro.engine.zonemap import ColumnZone, zone_can_match, zone_must_match
 from repro.query.ast import AggregateFunction, AggregationQuery, split_qualified
@@ -70,16 +70,15 @@ TIER_PARTITION_PARTIAL = "partition-partial"
 TIER_CODE_DOMAIN = "code-domain"
 TIER_OPERATOR = "operator"
 
-_PUSHDOWN_ENABLED = True
+_PUSHDOWN = Toggle()
 
 
 def aggregate_pushdown_enabled() -> bool:
     """Whether aggregation may execute below the generic operator."""
-    return _PUSHDOWN_ENABLED
+    return _PUSHDOWN.enabled
 
 
-@contextmanager
-def aggregate_pushdown_disabled() -> Iterator[None]:
+def aggregate_pushdown_disabled():
     """Force the decode-then-reduce reference pipeline everywhere.
 
     The differential fuzzer runs every aggregation under this toggle too and
@@ -88,13 +87,7 @@ def aggregate_pushdown_disabled() -> Iterator[None]:
     state they were derived under, so session-cached plans re-derive on a
     flip and the reference stays reachable through them.
     """
-    global _PUSHDOWN_ENABLED
-    previous = _PUSHDOWN_ENABLED
-    _PUSHDOWN_ENABLED = False
-    try:
-        yield
-    finally:
-        _PUSHDOWN_ENABLED = previous
+    return _PUSHDOWN.disabled()
 
 
 #: Zero-scan verdicts per prunable unit.

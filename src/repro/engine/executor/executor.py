@@ -104,8 +104,8 @@ class QueryExecutor:
         if isinstance(query, (SelectQuery, AggregationQuery,
                               UpdateQuery, DeleteQuery)):
             # DML predicate scans reuse the read path's decision machinery:
-            # a provably-empty UPDATE/DELETE scan is skipped (with its
-            # charges replayed, so write-path accounting stays identical).
+            # a provably-empty UPDATE/DELETE scan is billed and skipped, so
+            # write-path accounting stays identical.
             predicate = query.predicate
             if predicate is not None:
                 paths[query.table].plan_scan(predicate)

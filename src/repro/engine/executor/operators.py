@@ -79,17 +79,15 @@ def execute_aggregation(
     if aggregate_pushdown_enabled():
         if strategy.tier == TIER_ZERO_SCAN and strategy.answer is not None:
             # The answer was precomputed from the zone synopses; the collect
-            # only replays the reference charges (nothing decodes — encoded
-            # columns stay untouched) and the per-row aggregate-update
+            # still runs, for its bill alone (nothing decodes — encoded
+            # columns stay untouched), and the per-row aggregate-update
             # charges are identical because the batch holds exactly the rows
             # the verdicts proved.
             batch = base_path.collect_batch(
                 base_columns, query.predicate, accountant,
                 encode_columns=encode_columns,
             )
-            accountant.charge_aggregate_updates(
-                batch.num_rows * len(query.aggregates)
-            )
+            charge_aggregation(query, batch.num_rows, accountant)
             return [dict(strategy.answer)]
         if strategy.tier == TIER_PARTITION_PARTIAL:
             return _execute_partition_partial(
@@ -98,8 +96,8 @@ def execute_aggregation(
 
     if shard_execution_enabled() and not query.joins:
         # Shard-parallel scatter/gather: workers compute partial states over
-        # shared-memory code shards, the parent merges and then replays the
-        # serial collect-then-reduce charges bit-identically.  ``None``
+        # shared-memory code shards, the parent merges and then bills the
+        # serial collect-then-reduce from the gathered counts.  ``None``
         # means ineligible-or-failed — nothing was charged; fall through.
         sharded = try_sharded_aggregation(base_path, query, base_columns, accountant)
         if sharded is not None:
@@ -156,10 +154,7 @@ def execute_aggregation(
 
     aggregate_inputs, group_key_columns = _assemble_inputs(query, available)
 
-    # Cost of the aggregation itself.
-    accountant.charge_aggregate_updates(num_rows * len(query.aggregates))
-    if query.group_by:
-        accountant.charge_group_by_updates(num_rows)
+    charge_aggregation(query, num_rows, accountant)
 
     aggregation = GroupedAggregation(
         aggregates=query.aggregates,
@@ -202,6 +197,19 @@ def aggregation_scan_columns(
     return base_columns, encode_columns
 
 
+def charge_aggregation(
+    query: AggregationQuery, num_rows: int, accountant: CostAccountant
+) -> None:
+    """Bill reducing *num_rows* input rows — the one home of that charge.
+
+    Every tier, the shard gather and the view refresh call it with the row
+    count they reduced: the bill depends on the count, not on who counted.
+    """
+    accountant.charge_aggregate_updates(num_rows * len(query.aggregates))
+    if query.group_by:
+        accountant.charge_group_by_updates(num_rows)
+
+
 def _assemble_inputs(
     query: AggregationQuery, available: Mapping[str, BatchColumn]
 ) -> "tuple[List[Optional[Sequence[Any]]], List[Sequence[Any]]]":
@@ -240,9 +248,7 @@ def _execute_partition_partial(
         base_columns, query.predicate, accountant, encode_columns=encode_columns
     )
     num_rows = sum(batch.num_rows for batch in batches)
-    accountant.charge_aggregate_updates(num_rows * len(query.aggregates))
-    if group_names:
-        accountant.charge_group_by_updates(num_rows)
+    charge_aggregation(query, num_rows, accountant)
 
     aggregation = GroupedAggregation(
         aggregates=query.aggregates, group_by_names=group_names

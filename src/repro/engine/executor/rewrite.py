@@ -23,7 +23,7 @@ still fresh, and are re-derived otherwise.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from repro.engine.executor.access import (
     SimpleAccessPath,
     empty_batch,
     part_zones,
-    validate_assignments,
 )
 from repro.engine.executor.agg_pushdown import AggregateUnit
 from repro.engine.partitioning import PartitionedTable
@@ -117,9 +116,6 @@ class PartitionedAccessPath(AccessPath):
             pruning=zone_pruning_enabled(),
         )
 
-    def _count(self, accountant: CostAccountant, scanned: bool) -> None:
-        accountant.count_partition(self.table.name, scanned=scanned)
-
     def aggregate_units(self) -> List[AggregateUnit]:
         table = self.table
 
@@ -144,6 +140,33 @@ class PartitionedAccessPath(AccessPath):
 
     # -- reads ---------------------------------------------------------------------
 
+    def _scan_partitions(self, predicate, accountant, scan_main, scan_hot):
+        """Run the scans over the partitions the decision keeps.
+
+        The one home of a read's partition accounting: every prunable unit
+        is counted as scanned or skipped, ``scan_main()`` (returning its
+        piece and the vertical parts it touched) and ``scan_hot(path)`` run
+        only where the zones allow a match, and the union of the pieces is
+        billed as partition overhead.  Returns ``(main piece, hot piece)``,
+        ``None`` for a partition that was pruned, absent or empty.
+        """
+        decision = self.decision_for(predicate)
+        main_piece = hot_piece = None
+        segments = 0
+        scan = decision.scan_of(MAIN_PARTITION)
+        accountant.count_partition(self.table.name, scanned=scan)
+        if scan:
+            main_piece, segments = scan_main()
+        hot = self.table.hot
+        if hot is not None:
+            scan = decision.scan_of(HOT_PARTITION)
+            accountant.count_partition(self.table.name, scanned=scan)
+            if scan and hot.num_rows > 0:
+                hot_piece = scan_hot(SimpleAccessPath(hot, inner=True))
+                segments += 1
+        accountant.charge_partition_overhead(max(segments, 1))
+        return main_piece, hot_piece
+
     def _collect_segments(
         self,
         columns: Sequence[str],
@@ -153,38 +176,19 @@ class PartitionedAccessPath(AccessPath):
     ) -> List[ColumnBatch]:
         """Per-partition batches of the scan (shared by concat and partial).
 
-        Cost charges — partition counting, per-part scans and the partition
-        overhead — are identical whether the caller concatenates the batches
-        or aggregates them partition by partition.
+        Cost charges are identical whether the caller concatenates the
+        batches or aggregates them partition by partition.
         """
-        decision = self.decision_for(predicate)
-        segments = 0
-        batches: List[ColumnBatch] = []
-
-        if decision.scan_of(MAIN_PARTITION):
-            self._count(accountant, scanned=True)
-            main_batch, main_parts_touched = self._collect_from_main(
+        main_batch, hot_batch = self._scan_partitions(
+            predicate, accountant,
+            lambda: self._collect_from_main(
                 columns, predicate, accountant, encode_columns=encode_columns
-            )
-            segments += main_parts_touched
-            batches.append(main_batch)
-        else:
-            self._count(accountant, scanned=False)
-            batches.append(empty_batch(columns))
-
-        if self.table.hot is not None:
-            if decision.scan_of(HOT_PARTITION):
-                self._count(accountant, scanned=True)
-                if self.table.hot.num_rows > 0:
-                    hot_batch = SimpleAccessPath(self.table.hot, inner=True).collect_batch(
-                        columns, predicate, accountant
-                    )
-                    segments += 1
-                    batches.append(hot_batch)
-            else:
-                self._count(accountant, scanned=False)
-
-        accountant.charge_partition_overhead(max(segments, 1))
+            ),
+            lambda hot: hot.collect_batch(columns, predicate, accountant),
+        )
+        batches = [main_batch if main_batch is not None else empty_batch(columns)]
+        if hot_batch is not None:
+            batches.append(hot_batch)
         return batches
 
     def collect_batch(
@@ -233,33 +237,12 @@ class PartitionedAccessPath(AccessPath):
         limit: Optional[int],
         accountant: CostAccountant,
     ) -> List[Dict[str, Any]]:
-        decision = self.decision_for(predicate)
-        segments = 0
-        rows: List[Dict[str, Any]] = []
-
-        if decision.scan_of(MAIN_PARTITION):
-            self._count(accountant, scanned=True)
-            main_rows, main_parts_touched = self._select_from_main(
-                columns, predicate, accountant
-            )
-            segments += main_parts_touched
-            rows.extend(main_rows)
-        else:
-            self._count(accountant, scanned=False)
-
-        if self.table.hot is not None:
-            if decision.scan_of(HOT_PARTITION):
-                self._count(accountant, scanned=True)
-                if self.table.hot.num_rows > 0:
-                    hot_rows = SimpleAccessPath(self.table.hot, inner=True).select_rows(
-                        columns, predicate, None, accountant
-                    )
-                    segments += 1
-                    rows.extend(hot_rows)
-            else:
-                self._count(accountant, scanned=False)
-
-        accountant.charge_partition_overhead(max(segments, 1))
+        main_rows, hot_rows = self._scan_partitions(
+            predicate, accountant,
+            lambda: self._select_from_main(columns, predicate, accountant),
+            lambda hot: hot.select_rows(columns, predicate, None, accountant),
+        )
+        rows = (main_rows or []) + (hot_rows or [])
         if limit is not None:
             rows = rows[:limit]
         return rows
@@ -269,11 +252,21 @@ class PartitionedAccessPath(AccessPath):
     def insert(self, rows: Sequence[Mapping[str, Any]], accountant: CostAccountant) -> int:
         return self.table.insert_rows(rows, accountant)
 
-    def _dml_decision(self, predicate: Optional[Predicate]) -> Optional[ScanDecision]:
-        """The pruning decision gating a DML scan (``None`` = scan everything)."""
+    def _dml_proofs(self, predicate: Optional[Predicate]) -> Tuple[bool, bool]:
+        """Do the zones prove a DML scan of (main, hot) matches no row?
+
+        Derived once, before the statement mutates anything.  Each proof is
+        passed down to the ordinary DML path, which bills the scan and skips
+        it — a pruned statement charges, validates and applies (to no rows)
+        exactly like an unpruned one.
+        """
         if predicate is None or not zone_pruning_enabled():
-            return None
-        return self.decision_for(predicate)
+            return False, False
+        decision = self.decision_for(predicate)
+        return (
+            not decision.scan_of(MAIN_PARTITION),
+            not decision.scan_of(HOT_PARTITION),
+        )
 
     def update(
         self,
@@ -281,56 +274,41 @@ class PartitionedAccessPath(AccessPath):
         predicate: Optional[Predicate],
         accountant: CostAccountant,
     ) -> int:
-        decision = self._dml_decision(predicate)
+        main_empty, hot_empty = self._dml_proofs(predicate)
         affected = 0
         segments = 0
         hot = self.table.hot
         # Hot partition: behaves like an ordinary table.
         if hot is not None and hot.num_rows > 0:
-            if decision is None or decision.scan_of(HOT_PARTITION):
-                affected += SimpleAccessPath(hot, inner=True).update(
-                    assignments, predicate, accountant
-                )
-            else:
-                # Zone-pruned: skip the scan, replay its charges (the seed
-                # path would scan, validate the SET values and update zero
-                # rows).
-                validate_assignments(hot.schema, assignments)
-                hot.charge_filter_scan(predicate, accountant)
+            affected += SimpleAccessPath(hot, inner=True).update(
+                assignments, predicate, accountant, hot_empty
+            )
             segments += 1
 
-        if decision is None or decision.scan_of(MAIN_PARTITION):
-            affected_main, parts_touched = self._update_main(
-                assignments, predicate, accountant
-            )
-            affected += affected_main
-        else:
-            parts_touched = self._charge_pruned_main_update(
-                assignments, predicate, accountant
-            )
+        affected_main, parts_touched = self._update_main(
+            assignments, predicate, accountant, main_empty
+        )
+        affected += affected_main
         segments += parts_touched
         accountant.charge_partition_overhead(max(segments, 1))
         return affected
 
     def delete(self, predicate: Optional[Predicate], accountant: CostAccountant) -> int:
-        decision = self._dml_decision(predicate)
+        main_empty, hot_empty = self._dml_proofs(predicate)
         affected = 0
         hot = self.table.hot
         if hot is not None and hot.num_rows > 0:
-            if decision is None or decision.scan_of(HOT_PARTITION):
-                affected += SimpleAccessPath(hot, inner=True).delete(predicate, accountant)
-            else:
-                hot.charge_filter_scan(predicate, accountant)
-        if decision is None or decision.scan_of(MAIN_PARTITION):
-            positions, parts_touched = self._main_positions(predicate, accountant)
-            if positions is None:
-                positions = np.arange(self.table.main_num_rows, dtype=np.int64)
-            for part in self.table.main_parts:
-                part.delete_rows(positions, accountant)
-            affected += len(positions)
-        else:
-            # The provably-empty position set deletes (and charges) nothing.
-            parts_touched = self._charge_main_positions(predicate, accountant)
+            affected += SimpleAccessPath(hot, inner=True).delete(
+                predicate, accountant, hot_empty
+            )
+        positions, parts_touched = self._main_positions(
+            predicate, accountant, main_empty
+        )
+        if positions is None:
+            positions = np.arange(self.table.main_num_rows, dtype=np.int64)
+        for part in self.table.main_parts:
+            part.delete_rows(positions, accountant)
+        affected += len(positions)
         accountant.charge_partition_overhead(parts_touched + 1)
         return affected
 
@@ -350,12 +328,9 @@ class PartitionedAccessPath(AccessPath):
             )
             return batch, 1
 
-        predicate_columns: Set[str] = set(predicate.columns()) if predicate else set()
-        all_needed = set(columns) | predicate_columns
-        parts_needed = table.main_parts_for_columns(sorted(all_needed))
-        positions, _ = self._main_positions(predicate, accountant)
-        self._charge_vertical_join(parts_needed, positions, accountant)
-
+        positions, parts_needed = self._vertical_positions(
+            columns, predicate, accountant
+        )
         num_rows = table.main_num_rows if positions is None else len(positions)
         arrays: Dict[str, Any] = {}
         grouped = self._group_columns_by_part(columns)
@@ -386,12 +361,9 @@ class PartitionedAccessPath(AccessPath):
             return rows, 1
 
         requested = list(columns) if columns else list(table.schema.column_names)
-        predicate_columns: Set[str] = set(predicate.columns()) if predicate else set()
-        all_needed = set(requested) | predicate_columns
-        parts_needed = table.main_parts_for_columns(sorted(all_needed))
-        positions, _ = self._main_positions(predicate, accountant)
-        self._charge_vertical_join(parts_needed, positions, accountant)
-
+        positions, parts_needed = self._vertical_positions(
+            requested, predicate, accountant
+        )
         grouped = self._group_columns_by_part(requested)
         partial_rows: List[List[Dict[str, Any]]] = []
         for part, part_columns in grouped.items():
@@ -411,19 +383,18 @@ class PartitionedAccessPath(AccessPath):
         assignments: Mapping[str, Any],
         predicate: Optional[Predicate],
         accountant: CostAccountant,
+        proven_empty: bool = False,
     ):
         table = self.table
         if not table.has_vertical_split:
             affected = SimpleAccessPath(table.main_parts[0], inner=True).update(
-                assignments, predicate, accountant
+                assignments, predicate, accountant, proven_empty
             )
             return affected, 1
 
-        predicate_columns: Set[str] = set(predicate.columns()) if predicate else set()
-        all_needed = set(assignments) | predicate_columns
-        parts_needed = table.main_parts_for_columns(sorted(all_needed))
-        positions, _ = self._main_positions(predicate, accountant)
-        self._charge_vertical_join(parts_needed, positions, accountant)
+        positions, parts_needed = self._vertical_positions(
+            assignments, predicate, accountant, proven_empty
+        )
         if positions is None:
             positions = np.arange(table.main_num_rows, dtype=np.int64)
 
@@ -439,88 +410,70 @@ class PartitionedAccessPath(AccessPath):
                 )
         return affected, len(parts_needed)
 
-    def _charge_pruned_main_update(
-        self,
-        assignments: Mapping[str, Any],
-        predicate: Predicate,
-        accountant: CostAccountant,
-    ) -> int:
-        """Replay :meth:`_update_main`'s charges for a zone-pruned predicate.
-
-        The seed path would locate zero matching rows (charging the filter
-        scan and, across vertical parts, a zero-row re-assembly join),
-        validate the SET values and then update nothing; the replayed
-        charges are exactly those.  Returns the parts-touched count for the
-        partition-overhead charge.
-        """
-        table = self.table
-        validate_assignments(table.schema, assignments)
-        if not table.has_vertical_split:
-            table.main_parts[0].charge_filter_scan(predicate, accountant)
-            return 1
-        all_needed = set(assignments) | set(predicate.columns())
-        parts_needed = table.main_parts_for_columns(sorted(all_needed))
-        self._charge_main_positions(predicate, accountant)
-        if len(parts_needed) >= 2:
-            accountant.charge_hash_inserts("partition_join", 0)
-            accountant.charge_hash_probes("partition_join", 0)
-        return len(parts_needed)
-
-    def _charge_main_positions(
-        self, predicate: Predicate, accountant: CostAccountant
-    ) -> int:
-        """Replay :meth:`_main_positions`'s charges without scanning."""
-        table = self.table
-        if not table.has_vertical_split:
-            table.main_parts[0].charge_filter_scan(predicate, accountant)
-            return 1
-        predicate_parts = table.main_parts_for_columns(sorted(predicate.columns()))
-        if len(predicate_parts) == 1:
-            predicate_parts[0].charge_filter_scan(predicate, accountant)
-            return 1
-        for name in sorted(predicate.columns()):
-            table.part_containing(name).charge_column_scan(name, accountant)
-        accountant.charge_predicate_evals(table.main_num_rows)
-        return len(predicate_parts)
-
     def _main_positions(
-        self, predicate: Optional[Predicate], accountant: CostAccountant
+        self,
+        predicate: Optional[Predicate],
+        accountant: CostAccountant,
+        proven_empty: bool = False,
     ):
-        """Positions (aligned across vertical parts) of main rows matching *predicate*."""
+        """Positions (aligned across vertical parts) of main rows matching *predicate*.
+
+        *proven_empty* carries a zone proof that nothing matches: the scan
+        is billed exactly the same and skipped.
+        """
         table = self.table
         if predicate is None:
             return None, 0
         if not table.has_vertical_split:
-            return table.main_parts[0].filter_positions(predicate, accountant), 1
+            positions = table.main_parts[0].filter_positions(
+                predicate, accountant, proven_empty
+            )
+            return positions, 1
         predicate_parts = table.main_parts_for_columns(sorted(predicate.columns()))
         if len(predicate_parts) == 1:
-            return predicate_parts[0].filter_positions(predicate, accountant), 1
-        # The predicate spans both vertical parts: evaluate it over the
-        # aligned column arrays from both parts (vectorized when possible).
+            positions = predicate_parts[0].filter_positions(
+                predicate, accountant, proven_empty
+            )
+            return positions, 1
+        # The predicate spans both vertical parts: bill a full read of every
+        # referenced column plus the per-row evaluation, then evaluate over
+        # the aligned column arrays from both parts (vectorized when possible).
         referenced = sorted(predicate.columns())
-        arrays: Dict[str, np.ndarray] = {}
-        for name in referenced:
-            part = table.part_containing(name)
-            arrays[name] = part.column_array(name, None, accountant)
         num_rows = table.main_num_rows
+        for name in referenced:
+            table.part_containing(name).charge_column_read(name, None, accountant)
         accountant.charge_predicate_evals(num_rows)
+        if proven_empty:
+            return np.empty(0, dtype=np.int64), len(predicate_parts)
+        arrays = {
+            name: table.part_containing(name).column_array(name)
+            for name in referenced
+        }
         mask = evaluate_predicate_mask(predicate, arrays, num_rows)
         return np.nonzero(mask)[0].astype(np.int64), len(predicate_parts)
 
-    def _charge_vertical_join(
+    def _vertical_positions(
         self,
-        parts_needed: Sequence[StoredTable],
-        positions: Optional[np.ndarray],
+        columns,
+        predicate: Optional[Predicate],
         accountant: CostAccountant,
-    ) -> None:
-        """Charge the primary-key join that re-assembles tuples across vertical parts."""
-        if len(parts_needed) < 2:
-            return
-        joined_rows = (
-            self.table.main_num_rows if positions is None else int(len(positions))
-        )
-        accountant.charge_hash_inserts("partition_join", joined_rows)
-        accountant.charge_hash_probes("partition_join", joined_rows)
+        proven_empty: bool = False,
+    ):
+        """Matching main positions, and the vertical parts a statement touches.
+
+        A statement whose *columns* and predicate span both parts pays the
+        primary-key join that re-assembles tuples across them, billed here
+        over the matching rows.
+        """
+        table = self.table
+        needed = set(columns) | (set(predicate.columns()) if predicate else set())
+        parts_needed = table.main_parts_for_columns(sorted(needed))
+        positions, _ = self._main_positions(predicate, accountant, proven_empty)
+        if len(parts_needed) >= 2:
+            joined_rows = table.main_num_rows if positions is None else len(positions)
+            accountant.charge_hash_inserts("partition_join", joined_rows)
+            accountant.charge_hash_probes("partition_join", joined_rows)
+        return positions, parts_needed
 
     def _group_columns_by_part(self, columns: Sequence[str]):
         """Group requested columns by the main part that stores them."""

@@ -94,15 +94,17 @@ def unit_checksum(codes: np.ndarray, dictionary) -> int:
 _CONFIG = IntegrityConfig()
 
 
-def apply_integrity_config(config: IntegrityConfig) -> None:
+def apply_integrity_config(config: IntegrityConfig) -> IntegrityConfig:
     """Install *config* as the process-wide integrity policy.
 
     Process-wide for the same reason the resilience knobs are: the shard
     worker pool and its shared segments are shared across sessions, so the
-    checksum policy governing them must be too.
+    checksum policy governing them must be too.  Returns the policy it
+    replaced, which ``Session.close()`` re-installs.
     """
     global _CONFIG
-    _CONFIG = config
+    replaced, _CONFIG = _CONFIG, config
+    return replaced
 
 
 def integrity_config() -> IntegrityConfig:

@@ -26,9 +26,8 @@ to a database without views (pinned by the differential fuzzer).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine.deadline import deadline_check
 from repro.engine.executor.access import SimpleAccessPath, empty_batch
@@ -38,7 +37,11 @@ from repro.engine.executor.aggregates import (
     merge_partition_partials,
     partition_partial_rows,
 )
-from repro.engine.executor.operators import aggregation_scan_columns, _assemble_inputs
+from repro.engine.executor.operators import (
+    _assemble_inputs,
+    aggregation_scan_columns,
+    charge_aggregation,
+)
 from repro.engine.executor.rewrite import (
     HOT_PARTITION,
     MAIN_PARTITION,
@@ -47,6 +50,7 @@ from repro.engine.executor.rewrite import (
 )
 from repro.engine.partitioning import PartitionedTable
 from repro.engine.timing import CostAccountant, CostBreakdown, DeviceModel
+from repro.engine.toggle import Toggle
 from repro.errors import CatalogError
 from repro.testing.faults import fault_point
 from repro.query.ast import AggregationQuery
@@ -66,16 +70,15 @@ REFRESH_INCREMENTAL = "incremental"
 REFRESH_FULL = "full"
 REFRESH_NOOP = "noop"
 
-_MATVIEW_ENABLED = True
+_MATVIEW = Toggle()
 
 
 def matview_enabled() -> bool:
     """Whether the session may answer matching queries from materialized views."""
-    return _MATVIEW_ENABLED
+    return _MATVIEW.enabled
 
 
-@contextmanager
-def matview_disabled() -> Iterator[None]:
+def matview_disabled():
     """Force every aggregation to execute against the base table.
 
     The differential fuzzer runs recurring aggregates under this toggle too
@@ -83,13 +86,7 @@ def matview_disabled() -> Iterator[None]:
     charges identical to a database without views — views are a wall-clock
     optimisation of the read path, never a semantic change.
     """
-    global _MATVIEW_ENABLED
-    previous = _MATVIEW_ENABLED
-    _MATVIEW_ENABLED = False
-    try:
-        yield
-    finally:
-        _MATVIEW_ENABLED = previous
+    return _MATVIEW.disabled()
 
 
 def view_serve_bytes(num_rows: int, query: AggregationQuery) -> int:
@@ -253,15 +250,9 @@ class MaterializedView:
         path = access_path_for(table_object)
         safe, _hazard = _partial_merge_safe(path, query)
 
-        if not safe:
-            rows = self._recompute_full(
-                path, query, base_columns, encode_columns, group_names, accountant
-            )
-            self._unit_partials = {}
-            reused: List[str] = []
-            recomputed = [label for label, _ in specs]
-        else:
-            recomputed, reused = [], []
+        rows: Optional[List[Dict[str, Any]]] = None
+        recomputed, reused = [], []
+        if safe:
             partials_in_order: List[List[Dict[str, Any]]] = []
             new_partials: Dict[str, List[Dict[str, Any]]] = {}
             for label, token in specs:
@@ -276,11 +267,7 @@ class MaterializedView:
                     table_object, label, base_columns, query.predicate,
                     accountant, encode_columns,
                 )
-                accountant.charge_aggregate_updates(
-                    batch.num_rows * len(query.aggregates)
-                )
-                if group_names:
-                    accountant.charge_group_by_updates(batch.num_rows)
+                charge_aggregation(query, batch.num_rows, accountant)
                 if batch.num_rows == 0:
                     partial: List[Dict[str, Any]] = []
                 else:
@@ -300,15 +287,15 @@ class MaterializedView:
                 self._unit_partials = new_partials
             except TypeError:
                 # Unorderable partial merge (exotic mixed types across
-                # units): recompute from scratch, which is always correct.
+                # units): drop the per-unit bills and recompute from scratch.
                 accountant = CostAccountant(device)
-                rows = self._recompute_full(
-                    path, query, base_columns, encode_columns, group_names,
-                    accountant,
-                )
-                self._unit_partials = {}
-                recomputed = [label for label, _ in specs]
-                reused = []
+        if rows is None:
+            # NaN hazards or an unorderable merge: always-correct recompute.
+            rows = self._recompute_full(
+                path, query, base_columns, encode_columns, group_names, accountant
+            )
+            self._unit_partials = {}
+            recomputed, reused = [label for label, _ in specs], []
 
         fault_point("matview.refresh.before_install")
         self.result_rows = rows
@@ -333,9 +320,7 @@ class MaterializedView:
             base_columns, query.predicate, accountant,
             encode_columns=encode_columns,
         )
-        accountant.charge_aggregate_updates(batch.num_rows * len(query.aggregates))
-        if group_names:
-            accountant.charge_group_by_updates(batch.num_rows)
+        charge_aggregation(query, batch.num_rows, accountant)
         inputs, keys = _assemble_inputs(query, batch.raw_columns())
         aggregation = GroupedAggregation(
             aggregates=query.aggregates, group_by_names=group_names

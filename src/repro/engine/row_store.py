@@ -285,14 +285,20 @@ class RowStoreTable:
         assignments: Mapping[str, Any],
         accountant: Optional[CostAccountant] = None,
     ) -> int:
-        """Update *assignments* on the rows at *positions*."""
+        """Update *assignments* on the rows at *positions*.
+
+        An update of no rows still validates its SET values but is otherwise
+        a no-op (no zone-epoch bump).
+        """
         if not assignments:
             return 0
-        self._bump_zone_epoch()
         coerced = {
             name: self.schema.column(name).dtype.coerce(value)
             for name, value in assignments.items()
         }
+        if len(positions) == 0:
+            return 0
+        self._bump_zone_epoch()
         column_positions = {name: self.schema.index_of(name) for name in coerced}
         for position in positions:
             row = self._rows[position]
@@ -310,12 +316,11 @@ class RowStoreTable:
                         accountant.charge_index_insert()
             if accountant is not None:
                 accountant.charge_row_value_updates(len(coerced))
-        if len(positions):
-            # Only the assigned columns changed; their cache entries go, the
-            # rest stay valid.
-            for name in coerced:
-                self._column_cache.pop(name, None)
-                self._factorized.pop(name, None)
+        # Only the assigned columns changed; their cache entries go, the
+        # rest stay valid.
+        for name in coerced:
+            self._column_cache.pop(name, None)
+            self._factorized.pop(name, None)
         return len(positions)
 
     def delete_rows(
@@ -401,7 +406,10 @@ class RowStoreTable:
         return EncodedColumn(codes, dictionary)
 
     def filter_positions(
-        self, predicate: Optional[Predicate], accountant: Optional[CostAccountant] = None
+        self,
+        predicate: Optional[Predicate],
+        accountant: Optional[CostAccountant] = None,
+        proven_empty: bool = False,
     ) -> Optional[np.ndarray]:
         """Return positions of rows matching *predicate* (``None`` = all rows).
 
@@ -409,6 +417,10 @@ class RowStoreTable:
         indexed column; otherwise performs a full scan that reads every tuple.
         The full scan is evaluated vectorially over the cached column views
         when the predicate supports it (same cost charges either way).
+
+        *proven_empty* carries a zone-map proof that no row matches: a full
+        scan is billed all the same, and skipped (an index probe is
+        O(1)/O(log n), so it simply runs).
         """
         if predicate is None:
             return None
@@ -416,103 +428,76 @@ class RowStoreTable:
         if indexed is not None:
             return indexed
         # Full scan: the row store reads complete tuples.
+        self.charge_tuple_read(None, accountant)
         if accountant is not None:
-            accountant.charge_sequential_read(
-                "row_scan", self.num_rows * self.row_width_bytes
-            )
             accountant.charge_predicate_evals(self.num_rows)
+        if proven_empty:
+            return np.empty(0, dtype=np.int64)
         referenced = sorted(predicate.columns() & set(self.schema.column_names))
         arrays = {name: self._column_array(name) for name in referenced}
         mask = evaluate_predicate_mask(predicate, arrays, self.num_rows)
         return np.nonzero(mask)[0].astype(np.int64)
 
-    def charge_filter_scan(
-        self, predicate: Predicate, accountant: Optional[CostAccountant]
-    ) -> None:
-        """Replay the charges of :meth:`filter_positions` without scanning.
-
-        Zone-pruned DML uses this: when the zones prove *predicate* matches
-        no row, the scan is skipped but the query must cost exactly what the
-        seed pipeline charged for scanning and matching nothing — an index
-        probe plus zero fetches on the index path, a full tuple scan plus
-        per-row predicate evaluations otherwise.
-        """
-        if accountant is None or predicate is None:
-            return
-        if self._answers_from_index(predicate):
-            accountant.charge_index_probe()
-            accountant.charge_random_accesses("row_fetch", 0)
-            return
-        accountant.charge_sequential_read(
-            "row_scan", self.num_rows * self.row_width_bytes
-        )
-        accountant.charge_predicate_evals(self.num_rows)
-
-    def _answers_from_index(self, predicate: Predicate) -> bool:
-        """Whether :meth:`_index_lookup` would answer *predicate* from an index."""
-        if isinstance(predicate, Comparison) and predicate.op is CompareOp.EQ:
-            return (
-                predicate.column in self._hash_indexes
-                or predicate.column in self._sorted_indexes
-            )
-        if isinstance(predicate, Between):
-            return predicate.column in self._sorted_indexes
-        return (
-            isinstance(predicate, Comparison)
-            and predicate.op in (CompareOp.LT, CompareOp.LE, CompareOp.GT,
-                                 CompareOp.GE)
-            and predicate.column in self._sorted_indexes
-        )
-
     def _index_lookup(
         self, predicate: Predicate, accountant: Optional[CostAccountant]
     ) -> Optional[np.ndarray]:
-        """Try to answer *predicate* from an index; return None if impossible."""
-        if isinstance(predicate, Comparison) and predicate.op is CompareOp.EQ:
-            column = predicate.column
-            if column in self._hash_indexes:
-                if accountant is not None:
-                    accountant.charge_index_probe()
-                positions = self._hash_indexes[column].lookup(predicate.value)
-                if accountant is not None:
-                    accountant.charge_random_accesses("row_fetch", len(positions))
-                return np.asarray(positions, dtype=np.int64)
-            if column in self._sorted_indexes:
-                if accountant is not None:
-                    accountant.charge_index_probe()
-                positions = self._sorted_indexes[column].lookup(predicate.value)
-                if accountant is not None:
-                    accountant.charge_random_accesses("row_fetch", len(positions))
-                return np.asarray(positions, dtype=np.int64)
-        if isinstance(predicate, Between) and predicate.column in self._sorted_indexes:
-            if accountant is not None:
-                accountant.charge_index_probe()
+        """Try to answer *predicate* from an index; return None if impossible.
+
+        An answered lookup is billed one index probe plus one random access
+        per qualifying row.
+        """
+        positions: Optional[List[int]] = None
+        if isinstance(predicate, Comparison):
+            sorted_index = self._sorted_indexes.get(predicate.column)
+            if predicate.op is CompareOp.EQ:
+                index = self._hash_indexes.get(predicate.column, sorted_index)
+                if index is not None:
+                    positions = index.lookup(predicate.value)
+            elif sorted_index is not None and predicate.op in (
+                CompareOp.LT, CompareOp.LE
+            ):
+                positions = sorted_index.range_lookup(
+                    None, predicate.value, include_high=predicate.op is CompareOp.LE
+                )
+            elif sorted_index is not None and predicate.op in (
+                CompareOp.GT, CompareOp.GE
+            ):
+                positions = sorted_index.range_lookup(
+                    predicate.value, None, include_low=predicate.op is CompareOp.GE
+                )
+        elif isinstance(predicate, Between) and predicate.column in self._sorted_indexes:
             positions = self._sorted_indexes[predicate.column].range_lookup(
                 predicate.low, predicate.high, predicate.include_low, predicate.include_high
             )
-            if accountant is not None:
-                accountant.charge_random_accesses("row_fetch", len(positions))
-            return np.asarray(positions, dtype=np.int64)
-        if (
-            isinstance(predicate, Comparison)
-            and predicate.op in (CompareOp.LT, CompareOp.LE, CompareOp.GT, CompareOp.GE)
-            and predicate.column in self._sorted_indexes
-        ):
-            index = self._sorted_indexes[predicate.column]
-            if accountant is not None:
-                accountant.charge_index_probe()
-            if predicate.op in (CompareOp.LT, CompareOp.LE):
-                positions = index.range_lookup(
-                    None, predicate.value, include_high=predicate.op is CompareOp.LE
-                )
-            else:
-                positions = index.range_lookup(
-                    predicate.value, None, include_low=predicate.op is CompareOp.GE
-                )
-            if accountant is not None:
-                accountant.charge_random_accesses("row_fetch", len(positions))
-            return np.asarray(positions, dtype=np.int64)
-        return None
+        if positions is None:
+            return None
+        if accountant is not None:
+            accountant.charge_index_probe()
+            accountant.charge_random_accesses("row_fetch", len(positions))
+        return np.asarray(positions, dtype=np.int64)
+
+    def charge_tuple_read(
+        self, num_positions: Optional[int], accountant: Optional[CostAccountant]
+    ) -> None:
+        """Bill reading *num_positions* tuples — the one home of that charge.
+
+        ``None`` is every tuple: one sequential pass over the full-width
+        rows.  An int is one random access per position.  The tuple is
+        contiguous, so the projected columns come along for free.
+        """
+        if accountant is None:
+            return
+        if num_positions is None:
+            accountant.charge_sequential_read(
+                "row_scan", self.num_rows * self.row_width_bytes
+            )
+        else:
+            accountant.charge_random_accesses("row_fetch", num_positions)
+
+    def charge_column_read(self, column: str, num_positions: Optional[int],
+                           accountant: Optional[CostAccountant]) -> None:
+        """Bill reading *column*: in the row store, a read of whole tuples."""
+        self.charge_tuple_read(num_positions, accountant)
 
     def fetch_rows(
         self,
@@ -531,10 +516,7 @@ class RowStoreTable:
         for name in selected:
             self.schema.column(name)
         if positions is None:
-            if accountant is not None:
-                accountant.charge_sequential_read(
-                    "row_scan", self.num_rows * self.row_width_bytes
-                )
+            self.charge_tuple_read(None, accountant)
             rows = self._rows
             return [
                 {name: row[i] for i, name in enumerate(names) if name in selected}
@@ -542,8 +524,7 @@ class RowStoreTable:
                 else dict(zip(names, row))
                 for row in rows
             ]
-        if accountant is not None:
-            accountant.charge_random_accesses("row_fetch", len(positions))
+        self.charge_tuple_read(len(positions), accountant)
         result = []
         selected_idx = [(name, self.schema.index_of(name)) for name in selected]
         for position in positions:
@@ -573,13 +554,9 @@ class RowStoreTable:
         """Vectorized :meth:`column_values`, served from the cached column view."""
         self.schema.column(column)
         if positions is None:
-            if accountant is not None:
-                accountant.charge_sequential_read(
-                    "row_scan", self.num_rows * self.row_width_bytes
-                )
+            self.charge_tuple_read(None, accountant)
             return self._column_array(column)
-        if accountant is not None:
-            accountant.charge_random_accesses("row_fetch", len(positions))
+        self.charge_tuple_read(len(positions), accountant)
         gather = np.asarray(positions, dtype=np.int64)
         return self._column_array(column)[gather]
 
@@ -626,16 +603,12 @@ class RowStoreTable:
             return self._column_array(name)
 
         if positions is None:
-            if accountant is not None:
-                accountant.charge_sequential_read(
-                    "row_scan", self.num_rows * self.row_width_bytes
-                )
+            self.charge_tuple_read(None, accountant)
             return ColumnBatch(
                 {name: batch_column(name) for name in columns},
                 num_rows=self.num_rows,
             )
-        if accountant is not None:
-            accountant.charge_random_accesses("row_fetch", len(positions))
+        self.charge_tuple_read(len(positions), accountant)
         gather = np.asarray(positions, dtype=np.int64)
 
         def gathered_column(name: str) -> Any:

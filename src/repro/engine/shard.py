@@ -6,7 +6,7 @@ column's flat ``int64`` code array once per zone epoch into a
 :mod:`multiprocessing.shared_memory` segment; dictionaries ship to each worker
 once per ``(column, epoch)`` and are cached worker-side, so steady-state
 dispatch moves only the query and the shard bounds.  Workers filter their
-range in the code domain (:func:`compile_code_mask`, with the store's
+range in the code domain (:func:`translate_code_predicate`, with the store's
 decode-and-compare fallback) and either return global match positions
 (selection) or mergeable partial aggregate states
 (:func:`partition_partial_rows`); the parent gathers and merges with
@@ -32,7 +32,8 @@ billed.
 Cost discipline mirrors the rest of the engine: workers **never** touch a
 :class:`~repro.engine.timing.CostAccountant`.  The parent dispatches, gathers
 and merges first, charge-free; only when the sharded result is fully in hand
-does it replay the serial path's charges in the serial call order, so the
+does it bill, through the serial readers' own charge functions fed the
+gathered match counts and in the serial call order, so the
 :class:`~repro.engine.timing.CostBreakdown` is bit-identical to
 :func:`shard_execution_disabled` execution.  Any failure — a dead worker, a
 pickling error, a gather timeout, an unorderable partial merge — abandons the
@@ -70,7 +71,7 @@ import numpy as np
 
 from repro.config import DEFAULT_SEED, ResilienceConfig
 from repro.engine.batch import EncodedColumn, evaluate_predicate_mask
-from repro.engine.column_store import ColumnStoreTable, compile_code_mask
+from repro.engine.column_store import ColumnStoreTable, translate_code_predicate
 from repro.engine.deadline import deadline_check, deadline_remaining
 from repro.engine.integrity import codes_checksum, verify_on_attach_enabled
 from repro.engine.shard_gate import best_fan_out, usable_cores
@@ -85,7 +86,7 @@ from repro.engine.executor.aggregates import (
     partition_partial_rows,
 )
 from repro.engine.timing import CostAccountant
-from repro.errors import QueryTimeoutError
+from repro.engine.toggle import Toggle
 from repro.query.ast import AggregationQuery, Query, SelectQuery
 from repro.testing.faults import active_plan, process_fault
 
@@ -115,7 +116,7 @@ _LOGGER = logging.getLogger("repro.engine.shard")
 
 # -- toggle and configuration ----------------------------------------------------------
 
-_SHARD_ENABLED = True
+_SHARD = Toggle()
 
 #: Planner default fan-out and pool size: one shard per usable core, so no
 #: shard waits for a time slice (4 workers on 2 cores woke the last one 5-13
@@ -147,19 +148,12 @@ _BACKOFF_RNG = random.Random(DEFAULT_SEED)
 
 def shard_execution_enabled() -> bool:
     """Whether the sharded scatter/gather paths may run."""
-    return _SHARD_ENABLED
+    return _SHARD.enabled
 
 
-@contextmanager
 def shard_execution_disabled():
     """Force serial execution — the charge-identity reference for sharding."""
-    global _SHARD_ENABLED
-    previous = _SHARD_ENABLED
-    _SHARD_ENABLED = False
-    try:
-        yield
-    finally:
-        _SHARD_ENABLED = previous
+    return _SHARD.disabled()
 
 
 def shard_fan_out() -> int:
@@ -214,20 +208,27 @@ def shard_config(fan_out: Optional[int] = None, min_rows: Optional[int] = None,
          _GATHER_TIMEOUT_S, _RETRY_BACKOFF_S) = previous
 
 
-def apply_resilience_config(config: ResilienceConfig) -> None:
+def apply_resilience_config(config: ResilienceConfig) -> ResilienceConfig:
     """Install *config* as the process-wide resilience defaults.
 
     Called by ``Session.__init__`` when a :class:`ResilienceConfig` is
     passed to ``connect``; ``shard_config(...)`` still scopes temporary
-    overrides on top.
+    overrides on top.  Returns the policy it replaced, which
+    ``Session.close()`` re-installs.
     """
     global _SHARD_MAX_ATTEMPTS, _GATHER_TIMEOUT_S, _RETRY_BACKOFF_S
     global _RETRY_BACKOFF_CAP_S, _POLL_INTERVAL_S
+    replaced = ResilienceConfig(
+        max_attempts=_SHARD_MAX_ATTEMPTS, gather_timeout_s=_GATHER_TIMEOUT_S,
+        backoff_s=_RETRY_BACKOFF_S, backoff_cap_s=_RETRY_BACKOFF_CAP_S,
+        heartbeat_poll_s=_POLL_INTERVAL_S,
+    )
     _SHARD_MAX_ATTEMPTS = max(1, config.max_attempts)
     _GATHER_TIMEOUT_S = config.gather_timeout_s
     _RETRY_BACKOFF_S = config.backoff_s
     _RETRY_BACKOFF_CAP_S = config.backoff_cap_s
     _POLL_INTERVAL_S = config.heartbeat_poll_s
+    return replaced
 
 
 class ShardExecutionError(RuntimeError):
@@ -670,9 +671,9 @@ def _run_shard_task(task, cache) -> Dict[str, Any]:
             name: _ShardColumn(name, codes[start:stop], dictionary)
             for name, (codes, dictionary) in columns.items()
         }
-        compiled = compile_code_mask(predicate, shims, num)
-        if compiled is not None:
-            mask = compiled[0]
+        translated = translate_code_predicate(predicate, shims)
+        if translated is not None:
+            mask = translated[0](num)
         else:
             arrays = {
                 name: shim.dictionary.decode_array(shim.codes)
@@ -1187,8 +1188,8 @@ def try_sharded_aggregation(path, query: AggregationQuery,
     """Sharded grouped/ungrouped aggregation, or ``None`` to run serially.
 
     Scatter, gather and merge complete before the first charge lands; the
-    serial collect-then-reduce charges are then replayed in call order, so a
-    fallback can never leave a partial bill behind.
+    collect-then-reduce is then billed from the gathered counts, in the
+    serial call order, so a fallback can never leave a partial bill behind.
     """
     results = _gather_shards(path, query, "agg", base_columns, accountant)
     if results is None:
@@ -1203,17 +1204,16 @@ def try_sharded_aggregation(path, query: AggregationQuery,
         _record_degradation(accountant, table.name,
                             "unorderable partial merge", 1)
         return None
+    from repro.engine.executor.operators import charge_aggregation
     matched = sum(result["matched"] for result in results)
     accountant.count_partition(table.name, scanned=True)
     if query.predicate is not None:
-        table.charge_filter_scan(query.predicate, accountant)
+        table.backend.charge_filter_scan(query.predicate, accountant)
     for name in base_columns:
-        table.backend.charge_encoded_read(
+        table.backend.charge_column_read(
             name, None if query.predicate is None else matched, accountant
         )
-    accountant.charge_aggregate_updates(matched * len(query.aggregates))
-    if query.group_by:
-        accountant.charge_group_by_updates(matched)
+    charge_aggregation(query, matched, accountant)
     _record_shards(accountant, table.name, results)
     return rows
 
@@ -1224,8 +1224,8 @@ def try_sharded_select(path, query: SelectQuery,
 
     Workers return global match positions; the parent concatenates them in
     shard order (== ascending row order), applies the limit and performs the
-    row fetch itself — ``fetch_rows`` charges materialisation exactly as the
-    serial path does, after the replayed scan charges.
+    row fetch itself — the scan is billed without being re-run, then
+    ``fetch_rows`` bills and materialises exactly as the serial path does.
     """
     results = _gather_shards(
         path, query, "select", sorted(query.predicate.columns()), accountant
@@ -1237,7 +1237,7 @@ def try_sharded_select(path, query: SelectQuery,
         [result["positions"] for result in results]
     ).astype(np.int64)
     accountant.count_partition(table.name, scanned=True)
-    table.charge_filter_scan(query.predicate, accountant)
+    table.backend.charge_filter_scan(query.predicate, accountant)
     if query.limit is not None:
         positions = positions[: query.limit]
     rows = table.fetch_rows(positions, list(query.columns) or None, accountant)

@@ -128,30 +128,15 @@ class StoredTable:
         return self._backend.delete_rows(positions, accountant)
 
     def filter_positions(self, predicate: Optional[Predicate],
-                         accountant: Optional[CostAccountant] = None) -> Optional[np.ndarray]:
-        return self._backend.filter_positions(predicate, accountant)
+                         accountant: Optional[CostAccountant] = None,
+                         proven_empty: bool = False) -> Optional[np.ndarray]:
+        """Matching positions; *proven_empty* bills the scan and skips it."""
+        return self._backend.filter_positions(predicate, accountant, proven_empty)
 
-    def charge_filter_scan(self, predicate: Optional[Predicate],
-                           accountant: Optional[CostAccountant] = None) -> None:
-        """Replay :meth:`filter_positions` charges for a zone-pruned DML scan."""
-        if predicate is not None:
-            self._backend.charge_filter_scan(predicate, accountant)
-
-    def charge_column_scan(self, column: str,
-                           accountant: Optional[CostAccountant] = None) -> None:
-        """Replay :meth:`column_array`'s full-read charges without reading."""
-        if accountant is None:
-            return
-        backend = self._backend
-        if isinstance(backend, ColumnStoreTable):
-            accountant.charge_sequential_read(
-                "column_scan", backend.column_code_bytes(column)
-            )
-            accountant.charge_dict_decodes(backend.num_rows)
-        else:
-            accountant.charge_sequential_read(
-                "row_scan", backend.num_rows * backend.row_width_bytes
-            )
+    def charge_column_read(self, column: str, num_positions: Optional[int],
+                           accountant: Optional[CostAccountant]) -> None:
+        """Bill what reading *column* costs in this table's store."""
+        self._backend.charge_column_read(column, num_positions, accountant)
 
     def fetch_rows(self, positions: Optional[Sequence[int]],
                    columns: Optional[Sequence[str]] = None,

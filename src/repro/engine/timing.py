@@ -158,7 +158,7 @@ class CostAccountant:
         self._delta_scans: Dict[str, list] = {}
         # Per-table shard telemetry: the fan-out and per-shard
         # ``(rows scanned, rows matched)`` of a sharded scatter/gather
-        # execution.  Counters only — sharding replays the serial charges
+        # execution.  Counters only — sharding bills the serial charges
         # bit-identically; EXPLAIN ANALYZE reports these per shard.
         self._shard_execs: Dict[str, tuple] = {}
         # Per-table degradation-ladder telemetry: a description of each walk

@@ -34,10 +34,10 @@ NULL/NaN semantics mirror the scalar predicate evaluator exactly:
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping, Optional, Tuple
+from typing import Any, Mapping, Optional, Tuple
 
+from repro.engine.toggle import Toggle
 from repro.query.predicates import (
     And,
     Between,
@@ -63,7 +63,7 @@ __all__ = [
 ]
 
 
-_PRUNING_ENABLED = True
+_PRUNING = Toggle()
 
 #: Zone epochs are drawn from one process-wide counter so that epochs are
 #: unique across *backend instances*: a store conversion swaps a table's
@@ -79,19 +79,12 @@ def next_zone_epoch() -> int:
 
 def zone_pruning_enabled() -> bool:
     """Whether scans may skip partitions based on zone maps."""
-    return _PRUNING_ENABLED
+    return _PRUNING.enabled
 
 
-@contextmanager
-def zone_pruning_disabled() -> Iterator[None]:
+def zone_pruning_disabled():
     """Disable zone-map pruning (differential tests, decode-path baselines)."""
-    global _PRUNING_ENABLED
-    previous = _PRUNING_ENABLED
-    _PRUNING_ENABLED = False
-    try:
-        yield
-    finally:
-        _PRUNING_ENABLED = previous
+    return _PRUNING.disabled()
 
 
 def is_nan(value: Any) -> bool:

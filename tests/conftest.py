@@ -51,6 +51,37 @@ def pytest_configure(config):
     )
 
 
+class ChargeTrace(list):
+    """Ordered ``(component, nanoseconds)`` record of every charge billed."""
+
+    def take(self) -> list:
+        """The charges recorded since the last ``take`` (and forget them)."""
+        taken = list(self)
+        self.clear()
+        return taken
+
+
+@pytest.fixture
+def charge_trace(monkeypatch) -> ChargeTrace:
+    """Record every ``CostBreakdown.add`` in call order.
+
+    ``CostBreakdown`` accumulates floats per component, so the *order* of
+    charges is part of bit-identity; the differential tests compare a fast
+    path's trace against its reference's, not just the per-component totals.
+    """
+    from repro.engine.timing import CostBreakdown
+
+    trace = ChargeTrace()
+    original = CostBreakdown.add
+
+    def recording_add(breakdown, component, nanoseconds):
+        trace.append((component, nanoseconds))
+        original(breakdown, component, nanoseconds)
+
+    monkeypatch.setattr(CostBreakdown, "add", recording_add)
+    return trace
+
+
 @pytest.fixture(scope="session")
 def sales_schema() -> TableSchema:
     return TableSchema.build(

@@ -588,47 +588,143 @@ class TestDmlPruning:
                 aggregate("events").count().build()
             ).rows == [{"count_star": 95}]
 
-    def test_randomized_dml_pruning_differential(self):
-        """Interleaved DML with pruning on vs off: identical states + charges."""
+    LAYOUTS = {
+        "row": lambda rows: build_database(Store.ROW, rows),
+        "column": lambda rows: build_database(Store.COLUMN, rows),
+        "hot+main": lambda rows: build_partitioned_database(
+            rows, split_at=60, vertical=False
+        ),
+        "hot+vertical": lambda rows: build_partitioned_database(
+            rows, split_at=60, vertical=True
+        ),
+    }
+
+    @staticmethod
+    def _random_predicate(rng):
+        low = rng.randrange(-100, 300)
+        simple = [
+            between("day", low, low + rng.randrange(0, 80)),
+            gt("day", rng.randrange(-100, 400)),
+            eq("kind", rng.choice(["k1", "k3", "nope"])),
+            IsNull("score"),
+        ]
+        # Compound shapes; ``kind`` and ``day``/``score`` live in different
+        # vertical parts, so these span both.
+        far = rng.choice([lt("day", -20), gt("day", 5_000)])
+        compound = [
+            And((far, eq("kind", rng.choice(["k2", "nope"])))),
+            And((gt("score", 9_000.0), Not(eq("kind", "k1")))),
+            Or((far, And((lt("score", -1.0), eq("kind", "k4"))))),
+            Or((between("day", low, low + 10), eq("kind", "nope"))),
+            Not(Or((ge("day", -1_000), eq("kind", "k0")))),
+        ]
+        return rng.choice(simple + compound)
+
+    @staticmethod
+    def _execute(database, statement):
+        """``(result, None)`` or ``(None, (error type, message))``."""
+        try:
+            return database.execute(statement), None
+        except Exception as error:  # noqa: BLE001 — compared, not swallowed
+            return None, (type(error), str(error))
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_randomized_dml_pruning_differential(self, layout, charge_trace):
+        """Interleaved DML with pruning on vs off: identical states, charges
+        (totals *and* order) and errors, on every layout the rewrite touches."""
+        from repro.engine.executor.rewrite import access_path_for
+
         rng = random.Random(11)
-        for store in Store:
-            pruned_database = build_database(store, make_rows(0, 80, null_every=8))
-            reference_database = build_database(store, make_rows(0, 80, null_every=8))
-            next_id = 1_000
-            for step in range(25):
-                roll = rng.random()
-                low = rng.randrange(-100, 300)
-                predicate = rng.choice([
-                    between("day", low, low + rng.randrange(0, 80)),
-                    gt("day", rng.randrange(-100, 400)),
-                    eq("kind", rng.choice(["k1", "k3", "nope"])),
-                    IsNull("score"),
+        build = self.LAYOUTS[layout]
+        pruned_database = build(make_rows(0, 80, null_every=8))
+        reference_database = build(make_rows(0, 80, null_every=8))
+        next_id = 1_000
+        filtered = pruned_count = invalid = 0
+        for step in range(60):
+            roll = rng.random()
+            predicate = self._random_predicate(rng)
+            if roll < 0.45:
+                assignments = rng.choice([
+                    {"kind": rng.choice(["k0", "patched"])},
+                    {"score": float(rng.randrange(100))},
+                    {"kind": "both", "score": 1.5},
+                    # Uncoercible SET values must raise whether or not the
+                    # scan was pruned.
+                    {"score": "not-a-number"},
+                    {"kind": "fine", "day": "tomorrow"},
                 ])
-                if roll < 0.4:
-                    statement = update(
-                        "events",
-                        {"kind": rng.choice(["k0", "patched"])},
-                        predicate,
-                    )
-                elif roll < 0.7:
-                    statement = delete("events", predicate)
-                else:
-                    statement = insert("events", [{
-                        "id": next_id, "day": rng.randrange(-50, 400),
-                        "kind": f"k{rng.randrange(8)}", "score": None,
-                    }])
-                    next_id += 1
-                pruned = pruned_database.execute(statement)
-                with zone_pruning_disabled():
-                    reference = reference_database.execute(statement)
-                context = f"store={store} step={step} {statement!r}"
-                assert pruned.affected_rows == reference.affected_rows, context
-                assert pruned.cost.components == reference.cost.components, context
-            final = select("events").build()
-            assert (
-                pruned_database.execute(final).rows
-                == reference_database.execute(final).rows
-            ), store
+                statement = update("events", assignments, predicate)
+            elif roll < 0.75:
+                statement = delete("events", predicate)
+            else:
+                predicate = None
+                statement = insert("events", [{
+                    "id": next_id, "day": rng.randrange(-50, 400),
+                    "kind": f"k{rng.randrange(8)}", "score": None,
+                }])
+                next_id += 1
+            if predicate is not None:
+                filtered += 1
+                path = access_path_for(pruned_database.table_object("events"))
+                pruned_count += path.plan_scan(predicate).skipped > 0
+            charge_trace.take()
+            pruned, pruned_error = self._execute(pruned_database, statement)
+            pruned_trace = charge_trace.take()
+            with zone_pruning_disabled():
+                reference, reference_error = self._execute(
+                    reference_database, statement
+                )
+            reference_trace = charge_trace.take()
+            context = f"layout={layout} step={step} {statement!r}"
+            assert pruned_error == reference_error, context
+            if pruned_error is not None:
+                invalid += 1
+                continue
+            assert pruned_trace == reference_trace, context
+            assert pruned.affected_rows == reference.affected_rows, context
+            assert pruned.cost.components == reference.cost.components, context
+        final = select("events").build()
+        assert (
+            pruned_database.execute(final).rows
+            == reference_database.execute(final).rows
+        ), layout
+        assert pruned_count >= filtered // 4, (layout, pruned_count, filtered)
+        assert invalid >= 3, (layout, invalid)
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("pruned", [True, False])
+    def test_zero_match_update_is_side_effect_free(self, layout, pruned):
+        """A zone-pruned — or merely zero-match — UPDATE touches nothing:
+        same zone epochs, pending delta and held snapshot; a bad SET value
+        still raises."""
+        from repro.errors import SchemaError
+
+        database = self.LAYOUTS[layout](make_rows(0, 80, null_every=8))
+        database.execute(insert("events", [
+            {"id": 500, "day": 70, "kind": "k1", "score": 7.0},
+        ]))
+        table = database.table_object("events")
+        parts = getattr(table, "all_parts", [table])
+        snapshot = table.snapshot()
+        before = (
+            [part.zone_epoch for part in parts],
+            [part.delta_rows for part in parts],
+            snapshot.rows(),
+        )
+        # Provably empty for the zones, vs in range but matching no row.
+        predicate = gt("day", 10_000) if pruned else eq("kind", "k15")
+        result = database.execute(update("events", {"kind": "zz"}, predicate))
+        assert result.affected_rows == 0
+        with pytest.raises(SchemaError, match="not-a-number"):
+            database.execute(
+                update("events", {"score": "not-a-number"}, predicate)
+            )
+        assert before == (
+            [part.zone_epoch for part in parts],
+            [part.delta_rows for part in parts],
+            snapshot.rows(),
+        )
+        assert table.snapshot().rows() == snapshot.rows()
 
 
 # -- EXPLAIN pinning -------------------------------------------------------------------

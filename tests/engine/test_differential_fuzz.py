@@ -388,7 +388,7 @@ def test_pruning_and_code_domain_toggles_preserve_results(seed):
 
 
 @pytest.mark.parametrize("seed", range(2))
-def test_aggregate_pushdown_toggle_preserves_results_and_charges(seed):
+def test_aggregate_pushdown_toggle_preserves_results_and_charges(seed, charge_trace):
     """Pushdown differential: pushdown results == decode-then-reduce results.
 
     Every aggregation is executed twice against the same databases — once
@@ -397,7 +397,8 @@ def test_aggregate_pushdown_toggle_preserves_results_and_charges(seed):
     ``aggregate_pushdown_disabled()`` — and both the row multisets and the
     :class:`CostBreakdown` components must agree on every layout: pushdown
     is a wall-clock optimisation, never a cost-model or semantics change.
-    Covers grouped + ungrouped aggregates over mixed-NULL, NaN,
+    The charges must also land in the same *order* (float accumulation makes
+    order part of bit-identity).  Covers grouped + ungrouped aggregates over mixed-NULL, NaN,
     empty-partition and post-DML tables.
     """
     from repro.engine.executor.agg_pushdown import aggregate_pushdown_disabled
@@ -416,7 +417,9 @@ def test_aggregate_pushdown_toggle_preserves_results_and_charges(seed):
             continue
         query = random_aggregation(rng)
         for label, database in layouts.items():
+            charge_trace.take()
             pushed = database.execute(query)
+            pushed_trace = charge_trace.take()
             with aggregate_pushdown_disabled():
                 reference = database.execute(query)
             context = (
@@ -425,6 +428,7 @@ def test_aggregate_pushdown_toggle_preserves_results_and_charges(seed):
             )
             assert_rows_equivalent(context, pushed.rows, reference.rows)
             assert pushed.cost.components == reference.cost.components, context
+            assert pushed_trace == charge_trace.take(), context
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -550,7 +554,7 @@ def test_delta_writes_toggle_preserves_results_and_charges(seed):
 
 @pytest.mark.shard
 @pytest.mark.parametrize("seed", range(2))
-def test_shard_toggle_preserves_results_and_charges(seed):
+def test_shard_toggle_preserves_results_and_charges(seed, charge_trace):
     """Shard differential: scatter/gather results == serial results, in full.
 
     Every read query runs twice against the same databases — once with
@@ -558,7 +562,8 @@ def test_shard_toggle_preserves_results_and_charges(seed):
     shard) and once under ``shard_execution_disabled()`` — and both the row
     multisets and the :class:`CostBreakdown` components must agree on every
     layout: sharding is a wall-clock optimisation, never a cost-model or
-    semantics change.  DML pushes the column layout through the
+    semantics change — the gather bills the same charges in the same order
+    as the serial scan.  DML pushes the column layout through the
     delta-blocks-sharding window (the decision refuses until the merge);
     merging re-arms it, and the suite asserts the sharded path *really*
     executed — ``shard_stats`` non-empty — often enough that a silent
@@ -592,7 +597,9 @@ def test_shard_toggle_preserves_results_and_charges(seed):
                     else random_aggregation(rng)
                 )
                 for label, database in layouts.items():
+                    charge_trace.take()
                     sharded = database.execute(query)
+                    sharded_trace = charge_trace.take()
                     with shard_execution_disabled():
                         reference = database.execute(query)
                     context = (
@@ -601,6 +608,7 @@ def test_shard_toggle_preserves_results_and_charges(seed):
                     )
                     assert_rows_equivalent(context, sharded.rows, reference.rows)
                     assert sharded.cost.components == reference.cost.components, context
+                    assert sharded_trace == charge_trace.take(), context
                     assert not reference.shard_stats, context
                     if sharded.shard_stats:
                         # Only the plain column layout is shard-eligible.
