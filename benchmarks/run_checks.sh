@@ -12,12 +12,17 @@
 #                delta_insert gate doubles as the checksum-overhead guard.
 #   calibrate  — informational, never fails: re-measures the shard wall-clock
 #                gate's five constants next to the committed values.
-#   ledger     — seconds-long source check of the one-home-per-charge rule:
-#                fails if a deleted charge twin reappears under src/, or if
-#                shard.py / matview.py / executor/access.py call a primitive
+#   ledger     — seconds-long source check of the one-home rules: fails if a
+#                deleted charge twin reappears under src/, or if shard.py /
+#                matview.py / executor/access.py call a primitive
 #                `accountant.charge_*` instead of a single-home function
 #                (charge_filter_scan, charge_column_read, charge_tuple_read,
-#                charge_aggregation).
+#                charge_aggregation); and likewise if a deleted spelling of
+#                the prunable unit (the one definition is zonemap.ZoneUnit via
+#                `zone_units()`) or an install/restore policy setter
+#                reappears, or anything under src/ outside engine/zonemap.py
+#                calls zone_can_match( / zone_must_match( instead of asking a
+#                unit.
 #   fuzz       — the seeded differentials: every fast path vs its toggled
 #                reference, on rows, CostBreakdown totals and charge order.
 #   faults / resilience / integrity — crash points, process faults and
@@ -58,7 +63,7 @@ python -m pytest -m matview -q tests benchmarks
 echo "== shard: scatter/gather differential + projection gates =="
 python -m pytest -m shard -q tests benchmarks
 
-echo "== ledger: one home per simulated-clock charge =="
+echo "== ledger: one home per charge, one prunable unit =="
 deleted='compile_code_leaves|_DRY_MASK|charge_column_scan|_charge_pruned_main_update|_charge_main_positions|validate_assignments|_answers_from_index'
 if grep -rnE --include='*.py' "$deleted" src/; then
     echo "ledger: a deleted charge twin is back (see above)"; exit 1
@@ -66,6 +71,14 @@ fi
 if grep -nE 'accountant\.charge_' src/repro/engine/shard.py \
         src/repro/engine/matview.py src/repro/engine/executor/access.py; then
     echo "ledger: primitive charge outside its single-home function (see above)"; exit 1
+fi
+deleted='AggregateUnit|aggregate_units|partition_zone_units|part_zones|apply_resilience_config|apply_integrity_config'
+if grep -rnE --include='*.py' "$deleted" src/; then
+    echo "ledger: a deleted unit spelling or policy installer is back (see above)"; exit 1
+fi
+if grep -rnE --include='*.py' 'zone_(can|must)_match\(' src/ \
+        | grep -v '^src/repro/engine/zonemap\.py:'; then
+    echo "ledger: zone verdict asked outside ZoneUnit (see above)"; exit 1
 fi
 echo "ledger clean."
 

@@ -139,9 +139,9 @@ class _Binder:
         for spec in query.aggregates:
             if spec.column == "*":
                 continue
-            self._resolve_column(query, spec.column)
+            self._resolve_column(spec.column)
         for name in query.group_by:
-            self._resolve_column(query, name)
+            self._resolve_column(name)
         predicate = self._bind_predicate(query.predicate, query.table)
         if predicate is query.predicate:
             return query
@@ -192,31 +192,33 @@ class _Binder:
         if predicate is None or isinstance(predicate, TruePredicate):
             return predicate
         if isinstance(predicate, Comparison):
-            column = self._predicate_column(predicate.column, base_table)
+            name, column = self._resolve_column(predicate.column)
             value = self._bind_value(predicate.value, column, base_table)
-            if value is predicate.value:
+            if value is predicate.value and name is predicate.column:
                 return predicate
-            return Comparison(predicate.column, predicate.op, value)
+            return Comparison(name, predicate.op, value)
         if isinstance(predicate, Between):
-            column = self._predicate_column(predicate.column, base_table)
+            name, column = self._resolve_column(predicate.column)
             low = self._bind_value(predicate.low, column, base_table)
             high = self._bind_value(predicate.high, column, base_table)
-            if low is predicate.low and high is predicate.high:
+            if (low is predicate.low and high is predicate.high
+                    and name is predicate.column):
                 return predicate
-            return Between(predicate.column, low, high,
+            return Between(name, low, high,
                            predicate.include_low, predicate.include_high)
         if isinstance(predicate, InList):
-            column = self._predicate_column(predicate.column, base_table)
+            name, column = self._resolve_column(predicate.column)
             values = tuple(
                 self._bind_value(value, column, base_table)
                 for value in predicate.values
             )
-            if all(new is old for new, old in zip(values, predicate.values)):
+            if (name is predicate.column
+                    and all(new is old for new, old in zip(values, predicate.values))):
                 return predicate
-            return InList(predicate.column, values)
+            return InList(name, values)
         if isinstance(predicate, IsNull):
-            self._predicate_column(predicate.column, base_table)
-            return predicate
+            name, _ = self._resolve_column(predicate.column)
+            return predicate if name is predicate.column else IsNull(name)
         if isinstance(predicate, (And, Or)):
             children = tuple(
                 self._bind_predicate(child, base_table)
@@ -248,20 +250,25 @@ class _Binder:
                 f"table {table!r} has no column {name!r}"
             ) from None
 
-    def _predicate_column(self, name: str, base_table: str) -> Column:
-        owner, column = split_qualified(name)
-        table = owner or base_table
-        return self._column(self._schema(table), column, table)
+    def _resolve_column(self, name: str) -> Tuple[str, Column]:
+        """Resolve a possibly qualified *name*: ``(name to execute with, Column)``.
 
-    def _resolve_column(self, query: AggregationQuery, name: str) -> Column:
+        No store understands ``table.column``, so an unqualified name or one
+        qualified with the statement's own table executes as the bare
+        column.  A reference to a joined table keeps its qualifier (the
+        executor routes — or, in predicates, rejects — by it); a qualifier
+        naming any other table is an error.
+        """
+        query = self.query
         owner, column = split_qualified(name)
-        table = owner or query.table
-        if table != query.table and table not in {j.table for j in query.joins}:
+        if owner is None or owner == query.table:
+            return column, self._column(self._schema(query.table), column, query.table)
+        if owner not in {join.table for join in getattr(query, "joins", ())}:
             raise BindError(
-                f"column {name!r} references table {table!r}, which the query "
+                f"column {name!r} references table {owner!r}, which the query "
                 "neither selects from nor joins"
             )
-        return self._column(self._schema(table), column, table)
+        return name, self._column(self._schema(owner), column, owner)
 
     # -- values and parameters -----------------------------------------------------
 

@@ -36,7 +36,7 @@ from repro.engine.types import Store
 from repro.engine.zonemap import ScanDecision
 from repro.query.ast import Query, QueryType
 from repro.query.fingerprint import query_fingerprint
-from repro.query.predicates import Between, CompareOp, Comparison, Predicate
+from repro.query.predicates import Between, Comparison, Predicate
 
 
 @dataclass(frozen=True)
@@ -279,15 +279,10 @@ class Planner:
             if isinstance(predicate, (Comparison, Between)):
                 return f"dictionary-coded scan({next(iter(predicate.columns()))})"
             return "column scan + predicate"
-        # Row store: mirror the executor's index selection statically.
-        if isinstance(predicate, Comparison) and table.has_index(predicate.column):
-            if predicate.op is CompareOp.EQ:
-                return f"index lookup({predicate.column})"
-            if predicate.op in (CompareOp.LT, CompareOp.LE, CompareOp.GT,
-                                CompareOp.GE):
-                return f"index range scan({predicate.column})"
-        if isinstance(predicate, Between) and table.has_index(predicate.column):
-            return f"index range scan({predicate.column})"
+        # Row store: the store names the index access it will take.
+        indexed = table.backend.index_access(predicate)
+        if indexed is not None:
+            return f"{indexed[0]}({predicate.column})"
         return "full scan + predicate"
 
     @staticmethod

@@ -35,6 +35,8 @@ Typical usage::
 
 from __future__ import annotations
 
+import contextlib
+import functools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
@@ -61,14 +63,14 @@ from repro.engine.matview import (
 from repro.engine.deadline import query_deadline
 from repro.engine.integrity import (
     IntegrityReport,
-    apply_integrity_config,
     integrity_counters,
+    integrity_scope,
     scrub,
 )
 from repro.engine.shard import (
-    apply_resilience_config,
     audit_shared_segments,
     resilience_counters,
+    resilience_scope,
     shutdown_worker_pool,
 )
 from repro.engine.wal import RecoveryReport, WriteAheadLog, recover as wal_recover
@@ -89,9 +91,40 @@ PlanExecutionListener = Callable[[Query, PhysicalPlan, QueryResult], None]
 _PARSE_CACHE_LIMIT = 1024
 
 
+def _under_policy(method):
+    """Run a statement-level :class:`Session` method under the session's policy.
+
+    A session opened with an explicit ``resilience=`` / ``integrity=``
+    config enters the engine's scoped setters around each statement, so two
+    sessions alive at once each run under their own policy and nothing is
+    left installed between statements.  A default session enters nothing:
+    it pays one call, and an enclosing ``shard_config(...)`` /
+    ``integrity_disabled()`` still governs it.
+    """
+
+    @functools.wraps(method)
+    def scoped(self, *args, **kwargs):
+        resilience, integrity = self._resilience, self._integrity
+        if resilience is None and integrity is None:
+            return method(self, *args, **kwargs)
+        with contextlib.ExitStack() as stack:
+            if resilience is not None:
+                stack.enter_context(resilience_scope(resilience))
+            if integrity is not None:
+                stack.enter_context(integrity_scope(integrity))
+            return method(self, *args, **kwargs)
+
+    return scoped
+
+
 @dataclass
 class SessionStats:
-    """Counter snapshot of one session (see :meth:`Session.stats`)."""
+    """Counter snapshot of one session (see :meth:`Session.stats`).
+
+    The shard and integrity counters are deltas of *process-wide* counters
+    over the session's lifetime: two sessions alive at once each see the
+    other's retries and verifications too (ROADMAP item 4, counters half).
+    """
 
     queries_executed: int
     statements_parsed: int
@@ -214,14 +247,9 @@ class Session:
         # Integrity counters follow the same process-wide pattern.
         self._integrity_baseline = integrity_counters().snapshot()
         self._closed = False
-        # Process-wide policies: remember what this session replaces so
-        # ``close()`` can put it back.
-        self._replaced_resilience = (
-            apply_resilience_config(resilience) if resilience is not None else None
-        )
-        self._replaced_integrity = (
-            apply_integrity_config(integrity) if integrity is not None else None
-        )
+        # Explicit policies, entered around each statement (``_under_policy``).
+        self._resilience = resilience
+        self._integrity = integrity
         if durability is not None:
             self.database.delta_merge_threshold = durability.delta_merge_threshold
         if wal_path is not None and self.database.wal is None:
@@ -249,12 +277,9 @@ class Session:
         return self._closed
 
     def close(self) -> None:
-        """Release cached plans, restore process-wide policy, close the WAL.
+        """Release cached plans and the worker pool, close the WAL.
 
-        A ``resilience=`` / ``integrity=`` config was installed process-wide;
-        closing re-installs the policy it replaced, so a later ``connect()``
-        does not inherit it (sessions *overlapping* in time still share one
-        policy — ROADMAP item 4).  Idempotent and exception-safe: calling it twice (or after a failed
+        Idempotent and exception-safe: calling it twice (or after a failed
         statement) is a no-op the second time, listeners are dropped so a
         half-torn-down monitor cannot be re-notified, and the WAL is flushed
         and closed even if clearing a cache were to fail.  The database
@@ -275,10 +300,6 @@ class Session:
             shutdown_worker_pool()
             audit_shared_segments()
         finally:
-            if self._replaced_resilience is not None:
-                apply_resilience_config(self._replaced_resilience)
-            if self._replaced_integrity is not None:
-                apply_integrity_config(self._replaced_integrity)
             wal = self.database.wal
             if wal is not None and not wal.closed:
                 wal.close()
@@ -317,6 +338,7 @@ class Session:
         template = self._template(query_or_sql)
         return bind(template, self.database.catalog, params, partial=partial)
 
+    @_under_policy
     def plan_for(self, query_or_sql: Union[Query, str]) -> PhysicalPlan:
         """The physical plan of a statement under the current layout.
 
@@ -327,6 +349,7 @@ class Session:
         template = self._template(query_or_sql)
         return self._cached_plan(template)
 
+    @_under_policy
     def execute(self, query_or_sql: Union[Query, str], params: Params = None,
                 timeout: Optional[float] = None) -> QueryResult:
         """Run one statement through parse → bind → plan → execute.
@@ -438,6 +461,7 @@ class Session:
             )
         return self.execute(stripped, params=params, timeout=timeout)
 
+    @_under_policy
     def prepare(self, statement: str) -> PreparedStatement:
         """Parse, validate and plan *statement* once for repeated execution."""
         template = self.parse(statement)
@@ -447,6 +471,7 @@ class Session:
         self._prepared_statements += 1
         return PreparedStatement(self, statement, template)
 
+    @_under_policy
     def explain(self, query_or_sql: Union[Query, str], params: Params = None,
                 analyze: bool = False) -> str:
         """Render the physical plan (``analyze=True`` also executes once)."""
@@ -596,6 +621,7 @@ class Session:
 
     # -- materialized views ---------------------------------------------------------
 
+    @_under_policy
     def create_view(self, name: str,
                     query_or_sql: Union[Query, str]) -> MaterializedView:
         """Create a materialized view of an aggregation statement.
@@ -612,6 +638,7 @@ class Session:
     def drop_view(self, name: str) -> None:
         self.database.drop_view(name)
 
+    @_under_policy
     def refresh_view(self, name: str) -> RefreshResult:
         """Explicitly bring one materialized view up to date."""
         return self.database.refresh_view(name)
@@ -653,6 +680,7 @@ class Session:
 
     # -- integrity -----------------------------------------------------------------
 
+    @_under_policy
     def verify_integrity(self) -> IntegrityReport:
         """Scrub every table's partition units against their checksums.
 
@@ -668,6 +696,7 @@ class Session:
             for name in self.database.table_names()
         )
 
+    @_under_policy
     def repair(self) -> int:
         """Rebuild quarantined units from the WAL; returns units repaired.
 
@@ -766,10 +795,10 @@ def connect(
     after a crash.  *durability* tunes the WAL sync mode and the delta
     merge threshold (see :class:`~repro.config.DurabilityConfig`).
     *resilience* tunes the resilient execution layer — shard retry budget,
-    gather timeout, backoff — process-wide (see
-    :class:`~repro.config.ResilienceConfig`).  *integrity* tunes the
-    checksum layer — scan-time and shard-attach verification — also
-    process-wide (see :class:`~repro.config.IntegrityConfig`).
+    gather timeout, backoff (see :class:`~repro.config.ResilienceConfig`) —
+    and *integrity* the checksum layer — scan-time and shard-attach
+    verification (see :class:`~repro.config.IntegrityConfig`); both govern
+    this session's statements only, entered around each one.
     """
     return Session(
         database=database,

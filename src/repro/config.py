@@ -145,9 +145,10 @@ class DurabilityConfig:
 class ResilienceConfig:
     """Knobs of the resilient execution layer (shard retries, deadlines).
 
-    Consumed by :func:`repro.api.connect` (``resilience=...``) and applied to
-    the shard executor's process-wide defaults; ``shard_config(...)`` scopes
-    temporary overrides the same way tests override the fan-out.
+    Consumed by :func:`repro.api.connect` (``resilience=...``): the session
+    enters :func:`repro.engine.shard.resilience_scope` with it around each of
+    its statements.  ``shard_config(...)`` scopes overrides of single knobs
+    the same way, for tests and default sessions.
     """
 
     #: Total sharded attempts per query (1 = no retry) before the query
@@ -173,11 +174,10 @@ class ResilienceConfig:
 class IntegrityConfig:
     """Knobs of the data-integrity layer (checksums, scrub, quarantine).
 
-    Consumed by :func:`repro.api.connect` (``integrity=...``) and applied to
-    the engine's process-wide defaults (the shard worker pool and its shared
-    segments are process-wide, so checksum policy must be too).  Verification
-    is billed zero simulated cost either way — only wall clock and the
-    integrity counters are affected.
+    Consumed by :func:`repro.api.connect` (``integrity=...``): the session
+    enters :func:`repro.engine.integrity.integrity_scope` with it around each
+    of its statements.  Verification is billed zero simulated cost either
+    way — only wall clock and the integrity counters are affected.
     """
 
     #: Master switch.  ``False`` disables checksum maintenance, scan-time

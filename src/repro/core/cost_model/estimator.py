@@ -23,12 +23,7 @@ from repro.engine.column_store import SCAN_MATERIALIZATION_THRESHOLD
 from repro.engine.schema import TableSchema
 from repro.engine.statistics import TableStatistics
 from repro.engine.types import Store
-from repro.engine.zonemap import (
-    ColumnZone,
-    is_nan,
-    zone_can_match,
-    zone_pruning_enabled,
-)
+from repro.engine.zonemap import ColumnZone, ZoneUnit, is_nan, zone_pruning_enabled
 from repro.errors import EstimationError
 from repro.query.ast import (
     AggregationQuery,
@@ -123,41 +118,31 @@ def query_contributions(
 # -- shared helpers ---------------------------------------------------------------
 
 
-def predicate_prunes_profile(
-    predicate: Optional[Predicate], profile: TableProfile
-) -> bool:
-    """Whether the catalog statistics prove *predicate* matches no row.
+def _statistics_unit(label: str, num_rows: int, columns, table_wide: bool) -> ZoneUnit:
+    """Catalog :class:`ColumnStatistics` *columns* as a :class:`ZoneUnit`.
 
-    The estimated counterpart of the executor's zone-map pruning: the
-    per-table ``min_value``/``max_value`` statistics act as a single
-    table-wide zone.  When they prove the predicate disjoint, the scan
-    terms are dropped from the estimate — mirroring the access path, which
-    skips the scan entirely.  Null counts are unknown at this level, so all
-    NULL-based proofs stay conservative.
+    The one statistics -> unit adapter, and the home of the estimator's two
+    conservatisms.  NaN-polluted bounds (NaN propagates through the stats
+    collectors' min/max) are no synopsis: every comparison against them is
+    false, which would read as a "provably empty" proof for predicates that
+    do match rows.  And *table_wide* statistics know no null count — every
+    NULL-based proof stays conservative — and an unknown range there is no
+    synopsis (per-partition statistics are exact: no range means no real
+    value).
     """
-    if predicate is None or not zone_pruning_enabled():
-        return False
-    zones = {}
-    for name in predicate.columns():
-        _, column = split_qualified(name)
-        if not profile.statistics.has_column(column):
-            continue
-        stats = profile.statistics.column(column)
+
+    def zone(column: str) -> Optional[ColumnZone]:
+        stats = columns.get(column)
+        if stats is None or is_nan(stats.min_value) or is_nan(stats.max_value):
+            return None
+        if not table_wide:
+            return ColumnZone(stats.min_value, stats.max_value, stats.null_count,
+                              num_rows, stats.has_nan)
         if stats.min_value is None or stats.max_value is None:
-            continue  # unknown range: no synopsis, never prunes
-        if is_nan(stats.min_value) or is_nan(stats.max_value):
-            # NaN-polluted bounds (NaN propagates through the stats
-            # collectors' min/max) cannot serve as zone bounds — every
-            # comparison against them is false, which would read as a
-            # "provably empty" proof for predicates that do match rows.
-            continue
-        zones[name] = ColumnZone(
-            min_value=stats.min_value,
-            max_value=stats.max_value,
-            null_count=None,
-            num_rows=profile.num_rows,
-        )
-    return not zone_can_match(predicate, zones, profile.num_rows)
+            return None
+        return ColumnZone(stats.min_value, stats.max_value, None, num_rows)
+
+    return ZoneUnit(label, num_rows, (), zone)
 
 
 def partition_scan_fraction(
@@ -165,47 +150,36 @@ def partition_scan_fraction(
 ) -> float:
     """Estimated fraction of the table's rows in partitions the scan keeps.
 
-    The estimated counterpart of partition-granular zone pruning: the
-    catalog records per-partition min/max/null-count statistics for
-    partitioned tables (:class:`~repro.engine.statistics
-    .PartitionStatistics`, derived from the exact zone synopses), so the
-    estimator prices exactly the partitions the executor will scan instead
-    of approximating from the whole-table range.  Unpartitioned tables (no
-    partition statistics) degrade to the whole-table proof of
-    :func:`predicate_prunes_profile` — 0.0 (provably empty, scan terms
-    dropped) or 1.0.  Only *read* estimates consume this: the write path
-    keeps seed-identical accounting, so DML estimates stay unscaled.
+    The estimated counterpart of the executor's zone-map pruning.  For a
+    partitioned table the catalog records per-partition min/max/null-count
+    statistics (:class:`~repro.engine.statistics.PartitionStatistics`,
+    derived from the exact zone synopses), so the estimator prices exactly
+    the partitions the executor will scan.  An unpartitioned table is one
+    unit under its table-wide ``min_value``/``max_value`` statistics: 0.0
+    when they prove the predicate disjoint (the scan terms are dropped from
+    the estimate, mirroring the access path, which skips the scan), else
+    1.0.  Only *read* estimates consume this: the write path keeps
+    seed-identical accounting, so DML estimates stay unscaled.
     """
     if predicate is None or not zone_pruning_enabled():
         return 1.0
-    partitions = getattr(profile.statistics, "partitions", ())
-    if not partitions:
-        return 0.0 if predicate_prunes_profile(predicate, profile) else 1.0
-    total = sum(partition.num_rows for partition in partitions)
-    if total <= 0:
-        return 1.0
-    surviving = 0
-    for partition in partitions:
-        if partition.num_rows == 0:
-            continue
-        zones = {}
-        for name in predicate.columns():
-            _, column = split_qualified(name)
-            stats = partition.columns.get(column)
-            if stats is None:
-                continue
-            if is_nan(stats.min_value) or is_nan(stats.max_value):
-                continue  # defensive: NaN bounds cannot serve as a zone
-            zones[name] = ColumnZone(
-                min_value=stats.min_value,
-                max_value=stats.max_value,
-                null_count=stats.null_count,
-                num_rows=partition.num_rows,
-                has_nan=stats.has_nan,
-            )
-        if zone_can_match(predicate, zones, partition.num_rows):
-            surviving += partition.num_rows
-    return surviving / total
+    statistics = profile.statistics
+    partitions = getattr(statistics, "partitions", ())
+    if partitions:
+        units = [
+            _statistics_unit(partition.label, partition.num_rows,
+                             partition.columns, table_wide=False)
+            for partition in partitions
+        ]
+    else:
+        units = [_statistics_unit(statistics.table, profile.num_rows,
+                                  statistics.columns, table_wide=True)]
+    total = surviving = 0
+    for unit in units:
+        total += unit.num_rows
+        if unit.can_match(predicate):
+            surviving += unit.num_rows
+    return surviving / total if total > 0 else 1.0
 
 
 def _selectivity(predicate: Optional[Predicate], profile: TableProfile) -> float:

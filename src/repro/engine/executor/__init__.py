@@ -55,8 +55,8 @@ table: partitions whose zones prove the predicate cannot match are skipped
 before a single code or tuple is touched (the hot and main portions of a
 :class:`PartitionedAccessPath` prune independently).  The session planner
 embeds the *same* decision object in the physical plan, execution re-derives
-it only when its zone-epoch token goes stale (or a bound parameter refines a
-template), and ``EXPLAIN ANALYZE`` reports the per-table partitions
+it only once it is stale (DML, a toggle flip, or a bound parameter refining a
+template — the one freshness rule of :mod:`repro.engine.executor.access`), and ``EXPLAIN ANALYZE`` reports the per-table partitions
 scanned/skipped counters — plan and execution provably coincide.  Skipped
 partitions charge nothing ("actuals reflect rows actually touched"); the
 cost model mirrors the pruning on the estimate side through the catalog's
@@ -69,8 +69,8 @@ Aggregation executes as far down the storage stack as the query allows
 (:mod:`repro.engine.executor.agg_pushdown`), in one of four tiers chosen at
 *plan* time from the query shape and the zone synopses, recorded as an
 :class:`~repro.engine.executor.agg_pushdown.AggregateStrategy` in the
-physical plan (re-derived on stale zone-epoch tokens, exactly like a
-``ScanDecision``) and reported by ``EXPLAIN [ANALYZE]``:
+physical plan (kept under the same freshness rule as a ``ScanDecision``) and
+reported by ``EXPLAIN [ANALYZE]``:
 
 * **zero-scan** — ungrouped ``COUNT(*)``/``COUNT(col)``/``MIN``/``MAX``
   whose predicate is absent or provably all-true/all-false per partition are

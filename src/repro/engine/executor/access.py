@@ -11,40 +11,41 @@ behaviour that the paper's cost model captures lives here:
 * partitioned tables additionally pay union/join assembly costs (see
   :mod:`repro.engine.executor.rewrite`).
 
-Access paths are also where the plan's pruning decisions execute.
-:meth:`AccessPath.plan_scan` derives a :class:`~repro.engine.zonemap
-.ScanDecision` for a read predicate from the current zone maps and records
-it on the path; the planner embeds the same object in the physical plan.  At
-execution the path *consumes* the recorded decision instead of re-deriving
-it — unless the decision's zone-epoch token went stale (DML since planning)
-or a different bound predicate arrives (parameterized plans), in which case
-it is re-derived so pruning can never skip rows it must not.  Every prunable
-unit consulted is counted on the accountant (scanned vs. skipped), which is
-what ``EXPLAIN ANALYZE`` reports.
+Access paths are also where the plan's decisions live.  A path records, per
+query, a :class:`~repro.engine.zonemap.ScanDecision` (which of the
+:class:`~repro.engine.zonemap.ZoneUnit` objects in ``table.zone_units()`` the
+read predicate can match), an :class:`~repro.engine.executor.agg_pushdown
+.AggregateStrategy` and a :class:`~repro.engine.shard.ShardDecision`; the
+planner embeds the same objects in the physical plan, and execution
+*consumes* them instead of re-deriving.  All three obey one freshness rule
+(:meth:`AccessPath._decide`): a recorded decision is reused iff it was taken
+for the same subject (predicate or query — bound parameter values refine a
+template plan), under the same zone token (no DML since) and the same
+settings epoch (no ``*_disabled()`` switch or ``shard_config`` knob moved
+since — :mod:`repro.engine.toggle`); otherwise it is re-derived, so a cached
+plan can never skip rows it must not, serve a stale zero-scan answer, or hide
+the reference path behind a toggle.  Every prunable unit consulted is counted
+on the accountant (scanned vs. skipped), which is what ``EXPLAIN ANALYZE``
+reports.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.engine.batch import ColumnBatch
 from repro.engine.executor.agg_pushdown import (
     AggregateStrategy,
-    AggregateUnit,
     derive_aggregate_strategy,
 )
 from repro.engine.shard import ShardDecision, derive_shard_decision
 from repro.engine.table import StoredTable
 from repro.engine.timing import CostAccountant
+from repro.engine.toggle import settings_epoch
 from repro.engine.types import Store
-from repro.engine.zonemap import (
-    PartitionScan,
-    ScanDecision,
-    zone_can_match,
-    zone_pruning_enabled,
-)
+from repro.engine.zonemap import PartitionScan, ScanDecision, zone_pruning_enabled
 from repro.query.ast import AggregationQuery
 from repro.query.predicates import Predicate
 
@@ -56,15 +57,12 @@ def empty_batch(columns: Sequence[str]) -> ColumnBatch:
     )
 
 
-def part_zones(part: StoredTable, predicate: Predicate) -> Dict[str, Any]:
-    """The zone synopses of *part* for the columns *predicate* references."""
-    zones: Dict[str, Any] = {}
-    for name in predicate.columns():
-        if part.schema.has_column(name):
-            zone = part.column_zone(name)
-            if zone is not None:
-                zones[name] = zone
-    return zones
+def _equal_subjects(recorded: Any, subject: Any) -> bool:
+    """Whether two distinct predicate/query objects say the same thing."""
+    try:
+        return bool(recorded == subject)
+    except Exception:  # pragma: no cover - exotic __eq__ definitions
+        return False
 
 
 class AccessPath:
@@ -98,75 +96,76 @@ class AccessPath:
         """The store whose layout dominates this table's data (for joins)."""
         raise NotImplementedError
 
-    # -- scan planning -----------------------------------------------------------
+    # -- plan decisions -----------------------------------------------------------
+
+    def _decide(self, slot: str, subject: Any,
+                derive: Callable[["AccessPath", Any], Any],
+                replan: bool = False) -> Any:
+        """The valid decision of kind *slot* for *subject* — the one freshness rule.
+
+        The decision recorded under attribute *slot* is reused iff it was
+        taken for the same subject, under the same zone token and the same
+        settings epoch; otherwise (or when *replan* forces it)
+        ``derive(self, subject)`` takes it afresh, and it is recorded with
+        the token and epoch read *before* deriving.  Checking allocates
+        nothing but the token: units are built to derive, never to validate.
+        """
+        token, epoch = self._zone_token(), settings_epoch()
+        if not replan:
+            stamp = self._stamps.get(slot)
+            if (stamp is not None and stamp[1] == token and stamp[2] == epoch
+                    and (stamp[0] is subject
+                         or _equal_subjects(stamp[0], subject))):
+                return getattr(self, slot)
+        decision = derive(self, subject)
+        setattr(self, slot, decision)
+        self._stamps[slot] = (subject, token, epoch)
+        return decision
+
+    def _zone_token(self) -> tuple:
+        return self.table.zone_token
+
+    def _derive_decision(self, predicate: Optional[Predicate]) -> ScanDecision:
+        """One verdict per unit: skipped iff its zones prove *predicate* empty."""
+        prune = predicate is not None and zone_pruning_enabled()
+        partitions = []
+        for unit in self.table.zone_units():
+            if prune and not unit.can_match(predicate):
+                partitions.append(PartitionScan(unit.label, False, "zone disjoint"))
+            else:
+                partitions.append(PartitionScan(unit.label, True))
+        return ScanDecision(self.table.name, predicate, tuple(partitions))
 
     def plan_scan(self, predicate: Optional[Predicate]) -> ScanDecision:
         """Derive (and record) the pruning decision for *predicate*.
 
         Called once by the planner/executor when resolving paths; execution
-        re-uses the recorded decision as long as its zone-epoch token and
-        predicate still match.
+        re-uses the recorded decision while it is fresh.
         """
-        decision = self._derive_decision(predicate)
-        self.scan_decision = decision
-        return decision
+        return self._decide("scan_decision", predicate,
+                            AccessPath._derive_decision, replan=True)
 
     def decision_for(self, predicate: Optional[Predicate]) -> ScanDecision:
         """The valid decision for *predicate* — recorded if fresh, else re-derived."""
-        decision = self.scan_decision
-        if decision is not None and decision.matches(predicate, self._zone_token()):
-            return decision
-        return self.plan_scan(predicate)
-
-    def _zone_token(self) -> tuple:
-        raise NotImplementedError
-
-    def _derive_decision(self, predicate: Optional[Predicate]) -> ScanDecision:
-        raise NotImplementedError
-
-    # -- aggregate pushdown planning ----------------------------------------------
+        return self._decide("scan_decision", predicate, AccessPath._derive_decision)
 
     def plan_aggregate(self, query: AggregationQuery) -> AggregateStrategy:
-        """Derive (and record) the aggregate-pushdown strategy for *query*.
-
-        Called by the planner/executor when resolving paths; execution
-        re-uses the recorded strategy as long as its zone-epoch token, the
-        query and the pushdown toggle still match.
-        """
-        strategy = derive_aggregate_strategy(self, query)
-        self.aggregate_strategy = strategy
-        return strategy
+        """Derive (and record) the aggregate-pushdown strategy for *query*."""
+        return self._decide("aggregate_strategy", query,
+                            derive_aggregate_strategy, replan=True)
 
     def aggregate_decision_for(self, query: AggregationQuery) -> AggregateStrategy:
         """The valid strategy for *query* — recorded if fresh, else re-derived."""
-        strategy = self.aggregate_strategy
-        if strategy is not None and strategy.matches(query, self._zone_token()):
-            return strategy
-        return self.plan_aggregate(query)
-
-    def aggregate_units(self) -> List[AggregateUnit]:
-        """The prunable units the aggregate derivation reasons over."""
-        raise NotImplementedError
-
-    # -- shard planning ------------------------------------------------------------
+        return self._decide("aggregate_strategy", query, derive_aggregate_strategy)
 
     def plan_shards(self, query) -> "ShardDecision":
-        """Derive (and record) the shard fan-out decision for *query*.
-
-        Called by the planner/executor when resolving paths; execution
-        re-uses the recorded decision as long as its zone-epoch token, the
-        query, the toggles and the shard configuration still match.
-        """
-        decision = derive_shard_decision(self, query)
-        self.shard_decision = decision
-        return decision
+        """Derive (and record) the shard fan-out decision for *query*."""
+        return self._decide("shard_decision", query, derive_shard_decision,
+                            replan=True)
 
     def shard_decision_for(self, query) -> "ShardDecision":
         """The valid shard decision for *query* — recorded if fresh, else re-derived."""
-        decision = self.shard_decision
-        if decision is not None and decision.matches(query, self._zone_token()):
-            return decision
-        return self.plan_shards(query)
+        return self._decide("shard_decision", query, derive_shard_decision)
 
     # -- reads -------------------------------------------------------------------
 
@@ -224,7 +223,7 @@ class SimpleAccessPath(AccessPath):
     def __init__(self, table: StoredTable, inner: bool = False) -> None:
         self.table = table
         self._inner = inner
-        self.scan_decision = None
+        self._stamps = {}
         self.description = f"{table.name} ({table.store.value} store)"
 
     @property
@@ -234,37 +233,6 @@ class SimpleAccessPath(AccessPath):
     @property
     def primary_store(self) -> Store:
         return self.table.store
-
-    # -- scan planning ------------------------------------------------------------
-
-    def _zone_token(self) -> tuple:
-        return (self.table.zone_epoch,)
-
-    def _derive_decision(self, predicate: Optional[Predicate]) -> ScanDecision:
-        scan = True
-        reason = ""
-        if predicate is not None and zone_pruning_enabled():
-            zones = part_zones(self.table, predicate)
-            if not zone_can_match(predicate, zones, self.table.num_rows):
-                scan = False
-                reason = "zone disjoint"
-        return ScanDecision(
-            table=self.table.name,
-            predicate=predicate,
-            token=self._zone_token(),
-            partitions=(PartitionScan(self.table.name, scan, reason),),
-            pruning=zone_pruning_enabled(),
-        )
-
-    def aggregate_units(self) -> List[AggregateUnit]:
-        table = self.table
-
-        def zone_of(column: str):
-            if not table.schema.has_column(column):
-                return None
-            return table.column_zone(column)
-
-        return [AggregateUnit(table.name, table.num_rows, zone_of)]
 
     def _scan_allowed(
         self, predicate: Optional[Predicate], accountant: CostAccountant
@@ -344,8 +312,7 @@ class SimpleAccessPath(AccessPath):
         skipped; the statement is otherwise the ordinary one — pruning DML
         is a wall-clock optimisation only.
         """
-        if (not proven_empty and predicate is not None and not self._inner
-                and zone_pruning_enabled()):
+        if not proven_empty and predicate is not None and not self._inner:
             proven_empty = not self.decision_for(predicate).partitions[0].scan
         positions = self.table.filter_positions(predicate, accountant, proven_empty)
         if positions is None:

@@ -2,16 +2,18 @@
 each query allows.
 
 The executor supports four *tiers*, chosen at plan time from the query shape
-and the zone-map synopses, recorded as an :class:`AggregateStrategy` in the
-physical plan, and consumed by execution (re-derived when the zone-epoch
-token went stale, exactly like a :class:`~repro.engine.zonemap.ScanDecision`):
+and the :class:`~repro.engine.zonemap.ZoneUnit` objects of the table
+(``table.zone_units()``), recorded as an :class:`AggregateStrategy` in the
+physical plan, and consumed by execution while fresh (the one freshness rule
+of :mod:`repro.engine.executor.access` re-derives it after DML, a different
+bound query, or a toggle flip):
 
 ``zero-scan``
     Ungrouped ``COUNT(*)``/``COUNT(col)``/``MIN``/``MAX`` whose predicate is
-    absent — or provably all-true / all-false per partition
-    (:func:`~repro.engine.zonemap.zone_must_match` /
-    :func:`~repro.engine.zonemap.zone_can_match`) — are answered from the
-    partitions' zone synopses and row/null counts.  The answer is computed
+    absent — or provably all-true / all-false per unit
+    (:meth:`~repro.engine.zonemap.ZoneUnit.must_match` /
+    :meth:`~repro.engine.zonemap.ZoneUnit.can_match`) — are answered from the
+    units' zone synopses and row/null counts.  The answer is computed
     at derivation time and embedded in the strategy; execution decodes
     nothing and reduces nothing.
 
@@ -46,16 +48,15 @@ reachable as the differential baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.engine.toggle import Toggle
 from repro.engine.types import Store
-from repro.engine.zonemap import ColumnZone, zone_can_match, zone_must_match
+from repro.engine.zonemap import ZoneUnit
 from repro.query.ast import AggregateFunction, AggregationQuery, split_qualified
 
 __all__ = [
     "AggregateStrategy",
-    "AggregateUnit",
     "TIER_CODE_DOMAIN",
     "TIER_OPERATOR",
     "TIER_PARTITION_PARTIAL",
@@ -83,9 +84,9 @@ def aggregate_pushdown_disabled():
 
     The differential fuzzer runs every aggregation under this toggle too and
     pins results *and* :class:`~repro.engine.timing.CostBreakdown` charges
-    identical to the pushdown path.  Recorded strategies carry the toggle
-    state they were derived under, so session-cached plans re-derive on a
-    flip and the reference stays reachable through them.
+    identical to the pushdown path.  Flipping it moves the settings epoch,
+    so session-cached plans re-derive their recorded strategies and the
+    reference stays reachable through them.
     """
     return _PUSHDOWN.disabled()
 
@@ -101,61 +102,18 @@ _ZERO_SCAN_FUNCTIONS = frozenset(
 )
 
 
-class AggregateUnit:
-    """One prunable unit of a table's storage, as seen by the derivation.
-
-    ``zone(column)`` returns the unit's :class:`ColumnZone` for a base-table
-    column (``None`` when the unit has no synopsis for it) — for a
-    vertically split main portion the zone comes from the part that stores
-    the column.
-    """
-
-    __slots__ = ("label", "num_rows", "_zone_of")
-
-    def __init__(self, label: str, num_rows: int,
-                 zone_of: Callable[[str], Optional[ColumnZone]]) -> None:
-        self.label = label
-        self.num_rows = num_rows
-        self._zone_of = zone_of
-
-    def zone(self, column: str) -> Optional[ColumnZone]:
-        return self._zone_of(column)
-
-
 @dataclass(frozen=True)
 class AggregateStrategy:
-    """The pushdown decision of one table's aggregation, recorded in plans.
-
-    Like a :class:`~repro.engine.zonemap.ScanDecision`, the strategy carries
-    the zone-epoch ``token`` it was derived under and the toggle state; an
-    access path re-derives it when either no longer matches (DML since
-    planning, a different bound query, or a toggle flip), so a cached plan
-    can never serve a stale zero-scan answer.
-    """
+    """The pushdown decision of one table's aggregation, recorded in plans."""
 
     table: str
     tier: str
     reason: str
-    token: Tuple[int, ...]
-    pushdown: bool
     query: Optional[AggregationQuery] = None
     #: Zero-scan only: per-unit ``(label, verdict)`` pairs.
     partitions: Tuple[Tuple[str, str], ...] = ()
     #: Zero-scan only: the precomputed ``(output_name, value)`` result row.
     answer: Optional[Tuple[Tuple[str, Any], ...]] = None
-
-    def matches(self, query: AggregationQuery, token: Tuple[int, ...]) -> bool:
-        """Whether this strategy still governs *query* under *token*."""
-        if self.pushdown != aggregate_pushdown_enabled():
-            return False
-        if self.token != token:
-            return False
-        if self.query is query:
-            return True
-        try:
-            return self.query == query
-        except Exception:  # pragma: no cover - exotic __eq__ definitions
-            return False
 
     def describe(self) -> str:
         if self.reason:
@@ -173,47 +131,38 @@ def _base_column(query: AggregationQuery, name: str) -> Optional[str]:
 
 def derive_aggregate_strategy(path, query: AggregationQuery) -> AggregateStrategy:
     """Derive the pushdown strategy of *query* over *path* from the zones."""
-    token = path._zone_token()
-    pushdown = aggregate_pushdown_enabled()
 
-    def operator(reason: str) -> AggregateStrategy:
-        return AggregateStrategy(
-            table=query.table, tier=TIER_OPERATOR, reason=reason,
-            token=token, pushdown=pushdown, query=query,
-        )
+    def strategy(tier: str, reason: str) -> AggregateStrategy:
+        return AggregateStrategy(table=query.table, tier=tier, reason=reason,
+                                 query=query)
 
-    if not pushdown:
-        return operator("pushdown disabled")
+    if not aggregate_pushdown_enabled():
+        return strategy(TIER_OPERATOR, "pushdown disabled")
     if query.joins:
-        return operator("join")
+        return strategy(TIER_OPERATOR, "join")
 
+    units = path.table.zone_units()
     if not query.group_by:
-        zero_scan = _try_zero_scan(path, query, token)
+        zero_scan = _try_zero_scan(units, query)
         if zero_scan is not None:
             return zero_scan
 
-    if getattr(path, "supports_partition_partial", False):
+    if path.supports_partition_partial:
         safe, reason = _partial_merge_safe(path, query)
         if safe:
-            units = path.aggregate_units()
-            return AggregateStrategy(
-                table=query.table, tier=TIER_PARTITION_PARTIAL,
-                reason=f"{len(units)} partition(s) merge partial states",
-                token=token, pushdown=pushdown, query=query,
+            return strategy(
+                TIER_PARTITION_PARTIAL,
+                f"{len(units)} partition(s) merge partial states",
             )
-        return operator(reason)
+        return strategy(TIER_OPERATOR, reason)
 
     if path.primary_store is Store.COLUMN:
-        return AggregateStrategy(
-            table=query.table, tier=TIER_CODE_DOMAIN,
-            reason="dictionary codes as group ids",
-            token=token, pushdown=pushdown, query=query,
-        )
-    return operator("row-store scan")
+        return strategy(TIER_CODE_DOMAIN, "dictionary codes as group ids")
+    return strategy(TIER_OPERATOR, "row-store scan")
 
 
 def _try_zero_scan(
-    path, query: AggregationQuery, token: Tuple[int, ...]
+    units: List[ZoneUnit], query: AggregationQuery
 ) -> Optional[AggregateStrategy]:
     """A zero-scan strategy with its precomputed answer, or ``None``."""
     columns: List[Optional[str]] = []
@@ -228,29 +177,19 @@ def _try_zero_scan(
             return None
         columns.append(column)
 
-    units = path.aggregate_units()
     predicate = query.predicate
     verdicts: List[Tuple[str, str]] = []
-    contributing: List[AggregateUnit] = []
+    contributing: List[ZoneUnit] = []
     for unit in units:
         if unit.num_rows == 0:
             verdicts.append((unit.label, _VERDICT_EMPTY))
             continue
-        if predicate is None:
+        if not unit.can_match(predicate):
+            verdict = _VERDICT_NONE
+        elif unit.must_match(predicate):
             verdict = _VERDICT_ALL
         else:
-            zones = {}
-            for name in predicate.columns():
-                _, column = split_qualified(name)
-                zone = unit.zone(column)
-                if zone is not None:
-                    zones[name] = zone
-            if not zone_can_match(predicate, zones, unit.num_rows):
-                verdict = _VERDICT_NONE
-            elif zone_must_match(predicate, zones, unit.num_rows):
-                verdict = _VERDICT_ALL
-            else:
-                return None  # undecidable from the synopses: must scan
+            return None  # undecidable from the synopses: must scan
         verdicts.append((unit.label, verdict))
         if verdict == _VERDICT_ALL:
             contributing.append(unit)
@@ -298,9 +237,8 @@ def _try_zero_scan(
     if skipped:
         reason += f", {skipped} provably empty"
     return AggregateStrategy(
-        table=query.table, tier=TIER_ZERO_SCAN, reason=reason, token=token,
-        pushdown=True, query=query, partitions=tuple(verdicts),
-        answer=tuple(answer),
+        table=query.table, tier=TIER_ZERO_SCAN, reason=reason, query=query,
+        partitions=tuple(verdicts), answer=tuple(answer),
     )
 
 
@@ -325,7 +263,7 @@ def _partial_merge_safe(path, query: AggregationQuery) -> Tuple[bool, str]:
             if column is None:
                 return False, "foreign aggregate input"
             hazard_columns.append(column)
-    for unit in path.aggregate_units():
+    for unit in path.table.zone_units():
         if unit.num_rows == 0:
             continue
         for column in hazard_columns:

@@ -13,12 +13,13 @@ The access path implements the two assembly operations the paper describes:
 * **join** of the vertical parts when a query touches attributes from both —
   charged as a hash join over the participating rows.
 
-Zone-map pruning happens at partition granularity: the main (historic)
-portion and the hot partition are independent prunable units, each skipped
-— before any code or tuple is touched — when its zone synopses prove the
-read predicate cannot match (see :mod:`repro.engine.zonemap`).  The pruning
-verdicts come from the plan's recorded :class:`ScanDecision` when it is
-still fresh, and are re-derived otherwise.
+Zone-map pruning happens at the granularity of the table's
+:class:`~repro.engine.zonemap.ZoneUnit` objects: the main (historic) portion
+and the hot partition are independent units, each skipped — before any code
+or tuple is touched — when its zones prove the read predicate cannot match.
+The verdicts come from the path's recorded :class:`ScanDecision` while it is
+fresh (the freshness rule of :mod:`repro.engine.executor.access`) and are
+re-derived otherwise.
 """
 
 from __future__ import annotations
@@ -28,28 +29,12 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.engine.batch import ColumnBatch, evaluate_predicate_mask
-from repro.engine.executor.access import (
-    AccessPath,
-    SimpleAccessPath,
-    empty_batch,
-    part_zones,
-)
-from repro.engine.executor.agg_pushdown import AggregateUnit
-from repro.engine.partitioning import PartitionedTable
+from repro.engine.executor.access import AccessPath, SimpleAccessPath, empty_batch
+from repro.engine.partitioning import HOT_PARTITION, MAIN_PARTITION, PartitionedTable
 from repro.engine.table import StoredTable
 from repro.engine.timing import CostAccountant
 from repro.engine.types import Store
-from repro.engine.zonemap import (
-    PartitionScan,
-    ScanDecision,
-    zone_can_match,
-    zone_pruning_enabled,
-)
 from repro.query.predicates import Predicate
-
-#: Prunable-unit labels of a partitioned table.
-MAIN_PARTITION = "main"
-HOT_PARTITION = "hot"
 
 
 class PartitionedAccessPath(AccessPath):
@@ -59,8 +44,7 @@ class PartitionedAccessPath(AccessPath):
 
     def __init__(self, table: PartitionedTable) -> None:
         self.table = table
-        self.scan_decision = None
-        self.aggregate_strategy = None
+        self._stamps = {}
         self.description = f"{table.name} (partitioned: {table.partitioning.describe()})"
 
     @property
@@ -72,71 +56,6 @@ class PartitionedAccessPath(AccessPath):
         if self.table.has_vertical_split:
             return Store.COLUMN
         return self.table.main_parts[0].store
-
-    # -- scan planning ---------------------------------------------------------------
-
-    def _zone_token(self) -> tuple:
-        return tuple(part.zone_epoch for part in self.table.all_parts)
-
-    def _derive_decision(self, predicate: Optional[Predicate]) -> ScanDecision:
-        table = self.table
-        partitions: List[PartitionScan] = []
-        prune = predicate is not None and zone_pruning_enabled()
-
-        main_scan, main_reason = True, ""
-        if prune and table.main_num_rows > 0:
-            # With a vertical split the parts are row-aligned: each predicate
-            # column's zone comes from the part that stores it, and the main
-            # portion is skipped only if the combined zones prove emptiness.
-            zones: Dict[str, Any] = {}
-            for name in predicate.columns():
-                if table.schema.has_column(name):
-                    part = table.part_containing(name)
-                    if part.schema.has_column(name):
-                        zone = part.column_zone(name)
-                        if zone is not None:
-                            zones[name] = zone
-            if not zone_can_match(predicate, zones, table.main_num_rows):
-                main_scan, main_reason = False, "zone disjoint"
-        partitions.append(PartitionScan(MAIN_PARTITION, main_scan, main_reason))
-
-        if table.hot is not None:
-            hot_scan, hot_reason = True, ""
-            if prune and table.hot.num_rows > 0:
-                zones = part_zones(table.hot, predicate)
-                if not zone_can_match(predicate, zones, table.hot.num_rows):
-                    hot_scan, hot_reason = False, "zone disjoint"
-            partitions.append(PartitionScan(HOT_PARTITION, hot_scan, hot_reason))
-
-        return ScanDecision(
-            table=table.name,
-            predicate=predicate,
-            token=self._zone_token(),
-            partitions=tuple(partitions),
-            pruning=zone_pruning_enabled(),
-        )
-
-    def aggregate_units(self) -> List[AggregateUnit]:
-        table = self.table
-
-        def main_zone(column: str):
-            if not table.schema.has_column(column):
-                return None
-            part = table.part_containing(column)
-            if not part.schema.has_column(column):
-                return None
-            return part.column_zone(column)
-
-        units = [AggregateUnit(MAIN_PARTITION, table.main_num_rows, main_zone)]
-        hot = table.hot
-        if hot is not None:
-            def hot_zone(column: str):
-                if not hot.schema.has_column(column):
-                    return None
-                return hot.column_zone(column)
-
-            units.append(AggregateUnit(HOT_PARTITION, hot.num_rows, hot_zone))
-        return units
 
     # -- reads ---------------------------------------------------------------------
 
@@ -260,7 +179,7 @@ class PartitionedAccessPath(AccessPath):
         it — a pruned statement charges, validates and applies (to no rows)
         exactly like an unpruned one.
         """
-        if predicate is None or not zone_pruning_enabled():
+        if predicate is None:
             return False, False
         decision = self.decision_for(predicate)
         return (

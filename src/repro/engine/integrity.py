@@ -89,26 +89,25 @@ def unit_checksum(codes: np.ndarray, dictionary) -> int:
     return zlib.crc32(payload, codes_checksum(codes))
 
 
-# -- process-wide configuration --------------------------------------------------------
+# -- scoped configuration --------------------------------------------------------------
 
 _CONFIG = IntegrityConfig()
 
 
-def apply_integrity_config(config: IntegrityConfig) -> IntegrityConfig:
-    """Install *config* as the process-wide integrity policy.
+@contextmanager
+def integrity_scope(config: IntegrityConfig) -> Iterator[None]:
+    """Run the ``with`` body under *config*'s integrity policy.
 
-    Process-wide for the same reason the resilience knobs are: the shard
-    worker pool and its shared segments are shared across sessions, so the
-    checksum policy governing them must be too.  Returns the policy it
-    replaced, which ``Session.close()`` re-installs.
+    The one setter of the policy: a session opened with
+    ``connect(integrity=...)`` enters it around each statement.  Nested
+    scopes restore in order, so an enclosing scope governs again on exit.
     """
     global _CONFIG
-    replaced, _CONFIG = _CONFIG, config
-    return replaced
-
-
-def integrity_config() -> IntegrityConfig:
-    return _CONFIG
+    previous, _CONFIG = _CONFIG, config
+    try:
+        yield
+    finally:
+        _CONFIG = previous
 
 
 def integrity_enabled() -> bool:
@@ -124,20 +123,13 @@ def verify_on_attach_enabled() -> bool:
     return _CONFIG.enabled and _CONFIG.verify_on_attach
 
 
-@contextmanager
-def integrity_disabled() -> Iterator[None]:
+def integrity_disabled():
     """Scope with all checksum verification off (reference runs, tests).
 
     Quarantine state already recorded keeps raising — disabling
     verification must never un-quarantine corrupt data.
     """
-    global _CONFIG
-    previous = _CONFIG
-    _CONFIG = replace(previous, enabled=False)
-    try:
-        yield
-    finally:
-        _CONFIG = previous
+    return integrity_scope(replace(_CONFIG, enabled=False))
 
 
 # -- counters --------------------------------------------------------------------------

@@ -3,14 +3,16 @@
 A :class:`MaterializedView` materializes the result of one aggregation query
 (no joins, no placeholders) as **mergeable partial states** — the same
 ``partition_partial_rows`` / ``merge_partition_partials`` contract the
-partition-partial aggregation tier uses — kept *per refresh unit* of the base
-table (the whole table for an unpartitioned :class:`StoredTable`; the main
-portion and the hot partition of a :class:`PartitionedTable`), each stamped
-with the unit's zone-epoch token.
+partition-partial aggregation tier uses — kept per
+:class:`~repro.engine.zonemap.ZoneUnit` of the base table
+(``table.zone_units()``: the whole table, or the main portion and the hot
+partition, which therefore refresh independently — OLTP traffic landing in
+hot never forces the historic portion to recompute), each stamped with the
+unit's token.
 
 Maintenance is **off the DML path**: writes only bump zone epochs, exactly as
-they already do for scan decisions and aggregate strategies.  A stale view is
-detected by comparing the stored unit tokens against the current epochs, and
+they already do for recorded plan decisions.  A stale view is detected by
+comparing the stored unit tokens against the units' current ones, and
 :meth:`MaterializedView.refresh` recomputes *only the units whose token
 changed*, merging their fresh partials with the unchanged units' cached
 states.  The associative merge is only used when it provably reproduces the
@@ -42,13 +44,8 @@ from repro.engine.executor.operators import (
     aggregation_scan_columns,
     charge_aggregation,
 )
-from repro.engine.executor.rewrite import (
-    HOT_PARTITION,
-    MAIN_PARTITION,
-    PartitionedAccessPath,
-    access_path_for,
-)
-from repro.engine.partitioning import PartitionedTable
+from repro.engine.executor.rewrite import PartitionedAccessPath, access_path_for
+from repro.engine.partitioning import MAIN_PARTITION, PartitionedTable
 from repro.engine.timing import CostAccountant, CostBreakdown, DeviceModel
 from repro.engine.toggle import Toggle
 from repro.errors import CatalogError
@@ -123,24 +120,9 @@ class RefreshResult:
         )
 
 
-def _unit_specs(table_object) -> List[Tuple[str, tuple]]:
-    """``(label, zone-epoch token)`` of every refresh unit of *table_object*.
-
-    The unit granularity matches the partition-partial aggregation tier: the
-    main portion (all its vertical parts under one token — any change
-    anywhere in main invalidates it) and the hot partition refresh
-    independently, so OLTP traffic landing in hot never forces the historic
-    portion to recompute.
-    """
-    if isinstance(table_object, PartitionedTable):
-        units = [
-            (MAIN_PARTITION,
-             tuple(part.zone_epoch for part in table_object.main_parts)),
-        ]
-        if table_object.hot is not None:
-            units.append((HOT_PARTITION, (table_object.hot.zone_epoch,)))
-        return units
-    return [(table_object.name, (table_object.zone_epoch,))]
+def _unit_tokens(table_object) -> Dict[str, tuple]:
+    """``{label: token}`` of every refresh unit of *table_object*, in unit order."""
+    return {unit.label: unit.token for unit in table_object.zone_units()}
 
 
 def _collect_unit(table_object, label, columns, predicate, accountant,
@@ -202,7 +184,7 @@ class MaterializedView:
 
     def is_fresh(self, table_object) -> bool:
         """Whether the materialized state reflects *table_object*'s epochs."""
-        return self._materialized and dict(_unit_specs(table_object)) == self._unit_tokens
+        return self._materialized and _unit_tokens(table_object) == self._unit_tokens
 
     def describe(self) -> str:
         group = f" group by {', '.join(self.query.group_by)}" if self.query.group_by else ""
@@ -228,8 +210,7 @@ class MaterializedView:
         collects and aggregate updates the refresh actually performed.
         """
         accountant = CostAccountant(device)
-        specs = _unit_specs(table_object)
-        tokens = dict(specs)
+        tokens = _unit_tokens(table_object)
         if self._materialized and tokens == self._unit_tokens:
             return RefreshResult(view=self.name, kind=REFRESH_NOOP,
                                  cost=accountant.breakdown)
@@ -255,7 +236,7 @@ class MaterializedView:
         if safe:
             partials_in_order: List[List[Dict[str, Any]]] = []
             new_partials: Dict[str, List[Dict[str, Any]]] = {}
-            for label, token in specs:
+            for label, token in tokens.items():
                 deadline_check()
                 cached = self._unit_partials.get(label)
                 if cached is not None and self._unit_tokens.get(label) == token:
@@ -295,7 +276,7 @@ class MaterializedView:
                 path, query, base_columns, encode_columns, group_names, accountant
             )
             self._unit_partials = {}
-            recomputed, reused = [label for label, _ in specs], []
+            recomputed, reused = list(tokens), []
 
         fault_point("matview.refresh.before_install")
         self.result_rows = rows

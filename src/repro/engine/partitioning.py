@@ -30,8 +30,13 @@ from repro.engine.schema import TableSchema
 from repro.engine.table import StoredTable
 from repro.engine.timing import CostAccountant
 from repro.engine.types import Store
+from repro.engine.zonemap import ZoneUnit
 from repro.errors import PartitioningError
 from repro.query.predicates import Predicate
+
+#: Prunable-unit labels of a partitioned table.
+MAIN_PARTITION = "main"
+HOT_PARTITION = "hot"
 
 
 @dataclass(frozen=True)
@@ -358,7 +363,7 @@ class PartitionedTable:
     def _labelled_parts(self) -> List[Tuple[str, StoredTable]]:
         """Every physical part with its partition label (scrubber units).
 
-        The labels extend ``partition_zone_units``'s ``main``/``hot`` naming:
+        The labels extend ``zone_units``'s ``main``/``hot`` naming:
         a vertically split main portion contributes ``main.row`` and
         ``main.column`` so a corruption error names the exact half.
         """
@@ -506,30 +511,31 @@ class PartitionedTable:
 
     # -- statistics helpers ------------------------------------------------------------------
 
-    def partition_zone_units(self):
-        """Per prunable unit: ``(label, num_rows, {column: zone synopsis})``.
+    @property
+    def zone_token(self) -> Tuple[int, ...]:
+        """The zone epochs a recorded plan decision is checked against."""
+        return tuple(part.zone_epoch for part in self.all_parts)
 
-        The units mirror the executor's prunable partitions (``main`` and
-        ``hot``); a vertically split main portion contributes each column's
-        zone from the part that stores it.  Consumed by
-        :func:`repro.engine.statistics.compute_table_statistics` to record
-        per-partition statistics in the catalog.
+    def _main_column_zone(self, column: str):
+        """A main-portion column's zone, from the vertical part that stores it."""
+        return self.part_containing(column).column_zone(column)
+
+    def zone_units(self) -> List[ZoneUnit]:
+        """The table's prunable units: ``main`` and, if present, ``hot``.
+
+        The vertical parts of the main portion are row-aligned, so they form
+        one unit (under one token — a change in either part changes it)
+        whose zones come per column from the part that stores the column.
         """
-        main_zones = {}
-        for column in self.schema.column_names:
-            part = self.part_containing(column)
-            if part.schema.has_column(column):
-                zone = part.column_zone(column)
-                if zone is not None:
-                    main_zones[column] = zone
-        units = [("main", self.main_num_rows, main_zones)]
-        if self.hot is not None:
-            hot_zones = {}
-            for column in self.schema.column_names:
-                zone = self.hot.column_zone(column)
-                if zone is not None:
-                    hot_zones[column] = zone
-            units.append(("hot", self.hot.num_rows, hot_zones))
+        units = [ZoneUnit(
+            MAIN_PARTITION, self.main_num_rows,
+            tuple(part.zone_epoch for part in self.main_parts),
+            self._main_column_zone,
+        )]
+        hot = self.hot
+        if hot is not None:
+            units.append(ZoneUnit(HOT_PARTITION, hot.num_rows, hot.zone_token,
+                                  hot.column_zone))
         return units
 
     def column_distinct_count(self, column: str) -> int:

@@ -18,7 +18,7 @@ Cost accounting (see :mod:`repro.engine.timing`):
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -438,6 +438,38 @@ class RowStoreTable:
         mask = evaluate_predicate_mask(predicate, arrays, self.num_rows)
         return np.nonzero(mask)[0].astype(np.int64)
 
+    def index_access(
+        self, predicate: Predicate
+    ) -> Optional[Tuple[str, Callable[..., List[int]], tuple]]:
+        """The index access that answers *predicate*, or ``None`` (the store scans).
+
+        The one dispatch over (predicate shape, available indexes), as
+        ``(kind, probe, args)``: ``kind`` is what ``EXPLAIN`` prints for the
+        column, and ``probe(*args)`` performs exactly that access and
+        returns the matching positions.
+        """
+        if isinstance(predicate, Comparison):
+            op, value = predicate.op, predicate.value
+            sorted_index = self._sorted_indexes.get(predicate.column)
+            if op is CompareOp.EQ:
+                index = self._hash_indexes.get(predicate.column, sorted_index)
+                if index is not None:
+                    return "index lookup", index.lookup, (value,)
+            elif sorted_index is not None and op in (CompareOp.LT, CompareOp.LE):
+                return ("index range scan", sorted_index.range_lookup,
+                        (None, value, True, op is CompareOp.LE))
+            elif sorted_index is not None and op in (CompareOp.GT, CompareOp.GE):
+                return ("index range scan", sorted_index.range_lookup,
+                        (value, None, op is CompareOp.GE, True))
+        elif isinstance(predicate, Between) and predicate.column in self._sorted_indexes:
+            return (
+                "index range scan",
+                self._sorted_indexes[predicate.column].range_lookup,
+                (predicate.low, predicate.high,
+                 predicate.include_low, predicate.include_high),
+            )
+        return None
+
     def _index_lookup(
         self, predicate: Predicate, accountant: Optional[CostAccountant]
     ) -> Optional[np.ndarray]:
@@ -446,31 +478,11 @@ class RowStoreTable:
         An answered lookup is billed one index probe plus one random access
         per qualifying row.
         """
-        positions: Optional[List[int]] = None
-        if isinstance(predicate, Comparison):
-            sorted_index = self._sorted_indexes.get(predicate.column)
-            if predicate.op is CompareOp.EQ:
-                index = self._hash_indexes.get(predicate.column, sorted_index)
-                if index is not None:
-                    positions = index.lookup(predicate.value)
-            elif sorted_index is not None and predicate.op in (
-                CompareOp.LT, CompareOp.LE
-            ):
-                positions = sorted_index.range_lookup(
-                    None, predicate.value, include_high=predicate.op is CompareOp.LE
-                )
-            elif sorted_index is not None and predicate.op in (
-                CompareOp.GT, CompareOp.GE
-            ):
-                positions = sorted_index.range_lookup(
-                    predicate.value, None, include_low=predicate.op is CompareOp.GE
-                )
-        elif isinstance(predicate, Between) and predicate.column in self._sorted_indexes:
-            positions = self._sorted_indexes[predicate.column].range_lookup(
-                predicate.low, predicate.high, predicate.include_low, predicate.include_high
-            )
-        if positions is None:
+        access = self.index_access(predicate)
+        if access is None:
             return None
+        _, probe, args = access
+        positions = probe(*args)
         if accountant is not None:
             accountant.charge_index_probe()
             accountant.charge_random_accesses("row_fetch", len(positions))

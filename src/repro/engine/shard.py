@@ -41,8 +41,9 @@ sharded attempt *before* any charge lands; after the retry budget the caller
 falls through to the ordinary serial operator, which charges itself.
 
 The planner records a :class:`ShardDecision` per physical plan; like
-``ScanDecision`` and ``AggregateStrategy`` it carries the zone-epoch token and
-the toggle state at derivation and is re-derived when either goes stale.
+``ScanDecision`` and ``AggregateStrategy`` it is kept by the access path under
+the one freshness rule (:mod:`repro.engine.executor.access`) and re-derived
+after DML, a toggle flip or a ``shard_config`` change.
 Whether an eligible query shards at all, and how wide, is a cost decision:
 :mod:`repro.engine.shard_gate` predicts the wall time of both executors.
 The process-fault matrix (:data:`repro.testing.faults.PROCESS_FAULTS`) is
@@ -86,7 +87,7 @@ from repro.engine.executor.aggregates import (
     partition_partial_rows,
 )
 from repro.engine.timing import CostAccountant
-from repro.engine.toggle import Toggle
+from repro.engine.toggle import Toggle, bump_settings_epoch
 from repro.query.ast import AggregationQuery, Query, SelectQuery
 from repro.testing.faults import active_plan, process_fault
 
@@ -94,12 +95,12 @@ __all__ = [
     "ResilienceCounters",
     "ShardDecision",
     "ShardExecutionError",
-    "apply_resilience_config",
     "audit_shared_segments",
     "derive_shard_decision",
     "gather_timeout_for",
     "get_worker_pool",
     "resilience_counters",
+    "resilience_scope",
     "shard_bounds",
     "shard_config",
     "shard_execution_disabled",
@@ -180,55 +181,58 @@ def shard_config(fan_out: Optional[int] = None, min_rows: Optional[int] = None,
 
     ``min_rows=n`` replaces the default wall-clock gate with "shard every
     eligible query on at least *n* rows" (tests use ``min_rows=1`` to shard
-    small tables); recorded :class:`ShardDecision` objects embed the
-    ``(fan_out, min_rows)`` they were derived under and go stale when it
-    changes, exactly like a toggle flip.
+    small tables).  Entering and leaving the scope moves the settings epoch,
+    so recorded :class:`ShardDecision` objects go stale exactly like under a
+    toggle flip.
     ``max_attempts``/``gather_timeout_s``/``backoff_s`` are runtime
     resilience knobs — they change how a scatter/gather fails, never what it
-    computes, so they do not invalidate recorded decisions.
+    computes.
     """
-    global _SHARD_FAN_OUT, _SHARD_MIN_ROWS, _SHARD_MAX_ATTEMPTS
-    global _GATHER_TIMEOUT_S, _RETRY_BACKOFF_S
-    previous = (_SHARD_FAN_OUT, _SHARD_MIN_ROWS, _SHARD_MAX_ATTEMPTS,
-                _GATHER_TIMEOUT_S, _RETRY_BACKOFF_S)
+    global _SHARD_FAN_OUT, _SHARD_MIN_ROWS
+    previous = (_SHARD_FAN_OUT, _SHARD_MIN_ROWS)
     if fan_out is not None:
         _SHARD_FAN_OUT = fan_out
     if min_rows is not None:
         _SHARD_MIN_ROWS = min_rows
-    if max_attempts is not None:
-        _SHARD_MAX_ATTEMPTS = max(1, max_attempts)
-    if gather_timeout_s is not None:
-        _GATHER_TIMEOUT_S = gather_timeout_s
-    if backoff_s is not None:
-        _RETRY_BACKOFF_S = backoff_s
+    policy = ResilienceConfig(
+        max_attempts=_SHARD_MAX_ATTEMPTS if max_attempts is None else max_attempts,
+        gather_timeout_s=(_GATHER_TIMEOUT_S if gather_timeout_s is None
+                          else gather_timeout_s),
+        backoff_s=_RETRY_BACKOFF_S if backoff_s is None else backoff_s,
+        backoff_cap_s=_RETRY_BACKOFF_CAP_S, heartbeat_poll_s=_POLL_INTERVAL_S,
+    )
+    bump_settings_epoch()
     try:
-        yield
+        with resilience_scope(policy):
+            yield
     finally:
-        (_SHARD_FAN_OUT, _SHARD_MIN_ROWS, _SHARD_MAX_ATTEMPTS,
-         _GATHER_TIMEOUT_S, _RETRY_BACKOFF_S) = previous
+        _SHARD_FAN_OUT, _SHARD_MIN_ROWS = previous
+        bump_settings_epoch()
 
 
-def apply_resilience_config(config: ResilienceConfig) -> ResilienceConfig:
-    """Install *config* as the process-wide resilience defaults.
+@contextmanager
+def resilience_scope(config: ResilienceConfig):
+    """Run the ``with`` body under *config*'s resilience policy.
 
-    Called by ``Session.__init__`` when a :class:`ResilienceConfig` is
-    passed to ``connect``; ``shard_config(...)`` still scopes temporary
-    overrides on top.  Returns the policy it replaced, which
-    ``Session.close()`` re-installs.
+    The one setter of the resilience knobs: a session opened with
+    ``connect(resilience=...)`` enters it around each statement, and
+    ``shard_config(...)``'s resilience arguments are a view of it.  Nested
+    scopes restore in order, so an enclosing scope governs again on exit.
     """
     global _SHARD_MAX_ATTEMPTS, _GATHER_TIMEOUT_S, _RETRY_BACKOFF_S
     global _RETRY_BACKOFF_CAP_S, _POLL_INTERVAL_S
-    replaced = ResilienceConfig(
-        max_attempts=_SHARD_MAX_ATTEMPTS, gather_timeout_s=_GATHER_TIMEOUT_S,
-        backoff_s=_RETRY_BACKOFF_S, backoff_cap_s=_RETRY_BACKOFF_CAP_S,
-        heartbeat_poll_s=_POLL_INTERVAL_S,
-    )
+    previous = (_SHARD_MAX_ATTEMPTS, _GATHER_TIMEOUT_S, _RETRY_BACKOFF_S,
+                _RETRY_BACKOFF_CAP_S, _POLL_INTERVAL_S)
     _SHARD_MAX_ATTEMPTS = max(1, config.max_attempts)
     _GATHER_TIMEOUT_S = config.gather_timeout_s
     _RETRY_BACKOFF_S = config.backoff_s
     _RETRY_BACKOFF_CAP_S = config.backoff_cap_s
     _POLL_INTERVAL_S = config.heartbeat_poll_s
-    return replaced
+    try:
+        yield
+    finally:
+        (_SHARD_MAX_ATTEMPTS, _GATHER_TIMEOUT_S, _RETRY_BACKOFF_S,
+         _RETRY_BACKOFF_CAP_S, _POLL_INTERVAL_S) = previous
 
 
 class ShardExecutionError(RuntimeError):
@@ -285,10 +289,6 @@ def resilience_counters() -> ResilienceCounters:
 class ShardDecision:
     """The planner's per-query sharding verdict, recorded on the access path.
 
-    ``token`` is the zone-epoch token at derivation; ``enabled``/``pushdown``
-    snapshot the toggles and ``config`` the ``(fan_out, min_rows)`` globals.
-    :meth:`matches` is the staleness test — any mismatch forces the executor
-    (or EXPLAIN) to re-derive, mirroring ``AggregateStrategy.matches``.
     ``max_attempts`` snapshots the retry budget the decision was planned
     under; :meth:`ladder` renders the degradation ladder a sharded execution
     walks on failure.
@@ -299,30 +299,10 @@ class ShardDecision:
     bounds: Tuple[Tuple[int, int], ...]
     sharded: bool
     reason: str
-    token: Tuple[Any, ...]
-    enabled: bool
-    pushdown: bool
-    config: Tuple[int, int]
     query: Optional[Query] = None
     max_attempts: int = 1
     #: ``(serial, sharded)`` ms the wall-clock gate predicted, when it ruled.
     predicted_ms: Optional[Tuple[float, float]] = None
-
-    def matches(self, query: Query, token: Tuple[Any, ...]) -> bool:
-        if self.enabled != shard_execution_enabled():
-            return False
-        if self.pushdown != aggregate_pushdown_enabled():
-            return False
-        if self.config != (_SHARD_FAN_OUT, _SHARD_MIN_ROWS):
-            return False
-        if self.token != token:
-            return False
-        if self.query is query:
-            return True
-        try:
-            return bool(self.query == query)
-        except Exception:
-            return False
 
     def describe(self) -> str:
         if self.sharded:
@@ -383,17 +363,13 @@ def derive_shard_decision(path, query: Query) -> ShardDecision:
     then shards, and how wide, is :func:`shard_gate`'s call.
     """
     table = getattr(path, "table", None)
-    token = path._zone_token()
 
     def verdict(sharded: bool, reason: str, fan_out: int = 0,
                 bounds: Tuple[Tuple[int, int], ...] = (),
                 predicted_ms: Optional[Tuple[float, float]] = None) -> ShardDecision:
         return ShardDecision(
             table=getattr(table, "name", "?"), fan_out=fan_out, bounds=bounds,
-            sharded=sharded, reason=reason, token=token,
-            enabled=shard_execution_enabled(),
-            pushdown=aggregate_pushdown_enabled(),
-            config=(_SHARD_FAN_OUT, _SHARD_MIN_ROWS), query=query,
+            sharded=sharded, reason=reason, query=query,
             max_attempts=_SHARD_MAX_ATTEMPTS, predicted_ms=predicted_ms,
         )
 

@@ -240,10 +240,9 @@ def statistics_from_schema(
 def compute_table_statistics(table) -> TableStatistics:
     """Compute exact statistics from a stored (or partitioned) table.
 
-    *table* is anything exposing ``schema``, ``num_rows``,
-    ``column_distinct_count`` and ``column_min_max`` — both store backends,
-    :class:`~repro.engine.table.StoredTable` and
-    :class:`~repro.engine.partitioning.PartitionedTable` qualify.
+    *table* is a :class:`~repro.engine.table.StoredTable` or a
+    :class:`~repro.engine.partitioning.PartitionedTable`, whose
+    ``zone_units()`` become the per-partition statistics.
     """
     schema: TableSchema = table.schema
     columns = {}
@@ -258,27 +257,27 @@ def compute_table_statistics(table) -> TableStatistics:
             max_value=high,
         )
     partitions: Tuple[PartitionStatistics, ...] = ()
-    zone_units = getattr(table, "partition_zone_units", None)
-    if callable(zone_units):
-        # Partitioned tables: record each prunable unit's exact synopsis so
-        # the estimator can price partition pruning per unit.
+    if table.is_partitioned:
+        # Record each prunable unit's exact synopsis so the estimator can
+        # price partition pruning per unit.
         recorded = []
-        for label, num_rows, zones in zone_units():
-            unit_columns = {
-                name: ColumnStatistics(
-                    name=name,
-                    dtype=schema.column(name).dtype,
-                    num_distinct=0,
-                    min_value=zone.min_value,
-                    max_value=zone.max_value,
-                    null_count=zone.null_count,
-                    has_nan=zone.has_nan,
-                )
-                for name, zone in zones.items()
-            }
+        for unit in table.zone_units():
+            unit_columns = {}
+            for column in schema.columns:
+                zone = unit.zone(column.name)
+                if zone is not None:
+                    unit_columns[column.name] = ColumnStatistics(
+                        name=column.name,
+                        dtype=column.dtype,
+                        num_distinct=0,
+                        min_value=zone.min_value,
+                        max_value=zone.max_value,
+                        null_count=zone.null_count,
+                        has_nan=zone.has_nan,
+                    )
             recorded.append(
                 PartitionStatistics(
-                    label=label, num_rows=num_rows, columns=unit_columns
+                    label=unit.label, num_rows=unit.num_rows, columns=unit_columns
                 )
             )
         partitions = tuple(recorded)

@@ -20,6 +20,7 @@ from repro.engine.row_store import RowStoreTable
 from repro.engine.schema import TableSchema
 from repro.engine.timing import CostAccountant
 from repro.engine.types import Store
+from repro.engine.zonemap import ZoneUnit
 from repro.query.predicates import Predicate
 
 Backend = Union[RowStoreTable, ColumnStoreTable]
@@ -55,6 +56,10 @@ class StoredTable:
         return self._backend
 
     @property
+    def is_partitioned(self) -> bool:
+        return False
+
+    @property
     def num_rows(self) -> int:
         return self._backend.num_rows
 
@@ -68,9 +73,6 @@ class StoredTable:
 
     def compression_rate(self, column: Optional[str] = None) -> float:
         return self._backend.compression_rate(column)
-
-    def has_index(self, column: str) -> bool:
-        return self._backend.has_index(column)
 
     # -- store conversion ---------------------------------------------------------
 
@@ -220,9 +222,25 @@ class StoredTable:
         """The backend's zone epoch (bumped by every mutation)."""
         return self._backend.zone_epoch
 
+    @property
+    def zone_token(self) -> Tuple[int, ...]:
+        """The zone epochs a recorded plan decision is checked against."""
+        return (self._backend.zone_epoch,)
+
     def column_zone(self, column: str):
-        """The backend's zone synopsis of *column* (``None`` = no synopsis)."""
+        """The backend's zone synopsis of *column*.
+
+        ``None`` = no synopsis, which includes a column this table does not
+        store (a vertical part asked about the other part's column).
+        """
+        if not self.schema.has_column(column):
+            return None
         return self._backend.column_zone(column)
+
+    def zone_units(self) -> List[ZoneUnit]:
+        """The table's prunable units: itself, as one :class:`ZoneUnit`."""
+        return [ZoneUnit(self.name, self.num_rows, self.zone_token,
+                         self.column_zone)]
 
     # -- statistics helpers --------------------------------------------------------------
 

@@ -16,10 +16,17 @@ them from its cached column views.  Both cache the synopsis per *zone
 epoch* — a counter every mutator bumps — so a stale synopsis is rebuilt
 lazily on the next consult (e.g. after deletes shrank a partition's range).
 
-The access paths record their pruning verdicts in a :class:`ScanDecision`
-(which the planner embeds in the physical plan); the decision carries the
-zone epochs it was derived under, so a cached plan whose decision went stale
-re-derives it at execution time instead of skipping rows it must not skip.
+A :class:`ZoneUnit` is the one definition of *a prunable unit of a table's
+storage*: a label (``main`` / ``hot`` / the table's name), a row count, the
+zone-epoch token of the physical parts behind it and a ``zone(column)``
+lookup, with :meth:`~ZoneUnit.can_match` / :meth:`~ZoneUnit.must_match` as
+the two questions anyone asks of it.  Tables hand their units out through
+``zone_units()``; scan pruning, aggregate pushdown, materialized-view
+refresh, the catalog's per-partition statistics and the cost estimator all
+read those — none of them spells the unit for itself.  The access paths
+record the scan verdicts in a :class:`ScanDecision` (which the planner embeds
+in the physical plan) and keep it only while it is fresh — see
+:mod:`repro.engine.executor.access` for the one freshness rule.
 
 NULL/NaN semantics mirror the scalar predicate evaluator exactly:
 
@@ -35,9 +42,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Tuple
+from typing import Any, Callable, Mapping, Optional, Tuple
 
 from repro.engine.toggle import Toggle
+from repro.query.ast import split_qualified
 from repro.query.predicates import (
     And,
     Between,
@@ -55,6 +63,7 @@ __all__ = [
     "ColumnZone",
     "PartitionScan",
     "ScanDecision",
+    "ZoneUnit",
     "is_nan",
     "zone_can_match",
     "zone_must_match",
@@ -68,7 +77,7 @@ _PRUNING = Toggle()
 #: Zone epochs are drawn from one process-wide counter so that epochs are
 #: unique across *backend instances*: a store conversion swaps a table's
 #: backend, and a per-instance counter restarting at the same small numbers
-#: could make a stale :class:`ScanDecision` token appear fresh.
+#: could make a stale recorded decision's zone token appear fresh.
 _EPOCH_COUNTER = itertools.count(1)
 
 
@@ -167,11 +176,13 @@ def zone_can_match(
 ) -> bool:
     """Whether *predicate* can possibly match a row summarised by *zones*.
 
-    ``False`` only when provably no row matches.  Columns missing from
-    *zones*, unsupported predicate shapes and type errors from comparing a
-    literal against the zone bounds all answer ``True`` (scan).  Empty
-    partitions answer ``True`` as well: scanning them is free, and treating
-    them like the seed pipeline keeps cost accounting unchanged.
+    *zones* is asked ``zones.get(column_name)`` per predicate leaf: a mapping,
+    or a :class:`ZoneUnit`.  ``False`` only when provably no row matches.
+    Columns missing from *zones*, unsupported predicate shapes and type
+    errors from comparing a literal against the zone bounds all answer
+    ``True`` (scan).  Empty partitions answer ``True`` as well: scanning them
+    is free, and treating them like the seed pipeline keeps cost accounting
+    unchanged.
     """
     if num_rows == 0 or predicate is None:
         return True
@@ -401,36 +412,67 @@ def _in_list_must_match(predicate: InList, zone: ColumnZone) -> bool:
     )
 
 
+# -- the prunable unit ----------------------------------------------------------------
+
+
+class ZoneUnit:
+    """One prunable unit of a table's storage.
+
+    ``label`` names it (``main`` / ``hot`` for a partitioned table, the
+    table's name otherwise), ``token`` holds the zone epochs of the physical
+    parts behind it (any mutation of the unit changes it), and
+    ``zone(column)`` returns the unit's :class:`ColumnZone` for a base-table
+    column — ``None`` when the unit has no synopsis for it.  Units are
+    built to *derive* a verdict; checking a recorded one needs only the
+    table's ``zone_token``.
+    """
+
+    __slots__ = ("label", "num_rows", "token", "zone")
+
+    def __init__(self, label: str, num_rows: int, token: Tuple[int, ...],
+                 zone: Callable[[str], Optional[ColumnZone]]) -> None:
+        self.label = label
+        self.num_rows = num_rows
+        self.token = token
+        self.zone = zone
+
+    def get(self, name: str) -> Optional[ColumnZone]:
+        """The zone of the column a predicate calls *name*.
+
+        This is the lookup :func:`zone_can_match` / :func:`zone_must_match`
+        perform on their ``zones`` argument, so a unit stands in for the
+        mapping; a ``table.column`` reference is looked up by its bare column.
+        """
+        return self.zone(split_qualified(name)[1])
+
+    def can_match(self, predicate: Optional[Predicate]) -> bool:
+        """:func:`zone_can_match` of *predicate* over this unit."""
+        return zone_can_match(predicate, self, self.num_rows)
+
+    def must_match(self, predicate: Optional[Predicate]) -> bool:
+        """:func:`zone_must_match` of *predicate* over this unit."""
+        return zone_must_match(predicate, self, self.num_rows)
+
+
 # -- scan decisions (recorded in plans, validated at execution) ---------------------
 
 
 @dataclass(frozen=True)
 class PartitionScan:
-    """Verdict for one prunable unit of a table's storage."""
+    """Verdict for one :class:`ZoneUnit` of a table's storage."""
 
-    partition: str  # "table", "main", or "hot"
+    partition: str  # the unit's label: "main", "hot", or the table's name
     scan: bool
     reason: str = ""
 
 
 @dataclass(frozen=True)
 class ScanDecision:
-    """The pruning decision of one table's access path for one predicate.
-
-    ``token`` captures the zone epochs of the physical parts the decision
-    was derived from; an access path re-derives the decision when the token
-    (or the predicate — bound parameter values refine a template plan) no
-    longer matches, so a cached plan can never skip rows DML made visible.
-    ``pruning`` records the global toggle state at derivation time: flipping
-    ``zone_pruning_disabled()`` invalidates recorded decisions too, so the
-    reference path is reachable even through session-cached plans.
-    """
+    """The pruning decision of one table's access path for one predicate."""
 
     table: str
     predicate: Optional[Predicate]
-    token: Tuple[int, ...]
     partitions: Tuple[PartitionScan, ...]
-    pruning: bool = True
 
     @property
     def scanned(self) -> int:
@@ -445,19 +487,6 @@ class ScanDecision:
             if entry.partition == partition:
                 return entry.scan
         return True
-
-    def matches(self, predicate: Optional[Predicate], token: Tuple[int, ...]) -> bool:
-        """Whether this decision still governs *predicate* under *token*."""
-        if self.pruning != zone_pruning_enabled():
-            return False
-        if self.token != token:
-            return False
-        if self.predicate is predicate:
-            return True
-        try:
-            return self.predicate == predicate
-        except Exception:  # pragma: no cover - exotic __eq__ definitions
-            return False
 
     def describe(self) -> str:
         text = f"{self.scanned} scanned, {self.skipped} skipped"

@@ -6,7 +6,7 @@ from repro.api import connect
 from repro.api.binder import bind, statement_parameters
 from repro.engine import DataType, Store, TableSchema
 from repro.engine.partitioning import TablePartitioning, VerticalPartitionSpec
-from repro.errors import BindError
+from repro.errors import BindError, QueryError
 from repro.query.ast import Parameter
 from repro.query.fingerprint import query_fingerprint
 from repro.query.parser import parse
@@ -83,6 +83,66 @@ class TestBindRoundTrips:
             )
 
 
+class TestQualifiedPredicateColumns:
+    """``WHERE sales.id = 3`` means ``WHERE id = 3``; no store sees a qualifier."""
+
+    STATEMENTS = [
+        ("SELECT id, quantity FROM sales WHERE {q}quantity >= 3 AND {q}id < 40", False),
+        ("SELECT count(*), max(revenue) FROM sales WHERE {q}quantity >= 3", False),
+        ("SELECT sum(revenue) FROM sales WHERE {q}id BETWEEN 5 AND 30 "
+         "GROUP BY region", False),
+        ("UPDATE sales SET quantity = 1 WHERE {q}id = 3", True),
+        ("DELETE FROM sales WHERE {q}quantity <= 3 AND {q}id > 10", True),
+    ]
+
+    @pytest.mark.parametrize("store", [Store.ROW, Store.COLUMN])
+    @pytest.mark.parametrize("statement, writes", STATEMENTS)
+    def test_own_table_qualifier_binds_to_the_bare_column(
+        self, database_factory, store, statement, writes
+    ):
+        qualified = connect(database=database_factory(store))
+        bare = connect(database=database_factory(store))
+        sql = statement.format(q="sales.")
+        assert qualified.bind(sql) == bare.bind(statement.format(q=""))
+        got = qualified.sql(sql)
+        expected = bare.sql(statement.format(q=""))
+        assert got.rows == expected.rows
+        assert got.affected_rows == expected.affected_rows
+        assert got.cost.components == expected.cost.components
+        if writes:
+            assert expected.affected_rows > 0
+            assert (qualified.sql("SELECT * FROM sales").rows
+                    == bare.sql("SELECT * FROM sales").rows)
+        else:
+            assert expected.rows
+
+    def test_foreign_qualifier_is_a_bind_error(self, session):
+        other = TableSchema.build(
+            "dim", [("id", DataType.INTEGER), ("quantity", DataType.INTEGER)],
+            primary_key=["id"],
+        )
+        session.create_table(other, Store.ROW)
+        for sql in (
+            "SELECT id FROM sales WHERE dim.quantity = 1",
+            "SELECT count(*) FROM sales WHERE dim.quantity = 1",
+            "UPDATE sales SET quantity = 1 WHERE dim.id = 3",
+            "DELETE FROM sales WHERE dim.id = 3",
+        ):
+            with pytest.raises(BindError, match="neither selects from nor joins"):
+                session.bind(sql)
+        # A predicate on a *joined* table binds (the name resolves) and keeps
+        # the executor's explicit refusal.
+        joined = (
+            "SELECT sum(revenue) FROM sales JOIN dim ON sales.product = dim.id "
+            "WHERE dim.quantity = 1"
+        )
+        assert session.bind(joined).predicate == Comparison(
+            "dim.quantity", session.bind(joined).predicate.op, 1
+        )
+        with pytest.raises(QueryError, match="predicates on joined tables"):
+            session.sql(joined)
+
+
 class TestFingerprints:
     def test_equal_content_equal_fingerprint(self):
         first = parse("SELECT id FROM sales WHERE id = 5")
@@ -107,6 +167,36 @@ class TestPhysicalPlanContents:
         assert plan.table_plans[0].access == "index range scan(id)"
         plan = session.plan_for("SELECT id FROM sales WHERE quantity = 3")
         assert plan.table_plans[0].access == "full scan + predicate"
+
+    @pytest.mark.parametrize("indexes", [
+        (), ("hash",), ("sorted",), ("hash", "sorted"),
+    ])
+    @pytest.mark.parametrize("condition", [
+        "quantity = 3", "quantity < 3", "quantity BETWEEN 2 AND 4",
+    ])
+    def test_printed_access_is_the_access_taken(self, session, indexes, condition):
+        """EXPLAIN's access line agrees with the components the scan charged."""
+        table = session.database.table_object("sales")
+        if "hash" in indexes:
+            table.create_hash_index("quantity")
+        if "sorted" in indexes:
+            table.create_sorted_index("quantity")
+        sql = f"SELECT id FROM sales WHERE {condition}"
+        access = session.plan_for(sql).table_plans[0].access
+        components = set(session.execute(sql).cost.components)
+        equality = condition.startswith("quantity =")
+        if "sorted" in indexes or (equality and "hash" in indexes):
+            kind = "index lookup" if equality else "index range scan"
+            assert access == f"{kind}(quantity)"
+            assert "index_probe" in components
+            assert not components & {"row_scan", "predicate_eval"}
+        else:
+            assert access == "full scan + predicate"
+            assert {"row_scan", "predicate_eval"} <= components
+            assert "index_probe" not in components
+        assert f"row store, {table.num_rows} rows, {access}" in session.explain(
+            sql, analyze=True
+        )
 
     def test_column_store_access(self, database_factory):
         session = connect(database=database_factory(Store.COLUMN))

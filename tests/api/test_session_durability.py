@@ -75,32 +75,6 @@ class TestClose:
         session.close()
         assert session.database.table_names() == ["t"]
 
-    def test_close_restores_the_policy_the_session_replaced(self):
-        """A session's integrity/resilience config must not outlive it."""
-        from repro.config import IntegrityConfig, ResilienceConfig
-        from repro.engine import shard
-        from repro.engine.integrity import integrity_enabled
-
-        default_attempts = shard._SHARD_MAX_ATTEMPTS
-        first = connect(
-            integrity=IntegrityConfig(enabled=False),
-            resilience=ResilienceConfig(max_attempts=7, heartbeat_poll_s=0.01),
-        )
-        assert not integrity_enabled()
-        assert shard._SHARD_MAX_ATTEMPTS == 7
-        first.close()
-
-        assert integrity_enabled()
-        assert shard._SHARD_MAX_ATTEMPTS == default_attempts
-        assert shard._POLL_INTERVAL_S == ResilienceConfig().heartbeat_poll_s
-        second = populated_session()  # a fresh, default connect()
-        try:
-            before = second.stats().integrity_units_verified
-            second.sql("SELECT count(v) FROM t WHERE id >= 2")
-            assert second.stats().integrity_units_verified > before
-        finally:
-            second.close()
-
 
 class TestFailedStatementHygiene:
     def test_failing_update_leaves_no_stale_state(self):

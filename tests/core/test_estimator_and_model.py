@@ -189,3 +189,75 @@ class TestCostModel:
             profiles = CostModel.profiles_from_catalog(database.catalog)
             estimate = cost_model.estimate_query_ms(query, {"sales": store}, profiles)
             assert estimate == pytest.approx(actual, rel=0.4)
+
+
+# -- pruning estimates: catalog statistics as zone units ---------------------------------
+
+
+def _pruning_profile(columns, partitions=()):
+    from repro.engine import DataType, TableSchema
+    from repro.engine.statistics import (
+        ColumnStatistics,
+        PartitionStatistics,
+        TableStatistics,
+    )
+
+    schema = TableSchema.build(
+        "t", [("id", DataType.INTEGER), ("x", DataType.DOUBLE)], primary_key=["id"]
+    )
+
+    def column(spec):
+        return {"x": ColumnStatistics("x", DataType.DOUBLE, 0, **spec)}
+
+    statistics = TableStatistics(
+        table="t", num_rows=100, row_width_bytes=schema.row_width_bytes,
+        columns=column(columns),
+        partitions=tuple(
+            PartitionStatistics(label, num_rows, column(spec))
+            for label, num_rows, spec in partitions
+        ),
+    )
+    return TableProfile(schema=schema, statistics=statistics)
+
+
+NAN = float("nan")
+MAIN = dict(min_value=0.0, max_value=49.0, null_count=0)
+HOT_ALL_NULL = dict(min_value=None, max_value=None, null_count=25)
+HOT_SOME_NULL = dict(min_value=50.0, max_value=99.0, null_count=5)
+HOT_NAN = dict(min_value=50.0, max_value=99.0, null_count=0, has_nan=True)
+
+
+@pytest.mark.parametrize("columns, partitions, predicate, fraction", [
+    # Table-wide statistics: a known range prunes, everything else is no synopsis.
+    (dict(min_value=0.0, max_value=99.0), (), ("gt", 500.0), 0.0),
+    (dict(min_value=0.0, max_value=99.0), (), ("gt", 50.0), 1.0),
+    (dict(min_value=NAN, max_value=NAN), (), ("gt", 500.0), 1.0),
+    (dict(min_value=0.0, max_value=NAN), (), ("gt", 500.0), 1.0),
+    (dict(min_value=None, max_value=None), (), ("gt", 500.0), 1.0),
+    (dict(min_value=0.0, max_value=None), (), ("gt", 500.0), 1.0),
+    (dict(min_value=0.0, max_value=99.0), (), ("is_null",), 1.0),
+    # Per-partition statistics are exact, null counts included.
+    (MAIN, (("main", 75, MAIN), ("hot", 25, HOT_SOME_NULL)), ("gt", 60.0), 0.25),
+    (MAIN, (("main", 75, MAIN), ("hot", 25, HOT_SOME_NULL)), ("is_null",), 0.25),
+    (MAIN, (("main", 75, MAIN), ("hot", 25, HOT_ALL_NULL)), ("gt", -1.0), 0.75),
+    (MAIN, (("main", 75, MAIN), ("hot", 25, HOT_ALL_NULL)), ("is_null",), 0.25),
+    (MAIN, (("main", 75, MAIN), ("hot", 25, HOT_NAN)), ("between", 200.0, 300.0), 0.25),
+    (MAIN, (("main", 75, MAIN), ("hot", 25, HOT_NAN)), ("gt", 200.0), 0.0),
+    (MAIN, (("main", 75, MAIN), ("hot", 25, dict(min_value=NAN, max_value=NAN,
+                                                   null_count=0))),
+     ("gt", 200.0), 0.25),
+    (MAIN, (("main", 0, MAIN), ("hot", 0, MAIN)), ("gt", 200.0), 1.0),
+])
+def test_pruning_estimates_from_catalog_statistics(columns, partitions, predicate,
+                                                   fraction):
+    from repro.core.cost_model.estimator import partition_scan_fraction
+    from repro.engine.zonemap import zone_pruning_disabled
+    from repro.query.predicates import IsNull, gt
+
+    built = {"gt": lambda value: gt("t.x", value), "is_null": lambda: IsNull("x"),
+             "between": lambda low, high: between("x", low, high)}
+    predicate = built[predicate[0]](*predicate[1:])
+    profile = _pruning_profile(columns, partitions)
+    assert partition_scan_fraction(predicate, profile) == pytest.approx(fraction)
+    with zone_pruning_disabled():
+        assert partition_scan_fraction(predicate, profile) == 1.0

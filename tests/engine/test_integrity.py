@@ -41,7 +41,6 @@ from repro.api.session import recover
 from repro.config import IntegrityConfig
 from repro.engine.compression import ColumnDictionary
 from repro.engine.integrity import (
-    apply_integrity_config,
     codes_checksum,
     integrity_counters,
     integrity_disabled,
@@ -105,13 +104,6 @@ def open_session(tmp_path=None, **kwargs):
     session.create_table(SCHEMA, Store.COLUMN)
     session.load_rows("ledger", make_rows(NUM_ROWS))
     return session
-
-
-@pytest.fixture(autouse=True)
-def _default_integrity_config():
-    """Sessions may install a process-wide policy; always restore defaults."""
-    yield
-    apply_integrity_config(IntegrityConfig())
 
 
 # -- checksum primitives ---------------------------------------------------------------

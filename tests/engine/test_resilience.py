@@ -268,20 +268,63 @@ def test_gather_timeout_scales_with_rows():
         assert gather_timeout_for(3_000_000) == pytest.approx(30.0)
 
 
-def test_resilience_config_applies_and_restores():
-    from repro.api import connect
+def test_interleaved_sessions_each_obey_their_own_policy():
+    """Two sessions alive at once: every statement runs under its own config.
 
-    defaults = ResilienceConfig()
-    try:
-        session = connect(resilience=ResilienceConfig(
-            max_attempts=3, gather_timeout_s=5.0, backoff_s=0.01,
-        ))
-        assert shard_module._SHARD_MAX_ATTEMPTS == 3
-        assert shard_module._GATHER_TIMEOUT_S == 5.0
-        session.close()
-    finally:
-        shard_module.apply_resilience_config(defaults)
-    assert shard_module._SHARD_MAX_ATTEMPTS == defaults.max_attempts
+    ``strict`` never retries and never checksums; ``patient`` retries twice
+    and verifies on scan.  Interleaved statement by statement under a
+    persistent fault, each degrades down its own ladder and moves (or does
+    not move) the verification counter — and once both are closed a default
+    ``connect()`` is back on the default policy.
+    """
+    from repro.api import connect
+    from repro.config import IntegrityConfig
+
+    def open_session(**config):
+        session = connect(**config)
+        session.create_table(SCHEMA, Store.COLUMN)
+        session.load_rows("metrics", make_rows(600))
+        return session
+
+    def degraded_statement(session, round_index):
+        """A write (fresh zone epoch), then the query under a persistent fault."""
+        session.execute(insert("metrics", make_rows(1, offset=10_000 + round_index)))
+        session.merge_deltas("metrics")
+        verified = session.stats().integrity_units_verified
+        with inject(FaultPlan(crash_at="shard.result.poison", every_hit=True)):
+            result = session.execute(grouped_query())
+        return (result.degradations["metrics"],
+                session.stats().integrity_units_verified - verified)
+
+    fast = dict(gather_timeout_s=0.8, backoff_s=0.005)
+    strict = open_session(
+        resilience=ResilienceConfig(max_attempts=1, **fast),
+        integrity=IntegrityConfig(enabled=False),
+    )
+    patient = open_session(
+        resilience=ResilienceConfig(max_attempts=3, **fast),
+        integrity=IntegrityConfig(),
+    )
+    with shard_config(fan_out=2, min_rows=1):
+        for round_index in range(2):
+            ladder, verified = degraded_statement(strict, round_index)
+            assert ladder.startswith("shard-parallel -> serial")
+            assert verified == 0
+            ladder, verified = degraded_statement(patient, round_index)
+            assert ladder.startswith("shard-parallel -> retry x2 -> serial")
+            assert verified > 0
+        assert "retry" not in strict.explain(grouped_query())
+        assert "retry x2" in patient.explain(grouped_query())
+        # Nothing stays installed between statements, or after close().
+        assert shard_module._SHARD_MAX_ATTEMPTS == ResilienceConfig().max_attempts
+        strict.close()
+        patient.close()
+
+        default = open_session()
+        ladder, verified = degraded_statement(default, 0)
+        assert ladder.startswith("shard-parallel -> retry x1 -> serial")
+        assert verified > 0
+        default.close()
 
 
 # -- deadlines and cancellation --------------------------------------------------------

@@ -342,3 +342,179 @@ class TestStaleDecisionRecovery:
         result = session.execute(sql)
         assert [row["id"] for row in result.rows] == [777]
         assert result.scan_stats["events"] == (1, 0)
+
+
+# -- the prunable unit, pinned once -----------------------------------------------------
+
+HORIZONTAL = HorizontalPartitionSpec(predicate=ge("day", 150))
+VERTICAL = VerticalPartitionSpec(
+    row_store_columns=("kind",), column_store_columns=("day", "score")
+)
+
+LAYOUTS = {
+    "row": Store.ROW,
+    "column": Store.COLUMN,
+    "hot+main": TablePartitioning(horizontal=HORIZONTAL),
+    "vertical": TablePartitioning(vertical=VERTICAL),
+    "hot+vertical": TablePartitioning(horizontal=HORIZONTAL, vertical=VERTICAL),
+}
+
+
+def build_layout(layout):
+    database = HybridDatabase()
+    if isinstance(layout, Store):
+        database.create_table(SCHEMA, store=layout)
+        database.load_rows("events", make_rows(0, 200, null_every=7))
+    else:
+        database.create_table(SCHEMA, store=Store.ROW)
+        database.load_rows("events", make_rows(0, 200, null_every=7))
+        database.apply_partitioning("events", layout)
+    return database
+
+
+@pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
+def test_zone_units_describe_every_layout(layout):
+    """Labels, row counts, tokens and zones of ``zone_units()`` — and the
+    catalog's per-partition statistics — all come from the parts that store
+    the data."""
+    database = build_layout(layout)
+    table = database.table_object("events")
+    units = table.zone_units()
+
+    if isinstance(layout, Store):
+        stored = {"events": (table.num_rows, [table])}
+    else:
+        stored = {"main": (table.main_num_rows, table.main_parts)}
+        if table.hot is not None:
+            stored["hot"] = (table.hot.num_rows, [table.hot])
+    assert [unit.label for unit in units] == list(stored)
+    assert sum(unit.num_rows for unit in units) == table.num_rows == 200
+
+    for unit in units:
+        num_rows, parts = stored[unit.label]
+        assert unit.num_rows == num_rows
+        assert unit.token == tuple(part.zone_epoch for part in parts)
+        for column in SCHEMA.column_names:
+            if unit.label == "main":
+                owner = table.part_containing(column)
+            else:
+                owner = parts[0]
+            assert owner.schema.has_column(column)
+            assert unit.zone(column) == owner.column_zone(column)
+            assert unit.zone(column).num_rows == num_rows
+        assert unit.zone("no_such_column") is None
+    # A decision is checked against the table's token: the units' tokens, flat.
+    assert table.zone_token == tuple(
+        epoch for unit in units for epoch in unit.token
+    )
+
+    recorded = database.catalog.statistics_of("events").partitions
+    if isinstance(layout, Store):
+        assert recorded == ()
+        return
+    assert [partition.label for partition in recorded] == [u.label for u in units]
+    for partition, unit in zip(recorded, units):
+        assert partition.num_rows == unit.num_rows
+        assert set(partition.columns) == set(SCHEMA.column_names)
+        for column, statistics in partition.columns.items():
+            zone = unit.zone(column)
+            assert (statistics.min_value, statistics.max_value,
+                    statistics.null_count, statistics.has_nan) == (
+                zone.min_value, zone.max_value, zone.null_count, zone.has_nan)
+
+
+def test_unit_verdicts_are_the_zone_functions():
+    """``can_match`` / ``must_match`` ask the zone functions about the
+    predicate's columns — a ``table.column`` reference by its bare column."""
+    from repro.engine.zonemap import zone_must_match
+
+    table = build_layout(Store.COLUMN).table_object("events")
+    (unit,) = table.zone_units()
+    zones = {name: table.column_zone(name) for name in SCHEMA.column_names}
+    for predicate in (
+        gt("day", 1_000), between("day", 0, 199), ge("day", 100),
+        IsNull("score"), And((ge("day", 0), le("id", 500))),
+        eq("no_such_column", 1), None,
+    ):
+        assert unit.can_match(predicate) == zone_can_match(predicate, zones, 200)
+        assert unit.must_match(predicate) == zone_must_match(predicate, zones, 200)
+    assert not unit.can_match(gt("events.day", 1_000))
+    assert unit.must_match(between("events.day", 0, 199))
+
+
+# -- the one freshness rule -------------------------------------------------------------
+
+
+def _scan_decision(path):
+    predicate = between("day", 10, 20)
+    return (lambda: path.plan_scan(predicate),
+            lambda: path.decision_for(predicate),
+            lambda: path.decision_for(between("day", 30, 40)))
+
+
+def _aggregate_strategy(path):
+    from repro.query.builder import aggregate
+
+    query = aggregate("events").sum("score").group_by("kind").build()
+    other = aggregate("events").count().group_by("kind").build()
+    return (lambda: path.plan_aggregate(query),
+            lambda: path.aggregate_decision_for(query),
+            lambda: path.aggregate_decision_for(other))
+
+
+def _shard_decision(path):
+    from repro.query.builder import aggregate
+
+    query = aggregate("events").sum("score").group_by("kind").build()
+    other = aggregate("events").count().group_by("kind").build()
+    return (lambda: path.plan_shards(query),
+            lambda: path.shard_decision_for(query),
+            lambda: path.shard_decision_for(other))
+
+
+def _toggle_of(kind):
+    from repro.engine.executor.agg_pushdown import aggregate_pushdown_disabled
+    from repro.engine.shard import shard_execution_disabled
+    from repro.engine.zonemap import zone_pruning_disabled
+
+    return {_scan_decision: zone_pruning_disabled,
+            _aggregate_strategy: aggregate_pushdown_disabled,
+            _shard_decision: shard_execution_disabled}[kind]
+
+
+@pytest.mark.parametrize("stale_by", ["dml", "subject", "toggle", "shard_config"])
+@pytest.mark.parametrize(
+    "kind", [_scan_decision, _aggregate_strategy, _shard_decision],
+    ids=["scan", "aggregate", "shard"],
+)
+def test_recorded_decisions_share_one_freshness_rule(kind, stale_by):
+    """Every decision kind is the identical object while nothing moved, and
+    re-derived after DML, for a different subject, on a toggle flip and on a
+    ``shard_config`` change."""
+    from repro.engine.executor.rewrite import access_path_for
+    from repro.engine.shard import shard_config
+
+    table = build_layout(Store.COLUMN).table_object("events")
+    path = access_path_for(table)
+    plan, valid, valid_for_other = kind(path)
+    recorded = plan()
+    assert valid() is recorded and valid() is recorded
+
+    if stale_by == "dml":
+        table.insert_rows([{"id": 999, "day": 15, "kind": "kx", "score": 1.0}])
+        fresh = valid()
+    elif stale_by == "subject":
+        fresh = valid_for_other()
+    elif stale_by == "toggle":
+        with _toggle_of(kind)():
+            fresh = valid()
+            assert fresh is not recorded and valid() is fresh
+        assert valid() is not fresh  # leaving the scope is a flip too
+    else:
+        with shard_config(fan_out=3):
+            fresh = valid()
+            assert fresh is not recorded and valid() is fresh
+        assert valid() is not fresh
+    assert fresh is not recorded
+    assert valid() is valid()
+    assert plan() is not plan()  # planning always derives
