@@ -22,7 +22,12 @@
 #                `zone_units()`) or an install/restore policy setter
 #                reappears, or anything under src/ outside engine/zonemap.py
 #                calls zone_can_match( / zone_must_match( instead of asking a
-#                unit.
+#                unit; and if a per-subsystem counter class, baseline or
+#                scoped setter replaced by engine/context.py reappears, or a
+#                `global` statement shows up under src/repro/engine outside
+#                the three modules that own process-wide state by nature
+#                (toggle.py: the settings epoch; context.py: the current
+#                context; shard.py: the pool and the two planner knobs).
 #   fuzz       — the seeded differentials: every fast path vs its toggled
 #                reference, on rows, CostBreakdown totals and charge order.
 #   faults / resilience / integrity — crash points, process faults and
@@ -63,7 +68,7 @@ python -m pytest -m matview -q tests benchmarks
 echo "== shard: scatter/gather differential + projection gates =="
 python -m pytest -m shard -q tests benchmarks
 
-echo "== ledger: one home per charge, one prunable unit =="
+echo "== ledger: one home per charge, one prunable unit, one execution context =="
 deleted='compile_code_leaves|_DRY_MASK|charge_column_scan|_charge_pruned_main_update|_charge_main_positions|validate_assignments|_answers_from_index'
 if grep -rnE --include='*.py' "$deleted" src/; then
     echo "ledger: a deleted charge twin is back (see above)"; exit 1
@@ -79,6 +84,14 @@ fi
 if grep -rnE --include='*.py' 'zone_(can|must)_match\(' src/ \
         | grep -v '^src/repro/engine/zonemap\.py:'; then
     echo "ledger: zone verdict asked outside ZoneUnit (see above)"; exit 1
+fi
+deleted='ResilienceCounters|IntegrityCounters|resilience_counters|integrity_counters|_under_policy|_resilience_baseline|_integrity_baseline|active_deadline|ReproConfig'
+if grep -rnE --include='*.py' "$deleted" src/; then
+    echo "ledger: a counter singleton, baseline or setter replaced by engine/context.py is back (see above)"; exit 1
+fi
+if grep -rnE --include='*.py' '^\s*global ' src/repro/engine \
+        | grep -vE '^src/repro/engine/(toggle\.py:.*global _SETTINGS_EPOCH|context\.py:.*global _CURRENT|shard\.py:.*global (_POOL|_SHARD_FAN_OUT, _SHARD_MIN_ROWS))$'; then
+    echo "ledger: a new scoped module global under src/repro/engine (see above) — put it on ExecutionContext"; exit 1
 fi
 echo "ledger clean."
 

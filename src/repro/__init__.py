@@ -19,7 +19,7 @@ The package has five layers:
 """
 
 from repro.api import PreparedStatement, RecoveryReport, Session, connect, recover
-from repro.config import AdvisorConfig, DeviceModelConfig, DurabilityConfig, ReproConfig
+from repro.config import AdvisorConfig, DeviceModelConfig, DurabilityConfig
 from repro.core import (
     CostModel,
     CostModelCalibrator,
@@ -56,7 +56,6 @@ __all__ = [
     "PreparedStatement",
     "Recommendation",
     "RecoveryReport",
-    "ReproConfig",
     "Session",
     "connect",
     "recover",

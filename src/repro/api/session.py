@@ -35,8 +35,6 @@ Typical usage::
 
 from __future__ import annotations
 
-import contextlib
-import functools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
@@ -60,19 +58,9 @@ from repro.engine.matview import (
     matview_enabled,
     view_serve_bytes,
 )
-from repro.engine.deadline import query_deadline
-from repro.engine.integrity import (
-    IntegrityReport,
-    integrity_counters,
-    integrity_scope,
-    scrub,
-)
-from repro.engine.shard import (
-    audit_shared_segments,
-    resilience_counters,
-    resilience_scope,
-    shutdown_worker_pool,
-)
+from repro.engine.context import EngineCounters, scope
+from repro.engine.integrity import IntegrityReport, scrub
+from repro.engine.shard import audit_shared_segments, shutdown_worker_pool
 from repro.engine.wal import RecoveryReport, WriteAheadLog, recover as wal_recover
 from repro.engine.executor.executor import QueryResult
 from repro.engine.partitioning import TablePartitioning
@@ -91,39 +79,13 @@ PlanExecutionListener = Callable[[Query, PhysicalPlan, QueryResult], None]
 _PARSE_CACHE_LIMIT = 1024
 
 
-def _under_policy(method):
-    """Run a statement-level :class:`Session` method under the session's policy.
-
-    A session opened with an explicit ``resilience=`` / ``integrity=``
-    config enters the engine's scoped setters around each statement, so two
-    sessions alive at once each run under their own policy and nothing is
-    left installed between statements.  A default session enters nothing:
-    it pays one call, and an enclosing ``shard_config(...)`` /
-    ``integrity_disabled()`` still governs it.
-    """
-
-    @functools.wraps(method)
-    def scoped(self, *args, **kwargs):
-        resilience, integrity = self._resilience, self._integrity
-        if resilience is None and integrity is None:
-            return method(self, *args, **kwargs)
-        with contextlib.ExitStack() as stack:
-            if resilience is not None:
-                stack.enter_context(resilience_scope(resilience))
-            if integrity is not None:
-                stack.enter_context(integrity_scope(integrity))
-            return method(self, *args, **kwargs)
-
-    return scoped
-
-
 @dataclass
 class SessionStats:
     """Counter snapshot of one session (see :meth:`Session.stats`).
 
-    The shard and integrity counters are deltas of *process-wide* counters
-    over the session's lifetime: two sessions alive at once each see the
-    other's retries and verifications too (ROADMAP item 4, counters half).
+    The shard and integrity counters count the events this session's own
+    statements (and its ``close()``) caused — nothing another session or a
+    direct engine call did.
     """
 
     queries_executed: int
@@ -145,8 +107,7 @@ class SessionStats:
     view_incremental_refreshes: int = 0
     #: Serve-time refreshes that recomputed from scratch (incl. initial).
     view_full_refreshes: int = 0
-    #: Sharded attempts retried after a failure (resilience layer, this
-    #: session's lifetime — deltas of the process-wide counters).
+    #: Sharded attempts retried after a failure (resilience layer).
     shard_retries: int = 0
     #: Worker processes the shard supervisor replaced individually.
     shard_worker_replacements: int = 0
@@ -158,8 +119,7 @@ class SessionStats:
     shard_teardown_errors: int = 0
     #: Queries cancelled by an expired ``execute(timeout=...)`` deadline.
     query_timeouts: int = 0
-    #: Checksum verifications performed (integrity layer, this session's
-    #: lifetime — deltas of the process-wide counters).
+    #: Checksum verifications performed (integrity layer).
     integrity_units_verified: int = 0
     #: Checksum mismatches detected (scan-time or scrub).
     integrity_corruption_detected: int = 0
@@ -241,15 +201,17 @@ class Session:
         self._view_incremental_refreshes = 0
         self._view_full_refreshes = 0
         self._query_timeouts = 0
-        # Resilience counters are process-wide (the worker pool is shared);
-        # the session reports its own lifetime as deltas from this snapshot.
-        self._resilience_baseline = resilience_counters().snapshot()
-        # Integrity counters follow the same process-wide pattern.
-        self._integrity_baseline = integrity_counters().snapshot()
         self._closed = False
-        # Explicit policies, entered around each statement (``_under_policy``).
-        self._resilience = resilience
-        self._integrity = integrity
+        # What every statement-level entry point enters the engine with
+        # (``_scope``): this session's counters, plus the policies it was
+        # opened with.  A default session names no policy, so an enclosing
+        # ``shard_config(...)`` / ``integrity_disabled()`` governs it.
+        self._counters = EngineCounters()
+        self._context: Dict[str, Any] = {"counters": self._counters}
+        if resilience is not None:
+            self._context["resilience"] = resilience
+        if integrity is not None:
+            self._context["integrity"] = integrity
         if durability is not None:
             self.database.delta_merge_threshold = durability.delta_merge_threshold
         if wal_path is not None and self.database.wal is None:
@@ -276,6 +238,10 @@ class Session:
     def closed(self) -> bool:
         return self._closed
 
+    def _scope(self, timeout: Optional[float] = None):
+        """The engine scope of one statement: counters, policy, deadline."""
+        return scope(timeout, **self._context)
+
     def close(self) -> None:
         """Release cached plans and the worker pool, close the WAL.
 
@@ -295,10 +261,11 @@ class Session:
             # plus worker processes); closing the session releases it.  The
             # next sharded query — from a later session — recreates it.
             # The ledger audit then asserts every segment the pool ever
-            # published was unlinked exactly once, reclaiming (and counting)
-            # anything a mid-query worker death managed to orphan.
-            shutdown_worker_pool()
-            audit_shared_segments()
+            # published was unlinked exactly once, reclaiming (and counting,
+            # on this session) anything a mid-query worker death orphaned.
+            with self._scope():
+                shutdown_worker_pool()
+                audit_shared_segments()
         finally:
             wal = self.database.wal
             if wal is not None and not wal.closed:
@@ -338,7 +305,6 @@ class Session:
         template = self._template(query_or_sql)
         return bind(template, self.database.catalog, params, partial=partial)
 
-    @_under_policy
     def plan_for(self, query_or_sql: Union[Query, str]) -> PhysicalPlan:
         """The physical plan of a statement under the current layout.
 
@@ -346,10 +312,9 @@ class Session:
         participating tables' layout/statistics versions both match;
         re-planned otherwise.
         """
-        template = self._template(query_or_sql)
-        return self._cached_plan(template)
+        with self._scope():
+            return self._cached_plan(self._template(query_or_sql))
 
-    @_under_policy
     def execute(self, query_or_sql: Union[Query, str], params: Params = None,
                 timeout: Optional[float] = None) -> QueryResult:
         """Run one statement through parse → bind → plan → execute.
@@ -360,12 +325,21 @@ class Session:
         accountant dies with it) and the shard worker pool — if a wedged
         worker had to be abandoned — is repaired before the error surfaces.
         """
-        template = self._template(query_or_sql)
-        bound = bind(template, self.database.catalog, params)
-        plan = self._cached_plan(template)
+        with self._scope(timeout):
+            template = self._template(query_or_sql)
+            bound = bind(template, self.database.catalog, params)
+            return self._run_plan(bound, self._cached_plan(template))
+
+    def _run_plan(self, bound: Query, plan: PhysicalPlan) -> QueryResult:
+        """Execute *bound* through *plan* and record the execution.
+
+        Served from the plan's materialized view when one matches.  An
+        expired deadline is counted and leaves nothing recorded.
+        """
         try:
-            with query_deadline(timeout):
-                result = self._run_plan(bound, plan)
+            result = self._serve_from_view(bound, plan)
+            if result is None:
+                result = self.database.execute_with_paths(bound, plan.paths)
         except QueryTimeoutError:
             self._query_timeouts += 1
             raise
@@ -373,13 +347,6 @@ class Session:
         self._queries_executed += 1
         for listener in self._plan_listeners:
             listener(bound, plan, result)
-        return result
-
-    def _run_plan(self, bound: Query, plan: PhysicalPlan) -> QueryResult:
-        """Execute *bound* through *plan* — from its view when one matches."""
-        result = self._serve_from_view(bound, plan)
-        if result is None:
-            result = self.database.execute_with_paths(bound, plan.paths)
         return result
 
     def _serve_from_view(self, bound: Query, plan: PhysicalPlan) -> Optional[QueryResult]:
@@ -444,7 +411,7 @@ class Session:
         rendered plan as rows with a single ``plan`` column instead of
         executing the statement (``ANALYZE`` executes it once to show actual
         costs).  *timeout* arms a cooperative deadline exactly like
-        :meth:`execute`.
+        :meth:`execute` — over the ``ANALYZE`` execution too.
         """
         stripped = statement.strip()
         lowered = stripped.lower()
@@ -453,7 +420,8 @@ class Session:
             analyze = rest.lower().startswith("analyze")
             if analyze:
                 rest = rest[len("analyze"):].strip()
-            text = self.explain(rest, params=params, analyze=analyze)
+            text = self.explain(rest, params=params, analyze=analyze,
+                                timeout=timeout)
             return QueryResult(
                 rows=[{"plan": line} for line in text.splitlines()],
                 affected_rows=0,
@@ -461,37 +429,37 @@ class Session:
             )
         return self.execute(stripped, params=params, timeout=timeout)
 
-    @_under_policy
     def prepare(self, statement: str) -> PreparedStatement:
         """Parse, validate and plan *statement* once for repeated execution."""
         template = self.parse(statement)
         # Validate names/types now; placeholders stay unbound until execute.
         bind(template, self.database.catalog, None, partial=True)
-        self._cached_plan(template)  # warm the plan cache
+        with self._scope():
+            self._cached_plan(template)  # warm the plan cache
         self._prepared_statements += 1
         return PreparedStatement(self, statement, template)
 
-    @_under_policy
     def explain(self, query_or_sql: Union[Query, str], params: Params = None,
-                analyze: bool = False) -> str:
-        """Render the physical plan (``analyze=True`` also executes once)."""
-        template = self._template(query_or_sql)
-        bound = bind(template, self.database.catalog, params,
-                     partial=params is None)
-        plan = self._cached_plan(template)
-        actual: Optional[QueryResult] = None
-        if analyze:
-            if statement_parameters(bound):
-                raise BindError(
-                    "EXPLAIN ANALYZE needs parameter values for a "
-                    "parameterized statement"
-                )
-            actual = self._run_plan(bound, plan)
-            plan.record_execution(actual)
-            self._queries_executed += 1
-            for listener in self._plan_listeners:
-                listener(bound, plan, actual)
-        return render_plan(plan, actual)
+                analyze: bool = False, timeout: Optional[float] = None) -> str:
+        """Render the physical plan.
+
+        ``analyze=True`` also executes once, under *timeout* when given
+        (see :meth:`execute`).
+        """
+        with self._scope(timeout):
+            template = self._template(query_or_sql)
+            bound = bind(template, self.database.catalog, params,
+                         partial=params is None)
+            plan = self._cached_plan(template)
+            actual: Optional[QueryResult] = None
+            if analyze:
+                if statement_parameters(bound):
+                    raise BindError(
+                        "EXPLAIN ANALYZE needs parameter values for a "
+                        "parameterized statement"
+                    )
+                actual = self._run_plan(bound, plan)
+            return render_plan(plan, actual)
 
     # -- workloads ---------------------------------------------------------------
 
@@ -559,10 +527,7 @@ class Session:
     def stats(self) -> SessionStats:
         """Counter snapshot: pipeline, plan-cache and estimate-memo activity."""
         memo = self._advisor.cost_model.memo
-        live = resilience_counters()
-        base = self._resilience_baseline
-        integrity_live = integrity_counters()
-        integrity_base = self._integrity_baseline
+        counters = self._counters
         return SessionStats(
             queries_executed=self._queries_executed,
             statements_parsed=self._statements_parsed,
@@ -578,34 +543,16 @@ class Session:
             view_rewrite_misses=self._view_rewrite_misses,
             view_incremental_refreshes=self._view_incremental_refreshes,
             view_full_refreshes=self._view_full_refreshes,
-            shard_retries=live.shard_retries - base.shard_retries,
-            shard_worker_replacements=(
-                live.worker_replacements - base.worker_replacements
-            ),
-            shard_degradations=(
-                live.shard_degradations - base.shard_degradations
-            ),
-            shard_segments_reclaimed=(
-                live.segments_reclaimed - base.segments_reclaimed
-            ),
-            shard_teardown_errors=(
-                live.teardown_errors - base.teardown_errors
-            ),
+            shard_retries=counters.shard_retries,
+            shard_worker_replacements=counters.worker_replacements,
+            shard_degradations=counters.shard_degradations,
+            shard_segments_reclaimed=counters.segments_reclaimed,
+            shard_teardown_errors=counters.teardown_errors,
             query_timeouts=self._query_timeouts,
-            integrity_units_verified=(
-                integrity_live.units_verified - integrity_base.units_verified
-            ),
-            integrity_corruption_detected=(
-                integrity_live.corruption_detected
-                - integrity_base.corruption_detected
-            ),
-            integrity_units_quarantined=(
-                integrity_live.units_quarantined
-                - integrity_base.units_quarantined
-            ),
-            integrity_units_repaired=(
-                integrity_live.units_repaired - integrity_base.units_repaired
-            ),
+            integrity_units_verified=counters.units_verified,
+            integrity_corruption_detected=counters.corruption_detected,
+            integrity_units_quarantined=counters.units_quarantined,
+            integrity_units_repaired=counters.units_repaired,
         )
 
     # -- DDL / data conveniences (delegation) --------------------------------------
@@ -621,7 +568,6 @@ class Session:
 
     # -- materialized views ---------------------------------------------------------
 
-    @_under_policy
     def create_view(self, name: str,
                     query_or_sql: Union[Query, str]) -> MaterializedView:
         """Create a materialized view of an aggregation statement.
@@ -633,15 +579,16 @@ class Session:
         """
         template = self._template(query_or_sql)
         bound = bind(template, self.database.catalog, None)
-        return self.database.create_view(name, bound)
+        with self._scope():
+            return self.database.create_view(name, bound)
 
     def drop_view(self, name: str) -> None:
         self.database.drop_view(name)
 
-    @_under_policy
     def refresh_view(self, name: str) -> RefreshResult:
         """Explicitly bring one materialized view up to date."""
-        return self.database.refresh_view(name)
+        with self._scope():
+            return self.database.refresh_view(name)
 
     def views(self) -> List[str]:
         return self.database.view_names()
@@ -680,7 +627,6 @@ class Session:
 
     # -- integrity -----------------------------------------------------------------
 
-    @_under_policy
     def verify_integrity(self) -> IntegrityReport:
         """Scrub every table's partition units against their checksums.
 
@@ -691,12 +637,12 @@ class Session:
         exact table/partition/column until :meth:`repair` rebuilds the
         unit.  The scrub itself charges no simulated cost.
         """
-        return scrub(
-            self.database.table_object(name)
-            for name in self.database.table_names()
-        )
+        with self._scope():
+            return scrub(
+                self.database.table_object(name)
+                for name in self.database.table_names()
+            )
 
-    @_under_policy
     def repair(self) -> int:
         """Rebuild quarantined units from the WAL; returns units repaired.
 
@@ -727,17 +673,18 @@ class Session:
         if not damaged:
             return 0
         wal.flush()
-        recovered = wal_recover(wal.path, database.device.config)
         repaired = 0
-        for name, count in damaged.items():
-            if name not in recovered.database.table_names():
-                raise WalError(
-                    f"cannot repair table {name!r}: the write-ahead log "
-                    "does not cover it"
-                )
-            database.adopt_table(name, recovered.database.table_object(name))
-            repaired += count
-        integrity_counters().units_repaired += repaired
+        with self._scope():
+            recovered = wal_recover(wal.path, database.device.config)
+            for name, count in damaged.items():
+                if name not in recovered.database.table_names():
+                    raise WalError(
+                        f"cannot repair table {name!r}: the write-ahead log "
+                        "does not cover it"
+                    )
+                database.adopt_table(name, recovered.database.table_object(name))
+                repaired += count
+        self._counters.units_repaired += repaired
         # Plans and estimates priced against the replaced objects must go.
         self.clear_caches()
         return repaired
@@ -798,7 +745,8 @@ def connect(
     gather timeout, backoff (see :class:`~repro.config.ResilienceConfig`) —
     and *integrity* the checksum layer — scan-time and shard-attach
     verification (see :class:`~repro.config.IntegrityConfig`); both govern
-    this session's statements only, entered around each one.
+    this session's statements only: they are fields of the
+    :class:`~repro.engine.context.ExecutionContext` entered around each one.
     """
     return Session(
         database=database,

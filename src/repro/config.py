@@ -18,7 +18,7 @@ override individual fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 
 DEFAULT_SEED = 20120827  # first day of VLDB 2012, used as the default RNG seed
@@ -145,10 +145,11 @@ class DurabilityConfig:
 class ResilienceConfig:
     """Knobs of the resilient execution layer (shard retries, deadlines).
 
-    Consumed by :func:`repro.api.connect` (``resilience=...``): the session
-    enters :func:`repro.engine.shard.resilience_scope` with it around each of
-    its statements.  ``shard_config(...)`` scopes overrides of single knobs
-    the same way, for tests and default sessions.
+    Consumed by :func:`repro.api.connect` (``resilience=...``): the policy is
+    a field of the :class:`~repro.engine.context.ExecutionContext` the
+    session enters around each of its statements.  ``shard_config(...)``
+    scopes overrides of single knobs the same way, for tests and default
+    sessions.
     """
 
     #: Total sharded attempts per query (1 = no retry) before the query
@@ -161,23 +162,19 @@ class ResilienceConfig:
     gather_timeout_s: float = 30.0
     #: Base of the bounded exponential backoff between retry attempts; the
     #: delay for attempt *n* is ``backoff_s * 2**(n-1)`` plus deterministic
-    #: jitter, capped at :attr:`backoff_cap_s`.
+    #: jitter, capped at one second.
     backoff_s: float = 0.05
-    #: Upper bound on any single retry backoff sleep.
-    backoff_cap_s: float = 1.0
-    #: Poll interval of the gather loop — the granularity at which worker
-    #: deaths, gather timeouts and query deadlines are detected.
-    heartbeat_poll_s: float = 0.05
 
 
 @dataclass(frozen=True)
 class IntegrityConfig:
     """Knobs of the data-integrity layer (checksums, scrub, quarantine).
 
-    Consumed by :func:`repro.api.connect` (``integrity=...``): the session
-    enters :func:`repro.engine.integrity.integrity_scope` with it around each
-    of its statements.  Verification is billed zero simulated cost either
-    way — only wall clock and the integrity counters are affected.
+    Consumed by :func:`repro.api.connect` (``integrity=...``): the policy is
+    a field of the :class:`~repro.engine.context.ExecutionContext` the
+    session enters around each of its statements.  Verification is billed
+    zero simulated cost either way — only wall clock and the integrity
+    counters are affected.
     """
 
     #: Master switch.  ``False`` disables checksum maintenance, scan-time
@@ -187,18 +184,3 @@ class IntegrityConfig:
     #: Verify a column-store unit's checksum (at most once per zone epoch)
     #: when a scan first reads it.
     verify_on_scan: bool = True
-    #: Ship expected code-array crcs with shard tasks so workers verify the
-    #: attached shared-memory segments before executing.
-    verify_on_attach: bool = True
-
-
-@dataclass
-class ReproConfig:
-    """Top-level configuration bundle used by examples and benchmarks."""
-
-    device: DeviceModelConfig = field(default_factory=DeviceModelConfig)
-    advisor: AdvisorConfig = field(default_factory=AdvisorConfig)
-    durability: DurabilityConfig = field(default_factory=DurabilityConfig)
-    resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
-    integrity: IntegrityConfig = field(default_factory=IntegrityConfig)
-    seed: int = DEFAULT_SEED

@@ -874,7 +874,7 @@ class ColumnStoreTable:
         epoch) — a mutation bumps the epoch and records a fresh baseline,
         so detection means the content changed *without* a mutation.
         Verification charges zero simulated cost (no accountant involved);
-        only the process-wide integrity counters move.
+        only the current context's integrity counters move.
         """
         state = self.integrity
         for name in columns:

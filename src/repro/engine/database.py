@@ -28,7 +28,7 @@ from repro.engine.statistics import TableStatistics, compute_table_statistics
 from repro.engine.table import StoredTable
 from repro.engine.timing import CostAccountant, CostBreakdown, DeviceModel
 from repro.engine.types import Store
-from repro.errors import CatalogError
+from repro.errors import CatalogError, WalError
 from repro.query.ast import Query, QueryType
 from repro.query.workload import Workload
 from repro.testing.faults import CrashError
@@ -180,10 +180,6 @@ class HybridDatabase:
     def snapshot(self, name: str):
         """A consistent read view of *name* as of now (snapshot isolation)."""
         return self.table_object(name).snapshot()
-
-    def _log_dml(self, query: Query) -> None:
-        if self.wal is not None and query.query_type in _DML_TYPES:
-            self.wal.log_dml(query)
 
     # -- DDL ---------------------------------------------------------------------
 
@@ -431,25 +427,10 @@ class HybridDatabase:
         This is the legacy single-shot entry point (parse-and-run callers,
         existing tests); :class:`repro.api.Session` drives the same executor
         through explicit :class:`~repro.api.plan.PhysicalPlan` objects and
-        charges bit-identical costs.
+        charges bit-identical costs.  A statement that fails while resolving
+        its paths has had no effect and is not logged.
         """
-        try:
-            result = self._executor.execute(query)
-        except CrashError:
-            # An injected crash mid-statement models the process dying: the
-            # in-memory partial effects are lost, so nothing is logged.
-            raise
-        except Exception:
-            # A failed DML statement can still have committed a deterministic
-            # partial prefix (the engine's documented mid-batch contract), so
-            # it is logged too; replay re-raises the same error and arrives
-            # at the identical partial state.
-            self._log_dml(query)
-            raise
-        self._log_dml(query)
-        for listener in self._listeners:
-            listener(query, result)
-        return result
+        return self.execute_with_paths(query, self.resolve_access_paths(query))
 
     def resolve_access_paths(self, query: Query):
         """Resolve the physical access path of every table *query* references."""
@@ -459,17 +440,29 @@ class HybridDatabase:
         """Execute *query* over pre-resolved access paths (the plan path).
 
         Used by the session layer to run a cached physical plan without
-        re-resolving tables; execution listeners fire exactly as for
-        :meth:`execute`, and DML is logged to the WAL under the same rules.
+        re-resolving tables.  DML against a closed write-ahead log is
+        refused before it touches a row — memory must never run ahead of
+        the log; reads keep working.
         """
+        logged = self.wal is not None and query.query_type in _DML_TYPES
+        if logged and self.wal.closed:
+            raise WalError("write-ahead log is closed")
         try:
             result = self._executor.execute_with_paths(query, paths)
         except CrashError:
+            # An injected crash mid-statement models the process dying: the
+            # in-memory partial effects are lost, so nothing is logged.
             raise
         except Exception:
-            self._log_dml(query)
+            # A failed DML statement can still have committed a deterministic
+            # partial prefix (the engine's documented mid-batch contract), so
+            # it is logged too; replay re-raises the same error and arrives
+            # at the identical partial state.
+            if logged:
+                self.wal.log_dml(query)
             raise
-        self._log_dml(query)
+        if logged:
+            self.wal.log_dml(query)
         for listener in self._listeners:
             listener(query, result)
         return result

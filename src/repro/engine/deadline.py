@@ -1,10 +1,13 @@
 """Query deadlines and cooperative cancellation.
 
 ``Session.execute(timeout=...)`` arms a per-query deadline for the duration
-of the statement via :func:`query_deadline`.  Execution is single-threaded,
-so cancellation is *cooperative*: long-running stages call
-:func:`deadline_check` at natural yield points — the executor before each
-operator, the access paths before each collect, the materialized-view
+of the statement: the deadline is a field of the current
+:class:`~repro.engine.context.ExecutionContext`, armed by the same
+:func:`~repro.engine.context.scope` call that enters the session's policy
+(:func:`query_deadline` is that call for engine-level callers).  Execution
+is single-threaded, so cancellation is *cooperative*: long-running stages
+call :func:`deadline_check` at natural yield points — the executor before
+each operator, the access paths before each collect, the materialized-view
 refresh before each unit recompute, and (most importantly) the shard gather
 loop, which polls with a short interval so even a wedged worker process is
 abandoned within one poll of the deadline.
@@ -22,59 +25,36 @@ outer one armed, never extend it.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Optional
 
+from repro.engine.context import current, scope
 from repro.errors import QueryTimeoutError
 
-__all__ = [
-    "active_deadline",
-    "deadline_check",
-    "deadline_remaining",
-    "query_deadline",
-]
-
-#: The armed ``(monotonic deadline, requested timeout seconds)``, or ``None``.
-_DEADLINE: Optional[tuple] = None
+__all__ = ["deadline_check", "deadline_remaining", "query_deadline"]
 
 
-@contextmanager
-def query_deadline(timeout_s: Optional[float]) -> Iterator[None]:
+def query_deadline(timeout_s: Optional[float]):
     """Arm a deadline *timeout_s* seconds from now for the ``with`` body.
 
-    ``None`` is a no-op (no deadline).  Nested deadlines only ever tighten:
-    the effective deadline is the minimum of the armed ones.
+    ``None`` arms nothing.  Nested deadlines only ever tighten: the
+    effective deadline is the minimum of the armed ones.
     """
-    if timeout_s is None:
-        yield
-        return
-    global _DEADLINE
-    previous = _DEADLINE
-    candidate = (time.monotonic() + max(0.0, timeout_s), timeout_s)
-    if previous is None or candidate[0] < previous[0]:
-        _DEADLINE = candidate
-    try:
-        yield
-    finally:
-        _DEADLINE = previous
-
-
-def active_deadline() -> Optional[float]:
-    """The armed monotonic deadline, or ``None`` when no timeout is set."""
-    return None if _DEADLINE is None else _DEADLINE[0]
+    return scope(timeout=timeout_s)
 
 
 def deadline_remaining() -> Optional[float]:
     """Seconds until the armed deadline (clamped at 0), or ``None``."""
-    if _DEADLINE is None:
+    deadline = current().deadline
+    if deadline is None:
         return None
-    return max(0.0, _DEADLINE[0] - time.monotonic())
+    return max(0.0, deadline[0] - time.monotonic())
 
 
 def deadline_check() -> None:
     """Raise :class:`QueryTimeoutError` if the armed deadline has expired."""
-    if _DEADLINE is not None and time.monotonic() >= _DEADLINE[0]:
+    deadline = current().deadline
+    if deadline is not None and time.monotonic() >= deadline[0]:
         raise QueryTimeoutError(
-            f"query exceeded its {_DEADLINE[1]:.3f}s deadline",
-            timeout_s=_DEADLINE[1],
+            f"query exceeded its {deadline[1]:.3f}s deadline",
+            timeout_s=deadline[1],
         )

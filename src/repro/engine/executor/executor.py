@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine.executor.operators import (
@@ -13,8 +14,8 @@ from repro.engine.executor.operators import (
     execute_update,
 )
 from repro.engine.executor.rewrite import access_path_for
+from repro.engine.context import current
 from repro.engine.deadline import deadline_check
-from repro.engine.integrity import integrity_counters
 from repro.engine.timing import CostAccountant, CostBreakdown, DeviceModel
 from repro.errors import QueryError
 from repro.query.ast import (
@@ -25,6 +26,11 @@ from repro.query.ast import (
     SelectQuery,
     UpdateQuery,
 )
+
+#: The integrity events a query can cause, read off the current context's
+#: counters before and after it runs (``QueryResult.integrity``).
+_INTEGRITY_EVENTS = ("units_verified", "corruption_detected", "units_quarantined")
+_INTEGRITY_COUNTS = attrgetter(*_INTEGRITY_EVENTS)
 
 
 @dataclass
@@ -94,8 +100,8 @@ class QueryExecutor:
         table's scan (:meth:`AccessPath.plan_scan`), so that EXPLAIN and
         execution consume one and the same decision.  The session planner
         calls it once per (query, layout) and caches the result inside a
-        :class:`~repro.api.plan.PhysicalPlan`; the legacy :meth:`execute`
-        entry point re-resolves per query.
+        :class:`~repro.api.plan.PhysicalPlan`; the legacy
+        ``HybridDatabase.execute`` entry point re-resolves per query.
         """
         paths = {
             name: access_path_for(self._tables.table_object(name))
@@ -117,51 +123,44 @@ class QueryExecutor:
             paths[query.table].plan_shards(query)
         return paths
 
-    def execute(self, query: Query) -> QueryResult:
-        return self.execute_with_paths(query, self.resolve_paths(query))
-
     def execute_with_paths(
         self, query: Query, paths: Dict[str, "AccessPath"]
     ) -> QueryResult:
         """Execute *query* over already-resolved access *paths*.
 
-        The cost charges are exactly those of :meth:`execute` — re-using a
-        plan's paths never changes what a query costs.
+        Re-using a plan's paths never changes what a query costs.
         """
         deadline_check()
         accountant = CostAccountant(self.device)
         accountant.charge_query_overhead()
-        # Integrity counters are process-wide; the per-query movement (for
-        # EXPLAIN ANALYZE) is the delta around this execution.
-        integrity_base = integrity_counters().snapshot()
+        counters = current().counters
+        integrity_before = _INTEGRITY_COUNTS(counters)
 
+        rows: List[Dict[str, Any]] = []
+        affected = 0
         if isinstance(query, AggregationQuery):
             rows = execute_aggregation(query, paths, accountant)
-            return QueryResult(rows=rows, affected_rows=0, cost=accountant.breakdown,
-                               scan_stats=accountant.scan_stats,
-                               agg_strategies=accountant.aggregate_strategies,
-                               delta_scans=accountant.delta_scans,
-                               shard_stats=accountant.shard_stats,
-                               degradations=accountant.degradations,
-                               integrity=integrity_counters().delta(integrity_base))
-        path = paths[query.table]
-        if isinstance(query, SelectQuery):
-            rows = execute_select(query, path, accountant)
-            return QueryResult(rows=rows, affected_rows=0, cost=accountant.breakdown,
-                               scan_stats=accountant.scan_stats,
-                               delta_scans=accountant.delta_scans,
-                               shard_stats=accountant.shard_stats,
-                               degradations=accountant.degradations,
-                               integrity=integrity_counters().delta(integrity_base))
-        if isinstance(query, InsertQuery):
-            affected = execute_insert(query, path, accountant)
+        elif isinstance(query, SelectQuery):
+            rows = execute_select(query, paths[query.table], accountant)
+        elif isinstance(query, InsertQuery):
+            affected = execute_insert(query, paths[query.table], accountant)
         elif isinstance(query, UpdateQuery):
-            affected = execute_update(query, path, accountant)
+            affected = execute_update(query, paths[query.table], accountant)
         elif isinstance(query, DeleteQuery):
-            affected = execute_delete(query, path, accountant)
+            affected = execute_delete(query, paths[query.table], accountant)
         else:  # pragma: no cover - defensive
             raise QueryError(f"unsupported query type: {type(query).__name__}")
-        return QueryResult(rows=[], affected_rows=affected, cost=accountant.breakdown,
-                           scan_stats=accountant.scan_stats,
-                           delta_scans=accountant.delta_scans,
-                           integrity=integrity_counters().delta(integrity_base))
+        return QueryResult(
+            rows=rows, affected_rows=affected, cost=accountant.breakdown,
+            scan_stats=accountant.scan_stats,
+            agg_strategies=accountant.aggregate_strategies,
+            delta_scans=accountant.delta_scans,
+            shard_stats=accountant.shard_stats,
+            degradations=accountant.degradations,
+            integrity={
+                name: after - before
+                for name, before, after in zip(
+                    _INTEGRITY_EVENTS, integrity_before, _INTEGRITY_COUNTS(counters)
+                ) if after != before
+            },
+        )

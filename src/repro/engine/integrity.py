@@ -42,23 +42,22 @@ This module is the common core of the integrity layer:
   :class:`IntegrityReport`; ``Session.verify_integrity()`` is the public
   entry point and ``Session.repair()`` consumes the report.
 
-Process-wide counters (:func:`integrity_counters`) follow the resilience
-layer's pattern: sessions snapshot at construction and report lifetime
-deltas in ``SessionStats``; the executor diffs them around each query for
-the ``EXPLAIN ANALYZE`` ``integrity:`` lines.
+The policy (:class:`~repro.config.IntegrityConfig`) and the event counters
+are fields of the current :class:`~repro.engine.context.ExecutionContext`:
+a verification counts on whichever session's statement caused it.
 """
 
 from __future__ import annotations
 
 import pickle
 import zlib
-from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.config import IntegrityConfig
+from repro.engine.context import current, scope
 from repro.errors import DataCorruptionError
 
 # -- checksums -------------------------------------------------------------------------
@@ -91,36 +90,20 @@ def unit_checksum(codes: np.ndarray, dictionary) -> int:
 
 # -- scoped configuration --------------------------------------------------------------
 
-_CONFIG = IntegrityConfig()
 
-
-@contextmanager
-def integrity_scope(config: IntegrityConfig) -> Iterator[None]:
-    """Run the ``with`` body under *config*'s integrity policy.
-
-    The one setter of the policy: a session opened with
-    ``connect(integrity=...)`` enters it around each statement.  Nested
-    scopes restore in order, so an enclosing scope governs again on exit.
-    """
-    global _CONFIG
-    previous, _CONFIG = _CONFIG, config
-    try:
-        yield
-    finally:
-        _CONFIG = previous
+def integrity_scope(config: IntegrityConfig):
+    """Run the ``with`` body under *config*'s integrity policy."""
+    return scope(integrity=config)
 
 
 def integrity_enabled() -> bool:
     """Whether checksum maintenance and verification run at all."""
-    return _CONFIG.enabled
+    return current().integrity.enabled
 
 
 def verify_on_scan_enabled() -> bool:
-    return _CONFIG.enabled and _CONFIG.verify_on_scan
-
-
-def verify_on_attach_enabled() -> bool:
-    return _CONFIG.enabled and _CONFIG.verify_on_attach
+    policy = current().integrity
+    return policy.enabled and policy.verify_on_scan
 
 
 def integrity_disabled():
@@ -129,44 +112,7 @@ def integrity_disabled():
     Quarantine state already recorded keeps raising — disabling
     verification must never un-quarantine corrupt data.
     """
-    return integrity_scope(replace(_CONFIG, enabled=False))
-
-
-# -- counters --------------------------------------------------------------------------
-
-
-@dataclass
-class IntegrityCounters:
-    """Process-wide integrity telemetry (sessions report deltas)."""
-
-    #: Checksum verifications performed (baseline establishment included).
-    units_verified: int = 0
-    #: Checksum mismatches detected (scan-time or scrub).
-    corruption_detected: int = 0
-    #: Units placed in quarantine.
-    units_quarantined: int = 0
-    #: Quarantined units rebuilt by ``Session.repair()``.
-    units_repaired: int = 0
-
-    def snapshot(self) -> "IntegrityCounters":
-        return replace(self)
-
-    def delta(self, baseline: "IntegrityCounters") -> Dict[str, int]:
-        """Non-zero counter movements since *baseline*, by field name."""
-        moved = {}
-        for spec in fields(self):
-            diff = getattr(self, spec.name) - getattr(baseline, spec.name)
-            if diff:
-                moved[spec.name] = diff
-        return moved
-
-
-_COUNTERS = IntegrityCounters()
-
-
-def integrity_counters() -> IntegrityCounters:
-    """The live process-wide counters (snapshot before mutating state)."""
-    return _COUNTERS
+    return scope(integrity=replace(current().integrity, enabled=False))
 
 
 # -- per-backend state -----------------------------------------------------------------
@@ -224,7 +170,7 @@ class TableIntegrity:
     def quarantine(self, column: str, reason: str) -> None:
         if column not in self._quarantined:
             self._quarantined[column] = reason
-            _COUNTERS.units_quarantined += 1
+            current().counters.units_quarantined += 1
 
     # -- checksums -----------------------------------------------------------------
 
@@ -237,7 +183,7 @@ class TableIntegrity:
         mismatch quarantines the unit and returns ``False`` — the caller
         decides whether to raise.
         """
-        _COUNTERS.units_verified += 1
+        current().counters.units_verified += 1
         actual = unit_checksum(codes, dictionary)
         cached = self._checksums.get(column)
         if cached is None or cached[0] != epoch:
@@ -245,7 +191,7 @@ class TableIntegrity:
             return True
         if actual == cached[1]:
             return True
-        _COUNTERS.corruption_detected += 1
+        current().counters.corruption_detected += 1
         self.quarantine(
             column,
             f"checksum mismatch (expected {cached[1]:#010x}, "

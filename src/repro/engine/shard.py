@@ -64,7 +64,7 @@ import queue as queue_module
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace as dataclass_replace
+from dataclasses import dataclass, replace
 from multiprocessing import shared_memory
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -73,8 +73,9 @@ import numpy as np
 from repro.config import DEFAULT_SEED, ResilienceConfig
 from repro.engine.batch import EncodedColumn, evaluate_predicate_mask
 from repro.engine.column_store import ColumnStoreTable, translate_code_predicate
+from repro.engine.context import current, scope
 from repro.engine.deadline import deadline_check, deadline_remaining
-from repro.engine.integrity import codes_checksum, verify_on_attach_enabled
+from repro.engine.integrity import codes_checksum, integrity_enabled
 from repro.engine.shard_gate import best_fan_out, usable_cores
 from repro.engine.statistics import ColumnStatistics
 from repro.engine.executor.agg_pushdown import (
@@ -92,14 +93,12 @@ from repro.query.ast import AggregationQuery, Query, SelectQuery
 from repro.testing.faults import active_plan, process_fault
 
 __all__ = [
-    "ResilienceCounters",
     "ShardDecision",
     "ShardExecutionError",
     "audit_shared_segments",
     "derive_shard_decision",
     "gather_timeout_for",
     "get_worker_pool",
-    "resilience_counters",
     "resilience_scope",
     "shard_bounds",
     "shard_config",
@@ -128,19 +127,11 @@ _SHARD_FAN_OUT = max(2, min(usable_cores(), 8))
 #: integer shards every eligible query on a table of at least that many rows.
 _SHARD_MIN_ROWS: Optional[int] = None
 
-#: Base seconds the parent waits for a gather; scaled with the sharded row
-#: count by :func:`gather_timeout_for` so 1M-row benches can't flake under
-#: CI load.
-_GATHER_TIMEOUT_S = 30.0
-
-#: Total sharded attempts (1 = no retry) before degrading to serial.
-_SHARD_MAX_ATTEMPTS = 2
-
-#: Base / cap of the bounded exponential retry backoff (seconds).
-_RETRY_BACKOFF_S = 0.05
+#: Upper bound on any single retry backoff sleep (seconds).
 _RETRY_BACKOFF_CAP_S = 1.0
 
-#: Gather poll interval: the granularity of liveness/deadline detection.
+#: Gather poll interval: the granularity at which worker deaths, gather
+#: timeouts and query deadlines are detected.
 _POLL_INTERVAL_S = 0.05
 
 #: Deterministic jitter source for retry backoff (reproducible runs).
@@ -169,7 +160,7 @@ def gather_timeout_for(num_rows: int) -> float:
     so a loaded CI machine running the 1M-row benches cannot trip a
     hard-coded constant.
     """
-    return _GATHER_TIMEOUT_S * max(1.0, num_rows / 1_000_000.0)
+    return current().resilience.gather_timeout_s * max(1.0, num_rows / 1_000_000.0)
 
 
 @contextmanager
@@ -184,9 +175,9 @@ def shard_config(fan_out: Optional[int] = None, min_rows: Optional[int] = None,
     small tables).  Entering and leaving the scope moves the settings epoch,
     so recorded :class:`ShardDecision` objects go stale exactly like under a
     toggle flip.
-    ``max_attempts``/``gather_timeout_s``/``backoff_s`` are runtime
-    resilience knobs — they change how a scatter/gather fails, never what it
-    computes.
+    ``max_attempts``/``gather_timeout_s``/``backoff_s`` override single
+    fields of the current resilience policy — they change how a
+    scatter/gather fails, never what it computes.
     """
     global _SHARD_FAN_OUT, _SHARD_MIN_ROWS
     previous = (_SHARD_FAN_OUT, _SHARD_MIN_ROWS)
@@ -194,45 +185,24 @@ def shard_config(fan_out: Optional[int] = None, min_rows: Optional[int] = None,
         _SHARD_FAN_OUT = fan_out
     if min_rows is not None:
         _SHARD_MIN_ROWS = min_rows
-    policy = ResilienceConfig(
-        max_attempts=_SHARD_MAX_ATTEMPTS if max_attempts is None else max_attempts,
-        gather_timeout_s=(_GATHER_TIMEOUT_S if gather_timeout_s is None
-                          else gather_timeout_s),
-        backoff_s=_RETRY_BACKOFF_S if backoff_s is None else backoff_s,
-        backoff_cap_s=_RETRY_BACKOFF_CAP_S, heartbeat_poll_s=_POLL_INTERVAL_S,
+    knobs = {"max_attempts": max_attempts, "gather_timeout_s": gather_timeout_s,
+             "backoff_s": backoff_s}
+    policy = replace(
+        current().resilience,
+        **{name: value for name, value in knobs.items() if value is not None},
     )
     bump_settings_epoch()
     try:
-        with resilience_scope(policy):
+        with scope(resilience=policy):
             yield
     finally:
         _SHARD_FAN_OUT, _SHARD_MIN_ROWS = previous
         bump_settings_epoch()
 
 
-@contextmanager
 def resilience_scope(config: ResilienceConfig):
-    """Run the ``with`` body under *config*'s resilience policy.
-
-    The one setter of the resilience knobs: a session opened with
-    ``connect(resilience=...)`` enters it around each statement, and
-    ``shard_config(...)``'s resilience arguments are a view of it.  Nested
-    scopes restore in order, so an enclosing scope governs again on exit.
-    """
-    global _SHARD_MAX_ATTEMPTS, _GATHER_TIMEOUT_S, _RETRY_BACKOFF_S
-    global _RETRY_BACKOFF_CAP_S, _POLL_INTERVAL_S
-    previous = (_SHARD_MAX_ATTEMPTS, _GATHER_TIMEOUT_S, _RETRY_BACKOFF_S,
-                _RETRY_BACKOFF_CAP_S, _POLL_INTERVAL_S)
-    _SHARD_MAX_ATTEMPTS = max(1, config.max_attempts)
-    _GATHER_TIMEOUT_S = config.gather_timeout_s
-    _RETRY_BACKOFF_S = config.backoff_s
-    _RETRY_BACKOFF_CAP_S = config.backoff_cap_s
-    _POLL_INTERVAL_S = config.heartbeat_poll_s
-    try:
-        yield
-    finally:
-        (_SHARD_MAX_ATTEMPTS, _GATHER_TIMEOUT_S, _RETRY_BACKOFF_S,
-         _RETRY_BACKOFF_CAP_S, _POLL_INTERVAL_S) = previous
+    """Run the ``with`` body under *config*'s resilience policy."""
+    return scope(resilience=config)
 
 
 class ShardExecutionError(RuntimeError):
@@ -246,40 +216,6 @@ class ShardExecutionError(RuntimeError):
     def __init__(self, message: str, attempts: int = 1) -> None:
         super().__init__(message)
         self.attempts = attempts
-
-
-# -- resilience telemetry --------------------------------------------------------------
-
-
-@dataclass
-class ResilienceCounters:
-    """Process-wide counters of the resilient execution layer.
-
-    Sessions snapshot these at construction and report per-session deltas in
-    ``SessionStats``; the resilience suite asserts on the deltas directly.
-    """
-
-    #: Sharded attempts that were retried after a failure.
-    shard_retries: int = 0
-    #: Worker processes individually replaced by the supervisor.
-    worker_replacements: int = 0
-    #: Queries that exhausted the sharded retry budget and ran serially.
-    shard_degradations: int = 0
-    #: Shared-memory segments the close/atexit audit had to reclaim.
-    segments_reclaimed: int = 0
-    #: Unexpected (non-shutdown-race) errors swallowed during pool teardown.
-    teardown_errors: int = 0
-
-    def snapshot(self) -> "ResilienceCounters":
-        return dataclass_replace(self)
-
-
-_COUNTERS = ResilienceCounters()
-
-
-def resilience_counters() -> ResilienceCounters:
-    """The live process-wide counters (mutable; snapshot to compare)."""
-    return _COUNTERS
 
 
 # -- the planner-recorded decision -----------------------------------------------------
@@ -370,7 +306,8 @@ def derive_shard_decision(path, query: Query) -> ShardDecision:
         return ShardDecision(
             table=getattr(table, "name", "?"), fan_out=fan_out, bounds=bounds,
             sharded=sharded, reason=reason, query=query,
-            max_attempts=_SHARD_MAX_ATTEMPTS, predicted_ms=predicted_ms,
+            max_attempts=current().resilience.max_attempts,
+            predicted_ms=predicted_ms,
         )
 
     if not shard_execution_enabled():
@@ -458,7 +395,7 @@ def _unlink_segment(shm) -> None:
     except FileNotFoundError:
         return
     except OSError as error:
-        _COUNTERS.teardown_errors += 1
+        current().counters.teardown_errors += 1
         _LOGGER.warning("unexpected error unlinking segment %s: %r",
                         shm.name, error)
         return
@@ -473,8 +410,8 @@ def audit_shared_segments(reclaim: bool = True) -> Tuple[List[str], List[str]]:
     owned by a live pool are not audited.  With *reclaim* (the default),
     leaked segments are force-unlinked — a worker death mid-publish must not
     leave ``/dev/shm`` litter behind — and counted in
-    :attr:`ResilienceCounters.segments_reclaimed`.  Audited entries leave
-    the ledger, so repeated audits (close + atexit) stay clean.
+    ``EngineCounters.segments_reclaimed`` of the current context.  Audited
+    entries leave the ledger, so repeated audits (close + atexit) stay clean.
     """
     live = set()
     if _POOL is not None:
@@ -492,7 +429,7 @@ def audit_shared_segments(reclaim: bool = True) -> Tuple[List[str], List[str]]:
                     stray = shared_memory.SharedMemory(name=name)
                 except FileNotFoundError:
                     continue  # never landed on disk: created, then died early
-                _COUNTERS.segments_reclaimed += 1
+                current().counters.segments_reclaimed += 1
                 try:
                     stray.close()
                     stray.unlink()
@@ -702,7 +639,7 @@ def _teardown(action: str, step) -> None:
     """Run one teardown *step*, distinguishing races from real errors.
 
     Expected shutdown races pass silently; anything else is logged and
-    counted in :attr:`ResilienceCounters.teardown_errors` — never raised,
+    counted in ``EngineCounters.teardown_errors`` — never raised,
     teardown must always complete, but never silently swallowed either.
     """
     try:
@@ -710,7 +647,7 @@ def _teardown(action: str, step) -> None:
     except _EXPECTED_TEARDOWN_ERRORS:
         pass
     except Exception as error:
-        _COUNTERS.teardown_errors += 1
+        current().counters.teardown_errors += 1
         _LOGGER.warning("unexpected error during %s: %r", action, error)
 
 
@@ -782,7 +719,7 @@ class ShardWorkerPool:
         self._reap(*self._workers[index], grace_s=0.0)
         self._workers[index] = self._spawn_worker()
         self._shipped[index] = set()
-        _COUNTERS.worker_replacements += 1
+        current().counters.worker_replacements += 1
 
     def repair(self) -> int:
         """Replace every dead worker; returns how many were replaced."""
@@ -805,7 +742,7 @@ class ShardWorkerPool:
         bit damage between the two surfaces as a typed shard error and
         walks the degradation ladder.
         """
-        verify = verify_on_attach_enabled()
+        verify = integrity_enabled()
         specs: Dict[str, Tuple[str, int, Optional[Tuple[int, ...]]]] = {}
         for name in names:
             key = (namespace, name)
@@ -882,7 +819,7 @@ class ShardWorkerPool:
         return ship
 
     def run(self, tasks: Sequence[Dict[str, Any]],
-            timeout_s: Optional[float] = None) -> Dict[int, Dict[str, Any]]:
+            timeout_s: float) -> Dict[int, Dict[str, Any]]:
         """Scatter *tasks* (each pre-assigned a worker) and gather by id.
 
         The gather loop polls: every :data:`_POLL_INTERVAL_S` it checks the
@@ -894,8 +831,6 @@ class ShardWorkerPool:
         attempt cannot satisfy — or corrupt — a later gather.
         """
         run_id = next(self._run_ids)
-        if timeout_s is None:
-            timeout_s = _GATHER_TIMEOUT_S
         outstanding: Dict[int, int] = {}
         for task in tasks:
             index = task["worker"]
@@ -1035,8 +970,8 @@ def _backoff_delay(attempt: int) -> float:
     concurrent sessions from synchronising; drawing it from a seeded RNG
     keeps runs reproducible.
     """
-    base = min(_RETRY_BACKOFF_CAP_S, _RETRY_BACKOFF_S * (2.0 ** (attempt - 1)))
-    return base * (0.5 + 0.5 * _BACKOFF_RNG.random())
+    base = current().resilience.backoff_s * (2.0 ** (attempt - 1))
+    return min(_RETRY_BACKOFF_CAP_S, base) * (0.5 + 0.5 * _BACKOFF_RNG.random())
 
 
 def _inject_process_faults(tasks: List[Dict[str, Any]]) -> None:
@@ -1075,12 +1010,12 @@ def _scatter_gather(backend: ColumnStoreTable, query: Query,
     epoch = backend.zone_epoch
     num_rows = decision.bounds[-1][1] if decision.bounds else 0
     timeout_s = gather_timeout_for(num_rows)
-    attempts = max(1, _SHARD_MAX_ATTEMPTS)
+    attempts = max(1, current().resilience.max_attempts)
     last_error: Optional[ShardExecutionError] = None
     for attempt in range(1, attempts + 1):
         deadline_check()
         if attempt > 1:
-            _COUNTERS.shard_retries += 1
+            current().counters.shard_retries += 1
             pool.repair()
             pool.invalidate_namespace(namespace)
             time.sleep(min(_backoff_delay(attempt - 1),
@@ -1122,7 +1057,7 @@ def _scatter_gather(backend: ColumnStoreTable, query: Query,
 def _record_degradation(accountant: CostAccountant, table_name: str,
                         reason: str, attempts: int) -> None:
     """Count and describe one walk down the ladder to the serial rung."""
-    _COUNTERS.shard_degradations += 1
+    current().counters.shard_degradations += 1
     retry = f"retry x{attempts - 1} -> " if attempts > 1 else ""
     accountant.record_degradation(
         table_name, f"shard-parallel -> {retry}serial ({reason})"

@@ -16,7 +16,7 @@ import pytest
 from repro.api import connect, recover
 from repro.config import DurabilityConfig
 from repro.engine import DataType, Store, TableSchema
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, WalError
 
 SCHEMA = TableSchema.build(
     "t",
@@ -74,6 +74,19 @@ class TestClose:
         session = populated_session()
         session.close()
         assert session.database.table_names() == ["t"]
+
+    def test_dml_after_close_is_refused_before_it_mutates(self, tmp_path):
+        """Memory never runs ahead of a closed log; reads keep working."""
+        session = populated_session(wal_path=str(tmp_path / "db.wal"))
+        session.close()
+        for statement in ("INSERT INTO t (id, v) VALUES (100, 'late')",
+                          "UPDATE t SET v = 'x' WHERE id = 1",
+                          "DELETE FROM t WHERE id = 2"):
+            with pytest.raises(WalError, match="write-ahead log is closed"):
+                session.sql(statement)
+        rows = session.sql("SELECT id, v FROM t").rows
+        assert sorted(row["id"] for row in rows) == list(range(6))
+        assert {row["v"] for row in rows} == {f"v{i}" for i in range(6)}
 
 
 class TestFailedStatementHygiene:

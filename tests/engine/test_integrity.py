@@ -32,6 +32,7 @@ The contracts pinned here:
 
 import pickle
 import zlib
+from copy import copy
 
 import numpy as np
 import pytest
@@ -42,10 +43,10 @@ from repro.config import IntegrityConfig
 from repro.engine.compression import ColumnDictionary
 from repro.engine.integrity import (
     codes_checksum,
-    integrity_counters,
     integrity_disabled,
     unit_checksum,
 )
+from repro.engine.context import current
 from repro.engine.database import HybridDatabase
 from repro.engine.partitioning import (
     HorizontalPartitionSpec,
@@ -55,7 +56,6 @@ from repro.engine.partitioning import (
 from repro.engine.schema import Column, TableSchema
 from repro.engine.shard import (
     audit_shared_segments,
-    resilience_counters,
     shard_config,
     shard_execution_disabled,
     shutdown_worker_pool,
@@ -273,10 +273,10 @@ def test_scrub_detects_reports_and_rereports():
     assert unit.table == "ledger" and unit.partition is None
     assert "checksum mismatch" in unit.reason
     # A second scrub re-reports the quarantined unit without double counting.
-    counters = integrity_counters().snapshot()
+    counters = copy(current().counters)
     again = session.verify_integrity()
     assert [unit.column for unit in again.corrupt] == ["account"]
-    assert integrity_counters().units_quarantined == counters.units_quarantined
+    assert current().counters.units_quarantined == counters.units_quarantined
     session.close()
 
 
@@ -454,7 +454,7 @@ def test_shm_flip_caught_by_checksum_and_healed_by_retry(_pool_cleanup):
     )
     with shard_execution_disabled():
         reference = database.execute(query)
-    counters = resilience_counters().snapshot()
+    counters = copy(current().counters)
     with shard_config(**SHARD_FAST):
         with inject(FaultPlan(crash_at="shard.shm.bit_flip")):
             result = database.execute(query)
@@ -462,7 +462,7 @@ def test_shm_flip_caught_by_checksum_and_healed_by_retry(_pool_cleanup):
     assert result.cost.components == reference.cost.components
     assert result.shard_stats["ledger"][0] == 4  # healed, still sharded
     assert not result.degradations
-    assert resilience_counters().shard_retries == counters.shard_retries + 1
+    assert current().counters.shard_retries == counters.shard_retries + 1
 
 
 def test_persistent_shm_flip_degrades_via_checksum_mismatch(_pool_cleanup):
@@ -493,7 +493,7 @@ def _flip_in_shard(database, flip_byte, every_hit):
     )
     with shard_execution_disabled():
         reference = database.execute(query)
-    counters = resilience_counters().snapshot()
+    counters = copy(current().counters)
     with shard_config(**SHARD_FAST):
         plan = FaultPlan(crash_at="shard.shm.bit_flip", flip_byte=flip_byte,
                          every_hit=every_hit)
@@ -502,7 +502,7 @@ def _flip_in_shard(database, flip_byte, every_hit):
     # Whatever the ladder did, rows and charges match the serial reference.
     assert sorted(map(repr, result.rows)) == sorted(map(repr, reference.rows))
     assert result.cost.components == reference.cost.components
-    assert resilience_counters().shard_retries == counters.shard_retries + 1
+    assert current().counters.shard_retries == counters.shard_retries + 1
     return result
 
 

@@ -25,11 +25,13 @@ The resilience fuzzer and its satellites.  The contracts pinned here:
 """
 
 import time
+from copy import copy
 
 import pytest
 
 from repro.config import ResilienceConfig
 from repro.engine import shard as shard_module
+from repro.engine.context import current
 from repro.engine.database import HybridDatabase
 from repro.engine.matview import matview_disabled
 from repro.engine.schema import Column, TableSchema
@@ -37,7 +39,6 @@ from repro.engine.shard import (
     audit_shared_segments,
     gather_timeout_for,
     get_worker_pool,
-    resilience_counters,
     shard_config,
     shard_execution_disabled,
     shutdown_worker_pool,
@@ -136,7 +137,7 @@ def test_one_shot_fault_heals_by_retry(fault, query_factory):
     query = query_factory()
     with shard_execution_disabled():
         reference = database.execute(query)
-    counters = resilience_counters().snapshot()
+    counters = copy(current().counters)
     with shard_config(**FAST):
         with inject(FaultPlan(crash_at=fault)):
             result = database.execute(query)
@@ -145,7 +146,7 @@ def test_one_shot_fault_heals_by_retry(fault, query_factory):
     # The retry re-ran the scatter — the query really executed sharded.
     assert result.shard_stats["metrics"][0] == 4
     assert not result.degradations
-    live = resilience_counters()
+    live = current().counters
     assert live.shard_retries == counters.shard_retries + 1
     assert live.shard_degradations == counters.shard_degradations
     # The pool healed in place: alive, and the next query runs sharded too.
@@ -163,7 +164,7 @@ def test_persistent_fault_degrades_to_serial(fault):
     query = grouped_query()
     with shard_execution_disabled():
         reference = database.execute(query)
-    counters = resilience_counters().snapshot()
+    counters = copy(current().counters)
     with shard_config(**FAST):
         with inject(FaultPlan(crash_at=fault, every_hit=True)):
             result = database.execute(query)
@@ -174,7 +175,7 @@ def test_persistent_fault_degrades_to_serial(fault):
     assert not result.shard_stats
     ladder = result.degradations["metrics"]
     assert ladder.startswith("shard-parallel -> retry x1 -> serial")
-    live = resilience_counters()
+    live = current().counters
     assert live.shard_degradations == counters.shard_degradations + 1
     assert live.shard_retries == counters.shard_retries + 1
     # Self-healed: with the fault gone the same pool shards again.
@@ -208,14 +209,14 @@ def test_worker_replacement_is_individual(start_method):
     with shard_config(min_rows=1, gather_timeout_s=15.0, backoff_s=0.005):
         shutdown_worker_pool()
         pool = get_worker_pool(start_method)
-        before = resilience_counters().worker_replacements
+        before = current().counters.worker_replacements
         pids = pool.worker_pids()
         with inject(FaultPlan(crash_at="shard.worker.kill")):
             result = database.execute(grouped_query())
     assert result.shard_stats
     assert shard_module._POOL is pool  # never torn down wholesale
     assert pool.alive()
-    assert resilience_counters().worker_replacements == before + 1
+    assert current().counters.worker_replacements == before + 1
     # Exactly one crew member changed.
     replaced = sum(1 for old, new in zip(pids, pool.worker_pids()) if old != new)
     assert replaced == 1
@@ -245,11 +246,11 @@ def test_audit_reports_and_reclaims():
 
 def test_teardown_distinguishes_races_from_real_errors():
     """Expected shutdown races stay silent; real errors are counted."""
-    before = resilience_counters().teardown_errors
+    before = current().counters.teardown_errors
     shard_module._teardown("race", lambda: (_ for _ in ()).throw(ValueError()))
-    assert resilience_counters().teardown_errors == before
+    assert current().counters.teardown_errors == before
     shard_module._teardown("real", lambda: (_ for _ in ()).throw(RuntimeError()))
-    assert resilience_counters().teardown_errors == before + 1
+    assert current().counters.teardown_errors == before + 1
 
 
 def test_backoff_is_bounded_and_positive():
@@ -259,10 +260,10 @@ def test_backoff_is_bounded_and_positive():
 
 
 def test_gather_timeout_scales_with_rows():
-    assert gather_timeout_for(0) == shard_module._GATHER_TIMEOUT_S
-    assert gather_timeout_for(500_000) == shard_module._GATHER_TIMEOUT_S
+    assert gather_timeout_for(0) == current().resilience.gather_timeout_s
+    assert gather_timeout_for(500_000) == current().resilience.gather_timeout_s
     assert gather_timeout_for(2_000_000) == pytest.approx(
-        2.0 * shard_module._GATHER_TIMEOUT_S
+        2.0 * current().resilience.gather_timeout_s
     )
     with shard_config(gather_timeout_s=10.0):
         assert gather_timeout_for(3_000_000) == pytest.approx(30.0)
@@ -316,7 +317,7 @@ def test_interleaved_sessions_each_obey_their_own_policy():
         assert "retry" not in strict.explain(grouped_query())
         assert "retry x2" in patient.explain(grouped_query())
         # Nothing stays installed between statements, or after close().
-        assert shard_module._SHARD_MAX_ATTEMPTS == ResilienceConfig().max_attempts
+        assert current().resilience.max_attempts == ResilienceConfig().max_attempts
         strict.close()
         patient.close()
 
@@ -325,6 +326,67 @@ def test_interleaved_sessions_each_obey_their_own_policy():
         assert ladder.startswith("shard-parallel -> retry x1 -> serial")
         assert verified > 0
         default.close()
+
+
+def test_interleaved_sessions_count_their_own_events():
+    """A session's counters move for its own statements — nobody else's.
+
+    ``a`` and ``b`` interleave over one worker pool: b's retries, worker
+    replacements and checksum verifications leave all nine of a's engine
+    counters (and the process-default context's) where they were; a's
+    expired deadline is a's timeout only and is disarmed before b's next
+    statement; and the segment a's ``close()`` has to reclaim is a's.
+    """
+    from multiprocessing import shared_memory
+
+    from repro.api import connect
+
+    def open_session():
+        session = connect()
+        session.create_table(SCHEMA, Store.COLUMN)
+        session.load_rows("metrics", make_rows(600))
+        return session
+
+    def engine_counts(session):
+        stats = session.stats()
+        return tuple(getattr(stats, name) for name in (
+            "shard_retries", "shard_worker_replacements", "shard_degradations",
+            "shard_segments_reclaimed", "shard_teardown_errors",
+            "integrity_units_verified", "integrity_corruption_detected",
+            "integrity_units_quarantined", "integrity_units_repaired",
+        ))
+
+    a, b = open_session(), open_session()
+    default_before = copy(current().counters)
+    with shard_config(**FAST):
+        a.execute(grouped_query())
+        a_before = engine_counts(a)
+        with inject(FaultPlan(crash_at="shard.worker.kill")):
+            b.execute(grouped_query())
+        b.verify_integrity()
+        assert engine_counts(a) == a_before
+        b_stats = b.stats()
+        assert b_stats.shard_retries == 1
+        assert b_stats.shard_worker_replacements == 1
+        assert b_stats.integrity_units_verified > a.stats().integrity_units_verified
+
+        with pytest.raises(QueryTimeoutError):
+            a.execute(grouped_query(), timeout=0.0)
+        assert current().deadline is None
+        assert b.execute(grouped_query()).shard_stats  # no deadline leaked into b
+        with pytest.raises(QueryTimeoutError):
+            a.sql("EXPLAIN ANALYZE SELECT count(*) FROM metrics", timeout=0.0)
+        assert (a.stats().query_timeouts, b.stats().query_timeouts) == (2, 0)
+
+    stray = shared_memory.SharedMemory(create=True, size=8)
+    shard_module._SEGMENT_LEDGER[stray.name] = 0  # published, never unlinked
+    a.close()
+    stray.close()
+    assert a.stats().shard_segments_reclaimed == 1
+    b.close()
+    assert b.stats().shard_segments_reclaimed == 0
+    # Sessions did all of it: the process-default counters never moved.
+    assert current().counters == default_before
 
 
 # -- deadlines and cancellation --------------------------------------------------------
@@ -376,6 +438,24 @@ def test_zero_timeout_cancels_serial_queries_too():
     with pytest.raises(QueryTimeoutError):
         session.execute(grouped_query(), timeout=0.0)
     assert session.stats().query_timeouts == 1
+    session.close()
+
+
+def test_explain_analyze_obeys_the_deadline():
+    """``EXPLAIN ANALYZE`` executes, so *timeout* must reach that execution."""
+    session = _session_with_data(200)
+    statement = "SELECT count(*) FROM metrics"
+    assert session.sql("EXPLAIN ANALYZE " + statement, timeout=5.0).rows
+    executed = session.stats().queries_executed
+    with pytest.raises(QueryTimeoutError):
+        session.sql("EXPLAIN ANALYZE " + statement, timeout=0.0)
+    with pytest.raises(QueryTimeoutError):
+        session.explain(statement, analyze=True, timeout=0.0)
+    stats = session.stats()
+    assert stats.query_timeouts == 2
+    assert stats.queries_executed == executed  # nothing recorded
+    # Plain EXPLAIN executes nothing, so there is nothing to cancel.
+    assert session.sql("EXPLAIN " + statement, timeout=0.0).rows
     session.close()
 
 
