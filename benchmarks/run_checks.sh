@@ -27,7 +27,13 @@
 #                `global` statement shows up under src/repro/engine outside
 #                the three modules that own process-wide state by nature
 #                (toggle.py: the settings epoch; context.py: the current
-#                context; shard.py: the pool and the two planner knobs).
+#                context; shard.py: the pool and the two planner knobs);
+#                and if the view subsystem's second executor (per-unit
+#                partials, its own collect/recompute) or the shard-key advice
+#                the engine cannot apply reappears, src/repro/api/ builds a
+#                CostAccountant by hand, or engine/matview.py imports the
+#                executor's internals (a view may call the executor, never
+#                be one).
 #   fuzz       — the seeded differentials: every fast path vs its toggled
 #                reference, on rows, CostBreakdown totals and charge order.
 #   faults / resilience / integrity — crash points, process faults and
@@ -68,7 +74,7 @@ python -m pytest -m matview -q tests benchmarks
 echo "== shard: scatter/gather differential + projection gates =="
 python -m pytest -m shard -q tests benchmarks
 
-echo "== ledger: one home per charge, one prunable unit, one execution context =="
+echo "== ledger: one home per charge, one prunable unit, one execution context, one executor =="
 deleted='compile_code_leaves|_DRY_MASK|charge_column_scan|_charge_pruned_main_update|_charge_main_positions|validate_assignments|_answers_from_index'
 if grep -rnE --include='*.py' "$deleted" src/; then
     echo "ledger: a deleted charge twin is back (see above)"; exit 1
@@ -92,6 +98,17 @@ fi
 if grep -rnE --include='*.py' '^\s*global ' src/repro/engine \
         | grep -vE '^src/repro/engine/(toggle\.py:.*global _SETTINGS_EPOCH|context\.py:.*global _CURRENT|shard\.py:.*global (_POOL|_SHARD_FAN_OUT, _SHARD_MIN_ROWS))$'; then
     echo "ledger: a new scoped module global under src/repro/engine (see above) — put it on ExecutionContext"; exit 1
+fi
+deleted='_unit_partials|_collect_unit|_recompute_full|REFRESH_INCREMENTAL|units_reused|units_recomputed|recommend_shard_keys|ShardKeyRecommendation|matview\.refresh\.after_unit'
+if grep -rnE --include='*.py' "$deleted" src/; then
+    echo "ledger: the view subsystem's second executor or the shard-key advice is back (see above)"; exit 1
+fi
+if grep -rnE --include='*.py' 'CostAccountant\(' src/repro/api/; then
+    echo "ledger: the api layer bills by hand (see above) — bills are assembled under src/repro/engine"; exit 1
+fi
+if grep -nE '^\s*(from|import) +repro\.engine\.executor\.(aggregates|rewrite|access|agg_pushdown)\b' \
+        src/repro/engine/matview.py; then
+    echo "ledger: matview.py imports executor internals (see above) — a view may call the executor, never be one"; exit 1
 fi
 echo "ledger clean."
 

@@ -68,8 +68,9 @@ def render_plan(plan: PhysicalPlan, actual: Optional[QueryResult] = None) -> str
             lines.append(f"    {table:<22}{main_rows:>4} / {delta_rows}")
     if actual is not None and actual.view_hits:
         # Materialized-view telemetry: the query was answered from the named
-        # view — after a refresh when the view had gone stale (the refresh
-        # cost is part of the actual cost above; stale rows never serve).
+        # view — after re-executing it when the view had gone stale (stale
+        # rows never serve): that execution's bill is in the actual cost
+        # above, and its pruning / pushdown / shard blocks render as usual.
         lines.append("  materialized view:")
         for view in sorted(actual.view_hits):
             lines.append(f"    {view:<22}{actual.view_hits[view]}")

@@ -52,11 +52,10 @@ from repro.core.advisor.advisor import StorageAdvisor
 from repro.core.advisor.recommendation import Recommendation
 from repro.engine.database import HybridDatabase, WorkloadRunResult
 from repro.engine.matview import (
-    REFRESH_INCREMENTAL,
+    REFRESH_NOOP,
     MaterializedView,
     RefreshResult,
     matview_enabled,
-    view_serve_bytes,
 )
 from repro.engine.context import EngineCounters, scope
 from repro.engine.integrity import IntegrityReport, scrub
@@ -66,7 +65,7 @@ from repro.engine.executor.executor import QueryResult
 from repro.engine.partitioning import TablePartitioning
 from repro.engine.schema import TableSchema
 from repro.engine.statistics import TableStatistics
-from repro.engine.timing import CostAccountant, CostBreakdown
+from repro.engine.timing import CostBreakdown
 from repro.engine.types import Store
 from repro.errors import BindError, CatalogError, QueryTimeoutError, WalError
 from repro.query.ast import Parameter, Query
@@ -103,9 +102,11 @@ class SessionStats:
     #: Plans that recorded a view rewrite but fell back to base-table
     #: execution (views disabled, view dropped, defining-query mismatch).
     view_rewrite_misses: int = 0
-    #: Serve-time refreshes that merged cached unit partials.
+    #: Always 0: no refresh is incremental any more.  Kept (never written)
+    #: only because the frozen ``benchmarks/e2e`` harness reads it; goes at
+    #: the harness re-baseline (ROADMAP item 6).
     view_incremental_refreshes: int = 0
-    #: Serve-time refreshes that recomputed from scratch (incl. initial).
+    #: Serves that found the view stale and re-executed its query first.
     view_full_refreshes: int = 0
     #: Sharded attempts retried after a failure (resilience layer).
     shard_retries: int = 0
@@ -198,7 +199,6 @@ class Session:
         self._prepared_statements = 0
         self._view_rewrite_hits = 0
         self._view_rewrite_misses = 0
-        self._view_incremental_refreshes = 0
         self._view_full_refreshes = 0
         self._query_timeouts = 0
         self._closed = False
@@ -353,11 +353,12 @@ class Session:
         """Answer *bound* from the plan's materialized view, if possible.
 
         ``None`` falls back to base-table execution.  A stale view is
-        refreshed first — incrementally when the partial-merge contract
-        allows, from scratch otherwise — and the refresh cost is charged to
-        this query's :class:`CostBreakdown`: freshness is never traded for
-        speed, the rewrite only amortizes the recompute across the recurring
-        executions that *don't* follow a write.
+        refreshed first — its query executes through this plan's own paths,
+        exactly as the statement would with views off — and the result
+        carries that execution's bill and telemetry plus the ``view_scan``:
+        freshness is never traded for speed, the rewrite only amortizes the
+        recompute across the recurring executions that *don't* follow a
+        write.
         """
         rewrite = plan.view_rewrite
         if rewrite is None:
@@ -377,31 +378,11 @@ class Session:
             # question than the one being asked.
             self._view_rewrite_misses += 1
             return None
-        table_object = database.table_object(view.table)
-        accountant = CostAccountant(database.device)
-        accountant.charge_query_overhead()
-        served = "served"
-        if not view.is_fresh(table_object):
-            refresh = view.refresh(table_object, database.device)
-            if refresh.kind == REFRESH_INCREMENTAL:
-                self._view_incremental_refreshes += 1
-            else:
-                self._view_full_refreshes += 1
-            accountant.breakdown.merge(refresh.cost)
-            served = f"served after {refresh.kind} refresh"
-        accountant.charge_ns(
-            "view_scan",
-            database.device.sequential_read(
-                view_serve_bytes(view.num_rows, view.query)
-            ),
-        )
+        refresh = database.materialize(view, plan.paths)
+        if refresh.kind != REFRESH_NOOP:
+            self._view_full_refreshes += 1
         self._view_rewrite_hits += 1
-        return QueryResult(
-            rows=[dict(row) for row in view.result_rows],
-            affected_rows=0,
-            cost=accountant.breakdown,
-            view_hits={view.name: served},
-        )
+        return view.serve(database.device, refresh)
 
     def sql(self, statement: str, params: Params = None,
             timeout: Optional[float] = None) -> QueryResult:
@@ -488,13 +469,6 @@ class Session:
             self.database, workload, include_partitioning=include_partitioning
         )
 
-    def recommend_shard_keys(self, workload: Workload, fan_out=None,
-                             assignment=None):
-        """Per-table shard-key recommendations (see the advisor's docstring)."""
-        return self._advisor.recommend_shard_keys(
-            self.database, workload, fan_out=fan_out, assignment=assignment
-        )
-
     def recommend_views(self, workload: Workload, min_occurrences: int = 2):
         """Materialized views worth creating for *workload*'s recurring shapes.
 
@@ -541,7 +515,6 @@ class Session:
             estimate_memo_misses=memo.misses,
             view_rewrite_hits=self._view_rewrite_hits,
             view_rewrite_misses=self._view_rewrite_misses,
-            view_incremental_refreshes=self._view_incremental_refreshes,
             view_full_refreshes=self._view_full_refreshes,
             shard_retries=counters.shard_retries,
             shard_worker_replacements=counters.worker_replacements,

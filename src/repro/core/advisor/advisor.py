@@ -24,39 +24,23 @@ from repro.core.advisor.ddl import apply_recommendation, statements_for_layout
 from repro.core.advisor.partition_advisor import PartitionAdvisor, PartitioningDecision
 from repro.core.advisor.recommendation import (
     Recommendation,
-    ShardKeyRecommendation,
     StorageLayout,
     TableRecommendation,
     ViewRecommendation,
 )
 from repro.core.advisor.table_level import TableLevelAdvisor
 from repro.core.cost_model.calibration import CalibrationReport, CostModelCalibrator
-from repro.core.cost_model.estimator import (
-    CostContribution,
-    TableProfile,
-    query_contributions,
-)
+from repro.core.cost_model.estimator import TableProfile
 from repro.core.cost_model.model import CostModel
 from repro.engine.database import HybridDatabase
-from repro.engine.matview import view_serve_bytes
+from repro.engine.matview import view_serve_cost
 from repro.engine.schema import TableSchema
-from repro.engine.shard import shard_fan_out, shard_gate
 from repro.engine.statistics import TableStatistics
 from repro.engine.timing import CostBreakdown, DeviceModel
 from repro.engine.types import Store
 from repro.errors import AdvisorError
-from repro.query.ast import AggregationQuery, SelectQuery, split_qualified
+from repro.query.ast import AggregationQuery, split_qualified
 from repro.query.workload import Workload
-
-#: Estimator terms a shard crew divides among itself (each worker touches
-#: ``1/fan_out`` of the rows and bytes).  Everything else — per-query
-#: overheads, index probes, join build/probe work, conversions — stays
-#: serial in the parent.
-_SHARDABLE_TERMS = frozenset({
-    "row_scan_bytes", "column_scan_bytes", "pred_evals", "vector_compares",
-    "decodes", "reconstructions", "agg_updates", "random_fetches",
-})
-
 
 class StorageAdvisor:
     """Recommends the storage layout of a hybrid-store database."""
@@ -188,97 +172,6 @@ class StorageAdvisor:
         recommendation.ddl_statements = statements_for_layout(layout)
         return recommendation
 
-    # -- shard-key recommendation -----------------------------------------------------------------
-
-    def recommend_shard_keys(
-        self,
-        database: HybridDatabase,
-        workload: Workload,
-        fan_out: Optional[int] = None,
-        assignment: Optional[Mapping[str, Store]] = None,
-    ) -> Dict[str, ShardKeyRecommendation]:
-        """Recommend a shard key (and fan-out) per shard-eligible table.
-
-        The what-if reuses the store decision's machinery: each candidate
-        key reprices the workload's :func:`query_contributions` with the
-        crew-divisible terms scaled by ``1/fan_out`` — ``group_rows``
-        additionally shrinks only when the shard key aligns with a query's
-        grouping (aligned shards keep their group state disjoint) — plus the
-        device's dispatch overhead.  Results are memoized in the shared
-        :class:`~repro.core.cost_model.memo.EstimateMemo` under keys composed
-        from :meth:`CostModel.estimate_key`, so repeated advising is served
-        from cache and every invalidation rule (parameters, statistics)
-        carries over.  *assignment* fixes per-table stores (e.g. from a
-        prior :meth:`recommend`); only column-store tables are considered,
-        and of their queries only those the engine's own
-        :func:`~repro.engine.shard.shard_gate` would scatter — the what-if
-        never prices a sharded execution the planner would decline.
-        """
-        if len(workload) == 0:
-            raise AdvisorError("cannot recommend shard keys for an empty workload")
-        fan_out = fan_out or shard_fan_out()
-        database.refresh_statistics()
-        profiles = self.cost_model.profiles_from_catalog(database.catalog)
-        stores = dict(assignment or {})
-        device = DeviceModel(self.device_config)
-        dispatch_ms = device.shard_dispatch(fan_out) / 1e6
-        recommendations: Dict[str, ShardKeyRecommendation] = {}
-        for table in workload.tables():
-            profile = profiles.get(table)
-            if profile is None:
-                continue
-            if stores.get(table, Store.COLUMN) is not Store.COLUMN:
-                continue
-            queries = [
-                query for query in workload.queries_for_table(table)
-                if query.table == table and self._shardable_query(query)
-                and shard_gate(query, profile.num_rows,
-                               profile.statistics.columns)[0]
-            ]
-            if not queries:
-                continue
-            candidates = self._shard_key_candidates(table, queries, profile)
-            best_key, best_serial, best_sharded = None, 0.0, float("inf")
-            for candidate in candidates:
-                serial_ms = sharded_ms = 0.0
-                for query in queries:
-                    serial, sharded = self._shard_whatif(
-                        query, table, candidate, fan_out,
-                        stores, profiles, dispatch_ms,
-                    )
-                    serial_ms += serial
-                    sharded_ms += sharded
-                # Ties favour plain row ranges (candidates start with None).
-                if sharded_ms < best_sharded:
-                    best_key, best_serial, best_sharded = (
-                        candidate, serial_ms, sharded_ms
-                    )
-            if best_sharded >= best_serial:
-                continue  # dispatch overhead eats the gain: stay serial
-            if best_key is None:
-                reason = "row-range shards"
-            else:
-                reason = f"aligns with group-by on {best_key!r}"
-            recommendations[table] = ShardKeyRecommendation(
-                table=table, shard_key=best_key, fan_out=fan_out,
-                estimated_serial_ms=best_serial,
-                estimated_sharded_ms=best_sharded, reason=reason,
-                whatif_plan=self._hypothetical_plan(database, queries[0]),
-            )
-        return recommendations
-
-    def _hypothetical_plan(self, database: HybridDatabase, query):
-        """A renderable :class:`~repro.api.plan.PhysicalPlan` of *query*.
-
-        What-if output used to be cost scalars only; recommendations now
-        carry the representative query's physical plan so their ``explain()``
-        renders through the same renderer as ``EXPLAIN``.  Imported lazily:
-        the api layer depends on the advisor, not the other way around.
-        """
-        from repro.api.plan import Planner
-
-        return Planner(database, lambda: self.cost_model).plan(query)
-
     # -- materialized-view recommendation ---------------------------------------------------------
 
     def recommend_views(
@@ -342,10 +235,7 @@ class StorageAdvisor:
             if base_key is not None:
                 view_ms = self.cost_model.memo.get(("matview-whatif",) + base_key)
             if view_ms is None:
-                view_ms = (
-                    device.query_overhead()
-                    + device.sequential_read(view_serve_bytes(rows, query))
-                ) / 1e6
+                view_ms = view_serve_cost(device, rows, query).total_ms
                 if base_key is not None:
                     self.cost_model.memo.put(
                         ("matview-whatif",) + base_key, view_ms
@@ -414,73 +304,6 @@ class StorageAdvisor:
             ),
         )
         return base_plan, view_plan
-
-    @staticmethod
-    def _shardable_query(query) -> bool:
-        if isinstance(query, AggregationQuery):
-            return not query.joins
-        if isinstance(query, SelectQuery):
-            return query.predicate is not None
-        return False
-
-    @staticmethod
-    def _shard_key_candidates(table, queries, profile) -> list:
-        """``None`` (row ranges) plus every grouped/filtered base column."""
-        names = set()
-        for query in queries:
-            for name in getattr(query, "group_by", ()):
-                owner, column = split_qualified(name)
-                if owner in (None, table):
-                    names.add(column)
-            if query.predicate is not None:
-                for name in query.predicate.columns():
-                    owner, column = split_qualified(name)
-                    if owner in (None, table):
-                        names.add(column)
-        return [None] + sorted(
-            name for name in names if profile.schema.has_column(name)
-        )
-
-    def _shard_whatif(
-        self, query, table, candidate, fan_out, stores, profiles, dispatch_ms,
-    ) -> "tuple[float, float]":
-        """``(serial_ms, sharded_ms)`` of *query* with *table* sharded on *candidate*."""
-        in_group = candidate is not None and any(
-            split_qualified(name)[1] == candidate
-            and split_qualified(name)[0] in (None, table)
-            for name in getattr(query, "group_by", ())
-        )
-        full_assignment = {
-            name: stores.get(name, Store.COLUMN) for name in query.tables
-        }
-        base_key = self.cost_model.estimate_key(query, full_assignment, profiles)
-        memo_key = None
-        if base_key is not None:
-            memo_key = ("shard-whatif", fan_out, candidate, in_group) + base_key
-            cached = self.cost_model.memo.get(memo_key)
-            if cached is not None:
-                return cached
-        serial_ms = sharded_ms = 0.0
-        for contribution in query_contributions(query, full_assignment, profiles):
-            priced = self.cost_model.price_contribution_ms(contribution)
-            serial_ms += priced
-            if contribution.table != table:
-                sharded_ms += priced  # dimension work stays in the parent
-                continue
-            terms = {}
-            for term, amount in contribution.terms.items():
-                if term in _SHARDABLE_TERMS or (term == "group_rows" and in_group):
-                    amount /= fan_out
-                terms[term] = amount
-            sharded_ms += self.cost_model.price_contribution_ms(
-                CostContribution(contribution.table, contribution.store,
-                                 contribution.query_type, terms)
-            )
-        sharded_ms += dispatch_ms
-        value = (serial_ms, sharded_ms)
-        if memo_key is not None:
-            self.cost_model.memo.put(memo_key, value)
-        return value
 
     # -- table-level only shortcut ----------------------------------------------------------------
 

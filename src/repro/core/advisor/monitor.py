@@ -136,8 +136,12 @@ class OnlineAdvisorMonitor:
     # -- recording --------------------------------------------------------------------
 
     def _on_plan_execution(self, query: Query, plan, result: QueryResult) -> None:
-        self.state.estimated_ms_total += plan.estimated_ms
-        self.state.actual_ms_total += result.runtime_ms
+        # A view-served execution did not run the plan that was estimated
+        # (the estimate prices the base tables, the bill is a view_scan): it
+        # counts as a recurrence, but says nothing about estimate drift.
+        if not result.view_hits:
+            self.state.estimated_ms_total += plan.estimated_ms
+            self.state.actual_ms_total += result.runtime_ms
         self._on_query(query, result)
 
     def _on_query(self, query: Query, result: QueryResult) -> None:

@@ -98,51 +98,6 @@ class TableRecommendation:
 
 
 @dataclass
-class ShardKeyRecommendation:
-    """The advisor's shard-parallelism decision for one table.
-
-    ``shard_key`` is the column whose grouping the shard layout should align
-    with (``None`` = plain row-range shards); the estimates come from the
-    same what-if repricing machinery as the store decision, memoized in the
-    cost model's :class:`~repro.core.cost_model.memo.EstimateMemo`.
-    """
-
-    table: str
-    shard_key: Optional[str]
-    fan_out: int
-    estimated_serial_ms: float
-    estimated_sharded_ms: float
-    reason: str = ""
-    #: The hypothetical :class:`~repro.api.plan.PhysicalPlan` the what-if was
-    #: priced for (the table's representative shardable query), renderable by
-    #: the EXPLAIN renderer via :meth:`explain`.
-    whatif_plan: Optional[object] = None
-
-    @property
-    def estimated_speedup(self) -> float:
-        if self.estimated_sharded_ms <= 0:
-            return 0.0
-        return self.estimated_serial_ms / self.estimated_sharded_ms
-
-    def describe(self) -> str:
-        key = self.shard_key or "row ranges"
-        return (
-            f"{self.table}: shard by {key} x{self.fan_out} "
-            f"(estimated {self.estimated_serial_ms:.2f} ms -> "
-            f"{self.estimated_sharded_ms:.2f} ms)"
-            f"{' - ' + self.reason if self.reason else ''}"
-        )
-
-    def explain(self) -> str:
-        """EXPLAIN rendering of the representative what-if plan."""
-        if self.whatif_plan is None:
-            return self.describe()
-        from repro.api.explain import render_plan
-
-        return render_plan(self.whatif_plan)
-
-
-@dataclass
 class ViewRecommendation:
     """The advisor's proposal to materialize one recurring aggregation.
 

@@ -104,8 +104,8 @@ class Catalog:
     def bump_view_version(self) -> None:
         self._view_version += 1
 
-    def register_view(self, name: str, table: str, fingerprint: str,
-                      query: object = None) -> ViewEntry:
+    def validate_view(self, name: str, table: str, fingerprint: str) -> None:
+        """Raise unless a view of this name and query could be registered."""
         if name in self._views:
             raise CatalogError(f"materialized view {name!r} already exists")
         if not self.has_table(table):
@@ -118,6 +118,10 @@ class Catalog:
                     f"materialized view {other.name!r} already materializes "
                     f"query {fingerprint}"
                 )
+
+    def register_view(self, name: str, table: str, fingerprint: str,
+                      query: object = None) -> ViewEntry:
+        self.validate_view(name, table, fingerprint)
         entry = ViewEntry(name=name, table=table, fingerprint=fingerprint, query=query)
         self._views[name] = entry
         self.bump_view_version()

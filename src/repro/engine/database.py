@@ -105,7 +105,7 @@ class HybridDatabase:
         # through DurabilityConfig at the session layer.
         self.delta_merge_threshold: Optional[int] = None
         # Materialized-view state (definitions live in the catalog; the
-        # materialized partials/rows live here, next to the table objects).
+        # materialized rows live here, next to the table objects).
         # Views are derived state and deliberately NOT WAL-logged: recovery
         # rebuilds base tables, and the first refresh after recovery
         # rematerializes a recreated view from them.
@@ -250,19 +250,35 @@ class HybridDatabase:
     def create_view(self, name: str, query) -> MaterializedView:
         """Create and materialize a view of *query* (an aggregation).
 
-        The defining query is registered in the catalog under its fingerprint
-        — the planner's rewrite key — and the initial refresh materializes the
-        state immediately, so a freshly created view is ready to serve.
+        Validate, execute, and only then register: the defining query runs
+        first, so a view whose first materialization fails (bad column,
+        timeout, corruption) was never in the catalog.  Registration files it
+        under its fingerprint — the planner's rewrite key — ready to serve.
         """
         view = MaterializedView(name, query)
-        if not self.has_table(view.table):
-            raise CatalogError(
-                f"materialized view {name!r}: unknown base table {view.table!r}"
-            )
+        self.catalog.validate_view(name, view.table, view.fingerprint)
+        self.materialize(view)
         self.catalog.register_view(name, view.table, view.fingerprint, query)
         self._views[name] = view
-        view.refresh(self.table_object(view.table), self.device)
         return view
+
+    def materialize(self, view: MaterializedView, paths=None) -> RefreshResult:
+        """Bring *view* up to date by executing its query, if it is stale.
+
+        The one way a view gets its rows: ``create_view``, ``refresh_view``
+        and the session's serve-time refresh all come through here.  *paths*
+        are a plan's pre-resolved access paths (a serve consumes the plan's
+        recorded decisions); without them they are resolved now.  The query
+        goes to the executor directly — a refresh is not a statement of its
+        own: reads are never logged, and execution listeners hear of a serve
+        from the session.
+        """
+        if paths is None:
+            paths = self.resolve_access_paths(view.query)
+        return view.refresh(
+            self.table_object(view.table),
+            lambda query: self._executor.execute_with_paths(query, paths),
+        )
 
     def drop_view(self, name: str) -> None:
         self.catalog.drop_view(name)
@@ -302,11 +318,10 @@ class HybridDatabase:
         Bumps the view-catalog version: cached plans may have been built
         while the view was stale, and an explicit refresh is a user-visible
         catalog event like CREATE/DROP.  (The session's serve-time refresh
-        goes through :meth:`MaterializedView.refresh` directly and does not
-        bump — serving is not DDL.)
+        calls :meth:`materialize` directly and does not bump — serving is
+        not DDL.)
         """
-        view = self.view(name)
-        result = view.refresh(self.table_object(view.table), self.device)
+        result = self.materialize(self.view(name))
         self.catalog.bump_view_version()
         return result
 

@@ -7,10 +7,9 @@ of the statement: the deadline is a field of the current
 (:func:`query_deadline` is that call for engine-level callers).  Execution
 is single-threaded, so cancellation is *cooperative*: long-running stages
 call :func:`deadline_check` at natural yield points — the executor before
-each operator, the access paths before each collect, the materialized-view
-refresh before each unit recompute, and (most importantly) the shard gather
-loop, which polls with a short interval so even a wedged worker process is
-abandoned within one poll of the deadline.
+each operator, the access paths before each collect, and (most importantly)
+the shard gather loop, which polls with a short interval so even a wedged
+worker process is abandoned within one poll of the deadline.
 
 The contract on expiry is strict: :class:`~repro.errors.QueryTimeoutError`
 propagates before any :class:`~repro.engine.timing.CostBreakdown` is handed

@@ -168,9 +168,7 @@ def aggregation_scan_columns(
 ) -> "tuple[List[str], List[str]]":
     """Base-table columns an aggregation reads, and which to serve encoded.
 
-    Shared by :func:`execute_aggregation` and the materialized-view refresh so
-    both collect exactly the same columns in the same representation.  The
-    encode set is the group-by keys: the aggregation groups on dictionary
+    The encode set is the group-by keys: the aggregation groups on dictionary
     codes, so the access path serves them interned/encoded where the store
     can.
     """
@@ -202,8 +200,8 @@ def charge_aggregation(
 ) -> None:
     """Bill reducing *num_rows* input rows — the one home of that charge.
 
-    Every tier, the shard gather and the view refresh call it with the row
-    count they reduced: the bill depends on the count, not on who counted.
+    Every tier and the shard gather call it with the row count they
+    reduced: the bill depends on the count, not on who counted.
     """
     accountant.charge_aggregate_updates(num_rows * len(query.aggregates))
     if query.group_by:

@@ -60,14 +60,14 @@ CRASH_POINTS: Tuple[str, ...] = (
     "checkpoint.after_reset",
 )
 
-#: Crash points inside :meth:`MaterializedView.refresh`.  Kept separate from
-#: :data:`CRASH_POINTS` because the recovery fuzzer's WAL workload does not
-#: reach them; the resilience suite covers them instead and pins that a
-#: crash anywhere in a refresh never installs a partial merge — the view
-#: serves its pre-refresh state (or recomputes) on the next query.
+#: Crash points inside :meth:`MaterializedView.refresh`: before the view's
+#: query executes, and after it, before the new rows and tokens install.  Kept
+#: separate from :data:`CRASH_POINTS` because the recovery fuzzer's WAL
+#: workload does not reach them; the resilience suite covers them instead and
+#: pins that a crash at either never installs anything — the view keeps its
+#: pre-refresh state, still stale, and the next query refreshes it again.
 MATVIEW_CRASH_POINTS: Tuple[str, ...] = (
     "matview.refresh.before",
-    "matview.refresh.after_unit",
     "matview.refresh.before_install",
 )
 

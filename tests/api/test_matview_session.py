@@ -1,22 +1,32 @@
 """Materialized views through the session: serving, EXPLAIN, advisor, caching.
 
 The serving contract: a statement whose fingerprint matches a view is
-answered from the materialized rows — after an incremental (or, when
-nothing is reusable, full) refresh if the base table changed — and the
-rewrite is visible in ``EXPLAIN`` / ``EXPLAIN ANALYZE``.  With
-``matview_disabled()`` the same statement takes the base path and charges
-bit-identically to a session that never had views.  Plan-cache keys carry
-the view-catalog version, so creating or dropping a view re-plans cached
-statements instead of silently serving the pre-view plan.
+answered from the materialized rows — after re-executing the view's query
+through the plan's own paths if the base table changed, billed as that
+execution plus one ``view_scan`` — and the rewrite is visible in ``EXPLAIN``
+/ ``EXPLAIN ANALYZE``.  With ``matview_disabled()`` the same statement takes
+the base path and charges bit-identically to a session that never had views.
+Plan-cache keys carry the view-catalog version, so creating or dropping a
+view re-plans cached statements instead of silently serving the pre-view
+plan.
 """
 
 import pytest
 
 from repro.api import connect
 from repro.core import OnlineAdvisorMonitor
-from repro.engine import HorizontalPartitionSpec, Store, TablePartitioning
-from repro.engine.matview import matview_disabled
+from repro.engine import (
+    HorizontalPartitionSpec,
+    Store,
+    TablePartitioning,
+    VerticalPartitionSpec,
+)
+from repro.engine.context import scope
+from repro.engine.matview import REFRESH_NOOP, matview_disabled
+from repro.errors import CatalogError, QueryError, QueryTimeoutError
+from repro.query.builder import aggregate
 from repro.query.predicates import ge
+from repro.testing.faults import FaultPlan, inject
 
 pytestmark = pytest.mark.matview
 
@@ -67,6 +77,49 @@ class TestViewServing:
         assert set(result.cost.components) == {"query_overhead", "view_scan"}
 
 
+def _partition_both_ways(session):
+    session.apply_partitioning(
+        "sales",
+        TablePartitioning(
+            horizontal=HorizontalPartitionSpec(predicate=ge("id", 900)),
+            vertical=VerticalPartitionSpec(
+                row_store_columns=("status", "product"),
+                column_store_columns=("region", "revenue", "quantity"),
+            ),
+        ),
+    )
+
+
+@pytest.mark.parametrize("layout", ["row", "column", "partitioned"])
+def test_stale_serve_bills_the_base_query_plus_one_view_scan(
+        database_factory, layout):
+    """The bill has one home: a stale serve is the statement's own execution.
+
+    Component for component, ``cost(stale serve)`` is the cost of the same
+    statement under ``matview_disabled()`` plus exactly one ``view_scan``.
+    """
+    store = Store.ROW if layout == "row" else Store.COLUMN
+    session = connect(database=database_factory(store))
+    if layout == "partitioned":
+        _partition_both_ways(session)
+    session.create_view("mv_sales", SQL)
+    view_scan = session.sql(SQL).cost.components["view_scan"]
+
+    session.sql(INSERT)  # lands in hot on the partitioned layout
+    stale = session.sql(SQL)
+    assert stale.view_hits == {"mv_sales": "served after full refresh"}
+    with matview_disabled():
+        base = session.sql(SQL)
+    expected = dict(base.cost.components)
+    expected["view_scan"] = view_scan
+    assert stale.cost.components == expected
+    if layout == "partitioned":
+        assert "partition_overhead" in expected
+    # ... and it carries that execution's telemetry, like the base run.
+    assert stale.agg_strategies == base.agg_strategies
+    assert stale.scan_stats == base.scan_stats
+
+
 class TestExplainRendering:
     def test_explain_shows_rewrite(self, session):
         session.create_view("mv_sales", SQL)
@@ -79,6 +132,33 @@ class TestExplainRendering:
         assert "materialized view:" in text
         assert "mv_sales" in text
         assert "served" in text
+
+    def test_explain_analyze_of_a_stale_serve_shows_the_refresh(self, session):
+        """A stale serve prints the tier and pruning of the execution it ran."""
+        session.apply_partitioning(
+            "sales",
+            TablePartitioning(
+                horizontal=HorizontalPartitionSpec(predicate=ge("id", 900))
+            ),
+        )
+        session.create_view("mv_sales", SQL)
+        fresh = session.explain(SQL, analyze=True)
+        assert "aggregate pushdown:" not in fresh
+        assert "partitions (scanned/skipped):" not in fresh
+
+        session.sql(INSERT)
+        with matview_disabled():
+            base = session.explain(SQL, analyze=True)
+        stale = session.explain(SQL, analyze=True)
+        assert "served after full refresh" in stale
+
+        def block_of(text, header):
+            lines = text.splitlines()
+            start = lines.index("  " + header)
+            return lines[start:start + 2]
+
+        for header in ("aggregate pushdown:", "partitions (scanned/skipped):"):
+            assert block_of(stale, header) == block_of(base, header)
 
     def test_explain_without_view_is_unchanged(self, session):
         before = session.explain(SQL)
@@ -107,9 +187,9 @@ class TestSessionCounters:
         assert stats.view_full_refreshes == 1
         assert stats.view_incremental_refreshes == 0
 
-    def test_incremental_refresh_on_partitioned_base(self, session):
-        # Inserts route to the hot partition, so the main partials survive
-        # DML and serving refreshes incrementally.
+    def test_hot_only_dml_refreshes_fully_on_partitioned_base(self, session):
+        # Inserts route to the hot partition; the view goes stale all the
+        # same and the next serve re-executes its query.
         session.apply_partitioning(
             "sales",
             TablePartitioning(
@@ -117,15 +197,18 @@ class TestSessionCounters:
             ),
         )
         session.create_view("mv_sales", SQL)
+        assert session.refresh_view("mv_sales").kind == REFRESH_NOOP
         session.sql(INSERT)
+        before = session.stats().view_full_refreshes
         result = session.sql(SQL)
-        assert result.view_hits == {"mv_sales": "served after incremental refresh"}
+        assert result.view_hits == {"mv_sales": "served after full refresh"}
         stats = session.stats()
-        assert stats.view_incremental_refreshes == 1
-        assert stats.view_full_refreshes == 0
+        assert stats.view_full_refreshes == before + 1
+        assert stats.view_incremental_refreshes == 0
         with matview_disabled():
             reference = session.sql(SQL)
         assert sorted_rows(result.rows) == sorted_rows(reference.rows)
+        assert session.sql(SQL).view_hits == {"mv_sales": "served"}
 
 
 class TestPlanCacheInteraction:
@@ -171,6 +254,37 @@ class TestViewDDL:
         assert view.table == "sales"
         session.drop_view("mv_sales")
         assert session.views() == []
+
+    @pytest.mark.parametrize("failure", ["query_error", "timeout"])
+    def test_failed_create_view_registers_nothing(self, session, failure):
+        """Regression: a view whose first materialization fails never existed."""
+        database = session.database
+        catalog = database.catalog
+        version = catalog.view_catalog_version
+        if failure == "query_error":
+            bad = aggregate("sales").sum("no_such_column").build()
+            with pytest.raises(QueryError):
+                database.create_view("mv_bad", bad)
+        else:
+            with scope(0.0), pytest.raises(QueryTimeoutError):
+                database.create_view("mv_bad", session.bind(SQL))
+        assert session.views() == []
+        assert not catalog.has_view("mv_bad")
+        assert catalog.view_catalog_version == version
+        # The name stays reusable.
+        session.create_view("mv_bad", SQL)
+        assert session.sql(SQL).view_hits == {"mv_bad": "served"}
+
+    def test_duplicate_view_is_rejected_before_executing(self, session):
+        session.create_view("mv_sales", SQL)
+        plan = FaultPlan(crash_at=None)  # record hits, never fire
+        with inject(plan):
+            with pytest.raises(CatalogError):
+                session.create_view("mv_sales", "SELECT count(*) FROM sales")
+            with pytest.raises(CatalogError):
+                session.create_view("mv_other", SQL)
+        assert plan.hits == []
+        assert session.views() == ["mv_sales"]
 
 
 class TestAdvisorIntegration:

@@ -32,6 +32,31 @@ class TestSessionMonitor:
         # The analytic estimate tracks the engine's charges closely.
         assert 0.5 < monitor.state.estimation_drift < 2.0
 
+    def test_view_serves_do_not_count_as_estimate_drift(self, database_factory):
+        """Regression: a view serve did not run the plan that was estimated.
+
+        Its ``view_scan`` bill against the base plan's estimate read as a
+        ~9x drift; recurrence counting must not change.
+        """
+        query = aggregate("sales").sum("revenue").group_by("region").build()
+
+        def drift_over_recurrences(with_view):
+            session = connect(database=database_factory(Store.COLUMN))
+            monitor = OnlineAdvisorMonitor.for_session(session)
+            session.execute(query)  # one base execution either way
+            if with_view:
+                session.create_view("mv_sales", query)
+            for _ in range(20):
+                assert bool(session.execute(query).view_hits) == with_view
+            assert monitor.state.total_queries == 21
+            assert list(monitor.recurring_aggregates().values()) == [21]
+            return monitor.state.estimation_drift
+
+        plain = drift_over_recurrences(with_view=False)
+        served = drift_over_recurrences(with_view=True)
+        assert 0.5 < plain < 2.0
+        assert served == pytest.approx(plain, rel=0.05)
+
     def test_detach_session_stops_recording(self, session):
         monitor = OnlineAdvisorMonitor.for_session(session)
         session.execute(select("sales").where(eq("id", 1)).build())

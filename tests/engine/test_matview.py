@@ -1,11 +1,10 @@
-"""Materialized-view engine tests: refresh machinery, catalog, freshness.
+"""Materialized-view engine tests: refresh, catalog, freshness.
 
-The refresh contract under test: a view's materialized state is stamped with
-per-unit zone-epoch tokens; DML only bumps epochs (maintenance is off the DML
-path), and :meth:`MaterializedView.refresh` recomputes exactly the units
-whose token changed — merging with the unchanged units' cached partials when
-the partial-merge hazard check allows, recomputing from scratch otherwise —
-so a refreshed view always equals the recompute-per-query reference.
+The refresh contract under test: a view's rows are stamped with per-unit
+zone-epoch tokens; DML only bumps epochs (maintenance is off the DML path),
+and a stale view is brought up to date by executing its query through the
+engine's executor (``HybridDatabase.materialize``) — so a refreshed view
+always equals the recompute-per-query reference, and bills what it bills.
 """
 
 import math
@@ -15,7 +14,6 @@ import pytest
 from repro.engine.database import HybridDatabase
 from repro.engine.matview import (
     REFRESH_FULL,
-    REFRESH_INCREMENTAL,
     REFRESH_INITIAL,
     REFRESH_NOOP,
     MaterializedView,
@@ -75,14 +73,14 @@ class TestRefresh:
         view = MaterializedView("mv", grouped_query())
         table = database.table_object("facts")
 
-        result = view.refresh(table, database.device)
+        result = database.materialize(view)
         assert result.kind == REFRESH_INITIAL
         assert view.is_fresh(table)
         assert sorted_rows(view.result_rows) == sorted_rows(
             database.execute(grouped_query()).rows
         )
 
-        again = view.refresh(table, database.device)
+        again = database.materialize(view)
         assert again.kind == REFRESH_NOOP
         assert again.cost.components == {}
 
@@ -91,11 +89,11 @@ class TestRefresh:
         database = build_database(store=store)
         view = MaterializedView("mv", grouped_query())
         table = database.table_object("facts")
-        view.refresh(table, database.device)
+        database.materialize(view)
 
         database.execute(insert("facts", make_rows(5, start=1000)))
         assert not view.is_fresh(table)
-        view.refresh(table, database.device)
+        database.materialize(view)
         assert view.is_fresh(table)
         assert sorted_rows(view.result_rows) == sorted_rows(
             database.execute(grouped_query()).rows
@@ -106,13 +104,13 @@ class TestRefresh:
                    Comparison("quantity", CompareOp.EQ, 1))
         )
         assert not view.is_fresh(table)
-        view.refresh(table, database.device)
+        database.materialize(view)
         assert sorted_rows(view.result_rows) == sorted_rows(
             database.execute(grouped_query()).rows
         )
 
-    def test_incremental_reuses_untouched_main(self):
-        """Hot-only DML refreshes incrementally: main's partials are reused."""
+    def test_hot_only_dml_stales_the_view(self):
+        """Hot-only DML makes the view stale; the refresh re-runs the query."""
         database = build_database(store=Store.COLUMN, num_rows=80)
         database.apply_partitioning(
             "facts",
@@ -124,20 +122,20 @@ class TestRefresh:
         )
         table = database.table_object("facts")
         view = MaterializedView("mv", grouped_query())
-        view.refresh(table, database.device)
+        database.materialize(view)
 
         # Inserts route to the hot partition; main's epochs stay put.
         database.execute(insert("facts", make_rows(4, start=2000)))
-        result = view.refresh(table, database.device)
-        assert result.kind == REFRESH_INCREMENTAL
-        assert "main" in result.units_reused
-        assert result.units_recomputed == ("hot",)
+        assert not view.is_fresh(table)
+        result = database.materialize(view)
+        assert result.kind == REFRESH_FULL
+        assert view.is_fresh(table)
         assert sorted_rows(view.result_rows) == sorted_rows(
             database.execute(grouped_query()).rows
         )
 
-    def test_nan_group_key_forces_full_recompute(self):
-        """A NaN among the group keys defeats the merge; refresh goes full."""
+    def test_nan_group_key_refreshes_to_the_reference(self):
+        """A NaN among the group keys survives the refresh as one group."""
         database = build_database(num_rows=20)
         database.execute(
             insert("facts", [
@@ -149,12 +147,11 @@ class TestRefresh:
         )
         table = database.table_object("facts")
         view = MaterializedView("mv", query)
-        assert view.refresh(table, database.device).kind == REFRESH_INITIAL
+        assert database.materialize(view).kind == REFRESH_INITIAL
 
         database.execute(insert("facts", make_rows(3, start=600)))
-        result = view.refresh(table, database.device)
+        result = database.materialize(view)
         assert result.kind == REFRESH_FULL
-        assert result.units_reused == ()
 
         reference = database.execute(query).rows
         assert len(view.result_rows) == len(reference)
@@ -164,8 +161,8 @@ class TestRefresh:
         ]
         assert len(nan_rows) == 1
 
-    def test_refresh_charges_only_changed_units(self):
-        """Incremental refresh charges strictly less than the initial one."""
+    def test_refresh_bills_the_query_execution(self):
+        """A refresh's bill is the bill of executing the view's query."""
         database = build_database(store=Store.COLUMN, num_rows=200)
         database.apply_partitioning(
             "facts",
@@ -175,14 +172,18 @@ class TestRefresh:
                 )
             ),
         )
-        table = database.table_object("facts")
         view = MaterializedView("mv", grouped_query())
-        initial = view.refresh(table, database.device)
+        initial = database.materialize(view)
+        assert initial.cost.components == (
+            database.execute(grouped_query()).cost.components
+        )
 
         database.execute(insert("facts", make_rows(2, start=3000)))
-        incremental = view.refresh(table, database.device)
-        assert incremental.kind == REFRESH_INCREMENTAL
-        assert incremental.cost.total_ms < initial.cost.total_ms
+        refreshed = database.materialize(view)
+        assert refreshed.execution.agg_strategies
+        assert refreshed.cost.components == (
+            database.execute(grouped_query()).cost.components
+        )
 
 
 class TestViewValidation:

@@ -18,7 +18,7 @@ The resilience fuzzer and its satellites.  The contracts pinned here:
   sharded query within ~2x the deadline, raises ``QueryTimeoutError``,
   records no execution and leaves the pool healthy.
 * **Matview refresh atomicity** — a crash at any declared
-  ``matview.refresh.*`` point never installs a partial merge: the next
+  ``matview.refresh.*`` point installs nothing: the next
   serve returns rows identical to the ``matview_disabled()`` reference.
 * **Registration** — the declared crash-point/process-fault counts are
   pinned so new faults cannot land without landing here too.
@@ -556,7 +556,7 @@ def test_session_stats_report_resilience_deltas():
 def test_declared_fault_registrations_are_pinned():
     """New crash points / process faults must land with their coverage."""
     assert len(CRASH_POINTS) == 13
-    assert len(MATVIEW_CRASH_POINTS) == 3
+    assert len(MATVIEW_CRASH_POINTS) == 2
     assert len(PROCESS_FAULTS) == 5
     everything = CRASH_POINTS + MATVIEW_CRASH_POINTS + PROCESS_FAULTS
     assert len(set(everything)) == len(everything)

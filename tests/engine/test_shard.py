@@ -16,9 +16,6 @@ The tentpole contracts pinned here:
 * the worker pool survives repeated queries, is replaced on a start-method
   change (the spawn-vs-fork determinism smoke) and is shut down by
   ``Session.close()``;
-* the advisor's ``recommend_shard_keys`` what-if picks the group-aligned
-  shard key through the :class:`EstimateMemo`, and declines when dispatch
-  overhead eats the projected gain;
 * :func:`projected_parallel_ms` is a deterministic sub-serial projection of
   the (serially-charged) breakdown onto the crew.
 """
@@ -26,7 +23,6 @@ The tentpole contracts pinned here:
 import numpy as np
 import pytest
 
-from repro.core import StorageAdvisor
 from repro.engine import shard as shard_module
 from repro.engine.database import HybridDatabase
 from repro.engine.executor.rewrite import access_path_for
@@ -48,7 +44,6 @@ from repro.engine.shard_gate import (
 )
 from repro.engine.statistics import ColumnStatistics
 from repro.engine.types import DataType, Store
-from repro.query import Workload
 from repro.query.builder import aggregate, insert, select
 from repro.query.predicates import between, eq, ge
 
@@ -448,59 +443,6 @@ def test_explain_analyze_reports_shards():
     assert "shard execution (scanned/matched):" in text
     assert "fan-out 4: 200/" in text
     session.close()
-
-
-# -- advisor what-if -------------------------------------------------------------------
-
-
-class TestShardAdvisor:
-    def test_recommends_group_aligned_key_via_memo(self):
-        database = build_database(60_000)
-        advisor = StorageAdvisor()
-        workload = Workload(
-            [grouped_query()] * 10
-            + [select("metrics").where(ge("hits", 10)).build()] * 5,
-            name="shardable",
-        )
-        with shard_config(fan_out=4, min_rows=1):
-            recommendations = advisor.recommend_shard_keys(database, workload)
-            assert set(recommendations) == {"metrics"}
-            recommendation = recommendations["metrics"]
-            assert recommendation.shard_key == "bucket"
-            assert recommendation.fan_out == 4
-            assert recommendation.estimated_speedup > 1.0
-            assert "shard by bucket x4" in recommendation.describe()
-            # The what-if plan renders through the EXPLAIN renderer.
-            assert recommendation.whatif_plan is not None
-            text = recommendation.explain()
-            assert "AggregationQuery" in text
-            assert "Scan metrics" in text
-            # Re-advising is served from the EstimateMemo.
-            hits_before = advisor.cost_model.cache_hits
-            again = advisor.recommend_shard_keys(database, workload)
-        assert advisor.cost_model.cache_hits > hits_before
-        assert again["metrics"].shard_key == "bucket"
-        assert again["metrics"].estimated_sharded_ms == pytest.approx(
-            recommendation.estimated_sharded_ms
-        )
-
-    def test_declines_when_dispatch_eats_the_gain(self):
-        database = build_database(300)
-        advisor = StorageAdvisor()
-        workload = Workload([grouped_query()], name="tiny")
-        with shard_config(min_rows=1):
-            assert advisor.recommend_shard_keys(database, workload) == {}
-
-    def test_session_wrapper_respects_row_floor(self):
-        from repro.api import connect
-
-        session = connect()
-        session.create_table(SCHEMA, Store.COLUMN)
-        session.load_rows("metrics", make_rows(2_000))
-        # Default wall-clock gate: the engine would not scatter 2 000 rows,
-        # so the what-if never prices it.
-        assert session.recommend_shard_keys(Workload([grouped_query()])) == {}
-        session.close()
 
 
 # -- parallel-runtime projection -------------------------------------------------------
