@@ -33,7 +33,10 @@
 #                the engine cannot apply reappears, src/repro/api/ builds a
 #                CostAccountant by hand, or engine/matview.py imports the
 #                executor's internals (a view may call the executor, never
-#                be one).
+#                be one); and if `LogicalPlan` / `planner.logical(` (a query
+#                and its literal-bearing fingerprint, rebuilt per statement
+#                for the plan-cache key) reappears — the key is the
+#                statement's shape.
 #   fuzz       — the seeded differentials: every fast path vs its toggled
 #                reference, on rows, CostBreakdown totals and charge order.
 #   faults / resilience / integrity — crash points, process faults and
@@ -74,7 +77,7 @@ python -m pytest -m matview -q tests benchmarks
 echo "== shard: scatter/gather differential + projection gates =="
 python -m pytest -m shard -q tests benchmarks
 
-echo "== ledger: one home per charge, one prunable unit, one execution context, one executor =="
+echo "== ledger: one home per charge, one prunable unit, one execution context, one executor, one statement path =="
 deleted='compile_code_leaves|_DRY_MASK|charge_column_scan|_charge_pruned_main_update|_charge_main_positions|validate_assignments|_answers_from_index'
 if grep -rnE --include='*.py' "$deleted" src/; then
     echo "ledger: a deleted charge twin is back (see above)"; exit 1
@@ -109,6 +112,9 @@ fi
 if grep -nE '^\s*(from|import) +repro\.engine\.executor\.(aggregates|rewrite|access|agg_pushdown)\b' \
         src/repro/engine/matview.py; then
     echo "ledger: matview.py imports executor internals (see above) — a view may call the executor, never be one"; exit 1
+fi
+if grep -rnE --include='*.py' 'LogicalPlan|planner\.logical\(' src/; then
+    echo "ledger: the per-statement LogicalPlan is back (see above) — plans are keyed by statement shape"; exit 1
 fi
 echo "ledger clean."
 

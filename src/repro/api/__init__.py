@@ -5,10 +5,12 @@ This package is the public entry point of the system: ``connect()`` opens a
 explicit ``parse → bind → plan → execute`` pipeline, with
 
 * **prepared statements** (:meth:`Session.prepare`) — ``?``/named
-  placeholders, bound and type-checked against the catalog schema,
-* a **plan cache** keyed by ``(query fingerprint, layout/statistics
-  fingerprint)`` — invalidated by DDL, store moves, repartitioning and
-  statistics refresh,
+  placeholders, bound and type-checked against the catalog schema; ad-hoc
+  statements run on the same path, their literals lifted and bound per
+  execution,
+* a **plan cache** keyed by ``(statement shape, layout/statistics
+  fingerprint)`` — literals are not part of the key; invalidated by DDL,
+  store moves, repartitioning and statistics refresh,
 * **EXPLAIN** (:meth:`Session.explain` or ``session.sql("EXPLAIN ...")``) —
   the physical plan tree with estimated (and optionally actual) costs, and
 * the **storage advisor** (:meth:`Session.advisor`) sharing the planner's
@@ -23,7 +25,6 @@ from repro.api.binder import bind, statement_parameters
 from repro.api.explain import describe_predicate, render_plan
 from repro.api.plan import (
     CostEstimate,
-    LogicalPlan,
     PhysicalPlan,
     PlanCache,
     Planner,
@@ -40,7 +41,6 @@ from repro.engine.wal import RecoveryReport
 
 __all__ = [
     "CostEstimate",
-    "LogicalPlan",
     "PhysicalPlan",
     "PlanCache",
     "Planner",

@@ -6,7 +6,9 @@ Binding sits between parsing and planning in the session pipeline
 * checks that every referenced table and column exists in the catalog,
 * type-checks literals against the catalog schema (a string compared to an
   INTEGER column is a :class:`~repro.errors.BindError`, not a silent empty
-  result), and
+  result) — the literals a parser template carries beside it
+  (:class:`~repro.query.ast.LiteralSlot`) exactly like the ones written
+  into an AST: lifted literals are not parameters, and
 * substitutes :class:`~repro.query.ast.Parameter` placeholders with the
   supplied parameter values, coercing each through the target column's
   :meth:`~repro.engine.types.DataType.coerce`.
@@ -33,6 +35,7 @@ from repro.query.ast import (
     AggregationQuery,
     DeleteQuery,
     InsertQuery,
+    LiteralSlot,
     Parameter,
     Query,
     SelectQuery,
@@ -75,8 +78,12 @@ def has_parameters(query: Query) -> bool:
 
 
 def bind(query: Query, catalog: Catalog, params: Params = None,
-         partial: bool = False) -> Query:
+         partial: bool = False, literals: Sequence[Any] = ()) -> Query:
     """Bind *query* against *catalog*, substituting *params* for placeholders.
+
+    *literals* are the values of a parser template's
+    :class:`~repro.query.ast.LiteralSlot` markers; they go through the same
+    checks as a literal written into the query.
 
     Returns a (possibly new) query object that is safe to plan and execute;
     raises :class:`BindError` for unknown tables/columns, literals or
@@ -88,17 +95,18 @@ def bind(query: Query, catalog: Catalog, params: Params = None,
     ``EXPLAIN`` validate a parameterized statement without values; a
     partially bound query can be planned but not executed.
     """
-    binder = _Binder(query, catalog, params, partial=partial)
+    binder = _Binder(query, catalog, params, partial=partial, literals=literals)
     return binder.bind()
 
 
 class _Binder:
     def __init__(self, query: Query, catalog: Catalog, params: Params,
-                 partial: bool = False) -> None:
+                 partial: bool = False, literals: Sequence[Any] = ()) -> None:
         self.query = query
         self.catalog = catalog
         self.params = params
         self.partial = partial
+        self.literals = literals
         self._used_positional = 0
         self._used_named: set = set()
 
@@ -273,7 +281,9 @@ class _Binder:
     # -- values and parameters -----------------------------------------------------
 
     def _bind_value(self, value: Any, column: Column, table: str) -> Any:
-        if isinstance(value, Parameter):
+        if type(value) is LiteralSlot:
+            value = self.literals[value.index]
+        elif isinstance(value, Parameter):
             if self.partial and self.params is None:
                 return value  # leave unbound: plan-only binding
             raw = self._parameter_value(value)

@@ -1,58 +1,47 @@
-"""Logical and physical plans, the planner and the session plan cache.
+"""Physical plans, the planner and the session plan cache.
 
 The session pipeline makes the formerly implicit planning work explicit:
 
-* a :class:`LogicalPlan` is the bound query plus its content fingerprint,
-* a :class:`PhysicalPlan` additionally captures the *resolved access path*
-  of every referenced table (store, partitioning, index choice, vertical-
-  partition pruning), the estimated :class:`CostEstimate` from the cost
-  model, and the layout/statistics fingerprint the plan was built under,
-* the :class:`Planner` turns queries into physical plans, and
-* the :class:`PlanCache` memoizes plans per ``(query fingerprint,
-  layout/statistics fingerprint)`` — DDL, store moves, repartitioning and
-  statistics refresh bump the participating tables' versions (see
+* a :class:`PhysicalPlan` captures the *resolved access path* of every
+  referenced table (store, partitioning, index choice, vertical-partition
+  pruning) and the layout/statistics fingerprint it was built under — what
+  every statement of one *shape* shares — next to what is one statement's
+  own: its scan / aggregate / shard decisions, its materialized-view match,
+  and the cost model's :class:`CostEstimate`, priced when first read,
+* the :class:`Planner` plans the first statement of a shape and re-targets
+  that plan at its siblings (:meth:`Planner.for_statement`), and
+* the :class:`PlanCache` memoizes plans per ``(statement shape,
+  layout/statistics fingerprint)`` — literals are not part of the key, so
+  ``WHERE id = 17`` and ``WHERE id = 18`` run through one plan; DDL, store
+  moves, repartitioning and statistics refresh bump the participating
+  tables' versions (see
   :meth:`repro.engine.database.HybridDatabase.table_version`), so stale
   plans become unreachable without any explicit invalidation hook.
 
 Executing a plan charges *bit-identical* costs to the legacy
 ``HybridDatabase.execute`` path: the plan only pre-resolves the access
 paths; every cost is still charged by the stores and operators during
-execution.
+execution, and every decision execution consumes is kept — per statement —
+by the access path itself (:mod:`repro.engine.executor.access`).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Any, Callable, Dict, List, Optional
 
-from repro.core.cost_model.estimator import TableProfile
+from repro.core.cost_model.estimator import TableProfile, query_contributions
 from repro.core.cost_model.model import CostModel
 from repro.engine.database import HybridDatabase
 from repro.engine.executor.agg_pushdown import AggregateStrategy
-from repro.engine.executor.executor import QueryResult
 from repro.engine.partitioning import PartitionedTable
 from repro.engine.types import Store
 from repro.engine.zonemap import ScanDecision
-from repro.query.ast import Query, QueryType
-from repro.query.fingerprint import query_fingerprint
+from repro.query.ast import AggregationQuery, Query, SelectQuery
+from repro.query.fingerprint import query_fingerprint, statement_shape
 from repro.query.predicates import Between, Comparison, Predicate
-
-
-@dataclass(frozen=True)
-class LogicalPlan:
-    """The bound query plus its content fingerprint."""
-
-    query: Query
-    fingerprint: str
-
-    @property
-    def query_type(self) -> QueryType:
-        return self.query.query_type
-
-    @property
-    def tables(self) -> Tuple[str, ...]:
-        return self.query.tables
 
 
 @dataclass
@@ -124,34 +113,93 @@ class CostEstimate:
     assignment: Dict[str, Store] = field(default_factory=dict)
 
 
-@dataclass
-class PhysicalPlan:
-    """An executable physical plan.
+#: Statements of one shape a cached plan keeps a re-targeted copy for.
+SIBLINGS_KEPT = 64
 
-    Holds the resolved access paths (ready to execute), the per-table access
-    descriptions, the cost estimate, and the fingerprints that key the plan
-    cache.  ``executions`` counts how often this plan object ran.
+
+class _PricedOnFirstRead:
+    """The ``estimate`` field of a plan: priced from its statement when read.
+
+    Only ``EXPLAIN`` and an attached monitor ever read an estimate, so a
+    plan is built — and a statement executed — without one.  A descriptor
+    (not a property) so the field stays assignable through the dataclass
+    constructor and :func:`dataclasses.replace`.
     """
 
-    logical: LogicalPlan
+    def __get__(self, plan: Optional["PhysicalPlan"], owner=None):
+        if plan is None:
+            return None  # the dataclass default: not priced yet
+        estimate = plan.__dict__.get("_estimate")
+        if estimate is None:
+            estimate = plan.__dict__["_estimate"] = plan.price(plan.query)
+        return estimate
+
+    def __set__(self, plan: "PhysicalPlan", estimate: Optional[CostEstimate]) -> None:
+        plan.__dict__["_estimate"] = estimate
+
+
+@dataclass(eq=False, repr=False)
+class PhysicalPlan:
+    """The executable physical plan of one statement.
+
+    ``paths`` (ready to execute), the per-table access descriptions and the
+    two fingerprints depend on the statement's *shape* and the layout only:
+    the plan cache keeps the plan of the first statement of each shape, and
+    executing a sibling statement needs nothing else.  ``query``, the
+    decisions inside ``table_plans``, ``view_rewrite`` and ``estimate`` are
+    the statement's own; :meth:`Planner.for_statement` re-targets a cached
+    plan at a sibling for whoever wants to look at them (``plan_for``,
+    ``EXPLAIN``, plan listeners) — and the decisions and the estimate are
+    only worked out when they do.
+    """
+
+    query: Query
     paths: Dict[str, Any]
-    table_plans: List[TableAccessPlan]
-    estimate: CostEstimate
+    #: Per-table access descriptions, decisions left out (see ``table_plans``).
+    accesses: List[TableAccessPlan]
     layout_fingerprint: tuple
     statistics_fingerprints: Dict[str, str]
-    executions: int = 0
-    last_actual: Optional[QueryResult] = None
-    #: Materialized-view rewrite (aggregations only); the session serves the
-    #: query from the named view when views are enabled.
+    #: Prices ``estimate`` on its first read (:meth:`Planner.estimate`).
+    price: Callable[[Query], CostEstimate]
+    #: Whether some materialized view has this plan's shape — only then can
+    #: a statement of the shape match one, and only then is it asked.
+    view_candidates: bool = False
+    #: The materialized view answering ``query`` (aggregations only); the
+    #: session serves the statement from it when views are enabled.
     view_rewrite: Optional[ViewRewrite] = None
+    estimate: Optional[CostEstimate] = _PricedOnFirstRead()
+    #: The siblings this plan was re-targeted at, by query fingerprint
+    #: (shared by the whole family; at most :data:`SIBLINGS_KEPT`).
+    siblings: Dict[str, "PhysicalPlan"] = field(default_factory=dict)
 
-    @property
-    def query(self) -> Query:
-        return self.logical.query
+    @cached_property
+    def table_plans(self) -> List[TableAccessPlan]:
+        """``accesses`` carrying the base-table decisions of ``query``.
+
+        Asked of the access path exactly as execution asks — the path keeps
+        them per statement, so EXPLAIN and execution provably coincide —
+        when first read, and recorded from then on.
+        """
+        query = self.query
+        path = self.paths[query.table]
+        predicate = getattr(query, "predicate", None)
+        reads = isinstance(query, (SelectQuery, AggregationQuery))
+        base = replace(
+            self.accesses[0],
+            scan_decision=(
+                path.decision_for(predicate) if predicate is not None else None
+            ),
+            aggregate_strategy=(
+                path.aggregate_decision_for(query)
+                if isinstance(query, AggregationQuery) else None
+            ),
+            shard_decision=path.shard_decision_for(query) if reads else None,
+        )
+        return [base] + self.accesses[1:]
 
     @property
     def fingerprint(self) -> str:
-        return self.logical.fingerprint
+        return query_fingerprint(self.query)
 
     @property
     def estimated_ms(self) -> float:
@@ -159,16 +207,12 @@ class PhysicalPlan:
 
     @property
     def scan_decisions(self) -> Dict[str, ScanDecision]:
-        """Per-table zone-pruning decisions recorded at plan time."""
+        """Per-table zone-pruning decisions recorded in ``table_plans``."""
         return {
             table_plan.table: table_plan.scan_decision
             for table_plan in self.table_plans
             if table_plan.scan_decision is not None
         }
-
-    def record_execution(self, result: QueryResult) -> None:
-        self.executions += 1
-        self.last_actual = result
 
 
 class Planner:
@@ -186,38 +230,64 @@ class Planner:
     def cost_model(self) -> CostModel:
         return self._cost_model_provider()
 
-    def logical(self, query: Query) -> LogicalPlan:
-        return LogicalPlan(query=query, fingerprint=query_fingerprint(query))
-
     def plan(self, query: Query) -> PhysicalPlan:
         """Build a physical plan for *query* under the current layout."""
-        logical = self.logical(query)
         database = self.database
         paths = database.resolve_access_paths(query)
-        table_plans = [
-            self._table_access_plan(name, query, paths) for name in query.tables
-        ]
-        estimate = self._estimate(query)
+        view_candidates = isinstance(query, AggregationQuery) and any(
+            statement_shape(view.query) == statement_shape(query)
+            for view in database.views_on(query.table)
+        )
         return PhysicalPlan(
-            logical=logical,
+            query=query,
             paths=paths,
-            table_plans=table_plans,
-            estimate=estimate,
+            accesses=[self._table_access_plan(name, query) for name in query.tables],
             layout_fingerprint=database.layout_fingerprint(query.tables),
             statistics_fingerprints={
                 name: database.catalog.statistics_of(name).fingerprint
                 for name in query.tables
             },
-            view_rewrite=self._view_rewrite(query),
+            price=self.estimate,
+            view_candidates=view_candidates,
+            view_rewrite=self._view_rewrite(query) if view_candidates else None,
         )
 
+    def for_statement(self, plan: PhysicalPlan, query: Query) -> PhysicalPlan:
+        """*plan* as the plan of *query*, a statement of the same shape.
+
+        The plan itself when *query* is the statement it was planned from;
+        otherwise a sibling sharing its paths, with *query*'s own decisions,
+        view match and (on first read) estimate.  Siblings are kept — a
+        monitored session cycling through recurring statements prices each
+        once — so asking again for the same statement returns the same
+        object.
+        """
+        fingerprint = query_fingerprint(query)
+        if fingerprint == plan.fingerprint:
+            return plan
+        siblings = plan.siblings
+        sibling = siblings.get(fingerprint)
+        if sibling is None:
+            if len(siblings) >= SIBLINGS_KEPT:
+                siblings.clear()
+            sibling = siblings[fingerprint] = replace(
+                plan,
+                query=query,
+                view_rewrite=(
+                    self._view_rewrite(query) if plan.view_candidates else None
+                ),
+                estimate=None,
+            )
+        return sibling
+
     def _view_rewrite(self, query: Query) -> Optional[ViewRewrite]:
-        """A rewrite to a materialized view matching *query*, if one exists.
+        """A rewrite to the materialized view matching *query*, if one exists.
 
         Matching is by defining-query fingerprint (the recurrence key the
-        online monitor counts too).  The plan cache keys plans by the view
-        catalog's version, so CREATE/DROP/refresh of any view makes plans
-        that recorded (or skipped) a rewrite unreachable.
+        online monitor counts too) of the *bound* statement.  The plan cache
+        keys plans by the view catalog's version, so CREATE/DROP/refresh of
+        any view makes plans unreachable whose ``view_candidates`` it could
+        have changed.
         """
         view = self.database.matching_view(query)
         if view is None:
@@ -226,26 +296,11 @@ class Planner:
 
     # -- access-path description ---------------------------------------------------
 
-    def _table_access_plan(
-        self, name: str, query: Query, paths: Dict[str, Any]
-    ) -> TableAccessPlan:
+    def _table_access_plan(self, name: str, query: Query) -> TableAccessPlan:
         database = self.database
         entry = database.catalog.entry(name)
         table = database.table_object(name)
         predicate = getattr(query, "predicate", None) if name == query.table else None
-        # The access path derived (and recorded) its zone-pruning decision
-        # and aggregate-pushdown strategy while the paths were resolved; the
-        # plan carries the same objects the executor will consume, so
-        # EXPLAIN and execution provably coincide.
-        decision = getattr(paths.get(name), "scan_decision", None)
-        strategy = (
-            getattr(paths.get(name), "aggregate_strategy", None)
-            if name == query.table else None
-        )
-        shards = (
-            getattr(paths.get(name), "shard_decision", None)
-            if name == query.table else None
-        )
         if isinstance(table, PartitionedTable):
             return TableAccessPlan(
                 table=name,
@@ -255,9 +310,6 @@ class Planner:
                 access=self._partitioned_access(table, query, predicate),
                 layout=f"partitioned ({table.partitioning.describe()})",
                 pruning=self._pruning_note(table, query),
-                scan_decision=decision,
-                aggregate_strategy=strategy,
-                shard_decision=shards,
             )
         return TableAccessPlan(
             table=name,
@@ -266,9 +318,6 @@ class Planner:
             num_rows=table.num_rows,
             access=self._stored_access(table, predicate),
             layout=entry.describe_layout(),
-            scan_decision=decision,
-            aggregate_strategy=strategy,
-            shard_decision=shards,
         )
 
     @staticmethod
@@ -306,9 +355,8 @@ class Planner:
 
     # -- estimation ----------------------------------------------------------------
 
-    def _estimate(self, query: Query) -> CostEstimate:
-        from repro.core.cost_model.estimator import query_contributions
-
+    def estimate(self, query: Query) -> CostEstimate:
+        """Price *query* under the current layout (through the estimate memo)."""
         database = self.database
         model = self.cost_model
         assignment: Dict[str, Store] = {}
@@ -343,7 +391,7 @@ class Planner:
 
 
 class PlanCache:
-    """LRU cache of physical plans keyed by (query, layout/statistics) fingerprints."""
+    """LRU cache of physical plans keyed by (shape, layout/statistics) fingerprints."""
 
     def __init__(self, capacity: int = 512) -> None:
         self.capacity = capacity

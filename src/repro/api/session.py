@@ -3,16 +3,28 @@
 ``connect()`` opens a :class:`Session`, which drives every statement through
 the explicit pipeline
 
-    parse → bind → plan (LogicalPlan → PhysicalPlan) → execute
+    parse → bind → plan → execute
 
-with a plan cache keyed by ``(query fingerprint, layout/statistics
-fingerprint)``: repeated and prepared statements skip re-planning, and any
-DDL, store move, repartitioning or statistics refresh makes the affected
-plans unreachable.  The same :class:`~repro.api.plan.PhysicalPlan` objects
-feed ``EXPLAIN`` (:meth:`Session.explain`), the storage advisor
-(:meth:`Session.advisor` — estimates share one content-keyed memo with the
-planner) and the online monitor
-(:meth:`repro.core.advisor.monitor.OnlineAdvisorMonitor.attach_session`).
+on **one path**: every statement is a prepared statement.  SQL text is split
+into a literal-free template and its literal values before the grammar runs
+(:func:`repro.query.parser.split_literals`), so the grammar runs once per
+statement *shape*; an AST gets its shape from the walk that fingerprints it.
+A :class:`Statement` is that pair — ``(shape, values)`` — and the plan cache
+is keyed by ``(statement shape, layout/statistics fingerprint)``: ``WHERE id
+= 17`` and ``WHERE id = 18`` share one plan, the values are bound per
+execution (lifted literals with *literal* semantics, ``?`` / ``:name``
+values coerced), and any DDL, store move, repartitioning or statistics
+refresh makes the affected plans unreachable.  ``session.sql``,
+``session.execute(ast)`` and :class:`PreparedStatement` all run through
+:meth:`Session.execute`; a prepared statement is a handle on its
+:class:`Statement`, nothing more.  The same
+:class:`~repro.api.plan.PhysicalPlan` objects feed ``EXPLAIN``
+(:meth:`Session.explain`), the storage advisor (:meth:`Session.advisor` —
+estimates share one content-keyed memo with the planner) and the online
+monitor
+(:meth:`repro.core.advisor.monitor.OnlineAdvisorMonitor.attach_session`);
+what a plan says about one statement — decisions, view match, the estimate,
+priced when first read — is only worked out for whoever looks.
 
 Executing through a session charges *bit-identical*
 :class:`~repro.engine.timing.CostBreakdown` costs to the legacy
@@ -36,7 +48,9 @@ Typical usage::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from repro.api.binder import Params, bind, statement_parameters
 from repro.api.explain import render_plan
@@ -67,14 +81,17 @@ from repro.engine.schema import TableSchema
 from repro.engine.statistics import TableStatistics
 from repro.engine.timing import CostBreakdown
 from repro.engine.types import Store
-from repro.errors import BindError, CatalogError, QueryTimeoutError, WalError
+from repro.errors import BindError, QueryTimeoutError, WalError
 from repro.query.ast import Parameter, Query
-from repro.query.parser import parse
+from repro.query.fingerprint import statement_shape
+from repro.query.parser import bind_literals, parse_template, split_literals
 from repro.query.workload import Workload
 
 #: Signature of session plan listeners: (bound query, plan, result).
 PlanExecutionListener = Callable[[Query, PhysicalPlan, QueryResult], None]
 
+#: Entries each parse-side memo (exact texts, templates) holds before it
+#: starts over.
 _PARSE_CACHE_LIMIT = 1024
 
 
@@ -88,10 +105,16 @@ class SessionStats:
     """
 
     queries_executed: int
+    #: Runs of the grammar: one per statement *shape* the text memos did not
+    #: hold (``WHERE id = 17`` and ``WHERE id = 18`` are one).
     statements_parsed: int
+    #: Text statements served without a grammar run, by the exact-text memo
+    #: or the template memo alike.
     parse_cache_hits: int
     prepared_statements: int
     plan_cache_size: int
+    #: Plan-cache lookups by statement shape (+ layout/statistics versions)
+    #: that found / did not find a plan; plans dropped by the LRU bound.
     plan_cache_hits: int
     plan_cache_misses: int
     plan_cache_evictions: int
@@ -135,37 +158,68 @@ class SessionStats:
         return self.plan_cache_hits / total if total else 0.0
 
 
-class PreparedStatement:
-    """A parsed, validated statement whose plan survives re-execution.
+class Statement:
+    """A statement as the one path sees it: a shape and its values.
 
-    Produced by :meth:`Session.prepare`.  The plan is built from the
-    *template* (placeholders contribute default selectivities) and cached by
-    the session's plan cache, so ``execute`` only binds the parameter values
-    and runs — no re-parse, no re-plan, until DDL/store moves/statistics
-    refresh invalidate the plan.
+    ``query`` is a parser template (a :class:`~repro.query.ast.LiteralSlot`
+    where literal ``i`` of the text stood, ``literals`` beside it) or a
+    caller's AST as it came (literals in place, nothing beside it).
+    ``shape`` keys the plan cache: the literal-free text of a text statement
+    (known before the grammar runs), the literal-free fingerprint of an AST
+    (:func:`~repro.query.fingerprint.statement_shape`) — two key spaces, so
+    a text and an AST of one shape each get their plan.  An entry of the
+    exact-text memo also keeps what it last bound to, valid while the
+    tables' layout versions stand: a recurring text binds once and presents
+    the *same* bound object each time, which is how the access paths
+    recognise it.
     """
 
-    def __init__(self, session: "Session", sql: str, template: Query) -> None:
+    __slots__ = ("query", "shape", "literals", "parsed", "bound", "layout")
+
+    def __init__(self, query: Query, shape: str, literals: Sequence[Any] = ()) -> None:
+        self.query = query
+        self.shape = shape
+        self.literals = literals
+        #: The literal-bearing query of a text statement (see ``Session.parse``).
+        self.parsed: Optional[Query] = None
+        self.bound: Optional[Query] = None
+        self.layout: Optional[tuple] = None
+
+
+class PreparedStatement:
+    """A handle on a parsed, validated :class:`Statement`.
+
+    Produced by :meth:`Session.prepare`, which parsed and validated the
+    statement and warmed the plan cache.  ``execute`` is
+    :meth:`Session.execute` on the kept statement: it binds the parameter
+    values and runs — no re-parse, no re-plan, until DDL/store
+    moves/statistics refresh invalidate the plan.  Ad-hoc statements take
+    the very same path; preparing only saves the text lookup.
+    """
+
+    def __init__(self, session: "Session", sql: str, statement: Statement) -> None:
         self.session = session
         self.sql = sql
-        self.template = template
+        self.statement = statement
         #: The statement's placeholders (positional first, in index order).
-        self.parameters: Tuple[Parameter, ...] = statement_parameters(template)
+        self.parameters: Tuple[Parameter, ...] = statement_parameters(
+            statement.query
+        )
 
     def execute(self, params: Params = None,
                 timeout: Optional[float] = None) -> QueryResult:
         """Bind *params* and execute through the cached plan."""
-        return self.session.execute(self.template, params=params,
+        return self.session.execute(self.statement, params=params,
                                     timeout=timeout)
 
     __call__ = execute
 
     def plan(self) -> PhysicalPlan:
         """The statement's current physical plan (re-planned if stale)."""
-        return self.session.plan_for(self.template)
+        return self.session.plan_for(self.statement)
 
     def explain(self, params: Params = None, analyze: bool = False) -> str:
-        return self.session.explain(self.template, params=params, analyze=analyze)
+        return self.session.explain(self.statement, params=params, analyze=analyze)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PreparedStatement({self.sql!r})"
@@ -191,7 +245,11 @@ class Session:
         )
         self._planner = Planner(self.database, lambda: self._advisor.cost_model)
         self._plan_cache = PlanCache(capacity=plan_cache_capacity)
-        self._parse_cache: Dict[str, Query] = {}
+        # The parse side: exact text -> Statement in front (recurring
+        # texts), literal-free template text -> parsed template behind it
+        # (distinct literals of a recurring shape).
+        self._statements: Dict[str, Statement] = {}
+        self._templates: Dict[str, Query] = {}
         self._plan_listeners: List[PlanExecutionListener] = []
         self._queries_executed = 0
         self._statements_parsed = 0
@@ -281,101 +339,104 @@ class Session:
         that consumed them.
         """
         self._plan_cache.clear()
-        self._parse_cache.clear()
+        self._statements.clear()
+        self._templates.clear()
         self._advisor.cost_model.reset_cache()
 
     # -- the pipeline -------------------------------------------------------------
 
     def parse(self, statement: str) -> Query:
-        """Parse *statement* (cached by its exact text)."""
-        cached = self._parse_cache.get(statement)
-        if cached is not None:
-            self._parse_cache_hits += 1
-            return cached
-        query = parse(statement)
-        self._statements_parsed += 1
-        if len(self._parse_cache) >= _PARSE_CACHE_LIMIT:
-            self._parse_cache.clear()
-        self._parse_cache[statement] = query
-        return query
+        """Parse *statement* into its literal-bearing query.
+
+        Cached by exact text, and behind that by literal-free template: the
+        grammar runs once per statement shape.
+        """
+        entry = self._statement(statement)
+        if entry.parsed is None:
+            entry.parsed = bind_literals(entry.query, entry.literals)
+        return entry.parsed
 
     def bind(self, query_or_sql: Union[Query, str], params: Params = None,
              partial: bool = False) -> Query:
         """Bind a statement against the catalog (names, types, parameters)."""
-        template = self._template(query_or_sql)
-        return bind(template, self.database.catalog, params, partial=partial)
+        statement = self._statement(query_or_sql)
+        return bind(statement.query, self.database.catalog, params,
+                    partial=partial, literals=statement.literals)
 
     def plan_for(self, query_or_sql: Union[Query, str]) -> PhysicalPlan:
         """The physical plan of a statement under the current layout.
 
-        Served from the plan cache when the statement's fingerprint and the
-        participating tables' layout/statistics versions both match;
-        re-planned otherwise.
+        The plan of the statement's shape — served from the plan cache when
+        the participating tables' layout/statistics versions match,
+        re-planned otherwise — seen for this statement: its decisions, view
+        match and estimate.  Placeholders may stay unbound.
         """
         with self._scope():
-            return self._cached_plan(self._template(query_or_sql))
+            bound, plan = self._bind_and_plan(
+                self._statement(query_or_sql), None, partial=True
+            )
+            return self._planner.for_statement(plan, bound)
 
     def execute(self, query_or_sql: Union[Query, str], params: Params = None,
                 timeout: Optional[float] = None) -> QueryResult:
         """Run one statement through parse → bind → plan → execute.
 
-        *timeout* (seconds) arms a cooperative deadline over the execution:
-        on expiry :class:`~repro.errors.QueryTimeoutError` is raised, no
-        result is recorded, no cost is billed (the cancelled execution's
-        accountant dies with it) and the shard worker pool — if a wedged
-        worker had to be abandoned — is repaired before the error surfaces.
+        The one statement path: SQL text, query ASTs and prepared statements
+        all execute here.  *timeout* (seconds) arms a cooperative deadline
+        over the execution: on expiry
+        :class:`~repro.errors.QueryTimeoutError` is raised, no result is
+        recorded, no cost is billed (the cancelled execution's accountant
+        dies with it) and the shard worker pool — if a wedged worker had to
+        be abandoned — is repaired before the error surfaces.
         """
         with self._scope(timeout):
-            template = self._template(query_or_sql)
-            bound = bind(template, self.database.catalog, params)
-            return self._run_plan(bound, self._cached_plan(template))
+            bound, plan = self._bind_and_plan(
+                self._statement(query_or_sql), params
+            )
+            return self._run_plan(bound, plan)
 
     def _run_plan(self, bound: Query, plan: PhysicalPlan) -> QueryResult:
         """Execute *bound* through *plan* and record the execution.
 
-        Served from the plan's materialized view when one matches.  An
-        expired deadline is counted and leaves nothing recorded.
+        Served from a materialized view when one matches.  An expired
+        deadline is counted and leaves nothing recorded.
         """
         try:
-            result = self._serve_from_view(bound, plan)
+            result = None
+            if plan.view_candidates:
+                result = self._serve_from_view(bound, plan)
             if result is None:
                 result = self.database.execute_with_paths(bound, plan.paths)
         except QueryTimeoutError:
             self._query_timeouts += 1
             raise
-        plan.record_execution(result)
         self._queries_executed += 1
-        for listener in self._plan_listeners:
-            listener(bound, plan, result)
+        if self._plan_listeners:
+            plan = self._planner.for_statement(plan, bound)
+            for listener in self._plan_listeners:
+                listener(bound, plan, result)
         return result
 
     def _serve_from_view(self, bound: Query, plan: PhysicalPlan) -> Optional[QueryResult]:
-        """Answer *bound* from the plan's materialized view, if possible.
+        """Answer *bound* from the materialized view defined by it, if any.
 
-        ``None`` falls back to base-table execution.  A stale view is
-        refreshed first — its query executes through this plan's own paths,
-        exactly as the statement would with views off — and the result
-        carries that execution's bill and telemetry plus the ``view_scan``:
-        freshness is never traded for speed, the rewrite only amortizes the
-        recompute across the recurring executions that *don't* follow a
-        write.
+        Asked only for plans whose shape some view shares; the match is the
+        bound statement's (a template planned from placeholders matches no
+        view by literal).  ``None`` falls back to base-table execution.  A
+        stale view is refreshed first — its query executes through this
+        plan's own paths, exactly as the statement would with views off —
+        and the result carries that execution's bill and telemetry plus the
+        ``view_scan``: freshness is never traded for speed, the rewrite only
+        amortizes the recompute across the recurring executions that
+        *don't* follow a write.
         """
-        rewrite = plan.view_rewrite
-        if rewrite is None:
-            return None
-        if not matview_enabled():
-            self._view_rewrite_misses += 1
-            return None
         database = self.database
-        try:
-            view = database.view(rewrite.view)
-        except CatalogError:
-            self._view_rewrite_misses += 1
+        view = database.matching_view(bound)
+        if view is None:
             return None
-        if view.query != bound:
-            # Defensive: binding rewrote the query (e.g. DATE literal
-            # coercion), so the materialized state answers a different
-            # question than the one being asked.
+        if not matview_enabled() or view.query != bound:
+            # Views are off, or (defensive) two statements share a
+            # fingerprint: the materialized state answers another question.
             self._view_rewrite_misses += 1
             return None
         refresh = database.materialize(view, plan.paths)
@@ -412,26 +473,28 @@ class Session:
 
     def prepare(self, statement: str) -> PreparedStatement:
         """Parse, validate and plan *statement* once for repeated execution."""
-        template = self.parse(statement)
-        # Validate names/types now; placeholders stay unbound until execute.
-        bind(template, self.database.catalog, None, partial=True)
+        entry = self._statement(statement)
         with self._scope():
-            self._cached_plan(template)  # warm the plan cache
+            # Validate names/types now and warm the plan cache; placeholders
+            # stay unbound until execute.
+            self._bind_and_plan(entry, None, partial=True)
         self._prepared_statements += 1
-        return PreparedStatement(self, statement, template)
+        return PreparedStatement(self, statement, entry)
 
     def explain(self, query_or_sql: Union[Query, str], params: Params = None,
                 analyze: bool = False, timeout: Optional[float] = None) -> str:
-        """Render the physical plan.
+        """Render the physical plan of this statement.
 
-        ``analyze=True`` also executes once, under *timeout* when given
-        (see :meth:`execute`).
+        What is rendered is the statement's own: with *params* (or literals)
+        its bound values, estimate and decisions, without them the template
+        with its placeholders.  ``analyze=True`` also executes once, under
+        *timeout* when given (see :meth:`execute`).
         """
         with self._scope(timeout):
-            template = self._template(query_or_sql)
-            bound = bind(template, self.database.catalog, params,
-                         partial=params is None)
-            plan = self._cached_plan(template)
+            bound, plan = self._bind_and_plan(
+                self._statement(query_or_sql), params, partial=params is None
+            )
+            plan = self._planner.for_statement(plan, bound)
             actual: Optional[QueryResult] = None
             if analyze:
                 if statement_parameters(bound):
@@ -550,8 +613,7 @@ class Session:
         statements to it (the view-catalog version bump invalidates every
         cached plan).
         """
-        template = self._template(query_or_sql)
-        bound = bind(template, self.database.catalog, None)
+        bound = self.bind(query_or_sql)
         with self._scope():
             return self.database.create_view(name, bound)
 
@@ -670,32 +732,63 @@ class Session:
 
     # -- internals ------------------------------------------------------------------
 
-    def _template(self, query_or_sql: Union[Query, str]) -> Query:
-        if isinstance(query_or_sql, str):
-            return self.parse(query_or_sql)
-        return query_or_sql
+    def _statement(self, query_or_sql: Union[Query, str, Statement]) -> Statement:
+        """The :class:`Statement` of some SQL text or of a query AST."""
+        if type(query_or_sql) is not str:
+            if type(query_or_sql) is Statement:
+                return query_or_sql
+            return Statement(query_or_sql, statement_shape(query_or_sql))
+        statements = self._statements
+        statement = statements.get(query_or_sql)
+        if statement is not None:
+            self._parse_cache_hits += 1
+            return statement
+        text, literals = split_literals(query_or_sql)
+        template = self._templates.get(text)
+        if template is None:
+            template = parse_template(text, query_or_sql)
+            self._statements_parsed += 1
+            if len(self._templates) >= _PARSE_CACHE_LIMIT:
+                self._templates.clear()
+            self._templates[text] = template
+        else:
+            self._parse_cache_hits += 1
+        # The shape of a text statement is known before the grammar runs:
+        # its literal-free text.
+        statement = Statement(template, text, literals)
+        if len(statements) >= _PARSE_CACHE_LIMIT:
+            statements.clear()
+        statements[query_or_sql] = statement
+        return statement
 
-    def _cached_plan(self, template: Query) -> PhysicalPlan:
-        planner = self._planner
+    def _bind_and_plan(self, statement: Statement, params: Params,
+                       partial: bool = False) -> Tuple[Query, PhysicalPlan]:
+        """Bind *statement*'s values and find (or build) its shape's plan."""
+        database = self.database
+        layout = database.layout_fingerprint(statement.query.tables)
+        if params is None and statement.layout == layout:
+            # Bound before with nothing to supply, so it has no placeholders;
+            # the layout versions say the schema it bound against stands.
+            bound = statement.bound
+        else:
+            bound = bind(statement.query, database.catalog, params,
+                         partial=partial, literals=statement.literals)
+            if params is None and not partial:
+                statement.bound, statement.layout = bound, layout
         key = (
-            planner.logical(template).fingerprint,
-            self.database.layout_fingerprint(template.tables),
+            statement.shape,
+            layout,
             self._advisor.cost_model.parameters_fingerprint,
             # View DDL (and explicit refreshes) bump this version: a plan
-            # that recorded — or skipped — a view rewrite must not outlive
-            # the view catalog it was planned against.
-            self.database.catalog.view_catalog_version,
+            # that found — or did not find — views of its shape must not
+            # outlive the view catalog it was planned against.
+            database.catalog.view_catalog_version,
         )
         plan = self._plan_cache.get(key)
         if plan is None:
-            # Planning needs the tables to exist; surface a BindError (not a
-            # CatalogError) so callers see one error family for bad names.
-            for name in template.tables:
-                if not self.database.catalog.has_table(name):
-                    raise BindError(f"unknown table {name!r}")
-            plan = planner.plan(template)
+            plan = self._planner.plan(bound)
             self._plan_cache.put(key, plan)
-        return plan
+        return bound, plan
 
 
 def connect(

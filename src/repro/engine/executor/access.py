@@ -16,16 +16,18 @@ query, a :class:`~repro.engine.zonemap.ScanDecision` (which of the
 :class:`~repro.engine.zonemap.ZoneUnit` objects in ``table.zone_units()`` the
 read predicate can match), an :class:`~repro.engine.executor.agg_pushdown
 .AggregateStrategy` and a :class:`~repro.engine.shard.ShardDecision`; the
-planner embeds the same objects in the physical plan, and execution
-*consumes* them instead of re-deriving.  All three obey one freshness rule
-(:meth:`AccessPath._decide`): a recorded decision is reused iff it was taken
-for the same subject (predicate or query — bound parameter values refine a
-template plan), under the same zone token (no DML since) and the same
-settings epoch (no ``*_disabled()`` switch or ``shard_config`` knob moved
-since — :mod:`repro.engine.toggle`); otherwise it is re-derived, so a cached
-plan can never skip rows it must not, serve a stale zero-scan answer, or hide
-the reference path behind a toggle.  Every prunable unit consulted is counted
-on the accountant (scanned vs. skipped), which is what ``EXPLAIN ANALYZE``
+planner shows the same objects in a statement's physical plan, and execution
+*consumes* them instead of re-deriving.  A path belongs to the cached plan of
+one statement *shape*, so it keeps its decisions **per subject** (predicate
+or query): the sixteen sibling literals of a recurring report each find their
+own.  All three obey one freshness rule (:meth:`AccessPath._decide`): a
+recorded decision is reused iff it was taken for the same subject, under the
+same zone token (no DML since) and the same settings epoch (no
+``*_disabled()`` switch or ``shard_config`` knob moved since —
+:mod:`repro.engine.toggle`); otherwise it is re-derived, so a cached plan can
+never skip rows it must not, serve a stale zero-scan answer, or hide the
+reference path behind a toggle.  Every prunable unit consulted is counted on
+the accountant (scanned vs. skipped), which is what ``EXPLAIN ANALYZE``
 reports.
 """
 
@@ -55,6 +57,13 @@ def empty_batch(columns: Sequence[str]) -> ColumnBatch:
     return ColumnBatch(
         {name: np.empty(0, dtype=object) for name in columns}, num_rows=0
     )
+
+
+#: Entries one access path's decision memo holds at a time: one per (kind,
+#: subject) plus the latest of each kind.  A recurring workload's sibling
+#: literals of one shape fit many times over; a stream of distinct literals
+#: just starts over when it gets there.
+DECISION_MEMO_LIMIT = 256
 
 
 def _equal_subjects(recorded: Any, subject: Any) -> bool:
@@ -103,23 +112,34 @@ class AccessPath:
                 replan: bool = False) -> Any:
         """The valid decision of kind *slot* for *subject* — the one freshness rule.
 
-        The decision recorded under attribute *slot* is reused iff it was
-        taken for the same subject, under the same zone token and the same
-        settings epoch; otherwise (or when *replan* forces it)
-        ``derive(self, subject)`` takes it afresh, and it is recorded with
-        the token and epoch read *before* deriving.  Checking allocates
-        nothing but the token: units are built to derive, never to validate.
+        A recorded decision is reused iff it was taken for the same subject,
+        under the same zone token and the same settings epoch; otherwise (or
+        when *replan* forces it) ``derive(self, subject)`` takes it afresh,
+        and it is recorded under the token and epoch read *before* deriving.
+        Subjects are remembered by identity — a recurring statement text
+        presents the same bound object every time — with an equality test
+        against the latest one as the fallback (a prepared statement re-bound
+        with the values it had).  Checking allocates nothing but the token:
+        units are built to derive, never to validate.
         """
-        token, epoch = self._zone_token(), settings_epoch()
+        stamp = (self._zone_token(), settings_epoch())
+        recorded = self._recorded
+        if stamp != self._stamp or len(recorded) >= DECISION_MEMO_LIMIT:
+            recorded.clear()
+            self._stamp = stamp
+        key = (slot, id(subject))
         if not replan:
-            stamp = self._stamps.get(slot)
-            if (stamp is not None and stamp[1] == token and stamp[2] == epoch
-                    and (stamp[0] is subject
-                         or _equal_subjects(stamp[0], subject))):
-                return getattr(self, slot)
+            # An entry holds its subject, so a live id cannot be another's.
+            entry = recorded.get(key)
+            if entry is not None and entry[0] is subject:
+                return entry[1]
+            entry = recorded.get(slot)  # the latest subject of this kind
+            if entry is not None and _equal_subjects(entry[0], subject):
+                recorded[key] = (subject, entry[1])
+                return entry[1]
         decision = derive(self, subject)
         setattr(self, slot, decision)
-        self._stamps[slot] = (subject, token, epoch)
+        recorded[key] = recorded[slot] = (subject, decision)
         return decision
 
     def _zone_token(self) -> tuple:
@@ -223,7 +243,8 @@ class SimpleAccessPath(AccessPath):
     def __init__(self, table: StoredTable, inner: bool = False) -> None:
         self.table = table
         self._inner = inner
-        self._stamps = {}
+        self._recorded = {}
+        self._stamp = None
         self.description = f"{table.name} ({table.store.value} store)"
 
     @property

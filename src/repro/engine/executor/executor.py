@@ -99,9 +99,11 @@ class QueryExecutor:
         for a filtered read — the zone-map pruning decision of the base
         table's scan (:meth:`AccessPath.plan_scan`), so that EXPLAIN and
         execution consume one and the same decision.  The session planner
-        calls it once per (query, layout) and caches the result inside a
-        :class:`~repro.api.plan.PhysicalPlan`; the legacy
-        ``HybridDatabase.execute`` entry point re-resolves per query.
+        calls it once per (statement shape, layout), for the first statement
+        of the shape, and caches the result inside a
+        :class:`~repro.api.plan.PhysicalPlan` (the paths then keep the
+        decisions of the shape's other statements as they execute); the
+        legacy ``HybridDatabase.execute`` entry point re-resolves per query.
         """
         paths = {
             name: access_path_for(self._tables.table_object(name))

@@ -44,7 +44,8 @@ class PartitionedAccessPath(AccessPath):
 
     def __init__(self, table: PartitionedTable) -> None:
         self.table = table
-        self._stamps = {}
+        self._recorded = {}
+        self._stamp = None
         self.description = f"{table.name} (partitioned: {table.partitioning.describe()})"
 
     @property

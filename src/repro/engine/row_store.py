@@ -288,7 +288,12 @@ class RowStoreTable:
         """Update *assignments* on the rows at *positions*.
 
         An update of no rows still validates its SET values but is otherwise
-        a no-op (no zone-epoch bump).
+        a no-op (no zone-epoch bump).  Only the assigned columns lose their
+        zone synopsis: an overwritten value may have been the min or max, and
+        zones answer zero-scan ``MIN``/``MAX``, so they are recomputed rather
+        than widened.  Every other column's fresh synopsis is carried to the
+        new epoch unchanged (a point ``UPDATE ... SET revenue`` must not cost
+        the next ``WHERE id = k`` an O(n) rebuild of ``id``'s zone).
         """
         if not assignments:
             return 0
@@ -298,7 +303,11 @@ class RowStoreTable:
         }
         if len(positions) == 0:
             return 0
+        fresh_zones = self._fresh_zones()
         self._bump_zone_epoch()
+        for column, zone in fresh_zones.items():
+            if column not in coerced:
+                self._zone_cache[column] = (self._zone_epoch, zone)
         column_positions = {name: self.schema.index_of(name) for name in coerced}
         for position in positions:
             row = self._rows[position]

@@ -71,6 +71,24 @@ class Parameter:
         return f"Parameter({self.label})"
 
 
+@dataclass(frozen=True)
+class LiteralSlot:
+    """Where literal number *index* of a statement's text stood.
+
+    The parser lifts literals out of the text before the grammar runs
+    (:func:`repro.query.parser.split_literals`), so every statement of one
+    shape shares one parsed template; the values travel beside it and are
+    put back per execution.  A slot is not a :class:`Parameter`: its value
+    binds with *literal* semantics (type-checked, never coerced), and a
+    template is never seen outside the parser and the session's caches.
+    """
+
+    index: int
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"${self.index}"
+
+
 def split_qualified(name: str) -> Tuple[Optional[str], str]:
     """Split ``"table.column"`` into ``(table, column)``; plain names get ``None``."""
     if "." in name:

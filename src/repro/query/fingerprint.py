@@ -1,28 +1,33 @@
-"""Content fingerprints of queries (and their building blocks).
+"""Content fingerprints and literal-free shapes of queries.
 
-The session layer's plan cache and the cost model's estimate memo are keyed
-by *content*, not object identity: two structurally identical queries — e.g.
+The cost model's estimate memo, view matching and the online monitor key by
+*content*, not object identity: two structurally identical queries — e.g.
 the same SQL text parsed twice, or a prepared statement re-bound with new
-parameters — must share cache entries, while any semantic difference (another
+parameters — must share entries, while any semantic difference (another
 literal, another operator, another column) must produce a different key.
+The session's plan cache keys by *shape*: the same content with every
+literal masked, so ``WHERE id = 17`` and ``WHERE id = 18`` share one plan.
 
-:func:`query_fingerprint` serialises a query into a canonical token string
-and hashes it (BLAKE2b, 64-bit hex digest).  The digest is cached on the
-query object itself (queries are frozen dataclasses, so their content cannot
-change after construction), making repeated fingerprinting O(1) — important
-for the advisor's enumeration loops, which estimate the same query object
-under thousands of store assignments.
+One walk serialises a query into a canonical token list and yields both
+keys (BLAKE2b, 64-bit hex digests) — :func:`query_fingerprint` of all
+tokens, :func:`statement_shape` of the tokens with the literal ones masked.
+The pair is cached on the query object itself (queries are frozen
+dataclasses, so their content cannot change after construction), making
+repeated fingerprinting O(1) — important for the advisor's enumeration
+loops, which estimate the same query object under thousands of store
+assignments.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Any, List
+from typing import Any, List, Tuple
 
 from repro.query.ast import (
     AggregationQuery,
     DeleteQuery,
     InsertQuery,
+    LiteralSlot,
     Parameter,
     Query,
     SelectQuery,
@@ -40,9 +45,19 @@ from repro.query.predicates import (
     TruePredicate,
 )
 
-__all__ = ["query_fingerprint", "fingerprint_tokens"]
+__all__ = ["query_fingerprint", "statement_shape", "fingerprint_tokens"]
 
-_CACHE_ATTR = "_content_fingerprint"
+# Short on purpose: a DML query object is pickled into the write-ahead log
+# with whatever is cached on it.
+_CACHE_ATTR = "_fp"
+
+
+class _Tokens(list):
+    """The token list of one walk; remembers which tokens are literals."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.literal_positions: List[int] = []
 
 
 def query_fingerprint(query: Query) -> str:
@@ -52,28 +67,49 @@ def query_fingerprint(query: Query) -> str:
     same statement — get equal fingerprints; any difference in tables,
     columns, operators, literals or placeholders changes the digest.
     """
+    return _keys(query)[0]
+
+
+def statement_shape(query: Query) -> str:
+    """Literal-free shape of *query* (16 hex characters).
+
+    Equal for queries that differ only in literal values (a parser template
+    with its :class:`~repro.query.ast.LiteralSlot` markers included); user
+    placeholders (``?`` / ``:name``) are part of the shape.
+    """
+    return _keys(query)[1]
+
+
+def _keys(query: Query) -> Tuple[str, str]:
     cached = getattr(query, _CACHE_ATTR, None)
     if cached is not None:
         return cached
-    tokens: List[str] = []
+    tokens = _Tokens()
     _serialize(query, tokens)
-    digest = hashlib.blake2b("\x1f".join(tokens).encode("utf-8"),
-                             digest_size=8).hexdigest()
+    fingerprint = _digest(tokens)
+    for position in tokens.literal_positions:
+        tokens[position] = "v:literal"
+    keys = (fingerprint, _digest(tokens))
     try:
-        object.__setattr__(query, _CACHE_ATTR, digest)
+        object.__setattr__(query, _CACHE_ATTR, keys)
     except (AttributeError, TypeError):  # pragma: no cover - slotted objects
         pass
-    return digest
+    return keys
+
+
+def _digest(tokens: List[str]) -> str:
+    return hashlib.blake2b("\x1f".join(tokens).encode("utf-8"),
+                           digest_size=8).hexdigest()
 
 
 def fingerprint_tokens(value: Any) -> str:
     """Canonical token string of any fingerprintable value (for debugging)."""
-    tokens: List[str] = []
+    tokens = _Tokens()
     _serialize(value, tokens)
     return "\x1f".join(tokens)
 
 
-def _serialize(value: Any, out: List[str]) -> None:
+def _serialize(value: Any, out: _Tokens) -> None:
     if isinstance(value, AggregationQuery):
         out.append("agg")
         out.append(value.table)
@@ -117,7 +153,7 @@ def _serialize(value: Any, out: List[str]) -> None:
     _predicate(value, out)
 
 
-def _predicate(predicate: Any, out: List[str]) -> None:
+def _predicate(predicate: Any, out: _Tokens) -> None:
     if predicate is None:
         out.append("p:none")
         return
@@ -164,9 +200,13 @@ def _predicate(predicate: Any, out: List[str]) -> None:
     _literal(predicate, out)
 
 
-def _literal(value: Any, out: List[str]) -> None:
+def _literal(value: Any, out: _Tokens) -> None:
     if isinstance(value, Parameter):
         out.append(f"v:param:{value.label}:{value.index}")
+        return
+    out.literal_positions.append(len(out))
+    if type(value) is LiteralSlot:
+        out.append(f"v:slot:{value.index}")
         return
     # Type name + repr keeps 1, 1.0, True and "1" distinct.
     out.append(f"v:{type(value).__name__}:{value!r}")

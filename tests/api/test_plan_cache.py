@@ -10,7 +10,7 @@ from repro.engine import (
     TablePartitioning,
     TableSchema,
 )
-from repro.query import aggregate
+from repro.query import aggregate, eq, select
 
 
 SQL = "SELECT sum(revenue) FROM sales GROUP BY region"
@@ -42,11 +42,37 @@ class TestPlanCacheHits:
         hits, misses = plan_counts(session)
         assert (hits, misses) == (1, 1)
 
-    def test_different_literals_are_different_plans(self, session):
-        session.sql("SELECT id FROM sales WHERE id = 1")
-        session.sql("SELECT id FROM sales WHERE id = 2")
+    def test_different_literals_are_one_plan(self, session):
+        first = session.sql("SELECT id FROM sales WHERE id = 1")
+        second = session.sql("SELECT id FROM sales WHERE id = 2")
+        assert (first.rows, second.rows) == ([{"id": 1}], [{"id": 2}])
         hits, misses = plan_counts(session)
-        assert hits == 0 and misses == 2
+        assert (hits, misses) == (1, 1)
+        assert session.stats().plan_cache_size == 1
+
+    def test_text_prepared_and_ast_literals_are_one_plan_each(self, session):
+        for key in (1, 2, 3):
+            session.sql(f"SELECT id FROM sales WHERE id = {key}")
+            session.prepare(f"SELECT id FROM sales WHERE id = {key}").execute()
+            session.execute(select("sales").columns("id").where(eq("id", key)).build())
+        hits, misses = plan_counts(session)
+        # Text (prepared or not) keys by its literal-free text, an AST by its
+        # literal-free fingerprint.  `prepare` looks its plan up once itself.
+        assert (hits, misses) == (10, 2)
+
+    @pytest.mark.parametrize("other", [
+        "SELECT id FROM sales WHERE id > 1",           # another operator
+        "SELECT id FROM sales WHERE quantity = 1",     # another column
+        "SELECT id, status FROM sales WHERE id = 1",   # another projection
+        "SELECT id FROM sales WHERE id = 1 LIMIT 1",   # LIMIT is shape
+        "SELECT id FROM sales WHERE id = ?",           # a placeholder is shape
+        "DELETE FROM sales WHERE id = 1",              # another statement
+    ])
+    def test_different_shapes_are_different_plans(self, session, other):
+        session.sql("SELECT id FROM sales WHERE id = 1")
+        session.sql(other, [1] if "?" in other else None)
+        hits, misses = plan_counts(session)
+        assert (hits, misses) == (0, 2)
 
     def test_plan_reuse_does_not_change_results_or_costs(self, session, row_database):
         first = session.sql(SQL)
@@ -139,6 +165,9 @@ class TestPlanCacheInvalidation:
 
     def test_clear_caches_resets_estimate_memo(self, session):
         session.sql(SQL)
+        # Executing prices nothing: the estimate is priced when first read.
+        assert session.stats().estimate_memo_misses == 0
+        session.explain(SQL)
         stats = session.stats()
         assert stats.estimate_memo_misses > 0
         session.clear_caches()
@@ -146,11 +175,11 @@ class TestPlanCacheInvalidation:
         assert stats.estimate_memo_hits == 0
         assert stats.estimate_memo_misses == 0
         # The next statement re-plans (a fresh miss on the emptied cache)
-        # and re-prices from scratch.
-        session.sql(SQL)
+        # and its EXPLAIN re-prices from scratch.
+        session.explain(SQL)
         stats = session.stats()
         assert stats.plan_cache_misses == 2
-        assert stats.plan_cache_hits == 0
+        assert stats.plan_cache_hits == 1
         assert stats.estimate_memo_misses > 0
 
     def test_invalidation_is_per_table(self, database_factory, sales_schema):
@@ -169,12 +198,20 @@ class TestPlanCacheInvalidation:
 
 
 class TestPlanCacheEviction:
-    def test_lru_eviction(self, database_factory):
+    def test_lru_evicts_by_shape(self, database_factory):
         session = connect(database=database_factory(Store.ROW),
                           plan_cache_capacity=2)
-        session.sql("SELECT id FROM sales WHERE id = 1")
-        session.sql("SELECT id FROM sales WHERE id = 2")
-        session.sql("SELECT id FROM sales WHERE id = 3")
+        for key in range(5):  # one shape: one plan, however many literals
+            session.sql(f"SELECT id FROM sales WHERE id = {key}")
+        assert session.stats().plan_cache_evictions == 0
+        session.sql("SELECT id FROM sales WHERE quantity = 1")
+        session.sql("SELECT id FROM sales WHERE id = 5")      # refreshes its use
+        session.sql("SELECT status FROM sales WHERE id = 1")  # evicts `quantity =`
         stats = session.stats()
         assert stats.plan_cache_size == 2
         assert stats.plan_cache_evictions == 1
+        misses = stats.plan_cache_misses
+        session.sql("SELECT id FROM sales WHERE id = 6")
+        assert session.stats().plan_cache_misses == misses
+        session.sql("SELECT id FROM sales WHERE quantity = 2")
+        assert session.stats().plan_cache_misses == misses + 1

@@ -147,14 +147,19 @@ class TestSessionStats:
 
     def test_estimate_memo_counters_exposed(self, session):
         session.sql("SELECT count(*) FROM sales")
+        # Nothing read the estimate yet, so nothing priced it.
+        assert session.stats().estimate_memo_misses == 0
+        assert session.plan_for("SELECT count(*) FROM sales").estimated_ms > 0
         stats = session.stats()
         assert stats.estimate_memo_misses >= 1
 
     def test_advisor_shares_the_estimate_memo(self, session, sales_rows):
-        # Planning a query estimates it under the current layout; the
-        # advisor's evaluation of that same layout hits the shared memo.
+        # A plan's estimate is priced under the current layout when first
+        # read; the advisor's evaluation of that same layout hits the shared
+        # memo.
         query = aggregate("sales").sum("revenue").build()
         session.execute(query)
+        assert session.plan_for(query).estimated_ms > 0
         memo = session.advisor().cost_model.memo
         before_hits = memo.hits
         profiles = session.advisor().cost_model.profiles_from_catalog(

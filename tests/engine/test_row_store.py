@@ -1,9 +1,10 @@
 """Tests for the row store backend."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine.row_store import RowStoreTable
-from repro.engine.schema import TableSchema
+from repro.engine.schema import Column, TableSchema
 from repro.engine.timing import CostAccountant
 from repro.engine.types import DataType, Store
 from repro.errors import ExecutionError
@@ -146,3 +147,114 @@ class TestUpdatesAndDeletes:
     def test_statistics_helpers(self, table):
         assert table.column_distinct_count("name") == 5
         assert table.column_min_max("id") == (0, 99)
+
+
+# -- zone synopses under DML -------------------------------------------------------------
+
+
+ZONE_SCHEMA = TableSchema.build(
+    "zoned",
+    [
+        Column("id", DataType.INTEGER),
+        Column("name", DataType.VARCHAR, nullable=True),
+        Column("price", DataType.DOUBLE, nullable=True),
+        Column("stock", DataType.INTEGER, nullable=True),
+    ],
+    primary_key=["id"],
+)
+ZONE_VALUES = {
+    "name": st.sampled_from([None, "a", "b", "m", "z"]),
+    "price": st.sampled_from([None, float("nan"), -3.5, 0.0, 2.25, 99.0]),
+    "stock": st.sampled_from([None, -1, 0, 3, 7, 50]),
+}
+
+
+def zones_from_scratch(table: RowStoreTable) -> dict:
+    fresh = RowStoreTable(table.schema)
+    fresh.bulk_load(table.all_rows())
+    return {name: fresh.column_zone(name) for name in table.schema.column_names}
+
+
+class TestZoneExactnessUnderDml:
+    """``column_zone`` is exact after every mutation, however it got there.
+
+    Inserts widen the fresh synopses, an update carries the synopses of the
+    columns it does not assign to the new epoch and drops the assigned ones,
+    a delete drops everything — and zones answer zero-scan ``MIN``/``MAX``,
+    so each must equal a recomputation from the rows: min, max, NULL count,
+    NaN presence, row count.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_interleavings_match_recomputation(self, data):
+        table = RowStoreTable(ZONE_SCHEMA)
+        next_id = 0
+        columns = ZONE_SCHEMA.column_names
+        for _ in range(data.draw(st.integers(1, 12), label="steps")):
+            kind = data.draw(
+                st.sampled_from(["insert", "update", "update_extreme", "delete"]),
+                label="kind",
+            )
+            if kind == "insert" or table.num_rows == 0:
+                rows = [
+                    {"id": next_id + i,
+                     **{name: data.draw(values) for name, values in ZONE_VALUES.items()}}
+                    for i in range(data.draw(st.integers(1, 4), label="rows"))
+                ]
+                next_id += len(rows)
+                table.insert_rows(rows)
+            elif kind == "delete":
+                table.delete_rows(data.draw(
+                    st.lists(st.integers(0, table.num_rows - 1), max_size=3),
+                    label="doomed",
+                ))
+            else:
+                assigned = data.draw(
+                    st.lists(st.sampled_from(sorted(ZONE_VALUES)), min_size=1,
+                             max_size=3, unique=True),
+                    label="assigned",
+                )
+                assignments = {name: data.draw(ZONE_VALUES[name]) for name in assigned}
+                if kind == "update_extreme":
+                    # Overwrite the row holding the current min or max.
+                    zone = table.column_zone(assigned[0])
+                    values = table.column_values(assigned[0])
+                    extreme = data.draw(st.sampled_from(
+                        [zone.min_value, zone.max_value]
+                    ))
+                    positions = [values.index(extreme)] if zone.has_values else []
+                else:
+                    positions = data.draw(
+                        st.lists(st.integers(0, table.num_rows - 1), max_size=3,
+                                 unique=True),
+                        label="positions",
+                    )
+                table.update_rows(positions, assignments)
+            # Reading only some zones leaves the others stale for the next
+            # step: fresh, stale and never-computed synopses all occur.
+            expected = zones_from_scratch(table)
+            for name in data.draw(st.lists(st.sampled_from(columns), unique=True),
+                                  label="read"):
+                assert table.column_zone(name) == expected[name], (kind, name)
+        expected = zones_from_scratch(table)
+        for name in columns:
+            assert table.column_zone(name) == expected[name]
+
+    def test_update_carries_the_zones_it_does_not_assign(self, table):
+        """``UPDATE .. SET price`` then ``WHERE id = k``: no reduction over ``id``."""
+        zones = {name: table.column_zone(name) for name in table.schema.column_names}
+        scanned = []
+        column_array = table._column_array
+        table._column_array = lambda name: scanned.append(name) or column_array(name)
+
+        assert table.update_rows([7], {"price": 1_000.0}) == 1
+        assert list(table.filter_positions(eq("id", 7))) == [7]
+        for name in ("id", "name", "stock"):
+            assert table.column_zone(name) is zones[name]
+        assert scanned == []
+        # The assigned column is recomputed, not widened: exact either way.
+        assert table.column_zone("price").max_value == 1_000.0
+        assert table.update_rows([7], {"price": 1.0}) == 1
+        assert table.column_zone("price").max_value == 99 * 1.5
+        assert scanned == ["price", "price"]

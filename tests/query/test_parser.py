@@ -3,8 +3,8 @@
 import pytest
 
 from repro.errors import ParseError
-from repro.query.ast import AggregateFunction, QueryType
-from repro.query.parser import parse
+from repro.query.ast import AggregateFunction, LiteralSlot, Parameter, QueryType
+from repro.query.parser import parse, parse_template, split_literals
 from repro.query.predicates import And, Between, CompareOp, Comparison
 
 
@@ -166,6 +166,107 @@ class TestParseErrorPositions:
     def test_between_still_parses(self):
         query = parse("SELECT * FROM sales WHERE id BETWEEN 1 AND 10 AND product = 2")
         assert isinstance(query.predicate, And)
+
+
+class TestLiteralsNeverReachTheGrammar:
+    """Literals are lifted out of the text before the grammar runs."""
+
+    # Both raised ParseError when the grammar split the raw text on
+    # ``and`` / the first ``where``.
+    def test_keyword_inside_a_string_literal(self):
+        query = parse("SELECT * FROM t WHERE region = 'rock and roll'")
+        assert query.predicate == Comparison("region", CompareOp.EQ, "rock and roll")
+        query = parse("UPDATE t SET region = 'a where b' WHERE id = 1")
+        assert query.assignments == {"region": "a where b"}
+        assert query.predicate == Comparison("id", CompareOp.EQ, 1)
+
+    @pytest.mark.parametrize("value", [
+        "x, y", "a) b", "it?s", ":name", "x limit 5", "a = b", "(", "1e5",
+        "between 1 and 2", "$0", "",
+    ])
+    def test_string_values_round_trip(self, value):
+        assert parse(f"SELECT * FROM t WHERE region = '{value}'").predicate.value == value
+        assert parse(
+            f"SELECT * FROM t WHERE id = 1 AND region = '{value}' LIMIT 3"
+        ).predicate.predicates[1].value == value
+        assert parse(
+            f"UPDATE t SET region = '{value}', qty = 2 WHERE region = '{value}'"
+        ).assignments == {"region": value, "qty": 2}
+        assert parse(
+            f"INSERT INTO t (a, region, b) VALUES (1, '{value}', 2)"
+        ).rows[0] == {"a": 1, "region": value, "b": 2}
+        assert parse(f"DELETE FROM t WHERE region = '{value}'").predicate.value == value
+        assert parse(f'SELECT * FROM t WHERE region = "{value}"').predicate.value == value
+
+    def test_split_literals(self):
+        template, values = split_literals(
+            "UPDATE t2 SET col1 = -5, note = 'a, b' WHERE t2.c3 >= 1e-05 "
+            "AND x BETWEEN +7 AND 1562.484375"
+        )
+        assert template == (
+            "UPDATE t2 SET col1 = $0, note = $1 WHERE t2.c3 >= $2 "
+            "AND x BETWEEN $3 AND $4"
+        )
+        assert values == [-5, "a, b", 1e-05, 7, 1562.484375]
+        assert [type(value) for value in values] == [int, str, float, int, float]
+
+    def test_sibling_literals_share_one_template(self):
+        first, _ = split_literals("SELECT * FROM sales WHERE id = 17")
+        second, _ = split_literals("SELECT * FROM sales WHERE id = 180000")
+        assert first == second == "SELECT * FROM sales WHERE id = $0"
+        template = parse_template(first, "SELECT * FROM sales WHERE id = 17")
+        assert template.predicate.value == LiteralSlot(0)
+
+    def test_what_the_lifter_leaves_alone(self):
+        # LIMIT is part of the shape; keyword constants, placeholders and
+        # identifiers with digits are no literals.
+        text = ("SELECT c1, t2.c3 FROM t2 WHERE c1 = TRUE AND t2.c3 = NULL "
+                "AND d = ? AND e = :e2 AND f = false LIMIT 10")
+        assert split_literals(text) == (text, [])
+        query = parse(text)
+        assert query.limit == 10 and query.columns == ("c1", "t2.c3")
+        assert [child.value for child in query.predicate.predicates] == [
+            True, None, Parameter(index=0), Parameter(name="e2"), False,
+        ]
+
+    def test_signs_fractions_and_exponents(self):
+        values = [-5, 5, 0.5, -0.25, 1e-05, 2.5e3, 1562.484375, 12.0]
+        text = ", ".join(repr(value) for value in values)
+        query = parse(f"INSERT INTO t (a, b, c, d, e, f, g, h) VALUES ({text})")
+        assert list(query.rows[0].values()) == values
+        assert [type(v) for v in query.rows[0].values()] == [type(v) for v in values]
+        assert parse("SELECT * FROM t WHERE a=-5 AND b>=+.5").predicate.predicates[1].value == 0.5
+
+    def test_number_forms_left_to_the_grammar(self):
+        # Touching a word character or a sign, they are bare words.
+        assert parse("SELECT * FROM t WHERE d = 2020-01-31").predicate.value == "2020-01-31"
+        assert parse("SELECT * FROM t WHERE d = 12ab").predicate.value == "12ab"
+        nan = parse("SELECT * FROM t WHERE d = nan").predicate.value
+        assert nan != nan
+
+    def test_lifted_literals_and_placeholders_mix(self):
+        query = parse("UPDATE t SET a = ?, b = 'x' WHERE id = 7 AND c = ?")
+        assert query.assignments == {"a": Parameter(index=0), "b": "x"}
+        assert [child.value for child in query.predicate.predicates] == [
+            7, Parameter(index=1),
+        ]
+
+    def test_errors_point_into_the_original_text(self):
+        statement = "SELECT * FROM sales WHERE region = 'north-east' AND 12345 ~ 3"
+        with pytest.raises(ParseError) as excinfo:
+            parse(statement)
+        assert "'12345 ~ 3'" in str(excinfo.value)
+        assert excinfo.value.column == statement.index("12345") + 1
+        statement = "SELECT *\nFROM sales\nWHERE note = 'two\nlines' AND id = 1000 AND"
+        with pytest.raises(ParseError, match="dangling AND") as excinfo:
+            parse(statement)
+        last_line = statement.splitlines()[-1]
+        assert (excinfo.value.line, excinfo.value.column) == (4, last_line.rindex("AND") + 1)
+
+    def test_marker_character_outside_a_string_is_rejected(self):
+        with pytest.raises(ParseError, match="outside a string literal") as excinfo:
+            parse("SELECT * FROM t WHERE a = 1 AND b = $0")
+        assert excinfo.value.column == 37
 
 
 class TestParserEndToEnd:
