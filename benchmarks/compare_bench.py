@@ -18,7 +18,7 @@ Usage, from the repository root::
 
     PYTHONPATH=src python benchmarks/compare_bench.py
     PYTHONPATH=src python benchmarks/compare_bench.py \\
-        --fail-under grouped_agg_pushdown_100k_ms=3 \\
+        --fail-under grouped_agg_pushdown_100k_ms=20 \\
         --fail-under minmax_zero_scan_100k_ms=20
 
 ``benchmarks/run_checks.sh`` runs it as part of the full verification gate.

@@ -36,7 +36,10 @@
 #                be one); and if `LogicalPlan` / `planner.logical(` (a query
 #                and its literal-bearing fingerprint, rebuilt per statement
 #                for the plan-cache key) reappears — the key is the
-#                statement's shape.
+#                statement's shape; and if a grouped aggregate renumbers its
+#                rows again (`group_of_row`, a `rank[...]` gather over the
+#                codes or the inverse) — the group ids are reduced as they
+#                come, only the K groups are ordered.
 #   fuzz       — the seeded differentials: every fast path vs its toggled
 #                reference, on rows, CostBreakdown totals and charge order.
 #   faults / resilience / integrity — crash points, process faults and
@@ -61,7 +64,7 @@ python -m pytest -m perf -q benchmarks
 
 echo "== bench comparator: committed BENCH_pipeline.json baseline =="
 python benchmarks/compare_bench.py \
-    --fail-under grouped_agg_pushdown_100k_ms=3 \
+    --fail-under grouped_agg_pushdown_100k_ms=20 \
     --fail-under minmax_zero_scan_100k_ms=20 \
     --fail-under delta_insert_100k_ms=5 \
     --fail-under shard_grouped_agg_1m_sim_ms=2 \
@@ -77,7 +80,7 @@ python -m pytest -m matview -q tests benchmarks
 echo "== shard: scatter/gather differential + projection gates =="
 python -m pytest -m shard -q tests benchmarks
 
-echo "== ledger: one home per charge, one prunable unit, one execution context, one executor, one statement path =="
+echo "== ledger: one home per charge, one prunable unit, one execution context, one executor, one statement path, no per-row group renumbering =="
 deleted='compile_code_leaves|_DRY_MASK|charge_column_scan|_charge_pruned_main_update|_charge_main_positions|validate_assignments|_answers_from_index'
 if grep -rnE --include='*.py' "$deleted" src/; then
     echo "ledger: a deleted charge twin is back (see above)"; exit 1
@@ -115,6 +118,9 @@ if grep -nE '^\s*(from|import) +repro\.engine\.executor\.(aggregates|rewrite|acc
 fi
 if grep -rnE --include='*.py' 'LogicalPlan|planner\.logical\(' src/; then
     echo "ledger: the per-statement LogicalPlan is back (see above) — plans are keyed by statement shape"; exit 1
+fi
+if grep -rnE --include='*.py' 'group_of_row|_GroupOrdering|rank\[(codes|inverse|ids)\]' src/; then
+    echo "ledger: the per-row group renumbering is back (see above) — reduce over the ids as they come (aggregates._Groups)"; exit 1
 fi
 echo "ledger clean."
 

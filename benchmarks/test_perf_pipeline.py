@@ -254,9 +254,11 @@ def measure_minmax_zero_scan_ms(decode_baseline: bool = False) -> float:
     return best_of(runner) * 1000.0
 
 
-#: Aggregate-pushdown scenarios and their acceptance bars.
+#: Aggregate-pushdown scenarios and their acceptance bars.  The grouped bar
+#: sits between what ten live runs read with the rows renumbered per group
+#: (14.0-20.2x) and with the codes used as group ids (27.9-32.3x).
 PUSHDOWN_SCENARIOS = {
-    "grouped_agg_pushdown_100k_ms": (measure_grouped_agg_pushdown_ms, 3.0),
+    "grouped_agg_pushdown_100k_ms": (measure_grouped_agg_pushdown_ms, 20.0),
     "minmax_zero_scan_100k_ms": (measure_minmax_zero_scan_ms, 20.0),
 }
 
@@ -716,7 +718,7 @@ def test_aggregate_pushdown_speedups_are_recorded():
     """The pushdown acceptance bars.
 
     The grouped aggregate over a dictionary-encoded key + value must be
-    recorded >= 3x faster than decode-then-reduce, and the no-predicate
+    recorded >= 20x faster than decode-then-reduce, and the no-predicate
     MIN/MAX must be recorded >= 20x (zero-scan answers from zone synopses).
     """
     with BENCH_FILE.open() as handle:

@@ -10,7 +10,7 @@ Each column is either
 The codes-vs-values contract: producers hand the executor whichever
 representation they already have (the column store its int64 code arrays, the
 row store its cached value arrays); operators work on the representation they
-receive — group-by factorizes dictionary codes in O(n) without decoding, hash
+receive — group-by uses dictionary codes as group ids without decoding, hash
 joins probe on code arrays when both sides share a dictionary, and filtered
 column-store scans are compiled to **code-domain** masks in the storage
 layer (:func:`repro.engine.column_store.translate_code_predicate`: value

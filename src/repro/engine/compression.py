@@ -43,8 +43,10 @@ def code_width_bytes(num_distinct: int) -> int:
     """
     if num_distinct <= 1:
         return 1
-    bits = int(np.ceil(np.log2(num_distinct)))
-    return max(1, (bits + 7) // 8)
+    # ceil(log2(n)) in integer arithmetic: exact past 2**53, and no numpy
+    # scalar round trip on a per-statement path.
+    bits = (num_distinct - 1).bit_length()
+    return (bits + 7) // 8
 
 
 class ColumnDictionary:
@@ -66,6 +68,7 @@ class ColumnDictionary:
         self._values: List[Any] = []
         self._has_null = False
         self._values_array: Optional[np.ndarray] = None
+        self._reals_array: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self._values) + self._offset
@@ -116,8 +119,26 @@ class ColumnDictionary:
                 self._values_array = values_to_array(self._values)
         return self._values_array
 
+    @property
+    def reals_array(self) -> np.ndarray:
+        """The real entries — every entry but NULL — in code order (cached).
+
+        ``values_array`` without the reserved slot that forces it to
+        ``object`` dtype: an integer, boolean or float column keeps its
+        native dtype here whether or not it holds NULL.
+        """
+        if self._reals_array is None:
+            if self._has_null:
+                from repro.engine.batch import values_to_array
+
+                self._reals_array = values_to_array(self._values)
+            else:
+                self._reals_array = self.values_array
+        return self._reals_array
+
     def _invalidate(self) -> None:
         self._values_array = None
+        self._reals_array = None
 
     def encode_with_insert(self, value: Any) -> Tuple[int, Optional[int]]:
         """Return ``(code, shift_position)`` for *value*, inserting it if new.

@@ -28,11 +28,15 @@ bound query, or a toggle flip):
 
 ``code-domain``
     Unpartitioned column-store aggregations run on dictionary codes: the
-    group key's codes serve directly as dense group ids (one ``bincount``
-    per partition, one key decode per *group*), and ``SUM``/``AVG`` over
-    encoded numeric columns reduce as ``bincount(codes) · decoded(dict)`` —
-    O(|dictionary|) decodes instead of O(rows).  (The same kernels also run
-    inside each partition of the ``partition-partial`` tier.)
+    group keys' codes *are* the group ids — for several keys their
+    mixed-radix combination while that space stays within ``max(4096,
+    rows)`` — so rows are never renumbered: one shared ``bincount`` counts
+    them, every other aggregate reads each row once, and only the K groups
+    that occur are ordered (by first occurrence) and decoded, one key per
+    *group*.  ``SUM``/``AVG`` over encoded numeric columns reduce as
+    ``bincount(codes) · decoded(dict)`` — O(|dictionary|) decodes instead of
+    O(rows).  (The same kernels also run inside each partition of the
+    ``partition-partial`` tier and inside every shard worker.)
 
 ``operator``
     The generic reference path: joins, row-store bases, undecidable

@@ -2,18 +2,22 @@
 
 The aggregation operator collects columnar batches from an access path and
 feeds the value arrays through numpy reductions: ungrouped aggregates are
-single reductions, grouped aggregates factorize the key columns and reduce
-per group with ``bincount``/``reduceat``.  Value arrays numpy cannot reduce
-(mixed objects, NULLs in object columns) fall back to the scalar
-:class:`Accumulator` loop, which remains the semantic reference.
+single reductions, grouped aggregates give every row a group id and reduce
+per id with ``bincount``/``reduceat`` (:class:`_Groups`).  Value arrays
+numpy cannot reduce (mixed objects, NULLs in object columns) fall back to
+the scalar :class:`Accumulator` loop, which remains the semantic reference.
 
 With aggregate pushdown enabled (:mod:`repro.engine.executor.agg_pushdown`),
 dictionary-encoded columns never materialise per-row values:
 
-* a single :class:`~repro.engine.batch.EncodedColumn` group key uses its
-  codes directly as dense group ids — no factorization, one ``bincount``,
-  groups renumbered to first-occurrence order with one reverse assignment,
-  and one key decode per *group* at emit time;
+* :class:`~repro.engine.batch.EncodedColumn` group keys group in **code
+  space** — a row's group id *is* its code, for several keys the
+  mixed-radix combination ``code_a * |dict_b| + code_b`` while that space
+  stays within ``max(4096, rows)``.  Rows are never renumbered: one shared
+  ``bincount`` counts them (``COUNT(*)``, every ``AVG`` denominator, the
+  mask of codes that occur), every other aggregate reads each row once,
+  and only the K codes that occur are ordered (by first occurrence, found
+  on a growing prefix of the rows) and decoded, one key per *group*;
 * ``SUM``/``AVG`` over an encoded numeric column reduce in the dictionary
   domain — ``bincount(codes) · decoded(dictionary)`` ungrouped, a
   weight-gather ``bincount`` grouped — touching O(|dictionary|) decoded
@@ -21,6 +25,10 @@ dictionary-encoded columns never materialise per-row values:
 * ``COUNT``/``MIN``/``MAX`` reduce over the codes (the sorted dictionary
   makes the smallest live code the minimum value) and decode one value per
   result.
+
+Keys that are not encoded (row-store partitions, joined dimension
+attributes) and combinations past the bound factorize with ``np.unique``
+into dense ids first; from there on the reduction is the same.
 
 The module also hosts the partition-partial machinery: ``SUM``/``AVG`` split
 into mergeable ``(sum, count)`` states so each partition aggregates
@@ -34,6 +42,7 @@ identically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -92,34 +101,112 @@ def aggregate_values(function: AggregateFunction, values: Iterable[Any]) -> Any:
     return accumulator.result()
 
 
-class _GroupOrdering:
-    """Lazy group-sorted row order of one aggregation.
+#: Group ids are used as they come while their space is at most this large
+#: (or at most the number of input rows); a larger combination of several
+#: keys is factorized down to the ids that occur first.
+_DENSE_ID_SPACE = 4096
 
-    ``bincount``-served aggregates (COUNT/SUM/AVG over native arrays) never
-    need the rows sorted by group; the stable argsort — the single most
-    expensive step of a large group-by — runs only when a min/max ``reduceat``
-    or a scalar per-group fold asks for it, and at most once.
+#: Rows of the shortest prefix searched for first occurrences.
+_FIRST_PREFIX = 1024
+
+
+def _first_occurrences(ids: np.ndarray, used: np.ndarray, capacity: int) -> np.ndarray:
+    """The row of the first occurrence of each id in *used*.
+
+    Assigning row numbers in reverse row order leaves, per id, the smallest
+    row written last.  The assignment runs over a growing prefix of the rows
+    — a sixty-fourth, a sixteenth, a quarter, all — and stops once every
+    used id has shown: a low-cardinality key shows all its values within the
+    first few hundred rows, and an id whose only row is the last costs the
+    full pass plus the shorter ones before it, at most 4/3 n assignments.
+    """
+    num_rows = len(ids)
+    start = max(_FIRST_PREFIX, 8 * len(used))
+    shift = 0
+    while num_rows >> (shift + 2) >= start:
+        shift += 2
+    first_by_id = np.full(capacity, num_rows, dtype=np.int64)
+    while True:
+        size = num_rows >> shift
+        first_by_id[ids[:size][::-1]] = np.arange(size - 1, -1, -1, dtype=np.int64)
+        first = first_by_id[used]
+        if shift == 0 or int(first.max()) < num_rows:
+            return first
+        shift -= 2
+
+
+class _Groups:
+    """The groups of one aggregation, in id space.
+
+    Every row carries a group id in ``[0, capacity)`` — a key's dictionary
+    code, the mixed-radix combination of several keys' codes, or the inverse
+    of a factorization — and every reduction runs over those ids as they
+    are: rows are never renumbered.  One ``bincount`` is taken up front and
+    shared (``counts``: it is ``COUNT(*)``, every ``AVG`` denominator and
+    the mask of the ids that occur).  Only the K ids that occur are ordered —
+    by first occurrence, the emission order of the scalar accumulator loop —
+    and per-id results are compressed to those K (``emit``) *as arrays*
+    before anything is divided, converted or decoded, so an id without rows
+    (a dictionary entry orphaned by DML or filtered out) costs nothing and
+    is never looked at.
+
+    The stable argsort that brings the rows of each group together — the
+    single most expensive step of a large group-by — runs only when a
+    min/max ``reduceat`` or a scalar per-group fold asks for it, and at most
+    once; ``bincount``-served aggregates never need it.
     """
 
-    __slots__ = ("_group_of_row", "_num_groups", "_num_rows", "_cached")
+    __slots__ = ("ids", "capacity", "counts", "emit", "first_rows",
+                 "_emit_order", "_sizes", "_sorted")
 
-    def __init__(self, group_of_row: np.ndarray, num_groups: int, num_rows: int) -> None:
-        self._group_of_row = group_of_row
-        self._num_groups = num_groups
-        self._num_rows = num_rows
-        self._cached: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    def __init__(self, ids: np.ndarray, capacity: int) -> None:
+        self.ids = ids
+        self.capacity = capacity
+        counts = np.bincount(ids, minlength=capacity)
+        used = np.flatnonzero(counts)
+        first = _first_occurrences(ids, used, capacity)
+        self._emit_order = order = np.argsort(first)
+        #: The ids that occur and their first rows, in emission order.
+        self.emit = used[order]
+        self.first_rows = first[order]
+        self._sizes = counts[used]
+        #: Rows per emitted group.
+        self.counts = self._sizes[order]
+        self._sorted: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
-    def get(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(row_order, bounds)``: the slice [bounds[g]:bounds[g+1]] of the
-        reordered rows holds exactly group g's rows."""
-        if self._cached is None:
-            row_order = np.argsort(self._group_of_row, kind="stable")
-            starts = np.searchsorted(
-                self._group_of_row[row_order], np.arange(self._num_groups)
-            )
-            bounds = np.append(starts, self._num_rows)
-            self._cached = (row_order, bounds)
-        return self._cached
+    def bincount(self, ids: np.ndarray, weights: Optional[np.ndarray] = None) -> np.ndarray:
+        """Per emitted group, the number of rows in *ids* — or, with
+        *weights*, their weight sum, accumulated in row order exactly like
+        the scalar fold adds them."""
+        return np.bincount(ids, weights=weights, minlength=self.capacity)[self.emit]
+
+    def _segments(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(row_order, starts, ends)`` in id order: the slice
+        ``[starts[i]:ends[i]]`` of the reordered rows holds exactly the rows
+        of the i-th smallest id that occurs, in row order."""
+        if self._sorted is None:
+            row_order = np.argsort(self.ids, kind="stable")
+            ends = np.cumsum(self._sizes)
+            self._sorted = (row_order, ends - self._sizes, ends)
+        return self._sorted
+
+    def extremes(self, reduce: np.ufunc, values: np.ndarray) -> np.ndarray:
+        """``reduce`` (``np.minimum``/``np.maximum``) of *values* per
+        emitted group.  Every segment is non-empty, so ``reduceat`` reads
+        each exactly."""
+        row_order, starts, _ = self._segments()
+        return reduce.reduceat(values[row_order], starts)[self._emit_order]
+
+    def slices(self, values: Sequence[Any]) -> List[List[Any]]:
+        """The values of each emitted group's rows, in row order."""
+        row_order, starts, ends = self._segments()
+        ordered = (
+            values[row_order].tolist()
+            if isinstance(values, np.ndarray)
+            else [values[i] for i in row_order.tolist()]
+        )
+        starts, ends = starts.tolist(), ends.tolist()
+        return [ordered[starts[i]: ends[i]] for i in self._emit_order.tolist()]
 
 
 def _key_values_at(column: Any, first_rows: np.ndarray) -> List[Any]:
@@ -200,18 +287,19 @@ _UNSUPPORTED = object()
 def _dictionary_reals(dictionary) -> Optional[np.ndarray]:
     """The dictionary's real entries as a numeric array aligned with the
     value codes (the reserved NULL slot, if any, excluded), or ``None`` when
-    the entries are not numeric."""
-    values = dictionary.values_array
+    the entries are not numeric.
+
+    The entries keep their native dtype next to a NULL slot too, so an
+    integer or boolean column stays in the integer domain (a float64
+    coercion would skip the exactness guard and hand back float sums).
+    Integers beyond 64 bits stay objects — not numeric here, the caller's
+    scalar fold is exact.
+    """
     if getattr(dictionary, "has_null", False):
-        values = values[1:]
-    if values.dtype.kind in "iufb":
-        return values
-    if values.dtype != object:
-        return None  # strings etc.
-    try:
-        return np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError):
-        return None
+        values = dictionary.reals_array
+    else:
+        values = dictionary.values_array
+    return values if values.dtype.kind in "iufb" else None
 
 
 def _normalized(value: Any) -> Any:
@@ -273,12 +361,7 @@ def _reduce_encoded(function: AggregateFunction, column: EncodedColumn) -> Any:
 
 
 def _grouped_encoded(
-    function: AggregateFunction,
-    column: EncodedColumn,
-    group_of_row: np.ndarray,
-    ordering: "_GroupOrdering",
-    counts: np.ndarray,
-    num_groups: int,
+    function: AggregateFunction, column: EncodedColumn, groups: _Groups
 ) -> Any:
     """Per-group reduction in the code domain, or ``_UNSUPPORTED``."""
     codes = column.codes
@@ -286,9 +369,8 @@ def _grouped_encoded(
     has_null = bool(getattr(dictionary, "has_null", False))
     if function is AggregateFunction.COUNT:
         if not has_null:
-            return counts.tolist()
-        valid = codes != 0
-        return np.bincount(group_of_row[valid], minlength=num_groups).tolist()
+            return groups.counts.tolist()
+        return groups.bincount(groups.ids[codes != 0]).tolist()
     if function in (AggregateFunction.SUM, AggregateFunction.AVG):
         reals = _dictionary_reals(dictionary)
         if reals is None:
@@ -301,36 +383,26 @@ def _grouped_encoded(
             # accumulates in row order, so the per-group float sums are
             # bit-identical to the scalar reference's additions.
             valid = codes != 0
-            groups = group_of_row[valid]
-            sums = np.bincount(
-                groups, weights=weights[codes[valid] - 1], minlength=num_groups
-            )
-            non_null = np.bincount(groups, minlength=num_groups)
+            ids = groups.ids[valid]
+            sums = groups.bincount(ids, weights[codes[valid] - 1])
+            non_null = groups.bincount(ids)
         else:
-            sums = np.bincount(
-                group_of_row, weights=weights[codes], minlength=num_groups
-            )
-            non_null = counts
-        if function is AggregateFunction.SUM:
-            if reals.dtype.kind in "iub":
-                return [int(s) if c else None for s, c in zip(sums, non_null)]
-            return [float(s) if c else None for s, c in zip(sums, non_null)]
-        return [float(s / c) if c else None for s, c in zip(sums, non_null)]
+            sums = groups.bincount(groups.ids, weights[codes])
+            non_null = groups.counts
+        sums, non_null = sums.tolist(), non_null.tolist()
+        if function is AggregateFunction.AVG:
+            return [s / c if c else None for s, c in zip(sums, non_null)]
+        if reals.dtype.kind in "iub":
+            return [int(s) if c else None for s, c in zip(sums, non_null)]
+        return [s if c else None for s, c in zip(sums, non_null)]
     # MIN / MAX: reduce the codes per group, decode one value per group.
     nan_code = dictionary.nan_code
     if nan_code is not None and bool((codes == nan_code).any()):
         return _UNSUPPORTED  # scalar fold is order-dependent around NaN
     if has_null:
         return _UNSUPPORTED  # NULL-skipping per-group fold stays scalar
-    if num_groups == 0:
-        return []
-    row_order, bounds = ordering.get()
-    ordered = codes[row_order]
-    if function is AggregateFunction.MIN:
-        extremes = np.minimum.reduceat(ordered, bounds[:-1])
-    else:
-        extremes = np.maximum.reduceat(ordered, bounds[:-1])
-    return dictionary.decode_array(extremes).tolist()
+    reduce = np.minimum if function is AggregateFunction.MIN else np.maximum
+    return dictionary.decode_array(groups.extremes(reduce, codes)).tolist()
 
 
 @dataclass
@@ -408,79 +480,46 @@ class GroupedAggregation:
         group_key_columns: Sequence[Sequence[Any]],
         num_rows: int,
     ) -> Optional[List[Dict[str, Any]]]:
-        """Group-by via key factorization; ``None`` if the keys resist it.
+        """Group-by in id space; ``None`` if the keys resist it.
 
-        A single dictionary-encoded key skips factorization entirely: its
-        codes serve directly as dense group ids (aggregate pushdown), with
-        first-occurrence positions from one reverse assignment.  Multi-key
-        groupings factorize encoded columns from their sorted codes in O(n)
-        (:meth:`EncodedColumn.factorize`) and plain arrays with
-        ``np.unique``.  Either way one key value decodes per *group*, and
-        groups are emitted in first-occurrence order, exactly like the
-        scalar accumulator loop, so all paths produce identical result
-        lists.
+        :meth:`_derive_groups` gives every row a group id — for
+        dictionary-encoded keys the codes themselves (aggregate pushdown) —
+        and :class:`_Groups` reduces over those ids directly.  One key value
+        decodes per *group*, and groups are emitted in first-occurrence
+        order, exactly like the scalar accumulator loop, so all paths
+        produce identical result lists.
         """
         derived = self._derive_groups(group_key_columns, num_rows)
         if derived is None:
             return None
-        group_of_row, first_rows, num_groups = derived
-
-        key_values = [
-            _key_values_at(column, first_rows) for column in group_key_columns
+        groups = _Groups(*derived)
+        columns = [
+            _key_values_at(column, groups.first_rows)
+            for column in group_key_columns
         ]
-        ordering = _GroupOrdering(group_of_row, num_groups, num_rows)
-
-        columns: List[List[Any]] = []
         for spec, values in zip(self.aggregates, aggregate_inputs):
-            columns.append(
-                self._grouped_aggregate(
-                    spec.function, values, group_of_row, ordering, num_groups
-                )
-            )
-        results = []
-        for group in range(num_groups):
-            row = {
-                name: key_values[j][group]
-                for j, name in enumerate(self.group_by_names)
-            }
-            for spec, column in zip(self.aggregates, columns):
-                row[spec.output_name] = column[group]
-            results.append(row)
-        return results
+            columns.append(self._grouped_aggregate(spec.function, values, groups))
+        names = list(self.group_by_names)
+        names.extend(spec.output_name for spec in self.aggregates)
+        return [dict(zip(names, values)) for values in zip(*columns)]
 
     @staticmethod
     def _derive_groups(
         group_key_columns: Sequence[Sequence[Any]], num_rows: int
-    ) -> Optional[Tuple[np.ndarray, np.ndarray, int]]:
-        """``(group_of_row, first_rows, num_groups)`` in first-occurrence
-        order, or ``None`` when the keys resist vectorization."""
-        single = group_key_columns[0] if len(group_key_columns) == 1 else None
-        if isinstance(single, EncodedColumn) and aggregate_pushdown_enabled():
-            # Code-domain grouping: the codes *are* dense group ids — no
-            # factorization, no inverse; one scatter marks the used codes,
-            # one reverse assignment finds each code's first occurrence, and
-            # a rank gather renumbers rows to first-occurrence group order.
-            nan_code = single.dictionary.nan_code
-            if nan_code is not None and bool((single.codes == nan_code).any()):
-                # The scalar reference keys groups per NaN object; defer.
-                return None
-            codes = single.codes
-            capacity = max(len(single.dictionary), 1)
-            first_by_code = np.empty(capacity, dtype=np.int64)
-            first_by_code[codes[::-1]] = np.arange(num_rows - 1, -1, -1,
-                                                   dtype=np.int64)
-            used = np.zeros(capacity, dtype=bool)
-            used[codes] = True
-            used_codes = np.nonzero(used)[0]
-            first_occurrence = first_by_code[used_codes]
-            order = np.argsort(first_occurrence, kind="stable")
-            rank = np.empty(capacity, dtype=np.int64)
-            num_groups = len(used_codes)
-            rank[used_codes[order]] = np.arange(num_groups, dtype=np.int64)
-            return rank[codes], first_occurrence[order], num_groups
+    ) -> Optional[Tuple[np.ndarray, int]]:
+        """``(ids, capacity)``: one group id in ``[0, capacity)`` per row,
+        or ``None`` when the keys resist vectorization.
 
-        sizes: List[int] = []
-        inverses: List[np.ndarray] = []
+        With aggregate pushdown enabled an encoded key's id *is* its code and
+        its capacity the dictionary's length; the decode-then-reduce
+        reference compacts the codes first (:meth:`EncodedColumn.factorize`)
+        and plain arrays factorize with ``np.unique``.  Several keys combine
+        mixed-radix, ``id_a * capacity_b + id_b``; the combination is used as
+        it is while its space stays within ``max(_DENSE_ID_SPACE,
+        num_rows)`` and is factorized once more past that.
+        """
+        by_code = aggregate_pushdown_enabled()
+        keys: List[Tuple[np.ndarray, int]] = []
         for column in group_key_columns:
             if isinstance(column, EncodedColumn):
                 nan_code = column.dictionary.nan_code
@@ -488,9 +527,11 @@ class GroupedAggregation:
                     # Decoding boxes every NaN key separately and the scalar
                     # reference keys groups per NaN object; defer to it.
                     return None
-                distinct_codes, inverse = column.factorize()
-                sizes.append(len(distinct_codes))
-                inverses.append(inverse)
+                if by_code:
+                    keys.append((column.codes, len(column.dictionary)))
+                else:
+                    distinct_codes, inverse = column.factorize()
+                    keys.append((inverse, len(distinct_codes)))
                 continue
             array = column if isinstance(column, np.ndarray) else np.asarray(column, dtype=object)
             if array.dtype.kind == "f" and np.isnan(array).any():
@@ -502,95 +543,55 @@ class GroupedAggregation:
             except TypeError:
                 # Unsortable key mix (e.g. NULLs in an object column).
                 return None
-            sizes.append(len(uniques))
-            inverses.append(inverse.reshape(-1))
-        if len(sizes) == 1:
-            # A single key is already factorized densely (codes 0..G-1), so
-            # first-occurrence positions come from one reverse assignment —
-            # no second sort.  Assigning positions in reverse row order
-            # leaves, per group, the smallest row index written last.
-            num_groups = sizes[0]
-            inverse = inverses[0]
-            first_index = np.empty(num_groups, dtype=np.int64)
-            first_index[inverse[::-1]] = np.arange(num_rows - 1, -1, -1)
-        else:
-            key_space = 1
-            for size in sizes:
-                key_space *= max(size, 1)
-            if key_space > 2 ** 62:
-                return None  # combined key would overflow int64
-            combined = np.zeros(num_rows, dtype=np.int64)
-            for size, inverse in zip(sizes, inverses):
-                combined = combined * max(size, 1) + inverse
-            _, first_index, inverse = np.unique(
-                combined, return_index=True, return_inverse=True
-            )
-            inverse = inverse.reshape(-1)
-            num_groups = len(first_index)
-        # Renumber groups by first occurrence to match scalar emission order.
-        order = np.argsort(first_index, kind="stable")
-        rank = np.empty(num_groups, dtype=np.int64)
-        rank[order] = np.arange(num_groups)
-        return rank[inverse], first_index[order], num_groups
+            keys.append((inverse.reshape(-1), len(uniques)))
+        capacity = math.prod(size for _, size in keys)
+        if capacity > 2 ** 62:
+            return None  # combined key would overflow int64
+        ids = keys[0][0]
+        for key_ids, size in keys[1:]:
+            ids = ids * size + key_ids
+        if len(keys) > 1 and capacity > max(_DENSE_ID_SPACE, num_rows):
+            uniques, ids = np.unique(ids, return_inverse=True)
+            ids, capacity = ids.reshape(-1), len(uniques)
+        return ids, capacity
 
     @staticmethod
     def _grouped_aggregate(
         function: AggregateFunction,
         values: Optional[Sequence[Any]],
-        group_of_row: np.ndarray,
-        ordering: "_GroupOrdering",
-        num_groups: int,
+        groups: _Groups,
     ) -> List[Any]:
         """Per-group results for one aggregate (vectorized when possible)."""
-        counts = np.bincount(group_of_row, minlength=num_groups)
         if values is None:
             # COUNT(*): every row counts.
-            return counts.tolist()
+            return groups.counts.tolist()
         if isinstance(values, EncodedColumn):
-            reduced = _grouped_encoded(
-                function, values, group_of_row, ordering, counts, num_groups
-            )
+            reduced = _grouped_encoded(function, values, groups)
             if reduced is not _UNSUPPORTED:
                 return reduced
             values = values.values
         if _is_reducible(values):
             if function is AggregateFunction.COUNT:
-                return counts.tolist()
+                return groups.counts.tolist()
             if function in (AggregateFunction.SUM, AggregateFunction.AVG):
                 if values.dtype.kind not in "iub" or _int_sum_is_safe(values):
-                    sums = np.bincount(
-                        group_of_row,
-                        weights=values.astype(np.float64, copy=False),
-                        minlength=num_groups,
+                    sums = groups.bincount(
+                        groups.ids, values.astype(np.float64, copy=False)
                     )
-                    if function is AggregateFunction.SUM:
-                        if values.dtype.kind in "iub":
-                            # Integer inputs sum to ints, like the scalar fold.
-                            return [int(value) for value in sums]
-                        return sums.tolist()
-                    return (sums / counts).tolist()
+                    if function is AggregateFunction.AVG:
+                        return (sums / groups.counts).tolist()
+                    if values.dtype.kind in "iub":
+                        # Integer inputs sum to ints, like the scalar fold.
+                        return [int(value) for value in sums.tolist()]
+                    return sums.tolist()
                 # Unsafe integer sums (float64 weights would round, int64
                 # could wrap): fall through to the exact scalar fold.
             elif not _minmax_is_order_dependent(function, values):
-                row_order, bounds = ordering.get()
-                ordered = values[row_order]
-                if function is AggregateFunction.MIN:
-                    return np.minimum.reduceat(ordered, bounds[:-1]).tolist()
-                return np.maximum.reduceat(ordered, bounds[:-1]).tolist()
+                reduce = np.minimum if function is AggregateFunction.MIN else np.maximum
+                return groups.extremes(reduce, values).tolist()
         # Object/string values: scalar-aggregate each group's slice, which
         # preserves exact NULL-skipping semantics.
-        row_order, bounds = ordering.get()
-        ordered_values = (
-            values[row_order].tolist()
-            if isinstance(values, np.ndarray)
-            else [values[i] for i in row_order.tolist()]
-        )
-        return [
-            aggregate_values(
-                function, ordered_values[bounds[group]: bounds[group + 1]]
-            )
-            for group in range(num_groups)
-        ]
+        return [aggregate_values(function, slice_) for slice_ in groups.slices(values)]
 
     def _run_grouped_scalar(
         self,
@@ -616,11 +617,12 @@ class GroupedAggregation:
                 groups[key] = accumulators
             for accumulator, values in zip(accumulators, aggregate_inputs):
                 accumulator.update(values[position] if values is not None else 1)
+        output_names = [spec.output_name for spec in self.aggregates]
         results = []
         for key, accumulators in groups.items():
             row = dict(zip(self.group_by_names, key))
-            for spec, accumulator in zip(self.aggregates, accumulators):
-                row[spec.output_name] = accumulator.result()
+            for name, accumulator in zip(output_names, accumulators):
+                row[name] = accumulator.result()
             results.append(row)
         return results
 

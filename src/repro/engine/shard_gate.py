@@ -46,6 +46,16 @@ __all__ = [
 #: reports drift; the gate itself only ever reads these numbers.  Together
 #: they put the crossover of a whole-table grouped aggregate at 165-220k rows
 #: on 2 cores — sharding there is about break-even, and a tie stays sharded.
+#:
+#: ``GROUP_NS_PER_ROW`` was measured on the grouping kernel as it was before
+#: it grouped in code space (PR 22); the same script now reads 1.7 on the
+#: same box, a drift of 0.29x, and the other four are within 1.6x.  It stays
+#: committed as it is on purpose: with 1.7 the gate declines every statement
+#: of a 200k-row table on 2 cores (correctly — serial wins there now), and
+#: the frozen ``benchmarks/e2e`` smoke test asserts that the default
+#: configuration still takes the shard path at that size.  Re-committing the
+#: constants belongs to the change that makes scatter/gather opt-in (ROADMAP
+#: item 7) together with the harness unfreeze (item 8(a)).
 CRC_BYTES_PER_S = 4.4e9       # zlib.crc32 over an int64 code slice, in place
 TASK_DISPATCH_S = 0.22e-3     # per task: pickle, queue hop each way, wake-up, merge
 MASK_NS_PER_ROW = 0.7         # code-domain mask, per row per predicate column

@@ -12,16 +12,29 @@ wall-clock optimisation: identical query results, identical
 """
 
 import random
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.batch import ColumnBatch, values_to_array, vectorized_value_mask
+from repro.engine.batch import (
+    ColumnBatch,
+    EncodedColumn,
+    values_to_array,
+    vectorized_value_mask,
+)
 from repro.engine.column_store import ColumnStoreTable
 from repro.engine.compression import ColumnDictionary, CompressedColumn
 from repro.engine.database import HybridDatabase
-from repro.engine.executor.aggregates import GroupedAggregation, aggregate_values
+from repro.engine.executor import aggregates as aggregates_module
+from repro.engine.executor.aggregates import (
+    GroupedAggregation,
+    aggregate_values,
+    merge_partition_partials,
+    partition_partial_rows,
+)
 from repro.engine.row_store import RowStoreTable
 from repro.engine.schema import Column, TableSchema
 from repro.engine.types import DataType, Store
@@ -37,6 +50,10 @@ from repro.query.predicates import (
     Not,
     Or,
 )
+
+# A division over an empty code slot, a NaN compared where a mask should have
+# excluded it: numpy only warns.  Here that is an error.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 SCHEMA = TableSchema.build(
     "facts",
@@ -313,8 +330,199 @@ class TestVectorizedPredicateMask:
         assert evaluate_predicate_mask(predicate, arrays, 4).tolist() == expected
 
 
+ALL_FIVE = (
+    AggregateSpec(AggregateFunction.SUM, "a"),
+    AggregateSpec(AggregateFunction.AVG, "a", alias="avg_a"),
+    AggregateSpec(AggregateFunction.MIN, "a", alias="min_a"),
+    AggregateSpec(AggregateFunction.MAX, "a", alias="max_a"),
+    AggregateSpec(AggregateFunction.COUNT, "a", alias="count_a"),
+    AggregateSpec(AggregateFunction.COUNT, "*"),
+)
+
+
+def encoded(values, orphans=()):
+    """*values* as an ``EncodedColumn`` whose dictionary also holds
+    *orphans* — entries no row uses, as after an UPDATE, a DELETE or a
+    filter."""
+    dtype = (
+        DataType.VARCHAR if any(isinstance(value, str) for value in values)
+        else DataType.DOUBLE
+    )
+    dictionary = ColumnDictionary(dtype)
+    codes = dictionary.bulk_build(list(orphans) + list(values))
+    return EncodedColumn(codes[len(orphans):], dictionary)
+
+
+#: Multiples of 1/8 (never -0.0): every sum of a few hundred is exact in any
+#: order, so split-then-merge can be compared bit for bit too.
+eighths = st.integers(-40, 40).map(lambda i: i / 8)
+
+
+@st.composite
+def encoded_group_bys(draw, nan_keys=True):
+    """``(key columns, aggregate input, num_rows)`` with 1-3 encoded keys.
+
+    Dictionaries carry orphaned entries (two keys with 70 of them put the
+    combined space past the dense bound, fewer keep it inside; either way
+    capacity >> rows), the NULL key, and — for float keys — NaN.
+    """
+    num_rows = draw(st.one_of(st.integers(0, 40), st.integers(300, 400)))
+    keys = []
+    for _ in range(draw(st.integers(1, 3))):
+        pool = draw(st.sampled_from([
+            ["a", "b", "c", None],
+            [0.5, 1.5, None],
+            [0.5, float("nan"), 2.5] if nan_keys else [0.5, 2.5],
+        ]))
+        values = draw(st.lists(st.sampled_from(pool),
+                               min_size=num_rows, max_size=num_rows))
+        if num_rows and draw(st.booleans()):
+            # A key whose only row is the last: the first-occurrence search
+            # must grow its prefix to the full pass.
+            values[-1] = "lonely" if isinstance(pool[0], str) else 99.5
+        orphan_count = draw(st.sampled_from([0, 3, 70]))
+        if isinstance(pool[0], str):
+            orphans = [f"orphan{i}" for i in range(orphan_count)]
+        else:
+            orphans = [100.0 + i for i in range(orphan_count)]
+        if draw(st.booleans()):
+            orphans.append(None)
+        keys.append(encoded(values, orphans))
+    kind = draw(st.sampled_from(
+        ["encoded float", "encoded int", "float array", "int array", "objects"]
+    ))
+    element = st.integers(-9, 9) if kind.endswith("int") else eighths
+    if kind in ("encoded float", "encoded int", "objects"):
+        element = st.one_of(st.none(), element)
+    amounts = draw(st.lists(element, min_size=num_rows, max_size=num_rows))
+    if kind.startswith("encoded"):
+        amounts = encoded(amounts, orphans=[77 if kind == "encoded int" else 77.5])
+    else:
+        amounts = values_to_array(amounts)
+        if kind == "int array":
+            amounts = amounts.astype(np.int64)
+        elif kind == "float array":
+            amounts = amounts.astype(np.float64)
+    return keys, amounts, num_rows
+
+
+def has_nan_key(keys):
+    return any(value != value for column in keys for value in column.tolist())
+
+
 class TestGroupedAggregationEquivalence:
-    """The np.unique group-by must match the scalar accumulator loop exactly."""
+    """The vectorized group-by — encoded keys grouped in code space, plain
+    keys factorized by np.unique — must match the scalar accumulator loop
+    exactly: same groups in the same order, floats bit for bit, ints as ints
+    (``repr`` pins all of that, and NaN to NaN)."""
+
+    @given(case=encoded_group_bys(),
+           first_prefix=st.sampled_from([1, 4, 1024]))
+    @settings(max_examples=150, deadline=None)
+    def test_by_code_matches_scalar(self, case, first_prefix):
+        keys, amounts, num_rows = case
+        aggregation = GroupedAggregation(
+            aggregates=ALL_FIVE,
+            group_by_names=[f"k{index}" for index in range(len(keys))],
+        )
+        inputs = [amounts] * 5 + [None]
+        # A short first prefix makes a few hundred rows walk every growth
+        # step of the first-occurrence search.
+        with mock.patch.object(aggregates_module, "_FIRST_PREFIX", first_prefix):
+            by_code = aggregation._run_grouped_vectorized(inputs, keys, num_rows)
+            result = aggregation.run(inputs, keys, num_rows)
+        scalar = aggregation._run_grouped_scalar(inputs, keys, num_rows)
+        # NaN keys defer: the scalar loop keys a group per NaN object.
+        assert (by_code is None) == has_nan_key(keys)
+        assert repr(result) == repr(scalar)
+
+    @given(case=encoded_group_bys(nan_keys=False), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_split_then_merge_matches_unsplit(self, case, data):
+        keys, amounts, num_rows = case
+        names = [f"k{index}" for index in range(len(keys))]
+        part_of_row = np.asarray(data.draw(st.lists(
+            st.integers(0, 2), min_size=num_rows, max_size=num_rows
+        )), dtype=np.int64)
+        partials = []
+        for part in range(3):
+            rows = np.flatnonzero(part_of_row == part)
+            if len(rows):
+                partials.append(partition_partial_rows(
+                    ALL_FIVE, names,
+                    [amounts.take(rows) if isinstance(amounts, EncodedColumn)
+                     else amounts[rows]] * 5 + [None],
+                    [column.take(rows) for column in keys], len(rows),
+                ))
+        merged = merge_partition_partials(ALL_FIVE, names, partials)
+        # The concatenation of the parts in part order is what the merge
+        # must reproduce, emission order included.
+        order = np.argsort(part_of_row, kind="stable")
+        unsplit = GroupedAggregation(aggregates=ALL_FIVE, group_by_names=names).run(
+            [amounts.take(order) if isinstance(amounts, EncodedColumn)
+             else amounts[order]] * 5 + [None],
+            [column.take(order) for column in keys], num_rows,
+        )
+        assert repr(merged) == repr(unsplit)
+
+    @pytest.mark.parametrize("num_rows", [1, 5_000, 70_000])
+    def test_first_occurrence_at_both_ends(self, num_rows):
+        # Code 2's only row is the last (the prefix search's worst case: it
+        # must grow to the full pass), code 1's first row is row 0, and the
+        # 5 000-entry dictionary dwarfs the rows at the small sizes.
+        words = [f"w{i:04d}" for i in range(5_000)]
+        values = ["w0001"] + ["w0003", "w0001"] * ((num_rows - 1) // 2)
+        values[-1] = "w0002"
+        keys = [encoded(values, orphans=words)]
+        amounts = values_to_array([float(i % 7) for i in range(len(values))])
+        aggregation = GroupedAggregation(
+            aggregates=(AggregateSpec(AggregateFunction.SUM, "a"),
+                        AggregateSpec(AggregateFunction.COUNT, "*")),
+            group_by_names=["k"],
+        )
+        by_code = aggregation._run_grouped_vectorized(
+            [amounts, None], keys, len(values)
+        )
+        assert by_code == aggregation._run_grouped_scalar(
+            [amounts, None], keys, len(values)
+        )
+        assert by_code[-1]["k"] == "w0002" and by_code[-1]["count_star"] == 1
+
+    @pytest.mark.parametrize("aggregates, bytes_per_row", [
+        ((AggregateSpec(AggregateFunction.SUM, "v"),
+          AggregateSpec(AggregateFunction.COUNT, "*")), 8.5),
+        ((AggregateSpec(AggregateFunction.COUNT, "*"),), 0.5),
+    ])
+    def test_each_row_is_read_once_per_aggregate(self, aggregates, bytes_per_row):
+        """A guard that reads no clock: the peak of traced allocations
+        during a code-space group-by.  SUM gathers one float64 weight per
+        row (8 bytes); a per-row renumbering of the group ids would hold a
+        second n-long array next to it (16), a per-aggregate recount or
+        renumbering would give COUNT(*) one (8)."""
+        num_rows = 200_000
+        rng = np.random.default_rng(7)
+        group = ColumnDictionary(DataType.VARCHAR)
+        group.bulk_build([f"g{i:02d}" for i in range(16)])
+        value = ColumnDictionary(DataType.INTEGER)
+        value.bulk_build(list(range(1, 100)))
+        keys = [EncodedColumn(rng.integers(0, 16, num_rows), group)]
+        inputs = [
+            None if spec.column == "*"
+            else EncodedColumn(rng.integers(0, 99, num_rows), value)
+            for spec in aggregates
+        ]
+        aggregation = GroupedAggregation(aggregates=aggregates, group_by_names=["g"])
+        aggregation.run(inputs, keys, num_rows)  # warm: decoded dictionaries cache
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rows = aggregation.run(inputs, keys, num_rows)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 16
+        assert peak / num_rows <= bytes_per_row
 
     @pytest.mark.parametrize("seed", range(5))
     def test_vectorized_matches_scalar(self, seed):

@@ -1,5 +1,6 @@
 """Tests for dictionary compression, including property-based round trips."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,6 +26,28 @@ class TestCodeWidth:
     def test_width_is_monotonic(self):
         widths = [code_width_bytes(n) for n in (1, 10, 300, 70_000, 20_000_000)]
         assert widths == sorted(widths)
+
+    def test_integer_arithmetic_equals_the_float_formula(self):
+        """The simulated clock reads this number (``column_scan`` bills rows
+        x code width), so the integer form must be the function the float
+        form ``ceil(log2(n))`` was: on every dictionary size a test or a
+        benchmark builds, and on each side of every power of two as far as
+        float64 still tells them apart."""
+        sizes = np.arange(2, 2 ** 21)
+        float_widths = np.maximum(
+            1, (np.ceil(np.log2(sizes)).astype(np.int64) + 7) // 8
+        )
+        assert [code_width_bytes(size) for size in sizes.tolist()] == \
+            float_widths.tolist()
+        for exponent in range(1, 47):
+            for size in (2 ** exponent - 1, 2 ** exponent, 2 ** exponent + 1):
+                bits = int(np.ceil(np.log2(size)))
+                assert code_width_bytes(size) == max(1, (bits + 7) // 8), size
+
+    def test_width_does_not_round_past_float_precision(self):
+        # float64 reads 2**53 + 1 as 2**53; the integer form does not.
+        assert code_width_bytes(2 ** 56) == 7
+        assert code_width_bytes(2 ** 56 + 1) == 8
 
 
 class TestColumnDictionary:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engine.column_store import ColumnStoreTable
 from repro.engine.row_store import RowStoreTable
-from repro.engine.schema import TableSchema
+from repro.engine.schema import Column, TableSchema
 from repro.engine.types import DataType
 from repro.query.predicates import Between, CompareOp, Comparison
 
@@ -145,3 +145,78 @@ class TestStoreEquivalence:
                         value = database.execute(query).rows[0]["sum_priority"]
                 assert value == expected, store
                 assert type(value) is int, (store, context)
+
+
+NULLABLE_SCHEMA = TableSchema(
+    "ledger",
+    (
+        Column("id", DataType.INTEGER, primary_key=True),
+        Column("team", DataType.VARCHAR),
+        Column("k", DataType.INTEGER, nullable=True),
+        Column("q", DataType.BIGINT, nullable=True),
+        Column("b", DataType.BOOLEAN, nullable=True),
+    ),
+)
+
+
+def _nullable_rows():
+    """400 rows; ``k`` repeats a few small values (so the ungrouped SUM stays
+    in the dictionary domain), ``q`` holds values past 2**53, and every fifth,
+    seventh or eleventh cell of the three is NULL."""
+    return [
+        {
+            "id": i,
+            "team": f"team_{i % 3}",
+            "k": None if i % 5 == 0 else i % 4,
+            "q": None if i % 7 == 0 else 2 ** 60 + i % 6,
+            "b": None if i % 11 == 0 else i % 9 == 0,
+        }
+        for i in range(400)
+    ]
+
+
+class TestNullableIntegerAggregates:
+    """SUM / AVG over a *nullable* integer or boolean column: the column
+    store's dictionary keeps NULL in an object-typed slot, and the
+    dictionary-domain reduction once coerced such a dictionary to float64 —
+    ``SUM(k)`` read ``513.0`` for ``513`` and ``SUM(q)`` lost its low digits.
+    The differential fuzzer compares with ``math.isclose`` and saw neither;
+    these compare ``repr`` — value *and* type."""
+
+    QUERIES = {
+        "ungrouped": lambda b: b,
+        "grouped": lambda b: b.group_by("team"),
+        "filtered": lambda b: b.where(Comparison("id", CompareOp.LT, 300)),
+        "filtered and grouped": lambda b: b.group_by("team").where(
+            Between("id", 50, 350)
+        ),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(QUERIES))
+    def test_column_store_matches_row_store_in_value_and_type(self, shape):
+        from repro.engine.database import HybridDatabase
+        from repro.engine.executor.agg_pushdown import aggregate_pushdown_disabled
+        from repro.engine.types import Store
+        from repro.query.builder import aggregate
+
+        query = self.QUERIES[shape](
+            aggregate("ledger").sum("k").sum("q").sum("b")
+            .avg("k").avg("q").avg("b")
+        ).build()
+        results = {}
+        for store in Store:
+            database = HybridDatabase()
+            database.create_table(NULLABLE_SCHEMA, store=store)
+            database.load_rows("ledger", _nullable_rows())
+            results[store] = database.execute(query).rows
+            with aggregate_pushdown_disabled():
+                assert repr(database.execute(query).rows) == repr(results[store])
+        assert repr(results[Store.COLUMN]) == repr(results[Store.ROW])
+        for row in results[Store.COLUMN]:
+            for name in ("sum_k", "sum_q", "sum_b"):
+                assert type(row[name]) is int, (name, row[name])
+        if shape == "ungrouped":
+            rows = _nullable_rows()
+            assert results[Store.COLUMN][0]["sum_q"] == sum(
+                row["q"] for row in rows if row["q"] is not None
+            )
