@@ -39,7 +39,11 @@
 #                statement's shape; and if a grouped aggregate renumbers its
 #                rows again (`group_of_row`, a `rank[...]` gather over the
 #                codes or the inverse) — the group ids are reduced as they
-#                come, only the K groups are ordered.
+#                come, only the K groups are ordered; and if anything under
+#                src/ outside engine/compression.py assigns a column's
+#                `._codes` or writes through `.codes[...]` — a position index
+#                is dropped by the column's own mutators, which is sufficient
+#                only while they are the only writers.
 #   fuzz       — the seeded differentials: every fast path vs its toggled
 #                reference, on rows, CostBreakdown totals and charge order.
 #   faults / resilience / integrity — crash points, process faults and
@@ -80,7 +84,7 @@ python -m pytest -m matview -q tests benchmarks
 echo "== shard: scatter/gather differential + projection gates =="
 python -m pytest -m shard -q tests benchmarks
 
-echo "== ledger: one home per charge, one prunable unit, one execution context, one executor, one statement path, no per-row group renumbering =="
+echo "== ledger: one home per charge, one prunable unit, one execution context, one executor, one statement path, no per-row group renumbering, one writer of the codes =="
 deleted='compile_code_leaves|_DRY_MASK|charge_column_scan|_charge_pruned_main_update|_charge_main_positions|validate_assignments|_answers_from_index'
 if grep -rnE --include='*.py' "$deleted" src/; then
     echo "ledger: a deleted charge twin is back (see above)"; exit 1
@@ -121,6 +125,10 @@ if grep -rnE --include='*.py' 'LogicalPlan|planner\.logical\(' src/; then
 fi
 if grep -rnE --include='*.py' 'group_of_row|_GroupOrdering|rank\[(codes|inverse|ids)\]' src/; then
     echo "ledger: the per-row group renumbering is back (see above) — reduce over the ids as they come (aggregates._Groups)"; exit 1
+fi
+if grep -rnE --include='*.py' '\._codes *([-+*|&^]|<<|>>)?=[^=]|\.codes\[[^]]*\] *([-+*|&^]|<<|>>)?=[^=]' src/ \
+        | grep -v '^src/repro/engine/compression\.py:'; then
+    echo "ledger: a column's codes are written outside engine/compression.py (see above) — go through a CompressedColumn mutator, they drop the position index"; exit 1
 fi
 echo "ledger clean."
 

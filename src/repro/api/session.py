@@ -151,6 +151,10 @@ class SessionStats:
     integrity_units_quarantined: int = 0
     #: Quarantined units rebuilt by :meth:`Session.repair`.
     integrity_units_repaired: int = 0
+    #: Column-store position indexes this session's statements built, and
+    #: filters they answered from one instead of scanning the codes.
+    position_index_builds: int = 0
+    position_index_scans: int = 0
 
     @property
     def plan_cache_hit_rate(self) -> float:
@@ -589,6 +593,8 @@ class Session:
             integrity_corruption_detected=counters.corruption_detected,
             integrity_units_quarantined=counters.units_quarantined,
             integrity_units_repaired=counters.units_repaired,
+            position_index_builds=counters.position_index_builds,
+            position_index_scans=counters.position_index_scans,
         )
 
     # -- DDL / data conveniences (delegation) --------------------------------------

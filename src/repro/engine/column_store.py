@@ -7,19 +7,32 @@ while reconstructing complete tuples, inserting rows and updating values pay
 per-cell penalties (dictionary maintenance, random accesses across columns).
 
 The sorted dictionary also provides the "implicit index" the paper mentions
-for point and range predicates.  Compilation has two phases:
+for point and range predicates — its value -> code half.
 :func:`translate_code_predicate` turns a value predicate —
 ``EQ/NE/LT/LE/GT/GE``, ``BETWEEN``, ``IN``, ``IS NULL`` and any
-``AND``/``OR``/``NOT`` combination of them — into code intervals and
-memberships via ``bisect`` on the dictionary (the only step that can fail),
-and the mask function it returns applies them as vectorised integer
-comparisons over the code arrays.  No value is decoded; NULL (the reserved
-code 0) and NaN (sorted last) are excluded or included exactly as the scalar
-evaluator would.  Predicates the translator cannot express (incomparable
-literal types, columns it does not know) fall back to the decode-and-compare
-path, which mirrors the row store's evaluator.  ``code_domain_disabled()``
-forces that fallback everywhere — the differential fuzzer and the scan
-benchmarks use it as the reference path.
+``AND``/``OR``/``NOT`` combination of them — into **code intervals** via
+``bisect`` on the dictionary (the only step that can fail); no value is
+decoded, and NULL (the reserved code 0) and NaN (sorted last) are excluded
+or included exactly as the scalar evaluator would.  The intervals are one
+description with two consumers (:meth:`ColumnStoreTable.filter_positions`):
+
+* the **scan** — :func:`intervals_mask`, vectorised integer comparisons over
+  the whole code array, O(rows);
+* the **lookup** — the code -> rows half, which is *not* implicit: a
+  column's position index (:class:`~repro.engine.compression
+  .CompressedColumn`) holds the row positions grouped by code, so the rows
+  of an interval are one slice of it, O(matches), counted exactly before
+  any is read.  A selective conjunct drives, the remaining conjuncts test
+  the picked rows only.  The column builds its index once the selective
+  scans it served since its codes last changed have paid for it, and its
+  own mutators drop it; there is nothing to configure.  A lookup is billed
+  as the scan it replaces.
+
+Predicates the translator cannot express (incomparable literal types,
+columns it does not know) fall back to the decode-and-compare path, which
+mirrors the row store's evaluator.  ``code_domain_disabled()`` forces that
+fallback everywhere — the differential fuzzer and the scan benchmarks use it
+as the reference path.
 
 **Charging**: :meth:`ColumnStoreTable.charge_filter_scan` (from the
 translation's verdict) and :meth:`ColumnStoreTable.charge_column_read` (from
@@ -49,10 +62,22 @@ of the snapshot while writers proceed.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
+from repro.engine import context
 from repro.engine.batch import (
     BatchColumn,
     ColumnBatch,
@@ -61,7 +86,11 @@ from repro.engine.batch import (
     evaluate_predicate_mask,
     values_to_array,
 )
-from repro.engine.compression import CompressedColumn, code_width_bytes
+from repro.engine.compression import (
+    CodeIntervals,
+    CompressedColumn,
+    code_width_bytes,
+)
 from repro.engine.integrity import TableIntegrity, verify_on_scan_enabled
 from repro.engine.schema import TableSchema
 from repro.engine.timing import CostAccountant
@@ -247,13 +276,118 @@ def _concat_values(main: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return np.concatenate([main, delta])
 
 
-#: A charge record of one translated predicate leaf: the compressed column it
-#: scans and whether it performed a dictionary (bisect) probe.
-CodeLeaf = Tuple[CompressedColumn, bool]
+#: The *apply* half of a translated predicate: ``apply(num_rows)`` is the
+#: boolean mask over the code arrays of the columns it was translated
+#: against; ``apply(len(picked), picked)`` the mask over their codes at the
+#: row positions *picked* only.
+CodeMask = Callable[..., np.ndarray]
 
-#: The *apply* half of a translated predicate: row count -> boolean mask over
-#: the code arrays of the columns it was translated against.
-CodeMask = Callable[[int], np.ndarray]
+
+def intervals_mask(
+    codes: np.ndarray, intervals: CodeIntervals, num_codes: int
+) -> np.ndarray:
+    """Mask of the *codes* that lie in *intervals* — the one mask function.
+
+    *num_codes* is the dictionary size: a bound at either end of the code
+    space needs no comparison.
+    """
+    if not intervals:
+        return np.zeros(len(codes), dtype=bool)
+    if len(intervals) > 2:
+        members = np.concatenate([np.arange(lo, hi) for lo, hi in intervals])
+        return np.isin(codes, members)
+    mask: Optional[np.ndarray] = None
+    for lo, hi in intervals:
+        if hi - lo == 1:
+            part = codes == lo
+        elif hi < num_codes:
+            part = codes < hi
+            if lo > 0:
+                part &= codes >= lo
+        elif lo > 0:
+            part = codes >= lo
+        else:
+            part = np.ones(len(codes), dtype=bool)
+        if mask is None:
+            mask = part
+        else:
+            mask |= part
+    return mask
+
+
+def _union(intervals: Iterable[Tuple[int, int]]) -> CodeIntervals:
+    """*intervals* in any order, overlapping or adjacent, as :data:`CodeIntervals`."""
+    merged: List[Tuple[int, int]] = []
+    for lo, hi in sorted(intervals):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
+        else:
+            merged.append((lo, hi))
+    return tuple(merged)
+
+
+def _lookup_pays(count: int, intervals: CodeIntervals, num_rows: int) -> bool:
+    """Whether fetching *count* indexed rows beats scanning *num_rows* codes.
+
+    The rows of one code are stored ascending and cost a copy; several
+    codes' rows have to be sorted, which is what bounds the lookup.
+    """
+    if len(intervals) == 1 and intervals[0][1] - intervals[0][0] == 1:
+        return count * 4 <= num_rows
+    return count * count.bit_length() <= num_rows
+
+
+class CodeLeaf:
+    """One simple predicate, translated against one column's dictionary.
+
+    The rows it matches are those whose code lies in ``intervals`` — or, for
+    ``complement`` (``!=``), in none of them.  That one description serves
+    both consumers: the mask (:func:`intervals_mask`) and, for a column with
+    a position index, the lookup.  ``probed`` records whether translation
+    cost a dictionary probe (the charge record).
+    """
+
+    __slots__ = ("column", "probed", "intervals", "complement")
+
+    def __init__(self, column, probed: bool, intervals: CodeIntervals,
+                 complement: bool) -> None:
+        self.column = column
+        self.probed = probed
+        self.intervals = intervals
+        self.complement = complement
+
+    def __call__(self, num_rows: int, picked: Optional[np.ndarray] = None) -> np.ndarray:
+        codes = self.column.codes
+        if picked is not None:
+            codes = codes[picked]
+        mask = intervals_mask(codes, self.intervals, len(self.column.dictionary))
+        if self.complement:
+            np.logical_not(mask, out=mask)
+        return mask
+
+
+class CodeConjunction:
+    """An ``AND`` (nested ones flattened), its conjuncts kept apart so that
+    one of them can pick the rows and the others test only those."""
+
+    __slots__ = ("children",)
+
+    def __init__(self, children: List[CodeMask]) -> None:
+        self.children = children
+
+    def __call__(self, num_rows: int, picked: Optional[np.ndarray] = None) -> np.ndarray:
+        mask = self.children[0](num_rows, picked)
+        for child in self.children[1:]:
+            mask &= child(num_rows, picked)
+        return mask
+
+
+def _can_drive(node: CodeMask) -> bool:
+    """Whether a position index on the node's column could pick its rows."""
+    return isinstance(node, CodeLeaf) and not node.complement
+
+
+_first = itemgetter(0)
 
 
 def translate_code_predicate(
@@ -261,22 +395,23 @@ def translate_code_predicate(
 ) -> Optional[Tuple[CodeMask, List[CodeLeaf]]]:
     """Translate *predicate* into the code domain — dictionaries only.
 
-    Every value constant becomes a code, a code interval or a code
-    membership through the sorted dictionaries (``bisect``,
-    ``encode_existing``) — the only steps that can fail.  Returns
-    ``(apply, leaves)`` or ``None`` when any part of the predicate cannot be
-    answered in the code domain (unknown column, incomparable literal type);
-    translation is all-or-nothing and charge-free, so a failed attempt never
-    double-charges against the fallback path.  *leaves* list one entry per
-    simple predicate, in evaluation order, to bill from; ``apply(num_rows)``
+    Every value constant becomes code intervals through the sorted
+    dictionaries (``bisect``, ``encode_existing``) — the only steps that can
+    fail.  Returns ``(apply, leaves)`` or ``None`` when any part of the
+    predicate cannot be answered in the code domain (unknown column,
+    incomparable literal type); translation is all-or-nothing and
+    charge-free, so a failed attempt never double-charges against the
+    fallback path.  *leaves* list one :class:`CodeLeaf` per simple
+    predicate, in evaluation order, to bill from; ``apply(num_rows)``
     evaluates the mask over the code arrays and may be skipped by a caller
     that already knows the scan's answer.
 
     NULL awareness: a dictionary holding NULL reserves code 0 for it.  Value
     comparisons and ranges never include code 0 (``range_codes`` offsets its
-    interval past it; ``NE`` masks it out explicitly), ``IS NULL`` is exactly
-    ``codes == 0``, and an ``IN``-list containing NULL picks code 0 up
-    through ``encode_existing(None)`` — all matching the scalar evaluator's
+    interval past it; ``NE`` is the complement of the value's code *and*
+    code 0), ``IS NULL`` is exactly the interval ``[0, 1)``, and an
+    ``IN``-list containing NULL picks code 0 up through
+    ``encode_existing(None)`` — all matching the scalar evaluator's
     row-at-a-time semantics.
     """
     leaves: List[CodeLeaf] = []
@@ -286,17 +421,13 @@ def translate_code_predicate(
     return apply, leaves
 
 
-def _no_rows(codes: np.ndarray) -> np.ndarray:
-    return np.zeros(len(codes), dtype=bool)
-
-
 def _translate(
     predicate: Predicate,
     columns: Mapping[str, CompressedColumn],
     leaves: List[CodeLeaf],
 ) -> Optional[CodeMask]:
     if isinstance(predicate, TruePredicate):
-        return lambda num_rows: np.ones(num_rows, dtype=bool)
+        return lambda num_rows, picked=None: np.ones(num_rows, dtype=bool)
     if isinstance(predicate, (And, Or)):
         children: List[CodeMask] = []
         for child in predicate.predicates:
@@ -306,16 +437,36 @@ def _translate(
             children.append(translated)
         if not children:
             return None
-        conjunction = isinstance(predicate, And)
+        if isinstance(predicate, And):
+            return CodeConjunction([
+                conjunct
+                for child in children
+                for conjunct in (
+                    child.children if isinstance(child, CodeConjunction) else (child,)
+                )
+            ])
 
-        def combined(num_rows: int) -> np.ndarray:
-            mask = children[0](num_rows)
+        if all(
+            isinstance(child, CodeLeaf) and not child.complement
+            and child.column is children[0].column
+            for child in children
+        ):
+            # Ranges of one column OR-ed together are one leaf over the
+            # union of their intervals (the children stay in *leaves*: the
+            # bill is per simple predicate).
+            return CodeLeaf(
+                children[0].column, False,
+                _union(interval for child in children for interval in child.intervals),
+                False,
+            )
+
+        def disjunction(num_rows: int, picked: Optional[np.ndarray] = None) -> np.ndarray:
+            mask = children[0](num_rows, picked)
             for child in children[1:]:
-                other = child(num_rows)
-                mask = mask & other if conjunction else mask | other
+                mask |= child(num_rows, picked)
             return mask
 
-        return combined
+        return disjunction
     if isinstance(predicate, Not):
         # The leaf masks already encode NULL semantics (a NULL row fails
         # every comparison), so plain inversion matches the scalar
@@ -323,109 +474,83 @@ def _translate(
         inner = _translate(predicate.predicate, columns, leaves)
         if inner is None:
             return None
-        return lambda num_rows: ~inner(num_rows)
+        return lambda num_rows, picked=None: ~inner(num_rows, picked)
     if isinstance(predicate, (IsNull, Comparison, Between, InList)):
         column = columns.get(predicate.column)
         if column is None:
             return None
         try:
-            leaf = _translate_leaf(column.dictionary, predicate)
+            intervals, complement = _translate_leaf(column.dictionary, predicate)
         except TypeError:
             # The dictionary cannot answer this predicate (incomparable
             # literal types); the whole translation falls back to the
             # value-level evaluator, which mirrors the row store exactly.
             return None
-        leaves.append((column, not isinstance(predicate, IsNull)))
-        return lambda num_rows: leaf(column.codes)
+        leaf = CodeLeaf(
+            column, not isinstance(predicate, IsNull), intervals, complement
+        )
+        leaves.append(leaf)
+        return leaf
     return None
 
 
-def _translate_leaf(
-    dictionary, predicate: Predicate
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Mask function (codes -> mask) of a simple predicate over one column.
+def _translate_leaf(dictionary, predicate: Predicate) -> Tuple[CodeIntervals, bool]:
+    """``(intervals, complement)`` of a simple predicate over one column.
 
     Value constants translate to codes and code ranges through the sorted
     dictionary; comparing a literal of an incomparable type against the
-    dictionary values raises ``TypeError`` out of here.
+    dictionary values raises ``TypeError`` out of here.  NULL is code 0 and
+    a NaN entry sorts last, so leaving them out of a range keeps it one
+    interval; a literal the dictionary does not hold yields no interval.
     """
     if isinstance(predicate, IsNull):
-        if dictionary.has_null:
-            return lambda codes: codes == 0
-        return _no_rows
-    if isinstance(predicate, Comparison):
-        return _translate_comparison(dictionary, predicate)
+        return ((0, 1),) if dictionary.has_null else (), False
+    if isinstance(predicate, InList):
+        # A NaN member matches nothing (IN is chained equality); it also can
+        # never be *found* — ``encode_existing`` bisects only the orderable
+        # values — so it simply contributes no member code.
+        member_codes = [dictionary.encode_existing(value) for value in predicate.values]
+        return _union(
+            (code, code + 1) for code in member_codes if code is not None
+        ), False
+    nan_code = dictionary.nan_code
     if isinstance(predicate, Between):
         if dictionary.holds_null:
             # BETWEEN never matches NULL, and the all-NULL dictionary
             # cannot order its bounds.
-            return _no_rows
-        lo, hi = dictionary.range_codes(
+            return (), False
+        # ``range_codes`` offsets past the reserved NULL code, so NULL rows
+        # (code 0) never fall inside the interval.
+        found = [dictionary.range_codes(
             predicate.low, predicate.high,
             predicate.include_low, predicate.include_high,
-        )
-        nan_code = dictionary.nan_code
-
-        def between_mask(codes: np.ndarray) -> np.ndarray:
-            # ``range_codes`` offsets past the reserved NULL code, so NULL
-            # rows (code 0) never fall inside the interval.
-            mask = (codes >= lo) & (codes < hi)
-            if nan_code is not None:
-                # The scalar evaluator tests Between by *exclusion*
-                # (value < low / value > high), which NaN never fails.
-                mask |= codes == nan_code
-            return mask
-
-        return between_mask
-    # A NaN member matches nothing (IN is chained equality); it also can
-    # never be *found* — ``encode_existing`` bisects only the orderable
-    # values — so it simply contributes no member code.
-    member_codes = [
-        dictionary.encode_existing(value) for value in predicate.values
-    ]
-    member_codes = [code for code in member_codes if code is not None]
-    if not member_codes:
-        return _no_rows
-    members = np.asarray(member_codes, dtype=np.int64)
-    return lambda codes: np.isin(codes, members)
-
-
-def _translate_comparison(
-    dictionary, predicate: Comparison
-) -> Callable[[np.ndarray], np.ndarray]:
+        )]
+        if nan_code is not None:
+            # The scalar evaluator tests Between by *exclusion*
+            # (value < low / value > high), which NaN never fails; an open
+            # upper end already reaches its code.
+            found.append((nan_code, nan_code + 1))
+        return _union((lo, hi) for lo, hi in found if lo < hi), False
     if predicate.value is None or dictionary.holds_null:
         # ``column <op> NULL`` never matches, and neither does any
         # comparison over an all-NULL column (row-at-a-time semantics:
         # a comparison involving NULL is false, whatever the operator).
-        return _no_rows
-    has_null = dictionary.has_null
+        return (), False
     if predicate.op in (CompareOp.EQ, CompareOp.NE):
         code = dictionary.encode_existing(predicate.value)
+        found = [] if code is None else [(code, code + 1)]
         if predicate.op is CompareOp.EQ:
-            return _no_rows if code is None else lambda codes: codes == code
-
-        def ne_mask(codes: np.ndarray) -> np.ndarray:
-            if code is None:
-                mask = np.ones(len(codes), dtype=bool)
-            else:
-                mask = codes != code
-            if has_null:
-                # NULL rows fail every comparison, != included.
-                mask &= codes != 0
-            return mask
-
-        return ne_mask
+            return tuple(found), False
+        if dictionary.has_null:
+            # NULL rows fail every comparison, != included.
+            found.insert(0, (0, 1))
+        return tuple(found), True
     if is_nan(predicate.value):
         # Ordered comparison against a NaN literal is false for every
         # value (bisect would place NaN at position 0 and wrongly match
         # everything for >=).
-        return _no_rows
-    # Ordered comparisons never match NaN row-at-a-time (every comparison
-    # is False); a NaN dictionary entry sorts last, so exclude its code
-    # from the range masks explicitly.
-    nan_code = dictionary.nan_code
-    below = predicate.op in (CompareOp.LT, CompareOp.LE)
-    if below:
+        return (), False
+    if predicate.op in (CompareOp.LT, CompareOp.LE):
         lo, hi = dictionary.range_codes(
             None, predicate.value, include_high=predicate.op is CompareOp.LE
         )
@@ -433,21 +558,11 @@ def _translate_comparison(
         lo, hi = dictionary.range_codes(
             predicate.value, None, include_low=predicate.op is CompareOp.GE
         )
-
-    def ordered_mask(codes: np.ndarray) -> np.ndarray:
-        if below:
-            mask = codes < hi
-            if has_null:
-                # The reserved NULL code 0 is below every value code.
-                mask &= codes != 0
-        else:
-            # ``lo`` is offset past the NULL code, which excludes NULL rows.
-            mask = codes >= lo
+        # Ordered comparisons never match NaN row-at-a-time (every
+        # comparison is False); its code is the last one.
         if nan_code is not None:
-            mask &= codes != nan_code
-        return mask
-
-    return ordered_mask
+            hi = nan_code
+    return ((lo, hi),) if lo < hi else (), False
 
 
 class ColumnStoreTable:
@@ -899,13 +1014,20 @@ class ColumnStoreTable:
     ) -> Optional[np.ndarray]:
         """Return positions of rows matching *predicate* (``None`` = all rows).
 
-        Predicates translate to vectorized integer comparisons over the code
-        arrays (:func:`translate_code_predicate` — the sorted dictionary is
-        the implicit index); predicates the translator cannot express fall
-        back to decode-and-compare, which additionally pays per-value decode
-        costs for the referenced columns.  *proven_empty* carries a zone-map
-        proof that no row matches: the scan is billed all the same, and
-        skipped.
+        Always ascending ``int64``: per-group sums accumulate in row order
+        and ``LIMIT`` takes a prefix.  Predicates translate to code intervals
+        through the sorted dictionaries (:func:`translate_code_predicate` —
+        value -> code is the implicit index) and main's rows are found one
+        of two ways (:meth:`_main_positions`): **looked up** in a column's
+        position index, reading what the predicate selects, or **scanned**
+        as vectorized integer comparisons over the code arrays.  The bill is
+        the same either way — :meth:`charge_filter_scan` prices the scan the
+        lookup replaces, before anything is evaluated.  Delta rows are
+        evaluated in the value domain and appended.  Predicates the
+        translator cannot express fall back to decode-and-compare, which
+        additionally pays per-value decode costs for the referenced columns.
+        *proven_empty* carries a zone-map proof that no row matches: the
+        scan is billed all the same, and skipped.
         """
         if predicate is None:
             return None
@@ -922,7 +1044,8 @@ class ColumnStoreTable:
         if proven_empty:
             return np.empty(0, dtype=np.int64)
         if apply is not None:
-            mask = apply(self._num_rows - delta_len)
+            main_rows = self._num_rows - delta_len
+            positions = self._main_positions(apply, main_rows)
             if delta_len:
                 # The delta portion is evaluated in the value domain —
                 # result-equivalent to the code domain (the differential
@@ -933,8 +1056,10 @@ class ColumnStoreTable:
                     for name in predicate.columns()
                 }
                 delta_mask = evaluate_predicate_mask(predicate, arrays, delta_len)
-                mask = np.concatenate([mask, delta_mask])
-            return np.nonzero(mask)[0].astype(np.int64)
+                positions = np.concatenate(
+                    [positions, np.flatnonzero(delta_mask) + main_rows]
+                )
+            return positions
         # Fallback: decode the referenced columns (vectorized gather) and
         # evaluate the predicate over the value arrays; predicates the
         # vectorized evaluator cannot express run the row-at-a-time loop.
@@ -944,6 +1069,60 @@ class ColumnStoreTable:
         }
         mask = evaluate_predicate_mask(predicate, arrays, self._num_rows)
         return np.nonzero(mask)[0].astype(np.int64)
+
+    @staticmethod
+    def _main_positions(apply: CodeMask, main_rows: int) -> np.ndarray:
+        """Ascending main positions matching the translated predicate.
+
+        The conjuncts that are plain interval leaves can *drive*: with a
+        position index on its column, the most selective of them picks its
+        rows — their exact count is known beforehand — and the other
+        conjuncts test only those; :func:`_lookup_pays` decides whether that
+        beats the scan.  Otherwise every conjunct scans its code array, and
+        the driver the scan would have wanted is told so
+        (:meth:`~repro.engine.compression.CompressedColumn.note_served_scan`)
+        — that is what builds indexes.  ``NOT``, ``!=`` and an ``OR`` across
+        columns at the top always scan.
+        """
+        conjuncts = apply.children if isinstance(apply, CodeConjunction) else [apply]
+        drivers = [conjunct for conjunct in conjuncts if _can_drive(conjunct)]
+        for leaf in drivers:
+            if not leaf.intervals:
+                return np.empty(0, dtype=np.int64)
+        indexed = [
+            (leaf.column.indexed_rows(leaf.intervals), leaf)
+            for leaf in drivers if leaf.column.has_position_index
+        ]
+        if indexed:
+            count, driver = min(indexed, key=_first)
+            if _lookup_pays(count, driver.intervals, main_rows):
+                context.current().counters.position_index_scans += 1
+                picked = driver.column.indexed_positions(driver.intervals)
+                for conjunct in conjuncts:
+                    if conjunct is not driver:
+                        picked = picked[conjunct(len(picked), picked)]
+                return picked
+        masks = [conjunct(main_rows) for conjunct in conjuncts]
+        unindexed = [
+            (leaf, mask) for leaf, mask in zip(conjuncts, masks)
+            if _can_drive(leaf) and not leaf.column.has_position_index
+        ]
+        # A lone conjunct's count is the length of the answer; several are
+        # counted before the AND folds them into the first mask.
+        counted = [] if len(masks) == 1 else [
+            (int(np.count_nonzero(mask)), leaf) for leaf, mask in unindexed
+        ]
+        mask = masks[0]
+        for other in masks[1:]:
+            mask &= other
+        positions = np.nonzero(mask)[0].astype(np.int64, copy=False)
+        if len(masks) == 1 and unindexed:
+            counted = [(len(positions), unindexed[0][0])]
+        if counted:
+            count, driver = min(counted, key=_first)
+            if _lookup_pays(count, driver.intervals, main_rows):
+                driver.column.note_served_scan()
+        return positions
 
     def charge_filter_scan(
         self, predicate: Predicate, accountant: Optional[CostAccountant]
@@ -966,12 +1145,12 @@ class ColumnStoreTable:
         if accountant is None:
             return apply
         if apply is not None:
-            for column, probed in leaves:
-                if probed:
+            for leaf in leaves:
+                if leaf.probed:
                     # Dictionary lookup of the literal(s).
                     accountant.charge_index_probe()
                 accountant.charge_sequential_read(
-                    "column_scan", self._logical_code_bytes(column.name)
+                    "column_scan", self._logical_code_bytes(leaf.column.name)
                 )
                 accountant.charge_vector_compares(self._num_rows)
             return apply

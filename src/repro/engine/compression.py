@@ -10,6 +10,15 @@ consequences matter for the storage advisor:
 * the dictionary acts as an *implicit index* for point and range predicates
   (Section 3.1, point/range queries on the column store).
 
+What is implicit in a sorted dictionary is the **value -> code** half of an
+index: a literal becomes a code, a range a code interval, by ``bisect``, and
+nothing has to be stored for it.  The **code -> rows** half is not implicit
+— finding the rows of a code means comparing every stored code — so a
+:class:`CompressedColumn` *builds* it, as a position index
+(:func:`rows_by_id` over its codes), once the selective scans it has served
+since its codes last changed would have paid for the build; every mutator
+of the code array drops it (see :class:`CompressedColumn`).
+
 NULL handling: ``None`` cannot be ordered against real values, so it never
 participates in the sort.  A dictionary holding any NULL reserves **code 0**
 for it; the sorted real values occupy codes ``1..N``.  A NULL-free
@@ -30,8 +39,44 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.engine import context
 from repro.engine.types import DataType
 from repro.engine.zonemap import is_nan as _is_nan
+
+#: Half-open code intervals ``[lo, hi)``: ascending, disjoint, none empty.
+CodeIntervals = Sequence[Tuple[int, int]]
+
+#: numpy's stable sort of keys of at most this many bits is a radix sort.
+_RADIX_BITS = 16
+
+
+def _radix_passes(capacity: int) -> int:
+    """Stable sorts :func:`rows_by_id` runs for ids below *capacity*."""
+    return max(1, -(-(capacity - 1).bit_length() // _RADIX_BITS))
+
+
+def rows_by_id(ids: np.ndarray, capacity: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(order, starts)``: the rows of every id in ``[0, capacity)``, together.
+
+    ``order`` lists the row positions in stable id order — ascending inside
+    one id — and ``starts`` (``capacity + 1`` offsets) says where each id's
+    rows begin, so the rows whose id lies in ``[lo, hi)`` are
+    ``order[starts[lo]:starts[hi]]`` and ``starts[hi] - starts[lo]`` counts
+    them without reading any.  The sort is least-significant-digit radix
+    over 16-bit digits (one pass per digit, each numpy's radix sort): at
+    100 k rows one pass is 0.9 ms where the stable sort of the int64 ids is
+    7 ms.
+    """
+    order: Optional[np.ndarray] = None
+    for index in range(_radix_passes(capacity)):
+        digit = ids if order is None else ids[order]
+        if index:
+            digit = digit >> (index * _RADIX_BITS)
+        by_digit = np.argsort(digit.astype(np.uint16), kind="stable")
+        order = by_digit if order is None else order[by_digit]
+    starts = np.zeros(capacity + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ids, minlength=capacity), out=starts[1:])
+    return order, starts
 
 
 def code_width_bytes(num_distinct: int) -> int:
@@ -434,9 +479,42 @@ class ColumnDictionary:
 
 
 class CompressedColumn:
-    """One dictionary-encoded column: a dictionary plus an array of codes."""
+    """One dictionary-encoded column: a dictionary plus an array of codes.
+
+    **Position index.**  ``(order, starts)`` of :func:`rows_by_id` over the
+    live codes: the rows of the codes in ``[lo, hi)`` are one slice of
+    ``order``, counted exactly by two reads of ``starts`` before any row is
+    touched.  Nobody asks for it; the column builds it by a rule over what it
+    has itself observed — :meth:`note_served_scan` is told of every scan the
+    index *would have* answered, and once :data:`SERVED_SCANS_PER_PASS` of
+    them per radix pass of the build have come in since the codes last
+    changed, the build has been paid for (ski rental: at worst twice the cost
+    of never building).  Every method that writes ``_codes`` —
+    :meth:`_encode_maintaining_codes` (``append``, ``set_value``),
+    :meth:`extend`, :meth:`bulk_load`, :meth:`load_codes`, :meth:`truncate` —
+    drops the index and restarts the count, and nothing outside this module
+    writes ``_codes`` (``run_checks.sh`` greps for it), so an index never
+    describes codes other than the ones stored: a column under writes never
+    builds one, a read-mostly column builds one once.  :meth:`clone` does not
+    copy it.  A sealed column is never mutated in place, so snapshot readers
+    may share its index.
+
+    The index describes the codes as they were when it was built (inside a
+    filtered read, behind the table's integrity gate).  Corruption *behind
+    the column's back* (a flipped bit in the code array, no mutator
+    involved) leaves an index built earlier answering from the
+    pre-corruption content; detection — a checksum over the codes
+    themselves — is unaffected, and repair rebuilds through
+    :meth:`load_codes`, which drops it.
+    """
 
     GROWTH = 1024
+
+    #: Served scans, per radix pass of the build, that pay for a position
+    #: index.  A measurement: one pass costs 0.9 ms at 100 k rows and 14 ms
+    #: at 1 M, a selective scan 25-90 us and 0.5-1.3 ms (``=`` - ``BETWEEN``)
+    #: — 10 to 35 scans' worth.
+    SERVED_SCANS_PER_PASS = 16
 
     def __init__(self, name: str, dtype: DataType) -> None:
         self.name = name
@@ -448,6 +526,8 @@ class CompressedColumn:
         # consults it on each filtered scan, and an O(n) recount there would
         # tax interleaved insert/scan workloads.
         self._null_count = 0
+        self._position_index: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._served_scans = 0
 
     def __len__(self) -> int:
         return self._size
@@ -480,6 +560,7 @@ class CompressedColumn:
 
     def _encode_maintaining_codes(self, value: Any) -> int:
         """Encode *value*, re-mapping stored codes if the dictionary shifted."""
+        self._codes_changed()
         code, shift_position = self.dictionary.encode_with_insert(value)
         if shift_position is not None and self._size:
             live = self._codes[: self._size]
@@ -507,6 +588,7 @@ class CompressedColumn:
         if len(values) == 1:
             self.append(values[0])
             return
+        self._codes_changed()
         dictionary = self.dictionary
         remap = dictionary.merge_values(values)
         if remap is not None and self._size:
@@ -520,6 +602,7 @@ class CompressedColumn:
 
     def bulk_load(self, values: Sequence[Any]) -> None:
         """Replace the column contents with *values* (fast path for loads)."""
+        self._codes_changed()
         codes = self.dictionary.bulk_build(values)
         self._codes = codes
         self._size = len(values)
@@ -527,6 +610,7 @@ class CompressedColumn:
 
     def load_codes(self, codes: np.ndarray) -> None:
         """Adopt a pre-encoded code array (columnar rebuild fast path)."""
+        self._codes_changed()
         self._codes = np.ascontiguousarray(codes, dtype=np.int64)
         self._size = len(codes)
         self._recount_nulls()
@@ -538,6 +622,7 @@ class CompressedColumn:
         unused entries; the remap applied alongside the merge kept every live
         code decoding to its original value, so the column stays consistent.
         """
+        self._codes_changed()
         self._size = size
         self._recount_nulls()
 
@@ -590,6 +675,67 @@ class CompressedColumn:
                 self._null_count += 1
         elif was_null:
             self._null_count -= 1
+
+    # -- position index ----------------------------------------------------------
+
+    def _codes_changed(self) -> None:
+        """Every writer of ``_codes`` calls this first (see the class docs)."""
+        self._position_index = None
+        self._served_scans = 0
+
+    @property
+    def has_position_index(self) -> bool:
+        return self._position_index is not None
+
+    @property
+    def served_scans(self) -> int:
+        """Scans an index would have answered since the codes last changed."""
+        return self._served_scans
+
+    def note_served_scan(self) -> None:
+        """A scan just ran that the position index would have answered."""
+        if self._position_index is not None:
+            return
+        self._served_scans += 1
+        passes = _radix_passes(len(self.dictionary))
+        if self._served_scans >= self.SERVED_SCANS_PER_PASS * passes:
+            self.build_position_index()
+
+    def build_position_index(self) -> None:
+        """Build the position index now (the rule calls this; so do tests).
+
+        Codes outside the dictionary — only corruption behind the column's
+        back produces them — have no place in ``starts``: no index is built
+        and the column keeps scanning.
+        """
+        codes = self.codes
+        capacity = len(self.dictionary)
+        if len(codes) and not 0 <= int(codes.min()) <= int(codes.max()) < capacity:
+            return
+        order, starts = rows_by_id(codes, capacity)
+        if len(codes) < 2 ** 32:
+            order = order.astype(np.uint32)
+        self._position_index = (order, starts)
+        context.current().counters.position_index_builds += 1
+
+    def indexed_rows(self, intervals: CodeIntervals) -> int:
+        """Exact number of rows whose code lies in *intervals* (index built)."""
+        _, starts = self._position_index
+        return sum(int(starts[hi] - starts[lo]) for lo, hi in intervals)
+
+    def indexed_positions(self, intervals: CodeIntervals) -> np.ndarray:
+        """Ascending positions of the rows whose code lies in *intervals*.
+
+        One slice of ``order`` per interval; the positions of a single code
+        are stored ascending, several codes' are sorted here.
+        """
+        order, starts = self._position_index
+        positions = np.concatenate(
+            [order[starts[lo]:starts[hi]] for lo, hi in intervals], dtype=np.int64
+        )
+        if sum(hi - lo for lo, hi in intervals) > 1:
+            positions.sort()
+        return positions
 
     # -- statistics --------------------------------------------------------------
 

@@ -31,7 +31,7 @@ __all__ = ["EngineCounters", "ExecutionContext", "current", "scope"]
 
 @dataclass
 class EngineCounters:
-    """Events of the resilience and integrity layers, counted where they happen."""
+    """Events of the resilience, integrity and storage layers, counted where they happen."""
 
     #: Sharded attempts that were retried after a failure.
     shard_retries: int = 0
@@ -51,6 +51,10 @@ class EngineCounters:
     units_quarantined: int = 0
     #: Quarantined units rebuilt by ``Session.repair()``.
     units_repaired: int = 0
+    #: Column position indexes built (``CompressedColumn.build_position_index``).
+    position_index_builds: int = 0
+    #: Filters answered from a position index instead of a scan of the codes.
+    position_index_scans: int = 0
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.engine.batch import EncodedColumn
+from repro.engine.compression import rows_by_id
 from repro.engine.executor.agg_pushdown import aggregate_pushdown_enabled
 from repro.errors import ExecutionError
 from repro.query.ast import AggregateFunction, AggregateSpec
@@ -150,14 +151,16 @@ class _Groups:
     (a dictionary entry orphaned by DML or filtered out) costs nothing and
     is never looked at.
 
-    The stable argsort that brings the rows of each group together — the
-    single most expensive step of a large group-by — runs only when a
-    min/max ``reduceat`` or a scalar per-group fold asks for it, and at most
-    once; ``bincount``-served aggregates never need it.
+    The stable sort that brings the rows of each group together
+    (:func:`~repro.engine.compression.rows_by_id`, the computation behind a
+    column's position index) — the single most expensive step of a large
+    group-by — runs only when a min/max ``reduceat`` or a scalar per-group
+    fold asks for it, and at most once; ``bincount``-served aggregates never
+    need it.
     """
 
     __slots__ = ("ids", "capacity", "counts", "emit", "first_rows",
-                 "_emit_order", "_sizes", "_sorted")
+                 "_emit_order", "_used", "_sorted")
 
     def __init__(self, ids: np.ndarray, capacity: int) -> None:
         self.ids = ids
@@ -169,9 +172,9 @@ class _Groups:
         #: The ids that occur and their first rows, in emission order.
         self.emit = used[order]
         self.first_rows = first[order]
-        self._sizes = counts[used]
+        self._used = used
         #: Rows per emitted group.
-        self.counts = self._sizes[order]
+        self.counts = counts[self.emit]
         self._sorted: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     def bincount(self, ids: np.ndarray, weights: Optional[np.ndarray] = None) -> np.ndarray:
@@ -185,9 +188,8 @@ class _Groups:
         ``[starts[i]:ends[i]]`` of the reordered rows holds exactly the rows
         of the i-th smallest id that occurs, in row order."""
         if self._sorted is None:
-            row_order = np.argsort(self.ids, kind="stable")
-            ends = np.cumsum(self._sizes)
-            self._sorted = (row_order, ends - self._sizes, ends)
+            row_order, starts = rows_by_id(self.ids, self.capacity)
+            self._sorted = (row_order, starts[self._used], starts[self._used + 1])
         return self._sorted
 
     def extremes(self, reduce: np.ufunc, values: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ information the timing and cost models rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.engine.types import DataType
@@ -98,13 +99,22 @@ class TableSchema:
 
     # -- lookups ---------------------------------------------------------------
 
-    @property
-    def column_names(self) -> Tuple[str, ...]:
-        return tuple(column.name for column in self.columns)
+    # Computed once per schema: the binder, the row store and the partition
+    # router ask on every statement.  ``cached_property`` writes the instance
+    # ``__dict__`` directly, which a frozen dataclass allows, and dataclass
+    # equality, hashing and ``repr`` read the declared fields only.
 
-    @property
+    @cached_property
+    def column_names(self) -> Tuple[str, ...]:
+        return tuple(self._by_name)
+
+    @cached_property
     def primary_key(self) -> Tuple[str, ...]:
         return tuple(column.name for column in self.columns if column.primary_key)
+
+    @cached_property
+    def _position(self) -> Dict[str, int]:
+        return {name: position for position, name in enumerate(self._by_name)}
 
     def column(self, name: str) -> Column:
         try:
@@ -116,10 +126,10 @@ class TableSchema:
         return name in self._by_name
 
     def index_of(self, name: str) -> int:
-        for position, column in enumerate(self.columns):
-            if column.name == name:
-                return position
-        raise SchemaError(f"table {self.name!r} has no column {name!r}")
+        try:
+            return self._position[name]
+        except KeyError:
+            raise SchemaError(f"table {self.name!r} has no column {name!r}") from None
 
     # -- derived metrics -------------------------------------------------------
 

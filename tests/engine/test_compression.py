@@ -289,3 +289,148 @@ class TestMixedNullDictionary:
         assert column.dictionary.nan_code == len(column.dictionary) - 1
         column.extend([2.0, None, nan])
         assert repr(column.all_values()) == repr([1.0, None, nan, 2.0, None, nan])
+
+
+class TestRowsById:
+    @pytest.mark.parametrize("capacity", [1, 7, 300, 65_536, 65_537, 200_000])
+    def test_matches_the_stable_sort(self, capacity):
+        """One radix pass up to 2**16 ids, two beyond: same order as the
+        stable sort of the ids, and ``starts`` brackets every id's rows."""
+        from repro.engine.compression import rows_by_id
+
+        rng = np.random.default_rng(capacity)
+        ids = rng.integers(0, capacity, 5_000)
+        order, starts = rows_by_id(ids, capacity)
+        assert order.tolist() == np.argsort(ids, kind="stable").tolist()
+        assert len(starts) == capacity + 1
+        assert starts.tolist() == np.searchsorted(
+            ids[order], np.arange(capacity + 1)
+        ).tolist()
+
+    def test_empty_input(self):
+        from repro.engine.compression import rows_by_id
+
+        order, starts = rows_by_id(np.empty(0, dtype=np.int64), 3)
+        assert len(order) == 0 and starts.tolist() == [0, 0, 0, 0]
+
+
+def _indexed_column(values):
+    column = CompressedColumn("c", DataType.INTEGER)
+    column.bulk_load(values)
+    column.build_position_index()
+    assert column.has_position_index
+    return column
+
+
+def _assert_index_describes_codes(column):
+    """A freshly built index finds exactly the rows a scan of the codes finds."""
+    column.build_position_index()
+    codes = column.codes
+    for code in range(len(column.dictionary)):
+        interval = ((code, code + 1),)
+        expected = np.flatnonzero(codes == code)
+        assert column.indexed_rows(interval) == len(expected)
+        found = column.indexed_positions(interval)
+        assert found.dtype == np.int64 and found.tolist() == expected.tolist()
+    everything = ((0, len(column.dictionary)),)
+    assert column.indexed_positions(everything).tolist() == list(range(len(codes)))
+
+
+class TestPositionIndexLifetime:
+    """The column's own mutators are the only writers of its codes, and
+    every one of them drops the index and restarts the served-scan count."""
+
+    MUTATORS = {
+        "append": lambda column: column.append(3),
+        "append_new_value": lambda column: column.append(-5),
+        "extend_existing": lambda column: column.extend([1, 2, 2]),
+        "extend_new_entry": lambda column: column.extend([1, 40, 41]),
+        "extend_first_null": lambda column: column.extend([None, 2]),
+        "extend_one": lambda column: column.extend([7]),
+        "set_value": lambda column: column.set_value(4, 9),
+        "set_value_new_entry": lambda column: column.set_value(4, 1_000),
+        "truncate": lambda column: column.truncate(10),
+        "load_codes": lambda column: column.load_codes(column.codes[::2].copy()),
+        "bulk_load": lambda column: column.bulk_load([5, 5, 6]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MUTATORS))
+    def test_every_mutator_drops_the_index(self, name):
+        column = _indexed_column([i % 10 for i in range(50)])
+        self.MUTATORS[name](column)
+        assert not column.has_position_index
+        assert column.served_scans == 0
+        _assert_index_describes_codes(column)
+
+    @pytest.mark.parametrize("name", sorted(MUTATORS))
+    def test_every_mutator_restarts_the_count(self, name):
+        column = CompressedColumn("c", DataType.INTEGER)
+        column.bulk_load([i % 10 for i in range(50)])
+        for _ in range(5):
+            column.note_served_scan()
+        assert column.served_scans == 5
+        self.MUTATORS[name](column)
+        assert column.served_scans == 0 and not column.has_position_index
+
+    def test_clone_starts_without_index_or_count(self):
+        column = _indexed_column([1, 2, 3, 2, 1])
+        clone = column.clone()
+        assert not clone.has_position_index and clone.served_scans == 0
+        assert column.has_position_index
+
+    def test_empty_extend_changes_nothing(self):
+        column = _indexed_column([1, 2, 3])
+        column.extend([])
+        assert column.has_position_index
+
+    def test_order_is_stored_in_32_bits(self):
+        column = _indexed_column([3, 1, 2, 1])
+        order, starts = column._position_index
+        assert order.dtype == np.uint32 and starts.tolist() == [0, 2, 3, 4]
+        assert order.tolist() == [1, 3, 2, 0]
+
+    def test_codes_outside_the_dictionary_build_no_index(self):
+        """Only corruption behind the column's back produces them; the
+        column then keeps scanning instead of sizing ``starts`` by a
+        flipped bit."""
+        column = CompressedColumn("c", DataType.INTEGER)
+        column.bulk_load([1, 2, 3])
+        column.codes[1] ^= 1 << 40
+        column.build_position_index()
+        assert not column.has_position_index
+
+
+class TestPositionIndexRule:
+    def test_a_read_only_column_builds_exactly_once(self):
+        from repro.engine.context import current
+
+        column = CompressedColumn("c", DataType.INTEGER)
+        column.bulk_load(list(range(100)))
+        before = current().counters.position_index_builds
+        threshold = CompressedColumn.SERVED_SCANS_PER_PASS
+        for scan in range(1_000):
+            assert column.has_position_index == (scan >= threshold)
+            column.note_served_scan()
+        assert current().counters.position_index_builds == before + 1
+
+    def test_a_column_mutated_every_ten_scans_never_builds(self):
+        from repro.engine.context import current
+
+        column = CompressedColumn("c", DataType.INTEGER)
+        column.bulk_load(list(range(100)))
+        before = current().counters.position_index_builds
+        for scan in range(1_000):
+            if scan % 10 == 0:
+                column.set_value(scan % 100, scan)
+            column.note_served_scan()
+            assert not column.has_position_index
+        assert current().counters.position_index_builds == before
+
+    def test_a_wide_dictionary_waits_for_both_passes(self):
+        column = CompressedColumn("c", DataType.INTEGER)
+        column.bulk_load(list(range(70_000)))
+        for _ in range(2 * CompressedColumn.SERVED_SCANS_PER_PASS - 1):
+            column.note_served_scan()
+        assert not column.has_position_index
+        column.note_served_scan()
+        assert column.has_position_index

@@ -70,6 +70,28 @@ class TestTableSchema:
         with pytest.raises(SchemaError):
             schema.index_of("missing")
 
+    @pytest.mark.parametrize("asked_before", [False, True])
+    def test_pickle_round_trip_keeps_identity_and_lookups(self, asked_before):
+        """Checkpoint snapshots carry a schema.  What it computed once stays
+        out of equality, hashing and ``repr``, whether or not it had been
+        asked for before the round trip."""
+        import pickle
+
+        schema, fresh = make_schema(), make_schema()
+        if asked_before:
+            assert schema.column_names and schema.primary_key
+            assert schema.index_of("total") == 2
+        restored = pickle.loads(pickle.dumps(schema))
+        for other in (restored, fresh):
+            assert schema == other and hash(schema) == hash(other)
+            assert repr(schema) == repr(other)
+        assert restored.column_names == ("id", "customer", "total", "open_flag")
+        assert restored.primary_key == ("id",)
+        assert restored.index_of("open_flag") == 3
+        with pytest.raises(SchemaError):
+            restored.index_of("missing")
+        assert restored.column_names is restored.column_names
+
     def test_duplicate_column_rejected(self):
         with pytest.raises(SchemaError):
             TableSchema.build("t", [("a", DataType.INTEGER), ("a", DataType.DOUBLE)])
