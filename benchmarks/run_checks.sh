@@ -43,7 +43,11 @@
 #                src/ outside engine/compression.py assigns a column's
 #                `._codes` or writes through `.codes[...]` — a position index
 #                is dropped by the column's own mutators, which is sufficient
-#                only while they are the only writers.
+#                only while they are the only writers; and if api/binder.py
+#                calls `replace(` (bound nodes are built by their
+#                constructors) or `_Binder` calls `statement_parameters(`
+#                (the placeholders come with the resolution, from its one
+#                walk).
 #   fuzz       — the seeded differentials: every fast path vs its toggled
 #                reference, on rows, CostBreakdown totals and charge order.
 #   faults / resilience / integrity — crash points, process faults and
@@ -84,7 +88,7 @@ python -m pytest -m matview -q tests benchmarks
 echo "== shard: scatter/gather differential + projection gates =="
 python -m pytest -m shard -q tests benchmarks
 
-echo "== ledger: one home per charge, one prunable unit, one execution context, one executor, one statement path, no per-row group renumbering, one writer of the codes =="
+echo "== ledger: one home per charge, one prunable unit, one execution context, one executor, one statement path, no per-row group renumbering, one writer of the codes, one binder =="
 deleted='compile_code_leaves|_DRY_MASK|charge_column_scan|_charge_pruned_main_update|_charge_main_positions|validate_assignments|_answers_from_index'
 if grep -rnE --include='*.py' "$deleted" src/; then
     echo "ledger: a deleted charge twin is back (see above)"; exit 1
@@ -129,6 +133,13 @@ fi
 if grep -rnE --include='*.py' '\._codes *([-+*|&^]|<<|>>)?=[^=]|\.codes\[[^]]*\] *([-+*|&^]|<<|>>)?=[^=]' src/ \
         | grep -v '^src/repro/engine/compression\.py:'; then
     echo "ledger: a column's codes are written outside engine/compression.py (see above) — go through a CompressedColumn mutator, they drop the position index"; exit 1
+fi
+if grep -nE '\breplace\(' src/repro/api/binder.py; then
+    echo "ledger: the binder copies a node with replace() (see above) — bound nodes are built by their constructors"; exit 1
+fi
+if awk '/^class _Binder/ {inside = 1; next} /^[^[:space:]#]/ {inside = 0} inside' src/repro/api/binder.py \
+        | grep -n 'statement_parameters('; then
+    echo "ledger: _Binder walks the statement for its placeholders again (see above) — they come with the resolution"; exit 1
 fi
 echo "ledger clean."
 

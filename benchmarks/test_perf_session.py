@@ -7,7 +7,9 @@ wall-clock one (ad-hoc text with a distinct literal per call stays within
 :data:`ADHOC_BAR` of ``PreparedStatement.execute`` on the same lookup) and a
 deterministic one (Python calls per recurring statement, so a re-derived
 decision or a per-statement rebind cannot creep back unseen under wall-clock
-noise).  Run with ``pytest -m perf benchmarks/test_perf_session.py``.
+noise).  A third gate pins the Python calls of statements with a fresh
+literal each, per statement type.  Run with
+``pytest -m perf benchmarks/test_perf_session.py``.
 """
 
 from __future__ import annotations
@@ -28,10 +30,27 @@ from repro.engine.types import DataType, Store
 ADHOC_BAR = 1.5
 
 #: Python calls (``cProfile`` ``total_calls``) one execution of a recurring
-#: literal-bearing text may make after warm-up.  131 when recorded (184 at the
-#: parent of the one-path change); re-deriving one decision costs ~40 more, so
-#: does re-binding the statement.
-RECURRING_CALLS_PIN = 140
+#: literal-bearing text may make after warm-up.  76 when recorded (125 before
+#: the session kept its installed context and the row-store path its
+#: structural shard verdict; 184 before the one-path change); re-deriving one
+#: decision costs ~25 more, re-binding the statement ~10.
+RECURRING_CALLS_PIN = 85
+
+#: Python calls one execution of a statement with a literal no earlier call
+#: used may make after warm-up, per statement type.  Recorded: 125 / 144 /
+#: 130; 243 / 222 / 224 before the statement path split by what decides each
+#: answer (context per session, resolution per template and layout,
+#: structural decisions per access path, only the values per execution).
+DISTINCT_CALLS_PINS = {"select": 180, "update": 175, "insert": 175}
+
+#: One statement of each type, a fresh literal per call (``key`` is unused
+#: by every earlier call; ``new`` is a primary key the table does not hold).
+DISTINCT_SQL = {
+    "select": "SELECT id, revenue, region FROM sales WHERE id = {key}",
+    "update": "UPDATE sales SET revenue = {key}.5 WHERE id = {key}",
+    "insert": ("INSERT INTO sales (id, region, revenue, quantity) "
+               "VALUES ({new}, 'region_{region}', {key}.25, 3)"),
+}
 
 NUM_ROWS = 5_000
 REPEATS = 500
@@ -136,6 +155,42 @@ def test_recurring_text_python_calls_stay_pinned():
         f"a recurring text now takes {calls:.0f} Python calls per execution "
         f"(pinned at {RECURRING_CALLS_PIN}): something is re-bound, "
         f"re-planned or re-derived per statement again"
+    )
+
+
+def distinct_texts(kind: str, keys: range):
+    return [
+        DISTINCT_SQL[kind].format(key=key, new=NUM_ROWS + key, region=key % 16)
+        for key in keys
+    ]
+
+
+@pytest.mark.perf
+def test_distinct_literal_python_calls_stay_pinned():
+    """Deterministic: a statement with literals no earlier call used pays
+    for its values — not for re-entering the session's context, re-resolving
+    its template or re-deciding what its access path already decided."""
+    session = build_session()
+    for kind in DISTINCT_SQL:  # warm-up: plans, resolutions, zones
+        for text in distinct_texts(kind, range(20)):
+            session.sql(text)
+    repeats = 100
+    calls = {}
+    for kind in DISTINCT_SQL:
+        texts = distinct_texts(kind, range(100, 100 + repeats))
+        profile = cProfile.Profile()
+        profile.enable()
+        for text in texts:
+            session.sql(text)
+        profile.disable()
+        calls[kind] = pstats.Stats(profile).total_calls / repeats
+    assert session.stats().plan_cache_misses == len(DISTINCT_SQL)
+    over = {kind: round(calls[kind]) for kind in calls
+            if calls[kind] > DISTINCT_CALLS_PINS[kind]}
+    assert not over, (
+        f"distinct-literal statements take {over} Python calls per execution "
+        f"(pinned at {DISTINCT_CALLS_PINS}): something that the session, the "
+        f"template or the access path had decided is decided per statement again"
     )
 
 

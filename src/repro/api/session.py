@@ -14,9 +14,14 @@ is keyed by ``(statement shape, layout/statistics fingerprint)``: ``WHERE id
 = 17`` and ``WHERE id = 18`` share one plan, the values are bound per
 execution (lifted literals with *literal* semantics, ``?`` / ``:name``
 values coerced), and any DDL, store move, repartitioning or statistics
-refresh makes the affected plans unreachable.  ``session.sql``,
-``session.execute(ast)`` and :class:`PreparedStatement` all run through
-:meth:`Session.execute`; a prepared statement is a handle on its
+refresh makes the affected plans unreachable.  Binding is split the same
+way: a template is *resolved* once per layout (names, placeholders, every
+value-independent error — kept on its :class:`Template`), each execution
+only *substitutes* its values (:mod:`repro.api.binder`); and every
+statement of a session enters the one context object the session installed
+over the enclosing one (:class:`~repro.engine.context.FixedScope`).
+``session.sql``, ``session.execute(ast)`` and :class:`PreparedStatement` all
+run through :meth:`Session.execute`; a prepared statement is a handle on its
 :class:`Statement`, nothing more.  The same
 :class:`~repro.api.plan.PhysicalPlan` objects feed ``EXPLAIN``
 (:meth:`Session.explain`), the storage advisor (:meth:`Session.advisor` —
@@ -52,7 +57,7 @@ from typing import (
     Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
 )
 
-from repro.api.binder import Params, bind, statement_parameters
+from repro.api.binder import Params, Resolution, bind, resolve, statement_parameters
 from repro.api.explain import render_plan
 from repro.api.plan import PhysicalPlan, PlanCache, Planner
 from repro.config import (
@@ -71,7 +76,7 @@ from repro.engine.matview import (
     RefreshResult,
     matview_enabled,
 )
-from repro.engine.context import EngineCounters, scope
+from repro.engine.context import EngineCounters, FixedScope
 from repro.engine.integrity import IntegrityReport, scrub
 from repro.engine.shard import audit_shared_segments, shutdown_worker_pool
 from repro.engine.wal import RecoveryReport, WriteAheadLog, recover as wal_recover
@@ -162,14 +167,36 @@ class SessionStats:
         return self.plan_cache_hits / total if total else 0.0
 
 
+class Template:
+    """A statement shape as the session keeps it, with its resolution.
+
+    ``query`` is a parser template (a :class:`~repro.query.ast.LiteralSlot`
+    where each literal of the text stood) or a caller's AST.  ``resolution``
+    is the resolve phase of binding it (:func:`~repro.api.binder.resolve`:
+    names, placeholders, every value-independent ``BindError``) under the
+    layout versions ``layout`` of its tables — kept while they stand, so
+    the distinct literals of one shape each only substitute their values.
+    ``epoch`` is the database's layout epoch ``layout`` was read at: while
+    no table's version moved anywhere, ``layout`` is not read again.
+    """
+
+    __slots__ = ("query", "epoch", "layout", "resolution")
+
+    def __init__(self, query: Query) -> None:
+        self.query = query
+        self.epoch: Optional[int] = None
+        self.layout: Optional[tuple] = None
+        self.resolution: Optional[Resolution] = None
+
+
 class Statement:
     """A statement as the one path sees it: a shape and its values.
 
-    ``query`` is a parser template (a :class:`~repro.query.ast.LiteralSlot`
-    where literal ``i`` of the text stood, ``literals`` beside it) or a
-    caller's AST as it came (literals in place, nothing beside it).
-    ``shape`` keys the plan cache: the literal-free text of a text statement
-    (known before the grammar runs), the literal-free fingerprint of an AST
+    ``template`` holds the shape: a parser template shared by every text of
+    that shape (``literals`` beside it), or a caller's AST as it came
+    (literals in place, nothing beside it).  ``shape`` keys the plan cache:
+    the literal-free text of a text statement (known before the grammar
+    runs), the literal-free fingerprint of an AST
     (:func:`~repro.query.fingerprint.statement_shape`) — two key spaces, so
     a text and an AST of one shape each get their plan.  An entry of the
     exact-text memo also keeps what it last bound to, valid while the
@@ -178,10 +205,11 @@ class Statement:
     recognise it.
     """
 
-    __slots__ = ("query", "shape", "literals", "parsed", "bound", "layout")
+    __slots__ = ("template", "shape", "literals", "parsed", "bound", "layout")
 
-    def __init__(self, query: Query, shape: str, literals: Sequence[Any] = ()) -> None:
-        self.query = query
+    def __init__(self, template: Template, shape: str,
+                 literals: Sequence[Any] = ()) -> None:
+        self.template = template
         self.shape = shape
         self.literals = literals
         #: The literal-bearing query of a text statement (see ``Session.parse``).
@@ -205,9 +233,10 @@ class PreparedStatement:
         self.session = session
         self.sql = sql
         self.statement = statement
-        #: The statement's placeholders (positional first, in index order).
-        self.parameters: Tuple[Parameter, ...] = statement_parameters(
-            statement.query
+        #: The statement's placeholders (positional first, in index order),
+        #: as ``Session.prepare`` resolved them.
+        self.parameters: Tuple[Parameter, ...] = (
+            statement.template.resolution.parameters
         )
 
     def execute(self, params: Params = None,
@@ -250,10 +279,10 @@ class Session:
         self._planner = Planner(self.database, lambda: self._advisor.cost_model)
         self._plan_cache = PlanCache(capacity=plan_cache_capacity)
         # The parse side: exact text -> Statement in front (recurring
-        # texts), literal-free template text -> parsed template behind it
+        # texts), literal-free template text -> Template behind it
         # (distinct literals of a recurring shape).
         self._statements: Dict[str, Statement] = {}
-        self._templates: Dict[str, Query] = {}
+        self._templates: Dict[str, Template] = {}
         self._plan_listeners: List[PlanExecutionListener] = []
         self._queries_executed = 0
         self._statements_parsed = 0
@@ -265,15 +294,17 @@ class Session:
         self._query_timeouts = 0
         self._closed = False
         # What every statement-level entry point enters the engine with
-        # (``_scope``): this session's counters, plus the policies it was
-        # opened with.  A default session names no policy, so an enclosing
-        # ``shard_config(...)`` / ``integrity_disabled()`` governs it.
+        # (``with self._scope(timeout):``): this session's counters, plus
+        # the policies it was opened with.  A default session names no
+        # policy, so an enclosing ``shard_config(...)`` /
+        # ``integrity_disabled()`` governs it.
         self._counters = EngineCounters()
-        self._context: Dict[str, Any] = {"counters": self._counters}
+        context: Dict[str, Any] = {"counters": self._counters}
         if resilience is not None:
-            self._context["resilience"] = resilience
+            context["resilience"] = resilience
         if integrity is not None:
-            self._context["integrity"] = integrity
+            context["integrity"] = integrity
+        self._scope = FixedScope(**context)
         if durability is not None:
             self.database.delta_merge_threshold = durability.delta_merge_threshold
         if wal_path is not None and self.database.wal is None:
@@ -299,10 +330,6 @@ class Session:
     @property
     def closed(self) -> bool:
         return self._closed
-
-    def _scope(self, timeout: Optional[float] = None):
-        """The engine scope of one statement: counters, policy, deadline."""
-        return scope(timeout, **self._context)
 
     def close(self) -> None:
         """Release cached plans and the worker pool, close the WAL.
@@ -357,14 +384,14 @@ class Session:
         """
         entry = self._statement(statement)
         if entry.parsed is None:
-            entry.parsed = bind_literals(entry.query, entry.literals)
+            entry.parsed = bind_literals(entry.template.query, entry.literals)
         return entry.parsed
 
     def bind(self, query_or_sql: Union[Query, str], params: Params = None,
              partial: bool = False) -> Query:
         """Bind a statement against the catalog (names, types, parameters)."""
         statement = self._statement(query_or_sql)
-        return bind(statement.query, self.database.catalog, params,
+        return bind(statement.template.query, self.database.catalog, params,
                     partial=partial, literals=statement.literals)
 
     def plan_for(self, query_or_sql: Union[Query, str]) -> PhysicalPlan:
@@ -460,8 +487,7 @@ class Session:
         :meth:`execute` — over the ``ANALYZE`` execution too.
         """
         stripped = statement.strip()
-        lowered = stripped.lower()
-        if lowered.startswith("explain"):
+        if stripped[:7].lower() == "explain":
             rest = stripped[len("explain"):].strip()
             analyze = rest.lower().startswith("analyze")
             if analyze:
@@ -743,7 +769,7 @@ class Session:
         if type(query_or_sql) is not str:
             if type(query_or_sql) is Statement:
                 return query_or_sql
-            return Statement(query_or_sql, statement_shape(query_or_sql))
+            return Statement(Template(query_or_sql), statement_shape(query_or_sql))
         statements = self._statements
         statement = statements.get(query_or_sql)
         if statement is not None:
@@ -752,7 +778,7 @@ class Session:
         text, literals = split_literals(query_or_sql)
         template = self._templates.get(text)
         if template is None:
-            template = parse_template(text, query_or_sql)
+            template = Template(parse_template(text, query_or_sql))
             self._statements_parsed += 1
             if len(self._templates) >= _PARSE_CACHE_LIMIT:
                 self._templates.clear()
@@ -769,16 +795,30 @@ class Session:
 
     def _bind_and_plan(self, statement: Statement, params: Params,
                        partial: bool = False) -> Tuple[Query, PhysicalPlan]:
-        """Bind *statement*'s values and find (or build) its shape's plan."""
+        """Bind *statement*'s values and find (or build) its shape's plan.
+
+        The template is resolved once per layout; each execution only
+        substitutes its own values.
+        """
         database = self.database
-        layout = database.layout_fingerprint(statement.query.tables)
+        template = statement.template
+        if template.epoch != database.layout_epoch:
+            layout = database.layout_fingerprint(template.query.tables)
+            if layout != template.layout:
+                template.layout, template.resolution = layout, None
+            template.epoch = database.layout_epoch
+        layout = template.layout
         if params is None and statement.layout == layout:
             # Bound before with nothing to supply, so it has no placeholders;
             # the layout versions say the schema it bound against stands.
             bound = statement.bound
         else:
-            bound = bind(statement.query, database.catalog, params,
-                         partial=partial, literals=statement.literals)
+            resolution = template.resolution
+            if resolution is None:
+                resolution = template.resolution = resolve(
+                    template.query, database.catalog
+                )
+            bound = resolution.substitute(statement.literals, params, partial)
             if params is None and not partial:
                 statement.bound, statement.layout = bound, layout
         key = (

@@ -520,9 +520,12 @@ def _translate_leaf(dictionary, predicate: Predicate) -> Tuple[CodeIntervals, bo
             # cannot order its bounds.
             return (), False
         # ``range_codes`` offsets past the reserved NULL code, so NULL rows
-        # (code 0) never fall inside the interval.
+        # (code 0) never fall inside the interval.  A NaN bound excludes
+        # nothing (``value < NaN`` and ``value <= NaN`` are both False), so
+        # it is an open side — inclusive or not; bisecting it is not.
         found = [dictionary.range_codes(
-            predicate.low, predicate.high,
+            None if is_nan(predicate.low) else predicate.low,
+            None if is_nan(predicate.high) else predicate.high,
             predicate.include_low, predicate.include_high,
         )]
         if nan_code is not None:

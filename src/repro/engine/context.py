@@ -13,6 +13,16 @@ once per statement, so the events a statement causes are counted on the
 session that ran it and no policy or deadline outlives the statement.
 Engine calls made outside any session count on the process-default context.
 
+The object such a scope installs is a function of two things only: the
+*enclosing* context object and the session's fixed changes.  So a session
+enters its statements through one :class:`FixedScope`, which keeps
+``(enclosing, installed)`` and installs that same ``installed`` object again
+while ``current()`` *is* that enclosing object — no copy per statement.
+Entering ``shard_config(...)``, ``integrity_disabled()`` or
+``query_deadline(...)`` between two statements installs a new enclosing
+object, so the next statement builds its context afresh; a statement with
+its own ``timeout`` arms its own deadline and always builds its own.
+
 Execution is single-threaded, so the current context is a plain module
 attribute; the ``*_disabled()`` toggles, the worker pool and the fault plan
 are process-wide by nature and deliberately stay where they are.
@@ -26,7 +36,7 @@ from typing import Optional, Tuple
 
 from repro.config import IntegrityConfig, ResilienceConfig
 
-__all__ = ["EngineCounters", "ExecutionContext", "current", "scope"]
+__all__ = ["EngineCounters", "ExecutionContext", "FixedScope", "current", "scope"]
 
 
 @dataclass
@@ -76,17 +86,38 @@ def current() -> ExecutionContext:
     return _CURRENT
 
 
-class scope:
+class _Install:
+    """Run the ``with`` body under one given context object.
+
+    The previous context object is put back on exit whatever the body
+    raised, so nested scopes restore in order and an enclosing scope
+    governs again afterwards.  (A class, not a generator: every statement
+    enters one.)
+    """
+
+    __slots__ = ("_context", "_previous")
+
+    def __init__(self, context: ExecutionContext) -> None:
+        self._context = context
+
+    def __enter__(self) -> None:
+        global _CURRENT
+        self._previous = _CURRENT
+        _CURRENT = self._context
+
+    def __exit__(self, *exc_info) -> None:
+        global _CURRENT
+        _CURRENT = self._previous
+
+
+class scope(_Install):
     """Run the ``with`` body under ``replace(current(), **changes)``.
 
     *timeout* (seconds from now) arms a deadline; it can only tighten the
-    one an enclosing scope armed, never extend it.  The previous context
-    object is put back on exit whatever the body raised, so nested scopes
-    restore in order and an enclosing scope governs again afterwards.
-    (A class, not a generator: every statement enters one.)
+    one an enclosing scope armed, never extend it.
     """
 
-    __slots__ = ("_timeout", "_changes", "_previous")
+    __slots__ = ("_timeout", "_changes")
 
     def __init__(self, timeout: Optional[float] = None, **changes) -> None:
         self._timeout = timeout
@@ -102,6 +133,28 @@ class scope:
                 changes = dict(changes, deadline=(deadline, self._timeout))
         _CURRENT = replace(previous, **changes)
 
-    def __exit__(self, *exc_info) -> None:
-        global _CURRENT
-        _CURRENT = self._previous
+
+class FixedScope:
+    """``scope(timeout, **changes)`` for one fixed set of *changes*.
+
+    Calling it returns the scope of one statement.  Without a *timeout* the
+    context it installs is built once per enclosing context object and
+    reused while that object is current (see the module docstring); with
+    one it is ``scope(timeout, **changes)`` itself.
+    """
+
+    __slots__ = ("_changes", "_enclosing", "_installed")
+
+    def __init__(self, **changes) -> None:
+        self._changes = changes
+        self._enclosing: Optional[ExecutionContext] = None
+        self._installed: Optional[ExecutionContext] = None
+
+    def __call__(self, timeout: Optional[float] = None) -> _Install:
+        if timeout is not None:
+            return scope(timeout, **self._changes)
+        enclosing = _CURRENT
+        if enclosing is not self._enclosing:
+            self._installed = replace(enclosing, **self._changes)
+            self._enclosing = enclosing
+        return _Install(self._installed)

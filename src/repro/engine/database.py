@@ -95,7 +95,10 @@ class HybridDatabase:
         # knowing about plan caches.  Plain DML does not bump versions: it
         # changes data, not layout or recorded statistics.
         self._table_versions: Dict[str, int] = {}
-        self._version_counter = 0
+        #: The latest version handed out to any table: moves whenever some
+        #: table's version does, so a caller that read the versions it cares
+        #: about at one epoch need not read them again while it stands.
+        self.layout_epoch = 0
         # Optional write-ahead log (see repro.engine.wal).  When attached,
         # every DDL operation, bulk load and DML statement is logged after it
         # takes effect, so the log is a redo log of committed statements.
@@ -405,8 +408,8 @@ class HybridDatabase:
     # -- layout/statistics versioning (consumed by the session plan cache) ---------------
 
     def _bump_version(self, name: str) -> None:
-        self._version_counter += 1
-        self._table_versions[name] = self._version_counter
+        self.layout_epoch += 1
+        self._table_versions[name] = self.layout_epoch
 
     def table_version(self, name: str) -> int:
         """Monotonic layout/statistics version of one table.

@@ -29,6 +29,18 @@ never skip rows it must not, serve a stale zero-scan answer, or hide the
 reference path behind a toggle.  Every prunable unit consulted is counted on
 the accountant (scanned vs. skipped), which is what ``EXPLAIN ANALYZE``
 reports.
+
+What does not depend on the statement is decided once per path, when it is
+built: paths are built per layout, and a store move or repartitioning builds
+new ones.  That covers *structural* shard eligibility (``never_shards``: a
+row-store, partitioned or inner-partition path never shards, so its
+statements attempt no scatter and derive no :class:`ShardDecision` — the
+planner still records one for ``EXPLAIN``, which prints nothing for it) and
+the unit verdicts themselves (``PartitionScan(label, scan, reason)`` is a
+value, interned per path).  What depends on the statement — the zone
+verdict of its predicate, the aggregate tier, a plain column store's shard
+verdict with its gate, delta rows and toggles — stays per subject, under the
+one freshness rule.
 """
 
 from __future__ import annotations
@@ -42,7 +54,11 @@ from repro.engine.executor.agg_pushdown import (
     AggregateStrategy,
     derive_aggregate_strategy,
 )
-from repro.engine.shard import ShardDecision, derive_shard_decision
+from repro.engine.shard import (
+    ShardDecision,
+    derive_shard_decision,
+    structural_ineligibility,
+)
 from repro.engine.table import StoredTable
 from repro.engine.timing import CostAccountant
 from repro.engine.toggle import settings_epoch
@@ -66,19 +82,18 @@ def empty_batch(columns: Sequence[str]) -> ColumnBatch:
 DECISION_MEMO_LIMIT = 256
 
 
-def _equal_subjects(recorded: Any, subject: Any) -> bool:
-    """Whether two distinct predicate/query objects say the same thing."""
-    try:
-        return bool(recorded == subject)
-    except Exception:  # pragma: no cover - exotic __eq__ definitions
-        return False
-
-
 class AccessPath:
     """Interface used by the operators to read and modify one table."""
 
     #: Human-readable description used in traces and tests.
     description: str = "access path"
+
+    #: Why this path can never shard, whatever the statement — ``None`` when
+    #: each statement's own :class:`~repro.engine.shard.ShardDecision`
+    #: decides.  Structural (see :func:`~repro.engine.shard
+    #: .structural_ineligibility`), so it is decided once, when the path is
+    #: built.
+    never_shards: Optional[str] = "not a plain column store"
 
     #: The most recent :class:`ScanDecision` (set by :meth:`plan_scan` or a
     #: re-derivation at execution time); ``None`` until a predicate is seen.
@@ -95,6 +110,15 @@ class AccessPath:
     #: Whether this path can serve per-partition batches for the
     #: partition-partial aggregation tier.
     supports_partition_partial: bool = False
+
+    def __init__(self, table, description: str) -> None:
+        self.table = table
+        self.description = description
+        self._recorded = {}
+        self._stamp = None
+        # Interned unit verdicts: ``PartitionScan(label, scan, reason)`` is a
+        # value, one per (unit label, scan) this path ever derived.
+        self._verdicts: Dict[tuple, PartitionScan] = {}
 
     @property
     def num_rows(self) -> int:
@@ -134,9 +158,14 @@ class AccessPath:
             if entry is not None and entry[0] is subject:
                 return entry[1]
             entry = recorded.get(slot)  # the latest subject of this kind
-            if entry is not None and _equal_subjects(entry[0], subject):
-                recorded[key] = (subject, entry[1])
-                return entry[1]
+            if entry is not None:
+                try:
+                    same = bool(entry[0] == subject)
+                except Exception:  # pragma: no cover - exotic __eq__ definitions
+                    same = False
+                if same:
+                    recorded[key] = (subject, entry[1])
+                    return entry[1]
         decision = derive(self, subject)
         setattr(self, slot, decision)
         recorded[key] = recorded[slot] = (subject, decision)
@@ -148,12 +177,16 @@ class AccessPath:
     def _derive_decision(self, predicate: Optional[Predicate]) -> ScanDecision:
         """One verdict per unit: skipped iff its zones prove *predicate* empty."""
         prune = predicate is not None and zone_pruning_enabled()
+        verdicts = self._verdicts
         partitions = []
         for unit in self.table.zone_units():
-            if prune and not unit.can_match(predicate):
-                partitions.append(PartitionScan(unit.label, False, "zone disjoint"))
-            else:
-                partitions.append(PartitionScan(unit.label, True))
+            scan = not prune or unit.can_match(predicate)
+            verdict = verdicts.get((unit.label, scan))
+            if verdict is None:
+                verdict = verdicts[unit.label, scan] = PartitionScan(
+                    unit.label, scan, "" if scan else "zone disjoint"
+                )
+            partitions.append(verdict)
         return ScanDecision(self.table.name, predicate, tuple(partitions))
 
     def plan_scan(self, predicate: Optional[Predicate]) -> ScanDecision:
@@ -241,11 +274,9 @@ class SimpleAccessPath(AccessPath):
     """
 
     def __init__(self, table: StoredTable, inner: bool = False) -> None:
-        self.table = table
+        super().__init__(table, f"{table.name} ({table.store.value} store)")
         self._inner = inner
-        self._recorded = {}
-        self._stamp = None
-        self.description = f"{table.name} ({table.store.value} store)"
+        self.never_shards = structural_ineligibility(table, inner)
 
     @property
     def num_rows(self) -> int:

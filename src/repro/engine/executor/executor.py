@@ -140,18 +140,20 @@ class QueryExecutor:
 
         rows: List[Dict[str, Any]] = []
         affected = 0
-        if isinstance(query, AggregationQuery):
-            rows = execute_aggregation(query, paths, accountant)
-        elif isinstance(query, SelectQuery):
+        kind = type(query)
+        if kind is SelectQuery:
             rows = execute_select(query, paths[query.table], accountant)
-        elif isinstance(query, InsertQuery):
-            affected = execute_insert(query, paths[query.table], accountant)
-        elif isinstance(query, UpdateQuery):
+        elif kind is UpdateQuery:
             affected = execute_update(query, paths[query.table], accountant)
-        elif isinstance(query, DeleteQuery):
+        elif kind is InsertQuery:
+            affected = execute_insert(query, paths[query.table], accountant)
+        elif kind is AggregationQuery:
+            rows = execute_aggregation(query, paths, accountant)
+        elif kind is DeleteQuery:
             affected = execute_delete(query, paths[query.table], accountant)
         else:  # pragma: no cover - defensive
-            raise QueryError(f"unsupported query type: {type(query).__name__}")
+            raise QueryError(f"unsupported query type: {kind.__name__}")
+        integrity_after = _INTEGRITY_COUNTS(counters)
         return QueryResult(
             rows=rows, affected_rows=affected, cost=accountant.breakdown,
             scan_stats=accountant.scan_stats,
@@ -159,10 +161,10 @@ class QueryExecutor:
             delta_scans=accountant.delta_scans,
             shard_stats=accountant.shard_stats,
             degradations=accountant.degradations,
-            integrity={
+            integrity={} if integrity_after == integrity_before else {
                 name: after - before
                 for name, before, after in zip(
-                    _INTEGRITY_EVENTS, integrity_before, _INTEGRITY_COUNTS(counters)
+                    _INTEGRITY_EVENTS, integrity_before, integrity_after
                 ) if after != before
             },
         )

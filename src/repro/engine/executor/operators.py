@@ -94,7 +94,8 @@ def execute_aggregation(
                 query, base_path, base_columns, encode_columns, accountant
             )
 
-    if shard_execution_enabled() and not query.joins:
+    if (base_path.never_shards is None and not query.joins
+            and shard_execution_enabled()):
         # Shard-parallel scatter/gather: workers compute partial states over
         # shared-memory code shards, the parent merges and then bills the
         # serial collect-then-reduce from the gathered counts.  ``None``
@@ -303,13 +304,14 @@ def execute_select(
     query: SelectQuery, path: AccessPath, accountant: CostAccountant
 ) -> List[Dict[str, Any]]:
     """Execute a point/range query."""
-    schema = path.table.schema
+    names = path.table.schema.column_names
     for name in query.columns:
-        if not schema.has_column(name):
+        if name not in names:
             raise QueryError(
                 f"select query references unknown column {name!r} of {query.table!r}"
             )
-    if shard_execution_enabled() and query.predicate is not None:
+    if (path.never_shards is None and query.predicate is not None
+            and shard_execution_enabled()):
         # Shard-parallel filtered scan; the parent fetches the gathered
         # positions itself so materialisation charges match serial exactly.
         sharded = try_sharded_select(path, query, accountant)
@@ -330,9 +332,9 @@ def execute_update(
     query: UpdateQuery, path: AccessPath, accountant: CostAccountant
 ) -> int:
     """Execute an update query, returning the number of affected rows."""
-    schema = path.table.schema
+    names = path.table.schema.column_names
     for name in query.assignments:
-        if not schema.has_column(name):
+        if name not in names:
             raise QueryError(
                 f"update query references unknown column {name!r} of {query.table!r}"
             )

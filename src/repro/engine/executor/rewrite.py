@@ -43,10 +43,9 @@ class PartitionedAccessPath(AccessPath):
     supports_partition_partial = True
 
     def __init__(self, table: PartitionedTable) -> None:
-        self.table = table
-        self._recorded = {}
-        self._stamp = None
-        self.description = f"{table.name} (partitioned: {table.partitioning.describe()})"
+        super().__init__(
+            table, f"{table.name} (partitioned: {table.partitioning.describe()})"
+        )
 
     @property
     def num_rows(self) -> int:

@@ -32,9 +32,18 @@ from repro.engine.indexes import HashIndex, SortedIndex
 from repro.engine.schema import TableSchema
 from repro.engine.timing import CostAccountant
 from repro.engine.types import Store
-from repro.engine.zonemap import ColumnZone, next_zone_epoch, widen_zone
+from repro.engine.zonemap import ColumnZone, is_nan, next_zone_epoch, widen_zone
 from repro.errors import ExecutionError, SchemaError
 from repro.query.predicates import Between, CompareOp, Comparison, Predicate
+
+
+#: Column lists one table keeps a validated ``fetch_rows`` projection for.
+_PROJECTIONS_KEPT = 64
+
+
+def _no_positions() -> List[int]:
+    """The index probe of a predicate no row can match."""
+    return []
 
 
 class InternedDictionary:
@@ -97,6 +106,9 @@ class RowStoreTable:
         # are rebuilt lazily from the cached column views (``column_zone``).
         self._zone_epoch = next_zone_epoch()
         self._zone_cache: Dict[str, Tuple[int, Optional[ColumnZone]]] = {}
+        # ``fetch_rows`` projections, per requested column list: a function
+        # of the schema and the list alone.
+        self._projections: Dict[Tuple[str, ...], Tuple[Tuple[str, int], ...]] = {}
         self._pk_column: Optional[str] = None
         if create_pk_index and len(schema.primary_key) == 1:
             # The primary key gets both an equality (hash) and a range (sorted)
@@ -464,17 +476,25 @@ class RowStoreTable:
                 index = self._hash_indexes.get(predicate.column, sorted_index)
                 if index is not None:
                     return "index lookup", index.lookup, (value,)
-            elif sorted_index is not None and op in (CompareOp.LT, CompareOp.LE):
-                return ("index range scan", sorted_index.range_lookup,
-                        (None, value, True, op is CompareOp.LE))
-            elif sorted_index is not None and op in (CompareOp.GT, CompareOp.GE):
+            elif sorted_index is not None and op is not CompareOp.NE:
+                if is_nan(value):
+                    # An ordered comparison with NaN matches no row, but a
+                    # bisect would place NaN first and hand out every row
+                    # for ``>=``.
+                    return "index range scan", _no_positions, ()
+                if op in (CompareOp.LT, CompareOp.LE):
+                    return ("index range scan", sorted_index.range_lookup,
+                            (None, value, True, op is CompareOp.LE))
                 return ("index range scan", sorted_index.range_lookup,
                         (value, None, op is CompareOp.GE, True))
         elif isinstance(predicate, Between) and predicate.column in self._sorted_indexes:
+            # A NaN bound excludes nothing (the scalar evaluator tests
+            # BETWEEN by exclusion): an open side, inclusive or not.
             return (
                 "index range scan",
                 self._sorted_indexes[predicate.column].range_lookup,
-                (predicate.low, predicate.high,
+                (None if is_nan(predicate.low) else predicate.low,
+                 None if is_nan(predicate.high) else predicate.high,
                  predicate.include_low, predicate.include_high),
             )
         return None
@@ -533,25 +553,41 @@ class RowStoreTable:
         contiguous, so the projected columns come along for free).
         """
         names = self.schema.column_names
-        selected = tuple(columns) if columns is not None else names
-        for name in selected:
-            self.schema.column(name)
+        projection = None
+        if columns is not None:
+            projection = self._projection(tuple(columns))
         if positions is None:
             self.charge_tuple_read(None, accountant)
             rows = self._rows
+            if projection is None:
+                return [dict(zip(names, row)) for row in rows]
+            selected = {name for name, _ in projection}
             return [
                 {name: row[i] for i, name in enumerate(names) if name in selected}
-                if columns is not None
-                else dict(zip(names, row))
                 for row in rows
             ]
         self.charge_tuple_read(len(positions), accountant)
+        stored = self._rows
+        if projection is None:
+            return [dict(zip(names, stored[position])) for position in positions]
         result = []
-        selected_idx = [(name, self.schema.index_of(name)) for name in selected]
         for position in positions:
-            row = self._rows[position]
-            result.append({name: row[i] for name, i in selected_idx})
+            row = stored[position]
+            result.append({name: row[i] for name, i in projection})
         return result
+
+    def _projection(self, columns: Tuple[str, ...]) -> Tuple[Tuple[str, int], ...]:
+        """``(name, tuple index)`` per selected column, validated once per column list."""
+        projection = self._projections.get(columns)
+        if projection is None:
+            for name in columns:
+                self.schema.column(name)
+            if len(self._projections) >= _PROJECTIONS_KEPT:
+                self._projections.clear()
+            projection = self._projections[columns] = tuple(
+                (name, self.schema.index_of(name)) for name in columns
+            )
+        return projection
 
     def column_values(
         self,

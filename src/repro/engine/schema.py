@@ -137,9 +137,9 @@ class TableSchema:
     def num_columns(self) -> int:
         return len(self.columns)
 
-    @property
+    @cached_property
     def row_width_bytes(self) -> int:
-        """Uncompressed width of one full tuple, in bytes."""
+        """Uncompressed width of one full tuple, in bytes (every insert bills it)."""
         return sum(column.width_bytes for column in self.columns)
 
     def columns_width_bytes(self, names: Iterable[str]) -> int:

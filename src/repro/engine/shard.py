@@ -107,6 +107,7 @@ __all__ = [
     "shard_fan_out",
     "shard_gate",
     "shutdown_worker_pool",
+    "structural_ineligibility",
     "try_sharded_aggregation",
     "try_sharded_select",
 ]
@@ -288,23 +289,40 @@ def shard_gate(query: Query, num_rows: int, statistics,
     return best_fan_out(query, num_rows, statistics, limit)
 
 
+def structural_ineligibility(table, inner: bool = False) -> Optional[str]:
+    """Why a path over *table* can never shard, whatever the statement.
+
+    ``None`` when it may: an unpartitioned column-store table read by its
+    own (not an inner partition) path.  This depends on the path alone, so
+    the path decides it once, when it is built (``AccessPath.never_shards``)
+    — paths are rebuilt per layout, and a store move builds new ones.
+    """
+    if inner:
+        return "inner partition path"
+    if not isinstance(getattr(table, "backend", None), ColumnStoreTable):
+        return "not a plain column store"
+    return None
+
+
 def derive_shard_decision(path, query: Query) -> ShardDecision:
     """Derive the sharding verdict for *query* over *path*.
 
     Only single-table queries against a delta-free column store are
-    eligible.  Aggregations additionally require provably order-independent
-    partial merges (the partition-partial NaN proof) and must not already be
-    answered zone-free; selections require a predicate (an unfiltered SELECT
-    is pure materialisation, which stays serial).  Whether an eligible query
-    then shards, and how wide, is :func:`shard_gate`'s call.
+    eligible: the path's structural verdict (``path.never_shards``) first,
+    then what moves per statement.  Aggregations additionally require
+    provably order-independent partial merges (the partition-partial NaN
+    proof) and must not already be answered zone-free; selections require a
+    predicate (an unfiltered SELECT is pure materialisation, which stays
+    serial).  Whether an eligible query then shards, and how wide, is
+    :func:`shard_gate`'s call.
     """
-    table = getattr(path, "table", None)
+    table = path.table
 
     def verdict(sharded: bool, reason: str, fan_out: int = 0,
                 bounds: Tuple[Tuple[int, int], ...] = (),
                 predicted_ms: Optional[Tuple[float, float]] = None) -> ShardDecision:
         return ShardDecision(
-            table=getattr(table, "name", "?"), fan_out=fan_out, bounds=bounds,
+            table=table.name, fan_out=fan_out, bounds=bounds,
             sharded=sharded, reason=reason, query=query,
             max_attempts=current().resilience.max_attempts,
             predicted_ms=predicted_ms,
@@ -312,11 +330,9 @@ def derive_shard_decision(path, query: Query) -> ShardDecision:
 
     if not shard_execution_enabled():
         return verdict(False, "shard execution disabled")
-    if getattr(path, "_inner", False):
-        return verdict(False, "inner partition path")
-    backend = getattr(table, "backend", None)
-    if not isinstance(backend, ColumnStoreTable):
-        return verdict(False, "not a plain column store")
+    if path.never_shards is not None:
+        return verdict(False, path.never_shards)
+    backend = table.backend
     if table.delta_rows:
         return verdict(False, "delta rows pending merge")
     num_rows = table.num_rows

@@ -36,6 +36,11 @@ def create_backend(schema: TableSchema, store: Store) -> Backend:
 class StoredTable:
     """A table stored in exactly one of the two stores."""
 
+    #: ``(backend, zone token, units)`` of the last ``zone_units()`` call:
+    #: units are a function of both (a store conversion swaps the backend,
+    #: and two backends' epochs say nothing about each other).
+    _units: Optional[Tuple[Backend, Tuple[int, ...], List[ZoneUnit]]] = None
+
     def __init__(self, schema: TableSchema, store: Store = Store.ROW,
                  backend: Optional[Backend] = None) -> None:
         self.schema = schema
@@ -100,6 +105,7 @@ class StoredTable:
         }
         new_backend.bulk_load_columns(columns, num_rows)
         self._backend = new_backend
+        self._units = None
         return self
 
     # -- index management -----------------------------------------------------------
@@ -238,9 +244,19 @@ class StoredTable:
         return self._backend.column_zone(column)
 
     def zone_units(self) -> List[ZoneUnit]:
-        """The table's prunable units: itself, as one :class:`ZoneUnit`."""
-        return [ZoneUnit(self.name, self.num_rows, self.zone_token,
-                         self.column_zone)]
+        """The table's prunable units: itself, as one :class:`ZoneUnit`.
+
+        Built once per (backend, zone token) and handed out again while
+        both stand; callers only read them.
+        """
+        backend = self._backend
+        token = (backend.zone_epoch,)
+        cached = self._units
+        if cached is not None and cached[0] is backend and cached[1] == token:
+            return cached[2]
+        units = [ZoneUnit(self.name, backend.num_rows, token, self.column_zone)]
+        self._units = (backend, token, units)
+        return units
 
     # -- statistics helpers --------------------------------------------------------------
 

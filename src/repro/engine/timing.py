@@ -18,7 +18,7 @@ experiments require.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Mapping, Optional
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from repro.config import DeviceModelConfig
 
@@ -142,31 +142,30 @@ class CostAccountant:
     def __init__(self, device: Optional[DeviceModel] = None) -> None:
         self.device = device or DeviceModel()
         self.breakdown = CostBreakdown()
-        # Per-table partition telemetry: how many prunable partitions each
-        # table's access path scanned vs. skipped (zone-map pruning).  Pure
-        # counters — they never contribute simulated time; EXPLAIN ANALYZE
-        # reports them next to the plan's predicted pruning.
-        self._partition_counts: Dict[str, list] = {}
-        # Per-table aggregate-pushdown strategy the execution consumed —
-        # telemetry only, reported by EXPLAIN ANALYZE next to the plan's
-        # recorded strategy.
-        self._agg_strategies: Dict[str, str] = {}
-        # Per-table delta/main telemetry: rows a scan read from the
-        # dictionary-encoded main vs the write-optimised delta.  Counters
-        # only — the charges are logical (main + delta) and identical either
-        # way; EXPLAIN ANALYZE reports these so merge pressure is visible.
-        self._delta_scans: Dict[str, list] = {}
-        # Per-table shard telemetry: the fan-out and per-shard
-        # ``(rows scanned, rows matched)`` of a sharded scatter/gather
-        # execution.  Counters only — sharding bills the serial charges
-        # bit-identically; EXPLAIN ANALYZE reports these per shard.
-        self._shard_execs: Dict[str, tuple] = {}
-        # Per-table degradation-ladder telemetry: a description of each walk
-        # down the ladder (e.g. "shard-parallel -> retry x1 -> serial (...)")
-        # taken while answering this query.  Telemetry only — a degraded
-        # query charges exactly what the serial path charges; EXPLAIN
-        # ANALYZE renders these so a silent fallback stays visible.
-        self._degradations: Dict[str, str] = {}
+        # Telemetry: pure counters and descriptions, never simulated time.
+        # An accountant lives for one execution, so its result takes these
+        # dicts over as they are; EXPLAIN ANALYZE reports them.
+        #: Per-table ``(partitions scanned, partitions skipped)`` — how many
+        #: prunable partitions each table's access path scanned vs. skipped
+        #: (zone-map pruning), reported next to the plan's predicted pruning.
+        self.scan_stats: Dict[str, Tuple[int, int]] = {}
+        #: Per-table aggregate-pushdown strategy the execution consumed,
+        #: reported next to the plan's recorded strategy.
+        self.aggregate_strategies: Dict[str, str] = {}
+        #: Per-table ``(main rows, delta rows)`` a scan read from the
+        #: dictionary-encoded main vs the write-optimised delta.  The charges
+        #: are logical (main + delta) and identical either way; these make
+        #: merge pressure visible.
+        self.delta_scans: Dict[str, Tuple[int, int]] = {}
+        #: Per-table ``(fan_out, ((rows scanned, rows matched), ...))`` of a
+        #: sharded scatter/gather execution.  Sharding bills the serial
+        #: charges bit-identically.
+        self.shard_stats: Dict[str, tuple] = {}
+        #: Per-table degradation-ladder walks taken while answering this
+        #: query (e.g. "shard-parallel -> retry x1 -> serial (...)").  A
+        #: degraded query charges exactly what the serial path charges; this
+        #: keeps a silent fallback visible.
+        self.degradations: Dict[str, str] = {}
 
     # -- generic ---------------------------------------------------------------
 
@@ -246,39 +245,19 @@ class CostAccountant:
 
     def count_partition(self, table: str, scanned: bool) -> None:
         """Record one partition of *table* as scanned or zone-skipped."""
-        counts = self._partition_counts.setdefault(table, [0, 0])
-        counts[0 if scanned else 1] += 1
-
-    @property
-    def scan_stats(self) -> Dict[str, "tuple[int, int]"]:
-        """Per-table ``(partitions scanned, partitions skipped)`` counters."""
-        return {
-            table: (counts[0], counts[1])
-            for table, counts in self._partition_counts.items()
-        }
+        done, skipped = self.scan_stats.get(table, (0, 0))
+        self.scan_stats[table] = (
+            (done + 1, skipped) if scanned else (done, skipped + 1)
+        )
 
     def record_aggregate_strategy(self, table: str, description: str) -> None:
         """Record the aggregate-pushdown strategy consumed for *table*."""
-        self._agg_strategies[table] = description
-
-    @property
-    def aggregate_strategies(self) -> Dict[str, str]:
-        """Per-table aggregate-pushdown strategy descriptions."""
-        return dict(self._agg_strategies)
+        self.aggregate_strategies[table] = description
 
     def record_delta_scan(self, table: str, main_rows: int, delta_rows: int) -> None:
         """Record one scan of *table* spanning main and delta rows."""
-        counts = self._delta_scans.setdefault(table, [0, 0])
-        counts[0] += main_rows
-        counts[1] += delta_rows
-
-    @property
-    def delta_scans(self) -> Dict[str, "tuple[int, int]"]:
-        """Per-table ``(main rows, delta rows)`` scanned by this query."""
-        return {
-            table: (counts[0], counts[1])
-            for table, counts in self._delta_scans.items()
-        }
+        main, delta = self.delta_scans.get(table, (0, 0))
+        self.delta_scans[table] = (main + main_rows, delta + delta_rows)
 
     def record_shard_execution(
         self, table: str, fan_out: int, shards: "tuple"
@@ -288,12 +267,7 @@ class CostAccountant:
         *shards* holds one ``(rows scanned, rows matched)`` pair per shard in
         shard order.
         """
-        self._shard_execs[table] = (fan_out, tuple(shards))
-
-    @property
-    def shard_stats(self) -> Dict[str, tuple]:
-        """Per-table ``(fan_out, ((scanned, matched), ...))`` of sharded scans."""
-        return dict(self._shard_execs)
+        self.shard_stats[table] = (fan_out, tuple(shards))
 
     def record_degradation(self, table: str, description: str) -> None:
         """Record one walk down the degradation ladder for *table*.
@@ -301,12 +275,7 @@ class CostAccountant:
         *description* names the rungs walked and the triggering failure,
         e.g. ``"shard-parallel -> retry x1 -> serial (shard worker died)"``.
         """
-        self._degradations[table] = description
-
-    @property
-    def degradations(self) -> Dict[str, str]:
-        """Per-table degradation-ladder descriptions consumed by this query."""
-        return dict(self._degradations)
+        self.degradations[table] = description
 
     # -- results ----------------------------------------------------------------
 

@@ -440,6 +440,43 @@ def test_sibling_literals_of_a_recurring_shape_rederive_nothing(
     assert derivations["scan"] == before["scan"] + 1 + 16
 
 
+@pytest.mark.parametrize("store, derived", [(Store.ROW, 1), (Store.COLUMN, 10)])
+def test_a_path_that_can_never_shard_derives_no_shard_verdicts(
+    database_factory, store, derived, derivations
+):
+    """Structural ineligibility is the path's: a row-store path decides it
+    when built, so its statements derive no shard verdict (the one counted
+    is the planner's, for ``EXPLAIN``); a column-store path derives one per
+    distinct statement, as before."""
+    session = connect(database=database_factory(store))
+    for key in range(10):
+        session.sql(f"SELECT id FROM sales WHERE product = {key}")
+    assert derivations["shard"] == derived
+    path = session.plan_for("SELECT id FROM sales WHERE product = 1").paths["sales"]
+    assert path.never_shards == (
+        "not a plain column store" if store is Store.ROW else None
+    )
+
+
+@pytest.mark.shard
+def test_a_table_moved_to_the_column_store_shards_on_its_next_statement(
+    database_factory,
+):
+    """The store move builds a new path, and the new path may shard: the
+    next statement is the gate's to decide."""
+    session = connect(database=database_factory(Store.ROW))
+    sql = "SELECT sum(revenue), count(*) FROM sales GROUP BY region"
+    with shard.shard_config(fan_out=2, min_rows=1):
+        assert session.sql(sql).shard_stats == {}
+        assert "shards:" not in session.explain(sql)
+        session.move_table("sales", Store.COLUMN)
+        moved = session.sql(sql)
+        assert moved.shard_stats["sales"][0] == 2
+        assert session.plan_for(sql).paths["sales"].never_shards is None
+        assert "shards: fan-out 2" in session.explain(sql)
+    session.close()
+
+
 # -- SessionStats says what happened ----------------------------------------------------------------
 
 

@@ -10,6 +10,7 @@ from repro.engine import (
     TablePartitioning,
     TableSchema,
 )
+from repro.errors import BindError
 from repro.query import aggregate, eq, select
 
 
@@ -215,3 +216,133 @@ class TestPlanCacheEviction:
         assert session.stats().plan_cache_misses == misses
         session.sql("SELECT id FROM sales WHERE quantity = 2")
         assert session.stats().plan_cache_misses == misses + 1
+
+
+# -- the template's resolution: once per (template, layout) ---------------------------
+
+
+@pytest.fixture
+def resolutions(monkeypatch):
+    """Every resolve-phase run of the session's statements, by template."""
+    from repro.api import session as session_module
+
+    resolved = []
+    resolve = session_module.resolve
+
+    def counting(query, catalog):
+        resolved.append(query)
+        return resolve(query, catalog)
+
+    monkeypatch.setattr(session_module, "resolve", counting)
+    return resolved
+
+
+POINT = "SELECT id FROM sales WHERE id = {}"
+
+
+class TestResolutionPerTemplateAndLayout:
+    def test_distinct_literals_of_one_shape_resolve_once(self, session, resolutions):
+        for key in range(300):
+            assert session.sql(POINT.format(key)).rows == [{"id": key}]
+        assert len(resolutions) == 1
+
+    def test_a_resolved_template_still_rejects_each_bad_value(self, session,
+                                                               resolutions):
+        for key in range(300):
+            session.sql(POINT.format(key))
+        with pytest.raises(BindError) as literal:
+            session.sql(POINT.format("'x'"))
+        assert str(literal.value) == (
+            "literal 'x' (str) does not type-check against column sales.id "
+            "(integer)"
+        )
+        update = "UPDATE sales SET quantity = ? WHERE id = {}"
+        for key in range(3):
+            session.sql(update.format(key), [key + 1])
+        with pytest.raises(BindError) as parameter:
+            session.sql(update.format(3), ["many"])
+        assert str(parameter.value) == (
+            "parameter ? = 'many' is not valid for column sales.quantity (integer)"
+        )
+        assert session.sql(POINT.format(7)).rows == [{"id": 7}]
+        assert len(resolutions) == 2
+
+    def test_date_strings_coerce_per_execution(self, resolutions):
+        import datetime
+
+        schema = TableSchema.build(
+            "visits", [("id", DataType.INTEGER), ("day", DataType.DATE)],
+            primary_key=["id"],
+        )
+        session = connect()
+        session.create_table(schema, Store.ROW)
+        session.load_rows("visits", [
+            {"id": i, "day": datetime.date(2024, 1, 1 + i)} for i in range(10)
+        ])
+        sql = "SELECT id FROM visits WHERE day >= '2024-01-{:02d}'"
+        for day in (3, 8, 5):
+            bound = session.plan_for(sql.format(day)).query
+            assert bound.predicate.value == datetime.date(2024, 1, day)
+            assert [row["id"] for row in session.sql(sql.format(day)).rows] == list(
+                range(day - 1, 10)
+            )
+        with pytest.raises(BindError, match="not a valid date"):
+            session.sql("SELECT id FROM visits WHERE day >= '2024-13-01'")
+        assert len(resolutions) == 1
+
+    @pytest.mark.parametrize("change", [
+        "drop and create", "store move", "apply", "statistics refresh",
+    ])
+    def test_a_layout_change_resolves_again(self, session, sales_schema,
+                                            sales_rows, resolutions, change):
+        session.sql(POINT.format(1))
+        session.sql(POINT.format(2))
+        assert len(resolutions) == 1
+        if change == "drop and create":
+            session.drop_table("sales")
+            session.create_table(sales_schema, Store.ROW)
+            session.load_rows("sales", sales_rows)
+        elif change == "store move":
+            session.move_table("sales", Store.COLUMN)
+        elif change == "apply":
+            from repro.core.advisor.recommendation import (
+                Recommendation,
+                StorageLayout,
+            )
+            from repro.query.predicates import ge
+
+            partitioning = TablePartitioning(
+                horizontal=HorizontalPartitionSpec(predicate=ge("id", 900))
+            )
+            session.apply(Recommendation(StorageLayout({"sales": partitioning})))
+        else:
+            session.refresh_statistics("sales")
+        assert session.sql(POINT.format(3)).rows == [{"id": 3}]
+        assert session.sql(POINT.format(4)).rows == [{"id": 4}]
+        assert len(resolutions) == 2
+
+    def test_another_tables_change_keeps_the_resolution(self, session,
+                                                        resolutions):
+        other = TableSchema.build("other", [("k", DataType.INTEGER)],
+                                  primary_key=["k"])
+        session.sql(POINT.format(1))
+        session.create_table(other, Store.ROW)
+        session.move_table("other", Store.COLUMN)
+        session.sql(POINT.format(2))
+        assert len(resolutions) == 1
+
+    def test_a_recreated_table_binds_against_its_new_types(self, session,
+                                                           resolutions):
+        sql = "SELECT id FROM sales WHERE region = {}"
+        assert session.sql(sql.format("'region_1'")).rows
+        session.drop_table("sales")
+        retyped = TableSchema.build(
+            "sales", [("id", DataType.INTEGER), ("region", DataType.INTEGER)],
+            primary_key=["id"],
+        )
+        session.create_table(retyped, Store.ROW)
+        session.load_rows("sales", [{"id": i, "region": i % 3} for i in range(9)])
+        with pytest.raises(BindError, match="type-check"):
+            session.sql(sql.format("'region_1'"))
+        assert [row["id"] for row in session.sql(sql.format(1)).rows] == [1, 4, 7]
+        assert len(resolutions) == 2

@@ -126,6 +126,61 @@ def test_nested_deadlines_only_tighten():
     assert deadline_remaining() is None
 
 
+def contexts_seen(session):
+    """The context each of *session*'s statements executed under."""
+    seen = []
+    session.add_plan_listener(lambda query, plan, result: seen.append(current()))
+    return seen
+
+
+def test_a_session_installs_one_context_while_the_enclosing_one_stands():
+    session = open_session()
+    seen = contexts_seen(session)
+    for _ in range(3):
+        session.execute(QUERY)
+    assert seen[0] is not current()
+    assert seen[1] is seen[0] and seen[2] is seen[0]
+    session.close()
+
+
+def test_scopes_entered_between_statements_govern_the_next_one():
+    """``integrity_disabled()``, ``shard_config(max_attempts=1)`` and
+    ``query_deadline`` entered between two statements of one session each
+    govern the second; leaving them, the third runs as the first did."""
+    session = open_session()
+    seen = contexts_seen(session)
+    session.execute(QUERY)
+    first = seen[-1]
+    assert first.integrity.enabled and first.deadline is None
+    with integrity_disabled():
+        session.execute(QUERY)
+        assert not seen[-1].integrity.enabled
+    with shard_config(max_attempts=1):
+        session.execute(QUERY)
+        assert seen[-1].resilience.max_attempts == 1
+    with query_deadline(30.0):
+        session.execute(QUERY)
+        assert seen[-1].deadline == current().deadline is not None
+    session.execute(QUERY)
+    assert seen[-1].integrity.enabled and seen[-1].deadline is None
+    assert seen[-1].resilience.max_attempts == first.resilience.max_attempts
+    assert seen[-1].counters is first.counters
+    session.close()
+
+
+def test_a_timed_out_statement_leaves_no_deadline_to_the_next():
+    session = open_session()
+    seen = contexts_seen(session)
+    session.execute(QUERY)
+    with pytest.raises(QueryTimeoutError):
+        session.execute(QUERY, timeout=0.0)
+    assert current().deadline is None
+    session.execute(QUERY)
+    assert seen[-1].deadline is None and seen[-1] is seen[0]
+    assert session.stats().query_timeouts == 1
+    session.close()
+
+
 def test_enclosing_scopes_govern_a_default_session_only():
     default_session = open_session()
     explicit = open_session(

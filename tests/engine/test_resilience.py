@@ -389,6 +389,59 @@ def test_interleaved_sessions_count_their_own_events():
     assert current().counters == default_before
 
 
+def test_interleaved_sessions_reinstall_only_their_own_context():
+    """Each session re-enters the context it installed — never the other's.
+
+    ``a`` and ``b`` alternate statement by statement; ``solo`` runs ``a``'s
+    statements alone.  Every statement of one session sees one context
+    object, the two sessions' objects differ, and ``a`` ends with exactly
+    ``solo``'s counters (a fault in ``b`` and ``b``'s scrub move only ``b``'s).
+    """
+    from repro.api import connect
+
+    def open_session():
+        session = connect()
+        session.create_table(SCHEMA, Store.COLUMN)
+        session.load_rows("metrics", make_rows(600))
+        return session
+
+    def contexts(session):
+        seen = []
+        session.add_plan_listener(lambda query, plan, result: seen.append(current()))
+        return seen
+
+    a, b, solo = open_session(), open_session(), open_session()
+    seen_a, seen_b = contexts(a), contexts(b)
+    default_before = copy(current().counters)
+    with shard_config(**FAST):
+        for step in range(3):
+            a.execute(grouped_query())
+            a.execute(filtered_select())
+            solo.execute(grouped_query())
+            solo.execute(filtered_select())
+            if step == 1:
+                with inject(FaultPlan(crash_at="shard.worker.kill")):
+                    b.execute(grouped_query())
+                b.verify_integrity()
+            else:
+                b.execute(grouped_query())
+    assert all(context is seen_a[0] for context in seen_a)
+    assert all(context is seen_b[0] for context in seen_b)
+    assert seen_a[0] is not seen_b[0]
+    assert seen_a[0].counters is not seen_b[0].counters
+    assert b.stats().shard_retries == 1 and b.stats().shard_worker_replacements == 1
+    assert (a.stats().shard_retries, a.stats().shard_worker_replacements) == (0, 0)
+    engine_fields = ("shard_retries", "shard_worker_replacements",
+                     "shard_degradations", "integrity_units_verified",
+                     "integrity_corruption_detected", "integrity_units_quarantined")
+    assert [getattr(a.stats(), name) for name in engine_fields] == [
+        getattr(solo.stats(), name) for name in engine_fields
+    ]
+    for session in (a, b, solo):
+        session.close()
+    assert current().counters == default_before
+
+
 # -- deadlines and cancellation --------------------------------------------------------
 
 

@@ -220,3 +220,115 @@ class TestNullableIntegerAggregates:
             assert results[Store.COLUMN][0]["sum_q"] == sum(
                 row["q"] for row in rows if row["q"] is not None
             )
+
+
+# -- a NaN bound ----------------------------------------------------------------------
+
+
+NAN = float("nan")
+
+NAN_SCHEMA = TableSchema(
+    "readings",
+    (
+        Column("id", DataType.INTEGER, primary_key=True),  # sorted-indexed in the row store
+        Column("x", DataType.DOUBLE),
+        Column("y", DataType.DOUBLE, nullable=True),
+        Column("k", DataType.INTEGER),
+        Column("day", DataType.INTEGER),
+    ),
+)
+
+
+def _nan_rows(with_nan):
+    return [
+        {
+            "id": i,
+            "x": NAN if with_nan and i % 5 == 0 else float(i % 7),
+            "y": None if i % 4 == 0 else (NAN if with_nan and i % 6 == 0 else float(i % 9)),
+            "k": i % 11,
+            "day": i,
+        }
+        for i in range(40)
+    ]
+
+
+class TestNanBounds:
+    """``BETWEEN`` with a NaN bound: the scalar evaluator tests BETWEEN by
+    exclusion (``value < low`` / ``value > high``), which a NaN bound never
+    triggers — it is an open side, inclusive or not — and an ordered
+    comparison with NaN matches no row.  Every layout answers that, whether
+    the predicate comes as an AST or through ``?`` parameters, before and
+    after a position-index build, with zone pruning on or off.
+
+    Inclusive bounds (all SQL ``BETWEEN`` can say) always agreed; an
+    *exclusive* NaN bound (``Between(..., include_low=False)``) was bisected
+    by the column store's dictionary and by the row store's sorted index into
+    an empty range, and the sorted index handed out every row for ``id >=
+    NaN``.
+    """
+
+    BOUNDS = [(NAN, 5), (2, NAN), (NAN, NAN), (None, NAN), (NAN, None)]
+
+    @staticmethod
+    def _session(layout, with_nan):
+        from repro.api import connect
+        from repro.engine.partitioning import HorizontalPartitionSpec, TablePartitioning
+        from repro.engine.types import Store
+
+        session = connect()
+        session.create_table(NAN_SCHEMA, Store.ROW if layout == "row" else Store.COLUMN)
+        session.load_rows("readings", _nan_rows(with_nan))
+        if layout == "hot+main":
+            session.apply_partitioning("readings", TablePartitioning(
+                horizontal=HorizontalPartitionSpec(Comparison("day", CompareOp.GE, 30))
+            ))
+        return session
+
+    @staticmethod
+    def _ids(result):
+        return sorted(row["id"] for row in result.rows)
+
+    @pytest.mark.parametrize("with_nan", [False, True], ids=["no-nan-cells", "nan-cells"])
+    @pytest.mark.parametrize("layout", ["row", "column", "hot+main"])
+    def test_every_layout_answers_the_scalar_evaluator(self, layout, with_nan):
+        from repro.engine.zonemap import zone_pruning_disabled
+        from repro.query.builder import select
+
+        rows = _nan_rows(with_nan)
+        session = self._session(layout, with_nan)
+        predicates = [
+            Between(column, low, high, include_low, include_high)
+            for column in ("id", "x", "y", "k")
+            for low, high in self.BOUNDS
+            for include_low in (True, False)
+            for include_high in (True, False)
+        ] + [
+            Comparison(column, op, NAN)
+            for column in ("id", "x", "y", "k") for op in CompareOp
+        ]
+
+        def answers():
+            for predicate in predicates:
+                expected = sorted(r["id"] for r in rows if predicate.evaluate(r))
+                query = select("readings").columns("id").where(predicate).build()
+                assert self._ids(session.execute(query)) == expected, predicate
+                with zone_pruning_disabled():
+                    assert self._ids(session.execute(query)) == expected, predicate
+
+        answers()
+        if layout == "column":
+            table = session.database.table_object("readings")
+            for name in ("id", "x", "y", "k"):
+                table.backend.compressed_column(name).build_position_index()
+            answers()
+
+    @pytest.mark.parametrize("layout", ["row", "column", "hot+main"])
+    def test_parameters_bind_a_nan_bound_alike(self, layout):
+        rows = _nan_rows(True)
+        session = self._session(layout, True)
+        for column in ("x", "y"):
+            sql = f"SELECT id FROM readings WHERE {column} BETWEEN ? AND ?"
+            for low, high in ((NAN, 5.0), (2.0, NAN), (NAN, NAN)):
+                predicate = Between(column, low, high)
+                expected = sorted(r["id"] for r in rows if predicate.evaluate(r))
+                assert self._ids(session.sql(sql, [low, high])) == expected

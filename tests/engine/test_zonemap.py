@@ -423,6 +423,27 @@ def test_zone_units_describe_every_layout(layout):
                 zone.min_value, zone.max_value, zone.null_count, zone.has_nan)
 
 
+def test_zone_units_are_kept_per_backend_and_token():
+    """A table hands the same units out while backend and zone token stand;
+    a DML moves the token, a store conversion the backend — even one whose
+    new backend starts at the old epoch."""
+    table = build_layout(Store.ROW).table_object("events")
+    units = table.zone_units()
+    assert table.zone_units() is units
+    table.insert_rows(make_rows(200, 201))
+    widened = table.zone_units()
+    assert widened is not units and widened[0].num_rows == 201
+
+    old_epoch = table.zone_epoch
+    table.convert_to(Store.COLUMN)
+    table.backend._zone_epoch = old_epoch  # same epoch, another backend
+    converted = table.zone_units()
+    assert converted is not widened
+    assert converted[0].token == widened[0].token
+    assert converted[0].zone("day") == table.backend.column_zone("day")
+    assert table.zone_units() is converted
+
+
 def test_unit_verdicts_are_the_zone_functions():
     """``can_match`` / ``must_match`` ask the zone functions about the
     predicate's columns — a ``table.column`` reference by its bare column."""
