@@ -47,7 +47,12 @@
 #                calls `replace(` (bound nodes are built by their
 #                constructors) or `_Binder` calls `statement_parameters(`
 #                (the placeholders come with the resolution, from its one
-#                walk).
+#                walk); and if a per-row load spelling comes back — a
+#                `row.get(...) for row in rows` gather in engine/schema.py,
+#                an `.evaluate(` routing rows in engine/partitioning.py, or
+#                the deleted row-at-a-time loaders (`bulk_load_columns`,
+#                `_load_main`, `_load_columns_trusted`): rows become columns
+#                once, and every store loads columns.
 #   fuzz       — the seeded differentials: every fast path vs its toggled
 #                reference, on rows, CostBreakdown totals and charge order.
 #   faults / resilience / integrity — crash points, process faults and
@@ -88,7 +93,7 @@ python -m pytest -m matview -q tests benchmarks
 echo "== shard: scatter/gather differential + projection gates =="
 python -m pytest -m shard -q tests benchmarks
 
-echo "== ledger: one home per charge, one prunable unit, one execution context, one executor, one statement path, no per-row group renumbering, one writer of the codes, one binder =="
+echo "== ledger: one home per charge, one prunable unit, one execution context, one executor, one statement path, no per-row group renumbering, one writer of the codes, one binder, one columnar load path =="
 deleted='compile_code_leaves|_DRY_MASK|charge_column_scan|_charge_pruned_main_update|_charge_main_positions|validate_assignments|_answers_from_index'
 if grep -rnE --include='*.py' "$deleted" src/; then
     echo "ledger: a deleted charge twin is back (see above)"; exit 1
@@ -140,6 +145,11 @@ fi
 if awk '/^class _Binder/ {inside = 1; next} /^[^[:space:]#]/ {inside = 0} inside' src/repro/api/binder.py \
         | grep -n 'statement_parameters('; then
     echo "ledger: _Binder walks the statement for its placeholders again (see above) — they come with the resolution"; exit 1
+fi
+if grep -nE 'row\.get\([^)]*\) for row in rows' src/repro/engine/schema.py \
+        || grep -nE '\.evaluate\(' src/repro/engine/partitioning.py \
+        || grep -rnE --include='*.py' 'bulk_load_columns|_load_main\b|_load_columns_trusted' src/; then
+    echo "ledger: a per-row load spelling is back (see above) — rows become columns once (TableSchema.validate_rows_columnar) and every store loads columns"; exit 1
 fi
 echo "ledger clean."
 

@@ -8,7 +8,8 @@ wall-clock one (ad-hoc text with a distinct literal per call stays within
 deterministic one (Python calls per recurring statement, so a re-derived
 decision or a per-statement rebind cannot creep back unseen under wall-clock
 noise).  A third gate pins the Python calls of statements with a fresh
-literal each, per statement type.  Run with
+literal each, per statement type, and a fourth those of a bulk load: none
+may grow with the number of rows loaded.  Run with
 ``pytest -m perf benchmarks/test_perf_session.py``.
 """
 
@@ -51,6 +52,14 @@ DISTINCT_SQL = {
     "insert": ("INSERT INTO sales (id, region, revenue, quantity) "
                "VALUES ({new}, 'region_{region}', {key}.25, 3)"),
 }
+
+#: Python calls a column-store ``load_rows`` of 2N rows may make beyond the
+#: load of N rows: validation, each dictionary build and the statistics run
+#: as C-level passes, so the two counts differ by at most this constant.
+#: The per-row loader made 6 calls per row per load (one ``<genexpr>``
+#: frame and five ``dict.get``).
+LOAD_CALLS_SLACK = 16
+LOAD_ROWS_N = 20_000
 
 NUM_ROWS = 5_000
 REPEATS = 500
@@ -191,6 +200,42 @@ def test_distinct_literal_python_calls_stay_pinned():
         f"distinct-literal statements take {over} Python calls per execution "
         f"(pinned at {DISTINCT_CALLS_PINS}): something that the session, the "
         f"template or the access path had decided is decided per statement again"
+    )
+
+
+def load_calls(num_rows: int) -> int:
+    """Python calls of one column-store ``load_rows`` of native-typed rows."""
+    schema = TableSchema.build(
+        "facts",
+        [("id", DataType.INTEGER), ("region", DataType.VARCHAR),
+         ("day", DataType.INTEGER), ("revenue", DataType.DOUBLE),
+         ("qty", DataType.INTEGER)],
+        primary_key=["id"],
+    )
+    rng = random.Random(5)
+    rows = [
+        {"id": i, "region": f"region_{rng.randrange(16):02d}",
+         "day": rng.randrange(3_650), "revenue": rng.randrange(64, 100_000) / 64,
+         "qty": rng.randrange(1, 100)}
+        for i in range(num_rows)
+    ]
+    session = connect()
+    session.create_table(schema, Store.COLUMN)
+    profile = cProfile.Profile()
+    profile.enable()
+    session.load_rows("facts", rows)
+    profile.disable()
+    return pstats.Stats(profile).total_calls
+
+
+@pytest.mark.perf
+def test_load_rows_python_calls_do_not_grow_with_the_rows():
+    """Deterministic: no Python frame runs per loaded row."""
+    small, large = load_calls(LOAD_ROWS_N), load_calls(2 * LOAD_ROWS_N)
+    assert large - small <= LOAD_CALLS_SLACK, (
+        f"loading {2 * LOAD_ROWS_N} rows takes {large} Python calls, "
+        f"{large - small} more than loading {LOAD_ROWS_N} ({small}): some "
+        f"step of the load runs per row again"
     )
 
 

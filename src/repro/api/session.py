@@ -132,7 +132,8 @@ class SessionStats:
     view_rewrite_misses: int = 0
     #: Always 0: no refresh is incremental any more.  Kept (never written)
     #: only because the frozen ``benchmarks/e2e`` harness reads it; goes at
-    #: the harness re-baseline (ROADMAP item 6).
+    #: the harness re-baseline (ROADMAP item "Unfreeze the harness, then let
+    #: it keep score", part (a)).
     view_incremental_refreshes: int = 0
     #: Serves that found the view stale and re-executed its query first.
     view_full_refreshes: int = 0

@@ -91,6 +91,7 @@ from repro.engine.compression import (
     CompressedColumn,
     code_width_bytes,
 )
+from repro.engine.indexes import check_new_keys
 from repro.engine.integrity import TableIntegrity, verify_on_scan_enabled
 from repro.engine.schema import TableSchema
 from repro.engine.timing import CostAccountant
@@ -851,57 +852,53 @@ class ColumnStoreTable:
             self._num_rows,
         )
 
-    def bulk_load(self, rows: Sequence[Mapping[str, Any]]) -> None:
-        """Load rows without cost accounting (used by generators and tests).
+    def check_load(self, columns: Mapping[str, Sequence[Any]]) -> Optional[set]:
+        """Raise if loading *columns* would duplicate a primary key.
 
-        Rows are validated column-at-a-time and each column dictionary is
-        built in one bulk pass — no intermediate row dicts.
+        Returns the batch's key set (``None`` without a primary key).
         """
-        if not rows:
+        if self._pk_column is None:
+            return None
+        return check_new_keys(
+            self.schema.name, columns[self._pk_column], self._pk_values
+        )
+
+    def load_columns(self, columns: Mapping[str, Sequence[Any]], num_rows: int) -> None:
+        """Append *num_rows* validated rows given as column lists — the one loader.
+
+        Loads, store conversions and partition moves all come here, with
+        values already coerced.  A load that would duplicate a primary key
+        raises before anything changes.  An empty table builds each
+        dictionary in one bulk pass; a populated one merges its delta and
+        extends every column in one pass — the physical state a DML insert
+        of the same rows reaches at its next merge (bulk loads are
+        synchronous reorganisation points and never leave a delta behind).
+        """
+        if not num_rows:
             return
-        self._bump_zone_epoch()
-        if self._num_rows == 0:
-            self._unseal_for_write()
-            columns = self.schema.validate_rows_columnar(rows)
-            for name, column in self._columns.items():
-                column.bulk_load(columns[name])
-            self._num_rows = len(rows)
-            if self._pk_column is not None:
-                keys = columns[self._pk_column]
-                self._pk_values = set(keys)
-                if len(self._pk_values) != len(keys):
-                    raise ExecutionError(
-                        f"duplicate primary key while bulk loading {self.schema.name!r}"
-                    )
-        else:
-            validated = [self.schema.validate_row(row) for row in rows]
-            self.insert_rows(validated, accountant=None)
-            # Bulk loads are synchronous reorganisation points: merging right
-            # away keeps the physical state of load paths identical to the
-            # pre-delta pipeline (only DML inserts populate a lasting delta).
-            self.merge_delta()
-
-    def bulk_load_columns(self, columns: Mapping[str, Any], num_rows: int) -> None:
-        """Adopt already-validated column data (store-conversion fast path).
-
-        Each column is dictionary-encoded in one bulk pass; no row dict is
-        ever built.  Values must be coerced already (they come from the other
-        store's backend).
-        """
-        if self._num_rows:
-            raise ExecutionError("bulk_load_columns requires an empty table")
-        self._bump_zone_epoch()
+        keys = self.check_load(columns)
+        self.merge_delta()
         self._unseal_for_write()
-        for name, compressed in self._columns.items():
-            compressed.bulk_load(columns[name])
-        self._num_rows = num_rows
-        if self._pk_column is not None:
-            keys = columns[self._pk_column]
-            self._pk_values = set(keys.tolist() if isinstance(keys, np.ndarray) else keys)
-            if len(self._pk_values) != num_rows:
-                raise ExecutionError(
-                    f"duplicate primary key while bulk loading {self.schema.name!r}"
+        self._bump_zone_epoch()
+        empty = self._num_rows == 0
+        for spec in self.schema.columns:
+            column = self._columns[spec.name]
+            if empty:
+                # A column that cannot hold NULL holds no None, and a
+                # VARCHAR column only str: all the build reads from a type
+                # set is known without a pass.
+                column.bulk_load(
+                    columns[spec.name],
+                    None if spec.nullable else {spec.dtype._exact_type},
                 )
+            else:
+                column.extend(columns[spec.name])
+        self._num_rows += num_rows
+        if keys is not None:
+            if self._pk_values:
+                self._pk_values |= keys
+            else:
+                self._pk_values = keys
 
     def update_rows(
         self,
@@ -1486,9 +1483,7 @@ class ColumnStoreTable:
         """
         compressed = self._columns[column]
         delta = self._delta[column]
-        dict_values = [
-            value for value in compressed.dictionary.values if value is not None
-        ]
+        dict_values = compressed.dictionary.real_values
         if not len(delta):
             if not dict_values:
                 return None, None

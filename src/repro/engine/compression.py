@@ -35,6 +35,8 @@ statistic consumed by the cost model.
 from __future__ import annotations
 
 import bisect
+from itertools import compress, repeat
+from operator import is_
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -94,6 +96,53 @@ def code_width_bytes(num_distinct: int) -> int:
     return (bits + 7) // 8
 
 
+#: Integer columns whose value span is at most this (or at most their
+#: length) get their dictionary from a ``bincount`` instead of a sort.
+_BINCOUNT_SPAN = 1 << 16
+
+_NoneType = type(None)
+
+
+def _distinct_and_codes(
+    values: Sequence[Any], kinds: Optional[set] = None
+) -> Tuple[List[Any], np.ndarray]:
+    """The sorted distinct *values* (no NULL among them) and each one's code.
+
+    The build follows the shape of the data; every shape yields what
+    ``np.unique`` over :func:`~repro.engine.batch.values_to_array` yields —
+    the same entries, in the same order, as the same Python types:
+
+    * all ``str`` (the one question asked of *kinds*, the values' type set):
+      ``sorted(set())`` and a dict lookup — no fixed-width ``<U`` array, no
+      string sort over every value;
+    * ``int64`` whose span is small: a ``bincount`` marks the values present;
+    * every other native array (floats keep ``np.unique``'s NaN collapsing
+      and signed-zero choice): ``np.unique``;
+    * anything numpy keeps as objects: ``sorted(set())`` and a dict lookup.
+    """
+    from repro.engine.batch import values_to_array
+
+    if kinds != {str}:
+        array = values_to_array(values)
+        if array.dtype.kind == "i" and len(array):
+            low = int(array.min())
+            span = int(array.max()) - low + 1
+            if span <= max(len(array), _BINCOUNT_SPAN):
+                shifted = array - low
+                present = np.bincount(shifted, minlength=span).astype(bool)
+                distinct = (np.flatnonzero(present) + low).tolist()
+                return distinct, (np.cumsum(present) - 1)[shifted]
+        if array.dtype != object:
+            distinct, codes = np.unique(array, return_inverse=True)
+            return distinct.tolist(), codes.reshape(-1).astype(np.int64, copy=False)
+        values = array.tolist()
+    distinct = sorted(set(values))
+    code_of = dict(zip(distinct, range(len(distinct))))
+    codes = np.fromiter(map(code_of.__getitem__, values), dtype=np.int64,
+                        count=len(values))
+    return distinct, codes
+
+
 class ColumnDictionary:
     """Sorted dictionary of the distinct values of one column.
 
@@ -141,6 +190,11 @@ class ColumnDictionary:
         if self._has_null:
             return (None,) + tuple(self._values)
         return tuple(self._values)
+
+    @property
+    def real_values(self) -> Sequence[Any]:
+        """The entries but NULL, in code order (the live list: read only)."""
+        return self._values
 
     @property
     def values_array(self) -> np.ndarray:
@@ -327,44 +381,28 @@ class ColumnDictionary:
                   else bisect.bisect_left(self._values, high, 0, reals))
         return lo + offset, hi + offset
 
-    def bulk_build(self, values: Sequence[Any]) -> np.ndarray:
-        """Build the dictionary from *values* in one pass and return the codes."""
-        from repro.engine.batch import values_to_array
+    def bulk_build(self, values: Sequence[Any], kinds: Optional[set] = None) -> np.ndarray:
+        """Build the dictionary from *values* in one pass and return the codes.
 
+        *kinds* is the values' type set when the caller already knows it (a
+        non-nullable column's loader does); otherwise it is taken here.
+        NULLs take the reserved code 0; the rest is built by its shape (see
+        :func:`_distinct_and_codes`).
+        """
         self._invalidate()
-        self._has_null = False
-        array = values_to_array(values)
-        if array.dtype != object:
-            # Native values: sort, dedup and encode entirely in numpy.
-            distinct, codes = np.unique(array, return_inverse=True)
-            self._values = distinct.tolist()
-            return codes.reshape(-1).astype(np.int64, copy=False)
-        value_list = array.tolist()
-        null_mask = np.fromiter(
-            (value is None for value in value_list), dtype=bool, count=len(value_list)
-        )
-        if null_mask.any():
-            self._has_null = True
-            non_null = [value for value in value_list if value is not None]
-            sub = values_to_array(non_null)
-            codes = np.zeros(len(value_list), dtype=np.int64)
-            if sub.dtype != object:
-                distinct, sub_codes = np.unique(sub, return_inverse=True)
-                self._values = distinct.tolist()
-                sub_codes = sub_codes.reshape(-1).astype(np.int64, copy=False)
-            else:
-                self._values = sorted(set(non_null))
-                code_of = {v: i for i, v in enumerate(self._values)}
-                sub_codes = np.fromiter(
-                    (code_of[v] for v in non_null), dtype=np.int64, count=len(non_null)
-                )
-            codes[~null_mask] = sub_codes + 1
+        if kinds is None:
+            kinds = set(map(type, values))
+        self._has_null = _NoneType in kinds
+        if not self._has_null:
+            self._values, codes = _distinct_and_codes(values, kinds)
             return codes
-        distinct = sorted(set(value_list))
-        self._values = list(distinct)
-        code_of = {v: i for i, v in enumerate(self._values)}
-        return np.fromiter((code_of[v] for v in value_list), dtype=np.int64,
-                           count=len(value_list))
+        null_mask = np.fromiter(map(is_, values, repeat(None)), dtype=bool,
+                                count=len(values))
+        non_null = list(compress(values, ~null_mask))
+        self._values, sub_codes = _distinct_and_codes(non_null, kinds - {_NoneType})
+        codes = np.zeros(len(values), dtype=np.int64)
+        codes[~null_mask] = sub_codes + 1
+        return codes
 
     def bulk_codes(self, values: Sequence[Any]) -> np.ndarray:
         """Codes for *values*, all of which must already be in the dictionary."""
@@ -598,12 +636,16 @@ class CompressedColumn:
         self._ensure_capacity(len(values))
         self._codes[self._size: self._size + len(values)] = new_codes
         self._size += len(values)
-        self._null_count += sum(1 for value in values if value is None)
+        self._null_count += values.count(None)
 
-    def bulk_load(self, values: Sequence[Any]) -> None:
-        """Replace the column contents with *values* (fast path for loads)."""
+    def bulk_load(self, values: Sequence[Any], kinds: Optional[set] = None) -> None:
+        """Replace the column contents with *values* (fast path for loads).
+
+        *kinds*, the values' type set if the caller knows it, spares the
+        dictionary build one pass (:meth:`ColumnDictionary.bulk_build`).
+        """
         self._codes_changed()
-        codes = self.dictionary.bulk_build(values)
+        codes = self.dictionary.bulk_build(values, kinds)
         self._codes = codes
         self._size = len(values)
         self._recount_nulls()

@@ -26,6 +26,7 @@ from repro.engine.partitioning import PartitionedTable, TablePartitioning
 from repro.engine.schema import TableSchema
 from repro.engine.statistics import TableStatistics, compute_table_statistics
 from repro.engine.table import StoredTable
+from repro.engine.table import load_rows as load_table_rows
 from repro.engine.timing import CostAccountant, CostBreakdown, DeviceModel
 from repro.engine.types import Store
 from repro.errors import CatalogError, WalError
@@ -380,13 +381,16 @@ class HybridDatabase:
     # -- data loading ---------------------------------------------------------------------
 
     def load_rows(self, name: str, rows: Iterable[Mapping[str, Any]]) -> int:
-        """Bulk load rows without cost accounting (initial data population)."""
+        """Bulk load rows without cost accounting (initial data population).
+
+        The rows are validated once, column-at-a-time, and every store loads
+        the columns (:func:`~repro.engine.table.load_rows`).  A load that
+        fails — a schema violation or a duplicate primary key — changes
+        nothing, so it is not logged either.
+        """
         table = self.table_object(name)
         rows = list(rows)
-        if isinstance(table, PartitionedTable):
-            table.load_rows(rows)
-        else:
-            table.bulk_load(rows)
+        load_table_rows(table, rows)
         self.refresh_statistics(name)
         if self.wal is not None:
             self.wal.log_load_rows(name, rows)

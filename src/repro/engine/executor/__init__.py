@@ -76,7 +76,8 @@ reported by ``EXPLAIN [ANALYZE]``:
   whose predicate is absent or provably all-true/all-false per partition are
   answered from the zone synopses and row/null counts; nothing is decoded
   and nothing is reduced (the scan is still executed and billed — this tier
-  has no skip yet, see ROADMAP item 3);
+  has no skip yet, see the ROADMAP item "One oracle, one state machine,
+  zero inlined references", part (c));
 * **partition-partial** — partitioned tables aggregate each partition
   independently and merge the per-partition states associatively (``AVG``
   travels as ``(sum, count)``): zone-pruned partitions contribute nothing

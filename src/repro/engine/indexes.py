@@ -16,7 +16,28 @@ index maintenance separately (``index_insert`` / ``index_probe`` components).
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Any, Dict, KeysView, List, Optional, Sequence
+
+from repro.errors import ExecutionError
+
+
+def check_new_keys(table: str, keys: Sequence[Any], existing: AbstractSet) -> set:
+    """The set of *keys* once proven distinct and absent from *existing*.
+
+    The primary-key check of a bulk load, run before the load mutates
+    anything: two set operations in the common case, one walk to name the
+    offending key only when there is one.
+    """
+    fresh = set(keys)
+    if len(fresh) != len(keys) or not existing.isdisjoint(fresh):
+        seen = set()
+        for key in keys:
+            if key in seen or key in existing:
+                raise ExecutionError(
+                    f"duplicate primary key {key!r} in table {table!r}"
+                )
+            seen.add(key)
+    return fresh
 
 
 class HashIndex:
@@ -40,6 +61,10 @@ class HashIndex:
     def contains(self, key: Any) -> bool:
         return key in self._entries
 
+    def keys(self) -> KeysView:
+        """The indexed keys (a live view)."""
+        return self._entries.keys()
+
     def lookup(self, key: Any) -> List[int]:
         return list(self._entries.get(key, ()))
 
@@ -58,10 +83,18 @@ class HashIndex:
         self.remove(old_key, position)
         self.insert(new_key, position)
 
-    def rebuild(self, keys: Iterable[Tuple[Any, int]]) -> None:
-        self._entries.clear()
-        for key, position in keys:
-            self.insert(key, position)
+    def rebuild(self, keys: Sequence[Any]) -> None:
+        """Index a whole column: ``keys[i]`` is the key of row ``i``.
+
+        One dict comprehension when the keys are distinct (every primary
+        key), one ``setdefault`` per row only when some repeat.
+        """
+        entries = {key: [position] for position, key in enumerate(keys)}
+        if len(entries) != len(keys):
+            entries = {}
+            for position, key in enumerate(keys):
+                entries.setdefault(key, []).append(position)
+        self._entries = entries
 
 
 class SortedIndex:
@@ -118,7 +151,11 @@ class SortedIndex:
                   else bisect.bisect_left(self._keys, high))
         return self._positions[lo:hi]
 
-    def rebuild(self, keys: Sequence[Tuple[Any, int]]) -> None:
-        ordered = sorted(keys, key=lambda pair: pair[0])
-        self._keys = [key for key, _ in ordered]
-        self._positions = [position for _, position in ordered]
+    def rebuild(self, keys: Sequence[Any]) -> None:
+        """Index a whole column: ``keys[i]`` is the key of row ``i``.
+
+        A stable sort of the row numbers by key, so equal keys list their
+        rows in ascending order.
+        """
+        self._positions = sorted(range(len(keys)), key=keys.__getitem__)
+        self._keys = list(map(keys.__getitem__, self._positions))

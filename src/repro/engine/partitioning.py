@@ -22,10 +22,12 @@ lives in :mod:`repro.engine.executor.rewrite`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.engine.batch import evaluate_predicate_mask, values_to_array
 from repro.engine.schema import TableSchema
 from repro.engine.table import StoredTable
 from repro.engine.timing import CostAccountant
@@ -206,81 +208,64 @@ class PartitionedTable:
         num_rows = table.num_rows
         if accountant is not None:
             accountant.charge_layout_conversion(num_rows * table.schema.num_columns)
-        # Migrate columnarly: the source serves whole columns, the horizontal
-        # predicate routes rows with one vectorized mask, and each part adopts
-        # its columns without rebuilding row dicts (the values were validated
-        # when they entered the source table).
+        # Migrate columnarly: the source serves whole columns, which were
+        # validated when they entered it.
         columns = {
             name: table.column_values(name) for name in table.schema.column_names
         }
-        partitioned._load_columns_trusted(columns, num_rows)
+        partitioned.load_columns(columns, num_rows)
         return partitioned
 
-    def load_rows(self, rows: Sequence[Mapping[str, Any]]) -> None:
-        """Bulk load rows, routing them by the horizontal predicate."""
-        horizontal = self.partitioning.horizontal
-        if horizontal is not None:
-            hot_rows = [row for row in rows if horizontal.predicate.evaluate(row)]
-            cold_rows = [row for row in rows if not horizontal.predicate.evaluate(row)]
-            if self.hot is not None:
-                self.hot.bulk_load(hot_rows)
-        else:
-            cold_rows = list(rows)
-        self._load_main(cold_rows)
+    def load_columns(self, columns: Mapping[str, Sequence[Any]], num_rows: int) -> None:
+        """Load validated column lists, routed by the horizontal predicate.
 
-    def _load_main(self, rows: Sequence[Mapping[str, Any]]) -> None:
-        if self._vertical_row_part is not None:
-            row_cols = self._vertical_row_part.schema.column_names
-            col_cols = self._vertical_col_part.schema.column_names
-            self._vertical_row_part.bulk_load(
-                [{name: row[name] for name in row_cols} for row in rows]
-            )
-            self._vertical_col_part.bulk_load(
-                [{name: row[name] for name in col_cols} for row in rows]
-            )
-        else:
-            self.main_parts[0].bulk_load(rows)
-
-    def _load_columns_trusted(
-        self, columns: Mapping[str, Sequence[Any]], num_rows: int
-    ) -> None:
-        """Bulk load already-validated column data into empty partitions.
-
-        Used by :meth:`from_table`: the horizontal predicate is evaluated
-        vectorially over the column arrays (falling back to row-at-a-time for
-        predicates the vectorizer cannot express) and every part adopts its
-        share columnarly.
+        Every part holds the primary key, and each checks the whole batch's
+        keys against its own before any part loads: a key must be new to
+        the table, not just to the part its row routes to, and a load that
+        fails changes no part.
         """
-        from repro.engine.batch import evaluate_predicate_mask, values_to_array
+        shares = self._route(columns, num_rows)
+        for part, _, _ in shares:
+            part.check_load(columns)
+        for part, share, share_rows in shares:
+            part.load_columns(share, share_rows)
 
-        arrays = {name: values_to_array(values) for name, values in columns.items()}
+    def _route(
+        self, columns: Mapping[str, Sequence[Any]], num_rows: int
+    ) -> List[Tuple[StoredTable, Dict[str, Sequence[Any]], int]]:
+        """``(part, its columns, its row count)`` for every part a load fills.
+
+        The horizontal predicate is evaluated once, as one mask over the
+        whole batch (:func:`~repro.engine.batch.evaluate_predicate_mask`,
+        the executor's own NULL and NaN semantics); each part then takes its
+        rows by ``itertools.compress`` and its columns by name.
+        """
+        shares = []
+        main, main_rows = columns, num_rows
         horizontal = self.partitioning.horizontal
         if horizontal is not None:
-            referenced = {
-                name: arrays[name]
-                for name in horizontal.predicate.columns()
-                if name in arrays
-            }
-            mask = evaluate_predicate_mask(horizontal.predicate, referenced, num_rows)
-            if self.hot is not None:
-                self.hot.backend.bulk_load_columns(
-                    {name: array[mask] for name, array in arrays.items()},
-                    int(mask.sum()),
-                )
-            keep = ~mask
-            cold_arrays = {name: array[keep] for name, array in arrays.items()}
-            cold_rows = int(keep.sum())
-        else:
-            cold_arrays = arrays
-            cold_rows = num_rows
-        if self._vertical_row_part is not None:
-            for part in (self._vertical_row_part, self._vertical_col_part):
-                part.backend.bulk_load_columns(
-                    {name: cold_arrays[name] for name in part.schema.column_names},
-                    cold_rows,
-                )
-        else:
-            self.main_parts[0].backend.bulk_load_columns(cold_arrays, cold_rows)
+            predicate = horizontal.predicate
+            mask = evaluate_predicate_mask(
+                predicate,
+                {name: values_to_array(columns[name]) for name in predicate.columns()},
+                num_rows,
+            )
+            hot, cold = mask.tolist(), (~mask).tolist()
+            hot_rows = int(np.count_nonzero(mask))
+            shares.append((
+                self.hot,
+                {name: list(compress(values, hot)) for name, values in columns.items()},
+                hot_rows,
+            ))
+            main = {name: list(compress(values, cold)) for name, values in columns.items()}
+            main_rows = num_rows - hot_rows
+        for part in self.main_parts:
+            shares.append((
+                part,
+                {name: main[name] for name in part.schema.column_names},
+                main_rows,
+            ))
+        return shares
 
     # -- identity -------------------------------------------------------------------
 
@@ -481,11 +466,17 @@ class PartitionedTable:
     def to_stored_table(self, store: Store,
                         accountant: Optional[CostAccountant] = None) -> StoredTable:
         """Collapse the partitioned table back into a single-store table."""
-        rows = self.all_rows()
+        num_rows = self.num_rows
         if accountant is not None:
-            accountant.charge_layout_conversion(len(rows) * self.schema.num_columns)
+            accountant.charge_layout_conversion(num_rows * self.schema.num_columns)
+        columns = {}
+        for name in self.schema.column_names:
+            values = self.part_containing(name).column_values(name)
+            if self.hot is not None:
+                values = values + self.hot.column_values(name)
+            columns[name] = values
         table = StoredTable(self.schema, store)
-        table.bulk_load(rows)
+        table.load_columns(columns, num_rows)
         return table
 
     # -- whole-table reads (no cost accounting; used for stats and conversions) -----------

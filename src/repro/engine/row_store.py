@@ -18,7 +18,11 @@ Cost accounting (see :mod:`repro.engine.timing`):
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+import gc
+from contextlib import contextmanager
+from itertools import chain
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,14 +32,17 @@ from repro.engine.batch import (
     evaluate_predicate_mask,
     values_to_array,
 )
-from repro.engine.indexes import HashIndex, SortedIndex
+from repro.engine.indexes import HashIndex, SortedIndex, check_new_keys
 from repro.engine.schema import TableSchema
 from repro.engine.timing import CostAccountant
-from repro.engine.types import Store
+from repro.engine.types import DataType, Store
 from repro.engine.zonemap import ColumnZone, is_nan, next_zone_epoch, widen_zone
 from repro.errors import ExecutionError, SchemaError
 from repro.query.predicates import Between, CompareOp, Comparison, Predicate
 
+
+#: Types whose values may be NaN.
+_NAN_TYPES = (DataType.DOUBLE, DataType.DECIMAL)
 
 #: Column lists one table keeps a validated ``fetch_rows`` projection for.
 _PROJECTIONS_KEPT = 64
@@ -44,6 +51,25 @@ _PROJECTIONS_KEPT = 64
 def _no_positions() -> List[int]:
     """The index probe of a predicate no row can match."""
     return []
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """The cyclic garbage collector off while a block allocates per row.
+
+    A load allocates one list per row (its tuple) and one per hash-index
+    key; with the collector on, that allocation count sets off collections
+    which traverse every live object — at 200 k rows most of the load's
+    time.  None of it is cyclic garbage.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 class InternedDictionary:
@@ -149,8 +175,7 @@ class RowStoreTable:
         if column in self._hash_indexes:
             return
         index = HashIndex(column)
-        position = self.schema.index_of(column)
-        index.rebuild((row[position], i) for i, row in enumerate(self._rows))
+        index.rebuild(self._stored_column(column))
         self._hash_indexes[column] = index
 
     def create_sorted_index(self, column: str) -> None:
@@ -158,9 +183,12 @@ class RowStoreTable:
         if column in self._sorted_indexes:
             return
         index = SortedIndex(column)
-        position = self.schema.index_of(column)
-        index.rebuild([(row[position], i) for i, row in enumerate(self._rows)])
+        index.rebuild(self._stored_column(column))
         self._sorted_indexes[column] = index
+
+    def _stored_column(self, column: str) -> List[Any]:
+        """The values of *column* in row order, gathered in one C-level pass."""
+        return list(map(itemgetter(self.schema.index_of(column)), self._rows))
 
     # -- loading and modification ----------------------------------------------------
 
@@ -236,60 +264,43 @@ class RowStoreTable:
             else:
                 self._zone_cache.pop(column, None)
 
-    def bulk_load_columns(self, columns: Mapping[str, Sequence[Any]], num_rows: int) -> None:
-        """Adopt already-validated column data (store-conversion fast path).
+    def check_load(self, columns: Mapping[str, Sequence[Any]]) -> None:
+        """Raise if loading *columns* would duplicate a primary key."""
+        if self._pk_column is not None:
+            check_new_keys(
+                self.schema.name,
+                columns[self._pk_column],
+                self._hash_indexes[self._pk_column].keys(),
+            )
 
-        Values must be coerced and primary-key-unique already (they come from
-        the other store's backend); rows are assembled columnarly and the
-        indexes rebuilt once, skipping per-row validation entirely.
+    def load_columns(self, columns: Mapping[str, Sequence[Any]], num_rows: int) -> None:
+        """Append *num_rows* validated rows given as column lists — the one loader.
+
+        Loads, store conversions and partition moves all come here, with
+        values already coerced (:meth:`TableSchema.validate_rows_columnar`
+        or another backend's columns).  A load that would duplicate a
+        primary key raises before anything changes.  Rows are assembled by
+        one ``zip``, each index is rebuilt once from its whole column, and
+        an empty table's column cache is seeded from the loaded lists — the
+        statistics refresh that follows every load reads it.
         """
-        if self._rows:
-            raise ExecutionError("bulk_load_columns requires an empty table")
+        if not num_rows:
+            return
+        self.check_load(columns)
         self._bump_zone_epoch()
         names = self.schema.column_names
-        aligned = [
-            columns[name].tolist()
-            if isinstance(columns[name], np.ndarray)
-            else columns[name]
-            for name in names
-        ]
-        self._rows = [list(row) for row in zip(*aligned)] if num_rows else []
-        self._rebuild_indexes()
-        self._column_cache.clear()
-        self._factorized.clear()
-
-    def bulk_load(self, rows: Iterable[Mapping[str, Any]]) -> None:
-        """Load rows without cost accounting (used by generators and tests).
-
-        Rows are validated up front (column-at-a-time) and appended in bulk,
-        with one index rebuild at the end instead of per-row index
-        maintenance; a validation error therefore leaves the table unchanged.
-        Loads that would violate primary-key uniqueness take the per-row
-        insert path, which raises at the offending row exactly like repeated
-        :meth:`insert_rows` calls would.
-        """
-        rows = list(rows)
-        if not rows:
-            return
-        self._bump_zone_epoch()
-        column_names = self.schema.column_names
-        columns = self.schema.validate_rows_columnar(rows)
-        aligned = [columns[name] for name in column_names]
-        if self._pk_column is not None:
-            keys = columns[self._pk_column]
-            existing = self._hash_indexes[self._pk_column]
-            if len(set(keys)) != len(keys) or any(
-                existing.contains(key) for key in keys
-            ):
-                # Let the per-row path raise (and keep its partial-state
-                # semantics) on the duplicate.
-                self.insert_rows(
-                    [dict(zip(column_names, row)) for row in zip(*aligned)],
-                    accountant=None,
-                )
-                return
-        self._rows.extend(list(row) for row in zip(*aligned))
-        self._rebuild_indexes()
+        aligned = [columns[name] for name in names]
+        empty = not self._rows
+        with _gc_paused():
+            self._rows.extend(map(list, zip(*aligned)))
+            self._rebuild_indexes(columns if empty else None)
+        if empty:
+            self._column_cache = {
+                name: values_to_array(values) for name, values in zip(names, aligned)
+            }
+            self._factorized.clear()
+        # A non-empty table's cached views stay valid: _column_array extends
+        # them with just the appended suffix.
 
     def update_rows(
         self,
@@ -360,13 +371,19 @@ class RowStoreTable:
         self._factorized.clear()
         return len(doomed)
 
-    def _rebuild_indexes(self) -> None:
-        for column, index in self._hash_indexes.items():
-            position = self.schema.index_of(column)
-            index.rebuild((row[position], i) for i, row in enumerate(self._rows))
-        for column, index in self._sorted_indexes.items():
-            position = self.schema.index_of(column)
-            index.rebuild([(row[position], i) for i, row in enumerate(self._rows)])
+    def _rebuild_indexes(
+        self, columns: Optional[Mapping[str, Sequence[Any]]] = None
+    ) -> None:
+        """Rebuild every index from its whole column.
+
+        *columns*, when given, hold every row's values (a load into an empty
+        table) and spare gathering them from the tuples.
+        """
+        gathered: Dict[str, Sequence[Any]] = dict(columns or {})
+        for column, index in chain(self._hash_indexes.items(), self._sorted_indexes.items()):
+            if column not in gathered:
+                gathered[column] = self._stored_column(column)
+            index.rebuild(gathered[column])
 
     # -- reads -----------------------------------------------------------------------
 
@@ -766,6 +783,11 @@ class RowStoreTable:
     # -- statistics helpers -----------------------------------------------------------
 
     def column_distinct_count(self, column: str) -> int:
+        index = self._hash_indexes.get(column)
+        if index is not None and self.schema.column(column).dtype not in _NAN_TYPES:
+            # A hash index holds exactly the distinct values; only NaN (one
+            # key per NaN object, one value to np.unique) could tell apart.
+            return index.num_keys
         array = self._column_array(column)
         if array.dtype != object:
             return int(len(np.unique(array)))

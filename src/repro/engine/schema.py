@@ -10,13 +10,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter, methodcaller
 from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.engine.types import DataType
 from repro.errors import SchemaError
 
+
+class _Missing:
+    """Type of :data:`_MISSING`: a column's type set shows an absent cell."""
+
+
 #: Sentinel distinguishing "column absent from the row" from an explicit None.
-_MISSING = object()
+_MISSING = _Missing()
+_NoneType = type(None)
 
 
 @dataclass(frozen=True)
@@ -181,44 +188,45 @@ class TableSchema:
     def validate_rows_columnar(
         self, rows: Sequence[Mapping[str, Any]]
     ) -> Dict[str, list]:
-        """Validate and coerce *rows* column-at-a-time (bulk-load fast path).
+        """Validate and coerce *rows* column-at-a-time (the bulk-load boundary).
 
         Semantically equivalent to :meth:`validate_row` per row — unknown
         columns and missing (or ``None``) non-nullable values raise
-        :class:`SchemaError` — but the work runs as one pass per column with
-        an exact-type fast path, and the result is column lists instead of
-        row dicts, feeding columnar loads directly.
+        :class:`SchemaError` — but the result is column lists instead of row
+        dicts, and every per-row step runs inside a C-level ``map``: one
+        ``itemgetter`` pass gathers a column, one ``type`` pass proves it
+        canonical (its type set also proves it free of NULLs and of absent
+        cells), and only columns holding anything else pay a per-value
+        coercion.
         """
-        num_rows = len(rows)
         columns: Dict[str, list] = {}
         found_total = 0
         for column in self.columns:
             name = column.name
             dtype = column.dtype
-            exact = dtype._exact_type
-            raw = [row.get(name, _MISSING) for row in rows]
-            missing = raw.count(_MISSING)
-            nulls = raw.count(None)
-            found_total += num_rows - missing
-            if missing or nulls:
-                if not column.nullable:
-                    raise SchemaError(
-                        f"row for table {self.name!r} is missing required column "
-                        f"{name!r}"
-                    )
-                columns[name] = [
-                    None if (value is _MISSING or value is None) else dtype.coerce(value)
-                    for value in raw
-                ]
-            elif set(map(type, raw)) == {exact}:
-                # map(type, ...) runs at C speed — the all-canonical common case
-                # costs one pass and no per-value Python frame.
+            try:
+                raw = list(map(itemgetter(name), rows))
+            except KeyError:
+                raw = list(map(methodcaller("get", name, _MISSING), rows))
+            kinds = set(map(type, raw))
+            absent = raw.count(_MISSING) if _Missing in kinds else 0
+            found_total += len(raw) - absent
+            if kinds <= {dtype._exact_type}:
                 columns[name] = raw
-            else:
-                columns[name] = [dtype.coerce(value) for value in raw]
-        if found_total != sum(len(row) for row in rows):
+                continue
+            if not column.nullable and (absent or _NoneType in kinds):
+                raise SchemaError(
+                    f"row for table {self.name!r} is missing required column "
+                    f"{name!r}"
+                )
+            coerce = dtype.coerce
+            columns[name] = [
+                None if value is _MISSING else coerce(value) for value in raw
+            ]
+        if found_total != sum(map(len, rows)):
+            known = set(self._by_name)
             for row in rows:
-                unknown = set(row) - set(self._by_name)
+                unknown = set(row) - known
                 if unknown:
                     raise SchemaError(
                         f"row for table {self.name!r} has unknown columns: "

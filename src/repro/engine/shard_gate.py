@@ -55,7 +55,9 @@ __all__ = [
 #: the frozen ``benchmarks/e2e`` smoke test asserts that the default
 #: configuration still takes the shard path at that size.  Re-committing the
 #: constants belongs to the change that makes scatter/gather opt-in (ROADMAP
-#: item 7) together with the harness unfreeze (item 8(a)).
+#: item "Shard path: execute the verdict — scatter/gather becomes opt-in")
+#: together with the harness unfreeze (item "Unfreeze the harness, then let
+#: it keep score", part (c)).
 CRC_BYTES_PER_S = 4.4e9       # zlib.crc32 over an int64 code slice, in place
 TASK_DISPATCH_S = 0.22e-3     # per task: pickle, queue hop each way, wake-up, merge
 MASK_NS_PER_ROW = 0.7         # code-domain mask, per row per predicate column

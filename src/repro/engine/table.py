@@ -10,7 +10,7 @@ work against this wrapper.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -31,6 +31,21 @@ def create_backend(schema: TableSchema, store: Store) -> Backend:
     if store is Store.ROW:
         return RowStoreTable(schema)
     return ColumnStoreTable(schema)
+
+
+def load_rows(table, rows: Iterable[Mapping[str, Any]]) -> int:
+    """Validate *rows* column-at-a-time, once, and load them into *table*.
+
+    The row boundary of every bulk load (:meth:`HybridDatabase.load_rows
+    <repro.engine.database.HybridDatabase.load_rows>`, and so recovery's
+    replay of a logged load): past it, rows exist only as column lists, and
+    *table* — a :class:`StoredTable` or a
+    :class:`~repro.engine.partitioning.PartitionedTable` — loads those.
+    Returns the number of rows loaded.
+    """
+    rows = rows if isinstance(rows, (list, tuple)) else list(rows)
+    table.load_columns(table.schema.validate_rows_columnar(rows), len(rows))
+    return len(rows)
 
 
 class StoredTable:
@@ -97,13 +112,13 @@ class StoredTable:
             accountant.charge_layout_conversion(num_rows * self.schema.num_columns)
         new_backend = create_backend(self.schema, store)
         # The conversion moves data columnarly: the source serves each column
-        # as one array and the target adopts them without re-validating every
+        # as one list and the target adopts them without re-validating every
         # row (the values were validated when they entered the source store).
         columns = {
             name: self._backend.column_values(name)
             for name in self.schema.column_names
         }
-        new_backend.bulk_load_columns(columns, num_rows)
+        new_backend.load_columns(columns, num_rows)
         self._backend = new_backend
         self._units = None
         return self
@@ -124,8 +139,11 @@ class StoredTable:
                     accountant: Optional[CostAccountant] = None) -> List[int]:
         return self._backend.insert_rows(rows, accountant)
 
-    def bulk_load(self, rows: Sequence[Mapping[str, Any]]) -> None:
-        self._backend.bulk_load(list(rows))
+    def check_load(self, columns: Mapping[str, Sequence[Any]]) -> None:
+        self._backend.check_load(columns)
+
+    def load_columns(self, columns: Mapping[str, Sequence[Any]], num_rows: int) -> None:
+        self._backend.load_columns(columns, num_rows)
 
     def update_rows(self, positions: Sequence[int], assignments: Mapping[str, Any],
                     accountant: Optional[CostAccountant] = None) -> int:

@@ -37,6 +37,7 @@ from repro.engine.executor.aggregates import (
 )
 from repro.engine.row_store import RowStoreTable
 from repro.engine.schema import Column, TableSchema
+from repro.engine.table import load_rows
 from repro.engine.types import DataType, Store
 from repro.query.ast import AggregateFunction, AggregateSpec
 from repro.query.builder import aggregate, select
@@ -213,7 +214,7 @@ class TestAllNullColumns:
         rows = [{"id": i} for i in range(10)]
         for store_cls in (RowStoreTable, ColumnStoreTable):
             table = store_cls(NULLABLE_SCHEMA)
-            table.bulk_load(rows)
+            load_rows(table, rows)
             assert table.column_values("score") == [None] * 10
             null_positions = table.filter_positions(IsNull("score"))
             assert list(null_positions) == list(range(10))
@@ -611,16 +612,16 @@ class TestColumnarMaintenance:
         rng = random.Random(seed)
         rows = make_rows(rng, 60)
         row_store = RowStoreTable(SCHEMA)
-        row_store.bulk_load(rows)
+        load_rows(row_store, rows)
         column_store = ColumnStoreTable(SCHEMA)
-        column_store.bulk_load(rows)
+        load_rows(column_store, rows)
         doomed = rng.sample(range(60), 25)
         assert row_store.delete_rows(doomed) == column_store.delete_rows(doomed)
         assert row_store.all_rows() == column_store.all_rows()
         # The dictionaries shrink to the surviving values: rebuilding from
         # scratch yields the identical column state.
         rebuilt = ColumnStoreTable(SCHEMA)
-        rebuilt.bulk_load(column_store.all_rows())
+        load_rows(rebuilt, column_store.all_rows())
         for name in SCHEMA.column_names:
             assert (
                 column_store.column_distinct_count(name)
@@ -630,12 +631,12 @@ class TestColumnarMaintenance:
 
     def test_delete_all_rows(self):
         column_store = ColumnStoreTable(SCHEMA)
-        column_store.bulk_load(make_rows(random.Random(1), 10))
+        load_rows(column_store, make_rows(random.Random(1), 10))
         assert column_store.delete_rows(list(range(10))) == 10
         assert column_store.num_rows == 0
         assert column_store.all_rows() == []
         # The emptied table accepts fresh rows.
-        column_store.bulk_load(make_rows(random.Random(2), 3))
+        load_rows(column_store, make_rows(random.Random(2), 3))
         assert column_store.num_rows == 3
 
 

@@ -16,6 +16,7 @@ from repro.engine.column_store import (
 from repro.engine.compression import CompressedColumn
 from repro.engine.context import current
 from repro.engine.schema import Column, TableSchema
+from repro.engine.table import load_rows
 from repro.engine.timing import CostAccountant
 from repro.engine.types import DataType, Store
 from repro.errors import ExecutionError
@@ -54,7 +55,7 @@ def schema() -> TableSchema:
 @pytest.fixture
 def table(schema) -> ColumnStoreTable:
     store = ColumnStoreTable(schema)
-    store.bulk_load([
+    load_rows(store, [
         {"id": i, "name": f"item_{i % 5}", "price": i * 1.5, "stock": i % 10}
         for i in range(100)
     ])
@@ -458,7 +459,7 @@ class TestPositionIndex:
              predicate=Between("v", -2.0, None, False, False))
     def test_lookup_equals_scan(self, main, delta, orphan, doomed, predicate):
         table = ColumnStoreTable(INDEXED_SCHEMA)
-        table.bulk_load(_rows(main))
+        load_rows(table, _rows(main))
         if orphan is not None:
             # Rewrites every row of one value: its dictionary entry stays,
             # orphaned, and ``q`` may gain an entry in the middle.
@@ -473,7 +474,7 @@ class TestPositionIndex:
 
     def _table(self, num_rows=400):
         table = ColumnStoreTable(INDEXED_SCHEMA)
-        table.bulk_load([
+        load_rows(table, [
             {"id": i, "v": _V_VALUES[(i * 7) % len(_V_VALUES)], "q": i % 40}
             for i in range(num_rows)
         ])
@@ -493,7 +494,8 @@ class TestPositionIndex:
         "update_to_first_null": lambda t: t.update_rows([5], {"q": None}),
         "delete_compaction": lambda t: t.delete_rows(
             t.filter_positions(eq("q", 7))),
-        "bulk_load_more": lambda t: t.bulk_load(
+        "bulk_load_more": lambda t: load_rows(
+            t,
             [{"id": 9_000 + i, "v": 0.5, "q": 41} for i in range(3)]),
     }
 
@@ -736,7 +738,7 @@ def _wide_table():
     if not _WIDE_TABLE:
         rng = np.random.default_rng(11)
         table = ColumnStoreTable(TableSchema.build("w", [("q", DataType.INTEGER)]))
-        table.bulk_load_columns({"q": rng.integers(0, 3_650, 200_000).tolist()}, 200_000)
+        table.load_columns({"q": rng.integers(0, 3_650, 200_000).tolist()}, 200_000)
         _WIDE_TABLE.append(table)
     table = _WIDE_TABLE[0]
     column = table.compressed_column("q")

@@ -28,6 +28,7 @@ from repro.engine.column_store import (
     delta_writes_enabled,
 )
 from repro.engine.schema import Column, TableSchema
+from repro.engine.table import load_rows
 from repro.engine.timing import CostAccountant
 from repro.engine.types import DataType
 from repro.errors import ExecutionError
@@ -77,7 +78,7 @@ class TestBuffering:
 
     def test_bulk_load_merges_immediately(self):
         table = ColumnStoreTable(SCHEMA)
-        table.bulk_load(make_rows(0, 8))
+        load_rows(table, make_rows(0, 8))
         assert table.delta_rows == 0
         assert table.main_rows == 8
 

@@ -37,9 +37,16 @@ class TestHashIndex:
     def test_rebuild(self):
         index = HashIndex("key")
         index.insert("old", 0)
-        index.rebuild([("a", 1), ("b", 2), ("a", 3)])
+        index.rebuild(["z", "a", "b", "a"])
         assert index.lookup("old") == []
-        assert sorted(index.lookup("a")) == [1, 3]
+        assert index.lookup("a") == [1, 3]
+        assert index.lookup("z") == [0]
+
+    def test_rebuild_of_distinct_keys(self):
+        index = HashIndex("key", unique=True)
+        index.rebuild([7, 3, 5])
+        assert [index.lookup(key) for key in (3, 5, 7, 4)] == [[1], [2], [0], []]
+        assert index.num_keys == 3
 
 
 class TestSortedIndex:
@@ -53,14 +60,21 @@ class TestSortedIndex:
         assert sorted(index.range_lookup(None, 3)) == [1, 2, 3]
         assert sorted(index.range_lookup(5, None)) == [0, 4]
 
+    def test_rebuild_lists_equal_keys_in_row_order(self):
+        index = SortedIndex("key")
+        index.rebuild([2, 1, 2, 1])
+        assert index.lookup(1) == [1, 3]
+        assert index.lookup(2) == [0, 2]
+        assert index.range_lookup() == [1, 3, 0, 2]
+
     def test_exclusive_bounds(self):
         index = SortedIndex("key")
-        index.rebuild([(1, 0), (2, 1), (3, 2)])
+        index.rebuild([1, 2, 3])
         assert index.range_lookup(1, 3, include_low=False, include_high=False) == [1]
 
     def test_remove(self):
         index = SortedIndex("key")
-        index.rebuild([(1, 0), (1, 1), (2, 2)])
+        index.rebuild([1, 1, 2])
         index.remove(1, 0)
         assert sorted(index.lookup(1)) == [1]
         index.remove(1, 999)  # not present: no-op

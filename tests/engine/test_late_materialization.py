@@ -28,7 +28,7 @@ from repro.engine.partitioning import (
     VerticalPartitionSpec,
 )
 from repro.engine.schema import Column, TableSchema
-from repro.engine.table import StoredTable
+from repro.engine.table import StoredTable, load_rows
 from repro.engine.types import DataType, Store
 from repro.query.builder import aggregate, select
 from repro.query.predicates import Between, CompareOp, Comparison, between, eq, ge, ne
@@ -452,7 +452,7 @@ class TestBatchRepresentation:
         from repro.engine.timing import CostAccountant
 
         table = StoredTable(SCHEMA, Store.COLUMN)
-        table.bulk_load(make_rows(50))
+        load_rows(table, make_rows(50))
         batch = SimpleAccessPath(table).collect_batch(
             ["region", "amount"], None, CostAccountant()
         )

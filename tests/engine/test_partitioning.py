@@ -9,7 +9,7 @@ from repro.engine.partitioning import (
     VerticalPartitionSpec,
 )
 from repro.engine.schema import TableSchema
-from repro.engine.table import StoredTable
+from repro.engine.table import StoredTable, load_rows
 from repro.engine.types import DataType, Store
 from repro.errors import PartitioningError
 from repro.query.predicates import ge
@@ -87,7 +87,7 @@ class TestSpecs:
 class TestPartitionedTable:
     def test_from_table_routes_rows(self, schema, rows):
         base = StoredTable(schema, Store.ROW)
-        base.bulk_load(rows)
+        load_rows(base, rows)
         partitioned = PartitionedTable.from_table(base, both_partitioning())
         assert partitioned.num_rows == 100
         assert partitioned.hot.num_rows == 20      # id >= 80
@@ -100,14 +100,14 @@ class TestPartitionedTable:
 
     def test_all_rows_round_trip(self, schema, rows):
         base = StoredTable(schema, Store.ROW)
-        base.bulk_load(rows)
+        load_rows(base, rows)
         partitioned = PartitionedTable.from_table(base, both_partitioning())
         reconstructed = sorted(partitioned.all_rows(), key=lambda row: row["id"])
         assert reconstructed == rows
 
     def test_inserts_route_to_hot_partition(self, schema, rows):
         base = StoredTable(schema, Store.ROW)
-        base.bulk_load(rows)
+        load_rows(base, rows)
         partitioned = PartitionedTable.from_table(base, both_partitioning())
         partitioned.insert_rows(
             [{"id": 500, "amount": 1.0, "region": "r0", "status": "new"}]
@@ -129,7 +129,7 @@ class TestPartitionedTable:
 
     def test_migrate_hot_to_main(self, schema, rows):
         base = StoredTable(schema, Store.ROW)
-        base.bulk_load(rows)
+        load_rows(base, rows)
         partitioned = PartitionedTable.from_table(base, both_partitioning())
         moved = partitioned.migrate_hot_to_main()
         assert moved == 20
@@ -139,7 +139,7 @@ class TestPartitionedTable:
 
     def test_to_stored_table_collapses_layout(self, schema, rows):
         base = StoredTable(schema, Store.ROW)
-        base.bulk_load(rows)
+        load_rows(base, rows)
         partitioned = PartitionedTable.from_table(base, both_partitioning())
         collapsed = partitioned.to_stored_table(Store.COLUMN)
         assert collapsed.store is Store.COLUMN
@@ -147,7 +147,7 @@ class TestPartitionedTable:
 
     def test_parts_for_columns_routing(self, schema, rows):
         base = StoredTable(schema, Store.ROW)
-        base.bulk_load(rows)
+        load_rows(base, rows)
         partitioned = PartitionedTable.from_table(base, both_partitioning())
         assert partitioned.main_parts_for_columns(["amount"]) == [
             partitioned.vertical_col_part
@@ -163,7 +163,7 @@ class TestPartitionedTable:
 
     def test_statistics_helpers(self, schema, rows):
         base = StoredTable(schema, Store.ROW)
-        base.bulk_load(rows)
+        load_rows(base, rows)
         partitioned = PartitionedTable.from_table(base, both_partitioning())
         assert partitioned.column_distinct_count("region") == 4
         assert partitioned.column_min_max("id") == (0, 99)

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engine.row_store import RowStoreTable
 from repro.engine.schema import Column, TableSchema
+from repro.engine.table import load_rows
 from repro.engine.timing import CostAccountant
 from repro.engine.types import DataType, Store
 from repro.errors import ExecutionError
@@ -28,9 +29,10 @@ def schema() -> TableSchema:
 @pytest.fixture
 def table(schema) -> RowStoreTable:
     store = RowStoreTable(schema)
-    store.bulk_load(
-        {"id": i, "name": f"item_{i % 5}", "price": i * 1.5, "stock": i % 10}
-        for i in range(100)
+    load_rows(
+        store,
+        ({"id": i, "name": f"item_{i % 5}", "price": i * 1.5, "stock": i % 10}
+         for i in range(100)),
     )
     return store
 
@@ -171,7 +173,7 @@ ZONE_VALUES = {
 
 def zones_from_scratch(table: RowStoreTable) -> dict:
     fresh = RowStoreTable(table.schema)
-    fresh.bulk_load(table.all_rows())
+    load_rows(fresh, table.all_rows())
     return {name: fresh.column_zone(name) for name in table.schema.column_names}
 
 

@@ -14,6 +14,7 @@ from repro.engine.batch import EncodedColumn
 from repro.engine.database import HybridDatabase
 from repro.engine.row_store import InternedDictionary, RowStoreTable
 from repro.engine.schema import Column, TableSchema
+from repro.engine.table import load_rows
 from repro.engine.types import DataType, Store
 from repro.query.builder import aggregate, insert, update
 
@@ -31,9 +32,10 @@ SCHEMA = TableSchema(
 
 def build_table(num_rows=50):
     table = RowStoreTable(SCHEMA)
-    table.bulk_load(
-        {"id": i, "tag": f"tag_{i % 5}", "value": float(i), "note": None}
-        for i in range(num_rows)
+    load_rows(
+        table,
+        ({"id": i, "tag": f"tag_{i % 5}", "value": float(i), "note": None}
+         for i in range(num_rows)),
     )
     return table
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from repro.engine.column_store import ColumnStoreTable
 from repro.engine.row_store import RowStoreTable
 from repro.engine.schema import Column, TableSchema
+from repro.engine.table import load_rows
 from repro.engine.types import DataType
 from repro.query.predicates import Between, CompareOp, Comparison
 
@@ -44,9 +45,9 @@ rows_strategy = st.lists(
 
 def build_both(rows):
     row_store = RowStoreTable(SCHEMA)
-    row_store.bulk_load(rows)
+    load_rows(row_store, rows)
     column_store = ColumnStoreTable(SCHEMA)
-    column_store.bulk_load(rows)
+    load_rows(column_store, rows)
     return row_store, column_store
 
 

@@ -9,7 +9,7 @@ from repro.engine.statistics import (
     compute_table_statistics,
     statistics_from_schema,
 )
-from repro.engine.table import StoredTable
+from repro.engine.table import StoredTable, load_rows
 from repro.engine.timing import CostAccountant
 from repro.engine.types import DataType, Store
 from repro.errors import CatalogError
@@ -38,7 +38,7 @@ def rows():
 class TestStoredTable:
     def test_conversion_round_trip_preserves_rows(self, schema, rows):
         table = StoredTable(schema, Store.ROW)
-        table.bulk_load(rows)
+        load_rows(table, rows)
         original = table.all_rows()
         table.convert_to(Store.COLUMN)
         assert table.store is Store.COLUMN
@@ -49,7 +49,7 @@ class TestStoredTable:
 
     def test_conversion_charges_layout_conversion(self, schema, rows):
         table = StoredTable(schema, Store.ROW)
-        table.bulk_load(rows)
+        load_rows(table, rows)
         accountant = CostAccountant()
         table.convert_to(Store.COLUMN, accountant)
         assert accountant.snapshot()["layout_conversion"] == pytest.approx(
@@ -58,7 +58,7 @@ class TestStoredTable:
 
     def test_conversion_to_same_store_is_noop(self, schema, rows):
         table = StoredTable(schema, Store.ROW)
-        table.bulk_load(rows)
+        load_rows(table, rows)
         accountant = CostAccountant()
         table.convert_to(Store.ROW, accountant)
         assert accountant.snapshot() == {}
@@ -67,7 +67,7 @@ class TestStoredTable:
 class TestStatistics:
     def test_compute_statistics_from_table(self, schema, rows):
         table = StoredTable(schema, Store.COLUMN)
-        table.bulk_load(rows)
+        load_rows(table, rows)
         statistics = compute_table_statistics(table)
         assert statistics.num_rows == 50
         assert statistics.column("warehouse").num_distinct == 3
@@ -83,7 +83,7 @@ class TestStatistics:
 
     def test_scaled_statistics(self, schema, rows):
         table = StoredTable(schema, Store.ROW)
-        table.bulk_load(rows)
+        load_rows(table, rows)
         statistics = compute_table_statistics(table)
         scaled = statistics.scaled(10)
         assert scaled.num_rows == 10
@@ -91,7 +91,7 @@ class TestStatistics:
 
     def test_code_bytes_estimate_positive(self, schema, rows):
         table = StoredTable(schema, Store.COLUMN)
-        table.bulk_load(rows)
+        load_rows(table, rows)
         statistics = compute_table_statistics(table)
         assert statistics.column_code_bytes("warehouse") == 50  # one byte per code
 

@@ -28,7 +28,7 @@ from repro.engine.partitioning import (
 )
 from repro.engine.row_store import RowStoreTable
 from repro.engine.schema import Column
-from repro.engine.table import StoredTable
+from repro.engine.table import StoredTable, load_rows
 from repro.engine.zonemap import ColumnZone, zone_can_match
 from repro.query.builder import select
 from repro.query.predicates import (
@@ -73,7 +73,7 @@ def make_rows(start, stop, null_every=0):
 @pytest.fixture(params=[Store.ROW, Store.COLUMN], ids=["row", "column"])
 def table(request):
     stored = StoredTable(SCHEMA, request.param)
-    stored.bulk_load(make_rows(0, 100, null_every=10))
+    load_rows(stored, make_rows(0, 100, null_every=10))
     return stored
 
 
