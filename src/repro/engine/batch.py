@@ -47,22 +47,13 @@ pipeline.
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.query.predicates import (
-    And,
-    Between,
-    CompareOp,
-    Comparison,
-    InList,
-    IsNull,
-    Not,
-    Or,
-    Predicate,
-    TruePredicate,
-)
+from repro.query.predicates import And, Not, Or, Predicate, TruePredicate
+from repro.query.ranges import ValueRanges, is_singleton, ranges_of
 
 __all__ = [
     "ColumnBatch",
@@ -376,53 +367,57 @@ def _value_mask(
     if isinstance(predicate, Not):
         mask = _value_mask(predicate.predicate, arrays, num_rows, nulls)
         return None if mask is None else ~mask
-    if isinstance(predicate, IsNull):
-        array = arrays.get(predicate.column)
-        if array is None:
-            return None
-        mask = nulls.get(array)
-        return mask if mask is not None else np.zeros(len(array), dtype=bool)
-    if isinstance(predicate, Comparison):
-        array = arrays.get(predicate.column)
-        if array is None:
-            return None
-        return _comparison_mask(array, predicate.op, predicate.value, nulls)
-    if isinstance(predicate, Between):
-        array = arrays.get(predicate.column)
-        if array is None:
-            return None
-        # Mirror the scalar evaluator's *exclusion* tests exactly: it rejects
-        # a row when ``value < low`` (or ``> high``), so NaN — for which every
-        # comparison is False — passes, as it does row-at-a-time.
-        mask = np.ones(len(array), dtype=bool)
-        null_mask = nulls.get(array)
-        if null_mask is not None:
-            mask &= ~null_mask
-        if predicate.low is not None:
-            op = CompareOp.LT if predicate.include_low else CompareOp.LE
-            mask &= ~_comparison_mask(array, op, predicate.low, nulls)
-        if predicate.high is not None:
-            op = CompareOp.GT if predicate.include_high else CompareOp.GE
-            mask &= ~_comparison_mask(array, op, predicate.high, nulls)
-        return mask
-    if isinstance(predicate, InList):
-        array = arrays.get(predicate.column)
-        if array is None:
-            return None
-        mask = np.zeros(len(array), dtype=bool)
-        for value in predicate.values:
-            if value is None:
-                null_mask = nulls.get(array)
-                if null_mask is not None:
-                    mask |= null_mask
+    ranges = ranges_of(predicate)
+    if ranges is None:
+        return None
+    array = arrays.get(predicate.column)
+    if array is None:
+        return None
+    null_mask = nulls.get(array)
+    if null_mask is None:
+        return _cells_mask(array, ranges)
+    mask = null_mask.copy() if ranges.null else np.zeros(len(array), dtype=bool)
+    keep = ~null_mask
+    mask[keep] = _cells_mask(array[keep], ranges)
+    return mask
+
+
+def _cells_mask(cells: np.ndarray, ranges: ValueRanges) -> np.ndarray:
+    """Mask of the non-NULL *cells* in *ranges*.
+
+    One comparison per finite interval end, then the NaN flag.  NaN fails
+    every comparison, so only an interval unbounded at both ends has to
+    leave NaN out explicitly.  An object column holding NaN makes numpy
+    warn about the invalid comparison it answers correctly; the warning is
+    silenced here, where the answer is known to be right.
+    """
+    matched: Optional[np.ndarray] = None
+    with np.errstate(invalid="ignore"):
+        for interval in ranges.intervals:
+            low, high, low_closed, high_closed = interval
+            if is_singleton(interval):
+                part = _compare(cells, operator.eq, low)
             else:
-                _reject_nul_string_literal(value)
-                # A NaN member matches nothing (IN is chained equality and
-                # ``NaN == NaN`` is false) — ``array == nan`` is all-False,
-                # exactly the scalar reference's answer.
-                mask |= np.asarray(array == value, dtype=bool)
-        return mask
-    return None
+                part = None
+                if low is not None:
+                    part = _compare(cells, operator.ge if low_closed else operator.gt, low)
+                if high is not None:
+                    upper = _compare(cells, operator.le if high_closed else operator.lt, high)
+                    part = upper if part is None else part & upper
+                if part is None:
+                    part = ~_nan_cells(cells)
+            matched = part if matched is None else matched | part
+        if ranges.nan:
+            nan = _nan_cells(cells)
+            matched = nan if matched is None else matched | nan
+    return np.zeros(len(cells), dtype=bool) if matched is None else matched
+
+
+def _nan_cells(cells: np.ndarray) -> np.ndarray:
+    """Mask of the NaN cells (only float and object columns can hold NaN)."""
+    if cells.dtype.kind in "fO":
+        return np.asarray(cells != cells, dtype=bool)
+    return np.zeros(len(cells), dtype=bool)
 
 
 def _reject_nul_string_literal(value: Any) -> None:
@@ -452,40 +447,12 @@ def _combine(
     return combined
 
 
-def _comparison_mask(
-    array: np.ndarray, op: CompareOp, value: Any, nulls: _NullMaskCache
-) -> np.ndarray:
-    if value is None:
-        # ``column <op> NULL`` never matches, regardless of the operator.
-        return np.zeros(len(array), dtype=bool)
-    null_mask = nulls.get(array)
-    if null_mask is not None:
-        # Ordered comparisons would raise on None; compare non-nulls only.
-        mask = np.zeros(len(array), dtype=bool)
-        keep = ~null_mask
-        mask[keep] = _compare(array[keep], op, value)
-        return mask
-    return _compare(array, op, value)
-
-
-def _compare(array: np.ndarray, op: CompareOp, value: Any) -> np.ndarray:
+def _compare(cells: np.ndarray, compare, value: Any) -> np.ndarray:
     _reject_nul_string_literal(value)
-    if op is CompareOp.EQ:
-        result = array == value
-    elif op is CompareOp.NE:
-        result = array != value
-    elif op is CompareOp.LT:
-        result = array < value
-    elif op is CompareOp.LE:
-        result = array <= value
-    elif op is CompareOp.GT:
-        result = array > value
-    else:
-        result = array >= value
-    result = np.asarray(result)
+    result = np.asarray(compare(cells, value))
     if result.dtype != bool:
         result = result.astype(bool)
-    if result.shape != array.shape:
+    if result.shape != cells.shape:
         # A scalar result means numpy refused elementwise comparison.
         raise TypeError("comparison did not vectorize")
     return result

@@ -100,18 +100,8 @@ from repro.engine.types import Store
 from repro.engine.zonemap import ColumnZone, is_nan, next_zone_epoch, widen_zone
 from repro.errors import ExecutionError
 from repro.testing import faults
-from repro.query.predicates import (
-    And,
-    Between,
-    CompareOp,
-    Comparison,
-    InList,
-    IsNull,
-    Not,
-    Or,
-    Predicate,
-    TruePredicate,
-)
+from repro.query.predicates import And, IsNull, Not, Or, Predicate, TruePredicate
+from repro.query.ranges import ValueRanges, is_singleton, ranges_of
 
 #: When a position list covers more than this fraction of the table, the
 #: column store materialises the requested columns with a sequential scan of
@@ -407,13 +397,10 @@ def translate_code_predicate(
     evaluates the mask over the code arrays and may be skipped by a caller
     that already knows the scan's answer.
 
-    NULL awareness: a dictionary holding NULL reserves code 0 for it.  Value
-    comparisons and ranges never include code 0 (``range_codes`` offsets its
-    interval past it; ``NE`` is the complement of the value's code *and*
-    code 0), ``IS NULL`` is exactly the interval ``[0, 1)``, and an
-    ``IN``-list containing NULL picks code 0 up through
-    ``encode_existing(None)`` — all matching the scalar evaluator's
-    row-at-a-time semantics.
+    Each leaf translates its :func:`~repro.query.ranges.ranges_of` (NULL,
+    NaN and bound semantics live there): a dictionary holding NULL reserves
+    code 0 for it and a NaN entry sorts last, so the ranges' flags add those
+    codes and the intervals bisect only the real values.
     """
     leaves: List[CodeLeaf] = []
     apply = _translate(predicate, columns, leaves)
@@ -476,12 +463,13 @@ def _translate(
         if inner is None:
             return None
         return lambda num_rows, picked=None: ~inner(num_rows, picked)
-    if isinstance(predicate, (IsNull, Comparison, Between, InList)):
+    ranges = ranges_of(predicate)
+    if ranges is not None:
         column = columns.get(predicate.column)
         if column is None:
             return None
         try:
-            intervals, complement = _translate_leaf(column.dictionary, predicate)
+            intervals, complement = _leaf_codes(column.dictionary, ranges)
         except TypeError:
             # The dictionary cannot answer this predicate (incomparable
             # literal types); the whole translation falls back to the
@@ -495,78 +483,36 @@ def _translate(
     return None
 
 
-def _translate_leaf(dictionary, predicate: Predicate) -> Tuple[CodeIntervals, bool]:
-    """``(intervals, complement)`` of a simple predicate over one column.
+def _leaf_codes(dictionary, ranges: ValueRanges) -> Tuple[CodeIntervals, bool]:
+    """``(intervals, complement)`` of a leaf's ranges over one dictionary.
 
-    Value constants translate to codes and code ranges through the sorted
-    dictionary; comparing a literal of an incomparable type against the
-    dictionary values raises ``TypeError`` out of here.  NULL is code 0 and
-    a NaN entry sorts last, so leaving them out of a range keeps it one
-    interval; a literal the dictionary does not hold yields no interval.
+    A point is looked up (``encode_existing``: an absent or incomparable
+    literal has no code), every other interval end bisects the sorted
+    dictionary — comparing a literal of an incomparable type raises
+    ``TypeError`` out of here.  The NULL flag adds code 0 and the NaN flag
+    the NaN code.  A ``!=`` is the complement of its literal's code and of
+    code 0.
     """
-    if isinstance(predicate, IsNull):
-        return ((0, 1),) if dictionary.has_null else (), False
-    if isinstance(predicate, InList):
-        # A NaN member matches nothing (IN is chained equality); it also can
-        # never be *found* — ``encode_existing`` bisects only the orderable
-        # values — so it simply contributes no member code.
-        member_codes = [dictionary.encode_existing(value) for value in predicate.values]
-        return _union(
-            (code, code + 1) for code in member_codes if code is not None
-        ), False
-    nan_code = dictionary.nan_code
-    if isinstance(predicate, Between):
-        if dictionary.holds_null:
-            # BETWEEN never matches NULL, and the all-NULL dictionary
-            # cannot order its bounds.
-            return (), False
-        # ``range_codes`` offsets past the reserved NULL code, so NULL rows
-        # (code 0) never fall inside the interval.  A NaN bound excludes
-        # nothing (``value < NaN`` and ``value <= NaN`` are both False), so
-        # it is an open side — inclusive or not; bisecting it is not.
-        found = [dictionary.range_codes(
-            None if is_nan(predicate.low) else predicate.low,
-            None if is_nan(predicate.high) else predicate.high,
-            predicate.include_low, predicate.include_high,
-        )]
-        if nan_code is not None:
-            # The scalar evaluator tests Between by *exclusion*
-            # (value < low / value > high), which NaN never fails; an open
-            # upper end already reaches its code.
-            found.append((nan_code, nan_code + 1))
-        return _union((lo, hi) for lo, hi in found if lo < hi), False
-    if predicate.value is None or dictionary.holds_null:
-        # ``column <op> NULL`` never matches, and neither does any
-        # comparison over an all-NULL column (row-at-a-time semantics:
-        # a comparison involving NULL is false, whatever the operator).
-        return (), False
-    if predicate.op in (CompareOp.EQ, CompareOp.NE):
-        code = dictionary.encode_existing(predicate.value)
+    if ranges.hole is not None:
+        code = dictionary.encode_existing(ranges.hole)
         found = [] if code is None else [(code, code + 1)]
-        if predicate.op is CompareOp.EQ:
-            return tuple(found), False
         if dictionary.has_null:
-            # NULL rows fail every comparison, != included.
             found.insert(0, (0, 1))
         return tuple(found), True
-    if is_nan(predicate.value):
-        # Ordered comparison against a NaN literal is false for every
-        # value (bisect would place NaN at position 0 and wrongly match
-        # everything for >=).
-        return (), False
-    if predicate.op in (CompareOp.LT, CompareOp.LE):
-        lo, hi = dictionary.range_codes(
-            None, predicate.value, include_high=predicate.op is CompareOp.LE
-        )
-    else:
-        lo, hi = dictionary.range_codes(
-            predicate.value, None, include_low=predicate.op is CompareOp.GE
-        )
-        # Ordered comparisons never match NaN row-at-a-time (every
-        # comparison is False); its code is the last one.
-        if nan_code is not None:
-            hi = nan_code
-    return ((lo, hi),) if lo < hi else (), False
+    found = []
+    if ranges.null and dictionary.has_null:
+        found.append((0, 1))
+    nan_code = dictionary.nan_code
+    if ranges.nan and nan_code is not None:
+        found.append((nan_code, nan_code + 1))
+    for interval in ranges.intervals:
+        if is_singleton(interval):
+            code = dictionary.encode_existing(interval[0])
+            if code is not None:
+                found.append((code, code + 1))
+        else:
+            found.append(dictionary.range_codes(*interval))
+    return _union((lo, hi) for lo, hi in found if lo < hi), False
 
 
 class ColumnStoreTable:
@@ -1168,47 +1114,33 @@ class ColumnStoreTable:
 
         Compilation over the frozen main dictionary can only diverge from the
         inline reference (which would have merged the delta's values into the
-        dictionary) in its *TypeError verdict*: an ordered comparison or a
-        BETWEEN bisects the literal against the dictionary values, and a
-        literal comparable with main's values may be incomparable with the
-        delta's (or vice versa — main empty, delta populated).  Column values
-        are dtype-coerced and therefore homogeneous, so probing one
-        representative delta value reproduces the merged dictionary's verdict
-        exactly.  ``EQ``/``NE``/``IN``/``IS NULL`` never fall back
-        (``encode_existing`` swallows the TypeError), and comparisons against
-        NULL or NaN literals short-circuit before any bisect — no probe.
+        dictionary) in its *TypeError verdict*: an interval end bisects the
+        dictionary values, and a literal comparable with main's values may be
+        incomparable with the delta's (or vice versa — main empty, delta
+        populated).  Column values are dtype-coerced and therefore
+        homogeneous, so probing every finite end of a non-point interval
+        against one representative delta value reproduces the merged
+        dictionary's verdict exactly; points are looked up, never bisected.
         """
         if isinstance(predicate, (And, Or)):
             return all(self._delta_compile_ok(child) for child in predicate.predicates)
         if isinstance(predicate, Not):
             return self._delta_compile_ok(predicate.predicate)
-        if isinstance(predicate, Comparison):
-            if predicate.op in (CompareOp.LT, CompareOp.LE, CompareOp.GT, CompareOp.GE):
-                value = predicate.value
-                if value is None or (isinstance(value, float) and value != value):
-                    return True
-                return self._probe_orderable(predicate.column, value)
+        ranges = ranges_of(predicate)
+        if ranges is None or ranges.hole is not None:
             return True
-        if isinstance(predicate, Between):
-            # NaN bounds do reach the bisect in the inline path, so they are
-            # probed too (float vs str comparison raises regardless of NaN).
-            for bound in (predicate.low, predicate.high):
-                if bound is not None and not self._probe_orderable(
-                    predicate.column, bound
-                ):
-                    return False
-            return True
-        return True
-
-    def _probe_orderable(self, column: str, literal: Any) -> bool:
-        delta = self._delta.get(column)
+        delta = self._delta.get(predicate.column)
         if delta is None or delta.representative is None:
             return True
         try:
-            literal < delta.representative  # noqa: B015 — probe for TypeError
-            return True
+            for interval in ranges.intervals:
+                if not is_singleton(interval):
+                    for end in interval[:2]:
+                        if end is not None:
+                            end < delta.representative  # noqa: B015 — probe for TypeError
         except TypeError:
             return False
+        return True
 
     def fetch_rows(
         self,

@@ -364,8 +364,9 @@ class ColumnDictionary:
 
         Because the dictionary is sorted, a value-range predicate translates
         into a code-range predicate — the "implicit index" of the column
-        store.  The interval never includes the reserved NULL code: both ends
-        carry the code offset, so ``lo >= 1`` whenever NULL is present.
+        store.  The interval holds real values only: both ends carry the
+        code offset past the reserved NULL code, and an open upper end stops
+        before a trailing NaN entry.
         """
         offset = self._offset
         reals = self._real_count()
@@ -375,7 +376,7 @@ class ColumnDictionary:
             lo = (bisect.bisect_left(self._values, low, 0, reals) if include_low
                   else bisect.bisect_right(self._values, low, 0, reals))
         if high is None:
-            hi = len(self._values)
+            hi = reals
         else:
             hi = (bisect.bisect_right(self._values, high, 0, reals) if include_high
                   else bisect.bisect_left(self._values, high, 0, reals))

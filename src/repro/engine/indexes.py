@@ -16,6 +16,7 @@ index maintenance separately (``index_insert`` / ``index_probe`` components).
 from __future__ import annotations
 
 import bisect
+import operator
 from typing import AbstractSet, Any, Dict, KeysView, List, Optional, Sequence
 
 from repro.errors import ExecutionError
@@ -100,25 +101,48 @@ class HashIndex:
 class SortedIndex:
     """Ordered index supporting range lookups.
 
-    Keys are kept in a sorted list alongside their row positions.  Lookups use
-    binary search; maintenance on insert is O(n) in Python terms but, as with
-    the dictionary, only the *modelled* cost matters for the experiments.
+    Real keys are kept in a sorted list alongside their row positions;
+    lookups use binary search.  NULL and NaN keys have no place in that
+    order — a NaN among the keys would derail every bisect — so their
+    positions are kept apart and handed out only when a predicate's
+    :class:`~repro.query.ranges.ValueRanges` flags say they match.
+    Maintenance on insert is O(n) in Python terms but, as with the
+    dictionary, only the *modelled* cost matters for the experiments.
     """
 
     def __init__(self, column: str) -> None:
         self.column = column
         self._keys: List[Any] = []
         self._positions: List[int] = []
+        self._nulls: List[int] = []
+        self._nans: List[int] = []
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._keys) + len(self._nulls) + len(self._nans)
+
+    def _apart(self, key: Any) -> Optional[List[int]]:
+        """The position list of an unordered *key* (NULL or NaN), else ``None``."""
+        if key is None:
+            return self._nulls
+        if key != key:
+            return self._nans
+        return None
 
     def insert(self, key: Any, position: int) -> None:
+        apart = self._apart(key)
+        if apart is not None:
+            apart.append(position)
+            return
         index = bisect.bisect_right(self._keys, key)
         self._keys.insert(index, key)
         self._positions.insert(index, position)
 
     def remove(self, key: Any, position: int) -> None:
+        apart = self._apart(key)
+        if apart is not None:
+            if position in apart:
+                apart.remove(position)
+            return
         index = bisect.bisect_left(self._keys, key)
         while index < len(self._keys) and self._keys[index] == key:
             if self._positions[index] == position:
@@ -151,11 +175,33 @@ class SortedIndex:
                   else bisect.bisect_left(self._keys, high))
         return self._positions[lo:hi]
 
+    def positions(self, ranges) -> List[int]:
+        """Positions whose key lies in *ranges* (a ``ValueRanges``).
+
+        One range lookup per interval, in key order, then the NaN and the
+        NULL positions when the ranges' flags include them.
+        """
+        found: List[int] = []
+        for interval in ranges.intervals:
+            found += self.range_lookup(*interval)
+        if ranges.nan:
+            found += self._nans
+        if ranges.null:
+            found += self._nulls
+        return found
+
     def rebuild(self, keys: Sequence[Any]) -> None:
         """Index a whole column: ``keys[i]`` is the key of row ``i``.
 
         A stable sort of the row numbers by key, so equal keys list their
         rows in ascending order.
         """
-        self._positions = sorted(range(len(keys)), key=keys.__getitem__)
+        ordered: Sequence[int] = range(len(keys))
+        self._nulls, self._nans = [], []
+        if None in keys or not all(map(operator.eq, keys, keys)):  # NULL or NaN
+            ordered = []
+            for position, key in enumerate(keys):
+                apart = self._apart(key)
+                (ordered if apart is None else apart).append(position)
+        self._positions = sorted(ordered, key=keys.__getitem__)
         self._keys = list(map(keys.__getitem__, self._positions))

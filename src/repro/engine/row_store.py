@@ -36,9 +36,10 @@ from repro.engine.indexes import HashIndex, SortedIndex, check_new_keys
 from repro.engine.schema import TableSchema
 from repro.engine.timing import CostAccountant
 from repro.engine.types import DataType, Store
-from repro.engine.zonemap import ColumnZone, is_nan, next_zone_epoch, widen_zone
+from repro.engine.zonemap import ColumnZone, next_zone_epoch, widen_zone
 from repro.errors import ExecutionError, SchemaError
-from repro.query.predicates import Between, CompareOp, Comparison, Predicate
+from repro.query.predicates import Predicate
+from repro.query.ranges import ranges_of
 
 
 #: Types whose values may be NaN.
@@ -486,35 +487,20 @@ class RowStoreTable:
         column, and ``probe(*args)`` performs exactly that access and
         returns the matching positions.
         """
-        if isinstance(predicate, Comparison):
-            op, value = predicate.op, predicate.value
-            sorted_index = self._sorted_indexes.get(predicate.column)
-            if op is CompareOp.EQ:
-                index = self._hash_indexes.get(predicate.column, sorted_index)
-                if index is not None:
-                    return "index lookup", index.lookup, (value,)
-            elif sorted_index is not None and op is not CompareOp.NE:
-                if is_nan(value):
-                    # An ordered comparison with NaN matches no row, but a
-                    # bisect would place NaN first and hand out every row
-                    # for ``>=``.
-                    return "index range scan", _no_positions, ()
-                if op in (CompareOp.LT, CompareOp.LE):
-                    return ("index range scan", sorted_index.range_lookup,
-                            (None, value, True, op is CompareOp.LE))
-                return ("index range scan", sorted_index.range_lookup,
-                        (value, None, op is CompareOp.GE, True))
-        elif isinstance(predicate, Between) and predicate.column in self._sorted_indexes:
-            # A NaN bound excludes nothing (the scalar evaluator tests
-            # BETWEEN by exclusion): an open side, inclusive or not.
-            return (
-                "index range scan",
-                self._sorted_indexes[predicate.column].range_lookup,
-                (None if is_nan(predicate.low) else predicate.low,
-                 None if is_nan(predicate.high) else predicate.high,
-                 predicate.include_low, predicate.include_high),
-            )
-        return None
+        ranges = ranges_of(predicate)
+        if ranges is None or ranges.index is None:
+            return None
+        sorted_index = self._sorted_indexes.get(predicate.column)
+        if ranges.index == "point":
+            index = self._hash_indexes.get(predicate.column, sorted_index)
+            if index is None:
+                return None
+            if not ranges.intervals:
+                return "index lookup", _no_positions, ()
+            return "index lookup", index.lookup, (ranges.intervals[0][0],)
+        if sorted_index is None:
+            return None
+        return "index range scan", sorted_index.positions, (ranges,)
 
     def _index_lookup(
         self, predicate: Predicate, accountant: Optional[CostAccountant]

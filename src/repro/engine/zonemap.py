@@ -28,14 +28,10 @@ record the scan verdicts in a :class:`ScanDecision` (which the planner embeds
 in the physical plan) and keep it only while it is fresh — see
 :mod:`repro.engine.executor.access` for the one freshness rule.
 
-NULL/NaN semantics mirror the scalar predicate evaluator exactly:
-
-* comparisons and ``BETWEEN`` never match NULL — an all-NULL zone cannot
-  match them;
-* ``BETWEEN`` is evaluated by *exclusion* (``value < low`` / ``> high``),
-  which NaN never fails — a zone containing NaN can always match a BETWEEN;
-* ``!=`` matches NaN rows (``nan != literal`` is true);
-* ``IS NULL`` matches iff the zone has at least one NULL.
+What a leaf predicate matches — NULL, NaN and bounds included — is
+:func:`repro.query.ranges.ranges_of`'s answer; a zone test is an interval
+operation over it (ranges ∩ [min, max], and the ranges' NULL / NaN flags
+against ``null_count`` / ``has_nan``).
 """
 
 from __future__ import annotations
@@ -46,18 +42,8 @@ from typing import Any, Callable, Mapping, Optional, Tuple
 
 from repro.engine.toggle import Toggle
 from repro.query.ast import split_qualified
-from repro.query.predicates import (
-    And,
-    Between,
-    CompareOp,
-    Comparison,
-    InList,
-    IsNull,
-    Not,
-    Or,
-    Predicate,
-    TruePredicate,
-)
+from repro.query.predicates import And, Not, Or, Predicate, TruePredicate
+from repro.query.ranges import ranges_of
 
 __all__ = [
     "ColumnZone",
@@ -193,8 +179,6 @@ def zone_can_match(
 
 
 def _can_match(predicate: Predicate, zones: Mapping[str, ColumnZone]) -> bool:
-    if isinstance(predicate, TruePredicate):
-        return True
     if isinstance(predicate, And):
         return all(_can_match(child, zones) for child in predicate.predicates)
     if isinstance(predicate, Or):
@@ -203,87 +187,22 @@ def _can_match(predicate: Predicate, zones: Mapping[str, ColumnZone]) -> bool:
         # NOT flips row-level truth, not zone-level possibility; proving
         # "every row matches the inner predicate" needs more than min/max.
         return True
-    if isinstance(predicate, (Comparison, Between, InList, IsNull)):
-        zone = zones.get(predicate.column)
-        if zone is None:
-            return True
-        if isinstance(predicate, IsNull):
-            return zone.null_count is None or zone.null_count > 0
-        if zone.all_null:
-            # Comparisons, BETWEEN and IN never match NULL (unless the
-            # IN-list carries an explicit NULL, checked below).
-            if isinstance(predicate, InList):
-                return any(value is None for value in predicate.values)
-            return False
-        if isinstance(predicate, Comparison):
-            return _comparison_can_match(predicate, zone)
-        if isinstance(predicate, Between):
-            return _between_can_match(predicate, zone)
-        return _in_list_can_match(predicate, zone)
-    return True
-
-
-def _comparison_can_match(predicate: Comparison, zone: ColumnZone) -> bool:
-    value = predicate.value
-    if value is None:
-        # ``column <op> NULL`` never matches, whatever the operator.
-        return False
-    op = predicate.op
-    if op is CompareOp.NE:
-        if zone.has_nan:
-            return True  # nan != literal is true row-at-a-time
-        if not zone.has_values:
-            return False
-        # Only provably empty when every real value equals the literal.
-        return not (zone.min_value == zone.max_value == value)
-    if is_nan(value):
-        # Ordered comparison or equality against a NaN literal never matches.
-        return False
-    if not zone.has_values:
-        # Only NaN (and/or NULL) cells: EQ/ordered comparisons never match NaN.
-        return False
-    if op is CompareOp.EQ:
-        return not (value < zone.min_value or value > zone.max_value)
-    if op is CompareOp.LT:
-        return zone.min_value < value
-    if op is CompareOp.LE:
-        return zone.min_value <= value
-    if op is CompareOp.GT:
-        return zone.max_value > value
-    return zone.max_value >= value
-
-
-def _between_can_match(predicate: Between, zone: ColumnZone) -> bool:
-    if zone.has_nan:
-        # The scalar evaluator tests BETWEEN by exclusion, which NaN never
-        # fails — a NaN cell matches any BETWEEN.
+    ranges = ranges_of(predicate)
+    if ranges is None:
         return True
-    if not zone.has_values:
+    zone = zones.get(predicate.column)
+    if zone is None:
+        return True
+    if ranges.null and (zone.null_count is None or zone.null_count > 0):
+        return True
+    if ranges.nan and zone.has_nan:
+        return True
+    low, high = zone.min_value, zone.max_value
+    if low is None:
         return False
-    if predicate.low is not None:
-        if predicate.include_low:
-            if zone.max_value < predicate.low:
-                return False
-        elif zone.max_value <= predicate.low:
-            return False
-    if predicate.high is not None:
-        if predicate.include_high:
-            if zone.min_value > predicate.high:
-                return False
-        elif zone.min_value >= predicate.high:
-            return False
-    return True
-
-
-def _in_list_can_match(predicate: InList, zone: ColumnZone) -> bool:
-    for value in predicate.values:
-        if value is None:
-            if zone.null_count is None or zone.null_count > 0:
-                return True
-        elif is_nan(value):
-            continue  # IN is chained equality; a NaN member matches nothing
-        elif zone.has_values and not (
-            value < zone.min_value or value > zone.max_value
+    for start, stop, start_closed, stop_closed in ranges.intervals:
+        if (start is None or (start <= high if start_closed else start < high)) and (
+            stop is None or (stop >= low if stop_closed else stop > low)
         ):
             return True
     return False
@@ -301,11 +220,7 @@ def zone_must_match(
     COUNT/MIN/MAX can be answered from the synopses without scanning.  Every
     uncertainty — missing zone, unknown null count, incomparable literal
     types — degrades to ``False`` (not provable), which merely loses the
-    optimisation.  NULL and NaN semantics mirror the scalar evaluator: a
-    comparison never matches a NULL row (so a provably-all-true comparison
-    needs a zero null count), ordered comparisons and equality never match
-    NaN, while ``BETWEEN`` (tested by exclusion) and ``!=`` are satisfied by
-    NaN rows.
+    optimisation.
 
     Empty partitions answer ``True``: the proof is vacuous and the partition
     contributes nothing either way.
@@ -319,8 +234,6 @@ def zone_must_match(
 
 
 def _must_match(predicate: Predicate, zones: Mapping[str, ColumnZone]) -> bool:
-    if isinstance(predicate, TruePredicate):
-        return True
     if isinstance(predicate, And):
         return all(_must_match(child, zones) for child in predicate.predicates)
     if isinstance(predicate, Or):
@@ -331,85 +244,25 @@ def _must_match(predicate: Predicate, zones: Mapping[str, ColumnZone]) -> bool:
         # NOT p matches every row exactly when p matches none — which is the
         # proof zone_can_match already provides.
         return not _can_match(predicate.predicate, zones)
-    if not isinstance(predicate, (Comparison, Between, InList, IsNull)):
-        return False
+    ranges = ranges_of(predicate)
+    if ranges is None:
+        return isinstance(predicate, TruePredicate)
     zone = zones.get(predicate.column)
     if zone is None or zone.null_count is None:
         return False
-    if isinstance(predicate, IsNull):
-        return zone.null_count >= zone.num_rows
-    if zone.null_count > 0:
-        # Comparisons, BETWEEN and IN never match a NULL row.
+    if zone.null_count >= zone.num_rows:
+        return ranges.null
+    if (zone.null_count and not ranges.null) or (zone.has_nan and not ranges.nan):
         return False
-    if isinstance(predicate, Comparison):
-        return _comparison_must_match(predicate, zone)
-    if isinstance(predicate, Between):
-        return _between_must_match(predicate, zone)
-    return _in_list_must_match(predicate, zone)
-
-
-def _comparison_must_match(predicate: Comparison, zone: ColumnZone) -> bool:
-    value = predicate.value
-    if value is None:
-        return False  # ``column <op> NULL`` matches nothing.
-    op = predicate.op
-    if op is CompareOp.NE:
-        if is_nan(value):
-            # ``x != NaN`` is true for every non-NaN cell; NaN cells also
-            # satisfy it (NaN != NaN).
+    low, high = zone.min_value, zone.max_value
+    if low is None:
+        return True  # every non-NULL cell is NaN, and NaN matches
+    for start, stop, start_closed, stop_closed in ranges.intervals:
+        if (start is None or (start <= low if start_closed else start < low)) and (
+            stop is None or (stop >= high if stop_closed else stop > high)
+        ):
             return True
-        if not zone.has_values:
-            # Only NaN cells (nulls were excluded above): NaN != literal.
-            return zone.num_rows > 0
-        return bool(value < zone.min_value or value > zone.max_value)
-    if is_nan(value):
-        return False  # ordered/equality against NaN matches nothing
-    if zone.has_nan or not zone.has_values:
-        # NaN cells fail every ordered comparison and equality.
-        return False
-    if op is CompareOp.EQ:
-        return bool(zone.min_value == zone.max_value == value)
-    if op is CompareOp.LT:
-        return bool(zone.max_value < value)
-    if op is CompareOp.LE:
-        return bool(zone.max_value <= value)
-    if op is CompareOp.GT:
-        return bool(zone.min_value > value)
-    return bool(zone.min_value >= value)
-
-
-def _between_must_match(predicate: Between, zone: ColumnZone) -> bool:
-    # The scalar evaluator tests BETWEEN by exclusion (reject when
-    # ``value < low`` / ``value > high``), which NaN never fails — NaN cells
-    # always satisfy a BETWEEN, so only the real values need the range proof.
-    if not zone.has_values:
-        return zone.num_rows > 0  # all cells NaN (nulls excluded above)
-    if predicate.low is not None:
-        if predicate.include_low:
-            if not zone.min_value >= predicate.low:
-                return False
-        elif not zone.min_value > predicate.low:
-            return False
-    if predicate.high is not None:
-        if predicate.include_high:
-            if not zone.max_value <= predicate.high:
-                return False
-        elif not zone.max_value < predicate.high:
-            return False
-    return True
-
-
-def _in_list_must_match(predicate: InList, zone: ColumnZone) -> bool:
-    # Provable only in the degenerate single-value case: every cell holds the
-    # same value and the list contains it (NaN cells never match an IN).
-    if zone.has_nan or not zone.has_values:
-        return False
-    if not zone.min_value == zone.max_value:
-        return False
-    return any(
-        value is not None and not is_nan(value) and value == zone.min_value
-        for value in predicate.values
-    )
+    return False
 
 
 # -- the prunable unit ----------------------------------------------------------------

@@ -266,6 +266,15 @@ class TestVectorizedPredicateMask:
         expected = [predicate.evaluate({"x": value}) for value in values]
         assert mask.tolist() == expected
 
+    @pytest.mark.parametrize("op", list(CompareOp))
+    def test_nullable_nan_column_compares_without_warning(self, op):
+        """An object column holding NULL and NaN: numpy answers the ordered
+        comparison right but used to warn ``invalid value encountered``."""
+        values = [None, float("nan"), 1.5, 5.0]
+        predicate = Comparison("x", op, 1.0)
+        mask = vectorized_value_mask(predicate, {"x": values_to_array(values)}, 4)
+        assert mask.tolist() == [predicate.evaluate({"x": value}) for value in values]
+
     @given(values=values_strategy)
     @settings(max_examples=40, deadline=None)
     def test_composite_predicates(self, values):

@@ -79,3 +79,49 @@ class TestSortedIndex:
         assert sorted(index.lookup(1)) == [1]
         index.remove(1, 999)  # not present: no-op
         assert len(index) == 2
+
+
+class TestSortedIndexUnorderedKeys:
+    """NULL and NaN keys have no place in the key order: a NaN among the
+    sorted keys derailed every bisect (rows missed and rows added), and a
+    NULL made the rebuild's sort raise ``TypeError``."""
+
+    NAN = float("nan")
+
+    def _index(self, keys):
+        index = SortedIndex("key")
+        index.rebuild(keys)
+        return index
+
+    def test_rebuild_keeps_nan_out_of_the_order(self):
+        index = self._index([3.0, self.NAN, 1.5, 5.0, 4.5, 2.0, 0.5])
+        assert sorted(index.range_lookup(1, None, include_low=False)) == [0, 2, 3, 4, 5]
+        assert sorted(index.range_lookup(None, 4.5)) == [0, 2, 4, 5, 6]
+        assert sorted(index.range_lookup(1, 4)) == [0, 2, 5]
+        assert len(index) == 7
+
+    def test_rebuild_over_null_keys(self):
+        index = self._index([2.0, None, 1.0, None])
+        assert index.range_lookup() == [2, 0]
+        assert len(index) == 4
+
+    def test_positions_follow_the_flags(self):
+        from repro.query.predicates import Between, IsNull, gt
+        from repro.query.ranges import ranges_of
+
+        index = self._index([2.0, None, self.NAN, 1.0])
+        assert index.positions(ranges_of(gt("key", 0.0))) == [3, 0]
+        assert index.positions(ranges_of(IsNull("key"))) == [1]
+        nan_matching = ranges_of(Between("key", 0.0, 5.0))
+        expected = [3, 0] + ([2] if nan_matching.nan else [])
+        assert index.positions(nan_matching) == expected
+
+    def test_insert_and_remove_unordered_keys(self):
+        index = SortedIndex("key")
+        for position, key in enumerate([1.0, self.NAN, None, 0.5]):
+            index.insert(key, position)
+        assert index.range_lookup() == [3, 0]
+        index.remove(self.NAN, 1)
+        index.remove(None, 2)
+        index.remove(None, 99)  # not present: no-op
+        assert len(index) == 2

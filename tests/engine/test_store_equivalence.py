@@ -333,3 +333,53 @@ class TestNanBounds:
                 predicate = Between(column, low, high)
                 expected = sorted(r["id"] for r in rows if predicate.evaluate(r))
                 assert self._ids(session.sql(sql, [low, high])) == expected
+
+
+class TestSortedIndexOverNanAndNull:
+    """A row-store sorted index over a ``DOUBLE`` key holding NaN or NULL
+    answers what the column store and the scalar evaluator answer."""
+
+    KEYS = [3.0, NAN, 1.5, 5.0, 4.5, 2.0, 0.5]
+    QUERIES = [
+        "SELECT v FROM t WHERE k > 1",
+        "SELECT v FROM t WHERE k <= 4.5",
+        "SELECT v FROM t WHERE k BETWEEN 1 AND 4",
+        "SELECT v FROM t WHERE k = 2.0",
+        "SELECT v FROM t WHERE k < 0",
+    ]
+
+    @staticmethod
+    def _answers(store, keys, queries, schema, index_column=None):
+        from repro.api import connect
+
+        session = connect()
+        session.create_table(schema, store)
+        session.load_rows("t", [{"k": k, "v": v} for v, k in enumerate(keys)])
+        if index_column is not None:
+            session.database.table_object("t").create_sorted_index(index_column)
+        return [sorted(row["v"] for row in session.sql(sql).rows) for sql in queries]
+
+    def test_nan_primary_key(self):
+        from repro.engine.types import Store
+
+        schema = TableSchema.build(
+            "t", [("k", DataType.DOUBLE), ("v", DataType.INTEGER)], primary_key=["k"]
+        )
+        row = self._answers(Store.ROW, self.KEYS, self.QUERIES, schema)
+        assert row == self._answers(Store.COLUMN, self.KEYS, self.QUERIES, schema)
+        nan_between = Between("k", 1.0, 4.0).evaluate({"k": NAN})
+        assert row[:3] == [[0, 2, 3, 4, 5], [0, 2, 4, 5, 6],
+                           [0, 1, 2, 5] if nan_between else [0, 2, 5]]
+
+    def test_sorted_index_over_null(self):
+        from repro.engine.types import Store
+
+        schema = TableSchema(
+            "t",
+            (Column("v", DataType.INTEGER, primary_key=True),
+             Column("k", DataType.DOUBLE, nullable=True)),
+        )
+        keys = [3.0, None, 1.5, None, 4.5, NAN]
+        row = self._answers(Store.ROW, keys, self.QUERIES, schema, index_column="k")
+        assert row == self._answers(Store.COLUMN, keys, self.QUERIES, schema)
+        assert row[0] == [0, 2, 4]
