@@ -157,22 +157,17 @@ class Between(Predicate):
         return frozenset({self.column})
 
     def evaluate(self, row: Mapping[str, Any]) -> bool:
+        """The conjunction of the two comparisons: NaN, on either side, fails it."""
         value = row.get(self.column)
         if value is None:
             return False
-        if self.low is not None:
-            if self.include_low:
-                if value < self.low:
-                    return False
-            elif value <= self.low:
-                return False
-        if self.high is not None:
-            if self.include_high:
-                if value > self.high:
-                    return False
-            elif value >= self.high:
-                return False
-        return True
+        if self.low is not None and not (
+            value >= self.low if self.include_low else value > self.low
+        ):
+            return False
+        return self.high is None or bool(
+            value <= self.high if self.include_high else value < self.high
+        )
 
     def estimate_selectivity(self, stats=None) -> float:
         column_stats = (stats or {}).get(self.column)

@@ -19,28 +19,23 @@ and none of them decides NULL, NaN or bound semantics for itself:
 * value masks: one comparison per finite interval end, then the flags.
 
 :meth:`~repro.query.predicates.Predicate.evaluate` stays the scalar
-reference; the ranges are derived to agree with it on every value.  What a
-leaf matches (README.md carries the same table):
+reference; the ranges are derived to agree with it on every value.  What
+each leaf matches (README.md carries the same table):
 
-==================  ===============================  =====  =====
-leaf                real values                      NULL   NaN
-==================  ===============================  =====  =====
-``x = v``           ``[v, v]``                       no     no
-``x != v``          ``(-inf, v) ∪ (v, +inf)``        no     yes
-``x < v`` etc.      the half-line                    no     no
-``x BETWEEN a, b``  ``[a, b]`` (ends as written)     no     yes
-``x IN (v, …)``     one point per non-NULL member    if a   no
-                                                     member
-                                                     is
-                                                     NULL
-``x IS NULL``       none                             yes    no
-==================  ===============================  =====  =====
+=====================  ===============================  ==============  ====
+leaf                   real values                      NULL            NaN
+=====================  ===============================  ==============  ====
+``x = v``              ``[v, v]``                       no              no
+``x != v``             ``(-inf, v) ∪ (v, +inf)``        no              yes
+``x < v``, ``>=`` ...  the half-line on that side of v  no              no
+``x BETWEEN a AND b``  ``[a, b]``, ends as written      no              no
+``x IN (v, ...)``      one point per non-NULL member    a NULL member   no
+``x IS NULL``          none                             yes             no
+=====================  ===============================  ==============  ====
 
-A NULL literal matches nothing (``x != NULL`` included).  A NaN literal
-matches nothing, except ``x != NaN``, which every non-NULL value satisfies.
-A NaN ``BETWEEN`` bound is an open side: the scalar evaluator tests
-``BETWEEN`` by exclusion (``value < low`` / ``value > high``), which neither
-a NaN bound nor a NaN cell ever fails.
+A NULL literal matches nothing (``x != NULL`` included), and so does a NaN
+literal or a NaN ``BETWEEN`` bound — except ``x != NaN``, which every
+non-NULL value satisfies.  ``BETWEEN`` is exactly its two comparisons.
 
 Ranges are computed on demand and never stored on the leaf: leaves are
 pickled into the write-ahead log.
@@ -123,11 +118,11 @@ def ranges_of(leaf: Predicate) -> Optional[ValueRanges]:
         return _new(ValueRanges, ((interval,), False, False, "range", None))
     if kind is Between:
         low, high = leaf.low, leaf.high
-        return ValueRanges(
-            ((None if _is_nan(low) else low, None if _is_nan(high) else high,
-              leaf.include_low, leaf.include_high),),
-            False, True, "range",
-        )
+        if _is_nan(low) or _is_nan(high):
+            return _NOTHING["range"]
+        return _new(ValueRanges, (
+            ((low, high, leaf.include_low, leaf.include_high),), False, False, "range", None,
+        ))
     if kind is InList:
         return ValueRanges(
             tuple((value, value, True, True) for value in leaf.values

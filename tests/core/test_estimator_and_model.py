@@ -241,7 +241,7 @@ HOT_NAN = dict(min_value=50.0, max_value=99.0, null_count=0, has_nan=True)
     (MAIN, (("main", 75, MAIN), ("hot", 25, HOT_SOME_NULL)), ("is_null",), 0.25),
     (MAIN, (("main", 75, MAIN), ("hot", 25, HOT_ALL_NULL)), ("gt", -1.0), 0.75),
     (MAIN, (("main", 75, MAIN), ("hot", 25, HOT_ALL_NULL)), ("is_null",), 0.25),
-    (MAIN, (("main", 75, MAIN), ("hot", 25, HOT_NAN)), ("between", 200.0, 300.0), 0.25),
+    (MAIN, (("main", 75, MAIN), ("hot", 25, HOT_NAN)), ("between", 200.0, 300.0), 0.0),
     (MAIN, (("main", 75, MAIN), ("hot", 25, HOT_NAN)), ("gt", 200.0), 0.0),
     (MAIN, (("main", 75, MAIN), ("hot", 25, dict(min_value=NAN, max_value=NAN,
                                                    null_count=0))),

@@ -162,9 +162,12 @@ class TestZoneMustMatch:
     def test_nan_semantics(self):
         nan_zone = ColumnZone(1.0, 2.0, null_count=0, num_rows=5, has_nan=True)
         zones = {"x": nan_zone}
-        # NaN fails ordered comparisons but passes BETWEEN (exclusion) and !=.
+        # NaN fails ordered comparisons and BETWEEN (its two comparisons),
+        # and passes !=.
         assert not zone_must_match(ge("x", 0.0), zones, 5)
-        assert zone_must_match(between("x", 0.0, 10.0), zones, 5)
+        assert not zone_must_match(between("x", 0.0, 10.0), zones, 5)
+        assert zone_must_match(between("x", 0.0, 10.0),
+                               {"x": ColumnZone(1.0, 2.0, null_count=0, num_rows=5)}, 5)
         assert zone_must_match(ne("x", 99.0), zones, 5)
         assert not zone_must_match(eq("x", float("nan")), zones, 5)
 

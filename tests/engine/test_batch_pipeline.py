@@ -297,13 +297,13 @@ class TestVectorizedPredicateMask:
             mask = vectorized_value_mask(Comparison("x", op, None), arrays, 3)
             assert mask.tolist() == [False, False, False]
 
-    def test_nan_passes_between_like_scalar(self):
+    def test_nan_fails_between_like_scalar(self):
         values = [0.0, float("nan"), 5.0, 20.0]
         arrays = {"x": values_to_array(values)}
         predicate = Between("x", -1.0, 10.0)
         mask = vectorized_value_mask(predicate, arrays, 4)
         expected = [predicate.evaluate({"x": value}) for value in values]
-        assert expected == [True, True, True, False]  # scalar keeps NaN
+        assert expected == [True, False, True, False]  # NaN fails both comparisons
         assert mask.tolist() == expected
 
     def test_nul_string_literal_falls_back_to_scalar(self):

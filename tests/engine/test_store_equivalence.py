@@ -254,18 +254,16 @@ def _nan_rows(with_nan):
 
 
 class TestNanBounds:
-    """``BETWEEN`` with a NaN bound: the scalar evaluator tests BETWEEN by
-    exclusion (``value < low`` / ``value > high``), which a NaN bound never
-    triggers — it is an open side, inclusive or not — and an ordered
-    comparison with NaN matches no row.  Every layout answers that, whether
-    the predicate comes as an AST or through ``?`` parameters, before and
-    after a position-index build, with zone pruning on or off.
+    """``BETWEEN`` with a NaN bound matches no row: ``BETWEEN`` is its two
+    comparisons, and a comparison with NaN is false — as is an ordered
+    comparison with NaN.  Every layout answers that, whether the predicate
+    comes as an AST or through ``?`` parameters, before and after a
+    position-index build, with zone pruning on or off.
 
-    Inclusive bounds (all SQL ``BETWEEN`` can say) always agreed; an
-    *exclusive* NaN bound (``Between(..., include_low=False)``) was bisected
-    by the column store's dictionary and by the row store's sorted index into
-    an empty range, and the sorted index handed out every row for ``id >=
-    NaN``.
+    An *exclusive* NaN bound (``Between(..., include_low=False)``) was once
+    bisected by the column store's dictionary and by the row store's sorted
+    index into an empty range, and the sorted index handed out every row for
+    ``id >= NaN``.
     """
 
     BOUNDS = [(NAN, 5), (2, NAN), (NAN, NAN), (None, NAN), (NAN, None)]
@@ -383,3 +381,31 @@ class TestSortedIndexOverNanAndNull:
         row = self._answers(Store.ROW, keys, self.QUERIES, schema, index_column="k")
         assert row == self._answers(Store.COLUMN, keys, self.QUERIES, schema)
         assert row[0] == [0, 2, 4]
+
+
+class TestBetweenIsItsTwoComparisons:
+    """On a ``DOUBLE`` column holding NaN, 1.5, 5.0 and NULL, ``BETWEEN``
+    counted the NaN row (it was tested by exclusion) and ``min`` over it
+    returned ``nan``; now it equals ``x >= 1 AND x <= 2`` on every store."""
+
+    @pytest.mark.parametrize("store", ["ROW", "COLUMN"])
+    def test_nan_fails_between(self, store):
+        from repro.api import connect
+        from repro.engine.types import Store
+
+        schema = TableSchema(
+            "t",
+            (Column("id", DataType.INTEGER, primary_key=True),
+             Column("x", DataType.DOUBLE, nullable=True)),
+        )
+        session = connect()
+        session.create_table(schema, getattr(Store, store))
+        session.load_rows("t", [{"id": i, "x": x} for i, x in enumerate([NAN, 1.5, 5.0, None])])
+
+        def count(where):
+            return session.sql(f"SELECT count(*) FROM t WHERE {where}").rows[0]["count_star"]
+
+        assert count("x BETWEEN 1 AND 2") == count("x >= 1 AND x <= 2") == 1
+        assert session.sql("SELECT min(x) FROM t WHERE x BETWEEN 1 AND 2").rows == [
+            {"min_x": 1.5}
+        ]

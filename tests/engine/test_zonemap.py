@@ -110,8 +110,8 @@ class TestZoneCanMatch:
     def test_nan_zone_is_conservative(self):
         zone = ColumnZone(1.0, 2.0, null_count=0, num_rows=5, has_nan=True)
         zones = {"x": zone}
-        # NaN passes BETWEEN (exclusion test) and matches !=.
-        assert zone_can_match(between("x", 100.0, 200.0), zones, 5)
+        # NaN matches != but fails BETWEEN, which is its two comparisons.
+        assert not zone_can_match(between("x", 100.0, 200.0), zones, 5)
         assert zone_can_match(ne("x", 1.0), zones, 5)
         # Ordered comparisons never match NaN; the real range still decides.
         assert not zone_can_match(gt("x", 50.0), zones, 5)

@@ -49,6 +49,17 @@ class TestEvaluation:
         assert not Between("a", 1, 5, include_high=False).evaluate(ROW)
         assert Between("a", 5, None).evaluate(ROW)
         assert Between("a", None, 5).evaluate(ROW)
+
+    def test_between_is_its_two_comparisons_over_nan(self):
+        nan = float("nan")
+        assert not between("a", 1.0, 2.0).evaluate({"a": nan})
+        assert not Between("a", nan, None).evaluate({"a": 1.5})
+        assert not Between("a", None, nan, include_high=False).evaluate({"a": 1.5})
+        for low, high in ((1.0, 2.0), (nan, 2.0), (1.0, nan)):
+            for value in (nan, 0.5, 1.0, 1.5, 2.0, 3.0):
+                assert between("a", low, high).evaluate({"a": value}) == (
+                    ge("a", low).evaluate({"a": value}) and le("a", high).evaluate({"a": value})
+                )
         with pytest.raises(QueryError):
             Between("a")
 
