@@ -35,7 +35,8 @@ from repro.query.ast import (
     UpdateQuery,
     split_qualified,
 )
-from repro.query.predicates import Between, CompareOp, Comparison, Predicate
+from repro.query.predicates import Predicate
+from repro.query.ranges import ranges_of
 
 
 @dataclass(frozen=True)
@@ -196,23 +197,19 @@ def _matched_rows(predicate: Optional[Predicate], profile: TableProfile) -> floa
 
 
 def _uses_primary_key_index(predicate: Optional[Predicate], schema: TableSchema) -> bool:
-    """Whether the row store can answer *predicate* with its primary-key index.
+    """Whether the row store answers *predicate* with its primary-key index.
 
-    The row store maintains both an equality and a range index on a
-    single-column primary key, so comparisons and BETWEEN ranges on that
-    column avoid a table scan.
+    The row store keeps an equality and a range index on a single-column
+    primary key, and a leaf on that column is answered from them exactly
+    when its :func:`~repro.query.ranges.ranges_of` names an index access —
+    the rule :meth:`RowStoreTable.index_access` applies (``IN``, ``!=`` and
+    ``IS NULL`` scan).
     """
-    if predicate is None:
+    if predicate is None or len(schema.primary_key) != 1:
         return False
-    primary_key = schema.primary_key
-    if len(primary_key) != 1:
-        return False
-    key = primary_key[0]
-    if isinstance(predicate, Comparison) and predicate.column == key:
-        return True
-    if isinstance(predicate, Between) and predicate.column == key:
-        return True
-    return False
+    ranges = ranges_of(predicate)
+    return (ranges is not None and ranges.index is not None
+            and predicate.column == schema.primary_key[0])
 
 
 def _charge_row_store_lookup(

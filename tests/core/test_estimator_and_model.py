@@ -21,6 +21,7 @@ from repro.query import (
     delete,
     eq,
     insert,
+    ne,
     select,
     update,
 )
@@ -59,6 +60,41 @@ class TestCostTermExtraction:
         (contribution,) = query_contributions(query, {"sales": Store.ROW}, profiles)
         assert "row_scan_bytes" not in contribution.terms
         assert contribution.terms["index_probes"] == 1.0
+
+    def test_not_equal_on_the_key_is_priced_as_the_scan_it_is(self, profiles):
+        query = select("sales").where(ne("id", 3)).build()
+        (contribution,) = query_contributions(query, {"sales": Store.ROW}, profiles)
+        assert "index_probes" not in contribution.terms
+        assert contribution.terms["row_scan_bytes"] > 0
+
+    def test_primary_key_index_rule_is_the_row_stores(self):
+        """For every leaf kind, the estimator says "index" exactly when a row
+        store holding only its primary-key index answers from an index."""
+        from repro.core.cost_model.estimator import _uses_primary_key_index
+        from repro.engine.row_store import RowStoreTable
+        from repro.engine.schema import TableSchema
+        from repro.engine.table import load_rows
+        from repro.engine.types import DataType
+        from repro.query.predicates import Between, CompareOp, Comparison, InList, IsNull
+
+        schema = TableSchema.build(
+            "t", [("id", DataType.DOUBLE), ("v", DataType.INTEGER)], primary_key=["id"]
+        )
+        table = RowStoreTable(schema)
+        load_rows(table, [{"id": float(i), "v": i} for i in range(10)])
+        nan = float("nan")
+        leaves = [
+            Comparison(column, op, literal)
+            for column in ("id", "v") for op in CompareOp for literal in (3.0, None, nan)
+        ] + [
+            Between("id", 1.0, 4.0), Between("id", nan, 4.0, False, True),
+            Between("v", 1, 4), InList("id", (1.0,)), InList("id", (1.0, None)),
+            IsNull("id"),
+        ]
+        for leaf in leaves:
+            assert _uses_primary_key_index(leaf, schema) == (
+                table.index_access(leaf) is not None
+            ), leaf
 
     def test_point_select_scans_codes_on_column_store(self, profiles):
         query = select("sales").where(eq("id", 3)).build()
