@@ -305,14 +305,6 @@ class StorageAdvisor:
         )
         return base_plan, view_plan
 
-    # -- table-level only shortcut ----------------------------------------------------------------
-
-    def recommend_table_level(
-        self, database: HybridDatabase, workload: Workload
-    ) -> Recommendation:
-        """Recommendation restricted to whole-table store decisions."""
-        return self.recommend(database, workload, include_partitioning=False)
-
     # -- applying recommendations ------------------------------------------------------------------
 
     def apply(

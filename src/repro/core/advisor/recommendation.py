@@ -79,12 +79,6 @@ class TableRecommendation:
     def is_partitioned(self) -> bool:
         return isinstance(self.choice, TablePartitioning)
 
-    @property
-    def estimated_ms_chosen(self) -> float:
-        if isinstance(self.choice, Store) and self.choice is Store.ROW:
-            return self.estimated_ms_row
-        return self.estimated_ms_column
-
     def describe(self) -> str:
         if isinstance(self.choice, Store):
             layout = f"{self.choice.value} store"
@@ -171,13 +165,6 @@ class Recommendation:
         if self.estimated_row_only_ms <= 0:
             return 0.0
         return 1.0 - self.estimated_total_ms / self.estimated_row_only_ms
-
-    @property
-    def estimated_improvement_vs_column(self) -> float:
-        """Relative improvement of the recommended layout over column-store-only."""
-        if self.estimated_column_only_ms <= 0:
-            return 0.0
-        return 1.0 - self.estimated_total_ms / self.estimated_column_only_ms
 
     def choice_for(self, table: str) -> StoreChoice:
         return self.layout.choices[table]

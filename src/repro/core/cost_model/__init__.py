@@ -1,11 +1,5 @@
 """The storage advisor's cost model (Section 3 of the paper)."""
 
-from repro.core.cost_model.adjustments import (
-    AdjustmentFunction,
-    ConstantAdjustment,
-    LinearAdjustment,
-    PiecewiseLinearAdjustment,
-)
 from repro.core.cost_model.calibration import (
     CalibrationReport,
     CalibrationSample,
@@ -26,17 +20,13 @@ from repro.core.cost_model.parameters import (
 
 __all__ = [
     "COST_TERMS",
-    "AdjustmentFunction",
     "CalibrationReport",
     "CalibrationSample",
-    "ConstantAdjustment",
     "CostContribution",
     "CostModel",
     "CostModelCalibrator",
     "CostModelParameters",
     "CostTermWeights",
-    "LinearAdjustment",
-    "PiecewiseLinearAdjustment",
     "TableProfile",
     "WorkloadEstimate",
     "analytic_parameters",

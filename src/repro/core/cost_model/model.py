@@ -102,10 +102,6 @@ class WorkloadEstimate:
     per_query_ms: list = field(default_factory=list)
     per_type_ms: Dict[QueryType, float] = field(default_factory=dict)
 
-    @property
-    def total_s(self) -> float:
-        return self.total_ms / 1000.0
-
 
 class CostModel:
     """Estimates query runtimes for row-store and column-store placements."""

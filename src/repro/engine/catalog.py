@@ -167,9 +167,6 @@ class Catalog:
     def store_of(self, name: str) -> Store:
         return self.entry(name).store
 
-    def partitioning_of(self, name: str) -> Optional[TablePartitioning]:
-        return self.entry(name).partitioning
-
     def table_names(self) -> List[str]:
         return sorted(self._entries)
 
@@ -207,9 +204,6 @@ class Catalog:
         if entry.statistics is None:
             entry.statistics = statistics_from_schema(entry.schema, num_rows=0, store=entry.store)
         return entry.statistics
-
-    def all_statistics(self) -> Dict[str, TableStatistics]:
-        return {name: self.statistics_of(name) for name in self.table_names()}
 
     # -- reporting ----------------------------------------------------------------------------
 

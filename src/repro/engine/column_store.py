@@ -113,11 +113,6 @@ SCAN_MATERIALIZATION_THRESHOLD = 0.15
 _CODE_DOMAIN = Toggle()
 
 
-def code_domain_enabled() -> bool:
-    """Whether predicates compile to code-domain masks (vs decode/compare)."""
-    return _CODE_DOMAIN.enabled
-
-
 def code_domain_disabled():
     """Force the decode-and-compare fallback for every predicate.
 
@@ -212,11 +207,6 @@ class DeltaColumn:
         if self._array is None:
             self._array = values_to_array(list(self.values))
         return self._array
-
-    @property
-    def new_null(self) -> bool:
-        """Whether the delta introduces NULL to a NULL-free main dictionary."""
-        return self.null_count > 0
 
 
 class ColumnStoreSnapshot:
@@ -1439,6 +1429,3 @@ class ColumnStoreTable:
         low = min(bounds)
         high = max(bounds) if nan_value is None else nan_value
         return low, high
-
-    def column_code_width(self, column: str) -> int:
-        return code_width_bytes(self._logical_distinct(column))

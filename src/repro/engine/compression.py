@@ -340,9 +340,6 @@ class ColumnDictionary:
             return None if code == 0 else self._values[code - 1]
         return self._values[code]
 
-    def decode_many(self, codes: Iterable[int]) -> List[Any]:
-        return self.decode_array(np.fromiter(codes, dtype=np.int64)).tolist()
-
     def decode_array(self, codes: np.ndarray) -> np.ndarray:
         """Decode a code array with one fancy-indexing gather.
 

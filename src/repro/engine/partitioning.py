@@ -278,10 +278,6 @@ class PartitionedTable:
         return True
 
     @property
-    def has_hot_partition(self) -> bool:
-        return self.hot is not None
-
-    @property
     def has_vertical_split(self) -> bool:
         return self._vertical_row_part is not None
 

@@ -169,9 +169,6 @@ class CostAccountant:
 
     # -- generic ---------------------------------------------------------------
 
-    def charge_ns(self, component: str, nanoseconds: float) -> None:
-        self.breakdown.add(component, nanoseconds)
-
     def charge_query_overhead(self) -> None:
         self.breakdown.add("query_overhead", self.device.query_overhead())
 

@@ -305,9 +305,6 @@ class WriteAheadLog:
     ) -> int:
         return self.append(APPLY_PARTITIONING, (name, partitioning))
 
-    def log_remove_partitioning(self, name: str, store: Store) -> int:
-        return self.append(REMOVE_PARTITIONING, (name, store))
-
     def log_load_rows(
         self, name: str, rows: Sequence[Mapping[str, Any]]
     ) -> int:

@@ -184,10 +184,6 @@ class Between(Predicate):
                 return min(1.0, (hi - lo) / (float(high) - float(low)))
         return DEFAULT_RANGE_SELECTIVITY
 
-    @property
-    def is_point(self) -> bool:
-        return self.low is not None and self.low == self.high
-
 
 @dataclass(frozen=True)
 class InList(Predicate):

@@ -47,17 +47,6 @@ class SyntheticTableConfig:
         if self.num_keyfigures < 1:
             raise WorkloadError("a synthetic table needs at least one keyfigure")
 
-    @property
-    def num_attributes(self) -> int:
-        """Total number of attributes including the ID column."""
-        return (
-            1
-            + self.num_keyfigures
-            + self.num_group_attrs
-            + self.num_filter_attrs
-            + self.num_oltp_attrs
-        )
-
 
 @dataclass
 class TableRoles:
