@@ -20,6 +20,7 @@ import operator
 from typing import AbstractSet, Any, Dict, KeysView, List, Optional, Sequence
 
 from repro.errors import ExecutionError
+from repro.query.ranges import is_nan
 
 
 def check_new_keys(table: str, keys: Sequence[Any], existing: AbstractSet) -> set:
@@ -124,7 +125,7 @@ class SortedIndex:
         """The position list of an unordered *key* (NULL or NaN), else ``None``."""
         if key is None:
             return self._nulls
-        if key != key:
+        if is_nan(key):
             return self._nans
         return None
 
@@ -198,7 +199,8 @@ class SortedIndex:
         """
         ordered: Sequence[int] = range(len(keys))
         self._nulls, self._nans = [], []
-        if None in keys or not all(map(operator.eq, keys, keys)):  # NULL or NaN
+        # One C-speed pass each: NaN is the one key unequal to itself.
+        if None in keys or not all(map(operator.eq, keys, keys)):
             ordered = []
             for position, key in enumerate(keys):
                 apart = self._apart(key)

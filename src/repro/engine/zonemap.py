@@ -43,7 +43,7 @@ from typing import Any, Callable, Mapping, Optional, Tuple
 from repro.engine.toggle import Toggle
 from repro.query.ast import split_qualified
 from repro.query.predicates import And, Not, Or, Predicate, TruePredicate
-from repro.query.ranges import ranges_of
+from repro.query.ranges import is_nan, ranges_of
 
 __all__ = [
     "ColumnZone",
@@ -82,11 +82,6 @@ def zone_pruning_disabled():
     return _PRUNING.disabled()
 
 
-def is_nan(value: Any) -> bool:
-    """Whether *value* is a float NaN (the engine's one NaN test)."""
-    return isinstance(value, float) and value != value
-
-
 @dataclass(frozen=True)
 class ColumnZone:
     """Synopsis of one column of one partition.
@@ -105,15 +100,6 @@ class ColumnZone:
     null_count: Optional[int]
     num_rows: int
     has_nan: bool = False
-
-    @property
-    def all_null(self) -> bool:
-        """Provably every cell is NULL (comparisons cannot match)."""
-        return (
-            self.null_count is not None
-            and self.num_rows > 0
-            and self.null_count >= self.num_rows
-        )
 
     @property
     def has_values(self) -> bool:

@@ -47,7 +47,7 @@ from typing import Any, NamedTuple, Optional, Tuple
 
 from repro.query.predicates import Between, CompareOp, Comparison, InList, IsNull, Predicate
 
-__all__ = ["Interval", "ValueRanges", "is_singleton", "ranges_of"]
+__all__ = ["Interval", "ValueRanges", "is_nan", "is_singleton", "ranges_of"]
 
 #: ``(low, high, low_closed, high_closed)``; a ``None`` end is unbounded.
 Interval = Tuple[Any, Any, bool, bool]
@@ -81,7 +81,8 @@ def is_singleton(interval: Interval) -> bool:
     return low_closed and high_closed and low is high is not None
 
 
-def _is_nan(value: Any) -> bool:
+def is_nan(value: Any) -> bool:
+    """Whether *value* is a float NaN (the one NaN test)."""
     return isinstance(value, float) and value != value
 
 
@@ -97,19 +98,19 @@ def ranges_of(leaf: Predicate) -> Optional[ValueRanges]:
     if kind is Comparison:
         op, value = leaf.op, leaf.value
         if op is CompareOp.EQ:
-            if value is None or _is_nan(value):
+            if value is None or is_nan(value):
                 return _NOTHING["point"]
             return _new(ValueRanges, (((value, value, True, True),), False, False, "point", None))
         if op is CompareOp.NE:
             if value is None:
                 return _NOTHING[None]
-            if _is_nan(value):
+            if is_nan(value):
                 return _new(ValueRanges, ((_EVERY_REAL,), False, True, None, None))
             return _new(ValueRanges, (
                 ((None, value, False, False), (value, None, False, False)),
                 False, True, None, value,
             ))
-        if value is None or _is_nan(value):
+        if value is None or is_nan(value):
             return _NOTHING["range"]
         if op is CompareOp.LT or op is CompareOp.LE:
             interval = (None, value, False, op is CompareOp.LE)
@@ -118,7 +119,7 @@ def ranges_of(leaf: Predicate) -> Optional[ValueRanges]:
         return _new(ValueRanges, ((interval,), False, False, "range", None))
     if kind is Between:
         low, high = leaf.low, leaf.high
-        if _is_nan(low) or _is_nan(high):
+        if is_nan(low) or is_nan(high):
             return _NOTHING["range"]
         return _new(ValueRanges, (
             ((low, high, leaf.include_low, leaf.include_high),), False, False, "range", None,
@@ -126,7 +127,7 @@ def ranges_of(leaf: Predicate) -> Optional[ValueRanges]:
     if kind is InList:
         return ValueRanges(
             tuple((value, value, True, True) for value in leaf.values
-                  if value is not None and not _is_nan(value)),
+                  if value is not None and not is_nan(value)),
             any(value is None for value in leaf.values),
         )
     if kind is IsNull:
