@@ -52,7 +52,14 @@
 #                an `.evaluate(` routing rows in engine/partitioning.py, or
 #                the deleted row-at-a-time loaders (`bulk_load_columns`,
 #                `_load_main`, `_load_columns_trusted`): rows become columns
-#                once, and every store loads columns.
+#                once, and every store loads columns; and if engine/zonemap.py,
+#                engine/batch.py, engine/column_store.py or engine/row_store.py
+#                read a leaf's fields (`predicate.op`, `.value`, `.low`,
+#                `.high`, `.include_low`, `.include_high`, `.values`) or name a
+#                CompareOp, or a deleted per-kind leaf function comes back —
+#                what a leaf matches is query/ranges.py's `ranges_of`, and
+#                every consumer is an interval operation over it; and if a
+#                definition deleted for having no caller is defined again.
 #   fuzz       — the seeded differentials: every fast path vs its toggled
 #                reference, on rows, CostBreakdown totals and charge order.
 #   faults / resilience / integrity — crash points, process faults and
@@ -93,7 +100,7 @@ python -m pytest -m matview -q tests benchmarks
 echo "== shard: scatter/gather differential + projection gates =="
 python -m pytest -m shard -q tests benchmarks
 
-echo "== ledger: one home per charge, one prunable unit, one execution context, one executor, one statement path, no per-row group renumbering, one writer of the codes, one binder, one columnar load path =="
+echo "== ledger: one home per charge, one prunable unit, one execution context, one executor, one statement path, no per-row group renumbering, one writer of the codes, one binder, one columnar load path, one leaf meaning =="
 deleted='compile_code_leaves|_DRY_MASK|charge_column_scan|_charge_pruned_main_update|_charge_main_positions|validate_assignments|_answers_from_index'
 if grep -rnE --include='*.py' "$deleted" src/; then
     echo "ledger: a deleted charge twin is back (see above)"; exit 1
@@ -150,6 +157,20 @@ if grep -nE 'row\.get\([^)]*\) for row in rows' src/repro/engine/schema.py \
         || grep -nE '\.evaluate\(' src/repro/engine/partitioning.py \
         || grep -rnE --include='*.py' 'bulk_load_columns|_load_main\b|_load_columns_trusted' src/; then
     echo "ledger: a per-row load spelling is back (see above) — rows become columns once (TableSchema.validate_rows_columnar) and every store loads columns"; exit 1
+fi
+if grep -nE 'predicate\.(op|value|low|high|include_low|include_high|values)\b|CompareOp' \
+        src/repro/engine/zonemap.py src/repro/engine/batch.py \
+        src/repro/engine/column_store.py src/repro/engine/row_store.py; then
+    echo "ledger: an engine consumer decides a leaf's meaning itself (see above) — ask repro.query.ranges.ranges_of"; exit 1
+fi
+deleted='_comparison_can_match|_between_can_match|_in_list_can_match|_comparison_must_match|_between_must_match|_in_list_must_match|_translate_leaf'
+if grep -rnE --include='*.py' "$deleted" src/; then
+    echo "ledger: a per-kind leaf function is back (see above) — consumers are interval operations over ranges_of"; exit 1
+fi
+deleted='is_point|code_domain_enabled|column_code_width|new_null|decode_many|charge_ns|all_statistics|partitioning_of|has_hot_partition|total_s|num_attributes|estimated_improvement_vs_column|estimated_ms_chosen|recommend_table_level|log_remove_partitioning'
+if grep -rnE --include='*.py' "def ($deleted)\b" src/ \
+        || ls src/repro/core/cost_model/adjustments.py 2>/dev/null; then
+    echo "ledger: a definition deleted for having no caller is back (see above)"; exit 1
 fi
 echo "ledger clean."
 
