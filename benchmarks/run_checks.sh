@@ -59,7 +59,11 @@
 #                CompareOp, or a deleted per-kind leaf function comes back —
 #                what a leaf matches is query/ranges.py's `ranges_of`, and
 #                every consumer is an interval operation over it; and if a
-#                definition deleted for having no caller is defined again.
+#                definition deleted for having no caller is defined again;
+#                and if the whole-log scan (`_scan_log`, `_LogScan`) is
+#                defined again or engine/wal.py logs a load as row dicts
+#                (`dict(row) for row in`) — the log is read one record at a
+#                time, and a load is logged as the columns it loaded.
 #   fuzz       — the seeded differentials: every fast path vs its toggled
 #                reference, on rows, CostBreakdown totals and charge order.
 #   faults / resilience / integrity — crash points, process faults and
@@ -100,7 +104,7 @@ python -m pytest -m matview -q tests benchmarks
 echo "== shard: scatter/gather differential + projection gates =="
 python -m pytest -m shard -q tests benchmarks
 
-echo "== ledger: one home per charge, one prunable unit, one execution context, one executor, one statement path, no per-row group renumbering, one writer of the codes, one binder, one columnar load path, one leaf meaning =="
+echo "== ledger: one home per charge, one prunable unit, one execution context, one executor, one statement path, no per-row group renumbering, one writer of the codes, one binder, one columnar load path, one leaf meaning, one log record at a time =="
 deleted='compile_code_leaves|_DRY_MASK|charge_column_scan|_charge_pruned_main_update|_charge_main_positions|validate_assignments|_answers_from_index'
 if grep -rnE --include='*.py' "$deleted" src/; then
     echo "ledger: a deleted charge twin is back (see above)"; exit 1
@@ -156,7 +160,7 @@ fi
 if grep -nE 'row\.get\([^)]*\) for row in rows' src/repro/engine/schema.py \
         || grep -nE '\.evaluate\(' src/repro/engine/partitioning.py \
         || grep -rnE --include='*.py' 'bulk_load_columns|_load_main\b|_load_columns_trusted' src/; then
-    echo "ledger: a per-row load spelling is back (see above) — rows become columns once (TableSchema.validate_rows_columnar) and every store loads columns"; exit 1
+    echo "ledger: a per-row load spelling is back (see above) — rows become columns once (TableSchema.gather_columns) and every store loads columns"; exit 1
 fi
 if grep -nE 'predicate\.(op|value|low|high|include_low|include_high|values)\b|CompareOp' \
         src/repro/engine/zonemap.py src/repro/engine/batch.py \
@@ -171,6 +175,10 @@ deleted='is_point|code_domain_enabled|column_code_width|new_null|decode_many|cha
 if grep -rnE --include='*.py' "def ($deleted)\b" src/ \
         || ls src/repro/core/cost_model/adjustments.py 2>/dev/null; then
     echo "ledger: a definition deleted for having no caller is back (see above)"; exit 1
+fi
+if grep -rnE --include='*.py' '(def|class) +(_scan_log|_LogScan)\b' src/ \
+        || grep -nF 'dict(row) for row in' src/repro/engine/wal.py; then
+    echo "ledger: the whole-log scan or a row-dict load record is back (see above) — the log is read one record at a time (wal._LogReader), and a load is logged as its columns"; exit 1
 fi
 echo "ledger clean."
 

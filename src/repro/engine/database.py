@@ -26,7 +26,6 @@ from repro.engine.partitioning import PartitionedTable, TablePartitioning
 from repro.engine.schema import TableSchema
 from repro.engine.statistics import TableStatistics, compute_table_statistics
 from repro.engine.table import StoredTable
-from repro.engine.table import load_rows as load_table_rows
 from repro.engine.timing import CostAccountant, CostBreakdown, DeviceModel
 from repro.engine.types import Store
 from repro.errors import CatalogError, WalError
@@ -383,18 +382,44 @@ class HybridDatabase:
     def load_rows(self, name: str, rows: Iterable[Mapping[str, Any]]) -> int:
         """Bulk load rows without cost accounting (initial data population).
 
-        The rows are validated once, column-at-a-time, and every store loads
-        the columns (:func:`~repro.engine.table.load_rows`).  A load that
-        fails — a schema violation or a duplicate primary key — changes
-        nothing, so it is not logged either.
+        The rows become column lists once
+        (:meth:`~repro.engine.schema.TableSchema.gather_columns`) and load
+        as :meth:`load_columns` loads them.
         """
-        table = self.table_object(name)
-        rows = list(rows)
-        load_table_rows(table, rows)
+        rows = rows if isinstance(rows, (list, tuple)) else list(rows)
+        schema = self.table_object(name).schema
+        self._load_columns(name, schema.gather_columns(rows), len(rows))
         self.refresh_statistics(name)
-        if self.wal is not None:
-            self.wal.log_load_rows(name, rows)
         return len(rows)
+
+    def load_columns(
+        self, name: str, columns: Mapping[str, list], num_rows: int
+    ) -> int:
+        """Bulk load *num_rows* rows given as column lists (a logged load's replay)."""
+        self._load_columns(name, columns, num_rows)
+        self.refresh_statistics(name)
+        return num_rows
+
+    def _load_columns(
+        self, name: str, columns: Mapping[str, list], num_rows: int
+    ) -> None:
+        """Validate *columns* once, load them into every store, log them.
+
+        Validation is column-at-a-time
+        (:meth:`~repro.engine.schema.TableSchema.validate_columns`), and the
+        log records the validated columns, so replaying the load checks
+        canonical lists and comes back here.  A load that fails — a schema
+        violation or a duplicate primary key — changes nothing, so it is not
+        logged either; nor does a load run against a closed log.  The lists
+        are dropped before the caller refreshes the statistics.
+        """
+        if self.wal is not None and self.wal.closed:
+            raise WalError("write-ahead log is closed")
+        table = self.table_object(name)
+        columns = table.schema.validate_columns(columns, num_rows)
+        table.load_columns(columns, num_rows)
+        if self.wal is not None:
+            self.wal.log_load_columns(name, columns, num_rows)
 
     # -- statistics --------------------------------------------------------------------------
 

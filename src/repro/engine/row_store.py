@@ -278,7 +278,7 @@ class RowStoreTable:
         """Append *num_rows* validated rows given as column lists — the one loader.
 
         Loads, store conversions and partition moves all come here, with
-        values already coerced (:meth:`TableSchema.validate_rows_columnar`
+        values already coerced (:meth:`TableSchema.validate_columns`
         or another backend's columns).  A load that would duplicate a
         primary key raises before anything changes.  Rows are assembled by
         one ``zip``, each index is rebuilt once from its whole column, and

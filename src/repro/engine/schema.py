@@ -185,45 +185,25 @@ class TableSchema:
             )
         return validated
 
-    def validate_rows_columnar(
-        self, rows: Sequence[Mapping[str, Any]]
-    ) -> Dict[str, list]:
-        """Validate and coerce *rows* column-at-a-time (the bulk-load boundary).
+    def gather_columns(self, rows: Sequence[Mapping[str, Any]]) -> Dict[str, list]:
+        """Turn *rows* into column lists — the row boundary of every bulk load.
 
-        Semantically equivalent to :meth:`validate_row` per row — unknown
-        columns and missing (or ``None``) non-nullable values raise
-        :class:`SchemaError` — but the result is column lists instead of row
-        dicts, and every per-row step runs inside a C-level ``map``: one
-        ``itemgetter`` pass gathers a column, one ``type`` pass proves it
-        canonical (its type set also proves it free of NULLs and of absent
-        cells), and only columns holding anything else pay a per-value
-        coercion.
+        One C-level ``itemgetter`` pass gathers each column; a column some
+        row does not hold takes a ``get`` pass instead, and its absent cells
+        are :data:`_MISSING`, which :meth:`validate_columns` tells from an
+        explicit ``None``.  A row naming a column the table does not have
+        raises :class:`SchemaError`.
         """
         columns: Dict[str, list] = {}
-        found_total = 0
-        for column in self.columns:
-            name = column.name
-            dtype = column.dtype
+        absent = 0
+        for name in self._by_name:
             try:
-                raw = list(map(itemgetter(name), rows))
+                columns[name] = list(map(itemgetter(name), rows))
             except KeyError:
-                raw = list(map(methodcaller("get", name, _MISSING), rows))
-            kinds = set(map(type, raw))
-            absent = raw.count(_MISSING) if _Missing in kinds else 0
-            found_total += len(raw) - absent
-            if kinds <= {dtype._exact_type}:
-                columns[name] = raw
-                continue
-            if not column.nullable and (absent or _NoneType in kinds):
-                raise SchemaError(
-                    f"row for table {self.name!r} is missing required column "
-                    f"{name!r}"
-                )
-            coerce = dtype.coerce
-            columns[name] = [
-                None if value is _MISSING else coerce(value) for value in raw
-            ]
-        if found_total != sum(map(len, rows)):
+                values = list(map(methodcaller("get", name, _MISSING), rows))
+                absent += values.count(_MISSING)
+                columns[name] = values
+        if len(rows) * len(columns) - absent != sum(map(len, rows)):
             known = set(self._by_name)
             for row in rows:
                 unknown = set(row) - known
@@ -233,6 +213,46 @@ class TableSchema:
                         f"{sorted(unknown)}"
                     )
         return columns
+
+    def validate_columns(
+        self, columns: Mapping[str, list], num_rows: int
+    ) -> Dict[str, list]:
+        """Validate and coerce column lists of *num_rows* values each.
+
+        The type rule of every bulk load — of :meth:`gather_columns`' output
+        and of a logged load on replay alike — and semantically
+        :meth:`validate_row` per row: a missing (or ``None``) value in a
+        non-nullable column raises :class:`SchemaError`, an absent nullable
+        cell becomes ``None``.  One ``type`` pass proves a column canonical
+        (its type set also proves it free of NULLs and of absent cells) and
+        passes the list through; only columns holding anything else pay a
+        per-value coercion.
+        """
+        if columns.keys() != self._by_name.keys() or any(
+            len(values) != num_rows for values in columns.values()
+        ):
+            raise SchemaError(
+                f"columns for table {self.name!r} do not match its schema"
+            )
+        validated: Dict[str, list] = {}
+        for column in self.columns:
+            name = column.name
+            dtype = column.dtype
+            raw = columns[name]
+            kinds = set(map(type, raw))
+            if kinds <= {dtype._exact_type}:
+                validated[name] = raw
+                continue
+            if not column.nullable and (_Missing in kinds or _NoneType in kinds):
+                raise SchemaError(
+                    f"row for table {self.name!r} is missing required column "
+                    f"{name!r}"
+                )
+            coerce = dtype.coerce
+            validated[name] = [
+                None if value is _MISSING else coerce(value) for value in raw
+            ]
+        return validated
 
     def subset(self, names: Sequence[str], new_name: Optional[str] = None) -> "TableSchema":
         """Return a schema containing only the listed columns (in that order)."""

@@ -34,17 +34,21 @@ def create_backend(schema: TableSchema, store: Store) -> Backend:
 
 
 def load_rows(table, rows: Iterable[Mapping[str, Any]]) -> int:
-    """Validate *rows* column-at-a-time, once, and load them into *table*.
+    """Turn *rows* into validated columns, once, and load them into *table*.
 
-    The row boundary of every bulk load (:meth:`HybridDatabase.load_rows
-    <repro.engine.database.HybridDatabase.load_rows>`, and so recovery's
-    replay of a logged load): past it, rows exist only as column lists, and
+    The row boundary of a bulk load (:meth:`HybridDatabase.load_rows
+    <repro.engine.database.HybridDatabase.load_rows>` takes the same two
+    steps): past :meth:`TableSchema.gather_columns` rows exist only as
+    column lists, :meth:`TableSchema.validate_columns` coerces them, and
     *table* — a :class:`StoredTable` or a
     :class:`~repro.engine.partitioning.PartitionedTable` — loads those.
     Returns the number of rows loaded.
     """
     rows = rows if isinstance(rows, (list, tuple)) else list(rows)
-    table.load_columns(table.schema.validate_rows_columnar(rows), len(rows))
+    schema = table.schema
+    table.load_columns(
+        schema.validate_columns(schema.gather_columns(rows), len(rows)), len(rows)
+    )
     return len(rows)
 
 

@@ -19,6 +19,12 @@ payload extends past the end of the file is a *torn tail* (the process died
 mid-flush): recovery stops there and reports the number of bytes ignored,
 and re-opening the log for appending truncates the tail away.
 
+The log is read one record at a time (:class:`_LogReader`): recovery reads,
+checks, unpickles and applies a record, then drops it before reading the
+next, and re-opening a log keeps only its last LSN and valid end.  A bulk
+load is logged as the columns it loaded, so replaying one holds that load's
+column lists once, and no row objects at all.
+
 Sync modes (how much of the log survives a crash):
 
 ``"commit"``
@@ -36,7 +42,15 @@ A :meth:`WriteAheadLog.checkpoint` pickles the database state into a
 side-car snapshot file (written to a temp file and atomically renamed) and
 resets the log; recovery restores the snapshot first and replays only the
 records with an LSN greater than the snapshot's, which makes recovery
-idempotent across every crash window of the checkpoint itself.
+idempotent across every crash window of the checkpoint itself.  The
+snapshot's LSN sits in its checksummed frame header::
+
+    RPSNAP2\n                                          magic (8 bytes)
+    [u64 lsn][u64 length][u32 crc32(payload)][u32 crc32(the 20 bytes before)]
+    [payload]                                          pickle(state)
+
+so re-opening a log learns it without reading the payload.  An ``RPSNAP1``
+file (``[u32 length][u32 crc32]`` then ``pickle((lsn, state))``) still reads.
 
 Every step a crash could separate from its neighbours calls
 :func:`repro.testing.faults.fault_point`; the recovery differential fuzzer
@@ -51,8 +65,9 @@ import os
 import pickle
 import struct
 import zlib
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, Mapping, Optional, Tuple
 
 from repro.config import DeviceModelConfig
 from repro.engine.database import HybridDatabase
@@ -66,13 +81,23 @@ from repro.testing import faults
 MAGIC = b"RPWAL1\n"
 
 #: Checkpoint snapshot side-car files carry their own magic + crc frame
-#: (``SNAPSHOT_MAGIC`` + ``_HEADER`` + pickle payload), so a flipped bit or
-#: a truncation is a typed :class:`SnapshotCorruptError`, never undefined
-#: pickle behaviour.  The version digit is part of the magic, like the log's.
-SNAPSHOT_MAGIC = b"RPSNAP1\n"
+#: (``SNAPSHOT_MAGIC`` + ``_SNAPSHOT_FIELDS`` + ``_CRC`` + pickle payload), so
+#: a flipped bit or a truncation is a typed :class:`SnapshotCorruptError`,
+#: never undefined pickle behaviour.  The version digit is part of the magic,
+#: like the log's; ``_SNAPSHOT_MAGIC_V1`` files (no LSN in the header) still
+#: read.
+SNAPSHOT_MAGIC = b"RPSNAP2\n"
+_SNAPSHOT_MAGIC_V1 = b"RPSNAP1\n"
 
-#: ``[u32 payload length][u32 crc32(payload)]`` little-endian record header.
+#: ``[u32 payload length][u32 crc32(payload)]`` little-endian record header
+#: (also the frame header of an ``RPSNAP1`` snapshot).
 _HEADER = struct.Struct("<II")
+
+#: ``[u64 snapshot lsn][u64 payload length][u32 crc32(payload)]``, followed
+#: by ``_CRC`` over these 20 bytes: a snapshot's frame header.
+_SNAPSHOT_FIELDS = struct.Struct("<QQI")
+_CRC = struct.Struct("<I")
+SNAPSHOT_HEADER_SIZE = _SNAPSHOT_FIELDS.size + _CRC.size
 
 SYNC_MODES = ("off", "commit", "batch")
 
@@ -82,7 +107,8 @@ DROP_TABLE = "drop_table"  # table name
 MOVE_TABLE = "move_table"  # (name, Store)
 APPLY_PARTITIONING = "apply_partitioning"  # (name, TablePartitioning)
 REMOVE_PARTITIONING = "remove_partitioning"  # (name, Store)
-LOAD_ROWS = "load_rows"  # (name, list-of-row-dicts)
+# (name, {column: validated values}, num_rows); older logs: (name, row dicts)
+LOAD_ROWS = "load_rows"
 DML = "dml"  # bound Query AST (INSERT / UPDATE / DELETE)
 
 
@@ -91,25 +117,25 @@ def _fsync(handle: io.BufferedWriter) -> None:
     os.fsync(handle.fileno())
 
 
-@dataclass(frozen=True)
-class _ScannedRecord:
-    offset: int
-    lsn: int
-    record_type: str
-    data: Any
+class _LogReader:
+    """One pass over a log file, one framed record at a time.
 
+    Iterating yields ``(lsn, record_type, data)`` for every record whose
+    crc matches, in file order; only the record being read is held.  The
+    damage bookkeeping is complete once the iteration ends.
+    """
 
-@dataclass(frozen=True)
-class _LogScan:
-    """Result of parsing a log file: valid records plus damage bookkeeping."""
-
-    records: Tuple[_ScannedRecord, ...]
-    #: File offsets of records whose CRC did not match (skipped).
-    corrupt_offsets: Tuple[int, ...]
-    #: Offset where a torn tail begins, or ``None`` if the file ends cleanly.
-    torn_tail_offset: Optional[int]
-    #: Total file size in bytes.
-    file_bytes: int
+    def __init__(self, path: str) -> None:
+        self.path = path
+        #: File offsets of records whose CRC did not match (skipped).
+        self.corrupt_offsets: List[int] = []
+        #: Offset where a torn tail begins, or ``None`` if the file ends
+        #: cleanly.
+        self.torn_tail_offset: Optional[int] = None
+        #: Total file size in bytes.
+        self.file_bytes = 0
+        #: Highest LSN read (0 for a log without records).
+        self.max_lsn = 0
 
     @property
     def valid_end(self) -> int:
@@ -122,57 +148,40 @@ class _LogScan:
     def torn_tail_bytes(self) -> int:
         return self.file_bytes - self.valid_end
 
-    @property
-    def max_lsn(self) -> int:
-        if not self.records:
-            return 0
-        return max(record.lsn for record in self.records)
-
-
-def _scan_log(path: str) -> _LogScan:
-    with open(path, "rb") as handle:
-        data = handle.read()
-    if not data.startswith(MAGIC):
-        if MAGIC.startswith(data):
-            # Torn checkpoint reset: the crash hit between ``truncate(0)``
-            # and the magic landing on disk, so the file is empty (or a
-            # strict prefix of the magic).  Everything up to the snapshot
-            # already lives in the side-car; treat the whole file as a torn
-            # tail with zero records rather than rejecting it.
-            return _LogScan(
-                records=(),
-                corrupt_offsets=(),
-                torn_tail_offset=0,
-                file_bytes=len(data),
-            )
-        raise WalError(f"{path!r} is not a WAL file (bad magic)")
-    records: List[_ScannedRecord] = []
-    corrupt: List[int] = []
-    torn: Optional[int] = None
-    offset = len(MAGIC)
-    while offset < len(data):
-        if offset + _HEADER.size > len(data):
-            torn = offset  # incomplete header
-            break
-        length, crc = _HEADER.unpack_from(data, offset)
-        body_start = offset + _HEADER.size
-        if body_start + length > len(data):
-            torn = offset  # incomplete payload
-            break
-        payload = data[body_start:body_start + length]
-        if zlib.crc32(payload) != crc:
-            corrupt.append(offset)
-            offset = body_start + length
-            continue
-        lsn, record_type, record_data = pickle.loads(payload)
-        records.append(_ScannedRecord(offset, lsn, record_type, record_data))
-        offset = body_start + length
-    return _LogScan(
-        records=tuple(records),
-        corrupt_offsets=tuple(corrupt),
-        torn_tail_offset=torn,
-        file_bytes=len(data),
-    )
+    def __iter__(self) -> Iterator[Tuple[int, str, Any]]:
+        with open(self.path, "rb") as handle:
+            end = self.file_bytes = os.fstat(handle.fileno()).st_size
+            head = handle.read(len(MAGIC))
+            if head != MAGIC:
+                if MAGIC.startswith(head):
+                    # Torn checkpoint reset: the crash hit between
+                    # ``truncate(0)`` and the magic landing on disk, so the
+                    # file is empty (or a strict prefix of the magic).
+                    # Everything up to the snapshot already lives in the
+                    # side-car; the whole file is a torn tail, no records.
+                    self.torn_tail_offset = 0
+                    return
+                raise WalError(f"{self.path!r} is not a WAL file (bad magic)")
+            offset = len(MAGIC)
+            while offset < end:
+                if offset + _HEADER.size > end:
+                    self.torn_tail_offset = offset  # incomplete header
+                    return
+                length, crc = _HEADER.unpack(handle.read(_HEADER.size))
+                body_end = offset + _HEADER.size + length
+                if body_end > end:
+                    self.torn_tail_offset = offset  # incomplete payload
+                    return
+                payload = handle.read(length)
+                if zlib.crc32(payload) != crc:
+                    self.corrupt_offsets.append(offset)
+                else:
+                    record = pickle.loads(payload)
+                    del payload  # the record alone is held while it applies
+                    self.max_lsn = max(self.max_lsn, record[0])
+                    yield record
+                    del record  # nor while the next one is read
+                offset = body_end
 
 
 class WriteAheadLog:
@@ -206,7 +215,8 @@ class WriteAheadLog:
         self._lsn = 0
 
         if os.path.exists(path) and os.path.getsize(path) > 0:
-            scan = _scan_log(path)
+            scan = _LogReader(path)
+            deque(scan, maxlen=0)  # read to the end, keeping no record
             self._lsn = scan.max_lsn
             if scan.valid_end < len(MAGIC):
                 # Torn checkpoint reset left the file without a complete
@@ -229,7 +239,7 @@ class WriteAheadLog:
             _fsync(self._handle)
         if os.path.exists(self.snapshot_path):
             try:
-                snapshot_lsn = _read_snapshot(self.snapshot_path)[0]
+                snapshot_lsn = _snapshot_lsn(self.snapshot_path)
             except SnapshotCorruptError:
                 # A corrupt side-car must not block re-opening the log: LSNs
                 # resume from the log's own maximum, and recovery reports the
@@ -305,10 +315,10 @@ class WriteAheadLog:
     ) -> int:
         return self.append(APPLY_PARTITIONING, (name, partitioning))
 
-    def log_load_rows(
-        self, name: str, rows: Sequence[Mapping[str, Any]]
+    def log_load_columns(
+        self, name: str, columns: Mapping[str, list], num_rows: int
     ) -> int:
-        return self.append(LOAD_ROWS, (name, [dict(row) for row in rows]))
+        return self.append(LOAD_ROWS, (name, columns, num_rows))
 
     def log_dml(self, query: Query) -> int:
         return self.append(DML, query)
@@ -330,13 +340,16 @@ class WriteAheadLog:
         self.flush()
         snapshot_lsn = self._lsn
         payload = pickle.dumps(
-            (snapshot_lsn, database.snapshot_state()),
-            protocol=pickle.HIGHEST_PROTOCOL,
+            database.snapshot_state(), protocol=pickle.HIGHEST_PROTOCOL
+        )
+        fields = _SNAPSHOT_FIELDS.pack(
+            snapshot_lsn, len(payload), zlib.crc32(payload)
         )
         tmp_path = self.snapshot_path + ".tmp"
         with open(tmp_path, "wb") as handle:
             handle.write(SNAPSHOT_MAGIC)
-            handle.write(_HEADER.pack(len(payload), zlib.crc32(payload)))
+            handle.write(fields)
+            handle.write(_CRC.pack(zlib.crc32(fields)))
             handle.write(payload)
             _fsync(handle)
         faults.fault_point("checkpoint.after_snapshot")
@@ -345,7 +358,7 @@ class WriteAheadLog:
         # Reset the log: everything up to snapshot_lsn now lives in the
         # snapshot.  A crash before the truncate leaves stale records behind,
         # which recovery's LSN filter skips; a crash between the truncate and
-        # the magic landing leaves a file _scan_log treats as an all-torn
+        # the magic landing leaves a file _LogReader treats as an all-torn
         # tail (zero records), so recovery restores the snapshot alone.
         self._handle.seek(0)
         self._handle.truncate(0)
@@ -408,8 +421,57 @@ class RecoveryResult:
     report: RecoveryReport
 
 
+def _snapshot_frame(handle: io.BufferedReader, path: str) -> Tuple[Optional[int], int]:
+    """Read and check a snapshot's magic and frame header: ``(lsn, crc)``.
+
+    ``lsn`` is ``None`` for an ``RPSNAP1`` file, whose LSN is inside its
+    payload; ``crc`` is the payload's.  A wrong or truncated magic or
+    header, a header crc mismatch, or a file whose size is not the header's
+    payload length past it raises :class:`SnapshotCorruptError`.
+    """
+    magic = handle.read(len(SNAPSHOT_MAGIC))
+    if magic == SNAPSHOT_MAGIC:
+        header = handle.read(SNAPSHOT_HEADER_SIZE)
+        if len(header) < SNAPSHOT_HEADER_SIZE:
+            raise SnapshotCorruptError(f"{path!r}: truncated snapshot header")
+        fields = header[:_SNAPSHOT_FIELDS.size]
+        (header_crc,) = _CRC.unpack_from(header, _SNAPSHOT_FIELDS.size)
+        if zlib.crc32(fields) != header_crc:
+            raise SnapshotCorruptError(f"{path!r}: snapshot header checksum mismatch")
+        lsn, length, crc = _SNAPSHOT_FIELDS.unpack(fields)
+    elif magic == _SNAPSHOT_MAGIC_V1:
+        header = handle.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise SnapshotCorruptError(f"{path!r}: truncated snapshot header")
+        lsn = None
+        length, crc = _HEADER.unpack(header)
+    else:
+        raise SnapshotCorruptError(
+            f"{path!r} is not a checkpoint snapshot (bad magic)"
+        )
+    found = os.fstat(handle.fileno()).st_size - handle.tell()
+    if found != length:
+        raise SnapshotCorruptError(
+            f"{path!r}: truncated snapshot payload "
+            f"(expected {length} bytes, found {found})"
+        )
+    return lsn, crc
+
+
+def _snapshot_lsn(path: str) -> int:
+    """The LSN a snapshot covers, from its frame header alone.
+
+    The header carries its own crc, so the LSN is trustworthy even when the
+    payload behind it is damaged (which only restoring it checks).  An
+    ``RPSNAP1`` snapshot is read whole.
+    """
+    with open(path, "rb") as handle:
+        lsn = _snapshot_frame(handle, path)[0]
+    return _read_snapshot(path)[0] if lsn is None else lsn
+
+
 def _read_snapshot(path: str) -> Tuple[int, Any]:
-    """Read and validate a framed checkpoint snapshot.
+    """Read and validate a framed checkpoint snapshot: ``(lsn, state)``.
 
     Every defect — wrong or truncated magic, truncated header or payload,
     crc mismatch, or a payload pickle that fails to load despite a matching
@@ -418,29 +480,19 @@ def _read_snapshot(path: str) -> Tuple[int, Any]:
     into place, so *any* damage is corruption, not a torn write.
     """
     with open(path, "rb") as handle:
-        data = handle.read()
-    if not data.startswith(SNAPSHOT_MAGIC):
-        raise SnapshotCorruptError(
-            f"{path!r} is not a checkpoint snapshot (bad magic)"
-        )
-    header_end = len(SNAPSHOT_MAGIC) + _HEADER.size
-    if len(data) < header_end:
-        raise SnapshotCorruptError(f"{path!r}: truncated snapshot header")
-    length, crc = _HEADER.unpack_from(data, len(SNAPSHOT_MAGIC))
-    payload = data[header_end:]
-    if len(payload) != length:
-        raise SnapshotCorruptError(
-            f"{path!r}: truncated snapshot payload "
-            f"(expected {length} bytes, found {len(payload)})"
-        )
+        lsn, crc = _snapshot_frame(handle, path)
+        payload = handle.read()
     if zlib.crc32(payload) != crc:
         raise SnapshotCorruptError(f"{path!r}: snapshot checksum mismatch")
     try:
-        return pickle.loads(payload)
+        state = pickle.loads(payload)
+        if lsn is None:
+            lsn, state = state
     except Exception as error:
         raise SnapshotCorruptError(
             f"{path!r}: snapshot payload does not unpickle ({error!r})"
         ) from error
+    return lsn, state
 
 
 def recover(
@@ -475,24 +527,25 @@ def recover(
             report.last_lsn = snapshot_lsn
 
     if os.path.exists(path):
-        scan = _scan_log(path)
-        report.corrupt_offsets = scan.corrupt_offsets
+        scan = _LogReader(path)
+        for lsn, kind, data in scan:
+            if lsn <= report.snapshot_lsn:
+                report.records_stale += 1
+            else:
+                _apply_record(database, lsn, kind, data, report)
+                report.records_applied += 1
+                report.last_lsn = lsn
+            del data  # one record at a time: drop it before reading the next
+        report.corrupt_offsets = tuple(scan.corrupt_offsets)
         report.torn_tail_offset = scan.torn_tail_offset
         report.torn_tail_bytes = scan.torn_tail_bytes
-        for record in scan.records:
-            if record.lsn <= report.snapshot_lsn:
-                report.records_stale += 1
-                continue
-            _apply_record(database, record, report)
-            report.records_applied += 1
-            report.last_lsn = record.lsn
     return RecoveryResult(database=database, report=report)
 
 
 def _apply_record(
-    database: HybridDatabase, record: _ScannedRecord, report: RecoveryReport
+    database: HybridDatabase, lsn: int, kind: str, data: Any,
+    report: RecoveryReport,
 ) -> None:
-    kind, data = record.record_type, record.data
     if kind == CREATE_TABLE:
         schema, store = data
         database.create_table(schema, store)
@@ -508,12 +561,14 @@ def _apply_record(
         name, store = data
         database.remove_partitioning(name, store)
     elif kind == LOAD_ROWS:
-        name, rows = data
-        database.load_rows(name, rows)
+        if len(data) == 2:  # logged as row dicts, before loads were columns
+            database.load_rows(*data)
+        else:
+            database.load_columns(*data)
     elif kind == DML:
         try:
             database.execute(data)
         except Exception as error:  # deterministic partial-state replay
-            report.replay_errors.append((record.lsn, str(error)))
+            report.replay_errors.append((lsn, str(error)))
     else:
         raise WalError(f"unknown WAL record type {kind!r}")

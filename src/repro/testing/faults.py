@@ -217,19 +217,19 @@ def flip_snapshot_bit(path: str, region: str = "payload", bit: int = 0) -> None:
     """Flip one bit in a chosen *region* of a checkpoint snapshot file.
 
     ``"magic"`` corrupts the file identification, ``"header"`` the
-    length/crc frame, ``"payload"`` the pickled state itself — recovery must
-    report every one of them as ``snapshot_corrupt``, never restore from the
-    file, and never crash with a raw pickle error.  (Imported lazily:
+    LSN/length/crc frame, ``"payload"`` the pickled state itself — recovery
+    must report every one of them as ``snapshot_corrupt``, never restore from
+    the file, and never crash with a raw pickle error.  (Imported lazily:
     :mod:`repro.engine.wal` imports this module.)
     """
-    from repro.engine.wal import _HEADER, SNAPSHOT_MAGIC
+    from repro.engine.wal import SNAPSHOT_HEADER_SIZE, SNAPSHOT_MAGIC
 
     if region == "magic":
         offset = 0
     elif region == "header":
         offset = len(SNAPSHOT_MAGIC)
     elif region == "payload":
-        offset = len(SNAPSHOT_MAGIC) + _HEADER.size
+        offset = len(SNAPSHOT_MAGIC) + SNAPSHOT_HEADER_SIZE
     else:
         raise ValueError(
             f"unknown snapshot region {region!r}; expected one of "

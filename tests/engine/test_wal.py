@@ -13,14 +13,21 @@ The WAL is a logical redo log: statements, not pages.  These tests pin
   :class:`RecoveryReport`s — on clean, torn-at-a-boundary and torn
   mid-record logs alike;
 * checkpointing: the snapshot + LSN filter make records before the
-  checkpoint stale, and re-opening a log resumes its LSN sequence.
+  checkpoint stale, and re-opening a log resumes its LSN sequence — from
+  the snapshot's frame header, or from inside an ``RPSNAP1`` payload;
+* the streaming reader: each kind of damage yields the same report fields
+  and the same resume boundary, and recovery holds one record at a time,
+  so its allocation peak stays near that of the load it replays.
 
 The crash-window differential (killing the engine at every declared fault
 point) lives in ``test_recovery_fuzz.py``.
 """
 
 import os
+import pickle
 import struct
+import tracemalloc
+import zlib
 
 import pytest
 
@@ -28,10 +35,10 @@ from repro.engine.database import HybridDatabase
 from repro.engine.schema import Column, TableSchema
 from repro.engine.types import DataType, Store
 from repro.engine.wal import MAGIC, WriteAheadLog, recover
-from repro.errors import WalError
+from repro.errors import SchemaError, WalError
 from repro.query.builder import delete, insert, select, update
 from repro.query.predicates import eq, ge
-from repro.testing.faults import flip_bit, truncate_file
+from repro.testing.faults import flip_bit, flip_snapshot_bit, truncate_file
 
 SCHEMA = TableSchema(
     "t",
@@ -39,6 +46,12 @@ SCHEMA = TableSchema(
         Column("id", DataType.INTEGER, primary_key=True),
         Column("v", DataType.VARCHAR, nullable=True),
     ),
+)
+
+
+DOUBLES = TableSchema(
+    "d",
+    (Column("id", DataType.INTEGER, primary_key=True), Column("x", DataType.DOUBLE)),
 )
 
 
@@ -109,6 +122,34 @@ class TestFormat:
             WriteAheadLog(str(tmp_path / "a.wal"), sync_mode="always")
         with pytest.raises(WalError):
             WriteAheadLog(str(tmp_path / "b.wal"), sync_mode="batch", batch_size=0)
+
+    def test_load_into_a_closed_log_raises_before_loading(self, tmp_path):
+        path = str(tmp_path / "db.wal")
+        database = make_db(path)
+        database.create_table(SCHEMA, Store.COLUMN)
+        database.wal.close()
+        with pytest.raises(WalError, match="closed"):
+            database.load_rows("t", [{"id": 0, "v": "zero"}])
+        assert database.table_object("t").num_rows == 0
+
+    def test_a_logged_load_is_validated_on_replay(self, tmp_path):
+        # A load record carries the loaded columns; replay applies the
+        # load's own type rule to them before any store sees them.
+        path = str(tmp_path / "db.wal")
+        wal = WriteAheadLog(path)
+        wal.log_create_table(DOUBLES, Store.ROW)
+        wal.log_load_columns("d", {"id": [0, 1], "x": [1, 2.5]}, 2)
+        wal.close()
+        database = recover(path).database
+        values = database.table_object("d").column_values("x")
+        assert values == [1.0, 2.5] and type(values[0]) is float
+        for columns in ({"id": [2], "x": [None]}, {"id": [2]}, {"id": [2, 3], "x": [1.0]}):
+            wal = WriteAheadLog(path)
+            wal.log_load_columns("d", columns, 1)
+            wal.close()
+            with pytest.raises(SchemaError):
+                recover(path)
+            truncate_file(path, record_spans(path)[-1][0])
 
     def test_append_after_close_raises(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path / "c.wal"))
@@ -293,3 +334,197 @@ class TestCheckpoint:
         reopened = WriteAheadLog(path)
         assert reopened.last_lsn == 5  # from the snapshot side-car
         reopened.close()
+
+    def test_reopen_reads_the_snapshot_lsn_from_its_header(self, tmp_path):
+        # A completed checkpoint leaves an empty log: the LSN comes from the
+        # side-car's checksummed header, even with its payload damaged.
+        path = str(tmp_path / "db.wal")
+        database = make_db(path)
+        run_workload(database)
+        database.checkpoint()
+        database.wal.close()
+        flip_snapshot_bit(path + ".snapshot", "payload")
+        reopened = WriteAheadLog(path)
+        assert reopened.last_lsn == 5
+        reopened.close()
+        flip_snapshot_bit(path + ".snapshot", "header")
+        reopened = WriteAheadLog(path)  # a bad header never blocks a re-open
+        assert reopened.last_lsn == 0
+        reopened.close()
+
+    def test_a_version_1_snapshot_still_restores_and_resumes(self, tmp_path):
+        path = str(tmp_path / "db.wal")
+        database = make_db(path)
+        run_workload(database)
+        database.checkpoint()
+        database.execute(delete("t", ge("id", 3)))
+        database.wal.close()
+        # The RPSNAP1 frame: [u32 length][u32 crc], then pickle((lsn, state)).
+        payload = pickle.dumps((5, recover(path).database.snapshot_state()))
+        with open(path + ".snapshot", "wb") as handle:
+            handle.write(b"RPSNAP1\n")
+            handle.write(struct.pack("<II", len(payload), zlib.crc32(payload)))
+            handle.write(payload)
+        result = recover(path)
+        assert result.report.snapshot_restored
+        assert result.report.snapshot_lsn == 5
+        assert result.report.records_applied == 1
+        assert rows_of(result.database) == [row for row in EXPECTED_ROWS if row["id"] < 3]
+        reopened = WriteAheadLog(path)
+        assert reopened.last_lsn == 6
+        reopened.close()
+
+
+def _damage_corrupt_middle(path, spans):
+    flip_bit(path, spans[2][0] + 8 + 1)
+    return {"corrupt_offsets": (spans[2][0],), "torn_tail_offset": None,
+            "torn_tail_bytes": 0, "records_applied": 4, "records_stale": 0,
+            "last_lsn": 5}, os.path.getsize(path)
+
+
+def _damage_torn_header(path, spans):
+    truncate_file(path, spans[-1][0] + 5)
+    return {"corrupt_offsets": (), "torn_tail_offset": spans[-1][0],
+            "torn_tail_bytes": 5, "records_applied": 4, "records_stale": 0,
+            "last_lsn": 4}, spans[-1][0]
+
+
+def _damage_torn_payload(path, spans):
+    truncate_file(path, spans[-1][0] + 8 + 2)
+    return {"corrupt_offsets": (), "torn_tail_offset": spans[-1][0],
+            "torn_tail_bytes": 10, "records_applied": 4, "records_stale": 0,
+            "last_lsn": 4}, spans[-1][0]
+
+
+def _damage_prefix_of_magic(path, spans):
+    with open(path, "wb") as handle:
+        handle.write(MAGIC[:3])
+    return {"corrupt_offsets": (), "torn_tail_offset": 0,
+            "torn_tail_bytes": 3, "records_applied": 0, "records_stale": 0,
+            "last_lsn": 0}, len(MAGIC)
+
+
+def _damage_stale_and_corrupt(path, spans):
+    # The snapshot covers every record (a crash before the checkpoint's
+    # truncate), and one of the stale records is corrupt besides.
+    with open(path, "rb") as handle:
+        log = handle.read()
+    database = recover(path).database
+    database.attach_wal(WriteAheadLog(path))
+    database.checkpoint()
+    database.wal.close()
+    with open(path, "wb") as handle:
+        handle.write(log)
+    flip_bit(path, spans[1][0] + 8 + 1)
+    return {"corrupt_offsets": (spans[1][0],), "torn_tail_offset": None,
+            "torn_tail_bytes": 0, "records_applied": 0, "records_stale": 4,
+            "last_lsn": 5}, os.path.getsize(path)
+
+
+DAMAGE = {
+    "corrupt_middle": _damage_corrupt_middle,
+    "torn_header": _damage_torn_header,
+    "torn_payload": _damage_torn_payload,
+    "prefix_of_magic": _damage_prefix_of_magic,
+    "stale_and_corrupt": _damage_stale_and_corrupt,
+}
+
+
+class TestStreamingReader:
+    """What the reader reports for each kind of damage, and where a re-open cuts."""
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_report_and_resume_boundary(self, tmp_path, damage):
+        path = str(tmp_path / "db.wal")
+        database = make_db(path)
+        run_workload(database)
+        database.wal.close()
+        expected, resume_end = DAMAGE[damage](path, record_spans(path))
+        report = recover(path).report
+        assert {name: getattr(report, name) for name in expected} == expected
+        reopened = WriteAheadLog(path)
+        assert reopened.last_lsn == expected["last_lsn"]
+        reopened.close()
+        assert os.path.getsize(path) == resume_end
+        again = recover(path).report  # the re-open cut any torn tail away
+        assert again.torn_tail_offset is None
+        assert again.records_applied == expected["records_applied"]
+
+    def test_bad_magic_neither_recovers_nor_reopens(self, tmp_path):
+        path = str(tmp_path / "db.wal")
+        database = make_db(path)
+        run_workload(database)
+        database.wal.close()
+        flip_bit(path, 0)
+        size = os.path.getsize(path)
+        with pytest.raises(WalError, match="bad magic"):
+            recover(path)
+        with pytest.raises(WalError, match="bad magic"):
+            WriteAheadLog(path)
+        assert os.path.getsize(path) == size
+
+
+MEMORY_SCHEMA = TableSchema(
+    "m",
+    (
+        Column("id", DataType.INTEGER, primary_key=True),
+        Column("name", DataType.VARCHAR),
+        Column("amount", DataType.DOUBLE),
+        Column("day", DataType.INTEGER),
+        Column("note", DataType.VARCHAR, nullable=True),
+    ),
+)
+MEMORY_ROWS = 40_000
+
+#: Recovering a load may allocate at most this multiple of the load's own
+#: allocation peak.  Recovery must build the values themselves as well
+#: (the load's caller already held them): 26.3 MB against the load's
+#: 18.5 MB, 1.42x, on CPython 3.11.  Holding every record as row dicts for
+#: the whole replay took it to 33.6 MB, 1.79x.
+RECOVERY_PEAK_FACTOR = 1.6
+
+
+def _memory_rows():
+    return [
+        {"id": i, "name": "customer-%d" % (i % 977), "amount": i * 0.25,
+         "day": i % 365, "note": None if i % 7 == 0 else "n%d" % (i % 50)}
+        for i in range(MEMORY_ROWS)
+    ]
+
+
+def _peak(function, *args):
+    tracemalloc.start()
+    try:
+        result = function(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+class TestRecoveryMemory:
+    def test_recovery_peak_stays_near_the_load_peak(self, tmp_path):
+        """One 40 k-row load and 300 DML records, replayed into the row store."""
+        path = str(tmp_path / "m.wal")
+        database = make_db(path, sync_mode="off")
+        database.create_table(MEMORY_SCHEMA, Store.ROW)
+        database.load_rows("m", _memory_rows())
+        for i in range(300):
+            if i % 2:
+                database.execute(insert("m", [{"id": MEMORY_ROWS + i, "name": "x",
+                                               "amount": 1.0, "day": 1}]))
+            else:
+                database.execute(update("m", {"amount": 2.0}, eq("id", i)))
+        database.wal.close()
+        del database
+
+        fresh = HybridDatabase()
+        fresh.create_table(MEMORY_SCHEMA, Store.ROW)
+        load_peak, _ = _peak(fresh.load_rows, "m", _memory_rows())
+        del fresh
+        recover_peak, result = _peak(recover, path)
+        assert result.report.records_applied == 302
+        assert result.database.table_object("m").num_rows == MEMORY_ROWS + 150
+        assert recover_peak <= RECOVERY_PEAK_FACTOR * load_peak, (
+            f"recovery peaked at {recover_peak / 1e6:.1f} MB, "
+            f"{recover_peak / load_peak:.2f}x the load's {load_peak / 1e6:.1f} MB"
+        )
