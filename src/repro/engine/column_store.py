@@ -64,6 +64,7 @@ from __future__ import annotations
 
 from operator import itemgetter
 from typing import (
+    AbstractSet,
     Any,
     Callable,
     Dict,
@@ -91,14 +92,13 @@ from repro.engine.compression import (
     CompressedColumn,
     code_width_bytes,
 )
-from repro.engine.indexes import check_new_keys
+from repro.engine.indexes import check_new_keys, check_new_rows
 from repro.engine.integrity import TableIntegrity, verify_on_scan_enabled
 from repro.engine.schema import TableSchema
 from repro.engine.timing import CostAccountant
 from repro.engine.toggle import Toggle
 from repro.engine.types import Store
 from repro.engine.zonemap import ColumnZone, is_nan, next_zone_epoch, widen_zone
-from repro.errors import ExecutionError
 from repro.testing import faults
 from repro.query.predicates import And, IsNull, Not, Or, Predicate, TruePredicate
 from repro.query.ranges import ValueRanges, is_singleton, ranges_of
@@ -635,62 +635,53 @@ class ColumnStoreTable:
     def insert_rows(
         self, rows: Sequence[Mapping[str, Any]], accountant: Optional[CostAccountant] = None
     ) -> List[int]:
-        """Insert validated rows, returning their positions.
+        """Validate *rows*, prove their keys new, then append them.
+
+        A batch that fails either check appends no row.
+        """
+        return self.append_rows(
+            check_new_rows(self.schema, rows, self.key_sets()), accountant
+        )
+
+    def key_sets(self) -> List[AbstractSet]:
+        """The primary-key set, alone in a list (empty without a one-column key)."""
+        return [] if self._pk_column is None else [self._pk_values]
+
+    def append_rows(
+        self, rows: Sequence[Mapping[str, Any]], accountant: Optional[CostAccountant] = None
+    ) -> List[int]:
+        """Append validated rows whose keys are new, returning their positions.
 
         Every cell pays the column-store insert penalty (dictionary lookup and
         potential re-encoding, delta append); the primary key additionally
-        pays a uniqueness probe.  The *charges* are per row, but the physical
-        append is columnar — one :meth:`CompressedColumn.extend` per column,
-        so each dictionary merges the batch's new values in a single pass.
-
-        A validation error or duplicate primary key aborts the batch at the
-        offending row: every earlier row of the batch is inserted (and
-        charged), the offending and later rows are not — exactly the
-        partial-state contract of the original per-row append loop.  A value
-        a dictionary unexpectedly rejects aborts the whole batch cleanly:
-        nothing is inserted, no primary key stays registered, and the error
-        propagates.  NULL mixes freely with values — the dictionary reserves
-        code 0 for it (:class:`~repro.engine.compression.ColumnDictionary`).
+        pays a probe of this table's key set (probes of a partitioned table's
+        other parts are not billed, as in the row store).  The *charges* are
+        per row, but the physical append is columnar — one
+        :meth:`CompressedColumn.extend` per column, so each dictionary merges
+        the batch's new values in a single pass.  A value a dictionary
+        unexpectedly rejects aborts the whole batch cleanly: nothing is
+        inserted, no primary key is registered, and the error propagates.
+        NULL mixes freely with values — the dictionary reserves code 0 for it
+        (:class:`~repro.engine.compression.ColumnDictionary`).
         """
         self._bump_zone_epoch()
-        pending: List[Dict[str, Any]] = []
-        failure: Optional[Exception] = None
-        for raw_row in rows:
-            try:
-                validated = self.schema.validate_row(raw_row)
-                if self._pk_column is not None:
-                    key = validated[self._pk_column]
-                    if accountant is not None:
-                        accountant.charge_index_probe()
-                    if key in self._pk_values:
-                        raise ExecutionError(
-                            f"duplicate primary key {key!r} in table {self.schema.name!r}"
-                        )
-                    self._pk_values.add(key)
-            except Exception as exc:
-                failure = exc
-                break
-            pending.append(validated)
+        if self._pk_column is not None and accountant is not None:
+            for _ in rows:
+                accountant.charge_index_probe()
         positions = []
-        if pending:
-            try:
-                if _DELTA_WRITES.enabled:
-                    self._extend_delta(pending)
-                else:
-                    self._unseal_for_write()
-                    self._extend_columns(pending)
-            except Exception:
+        if rows:
+            if _DELTA_WRITES.enabled:
+                self._extend_delta(rows)
+            else:
+                self._unseal_for_write()
+                self._extend_columns(rows)
+            for row in rows:
                 if self._pk_column is not None:
-                    for row in pending:
-                        self._pk_values.discard(row[self._pk_column])
-                raise
-            for _ in pending:
+                    self._pk_values.add(row[self._pk_column])
                 if accountant is not None:
                     accountant.charge_cs_value_inserts(self.schema.num_columns)
                 positions.append(self._num_rows)
                 self._num_rows += 1
-        if failure is not None:
-            raise failure
         if self._delta_len >= self.merge_threshold:
             self.merge_delta()
         return positions
@@ -796,7 +787,7 @@ class ColumnStoreTable:
         if self._pk_column is None:
             return None
         return check_new_keys(
-            self.schema.name, columns[self._pk_column], self._pk_values
+            self.schema.name, columns[self._pk_column], self.key_sets()
         )
 
     def load_columns(self, columns: Mapping[str, Sequence[Any]], num_rows: int) -> None:
@@ -842,7 +833,7 @@ class ColumnStoreTable:
         assignments: Mapping[str, Any],
         accountant: Optional[CostAccountant] = None,
     ) -> int:
-        """Update *assignments* on the rows at *positions*.
+        """Update the coerced *assignments* on the rows at *positions*.
 
         Dictionary-compressed column stores cannot modify a row in place: an
         update invalidates the old row version and re-appends a complete new
@@ -850,32 +841,22 @@ class ColumnStoreTable:
         update penalty for *all* of the table's columns, which is the main
         reason updates favour the row store in the paper's cost model.
 
-        Updates merge the delta first (charge-free, position-preserving) and
-        then mutate main exactly as the pre-delta pipeline did — *positions*
-        computed over the union before the merge stay valid.  An update of
-        no rows still validates its SET values but is otherwise a no-op: no
-        merge, no copy-on-write, no zone-epoch bump.
+        The caller coerced the values and checked a key change
+        (:func:`~repro.engine.table.checked_assignments`).  Updates merge the
+        delta first (charge-free, position-preserving) and then mutate main
+        exactly as the pre-delta pipeline did — *positions* computed over
+        the union before the merge stay valid.  An update of no rows is a
+        no-op: no merge, no copy-on-write, no zone-epoch bump.
         """
-        if not assignments:
-            return 0
-        coerced = {
-            name: self.schema.column(name).dtype.coerce(value)
-            for name, value in assignments.items()
-        }
-        if len(positions) == 0:
+        if not assignments or len(positions) == 0:
             return 0
         self.merge_delta()
         self._unseal_for_write()
         self._bump_zone_epoch()
         for position in positions:
-            for name, value in coerced.items():
+            for name, value in assignments.items():
                 if name == self._pk_column:
-                    old = self._columns[name].value_at(position)
-                    if value != old and value in self._pk_values:
-                        raise ExecutionError(
-                            f"duplicate primary key {value!r} in table {self.schema.name!r}"
-                        )
-                    self._pk_values.discard(old)
+                    self._pk_values.discard(self._columns[name].value_at(position))
                     self._pk_values.add(value)
                 self._columns[name].set_value(position, value)
             if accountant is not None:

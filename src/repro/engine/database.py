@@ -31,7 +31,6 @@ from repro.engine.types import Store
 from repro.errors import CatalogError, WalError
 from repro.query.ast import Query, QueryType
 from repro.query.workload import Workload
-from repro.testing.faults import CrashError
 
 TableObject = Union[StoredTable, PartitionedTable]
 
@@ -409,7 +408,7 @@ class HybridDatabase:
         (:meth:`~repro.engine.schema.TableSchema.validate_columns`), and the
         log records the validated columns, so replaying the load checks
         canonical lists and comes back here.  A load that fails — a schema
-        violation or a duplicate primary key — changes nothing, so it is not
+        violation or a key already taken — changes nothing, so it is not
         logged either; nor does a load run against a closed log.  The lists
         are dropped before the caller refreshes the statistics.
         """
@@ -489,25 +488,13 @@ class HybridDatabase:
         Used by the session layer to run a cached physical plan without
         re-resolving tables.  DML against a closed write-ahead log is
         refused before it touches a row — memory must never run ahead of
-        the log; reads keep working.
+        the log; reads keep working.  A statement that raises has changed
+        nothing on any layout, so only statements that succeeded are logged.
         """
         logged = self.wal is not None and query.query_type in _DML_TYPES
         if logged and self.wal.closed:
             raise WalError("write-ahead log is closed")
-        try:
-            result = self._executor.execute_with_paths(query, paths)
-        except CrashError:
-            # An injected crash mid-statement models the process dying: the
-            # in-memory partial effects are lost, so nothing is logged.
-            raise
-        except Exception:
-            # A failed DML statement can still have committed a deterministic
-            # partial prefix (the engine's documented mid-batch contract), so
-            # it is logged too; replay re-raises the same error and arrives
-            # at the identical partial state.
-            if logged:
-                self.wal.log_dml(query)
-            raise
+        result = self._executor.execute_with_paths(query, paths)
         if logged:
             self.wal.log_dml(query)
         for listener in self._listeners:

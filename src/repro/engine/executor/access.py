@@ -59,7 +59,7 @@ from repro.engine.shard import (
     derive_shard_decision,
     structural_ineligibility,
 )
-from repro.engine.table import StoredTable
+from repro.engine.table import StoredTable, checked_assignments
 from repro.engine.timing import CostAccountant
 from repro.engine.toggle import settings_epoch
 from repro.engine.types import Store
@@ -355,7 +355,7 @@ class SimpleAccessPath(AccessPath):
         self,
         predicate: Optional[Predicate],
         accountant: CostAccountant,
-        proven_empty: bool,
+        proven_empty: bool = False,
     ) -> np.ndarray:
         """Positions an UPDATE/DELETE applies to, its predicate scan billed.
 
@@ -376,16 +376,11 @@ class SimpleAccessPath(AccessPath):
         assignments: Mapping[str, Any],
         predicate: Optional[Predicate],
         accountant: CostAccountant,
-        proven_empty: bool = False,
     ) -> int:
-        positions = self._dml_positions(predicate, accountant, proven_empty)
-        return self.table.update_rows(positions, assignments, accountant)
+        positions = self._dml_positions(predicate, accountant)
+        coerced = checked_assignments(self.table, assignments, [(self.table, positions)])
+        return self.table.update_rows(positions, coerced, accountant)
 
-    def delete(
-        self,
-        predicate: Optional[Predicate],
-        accountant: CostAccountant,
-        proven_empty: bool = False,
-    ) -> int:
-        positions = self._dml_positions(predicate, accountant, proven_empty)
+    def delete(self, predicate: Optional[Predicate], accountant: CostAccountant) -> int:
+        positions = self._dml_positions(predicate, accountant)
         return self.table.delete_rows(positions, accountant)

@@ -31,10 +31,30 @@ import numpy as np
 from repro.engine.batch import ColumnBatch, evaluate_predicate_mask
 from repro.engine.executor.access import AccessPath, SimpleAccessPath, empty_batch
 from repro.engine.partitioning import HOT_PARTITION, MAIN_PARTITION, PartitionedTable
-from repro.engine.table import StoredTable
+from repro.engine.table import StoredTable, checked_assignments
 from repro.engine.timing import CostAccountant
 from repro.engine.types import Store
 from repro.query.predicates import Predicate
+
+
+class _DeferredCharges:
+    """Charges taken now and billed later, in the order they were taken.
+
+    Stands in for a :class:`CostAccountant` while a partitioned DML
+    statement scans main before any part changes: the scan's charges are
+    billed after the hot part's writes, so the bill's components — and the
+    order its floats are summed in — are those of applying part by part.
+    """
+
+    def __init__(self) -> None:
+        self._calls: List[Tuple[str, tuple, dict]] = []
+
+    def __getattr__(self, name: str):
+        return lambda *args, **kwargs: self._calls.append((name, args, kwargs))
+
+    def bill(self, accountant: CostAccountant) -> None:
+        for name, args, kwargs in self._calls:
+            getattr(accountant, name)(*args, **kwargs)
 
 
 class PartitionedAccessPath(AccessPath):
@@ -175,7 +195,7 @@ class PartitionedAccessPath(AccessPath):
         """Do the zones prove a DML scan of (main, hot) matches no row?
 
         Derived once, before the statement mutates anything.  Each proof is
-        passed down to the ordinary DML path, which bills the scan and skips
+        passed down to the ordinary DML scan, which bills the scan and skips
         it — a pruned statement charges, validates and applies (to no rows)
         exactly like an unpruned one.
         """
@@ -187,49 +207,81 @@ class PartitionedAccessPath(AccessPath):
             not decision.scan_of(HOT_PARTITION),
         )
 
+    def _hot_positions(self, predicate, accountant, proven_empty):
+        """``(hot part, its matching positions)``, or ``(None, [])`` without hot rows."""
+        hot = self.table.hot
+        if hot is None or hot.num_rows == 0:
+            return None, []
+        return hot, SimpleAccessPath(hot, inner=True)._dml_positions(
+            predicate, accountant, proven_empty
+        )
+
     def update(
         self,
         assignments: Mapping[str, Any],
         predicate: Optional[Predicate],
         accountant: CostAccountant,
     ) -> int:
-        main_empty, hot_empty = self._dml_proofs(predicate)
-        affected = 0
-        segments = 0
-        hot = self.table.hot
-        # Hot partition: behaves like an ordinary table.
-        if hot is not None and hot.num_rows > 0:
-            affected += SimpleAccessPath(hot, inner=True).update(
-                assignments, predicate, accountant, hot_empty
-            )
-            segments += 1
+        """Derive every part's positions, check the SET values, then apply.
 
-        affected_main, parts_touched = self._update_main(
-            assignments, predicate, accountant, main_empty
-        )
-        affected += affected_main
-        segments += parts_touched
-        accountant.charge_partition_overhead(max(segments, 1))
-        return affected
+        Nothing changes until the key rule has seen the matches of every
+        part (:func:`~repro.engine.table.checked_assignments`), so a failed
+        statement changes no part.  Main's scan is billed after the hot
+        part's writes, where a statement applied part by part billed it.
+        """
+        table = self.table
+        main_empty, hot_empty = self._dml_proofs(predicate)
+        hot, hot_positions = self._hot_positions(predicate, accountant, hot_empty)
+        main_scan = _DeferredCharges()
+        if table.has_vertical_split:
+            main_positions, parts_needed = self._vertical_positions(
+                assignments, predicate, main_scan, main_empty
+            )
+            touched = len(parts_needed)
+            if main_positions is None:
+                main_positions = np.arange(table.main_num_rows, dtype=np.int64)
+        else:
+            main_positions = SimpleAccessPath(
+                table.main_parts[0], inner=True
+            )._dml_positions(predicate, main_scan, main_empty)
+            touched = 1
+        matched = [(table.main_parts[0], main_positions)]
+        if hot is not None:
+            matched.append((hot, hot_positions))
+        coerced = checked_assignments(table, assignments, matched)
+        affected = main_affected = 0
+        if hot is not None:
+            affected = hot.update_rows(hot_positions, coerced, accountant)
+        main_scan.bill(accountant)
+        for part in table.main_parts:
+            part_assignments = {
+                name: value for name, value in coerced.items()
+                if part.schema.has_column(name)
+            }
+            if part_assignments:
+                main_affected = max(main_affected, part.update_rows(
+                    main_positions, part_assignments, accountant
+                ))
+        accountant.charge_partition_overhead(max(touched + (hot is not None), 1))
+        return affected + main_affected
 
     def delete(self, predicate: Optional[Predicate], accountant: CostAccountant) -> int:
+        """Derive every part's positions, then delete — billed as :meth:`update` is."""
+        table = self.table
         main_empty, hot_empty = self._dml_proofs(predicate)
+        hot, hot_positions = self._hot_positions(predicate, accountant, hot_empty)
+        main_scan = _DeferredCharges()
+        main_positions, touched = self._main_positions(predicate, main_scan, main_empty)
+        if main_positions is None:
+            main_positions = np.arange(table.main_num_rows, dtype=np.int64)
         affected = 0
-        hot = self.table.hot
-        if hot is not None and hot.num_rows > 0:
-            affected += SimpleAccessPath(hot, inner=True).delete(
-                predicate, accountant, hot_empty
-            )
-        positions, parts_touched = self._main_positions(
-            predicate, accountant, main_empty
-        )
-        if positions is None:
-            positions = np.arange(self.table.main_num_rows, dtype=np.int64)
-        for part in self.table.main_parts:
-            part.delete_rows(positions, accountant)
-        affected += len(positions)
-        accountant.charge_partition_overhead(parts_touched + 1)
-        return affected
+        if hot is not None:
+            affected = hot.delete_rows(hot_positions, accountant)
+        main_scan.bill(accountant)
+        for part in table.main_parts:
+            part.delete_rows(main_positions, accountant)
+        accountant.charge_partition_overhead(touched + 1)
+        return affected + len(main_positions)
 
     # -- main (historic) portion helpers -----------------------------------------------
 
@@ -296,38 +348,6 @@ class PartitionedAccessPath(AccessPath):
                 row.update(piece)
             merged.append(row)
         return merged, len(parts_needed)
-
-    def _update_main(
-        self,
-        assignments: Mapping[str, Any],
-        predicate: Optional[Predicate],
-        accountant: CostAccountant,
-        proven_empty: bool = False,
-    ):
-        table = self.table
-        if not table.has_vertical_split:
-            affected = SimpleAccessPath(table.main_parts[0], inner=True).update(
-                assignments, predicate, accountant, proven_empty
-            )
-            return affected, 1
-
-        positions, parts_needed = self._vertical_positions(
-            assignments, predicate, accountant, proven_empty
-        )
-        if positions is None:
-            positions = np.arange(table.main_num_rows, dtype=np.int64)
-
-        affected = 0
-        for part in table.main_parts:
-            part_assignments = {
-                name: value for name, value in assignments.items()
-                if part.schema.has_column(name)
-            }
-            if part_assignments:
-                affected = max(
-                    affected, part.update_rows(positions, part_assignments, accountant)
-                )
-        return affected, len(parts_needed)
 
     def _main_positions(
         self,

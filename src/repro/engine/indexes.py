@@ -17,29 +17,51 @@ from __future__ import annotations
 
 import bisect
 import operator
-from typing import AbstractSet, Any, Dict, KeysView, List, Optional, Sequence
+from typing import AbstractSet, Any, Dict, KeysView, List, Mapping, Optional, Sequence
 
 from repro.errors import ExecutionError
 from repro.query.ranges import is_nan
 
 
-def check_new_keys(table: str, keys: Sequence[Any], existing: AbstractSet) -> set:
-    """The set of *keys* once proven distinct and absent from *existing*.
+def check_new_keys(table: str, keys: Sequence[Any],
+                   key_sets: Sequence[AbstractSet]) -> set:
+    """The set of *keys* once proven distinct and absent from every key set.
 
-    The primary-key check of a bulk load, run before the load mutates
-    anything: two set operations in the common case, one walk to name the
-    offending key only when there is one.
+    The one primary-key uniqueness rule, run before a load, an insert or a
+    key-changing update mutates anything.  *key_sets* are the table's: one
+    for a single store, one per horizontal part of a partitioned table (the
+    vertical halves share theirs) — each part's own set is probed, no
+    table-wide directory is kept.  Two set operations per set in the common
+    case, one walk to name the offending key only when there is one.
     """
     fresh = set(keys)
-    if len(fresh) != len(keys) or not existing.isdisjoint(fresh):
+    clash = len(fresh) != len(keys)
+    for existing in key_sets:
+        clash = clash or not existing.isdisjoint(fresh)
+    if clash:
         seen = set()
         for key in keys:
-            if key in seen or key in existing:
+            if key in seen or any(key in existing for existing in key_sets):
                 raise ExecutionError(
                     f"duplicate primary key {key!r} in table {table!r}"
                 )
             seen.add(key)
     return fresh
+
+
+def check_new_rows(schema, rows: Sequence[Mapping[str, Any]],
+                   key_sets: Sequence[AbstractSet]) -> List[Dict[str, Any]]:
+    """*rows* validated, once each, with their keys proven new to *key_sets*.
+
+    An insert's whole check, before its first row lands: a schema violation
+    or a duplicate key anywhere in the batch fails it with no row appended.
+    Without a key set (no single-column primary key) keys are not checked.
+    """
+    validated = [schema.validate_row(row) for row in rows]
+    if key_sets:
+        key = schema.primary_key[0]
+        check_new_keys(schema.name, [row[key] for row in validated], key_sets)
+    return validated
 
 
 class HashIndex:

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import AbstractSet, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.engine.batch import evaluate_predicate_mask, values_to_array
+from repro.engine.indexes import check_new_rows
 from repro.engine.schema import TableSchema
 from repro.engine.table import StoredTable
 from repro.engine.timing import CostAccountant
@@ -414,32 +415,38 @@ class PartitionedTable:
 
     # -- modification -------------------------------------------------------------------
 
+    def key_sets(self) -> List[AbstractSet]:
+        """The hot part's and main's primary-key sets (the vertical halves share one)."""
+        parts = [self.main_parts[0]] + ([self.hot] if self.hot is not None else [])
+        return [keys for part in parts for keys in part.key_sets()]
+
     def insert_rows(
         self, rows: Sequence[Mapping[str, Any]], accountant: Optional[CostAccountant] = None
     ) -> int:
-        """Insert rows, routing them to the hot partition when one exists."""
+        """Insert rows, routing them to the hot partition when one exists.
+
+        The batch is validated once per row and its keys are checked against
+        every part before the first row lands: a key must be new to the
+        table, not just to the part its row goes to, and an insert that
+        fails changes no part.
+        """
+        validated = check_new_rows(self.schema, rows, self.key_sets())
         horizontal = self.partitioning.horizontal
         if self.hot is not None and (horizontal is None or horizontal.route_inserts_to_hot):
-            self.hot.insert_rows(rows, accountant)
-            return len(rows)
-        self._insert_into_main(rows, accountant)
+            self.hot.backend.append_rows(validated, accountant)
+        else:
+            self._insert_into_main(validated, accountant)
         return len(rows)
 
     def _insert_into_main(
         self, rows: Sequence[Mapping[str, Any]], accountant: Optional[CostAccountant]
     ) -> None:
-        if self.has_vertical_split:
-            row_cols = self._vertical_row_part.schema.column_names
-            col_cols = self._vertical_col_part.schema.column_names
-            validated = [self.schema.validate_row(row) for row in rows]
-            self._vertical_row_part.insert_rows(
-                [{name: row[name] for name in row_cols} for row in validated], accountant
+        """Append validated rows, their keys new to the table, to every main part."""
+        for part in self.main_parts:
+            names = part.schema.column_names
+            part.backend.append_rows(
+                [{name: row[name] for name in names} for row in rows], accountant
             )
-            self._vertical_col_part.insert_rows(
-                [{name: row[name] for name in col_cols} for row in validated], accountant
-            )
-        else:
-            self.main_parts[0].insert_rows(rows, accountant)
 
     def migrate_hot_to_main(self, accountant: Optional[CostAccountant] = None) -> int:
         """Move every hot-partition row into the historic partition(s).

@@ -22,7 +22,9 @@ import gc
 from contextlib import contextmanager
 from itertools import chain
 from operator import itemgetter
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    AbstractSet, Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -32,12 +34,11 @@ from repro.engine.batch import (
     evaluate_predicate_mask,
     values_to_array,
 )
-from repro.engine.indexes import HashIndex, SortedIndex, check_new_keys
+from repro.engine.indexes import HashIndex, SortedIndex, check_new_keys, check_new_rows
 from repro.engine.schema import TableSchema
 from repro.engine.timing import CostAccountant
 from repro.engine.types import DataType, Store
 from repro.engine.zonemap import ColumnZone, next_zone_epoch, widen_zone
-from repro.errors import ExecutionError, SchemaError
 from repro.query.predicates import Predicate
 from repro.query.ranges import ranges_of
 
@@ -196,47 +197,57 @@ class RowStoreTable:
     def insert_rows(
         self, rows: Sequence[Mapping[str, Any]], accountant: Optional[CostAccountant] = None
     ) -> List[int]:
-        """Insert validated rows, returning their positions.
+        """Validate *rows*, prove their keys new, then append them.
+
+        A batch that fails either check appends no row.
+        """
+        return self.append_rows(
+            check_new_rows(self.schema, rows, self.key_sets()), accountant
+        )
+
+    def key_sets(self) -> List[AbstractSet]:
+        """The primary-key index's keys, alone in a list (empty without one)."""
+        if self._pk_column is None:
+            return []
+        return [self._hash_indexes[self._pk_column].keys()]
+
+    def append_rows(
+        self, rows: Sequence[Mapping[str, Any]], accountant: Optional[CostAccountant] = None
+    ) -> List[int]:
+        """Append validated rows whose keys are new, returning their positions.
 
         Zone maps are maintained *incrementally* here: fresh cached synopses
         are widened with just the appended values (OLTP inserts must not
-        force an O(n) zone rebuild on the next filtered scan).
+        force an O(n) zone rebuild on the next filtered scan).  Each row is
+        billed one probe of this table's key index — the rows' keys were
+        also checked against every other part of a partitioned table, and
+        those probes are not billed (a modelling choice: the paper's cost
+        model prices an insert into one store).
         """
         fresh_zones = self._fresh_zones()
         self._bump_zone_epoch()
         positions = []
         appended: List[List[Any]] = []
         column_names = self.schema.column_names
-        try:
-            for raw_row in rows:
-                validated = self.schema.validate_row(raw_row)
-                if self._pk_column is not None:
-                    key = validated[self._pk_column]
-                    pk_index = self._hash_indexes[self._pk_column]
-                    if accountant is not None:
-                        accountant.charge_index_probe()
-                    if pk_index.contains(key):
-                        raise ExecutionError(
-                            f"duplicate primary key {key!r} in table {self.schema.name!r}"
-                        )
-                position = len(self._rows)
-                row_values = [validated[name] for name in column_names]
-                self._rows.append(row_values)
-                appended.append(row_values)
+        for validated in rows:
+            if self._pk_column is not None and accountant is not None:
+                accountant.charge_index_probe()
+            position = len(self._rows)
+            row_values = [validated[name] for name in column_names]
+            self._rows.append(row_values)
+            appended.append(row_values)
+            if accountant is not None:
+                accountant.charge_row_appends(self.row_width_bytes)
+            for column, index in self._hash_indexes.items():
+                index.insert(validated[column], position)
                 if accountant is not None:
-                    accountant.charge_row_appends(self.row_width_bytes)
-                for column, index in self._hash_indexes.items():
-                    index.insert(validated[column], position)
-                    if accountant is not None:
-                        accountant.charge_index_insert()
-                for column, index in self._sorted_indexes.items():
-                    index.insert(validated[column], position)
-                    if accountant is not None:
-                        accountant.charge_index_insert()
-                positions.append(position)
-        finally:
-            # Rows appended before a failure are inserted — fold exactly them.
-            self._widen_zones(fresh_zones, appended)
+                    accountant.charge_index_insert()
+            for column, index in self._sorted_indexes.items():
+                index.insert(validated[column], position)
+                if accountant is not None:
+                    accountant.charge_index_insert()
+            positions.append(position)
+        self._widen_zones(fresh_zones, appended)
         # Appends keep the column cache valid: _column_array extends stale
         # entries with just the new suffix.
         return positions
@@ -268,11 +279,7 @@ class RowStoreTable:
     def check_load(self, columns: Mapping[str, Sequence[Any]]) -> None:
         """Raise if loading *columns* would duplicate a primary key."""
         if self._pk_column is not None:
-            check_new_keys(
-                self.schema.name,
-                columns[self._pk_column],
-                self._hash_indexes[self._pk_column].keys(),
-            )
+            check_new_keys(self.schema.name, columns[self._pk_column], self.key_sets())
 
     def load_columns(self, columns: Mapping[str, Sequence[Any]], num_rows: int) -> None:
         """Append *num_rows* validated rows given as column lists — the one loader.
@@ -309,33 +316,29 @@ class RowStoreTable:
         assignments: Mapping[str, Any],
         accountant: Optional[CostAccountant] = None,
     ) -> int:
-        """Update *assignments* on the rows at *positions*.
+        """Update the coerced *assignments* on the rows at *positions*.
 
-        An update of no rows still validates its SET values but is otherwise
-        a no-op (no zone-epoch bump).  Only the assigned columns lose their
-        zone synopsis: an overwritten value may have been the min or max, and
-        zones answer zero-scan ``MIN``/``MAX``, so they are recomputed rather
-        than widened.  Every other column's fresh synopsis is carried to the
-        new epoch unchanged (a point ``UPDATE ... SET revenue`` must not cost
-        the next ``WHERE id = k`` an O(n) rebuild of ``id``'s zone).
+        The caller coerced the values and checked a key change
+        (:func:`~repro.engine.table.checked_assignments`).  An update of no
+        rows is a no-op (no zone-epoch bump).  Only the assigned columns
+        lose their zone synopsis: an overwritten value may have been the min
+        or max, and zones answer zero-scan ``MIN``/``MAX``, so they are
+        recomputed rather than widened.  Every other column's fresh synopsis
+        is carried to the new epoch unchanged (a point ``UPDATE ... SET
+        revenue`` must not cost the next ``WHERE id = k`` an O(n) rebuild of
+        ``id``'s zone).
         """
-        if not assignments:
-            return 0
-        coerced = {
-            name: self.schema.column(name).dtype.coerce(value)
-            for name, value in assignments.items()
-        }
-        if len(positions) == 0:
+        if not assignments or len(positions) == 0:
             return 0
         fresh_zones = self._fresh_zones()
         self._bump_zone_epoch()
         for column, zone in fresh_zones.items():
-            if column not in coerced:
+            if column not in assignments:
                 self._zone_cache[column] = (self._zone_epoch, zone)
-        column_positions = {name: self.schema.index_of(name) for name in coerced}
+        column_positions = {name: self.schema.index_of(name) for name in assignments}
         for position in positions:
             row = self._rows[position]
-            for name, value in coerced.items():
+            for name, value in assignments.items():
                 old_value = row[column_positions[name]]
                 row[column_positions[name]] = value
                 if name in self._hash_indexes:
@@ -348,10 +351,10 @@ class RowStoreTable:
                     if accountant is not None:
                         accountant.charge_index_insert()
             if accountant is not None:
-                accountant.charge_row_value_updates(len(coerced))
+                accountant.charge_row_value_updates(len(assignments))
         # Only the assigned columns changed; their cache entries go, the
         # rest stay valid.
-        for name in coerced:
+        for name in assignments:
             self._column_cache.pop(name, None)
             self._factorized.pop(name, None)
         return len(positions)

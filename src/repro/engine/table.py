@@ -10,12 +10,15 @@ work against this wrapper.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    AbstractSet, Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
 from repro.engine.batch import BatchColumn, ColumnBatch
 from repro.engine.column_store import ColumnStoreTable
+from repro.engine.indexes import check_new_keys
 from repro.engine.row_store import RowStoreTable
 from repro.engine.schema import TableSchema
 from repro.engine.timing import CostAccountant
@@ -50,6 +53,37 @@ def load_rows(table, rows: Iterable[Mapping[str, Any]]) -> int:
         schema.validate_columns(schema.gather_columns(rows), len(rows)), len(rows)
     )
     return len(rows)
+
+
+def checked_assignments(
+    table, assignments: Mapping[str, Any],
+    matched: Sequence[Tuple["StoredTable", Sequence[int]]],
+) -> Dict[str, Any]:
+    """An UPDATE's SET values, coerced once and proven to keep keys unique.
+
+    *matched* pairs each part of *table* the statement updates with the
+    positions it updates there — all derived before any part changes, so a
+    statement this rejects changes nothing.  Every matched row takes the one
+    new key: two or more rows would share it, and a single row collides iff
+    its key changes to one some part of the table holds.
+    """
+    schema = table.schema
+    coerced = {
+        name: schema.column(name).dtype.coerce(value)
+        for name, value in assignments.items()
+    }
+    key_sets = table.key_sets()
+    if key_sets and schema.primary_key[0] in coerced:
+        key = schema.primary_key[0]
+        matched = [(part, positions) for part, positions in matched if len(positions)]
+        count = sum(len(positions) for _, positions in matched)
+        keys = [coerced[key]] * min(count, 2)
+        if count == 1:
+            (part, positions), = matched
+            if part.column_values(key, positions) == keys:
+                keys = []  # the row keeps its own key
+        check_new_keys(table.name, keys, key_sets)
+    return coerced
 
 
 class StoredTable:
@@ -142,6 +176,10 @@ class StoredTable:
     def insert_rows(self, rows: Sequence[Mapping[str, Any]],
                     accountant: Optional[CostAccountant] = None) -> List[int]:
         return self._backend.insert_rows(rows, accountant)
+
+    def key_sets(self) -> List[AbstractSet]:
+        """The primary-key sets a new key must be absent from (one, or none)."""
+        return self._backend.key_sets()
 
     def check_load(self, columns: Mapping[str, Sequence[Any]]) -> None:
         self._backend.check_load(columns)

@@ -400,9 +400,10 @@ class RecoveryReport:
     #: Highest LSN replayed (or the snapshot LSN if nothing was replayed).
     last_lsn: int = 0
     #: Statements that raised during replay, as ``(lsn, error message)``.
-    #: Expected for DML whose original execution also failed part-way (the
-    #: engine's partial-state contract is deterministic, so replaying the
-    #: failure reproduces the exact committed state).
+    #: Only a log written before failed statements stopped being logged
+    #: holds one: a statement that raises changes nothing, so it is no
+    #: longer logged, and such an old record now replays to no effect
+    #: (where it once re-committed a partial prefix).
     replay_errors: List[Tuple[int, str]] = field(default_factory=list)
 
     @property
@@ -568,7 +569,7 @@ def _apply_record(
     elif kind == DML:
         try:
             database.execute(data)
-        except Exception as error:  # deterministic partial-state replay
+        except Exception as error:  # a failed statement an old log kept
             report.replay_errors.append((lsn, str(error)))
     else:
         raise WalError(f"unknown WAL record type {kind!r}")

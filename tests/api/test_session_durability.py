@@ -112,18 +112,22 @@ class TestFailedStatementHygiene:
         # Exactly the successful statements notified the listener.
         assert len(notified) == 3
 
-    def test_failing_dml_is_still_durable(self, tmp_path):
-        # The engine's partial-state contract: a failed statement may have
-        # committed a prefix, so it is logged and replays to the same state.
+    def test_failing_dml_is_not_logged(self, tmp_path):
+        # A statement that raises has changed nothing, so the log does not
+        # hold it and recovery replays the statements that succeeded.
         path = str(tmp_path / "db.wal")
         session = populated_session(wal_path=path)
-        with pytest.raises(ExecutionError):
+        lsn = session.database.wal.last_lsn
+        with pytest.raises(ExecutionError, match="duplicate primary key 1 "):
             session.sql("UPDATE t SET id = 1 WHERE id = 5")
+        assert session.database.wal.last_lsn == lsn
+        session.sql("UPDATE t SET v = 'five' WHERE id = 5")
         session.close()
         recovered, report = recover(path)
-        assert [lsn for lsn, _ in report.replay_errors] == [3]
-        assert "duplicate primary key" in report.replay_errors[0][1]
-        assert recovered.sql("SELECT v FROM t WHERE id = 5").rows == [{"v": "v5"}]
+        assert report.replay_errors == []
+        assert report.last_lsn == lsn + 1
+        assert recovered.sql("SELECT v FROM t WHERE id = 5").rows == [{"v": "five"}]
+        assert recovered.sql("SELECT v FROM t WHERE id = 1").rows == [{"v": "v1"}]
         recovered.close()
 
 

@@ -16,7 +16,8 @@ from repro.engine.column_store import (
 from repro.engine.compression import CompressedColumn
 from repro.engine.context import current
 from repro.engine.schema import Column, TableSchema
-from repro.engine.table import load_rows
+from repro.engine.executor.access import SimpleAccessPath
+from repro.engine.table import StoredTable, load_rows
 from repro.engine.timing import CostAccountant
 from repro.engine.types import DataType, Store
 from repro.errors import ExecutionError
@@ -96,13 +97,12 @@ class TestInsertsUpdates:
             schema.num_columns * 550.0
         )
 
-    def test_duplicate_pk_mid_batch_keeps_earlier_rows(self, schema):
-        """Partial-state contract of the columnar multi-row insert.
+    def test_duplicate_pk_mid_batch_inserts_nothing(self, schema):
+        """All-or-nothing contract of the columnar multi-row insert.
 
-        A duplicate primary key aborts the batch at the offending row: the
-        earlier rows of the batch are inserted (and charged per row), the
-        offending and later rows are not — exactly like the per-row append
-        loop behaved.
+        The whole batch is validated and its keys checked before the first
+        row lands: a duplicate primary key anywhere in it inserts no row,
+        bills nothing and registers no key.
         """
         table = ColumnStoreTable(schema)
         table.insert_rows([{"id": 0, "name": "seed", "price": 0.0, "stock": 0}])
@@ -111,48 +111,49 @@ class TestInsertsUpdates:
             {"id": 1, "name": "a", "price": 1.0, "stock": 1},
             {"id": 2, "name": "b", "price": 2.0, "stock": 2},
             {"id": 0, "name": "dup", "price": 9.0, "stock": 9},  # duplicate
-            {"id": 3, "name": "c", "price": 3.0, "stock": 3},  # never reached
+            {"id": 3, "name": "c", "price": 3.0, "stock": 3},
         ]
-        with pytest.raises(ExecutionError, match="duplicate primary key"):
+        with pytest.raises(ExecutionError, match="duplicate primary key 0 "):
             table.insert_rows(batch, accountant)
-        assert table.num_rows == 3
-        assert table.column_values("id") == [0, 1, 2]
-        assert table.column_values("name") == ["seed", "a", "b"]
-        # The two inserted rows are charged per row; the duplicate row pays
-        # its uniqueness probe but no insert, the row after it nothing.
+        assert table.num_rows == 1
+        assert table.column_values("id") == [0]
+        assert table.column_values("name") == ["seed"]
+        assert accountant.snapshot() == {}
+        # The failed batch leaves the table fully usable: the duplicate key
+        # is still taken, and the batch's other keys are free.
+        with pytest.raises(ExecutionError):
+            table.insert_rows([{"id": 0, "name": "x", "price": 0.0, "stock": 0}])
+        table.insert_rows([row for row in batch if row["id"]], accountant)
+        assert table.column_values("id") == [0, 1, 2, 3]
+        # Each inserted row is charged its probe and its cells.
         snapshot = accountant.snapshot()
         assert snapshot["column_insert"] == pytest.approx(
-            2 * schema.num_columns * 550.0
+            3 * schema.num_columns * 550.0
         )
         assert snapshot["index_probe"] == pytest.approx(
             accountant.device.hash_probes(3)
         )
-        # The failed batch leaves the table fully usable: re-inserting the
-        # remaining rows (with a fresh id for the duplicate) succeeds and the
-        # duplicate key is still taken.
-        with pytest.raises(ExecutionError):
-            table.insert_rows([{"id": 0, "name": "x", "price": 0.0, "stock": 0}])
-        table.insert_rows([{"id": 3, "name": "c", "price": 3.0, "stock": 3}])
-        assert table.column_values("id") == [0, 1, 2, 3]
 
-    def test_intra_batch_duplicate_pk_keeps_first_occurrence(self, schema):
+    def test_intra_batch_duplicate_pk_inserts_neither(self, schema):
         table = ColumnStoreTable(schema)
-        with pytest.raises(ExecutionError, match="duplicate primary key"):
+        with pytest.raises(ExecutionError, match="duplicate primary key 7 "):
             table.insert_rows([
                 {"id": 7, "name": "first", "price": 1.0, "stock": 1},
                 {"id": 7, "name": "second", "price": 2.0, "stock": 2},
             ])
-        assert table.num_rows == 1
+        assert table.num_rows == 0
+        table.insert_rows([{"id": 7, "name": "first", "price": 1.0, "stock": 1}])
         assert table.column_values("name") == ["first"]
 
-    def test_validation_error_mid_batch_keeps_earlier_rows(self, schema):
+    def test_validation_error_mid_batch_inserts_nothing(self, schema):
         table = ColumnStoreTable(schema)
         with pytest.raises(Exception):
             table.insert_rows([
                 {"id": 1, "name": "ok", "price": 1.0, "stock": 1},
                 {"id": 2, "name": "bad", "price": "not-a-price", "stock": 2},
             ])
-        assert table.num_rows == 1
+        assert table.num_rows == 0
+        table.insert_rows([{"id": 1, "name": "ok", "price": 1.0, "stock": 1}])
         assert table.column_values("name") == ["ok"]
 
     def _nullable_schema(self):
@@ -223,9 +224,13 @@ class TestInsertsUpdates:
         )
 
     def test_update_primary_key_checks_uniqueness(self, table):
-        with pytest.raises(ExecutionError):
-            table.update_rows([3], {"id": 4})
-        table.update_rows([3], {"id": 1000})
+        # The statement owns the key rule — it sees every matched row — so
+        # the access path checks it before the store changes anything.
+        path = SimpleAccessPath(StoredTable(table.schema, backend=table))
+        with pytest.raises(ExecutionError, match="duplicate primary key 4 "):
+            path.update({"id": 4}, eq("id", 3), CostAccountant())
+        assert table.column_values("id", [3, 4]) == [3, 4]
+        path.update({"id": 1000}, eq("id", 3), CostAccountant())
         assert table.column_values("id", [3]) == [1000]
 
     def test_delete_rows(self, table):

@@ -13,10 +13,10 @@ the union.  The contract pinned here:
   because dictionary accumulation is history-order independent;
 * inserts crossing ``merge_threshold`` merge automatically; updates and
   deletes merge first (positions address merged state);
-* a duplicate primary key mid-batch keeps the batch prefix and discards the
-  rest — and a column rejecting a value mid-append rolls back the already
-  appended column tails, in **both** write modes, so the table never ends
-  up with misaligned columns or leaked primary keys.
+* a duplicate primary key anywhere in a batch inserts none of it — and a
+  column rejecting a value mid-append rolls back the already appended
+  column tails, in **both** write modes, so the table never ends up with
+  misaligned columns or leaked primary keys.
 """
 
 import pytest
@@ -176,14 +176,14 @@ class TestMidBatchFailure:
     """Satellite: duplicate-PK / rejected-value batches stay consistent."""
 
     @pytest.mark.parametrize("mode", ["delta", "inline"])
-    def test_duplicate_pk_keeps_the_prefix_and_stays_aligned(self, mode):
+    def test_duplicate_pk_inserts_nothing_and_stays_aligned(self, mode):
         table = ColumnStoreTable(SCHEMA)
         seed = make_rows(0, 4)
         batch = [*make_rows(10, 2), seed[1], *make_rows(12, 1)]  # dup id=1 mid-batch
 
         def run():
             table.insert_rows(seed)
-            with pytest.raises(ExecutionError, match="duplicate primary key"):
+            with pytest.raises(ExecutionError, match="duplicate primary key 1 "):
                 table.insert_rows(batch)
 
         if mode == "delta":
@@ -192,11 +192,13 @@ class TestMidBatchFailure:
             with delta_writes_disabled():
                 run()
         ids = sorted(row["id"] for row in table.all_rows())
-        assert ids == [0, 1, 2, 3, 10, 11]  # prefix committed, suffix dropped
-        # The aborted row's key is free again; the batch prefix's keys stay.
-        table.insert_rows(make_rows(12, 1))
+        assert ids == [0, 1, 2, 3]  # no row of the batch committed
+        assert table.delta_rows == (4 if mode == "delta" else 0)
+        # Every key of the failed batch but the duplicate is free.
+        table.insert_rows(make_rows(10, 3))
         with pytest.raises(ExecutionError):
             table.insert_rows(make_rows(11, 1))
+        assert sorted(row["id"] for row in table.all_rows()) == [0, 1, 2, 3, 10, 11, 12]
 
     @pytest.mark.parametrize("mode", ["delta", "inline"])
     def test_rejected_value_rolls_back_appended_tails(self, mode, monkeypatch):

@@ -36,6 +36,7 @@ from repro.engine.partitioning import (
 )
 from repro.engine.schema import Column, TableSchema
 from repro.engine.types import DataType, Store
+from repro.errors import ExecutionError
 from repro.query.builder import aggregate, delete, insert, select, update
 from repro.query.predicates import (
     And,
@@ -268,6 +269,32 @@ def random_dml(rng, next_id):
     return delete("facts", random_predicate(rng)), next_id
 
 
+def colliding_dml(rng, ids, next_id):
+    """An insert reusing a key, or an update assigning the key.
+
+    The reused or assigned key is one of the table's *ids* three times in
+    four, so most of these statements raise; an update that matches one
+    row (or none) and assigns a fresh key succeeds.
+    """
+    taken = rng.choice(ids) if ids else 0
+    if rng.random() < 0.5:
+        rows = generate_rows(rng, rng.randrange(1, 4), id_offset=next_id)
+        rows.insert(rng.randrange(len(rows) + 1), dict(rows[0], id=taken))
+        return insert("facts", rows), next_id + len(rows)
+    key = taken if rng.random() < 0.75 else next_id
+    predicate = (Comparison("id", CompareOp.EQ, rng.choice(ids or [0]))
+                 if rng.random() < 0.6 else random_predicate(rng))
+    return update("facts", {"id": key}, predicate), next_id + 1
+
+
+def affected_or_raised(database, statement):
+    """The statement's affected-row count, or ``"raised"`` for a key error."""
+    try:
+        return database.execute(statement).affected_rows
+    except ExecutionError:
+        return "raised"
+
+
 # -- result comparison -----------------------------------------------------------------
 
 
@@ -316,6 +343,9 @@ def test_layouts_agree_on_random_workload(seed):
     rows = generate_rows(rng, num_rows)
     layouts = build_layouts(rng, rows, generate_dim_rows())
     next_id = num_rows
+    # Key-colliding statements come from their own stream, so the random
+    # workload above them is the one it always was.
+    colliding = random.Random(7000 + seed)
 
     for step in range(QUERIES_PER_SEED):
         if step and step % DML_EVERY == 0:
@@ -330,6 +360,24 @@ def test_layouts_agree_on_random_workload(seed):
             assert len(set(affected.values())) == 1, (
                 f"seed={seed} step={step} {statement!r}: {affected}"
             )
+            # Every layout raises on the same colliding statement — before
+            # changing anything — or applies it alike.
+            everything = select("facts").build()
+            for _ in range(2):
+                ids = sorted(row["id"] for row in layouts["row"].execute(everything).rows)
+                statement, next_id = colliding_dml(colliding, ids, next_id)
+                context = f"seed={seed} step={step} {statement!r}"
+                affected = {
+                    label: affected_or_raised(database, statement)
+                    for label, database in layouts.items()
+                }
+                assert len(set(affected.values())) == 1, f"{context}: {affected}"
+                reference = layouts["row"].execute(everything).rows
+                for label in ("column", "partitioned"):
+                    assert_rows_equivalent(
+                        f"{context} [{label}]", reference,
+                        layouts[label].execute(everything).rows,
+                    )
             continue
         query = random_select(rng) if rng.random() < 0.4 else random_aggregation(rng)
         context = f"seed={seed} step={step} query={query!r}"
@@ -442,13 +490,12 @@ def test_delta_writes_toggle_preserves_results_and_charges(seed):
     reference).  Every statement must agree on rows, affected counts *and*
     bit-identical :class:`CostBreakdown` components: the split is a
     wall-clock optimisation, never a semantics or cost-model change.  The
-    stream includes duplicate-primary-key batches, whose mid-batch
-    partial-commit contract must hold identically on both paths.
+    stream includes duplicate-primary-key batches, which must fail whole,
+    identically, on both paths.
     """
     import contextlib
 
     from repro.engine.column_store import delta_writes_disabled
-    from repro.errors import ExecutionError
 
     rng = random.Random(3000 + seed)
     rows = generate_rows(rng, rng.randrange(20, 120))
@@ -507,12 +554,12 @@ def test_delta_writes_toggle_preserves_results_and_charges(seed):
 
     for step in range(36):
         if step % 11 == 5:
-            # Duplicate PK mid-batch: row one commits, rows two/three do not
-            # — on both paths, with identical errors and charges intact.
+            # Duplicate PK mid-batch: no row of it commits — on both paths,
+            # with identical errors.
             batch = generate_rows(rng, 1, id_offset=next_id) * 2
             batch += generate_rows(rng, 1, id_offset=next_id + 1)
             statement = insert("facts", batch)
-            next_id += 2  # id used by row one; +1 burned by the lost row
+            next_id += 2  # both ids of the failed batch are burned
             for label in delta_dbs:
                 (fast_kind, fast), (slow_kind, slow) = run_both(label, statement)
                 context = f"seed={seed} step={step} [{label}] dup-pk"

@@ -5,9 +5,9 @@ separate from its neighbours as a named fault point
 (:data:`repro.testing.faults.CRASH_POINTS` — WAL append/flush windows, the
 three delta-merge phases, the three checkpoint phases).  This suite runs a
 fixed workload — DDL, bulk load, threshold-crossing inserts (so merges fire
-mid-statement), an update, a *failing* duplicate-primary-key batch (the
-engine's deterministic partial-state contract), a checkpoint, and more DML —
-and for **every** crash point:
+mid-statement), an update, a *failing* duplicate-primary-key batch (which
+changes nothing and is not logged), a checkpoint, and more DML — and for
+**every** crash point:
 
 1. arms a :class:`FaultPlan` that raises :class:`CrashError` at that point
    (standing in for the process dying there),
@@ -67,17 +67,21 @@ def _rows(start, count):
     ]
 
 
+#: Duplicate PK mid-batch (id 3 is taken): no row of it lands.
+FAILING_INSERT = insert("facts", [*_rows(17, 1), *_rows(3, 1), *_rows(18, 1)])
+
+
 def _failing_insert(database):
-    """Duplicate PK mid-batch: id 17 commits, id 3 aborts, id 18 is lost."""
     try:
-        database.execute(insert("facts", [*_rows(17, 1), *_rows(3, 1), *_rows(18, 1)]))
+        database.execute(FAILING_INSERT)
     except ExecutionError:
         pass  # the original run survives the statement and keeps going
 
 
 #: The workload: ``(loggable, apply)`` steps.  Every loggable step appends
 #: exactly one WAL record, so after a crash ``report.last_lsn`` equals the
-#: number of leading loggable steps that became durable.
+#: number of leading loggable steps that became durable.  A failing
+#: statement changes nothing and appends no record, like a checkpoint.
 STEPS = (
     (True, lambda db: db.create_table(SCHEMA, Store.COLUMN)),
     (True, lambda db: db.load_rows("facts", _rows(0, 8))),
@@ -86,7 +90,7 @@ STEPS = (
     # inside this statement, after the rows are already in the delta.
     (True, lambda db: db.execute(insert("facts", _rows(12, 5)))),
     (True, lambda db: db.execute(update("facts", {"category": "hot"}, ge("id", 14)))),
-    (True, _failing_insert),
+    (False, _failing_insert),
     (False, lambda db: db.checkpoint()),
     (True, lambda db: db.execute(insert("facts", _rows(20, 3)))),
     (True, lambda db: db.execute(delete("facts", lt("id", 2)))),
@@ -130,7 +134,7 @@ def reference_database(num_durable):
     applied = 0
     for loggable, apply_step in STEPS:
         if not loggable:
-            continue  # checkpoints never change logical state
+            continue  # checkpoints and failing statements change no state
         if applied == num_durable:
             break
         apply_step(database)
@@ -183,24 +187,47 @@ def test_torn_flush_loses_only_the_statement_in_flight(tmp_path):
     assert_recovered_equals_reference("torn flush", result.database, reference)
 
 
-def test_duplicate_pk_batch_replays_to_the_same_partial_state(tmp_path):
-    """The failing statement is durable, and replaying it re-fails identically."""
+def test_duplicate_pk_batch_is_not_logged(tmp_path):
+    """The failing statement changes nothing, so the log never holds it."""
     path = str(tmp_path / "db.wal")
     crashed, _plan = run_with_crash(path, crash_at=None)
     assert not crashed
-    result = recover(path)
-    # The checkpoint made the failing statement (LSN 6) stale; force a full
-    # replay of the log instead by recovering from a WAL without a snapshot.
+    assert recover(path).report.replay_errors == []  # snapshot path
     bare = str(tmp_path / "bare.wal")
     crashed, _plan = run_with_crash_without_checkpoint(bare)
     assert not crashed
     replayed = recover(bare)
-    assert [error_lsn for error_lsn, _ in replayed.report.replay_errors] == [6]
-    assert "duplicate primary key" in replayed.report.replay_errors[0][1]
+    assert replayed.report.replay_errors == []
+    assert replayed.report.last_lsn == sum(loggable for loggable, _ in STEPS)
     ids = {row["id"] for row in replayed.database.execute(PROBES[0]).rows}
-    assert 17 in ids  # the prefix before the duplicate committed
-    assert 18 not in ids  # the suffix after it did not
-    assert result.report.replay_errors == []  # snapshot path: nothing re-raised
+    assert not {17, 18} & ids  # no row of the failed batch committed
+    assert_recovered_equals_reference(
+        "full replay", replayed.database, reference_database(replayed.report.last_lsn)
+    )
+
+
+def test_an_old_logs_failed_statement_replays_to_no_effect(tmp_path):
+    """A log written while failed statements were still logged.
+
+    Such a log may hold the failing batch as a DML record.  Replay re-runs
+    it, it raises before it changes anything, and the error is reported —
+    where the batch's prefix once committed (id 17), nothing does now.
+    """
+    path = str(tmp_path / "old.wal")
+    database = HybridDatabase()
+    database.attach_wal(WriteAheadLog(path, sync_mode="commit"))
+    for _loggable, apply_step in STEPS[:5]:
+        apply_step(database)
+    database.wal.log_dml(FAILING_INSERT)
+    database.wal.close()
+    replayed = recover(path)
+    assert [lsn for lsn, _ in replayed.report.replay_errors] == [6]
+    assert "duplicate primary key 3 " in replayed.report.replay_errors[0][1]
+    ids = {row["id"] for row in replayed.database.execute(PROBES[0]).rows}
+    assert not {17, 18} & ids
+    assert_recovered_equals_reference(
+        "old log", replayed.database, reference_database(5)
+    )
 
 
 def run_with_crash_without_checkpoint(path):
@@ -234,12 +261,12 @@ def test_checkpoint_replace_window_drops_stale_records(tmp_path):
     assert crashed
     result = recover(path)
     assert result.report.snapshot_restored
-    assert result.report.snapshot_lsn == 6
-    # All six pre-checkpoint records are still on disk and all are stale.
-    assert result.report.records_stale == 6
+    assert result.report.snapshot_lsn == 5
+    # All five pre-checkpoint records are still on disk and all are stale.
+    assert result.report.records_stale == 5
     assert result.report.records_applied == 0
-    assert result.report.last_lsn == 6
-    reference = reference_database(6)
+    assert result.report.last_lsn == 5
+    reference = reference_database(5)
     assert_recovered_equals_reference(
         "checkpoint.after_replace", result.database, reference
     )
@@ -258,11 +285,11 @@ def test_checkpoint_truncate_window_recovers_snapshot_alone(tmp_path):
     assert crashed
     result = recover(path)
     assert result.report.snapshot_restored
-    assert result.report.snapshot_lsn == 6
+    assert result.report.snapshot_lsn == 5
     assert result.report.records_applied == 0
     assert result.report.records_stale == 0
     assert result.report.torn_tail_offset == 0
-    reference = reference_database(6)
+    reference = reference_database(5)
     assert_recovered_equals_reference(
         "checkpoint.after_truncate", result.database, reference
     )
@@ -292,7 +319,7 @@ def test_torn_magic_after_checkpoint_recovers_and_reopens(tmp_path):
     assert result.report.torn_tail_bytes == 3
     # The three post-checkpoint records are gone with the torn reset; the
     # recovered state is exactly the snapshot.
-    reference = reference_database(6)
+    reference = reference_database(5)
     assert_recovered_equals_reference("torn magic", result.database, reference)
     log = WriteAheadLog(path, sync_mode="commit")
     log.append("dml", insert("facts", _rows(60, 1)))
