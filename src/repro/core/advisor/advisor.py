@@ -33,7 +33,7 @@ from repro.core.cost_model.calibration import CalibrationReport, CostModelCalibr
 from repro.core.cost_model.estimator import TableProfile
 from repro.core.cost_model.model import CostModel
 from repro.engine.database import HybridDatabase
-from repro.engine.matview import view_serve_cost
+from repro.engine.matview import view_rejection, view_serve_cost
 from repro.engine.schema import TableSchema
 from repro.engine.statistics import TableStatistics
 from repro.engine.timing import CostBreakdown, DeviceModel
@@ -198,15 +198,11 @@ class StorageAdvisor:
         database.refresh_statistics()
         profiles = self.cost_model.profiles_from_catalog(database.catalog)
         device = DeviceModel(self.device_config)
-        from repro.query.fingerprint import fingerprint_tokens, query_fingerprint
+        from repro.query.fingerprint import query_fingerprint
 
         shapes: Dict[str, list] = {}
         for query in workload:
-            if not isinstance(query, AggregationQuery) or query.joins:
-                continue
-            if query.table not in profiles:
-                continue
-            if "v:param:" in fingerprint_tokens(query):
+            if view_rejection(query) is not None or query.table not in profiles:
                 continue
             fingerprint = query_fingerprint(query)
             shape = shapes.get(fingerprint)

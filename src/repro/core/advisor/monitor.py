@@ -22,6 +22,7 @@ from repro.core.advisor.recommendation import Recommendation, StorageLayout
 from repro.core.statistics.workload_stats import WorkloadStatistics
 from repro.engine.database import HybridDatabase
 from repro.engine.executor.executor import QueryResult
+from repro.engine.matview import view_rejection
 from repro.engine.types import Store
 from repro.query.ast import Query
 from repro.query.workload import Workload
@@ -165,14 +166,11 @@ class OnlineAdvisorMonitor:
         placeholder-free aggregations — over the recorded window, using the
         same query fingerprints the planner's view rewrite matches on.
         """
-        from repro.query.ast import AggregationQuery
-        from repro.query.fingerprint import fingerprint_tokens, query_fingerprint
+        from repro.query.fingerprint import query_fingerprint
 
         counts: Dict[str, int] = {}
         for query in self.recorded:
-            if not isinstance(query, AggregationQuery) or query.joins:
-                continue
-            if "v:param:" in fingerprint_tokens(query):
+            if view_rejection(query) is not None:
                 continue
             fingerprint = query_fingerprint(query)
             counts[fingerprint] = counts.get(fingerprint, 0) + 1

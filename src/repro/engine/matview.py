@@ -39,6 +39,7 @@ __all__ = [
     "RefreshResult",
     "matview_disabled",
     "matview_enabled",
+    "view_rejection",
     "view_serve_cost",
 ]
 
@@ -102,6 +103,22 @@ class RefreshResult:
         return CostBreakdown() if executed is None else executed.cost
 
 
+def view_rejection(query) -> Optional[str]:
+    """Why *query* cannot define a view (``None`` if it can) — the one rule.
+
+    A view caches one join-free aggregation without placeholders; views
+    are created, recommended and counted as recurring by this test alone.
+    The reason is the tail of the error :class:`MaterializedView` raises.
+    """
+    if not isinstance(query, AggregationQuery):
+        return f" needs an aggregation query, got {type(query).__name__}"
+    if query.joins:
+        return ": joined aggregations are not supported"
+    if "v:param:" in fingerprint_tokens(query):
+        return ": the defining query must not contain placeholders"
+    return None
+
+
 def _unit_tokens(table_object) -> Dict[str, tuple]:
     """``{label: token}`` of every zone unit of *table_object*."""
     return {unit.label: unit.token for unit in table_object.zone_units()}
@@ -111,21 +128,9 @@ class MaterializedView:
     """The cached result of one aggregation query over one base table."""
 
     def __init__(self, name: str, query: AggregationQuery) -> None:
-        if not isinstance(query, AggregationQuery):
-            raise CatalogError(
-                f"materialized view {name!r} needs an aggregation query, got "
-                f"{type(query).__name__}"
-            )
-        if query.joins:
-            raise CatalogError(
-                f"materialized view {name!r}: joined aggregations are not "
-                "supported"
-            )
-        if "v:param:" in fingerprint_tokens(query):
-            raise CatalogError(
-                f"materialized view {name!r}: the defining query must not "
-                "contain placeholders"
-            )
+        rejection = view_rejection(query)
+        if rejection is not None:
+            raise CatalogError(f"materialized view {name!r}{rejection}")
         self.name = name
         self.query = query
         self.fingerprint = query_fingerprint(query)
