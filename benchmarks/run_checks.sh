@@ -63,7 +63,13 @@
 #                and if the whole-log scan (`_scan_log`, `_LogScan`) is
 #                defined again or engine/wal.py logs a load as row dicts
 #                (`dict(row) for row in`) — the log is read one record at a
-#                time, and a load is logged as the columns it loaded.
+#                time, and a load is logged as the columns it loaded; and if
+#                "duplicate primary key" appears under src/ outside
+#                engine/indexes.py, engine/database.py calls `log_dml(` more
+#                than once, or `_update_main` is defined again — a table's
+#                keys have one rule (indexes.check_new_keys), checked before
+#                any part changes, so a statement that raises changes
+#                nothing and only statements that succeeded are logged.
 #   fuzz       — the seeded differentials: every fast path vs its toggled
 #                reference, on rows, CostBreakdown totals and charge order.
 #   faults / resilience / integrity — crash points, process faults and
@@ -104,7 +110,7 @@ python -m pytest -m matview -q tests benchmarks
 echo "== shard: scatter/gather differential + projection gates =="
 python -m pytest -m shard -q tests benchmarks
 
-echo "== ledger: one home per charge, one prunable unit, one execution context, one executor, one statement path, no per-row group renumbering, one writer of the codes, one binder, one columnar load path, one leaf meaning, one log record at a time =="
+echo "== ledger: one home per charge, one prunable unit, one execution context, one executor, one statement path, no per-row group renumbering, one writer of the codes, one binder, one columnar load path, one leaf meaning, one log record at a time, one key rule =="
 deleted='compile_code_leaves|_DRY_MASK|charge_column_scan|_charge_pruned_main_update|_charge_main_positions|validate_assignments|_answers_from_index'
 if grep -rnE --include='*.py' "$deleted" src/; then
     echo "ledger: a deleted charge twin is back (see above)"; exit 1
@@ -179,6 +185,17 @@ fi
 if grep -rnE --include='*.py' '(def|class) +(_scan_log|_LogScan)\b' src/ \
         || grep -nF 'dict(row) for row in' src/repro/engine/wal.py; then
     echo "ledger: the whole-log scan or a row-dict load record is back (see above) — the log is read one record at a time (wal._LogReader), and a load is logged as its columns"; exit 1
+fi
+if grep -rn --include='*.py' 'duplicate primary key' src/ \
+        | grep -v '^src/repro/engine/indexes\.py:'; then
+    echo "ledger: the duplicate-key error is raised outside indexes.check_new_keys (see above) — a table's keys have one rule"; exit 1
+fi
+if [ "$(grep -c 'log_dml(' src/repro/engine/database.py)" -gt 1 ]; then
+    grep -n 'log_dml(' src/repro/engine/database.py
+    echo "ledger: engine/database.py logs DML in more than one place (see above) — only a statement that succeeded is logged"; exit 1
+fi
+if grep -rnE --include='*.py' '(def|class) +_update_main\b' src/; then
+    echo "ledger: _update_main is back (see above) — a partitioned UPDATE derives every part's positions before any part changes"; exit 1
 fi
 echo "ledger clean."
 
