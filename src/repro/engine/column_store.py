@@ -654,18 +654,20 @@ class ColumnStoreTable:
 
         Every cell pays the column-store insert penalty (dictionary lookup and
         potential re-encoding, delta append); the primary key additionally
-        pays a probe of this table's key set (probes of a partitioned table's
-        other parts are not billed, as in the row store).  The *charges* are
-        per row, but the physical append is columnar — one
-        :meth:`CompressedColumn.extend` per column, so each dictionary merges
-        the batch's new values in a single pass.  A value a dictionary
-        unexpectedly rejects aborts the whole batch cleanly: nothing is
-        inserted, no primary key is registered, and the error propagates.
-        NULL mixes freely with values — the dictionary reserves code 0 for it
+        pays a uniqueness probe.  The *charges* are per row, but the physical
+        append is columnar — one :meth:`CompressedColumn.extend` per column,
+        so each dictionary merges the batch's new values in a single pass.  A
+        value a dictionary unexpectedly rejects aborts the whole batch
+        cleanly: nothing is inserted, no primary key is registered, and the
+        error propagates.  NULL mixes freely with values — the dictionary
+        reserves code 0 for it
         (:class:`~repro.engine.compression.ColumnDictionary`).
         """
         self._bump_zone_epoch()
         if self._pk_column is not None and accountant is not None:
+            # One probe of this table's key set per row; a partitioned
+            # table's probes of its other parts are not billed (the cost
+            # model prices an insert into one store).
             for _ in rows:
                 accountant.charge_index_probe()
         positions = []

@@ -233,18 +233,11 @@ class PartitionedAccessPath(AccessPath):
         main_empty, hot_empty = self._dml_proofs(predicate)
         hot, hot_positions = self._hot_positions(predicate, accountant, hot_empty)
         main_scan = _DeferredCharges()
-        if table.has_vertical_split:
-            main_positions, parts_needed = self._vertical_positions(
-                assignments, predicate, main_scan, main_empty
-            )
-            touched = len(parts_needed)
-            if main_positions is None:
-                main_positions = np.arange(table.main_num_rows, dtype=np.int64)
-        else:
-            main_positions = SimpleAccessPath(
-                table.main_parts[0], inner=True
-            )._dml_positions(predicate, main_scan, main_empty)
-            touched = 1
+        main_positions, parts_needed = self._vertical_positions(
+            assignments, predicate, main_scan, main_empty
+        )
+        if main_positions is None:
+            main_positions = np.arange(table.main_num_rows, dtype=np.int64)
         matched = [(table.main_parts[0], main_positions)]
         if hot is not None:
             matched.append((hot, hot_positions))
@@ -262,7 +255,9 @@ class PartitionedAccessPath(AccessPath):
                 main_affected = max(main_affected, part.update_rows(
                     main_positions, part_assignments, accountant
                 ))
-        accountant.charge_partition_overhead(max(touched + (hot is not None), 1))
+        accountant.charge_partition_overhead(
+            max(len(parts_needed) + (hot is not None), 1)
+        )
         return affected + main_affected
 
     def delete(self, predicate: Optional[Predicate], accountant: CostAccountant) -> int:

@@ -218,11 +218,7 @@ class RowStoreTable:
 
         Zone maps are maintained *incrementally* here: fresh cached synopses
         are widened with just the appended values (OLTP inserts must not
-        force an O(n) zone rebuild on the next filtered scan).  Each row is
-        billed one probe of this table's key index — the rows' keys were
-        also checked against every other part of a partitioned table, and
-        those probes are not billed (a modelling choice: the paper's cost
-        model prices an insert into one store).
+        force an O(n) zone rebuild on the next filtered scan).
         """
         fresh_zones = self._fresh_zones()
         self._bump_zone_epoch()
@@ -231,6 +227,9 @@ class RowStoreTable:
         column_names = self.schema.column_names
         for validated in rows:
             if self._pk_column is not None and accountant is not None:
+                # The probe of this table's key index.  A partitioned table
+                # also probed its other parts' key sets; those probes are not
+                # billed — the cost model prices an insert into one store.
                 accountant.charge_index_probe()
             position = len(self._rows)
             row_values = [validated[name] for name in column_names]
