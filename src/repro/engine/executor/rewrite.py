@@ -208,7 +208,7 @@ class PartitionedAccessPath(AccessPath):
         )
 
     def _hot_positions(self, predicate, accountant, proven_empty):
-        """``(hot part, its matching positions)``, or ``(None, [])`` without hot rows."""
+        """``(hot part, its matching positions)``; ``(None, [])`` without hot rows."""
         hot = self.table.hot
         if hot is None or hot.num_rows == 0:
             return None, []
@@ -238,10 +238,10 @@ class PartitionedAccessPath(AccessPath):
         )
         if main_positions is None:
             main_positions = np.arange(table.main_num_rows, dtype=np.int64)
-        matched = [(table.main_parts[0], main_positions)]
-        if hot is not None:
-            matched.append((hot, hot_positions))
-        coerced = checked_assignments(table, assignments, matched)
+        coerced = checked_assignments(
+            table, assignments,
+            [(table.main_parts[0], main_positions), (hot, hot_positions)],
+        )
         affected = main_affected = 0
         if hot is not None:
             affected = hot.update_rows(hot_positions, coerced, accountant)
@@ -255,9 +255,7 @@ class PartitionedAccessPath(AccessPath):
                 main_affected = max(main_affected, part.update_rows(
                     main_positions, part_assignments, accountant
                 ))
-        accountant.charge_partition_overhead(
-            max(len(parts_needed) + (hot is not None), 1)
-        )
+        accountant.charge_partition_overhead(len(parts_needed) + (hot is not None))
         return affected + main_affected
 
     def delete(self, predicate: Optional[Predicate], accountant: CostAccountant) -> int:

@@ -57,15 +57,16 @@ def load_rows(table, rows: Iterable[Mapping[str, Any]]) -> int:
 
 def checked_assignments(
     table, assignments: Mapping[str, Any],
-    matched: Sequence[Tuple["StoredTable", Sequence[int]]],
+    matched: Sequence[Tuple[Optional["StoredTable"], Sequence[int]]],
 ) -> Dict[str, Any]:
     """An UPDATE's SET values, coerced once and proven to keep keys unique.
 
-    *matched* pairs each part of *table* the statement updates with the
-    positions it updates there — all derived before any part changes, so a
-    statement this rejects changes nothing.  Every matched row takes the one
-    new key: two or more rows would share it, and a single row collides iff
-    its key changes to one some part of the table holds.
+    *matched* pairs each part of *table* with the positions the statement
+    updates there (a part it updates none of may be ``None``) — all derived
+    before any part changes, so a statement this rejects changes nothing.
+    Every matched row takes the one new key: two or more rows would share
+    it, and a single row collides iff its key changes to one some part of
+    the table holds.
     """
     schema = table.schema
     coerced = {
