@@ -24,6 +24,13 @@ columns, one fancy-indexing gather, cached); consumers that can exploit
 codes call :meth:`ColumnBatch.raw` and check for :class:`EncodedColumn`.
 Row dicts are materialised lazily, only when a result actually needs rows.
 
+A partitioned table's parts meet in one code domain: :meth:`ColumnBatch.concat`
+carries a part as the first encoded part's codes when that sorted dictionary
+already holds every value of the part (integer, boolean and string columns;
+:func:`sorted_positions` is both dictionary classes' value→code lookup), so
+a populated hot partition leaves main's codes encoded.  Floats, object
+arrays and values the dictionary lacks decode every part instead.
+
 NULL handling is dictionary-aware end-to-end: a dictionary holding NULL
 reserves code 0 for it (:mod:`repro.engine.compression`), so NULL rows
 travel through encoded columns, factorize into their own group, and are
@@ -58,9 +65,11 @@ from repro.query.ranges import ValueRanges, is_singleton, ranges_of
 __all__ = [
     "ColumnBatch",
     "EncodedColumn",
+    "codes_in",
     "decoded_array",
     "evaluate_predicate_mask",
     "null_mask_of",
+    "sorted_positions",
     "take_column",
     "values_to_array",
     "vectorized_value_mask",
@@ -171,6 +180,60 @@ def take_column(values: BatchColumn, selector: np.ndarray) -> BatchColumn:
     return values[selector]
 
 
+def sorted_positions(entries: np.ndarray, values: np.ndarray) -> Optional[np.ndarray]:
+    """Position of each of *values* in the sorted *entries*, ``-1`` where absent.
+
+    The value→code lookup of both dictionary classes.  ``None`` when the
+    two arrays cannot be matched exactly: only integer, boolean and string
+    arrays of one kind are (float entries hold NaN and -0.0, object arrays
+    NULL and values numpy does not order).
+    """
+    kind = entries.dtype.kind
+    if kind not in "iubU" or values.dtype.kind != kind:
+        return None
+    if not len(entries):
+        return np.full(len(values), -1, dtype=np.int64)
+    slots = np.minimum(np.searchsorted(entries, values), len(entries) - 1)
+    return np.where(entries[slots] == values, slots, -1).astype(np.int64, copy=False)
+
+
+def codes_in(dictionary, part: BatchColumn) -> Optional[np.ndarray]:
+    """*part*'s rows as codes of *dictionary*, or ``None`` if it lacks a value.
+
+    A part on another dictionary looks up that dictionary's entries once
+    and gathers its codes through the answer; a value array looks up its
+    rows.
+    """
+    if isinstance(part, EncodedColumn):
+        if part.dictionary is dictionary:
+            return part.codes
+        entries = dictionary.codes_of(part.dictionary.values_array)
+        codes = None if entries is None else entries[part.codes]
+    else:
+        codes = dictionary.codes_of(part)
+    if codes is None or bool((codes < 0).any()):
+        return None
+    return codes
+
+
+def _concat_column(parts: Sequence[BatchColumn]) -> BatchColumn:
+    """Stack two or more parts of one column (see :meth:`ColumnBatch.concat`)."""
+    first = next((part for part in parts if isinstance(part, EncodedColumn)), None)
+    if first is not None:
+        pieces = []
+        for part in parts:
+            codes = codes_in(first.dictionary, part)
+            if codes is None:
+                break
+            pieces.append(codes)
+        else:
+            return EncodedColumn(np.concatenate(pieces), first.dictionary)
+    arrays = [decoded_array(part) for part in parts]
+    if any(array.dtype == object for array in arrays):
+        arrays = [array.astype(object) for array in arrays]
+    return np.concatenate(arrays)
+
+
 class ColumnBatch:
     """Aligned per-column arrays — the unit of the vectorized pipeline.
 
@@ -246,10 +309,12 @@ class ColumnBatch:
     def concat(cls, batches: Sequence["ColumnBatch"]) -> "ColumnBatch":
         """Stack batches with identical column sets (e.g. partition segments).
 
-        Encoded parts sharing one dictionary object concatenate codes;
-        mixed representations (different partitions have independent
-        dictionaries) decode first, exactly like the pre-late-materialisation
-        pipeline did.
+        A column stays encoded over the first encoded part's dictionary when
+        that dictionary holds every value of every other part: a part on the
+        same dictionary contributes its codes, any other part its values'
+        codes in it (:func:`codes_in`).  A column no dictionary covers —
+        floats, object arrays, a part holding a value the dictionary lacks —
+        decodes every part and stacks the values.
         """
         if not batches:
             return cls({})
@@ -262,20 +327,8 @@ class ColumnBatch:
                 columns[name] = batches[0].raw(name)
             elif len(parts) == 1:
                 columns[name] = parts[0]
-            elif all(
-                isinstance(part, EncodedColumn)
-                and part.dictionary is parts[0].dictionary
-                for part in parts
-            ):
-                columns[name] = EncodedColumn(
-                    np.concatenate([part.codes for part in parts]),
-                    parts[0].dictionary,
-                )
             else:
-                arrays = [decoded_array(part) for part in parts]
-                if any(array.dtype == object for array in arrays):
-                    arrays = [array.astype(object) for array in arrays]
-                columns[name] = np.concatenate(arrays)
+                columns[name] = _concat_column(parts)
         return cls(columns, num_rows=total_rows)
 
     # -- lazy row materialisation ---------------------------------------------------

@@ -307,20 +307,20 @@ class ColumnDictionary:
             return position + self._offset
         return None
 
+    def codes_of(self, values: np.ndarray) -> Optional[np.ndarray]:
+        """Code of each of *values*, ``-1`` where absent (``None``: see
+        :func:`~repro.engine.batch.sorted_positions`)."""
+        from repro.engine.batch import sorted_positions
+
+        positions = sorted_positions(self.reals_array, values)
+        if positions is None or not self._has_null:
+            return positions
+        return np.where(positions < 0, -1, positions + 1)
+
     @property
     def has_null(self) -> bool:
         """Whether NULL is present (and code 0 is reserved for it)."""
         return self._has_null
-
-    @property
-    def holds_null(self) -> bool:
-        """Whether this is the *all-NULL* dictionary (``None`` is its only entry).
-
-        Any comparison predicate over such a column is false for every row.
-        Mixed dictionaries (NULL alongside values) report ``False`` here and
-        ``True`` for :attr:`has_null`.
-        """
-        return self._has_null and not self._values
 
     @property
     def nan_code(self) -> Optional[int]:

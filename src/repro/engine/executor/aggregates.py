@@ -26,9 +26,14 @@ dictionary-encoded columns never materialise per-row values:
   makes the smallest live code the minimum value) and decode one value per
   result.
 
-Keys that are not encoded (row-store partitions, joined dimension
-attributes) and combinations past the bound factorize with ``np.unique``
-into dense ids first; from there on the reduction is the same.
+Keys that are not encoded and combinations past the bound factorize with
+``np.unique`` into dense ids first; from there on the reduction is the
+same.  A key is encoded when it comes from the column store, from an
+interned row-store string column, or from a partitioned table whose hot
+values main's dictionary holds (``ColumnBatch.concat`` keeps the stack in
+main's codes); a joined dimension attribute keeps the dimension's encoding
+when every base row finds its partner.  Float keys, NULL-bearing row-store
+columns and hot values main lacks arrive as value arrays.
 
 The module also hosts the partition-partial machinery: ``SUM``/``AVG`` split
 into mergeable ``(sum, count)`` states so each partition aggregates

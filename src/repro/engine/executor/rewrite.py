@@ -106,30 +106,6 @@ class PartitionedAccessPath(AccessPath):
         accountant.charge_partition_overhead(max(segments, 1))
         return main_piece, hot_piece
 
-    def _collect_segments(
-        self,
-        columns: Sequence[str],
-        predicate: Optional[Predicate],
-        accountant: CostAccountant,
-        encode_columns: Sequence[str],
-    ) -> List[ColumnBatch]:
-        """Per-partition batches of the scan (shared by concat and partial).
-
-        Cost charges are identical whether the caller concatenates the
-        batches or aggregates them partition by partition.
-        """
-        main_batch, hot_batch = self._scan_partitions(
-            predicate, accountant,
-            lambda: self._collect_from_main(
-                columns, predicate, accountant, encode_columns=encode_columns
-            ),
-            lambda hot: hot.collect_batch(columns, predicate, accountant),
-        )
-        batches = [main_batch if main_batch is not None else empty_batch(columns)]
-        if hot_batch is not None:
-            batches.append(hot_batch)
-        return batches
-
     def collect_batch(
         self,
         columns: Sequence[str],
@@ -137,20 +113,9 @@ class PartitionedAccessPath(AccessPath):
         accountant: CostAccountant,
         encode_columns: Sequence[str] = (),
     ) -> ColumnBatch:
-        decision = self.decision_for(predicate)
-        # A populated hot partition forces a mixed-dictionary concat that
-        # would decode interned columns again; only ask the main portion for
-        # encoded columns when the whole result comes from it.
-        hot_active = (
-            self.table.hot is not None
-            and self.table.hot.num_rows > 0
-            and decision.scan_of(HOT_PARTITION)
-        )
-        batches = self._collect_segments(
-            columns, predicate, accountant,
-            encode_columns=() if hot_active else encode_columns,
-        )
-        return ColumnBatch.concat(batches)
+        return ColumnBatch.concat(self.collect_partition_batches(
+            columns, predicate, accountant, encode_columns=encode_columns
+        ))
 
     def collect_partition_batches(
         self,
@@ -159,15 +124,26 @@ class PartitionedAccessPath(AccessPath):
         accountant: CostAccountant,
         encode_columns: Sequence[str] = (),
     ) -> List[ColumnBatch]:
-        """Per-partition batches for partition-partial aggregation.
+        """Per-partition batches, each in its part's own representation.
 
-        Unlike :meth:`collect_batch` there is no concatenation, so every
-        partition keeps its native representation — in particular the main
-        portion's dictionary codes stay encoded even while a populated hot
-        partition exists.  Charges are identical to :meth:`collect_batch`.
+        The main portion carries its dictionary codes and the hot part its
+        interned *encode_columns*; :meth:`collect_batch` stacks them, and
+        partition-partial aggregation reduces them one by one.  Cost
+        charges are the same either way.
         """
-        return self._collect_segments(columns, predicate, accountant,
-                                      encode_columns=encode_columns)
+        main_batch, hot_batch = self._scan_partitions(
+            predicate, accountant,
+            lambda: self._collect_from_main(
+                columns, predicate, accountant, encode_columns=encode_columns
+            ),
+            lambda hot: hot.collect_batch(
+                columns, predicate, accountant, encode_columns=encode_columns
+            ),
+        )
+        batches = [main_batch if main_batch is not None else empty_batch(columns)]
+        if hot_batch is not None:
+            batches.append(hot_batch)
+        return batches
 
     def select_rows(
         self,
@@ -305,8 +281,8 @@ class PartitionedAccessPath(AccessPath):
                     arrays[name] = part_batch.column(name)
             else:
                 # Column-store parts contribute their (codes, dictionary)
-                # pairs undecoded; ColumnBatch.concat decodes only if the
-                # hot partition forces a mixed-representation stack.
+                # pairs undecoded; ColumnBatch.concat carries the hot part's
+                # rows as codes of the same dictionary where it holds them.
                 for name in part_columns:
                     arrays[name] = part.column_batched(name, positions, accountant)
         return ColumnBatch(arrays, num_rows=num_rows), len(parts_needed)

@@ -31,7 +31,9 @@ import numpy as np
 from repro.engine.batch import (
     ColumnBatch,
     EncodedColumn,
+    codes_in,
     evaluate_predicate_mask,
+    sorted_positions,
     values_to_array,
 )
 from repro.engine.indexes import HashIndex, SortedIndex, check_new_keys, check_new_rows
@@ -107,6 +109,11 @@ class InternedDictionary:
 
     def decode_array(self, codes: np.ndarray) -> np.ndarray:
         return self.values_array[codes]
+
+    def codes_of(self, values: np.ndarray) -> Optional[np.ndarray]:
+        """Code of each of *values*, ``-1`` where absent (``None``: see
+        :func:`~repro.engine.batch.sorted_positions`)."""
+        return sorted_positions(self.values_array, values)
 
 
 class RowStoreTable:
@@ -432,11 +439,9 @@ class RowStoreTable:
             if len(codes) == num_rows:
                 return EncodedColumn(codes, dictionary)
             if len(codes) < num_rows:
-                suffix = array[len(codes):]
-                slots = np.searchsorted(dictionary.values_array, suffix)
-                slots = np.minimum(slots, len(dictionary) - 1)
-                if bool((dictionary.values_array[slots] == suffix).all()):
-                    codes = np.concatenate([codes, slots.astype(np.int64)])
+                suffix = codes_in(dictionary, array[len(codes):])
+                if suffix is not None:
+                    codes = np.concatenate([codes, suffix])
                     self._factorized[column] = (codes, dictionary)
                     return EncodedColumn(codes, dictionary)
             # Shrunk or new values appeared: fall through to a full rebuild.
