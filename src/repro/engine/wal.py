@@ -405,6 +405,10 @@ class RecoveryReport:
     #: longer logged, and such an old record now replays to no effect
     #: (where it once re-committed a partial prefix).
     replay_errors: List[Tuple[int, str]] = field(default_factory=list)
+    #: LSNs of records skipped because they were not above the last LSN
+    #: applied: a log holding a record twice is damaged, and applying the
+    #: copy would commit its statement twice.
+    repeated_lsns: List[int] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
@@ -413,6 +417,7 @@ class RecoveryReport:
             self.torn_tail_offset is None
             and not self.corrupt_offsets
             and not self.snapshot_corrupt
+            and not self.repeated_lsns
         )
 
 
@@ -532,6 +537,8 @@ def recover(
         for lsn, kind, data in scan:
             if lsn <= report.snapshot_lsn:
                 report.records_stale += 1
+            elif lsn <= report.last_lsn:
+                report.repeated_lsns.append(lsn)
             else:
                 _apply_record(database, lsn, kind, data, report)
                 report.records_applied += 1

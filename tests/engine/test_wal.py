@@ -247,6 +247,32 @@ class TestDamage:
         expected = [row for row in EXPECTED_ROWS if row["id"] != 3]
         assert rows_of(result.database) == expected
 
+    def test_a_repeated_lsn_is_skipped_and_reported(self, tmp_path):
+        # Without a key nothing else stops a repeated INSERT from landing
+        # twice: the log's LSN order is the only guard.
+        path = str(tmp_path / "db.wal")
+        database = make_db(path)
+        keyless = TableSchema(
+            "k", (Column("id", DataType.INTEGER), Column("v", DataType.INTEGER))
+        )
+        database.create_table(keyless, Store.ROW)
+        database.load_rows("k", [{"id": 0, "v": 0}])
+        database.execute(insert("k", [{"id": 1, "v": 1}]))
+        database.wal.close()
+        offset, length = record_spans(path)[-1]
+        with open(path, "rb") as handle:
+            handle.seek(offset)
+            frame = handle.read(8 + length)
+        with open(path, "ab") as handle:
+            handle.write(frame)
+        result = recover(path)
+        rows = result.database.execute(select("k").build()).rows
+        assert rows == [{"id": 0, "v": 0}, {"id": 1, "v": 1}]
+        assert not result.report.clean
+        assert result.report.repeated_lsns == [3]
+        assert result.report.records_applied == 3
+        assert result.report.last_lsn == 3
+
     def test_resume_after_damage_keeps_appending(self, tmp_path):
         path = self._closed_log(tmp_path)
         truncate_file(path, os.path.getsize(path) - 3)
