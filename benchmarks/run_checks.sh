@@ -69,7 +69,12 @@
 #                than once, or `_update_main` is defined again — a table's
 #                keys have one rule (indexes.check_new_keys), checked before
 #                any part changes, so a statement that raises changes
-#                nothing and only statements that succeeded are logged.
+#                nothing and only statements that succeeded are logged; and
+#                if the unreferenced `holds_null` reappears under src/, or
+#                `hot_active` in engine/executor/rewrite.py — a partitioned
+#                collect stacks its parts through ColumnBatch.concat, which
+#                keeps them in main's code domain where main's dictionary
+#                holds every value, instead of switching main to values.
 #   fuzz       — the seeded differentials: every fast path vs its toggled
 #                reference, on rows, CostBreakdown totals and charge order.
 #   faults / resilience / integrity — crash points, process faults and
@@ -110,7 +115,7 @@ python -m pytest -m matview -q tests benchmarks
 echo "== shard: scatter/gather differential + projection gates =="
 python -m pytest -m shard -q tests benchmarks
 
-echo "== ledger: one home per charge, one prunable unit, one execution context, one executor, one statement path, no per-row group renumbering, one writer of the codes, one binder, one columnar load path, one leaf meaning, one log record at a time, one key rule =="
+echo "== ledger: one home per charge, one prunable unit, one execution context, one executor, one statement path, no per-row group renumbering, one writer of the codes, one binder, one columnar load path, one leaf meaning, one log record at a time, one key rule, one code domain per table =="
 deleted='compile_code_leaves|_DRY_MASK|charge_column_scan|_charge_pruned_main_update|_charge_main_positions|validate_assignments|_answers_from_index'
 if grep -rnE --include='*.py' "$deleted" src/; then
     echo "ledger: a deleted charge twin is back (see above)"; exit 1
@@ -196,6 +201,10 @@ if [ "$(grep -c 'log_dml(' src/repro/engine/database.py)" -gt 1 ]; then
 fi
 if grep -rnE --include='*.py' '(def|class) +_update_main\b' src/; then
     echo "ledger: _update_main is back (see above) — a partitioned UPDATE derives every part's positions before any part changes"; exit 1
+fi
+if grep -rn --include='*.py' 'holds_null' src/ \
+        || grep -n 'hot_active' src/repro/engine/executor/rewrite.py; then
+    echo "ledger: holds_null or the hot_active case is back (see above) — a table's parts meet in main's code domain (ColumnBatch.concat), with no per-path representation switch"; exit 1
 fi
 echo "ledger clean."
 
