@@ -74,7 +74,12 @@
 #                `hot_active` in engine/executor/rewrite.py — a partitioned
 #                collect stacks its parts through ColumnBatch.concat, which
 #                keeps them in main's code domain where main's dictionary
-#                holds every value, instead of switching main to values.
+#                holds every value, instead of switching main to values; and
+#                if `_minmax_is_order_dependent`, `_partial_merge_safe` or an
+#                "order-dependent" NaN deferral reappears under src/ — every
+#                aggregation tier keeps the one float order of
+#                query/ranges.py (`group_key`, `least`, `greatest`), so no
+#                NaN sends a query to another tier.
 #   fuzz       — the seeded differentials: every fast path vs its toggled
 #                reference, on rows, CostBreakdown totals and charge order.
 #   faults / resilience / integrity — crash points, process faults and
@@ -115,7 +120,7 @@ python -m pytest -m matview -q tests benchmarks
 echo "== shard: scatter/gather differential + projection gates =="
 python -m pytest -m shard -q tests benchmarks
 
-echo "== ledger: one home per charge, one prunable unit, one execution context, one executor, one statement path, no per-row group renumbering, one writer of the codes, one binder, one columnar load path, one leaf meaning, one log record at a time, one key rule, one code domain per table =="
+echo "== ledger: one home per charge, one prunable unit, one execution context, one executor, one statement path, no per-row group renumbering, one writer of the codes, one binder, one columnar load path, one leaf meaning, one log record at a time, one key rule, one code domain per table, one float order =="
 deleted='compile_code_leaves|_DRY_MASK|charge_column_scan|_charge_pruned_main_update|_charge_main_positions|validate_assignments|_answers_from_index'
 if grep -rnE --include='*.py' "$deleted" src/; then
     echo "ledger: a deleted charge twin is back (see above)"; exit 1
@@ -205,6 +210,9 @@ fi
 if grep -rn --include='*.py' 'holds_null' src/ \
         || grep -n 'hot_active' src/repro/engine/executor/rewrite.py; then
     echo "ledger: holds_null or the hot_active case is back (see above) — a table's parts meet in main's code domain (ColumnBatch.concat), with no per-path representation switch"; exit 1
+fi
+if grep -rnE --include='*.py' '_minmax_is_order_dependent|_partial_merge_safe|order-dependent' src/; then
+    echo "ledger: a NaN deferral is back (see above) — every aggregation tier keeps the one float order of query/ranges.py"; exit 1
 fi
 echo "ledger clean."
 

@@ -109,9 +109,10 @@ every :class:`~repro.engine.timing.CostAccountant` charge is identical to the
 scalar row-at-a-time pipeline (same components, same amounts, same order) —
 including the per-value decode charges of scans whose decode never physically
 happens — so the advisor's estimated-vs-measured calibration is unaffected.
-Value mixes numpy cannot express (NULLs in object columns, unsortable or
-NaN group keys) fall back to the scalar implementations, which remain the
-semantic reference; the cross-store differential fuzz suite
+Value mixes numpy cannot express (NULLs in object columns, unsortable
+group keys) fall back to the scalar implementations, which remain the
+semantic reference; both keep the one float order of
+:mod:`repro.query.ranges`, and the cross-store differential fuzz suite
 (``tests/engine/test_differential_fuzz.py``) pins the equivalence.
 """
 

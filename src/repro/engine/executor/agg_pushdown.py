@@ -22,9 +22,8 @@ bound query, or a toggle flip):
     state per partition and combine them associatively — zone-pruned
     partitions contribute nothing, and the partitions' batches are never
     concatenated (so a hot row-store partition no longer forces the main
-    portion's dictionary codes to decode).  Requires NaN-free group keys and
-    MIN/MAX inputs (proved by the zones), because the scalar min/max fold
-    and per-NaN-object grouping are order-dependent.
+    portion's dictionary codes to decode).  NaN keys and inputs merge like
+    any other value (the one float order of :mod:`repro.query.ranges`).
 
 ``code-domain``
     Unpartitioned column-store aggregations run on dictionary codes: the
@@ -52,12 +51,14 @@ reachable as the differential baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Any, List, Optional, Tuple
 
 from repro.engine.toggle import Toggle
 from repro.engine.types import Store
 from repro.engine.zonemap import ZoneUnit
 from repro.query.ast import AggregateFunction, AggregationQuery, split_qualified
+from repro.query.ranges import NAN, greatest, least
 
 __all__ = [
     "AggregateStrategy",
@@ -152,13 +153,9 @@ def derive_aggregate_strategy(path, query: AggregationQuery) -> AggregateStrateg
             return zero_scan
 
     if path.supports_partition_partial:
-        safe, reason = _partial_merge_safe(path, query)
-        if safe:
-            return strategy(
-                TIER_PARTITION_PARTIAL,
-                f"{len(units)} partition(s) merge partial states",
-            )
-        return strategy(TIER_OPERATOR, reason)
+        return strategy(
+            TIER_PARTITION_PARTIAL, f"{len(units)} partition(s) merge partial states",
+        )
 
     if path.primary_store is Store.COLUMN:
         return strategy(TIER_CODE_DOMAIN, "dictionary codes as group ids")
@@ -217,21 +214,14 @@ def _try_zero_scan(
                     for unit, zone in zip(contributing, zones)
                 )
             else:
-                if any(zone.has_nan for zone in zones):
-                    # The scalar min/max fold is order-dependent around NaN.
-                    return None
+                is_min = spec.function is AggregateFunction.MIN
                 bounds = [
-                    zone.min_value if spec.function is AggregateFunction.MIN
-                    else zone.max_value
+                    zone.min_value if is_min else zone.max_value
                     for zone in zones
                     if zone.has_values
                 ]
-                if not bounds:
-                    value = None
-                elif spec.function is AggregateFunction.MIN:
-                    value = min(bounds)
-                else:
-                    value = max(bounds)
+                bounds += [NAN for zone in zones if zone.has_nan]
+                value = reduce(least if is_min else greatest, bounds) if bounds else None
             answer.append((spec.output_name, value))
     except TypeError:
         return None  # unorderable bounds across partitions
@@ -245,35 +235,3 @@ def _try_zero_scan(
         partitions=tuple(verdicts), answer=tuple(answer),
     )
 
-
-def _partial_merge_safe(path, query: AggregationQuery) -> Tuple[bool, str]:
-    """Whether per-partition partial states provably merge to the reference.
-
-    Two hazards make merging order-dependent and force the concatenate-then-
-    reduce reference: NaN among the group keys (the scalar reference groups
-    per NaN object) and NaN among MIN/MAX inputs (the scalar fold is
-    order-dependent).  Both are proved absent from the zones; a column with
-    no synopsis at all stays on the reference path.
-    """
-    hazard_columns: List[str] = []
-    for name in query.group_by:
-        column = _base_column(query, name)
-        if column is None:
-            return False, "foreign group key"
-        hazard_columns.append(column)
-    for spec in query.aggregates:
-        if spec.function in (AggregateFunction.MIN, AggregateFunction.MAX):
-            column = _base_column(query, spec.column)
-            if column is None:
-                return False, "foreign aggregate input"
-            hazard_columns.append(column)
-    for unit in path.table.zone_units():
-        if unit.num_rows == 0:
-            continue
-        for column in hazard_columns:
-            zone = unit.zone(column)
-            if zone is None:
-                return False, f"no synopsis for {column!r}"
-            if zone.has_nan:
-                return False, f"NaN in {column!r} (order-dependent)"
-    return True, ""

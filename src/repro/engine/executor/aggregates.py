@@ -23,8 +23,8 @@ dictionary-encoded columns never materialise per-row values:
   weight-gather ``bincount`` grouped — touching O(|dictionary|) decoded
   values instead of O(rows);
 * ``COUNT``/``MIN``/``MAX`` reduce over the codes (the sorted dictionary
-  makes the smallest live code the minimum value) and decode one value per
-  result.
+  makes the smallest live code the minimum value and puts NaN on the top
+  code) and decode one value per result.
 
 Keys that are not encoded and combinations past the bound factorize with
 ``np.unique`` into dense ids first; from there on the reduction is the
@@ -34,6 +34,14 @@ values main's dictionary holds (``ColumnBatch.concat`` keeps the stack in
 main's codes); a joined dimension attribute keeps the dimension's encoding
 when every base row finds its partner.  Float keys, NULL-bearing row-store
 columns and hot values main lacks arrive as value arrays.
+
+Every tier keeps the one float order of :mod:`repro.query.ranges`: all NaN
+keys are one group, ``MAX`` is NaN if any input is and ``MIN`` only if every
+non-NULL input is.  Numpy gives it to the vectorized kernels (``np.unique``,
+the NaN-last dictionary, ``np.maximum`` / ``np.fmin``) and
+:func:`~repro.query.ranges.least` / :func:`~repro.query.ranges.greatest` /
+:func:`~repro.query.ranges.group_key` to the scalar fold, so no value sends
+an aggregation to another tier.
 
 The module also hosts the partition-partial machinery: ``SUM``/``AVG`` split
 into mergeable ``(sum, count)`` states so each partition aggregates
@@ -58,6 +66,7 @@ from repro.engine.compression import rows_by_id
 from repro.engine.executor.agg_pushdown import aggregate_pushdown_enabled
 from repro.errors import ExecutionError
 from repro.query.ast import AggregateFunction, AggregateSpec
+from repro.query.ranges import greatest, group_key, least
 
 
 class Accumulator:
@@ -83,9 +92,9 @@ class Accumulator:
         if self.function in (AggregateFunction.SUM, AggregateFunction.AVG):
             self._sum += value
         elif self.function is AggregateFunction.MIN:
-            self._min = value if self._min is None else min(self._min, value)
+            self._min = value if self._min is None else least(self._min, value)
         elif self.function is AggregateFunction.MAX:
-            self._max = value if self._max is None else max(self._max, value)
+            self._max = value if self._max is None else greatest(self._max, value)
 
     def result(self) -> Any:
         if self.function is AggregateFunction.COUNT:
@@ -198,7 +207,7 @@ class _Groups:
         return self._sorted
 
     def extremes(self, reduce: np.ufunc, values: np.ndarray) -> np.ndarray:
-        """``reduce`` (``np.minimum``/``np.maximum``) of *values* per
+        """``reduce`` (a ``MIN``/``MAX`` ufunc) of *values* per
         emitted group.  Every segment is non-empty, so ``reduceat`` reads
         each exactly."""
         row_order, starts, _ = self._segments()
@@ -229,18 +238,10 @@ def _is_reducible(values: Any) -> bool:
     return isinstance(values, np.ndarray) and values.dtype.kind in "iufb"
 
 
-def _minmax_is_order_dependent(function: AggregateFunction, values: np.ndarray) -> bool:
-    """Whether numpy min/max would diverge from the scalar fold.
-
-    Python's ``min``/``max`` fold is order-dependent in the presence of NaN
-    while numpy's reductions propagate NaN; such columns take the scalar
-    reference path.
-    """
-    return (
-        function in (AggregateFunction.MIN, AggregateFunction.MAX)
-        and values.dtype.kind == "f"
-        and bool(np.isnan(values).any())
-    )
+def _extreme(function: AggregateFunction) -> np.ufunc:
+    """The ufunc of ``MIN``/``MAX`` in the one float order: ``fmin`` drops
+    NaN unless every input is NaN, ``maximum`` propagates it."""
+    return np.fmin if function is AggregateFunction.MIN else np.maximum
 
 
 def _reduce_column(function: AggregateFunction, values: np.ndarray) -> Any:
@@ -260,11 +261,7 @@ def _reduce_column(function: AggregateFunction, values: np.ndarray) -> Any:
         return float(np.sum(values, dtype=np.float64))
     if function is AggregateFunction.AVG:
         return float(np.sum(values, dtype=np.float64)) / count
-    if _minmax_is_order_dependent(function, values):
-        return aggregate_values(function, values.tolist())
-    if function is AggregateFunction.MIN:
-        return values.min().item()
-    return values.max().item()
+    return _extreme(function).reduce(values).item()
 
 
 def _int_sum_is_safe(values: np.ndarray, count: Optional[int] = None) -> bool:
@@ -320,9 +317,8 @@ def _reduce_encoded(function: AggregateFunction, column: EncodedColumn) -> Any:
     ``bincount(codes) · decoded(dictionary)`` — the dot is restricted to the
     codes actually stored so an orphaned NaN dictionary entry with a zero
     count cannot poison the total.  ``MIN``/``MAX`` reduce the codes (the
-    sorted dictionary makes the smallest live value code the minimum) and
-    decode exactly one value; NaN-bearing columns fall back to the
-    order-dependent scalar fold.
+    sorted dictionary makes the smallest live value code the minimum, and
+    NaN's code the top one) and decode exactly one value.
     """
     codes = column.codes
     dictionary = column.dictionary
@@ -356,9 +352,6 @@ def _reduce_encoded(function: AggregateFunction, column: EncodedColumn) -> Any:
             return float(total)
         return float(total) / non_null
     # MIN / MAX
-    nan_code = dictionary.nan_code
-    if nan_code is not None and bool((codes == nan_code).any()):
-        return _UNSUPPORTED  # scalar fold is order-dependent around NaN
     live = codes[codes != 0] if has_null else codes
     if len(live) == 0:
         return None
@@ -403,9 +396,6 @@ def _grouped_encoded(
             return [int(s) if c else None for s, c in zip(sums, non_null)]
         return [s if c else None for s, c in zip(sums, non_null)]
     # MIN / MAX: reduce the codes per group, decode one value per group.
-    nan_code = dictionary.nan_code
-    if nan_code is not None and bool((codes == nan_code).any()):
-        return _UNSUPPORTED  # scalar fold is order-dependent around NaN
     if has_null:
         return _UNSUPPORTED  # NULL-skipping per-group fold stays scalar
     reduce = np.minimum if function is AggregateFunction.MIN else np.maximum
@@ -529,11 +519,6 @@ class GroupedAggregation:
         keys: List[Tuple[np.ndarray, int]] = []
         for column in group_key_columns:
             if isinstance(column, EncodedColumn):
-                nan_code = column.dictionary.nan_code
-                if nan_code is not None and bool((column.codes == nan_code).any()):
-                    # Decoding boxes every NaN key separately and the scalar
-                    # reference keys groups per NaN object; defer to it.
-                    return None
                 if by_code:
                     keys.append((column.codes, len(column.dictionary)))
                 else:
@@ -541,10 +526,6 @@ class GroupedAggregation:
                     keys.append((inverse, len(distinct_codes)))
                 continue
             array = column if isinstance(column, np.ndarray) else np.asarray(column, dtype=object)
-            if array.dtype.kind == "f" and np.isnan(array).any():
-                # np.unique would merge NaN keys into one group; the scalar
-                # reference keys groups per NaN object.
-                return None
             try:
                 uniques, inverse = np.unique(array, return_inverse=True)
             except TypeError:
@@ -593,9 +574,8 @@ class GroupedAggregation:
                     return sums.tolist()
                 # Unsafe integer sums (float64 weights would round, int64
                 # could wrap): fall through to the exact scalar fold.
-            elif not _minmax_is_order_dependent(function, values):
-                reduce = np.minimum if function is AggregateFunction.MIN else np.maximum
-                return groups.extremes(reduce, values).tolist()
+            else:
+                return groups.extremes(_extreme(function), values).tolist()
         # Object/string values: scalar-aggregate each group's slice, which
         # preserves exact NULL-skipping semantics.
         return [aggregate_values(function, slice_) for slice_ in groups.slices(values)]
@@ -617,7 +597,7 @@ class GroupedAggregation:
         ]
         groups: Dict[Tuple[Any, ...], List[Accumulator]] = {}
         for position in range(num_rows):
-            key = tuple(column[position] for column in group_key_columns)
+            key = tuple(group_key(column[position]) for column in group_key_columns)
             accumulators = groups.get(key)
             if accumulators is None:
                 accumulators = [Accumulator(spec.function) for spec in self.aggregates]
@@ -698,8 +678,8 @@ def _merge_partial(function: AggregateFunction, left: Any, right: Any) -> Any:
     if function is AggregateFunction.SUM:
         return left + right
     if function is AggregateFunction.MIN:
-        return min(left, right)
-    return max(left, right)
+        return least(left, right)
+    return greatest(left, right)
 
 
 def merge_partition_partials(
@@ -721,7 +701,7 @@ def merge_partition_partials(
     order: List[Tuple[Any, ...]] = []
     for rows in per_partition_rows:
         for row in rows:
-            key = tuple(row[name] for name in group_by_names)
+            key = tuple(group_key(row[name]) for name in group_by_names)
             entry = merged.get(key)
             if entry is None:
                 merged[key] = dict(row)

@@ -226,7 +226,8 @@ class TableSchema:
         cell becomes ``None``.  One ``type`` pass proves a column canonical
         (its type set also proves it free of NULLs and of absent cells) and
         passes the list through; only columns holding anything else pay a
-        per-value coercion.
+        per-value coercion, and a float column holding a zero a pass that
+        stores -0.0 as 0.0 (:meth:`DataType.coerce`).
         """
         if columns.keys() != self._by_name.keys() or any(
             len(values) != num_rows for values in columns.values()
@@ -241,6 +242,10 @@ class TableSchema:
             raw = columns[name]
             kinds = set(map(type, raw))
             if kinds <= {dtype._exact_type}:
+                # One C-speed scan finds a zero; only then is -0.0 possible
+                # and the column pays a pass that stores it as 0.0.
+                if dtype._exact_type is float and 0.0 in raw:
+                    raw = [value or 0.0 for value in raw]
                 validated[name] = raw
                 continue
             if not column.nullable and (_Missing in kinds or _NoneType in kinds):

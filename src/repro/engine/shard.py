@@ -78,11 +78,7 @@ from repro.engine.deadline import deadline_check, deadline_remaining
 from repro.engine.integrity import codes_checksum, integrity_enabled
 from repro.engine.shard_gate import best_fan_out, usable_cores
 from repro.engine.statistics import ColumnStatistics
-from repro.engine.executor.agg_pushdown import (
-    TIER_ZERO_SCAN,
-    _partial_merge_safe,
-    aggregate_pushdown_enabled,
-)
+from repro.engine.executor.agg_pushdown import TIER_ZERO_SCAN, aggregate_pushdown_enabled
 from repro.engine.executor.aggregates import (
     merge_partition_partials,
     partition_partial_rows,
@@ -309,12 +305,10 @@ def derive_shard_decision(path, query: Query) -> ShardDecision:
 
     Only single-table queries against a delta-free column store are
     eligible: the path's structural verdict (``path.never_shards``) first,
-    then what moves per statement.  Aggregations additionally require
-    provably order-independent partial merges (the partition-partial NaN
-    proof) and must not already be answered zone-free; selections require a
-    predicate (an unfiltered SELECT is pure materialisation, which stays
-    serial).  Whether an eligible query then shards, and how wide, is
-    :func:`shard_gate`'s call.
+    then what moves per statement.  Aggregations must not already be
+    answered zone-free; selections require a predicate (an unfiltered
+    SELECT is pure materialisation, which stays serial).  Whether an
+    eligible query then shards, and how wide, is :func:`shard_gate`'s call.
     """
     table = path.table
 
@@ -340,9 +334,6 @@ def derive_shard_decision(path, query: Query) -> ShardDecision:
     if isinstance(query, AggregationQuery):
         if query.joins:
             return verdict(False, "join query")
-        safe, why = _partial_merge_safe(path, query)
-        if not safe:
-            return verdict(False, why)
         strategy = path.aggregate_decision_for(query)
         if (aggregate_pushdown_enabled()
                 and strategy.tier == TIER_ZERO_SCAN

@@ -66,15 +66,17 @@ class DataType(enum.Enum):
         """Coerce *value* to the Python representation of this type.
 
         Raises :class:`SchemaError` if the value cannot be represented.
+        A float has one zero: ``value or self._zero`` stores -0.0 as 0.0 and
+        leaves every other value as it is (see :data:`_ZEROS`).
         """
         if value is None:
             return None
         if type(value) is self._exact_type:
             # Already the canonical representation — the common case on every
             # bulk load, insert and store conversion.
-            return value
+            return value or self._zero
         try:
-            return self._coercer(value)
+            return self._coercer(value) or self._zero
         except (TypeError, ValueError) as exc:
             raise SchemaError(
                 f"value {value!r} is not valid for data type {self.value}"
@@ -153,9 +155,23 @@ _EXACT_TYPES = {
     DataType.BOOLEAN: bool,
 }
 
+#: The falsy value of each type, which ``value or zero`` maps every falsy
+#: value to: -0.0 becomes 0.0, and any other falsy value already is it.
+#: (No date is falsy.)
+_ZEROS = {
+    DataType.INTEGER: 0,
+    DataType.BIGINT: 0,
+    DataType.DOUBLE: 0.0,
+    DataType.DECIMAL: 0.0,
+    DataType.VARCHAR: "",
+    DataType.DATE: None,
+    DataType.BOOLEAN: False,
+}
+
 # Bind the per-type helpers as member attributes: coerce() runs on every cell
 # of every load, and plain attribute access avoids an enum hash per value.
 for _member in DataType:
     _member._exact_type = _EXACT_TYPES[_member]
     _member._coercer = _COERCERS[_member]
+    _member._zero = _ZEROS[_member]
 del _member

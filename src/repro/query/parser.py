@@ -91,6 +91,8 @@ _BETWEEN_RE = re.compile(
     re.IGNORECASE | re.DOTALL,
 )
 _NAMED_PARAM_RE = re.compile(r"^:(?P<name>[A-Za-z_]\w*)$")
+#: A bare literal is one word: ``x OR y = 2`` is not a value the grammar has.
+_BARE_WORD_RE = re.compile(r"[\w.+\-]+")
 _DANGLING_AND_RE = re.compile(r"(?:^|\s)(and)\s*$", re.IGNORECASE)
 _LEADING_AND_RE = re.compile(r"^(and)(?:\s|$)", re.IGNORECASE)
 
@@ -421,13 +423,15 @@ def _parse_literal(token: str, context: _ParseContext) -> Any:
     Strings and ordinary numbers never get here — :func:`split_literals`
     left a ``$i`` marker in their place; what does is a placeholder, a
     keyword constant, or a bare word (a string, or one of the number forms
-    the lifter leaves alone: ``nan``, ``1_000``).
+    the lifter leaves alone: ``nan``, ``1_000``).  Anything else — an ``OR``
+    the grammar does not have, say — is a :class:`ParseError`.
     """
     token = token.strip()
     if not token:
         raise context.error("empty literal")
-    if token[0] == "$":
-        return LiteralSlot(int(token[1:]))
+    slot = _SLOT_RE.fullmatch(token)
+    if slot:
+        return LiteralSlot(int(slot.group(1)))
     if token == "?":
         return context.next_parameter()
     named = _NAMED_PARAM_RE.match(token)
@@ -438,6 +442,8 @@ def _parse_literal(token: str, context: _ParseContext) -> Any:
         return lowered == "true"
     if lowered == "null":
         return None
+    if not _BARE_WORD_RE.fullmatch(token):
+        raise context.error("could not parse literal", token)
     try:
         return int(token)
     except ValueError:

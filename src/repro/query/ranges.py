@@ -39,6 +39,17 @@ non-NULL value satisfies.  ``BETWEEN`` is exactly its two comparisons.
 
 Ranges are computed on demand and never stored on the leaf: leaves are
 pickled into the write-ahead log.
+
+How keys group and rank is the other half, and it is PostgreSQL's: NaN
+equals every NaN and ranks above every number.  So all NaN keys are one
+group (:func:`group_key`), ``MAX`` is NaN if any input is NaN and ``MIN``
+only if every non-NULL input is (:func:`least`, :func:`greatest`); NULL is
+its own group and no input of ``MIN``/``MAX``.  The vectorized tiers get the
+same order from numpy: ``np.unique`` merges NaN keys and a sorted dictionary
+puts NaN last, so its NaN code is the top code; ``np.maximum`` propagates
+NaN and ``np.fmin`` drops it.  There is one zero: validation stores -0.0 as
+0.0 (:meth:`~repro.engine.types.DataType.coerce`).  A NaN join key still
+matches nothing, as ``=`` does.
 """
 
 from __future__ import annotations
@@ -47,7 +58,10 @@ from typing import Any, NamedTuple, Optional, Tuple
 
 from repro.query.predicates import Between, CompareOp, Comparison, InList, IsNull, Predicate
 
-__all__ = ["Interval", "ValueRanges", "is_nan", "is_singleton", "ranges_of"]
+__all__ = [
+    "NAN", "Interval", "ValueRanges", "greatest", "group_key", "is_nan", "is_singleton",
+    "least", "ranges_of",
+]
 
 #: ``(low, high, low_closed, high_closed)``; a ``None`` end is unbounded.
 Interval = Tuple[Any, Any, bool, bool]
@@ -84,6 +98,29 @@ def is_singleton(interval: Interval) -> bool:
 def is_nan(value: Any) -> bool:
     """Whether *value* is a float NaN (the one NaN test)."""
     return isinstance(value, float) and value != value
+
+
+#: The NaN every NaN group key becomes.
+NAN = float("nan")
+
+
+def group_key(value: Any) -> Any:
+    """*value* as a group key: every NaN is one key, like any other value."""
+    return NAN if is_nan(value) else value
+
+
+def least(a: Any, b: Any) -> Any:
+    """The smaller of two non-NULL values; NaN ranks above every number."""
+    if is_nan(a):
+        return b
+    return a if is_nan(b) or not b < a else b
+
+
+def greatest(a: Any, b: Any) -> Any:
+    """The larger of two non-NULL values; NaN ranks above every number."""
+    if is_nan(a):
+        return a
+    return b if is_nan(b) or b > a else a
 
 
 _EVERY_REAL: Interval = (None, None, False, False)

@@ -266,7 +266,9 @@ class TestZeroScan:
             ], store
             assert strategy_of(result).startswith(TIER_ZERO_SCAN)
 
-    def test_nan_defeats_zero_scan_minmax_and_results_match_row_store(self):
+    def test_nan_zero_scan_minmax_matches_the_reference(self):
+        # NaN ranks above every number: the zones answer MAX NaN and MIN the
+        # least real value, as the decode-then-reduce reference does.
         nan = float("nan")
         rows = [
             {"id": 0, "day": 0, "kind": "a", "score": 2.0},
@@ -274,12 +276,15 @@ class TestZeroScan:
             {"id": 2, "day": 2, "kind": "c", "score": 0.5},
         ]
         query = aggregate("events").min("score").max("score").build()
-        results = {}
         for store in Store:
-            result = build_database(store, rows).execute(query)
-            assert not strategy_of(result).startswith(TIER_ZERO_SCAN)
-            results[store] = result.rows
-        assert repr(results[Store.ROW]) == repr(results[Store.COLUMN])
+            database = build_database(store, rows)
+            result = database.execute(query)
+            assert strategy_of(result).startswith(TIER_ZERO_SCAN)
+            with aggregate_pushdown_disabled():
+                reference = database.execute(query)
+            assert repr(result.rows) == repr(reference.rows) == repr(
+                [{"min_score": 0.5, "max_score": nan}]
+            ), store
 
     def test_count_star_still_zero_scans_with_nan(self):
         rows = [
@@ -499,14 +504,20 @@ class TestPartitionPartial:
         # 150 main rows to concatenate them with the hot batch.
         assert counter.decoded == num_groups
 
-    def test_nan_group_key_defeats_partial_merge(self):
+    def test_nan_group_keys_merge_partial_states(self):
+        # Every NaN key is one group, so partial states merge across the
+        # partitions exactly like the concatenate-then-reduce reference.
         rows = make_rows(0, 40)
-        rows[3]["score"] = float("nan")
+        for index in (3, 7, 25):
+            rows[index]["score"] = float("nan")
         database = build_partitioned_database(rows, split_at=20)
-        result = database.execute(
-            aggregate("events").count().group_by("score").build()
-        )
-        assert strategy_of(result).startswith(TIER_OPERATOR)
+        query = aggregate("events").count().max("score").group_by("score").build()
+        result = database.execute(query)
+        assert strategy_of(result).startswith(TIER_PARTITION_PARTIAL)
+        with aggregate_pushdown_disabled():
+            reference = database.execute(query)
+        assert repr(result.rows) == repr(reference.rows)
+        assert len(result.rows) == 38
         assert sum(row["count_star"] for row in result.rows) == 40
 
 

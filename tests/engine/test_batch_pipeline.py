@@ -52,6 +52,8 @@ from repro.query.predicates import (
     Or,
 )
 
+NAN = float("nan")
+
 # A division over an empty code slot, a NaN compared where a mask should have
 # excluded it: numpy only warns.  Here that is an error.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -369,7 +371,7 @@ eighths = st.integers(-40, 40).map(lambda i: i / 8)
 
 
 @st.composite
-def encoded_group_bys(draw, nan_keys=True):
+def encoded_group_bys(draw):
     """``(key columns, aggregate input, num_rows)`` with 1-3 encoded keys.
 
     Dictionaries carry orphaned entries (two keys with 70 of them put the
@@ -382,7 +384,7 @@ def encoded_group_bys(draw, nan_keys=True):
         pool = draw(st.sampled_from([
             ["a", "b", "c", None],
             [0.5, 1.5, None],
-            [0.5, float("nan"), 2.5] if nan_keys else [0.5, 2.5],
+            [0.5, float("nan"), 2.5],
         ]))
         values = draw(st.lists(st.sampled_from(pool),
                                min_size=num_rows, max_size=num_rows))
@@ -402,6 +404,8 @@ def encoded_group_bys(draw, nan_keys=True):
         ["encoded float", "encoded int", "float array", "int array", "objects"]
     ))
     element = st.integers(-9, 9) if kind.endswith("int") else eighths
+    if "int" not in kind:
+        element = st.one_of(element, st.builds(float, st.just("nan")))
     if kind in ("encoded float", "encoded int", "objects"):
         element = st.one_of(st.none(), element)
     amounts = draw(st.lists(element, min_size=num_rows, max_size=num_rows))
@@ -414,10 +418,6 @@ def encoded_group_bys(draw, nan_keys=True):
         elif kind == "float array":
             amounts = amounts.astype(np.float64)
     return keys, amounts, num_rows
-
-
-def has_nan_key(keys):
-    return any(value != value for column in keys for value in column.tolist())
 
 
 class TestGroupedAggregationEquivalence:
@@ -442,11 +442,11 @@ class TestGroupedAggregationEquivalence:
             by_code = aggregation._run_grouped_vectorized(inputs, keys, num_rows)
             result = aggregation.run(inputs, keys, num_rows)
         scalar = aggregation._run_grouped_scalar(inputs, keys, num_rows)
-        # NaN keys defer: the scalar loop keys a group per NaN object.
-        assert (by_code is None) == has_nan_key(keys)
-        assert repr(result) == repr(scalar)
+        # NaN keys group in code space too: every NaN is one group.
+        assert by_code is not None
+        assert repr(by_code) == repr(result) == repr(scalar)
 
-    @given(case=encoded_group_bys(nan_keys=False), data=st.data())
+    @given(case=encoded_group_bys(), data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_split_then_merge_matches_unsplit(self, case, data):
         keys, amounts, num_rows = case
@@ -557,10 +557,14 @@ class TestGroupedAggregationEquivalence:
         assert vectorized is not None
         assert_rows_equal(vectorized, scalar)
 
-    def test_nan_minmax_matches_scalar_fold(self):
-        # Python's min/max fold is order-dependent around NaN; the vectorized
-        # path must defer to the scalar reference instead of propagating NaN.
-        values = values_to_array([5.0, float("nan"), 1.0])
+    @pytest.mark.parametrize("order, least", [
+        ((5.0, NAN, 1.0), 1.0), ((NAN, 5.0, 1.0), 1.0), ((NAN, NAN), NAN),
+    ])
+    def test_nan_minmax_matches_scalar_fold(self, order, least):
+        # NaN ranks above every number: MAX is NaN if any input is, MIN only
+        # if every input is — in the vectorized path and the scalar fold, in
+        # any row order.
+        values = values_to_array(list(order))
         aggregation = GroupedAggregation(
             aggregates=(
                 AggregateSpec(AggregateFunction.MIN, "v"),
@@ -568,16 +572,16 @@ class TestGroupedAggregationEquivalence:
             ),
             group_by_names=[],
         )
-        row = aggregation.run([values, values], [], 3)[0]
+        row = aggregation.run([values, values], [], len(order))[0]
         reference_min = aggregate_values(AggregateFunction.MIN, values.tolist())
         reference_max = aggregate_values(AggregateFunction.MAX, values.tolist())
-        assert repr(row["min_v"]) == repr(reference_min)
-        assert repr(row["max_v"]) == repr(reference_max)
-        keys = values_to_array(["g", "g", "g"])
+        assert repr(row["min_v"]) == repr(reference_min) == repr(least)
+        assert repr(row["max_v"]) == repr(reference_max) == "nan"
+        keys = values_to_array(["g"] * len(order))
         grouped = GroupedAggregation(
             aggregates=(AggregateSpec(AggregateFunction.MIN, "v"),),
             group_by_names=["k"],
-        ).run([values], [keys], 3)
+        ).run([values], [keys], len(order))
         assert repr(grouped[0]["min_v"]) == repr(reference_min)
 
     def test_null_group_keys_fall_back(self):

@@ -212,12 +212,12 @@ def random_aggregation(rng):
     joined = rng.random() < 0.3
     if joined:
         builder = builder.join("customers", "customer", "customer_id")
-    # MIN/MAX stay off the NaN-bearing float column: the scalar min/max fold
-    # is order-dependent around NaN, and partitioning permutes row order.
     choices = [
         lambda b: b.count(),
         lambda b: b.sum("amount"),
         lambda b: b.avg("amount"),
+        lambda b: b.min("amount"),
+        lambda b: b.max("amount"),
         lambda b: b.sum("quantity"),
         lambda b: b.avg("quantity"),
         lambda b: b.min("quantity"),

@@ -3,7 +3,7 @@
 The tentpole contracts pinned here:
 
 * :func:`derive_shard_decision` shards only delta-free plain column stores,
-  with provably merge-safe aggregations and filtered selections, where the
+  with aggregations (NaN included) and filtered selections, where the
   wall-clock gate predicts scatter/gather no slower than serial (or, under
   ``shard_config(min_rows=n)``, at or above the row floor); the recorded
   :class:`ShardDecision` goes stale — and re-derives — on DML, toggle flips
@@ -19,6 +19,8 @@ The tentpole contracts pinned here:
 * :func:`projected_parallel_ms` is a deterministic sub-serial projection of
   the (serially-charged) breakdown onto the crew.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -63,12 +65,13 @@ NUM_ROWS = 4_000
 
 
 def make_rows(num_rows, offset=0):
-    """NULL-bearing (never NaN) rows: NaN would defeat the merge-safety proof."""
+    """NULL-bearing rows, with NaN values in bucket ``b3`` alone."""
     return [
         {
             "id": offset + i,
             "bucket": f"b{i % 5}",
-            "value": None if i % 11 == 0 else round((i % 97) * 0.5, 2),
+            "value": (None if i % 11 == 0 else math.nan if i % 85 == 3
+                      else round((i % 97) * 0.5, 2)),
             "hits": i % 13,
         }
         for i in range(num_rows)
@@ -97,7 +100,7 @@ def rows_key(row):
 
 
 def assert_same_rows(left, right):
-    assert sorted(left, key=rows_key) == sorted(right, key=rows_key)
+    assert sorted(map(rows_key, left)) == sorted(map(rows_key, right))
 
 
 @pytest.fixture(autouse=True)

@@ -167,6 +167,21 @@ class TestParseErrorPositions:
         query = parse("SELECT * FROM sales WHERE id BETWEEN 1 AND 10 AND product = 2")
         assert isinstance(query.predicate, And)
 
+    def test_or_inside_a_numeric_value_is_rejected_with_position(self):
+        # The grammar has no OR; the value ``$0 OR id = $1`` is no literal.
+        statement = "SELECT id FROM t WHERE id = 1 OR id = 2"
+        with pytest.raises(ParseError, match="could not parse literal") as excinfo:
+            parse(statement)
+        assert (excinfo.value.line, excinfo.value.column) == (1, statement.index("1 OR") + 1)
+
+    def test_or_inside_a_bare_word_value_is_rejected_with_position(self):
+        # Not the string literal 'x OR s = y': a bare literal is one word.
+        statement = "SELECT id FROM t WHERE s = x OR s = y"
+        with pytest.raises(ParseError, match="could not parse literal") as excinfo:
+            parse(statement)
+        assert (excinfo.value.line, excinfo.value.column) == (1, statement.index("x OR") + 1)
+        assert parse("SELECT id FROM t WHERE s = x").predicate.value == "x"
+
 
 class TestLiteralsNeverReachTheGrammar:
     """Literals are lifted out of the text before the grammar runs."""
