@@ -41,9 +41,11 @@
 #                codes or the inverse) — the group ids are reduced as they
 #                come, only the K groups are ordered; and if anything under
 #                src/ outside engine/compression.py assigns a column's
-#                `._codes` or writes through `.codes[...]` — a position index
-#                is dropped by the column's own mutators, which is sufficient
-#                only while they are the only writers; and if api/binder.py
+#                `._codes` or `._derived` or writes through `.codes[...]` —
+#                a column's derived state (position index, group summary,
+#                float weights) is dropped by the column's own mutators,
+#                which is sufficient only while they are the only writers of
+#                the codes and of that slot; and if api/binder.py
 #                calls `replace(` (bound nodes are built by their
 #                constructors) or `_Binder` calls `statement_parameters(`
 #                (the placeholders come with the resolution, from its one
@@ -162,9 +164,9 @@ fi
 if grep -rnE --include='*.py' 'group_of_row|_GroupOrdering|rank\[(codes|inverse|ids)\]' src/; then
     echo "ledger: the per-row group renumbering is back (see above) — reduce over the ids as they come (aggregates._Groups)"; exit 1
 fi
-if grep -rnE --include='*.py' '\._codes *([-+*|&^]|<<|>>)?=[^=]|\.codes\[[^]]*\] *([-+*|&^]|<<|>>)?=[^=]' src/ \
+if grep -rnE --include='*.py' '\._codes *([-+*|&^]|<<|>>)?=[^=]|\.codes\[[^]]*\] *([-+*|&^]|<<|>>)?=[^=]|\._derived *=[^=]' src/ \
         | grep -v '^src/repro/engine/compression\.py:'; then
-    echo "ledger: a column's codes are written outside engine/compression.py (see above) — go through a CompressedColumn mutator, they drop the position index"; exit 1
+    echo "ledger: a column's codes or derived state are written outside engine/compression.py (see above) — go through a CompressedColumn mutator, they drop the column's derived state"; exit 1
 fi
 if grep -nE '\breplace\(' src/repro/api/binder.py; then
     echo "ledger: the binder copies a node with replace() (see above) — bound nodes are built by their constructors"; exit 1

@@ -122,15 +122,24 @@ class EncodedColumn:
     ``dictionary`` that decodes them — the column store's native
     representation, carried through the executor unchanged so that group-by,
     joins and row selection can operate on the compact codes.  ``values``
-    decodes on first use (one fancy-indexing gather) and caches the result;
-    operators that only need codes never trigger it.
+    decodes on first use (one fancy-indexing gather) and caches the result
+    on this object only; operators that only need codes never trigger it.
+
+    ``derived`` is the column's
+    :class:`~repro.engine.compression.DerivedState` when ``codes`` are a
+    column's whole code array, as the column store reads them with no delta
+    pending; the executor then takes its group summary and float weights
+    from there instead of recomputing them.  Everything else — a row
+    selection (:meth:`take`), a stack of several parts, shard slices,
+    row-store and hot parts — carries ``None``.
     """
 
-    __slots__ = ("codes", "dictionary", "_values")
+    __slots__ = ("codes", "dictionary", "derived", "_values")
 
-    def __init__(self, codes: np.ndarray, dictionary) -> None:
+    def __init__(self, codes: np.ndarray, dictionary, derived=None) -> None:
         self.codes = codes
         self.dictionary = dictionary
+        self.derived = derived
         self._values: Optional[np.ndarray] = None
 
     def __len__(self) -> int:

@@ -1261,6 +1261,10 @@ class ColumnStoreTable:
         read degrades to a decoded value array (still a :data:`BatchColumn`;
         every consumer handles both shapes).  Charges are unaffected — they
         were always the decode charges.
+
+        A whole-column read (no *positions*, no delta) also carries the
+        column's derived state (:attr:`EncodedColumn.derived`), which is not
+        billed either.
         """
         self._integrity_check((column,))
         self.charge_column_read(
@@ -1272,7 +1276,8 @@ class ColumnStoreTable:
                 None if positions is None else np.asarray(positions, dtype=np.int64),
             )
         compressed = self._columns[column]
-        return EncodedColumn(compressed.codes_at(positions), compressed.dictionary)
+        return EncodedColumn(compressed.codes_at(positions), compressed.dictionary,
+                             compressed.derived if positions is None else None)
 
     def scan_columns(
         self,

@@ -16,8 +16,10 @@ nothing has to be stored for it.  The **code -> rows** half is not implicit
 — finding the rows of a code means comparing every stored code — so a
 :class:`CompressedColumn` *builds* it, as a position index
 (:func:`rows_by_id` over its codes), once the selective scans it has served
-since its codes last changed would have paid for the build; every mutator
-of the code array drops it (see :class:`CompressedColumn`).
+since its codes last changed would have paid for the build.  The position
+index, a whole-column group summary (:func:`group_summary`) and the float
+weights of a numeric column are the column's :class:`DerivedState`; every
+mutator of the code array drops it (see :class:`CompressedColumn`).
 
 NULL handling: ``None`` cannot be ordered against real values, so it never
 participates in the sort.  A dictionary holding any NULL reserves **code 0**
@@ -37,7 +39,7 @@ from __future__ import annotations
 import bisect
 from itertools import compress, repeat
 from operator import is_
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,6 +81,126 @@ def rows_by_id(ids: np.ndarray, capacity: int) -> Tuple[np.ndarray, np.ndarray]:
     starts = np.zeros(capacity + 1, dtype=np.int64)
     np.cumsum(np.bincount(ids, minlength=capacity), out=starts[1:])
     return order, starts
+
+
+#: Rows of the shortest prefix searched for first occurrences.
+_FIRST_PREFIX = 1024
+
+
+def _first_occurrences(ids: np.ndarray, used: np.ndarray, capacity: int) -> np.ndarray:
+    """The row of the first occurrence of each id in *used*.
+
+    Assigning row numbers in reverse row order leaves, per id, the smallest
+    row written last.  The assignment runs over a growing prefix of the rows
+    — a sixty-fourth, a sixteenth, a quarter, all — and stops once every
+    used id has shown: a low-cardinality key shows all its values within the
+    first few hundred rows, and an id whose only row is the last costs the
+    full pass plus the shorter ones before it, at most 4/3 n assignments.
+    """
+    num_rows = len(ids)
+    start = max(_FIRST_PREFIX, 8 * len(used))
+    shift = 0
+    while num_rows >> (shift + 2) >= start:
+        shift += 2
+    first_by_id = np.full(capacity, num_rows, dtype=np.int64)
+    while True:
+        size = num_rows >> shift
+        first_by_id[ids[:size][::-1]] = np.arange(size - 1, -1, -1, dtype=np.int64)
+        first = first_by_id[used]
+        if shift == 0 or int(first.max()) < num_rows:
+            return first
+        shift -= 2
+
+
+class GroupSummary(NamedTuple):
+    """The ids of one id array that occur, and where each first occurs."""
+
+    #: The ids that occur, ascending.
+    used: np.ndarray
+    #: Positions into ``used`` in first-occurrence order.
+    emit_order: np.ndarray
+    #: The ids that occur in first-occurrence order (``used[emit_order]``).
+    emit: np.ndarray
+    #: The first row of each id of ``emit``.
+    first_rows: np.ndarray
+    #: The number of rows of each id of ``emit``.
+    counts: np.ndarray
+
+
+def group_summary(ids: np.ndarray, capacity: int) -> GroupSummary:
+    """One ``bincount`` over *ids* (all in ``[0, capacity)``) and the first
+    row of every id that occurs (:func:`_first_occurrences`)."""
+    counts = np.bincount(ids, minlength=capacity)
+    used = np.flatnonzero(counts)
+    first = _first_occurrences(ids, used, capacity)
+    emit_order = np.argsort(first)
+    emit = used[emit_order]
+    return GroupSummary(used, emit_order, emit, first[emit_order], counts[emit])
+
+
+def _codes_fit(codes: np.ndarray, capacity: int) -> bool:
+    """Whether every code lies in ``[0, capacity)`` — only corruption behind
+    a column's back puts one outside."""
+    return not len(codes) or 0 <= int(codes.min()) <= int(codes.max()) < capacity
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class DerivedState:
+    """What one version of a column's codes determines, built on demand.
+
+    A :class:`CompressedColumn` starts a fresh one every time its codes
+    change, so whatever is in it describes the codes it was built from:
+
+    * the **position index** ``(order, starts)`` of :func:`rows_by_id`, and
+      the count of served scans that decides when to build it;
+    * the **group summary** of the codes as group ids
+      (:meth:`group_summary`): what a whole-column ``GROUP BY`` orders its
+      groups by;
+    * the **float weights** ``reals.astype(float64)[codes]`` of a numeric
+      dictionary without a NULL slot (:meth:`float_weights`): what a
+      whole-column grouped ``SUM`` / ``AVG`` sums.
+
+    A whole-column :class:`~repro.engine.batch.EncodedColumn` carries the
+    state of the codes it holds and hands those codes in; a state that a
+    change has since replaced is then only reachable through that handle.
+    Cached arrays are read-only.  Codes outside the dictionary build nothing
+    (``None``: the caller computes its array as if there were no state), as
+    in :meth:`CompressedColumn.build_position_index`.
+    """
+
+    __slots__ = ("position_index", "served_scans", "_summary", "_weights")
+
+    def __init__(self) -> None:
+        self.position_index: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        #: Scans the position index would have answered.
+        self.served_scans = 0
+        self._summary: Optional[GroupSummary] = None
+        self._weights: Optional[np.ndarray] = None
+
+    @property
+    def has_group_summary(self) -> bool:
+        return self._summary is not None
+
+    @property
+    def has_float_weights(self) -> bool:
+        return self._weights is not None
+
+    def group_summary(self, codes: np.ndarray, capacity: int) -> Optional[GroupSummary]:
+        """:func:`group_summary` of *codes*, built once."""
+        if self._summary is None and _codes_fit(codes, capacity):
+            self._summary = GroupSummary(*map(_frozen, group_summary(codes, capacity)))
+        return self._summary
+
+    def float_weights(self, codes: np.ndarray, reals: np.ndarray) -> Optional[np.ndarray]:
+        """``reals.astype(float64)[codes]``, built once — *reals* the
+        dictionary's entries, numeric and without a NULL slot."""
+        if self._weights is None and _codes_fit(codes, len(reals)):
+            self._weights = _frozen(reals.astype(np.float64, copy=False)[codes])
+        return self._weights
 
 
 def code_width_bytes(num_distinct: int) -> int:
@@ -517,31 +639,40 @@ class ColumnDictionary:
 class CompressedColumn:
     """One dictionary-encoded column: a dictionary plus an array of codes.
 
-    **Position index.**  ``(order, starts)`` of :func:`rows_by_id` over the
-    live codes: the rows of the codes in ``[lo, hi)`` are one slice of
-    ``order``, counted exactly by two reads of ``starts`` before any row is
-    touched.  Nobody asks for it; the column builds it by a rule over what it
-    has itself observed — :meth:`note_served_scan` is told of every scan the
-    index *would have* answered, and once :data:`SERVED_SCANS_PER_PASS` of
-    them per radix pass of the build have come in since the codes last
-    changed, the build has been paid for (ski rental: at worst twice the cost
-    of never building).  Every method that writes ``_codes`` —
+    **Derived state.**  What the column derives from its codes lives in one
+    :class:`DerivedState`, and every method that writes ``_codes`` —
     :meth:`_encode_maintaining_codes` (``append``, ``set_value``),
     :meth:`extend`, :meth:`bulk_load`, :meth:`load_codes`, :meth:`truncate` —
-    drops the index and restarts the count, and nothing outside this module
-    writes ``_codes`` (``run_checks.sh`` greps for it), so an index never
-    describes codes other than the ones stored: a column under writes never
-    builds one, a read-mostly column builds one once.  :meth:`clone` does not
-    copy it.  A sealed column is never mutated in place, so snapshot readers
-    may share its index.
+    replaces it with an empty one first (:meth:`_codes_changed`).  Nothing
+    outside this module writes ``_codes`` or assigns ``_derived``
+    (``run_checks.sh`` greps for both), so derived state never describes
+    codes other than the ones stored: a column under writes never builds a
+    position index and builds its group state per statement, as it was
+    computed before it was kept; a read-mostly column builds each once.
+    :meth:`clone` starts without any.  A sealed column is never mutated in place, so snapshot
+    readers may share its state.
 
-    The index describes the codes as they were when it was built (inside a
-    filtered read, behind the table's integrity gate).  Corruption *behind
+    * The **position index**, ``(order, starts)`` of :func:`rows_by_id` over
+      the live codes: the rows of the codes in ``[lo, hi)`` are one slice of
+      ``order``, counted exactly by two reads of ``starts`` before any row
+      is touched.  Nobody asks for it; the column builds it by a rule over
+      what it has itself observed — :meth:`note_served_scan` is told of
+      every scan the index *would have* answered, and once
+      :data:`SERVED_SCANS_PER_PASS` of them per radix pass of the build have
+      come in since the codes last changed, the build has been paid for
+      (ski rental: at worst twice the cost of never building).
+    * The **group summary** and the **float weights**, built by the first
+      whole-column ``GROUP BY`` that needs them: :meth:`column_encoded
+      <repro.engine.column_store.ColumnStoreTable.column_encoded>` hands the
+      state to the executor with the whole code array (:attr:`derived`).
+
+    Derived state describes the codes as they were when it was built
+    (inside a read, behind the table's integrity gate).  Corruption *behind
     the column's back* (a flipped bit in the code array, no mutator
-    involved) leaves an index built earlier answering from the
-    pre-corruption content; detection — a checksum over the codes
-    themselves — is unaffected, and repair rebuilds through
-    :meth:`load_codes`, which drops it.
+    involved) leaves state built earlier answering from the pre-corruption
+    content; detection — a checksum over the codes themselves — is
+    unaffected, and repair rebuilds through :meth:`load_codes`, which drops
+    it.
     """
 
     GROWTH = 1024
@@ -562,8 +693,7 @@ class CompressedColumn:
         # consults it on each filtered scan, and an O(n) recount there would
         # tax interleaved insert/scan workloads.
         self._null_count = 0
-        self._position_index: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._served_scans = 0
+        self._derived = DerivedState()
 
     def __len__(self) -> int:
         return self._size
@@ -716,29 +846,34 @@ class CompressedColumn:
         elif was_null:
             self._null_count -= 1
 
-    # -- position index ----------------------------------------------------------
+    # -- derived state -----------------------------------------------------------
 
     def _codes_changed(self) -> None:
         """Every writer of ``_codes`` calls this first (see the class docs)."""
-        self._position_index = None
-        self._served_scans = 0
+        self._derived = DerivedState()
+
+    @property
+    def derived(self) -> DerivedState:
+        """The state derived from the codes as they are now."""
+        return self._derived
 
     @property
     def has_position_index(self) -> bool:
-        return self._position_index is not None
+        return self._derived.position_index is not None
 
     @property
     def served_scans(self) -> int:
         """Scans an index would have answered since the codes last changed."""
-        return self._served_scans
+        return self._derived.served_scans
 
     def note_served_scan(self) -> None:
         """A scan just ran that the position index would have answered."""
-        if self._position_index is not None:
+        derived = self._derived
+        if derived.position_index is not None:
             return
-        self._served_scans += 1
+        derived.served_scans += 1
         passes = _radix_passes(len(self.dictionary))
-        if self._served_scans >= self.SERVED_SCANS_PER_PASS * passes:
+        if derived.served_scans >= self.SERVED_SCANS_PER_PASS * passes:
             self.build_position_index()
 
     def build_position_index(self) -> None:
@@ -750,17 +885,17 @@ class CompressedColumn:
         """
         codes = self.codes
         capacity = len(self.dictionary)
-        if len(codes) and not 0 <= int(codes.min()) <= int(codes.max()) < capacity:
+        if not _codes_fit(codes, capacity):
             return
         order, starts = rows_by_id(codes, capacity)
         if len(codes) < 2 ** 32:
             order = order.astype(np.uint32)
-        self._position_index = (order, starts)
+        self._derived.position_index = (order, starts)
         context.current().counters.position_index_builds += 1
 
     def indexed_rows(self, intervals: CodeIntervals) -> int:
         """Exact number of rows whose code lies in *intervals* (index built)."""
-        _, starts = self._position_index
+        _, starts = self._derived.position_index
         return sum(int(starts[hi] - starts[lo]) for lo, hi in intervals)
 
     def indexed_positions(self, intervals: CodeIntervals) -> np.ndarray:
@@ -769,7 +904,7 @@ class CompressedColumn:
         One slice of ``order`` per interval; the positions of a single code
         are stored ascending, several codes' are sorted here.
         """
-        order, starts = self._position_index
+        order, starts = self._derived.position_index
         positions = np.concatenate(
             [order[starts[lo]:starts[hi]] for lo, hi in intervals], dtype=np.int64
         )

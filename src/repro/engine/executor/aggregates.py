@@ -62,7 +62,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.engine.batch import EncodedColumn
-from repro.engine.compression import rows_by_id
+from repro.engine.compression import DerivedState, group_summary, rows_by_id
 from repro.engine.executor.agg_pushdown import aggregate_pushdown_enabled
 from repro.errors import ExecutionError
 from repro.query.ast import AggregateFunction, AggregateSpec
@@ -121,35 +121,6 @@ def aggregate_values(function: AggregateFunction, values: Iterable[Any]) -> Any:
 #: keys is factorized down to the ids that occur first.
 _DENSE_ID_SPACE = 4096
 
-#: Rows of the shortest prefix searched for first occurrences.
-_FIRST_PREFIX = 1024
-
-
-def _first_occurrences(ids: np.ndarray, used: np.ndarray, capacity: int) -> np.ndarray:
-    """The row of the first occurrence of each id in *used*.
-
-    Assigning row numbers in reverse row order leaves, per id, the smallest
-    row written last.  The assignment runs over a growing prefix of the rows
-    — a sixty-fourth, a sixteenth, a quarter, all — and stops once every
-    used id has shown: a low-cardinality key shows all its values within the
-    first few hundred rows, and an id whose only row is the last costs the
-    full pass plus the shorter ones before it, at most 4/3 n assignments.
-    """
-    num_rows = len(ids)
-    start = max(_FIRST_PREFIX, 8 * len(used))
-    shift = 0
-    while num_rows >> (shift + 2) >= start:
-        shift += 2
-    first_by_id = np.full(capacity, num_rows, dtype=np.int64)
-    while True:
-        size = num_rows >> shift
-        first_by_id[ids[:size][::-1]] = np.arange(size - 1, -1, -1, dtype=np.int64)
-        first = first_by_id[used]
-        if shift == 0 or int(first.max()) < num_rows:
-            return first
-        shift -= 2
-
-
 class _Groups:
     """The groups of one aggregation, in id space.
 
@@ -163,7 +134,10 @@ class _Groups:
     and per-id results are compressed to those K (``emit``) *as arrays*
     before anything is divided, converted or decoded, so an id without rows
     (a dictionary entry orphaned by DML or filtered out) costs nothing and
-    is never looked at.
+    is never looked at.  That count and order are the
+    :func:`~repro.engine.compression.group_summary` of the ids; when the ids
+    are a whole column's codes, *derived* is that column's state and the
+    summary is built once per version of the codes, not once per statement.
 
     The stable sort that brings the rows of each group together
     (:func:`~repro.engine.compression.rows_by_id`, the computation behind a
@@ -176,19 +150,20 @@ class _Groups:
     __slots__ = ("ids", "capacity", "counts", "emit", "first_rows",
                  "_emit_order", "_used", "_sorted")
 
-    def __init__(self, ids: np.ndarray, capacity: int) -> None:
+    def __init__(self, ids: np.ndarray, capacity: int,
+                 derived: Optional[DerivedState] = None) -> None:
         self.ids = ids
         self.capacity = capacity
-        counts = np.bincount(ids, minlength=capacity)
-        used = np.flatnonzero(counts)
-        first = _first_occurrences(ids, used, capacity)
-        self._emit_order = order = np.argsort(first)
+        summary = None if derived is None else derived.group_summary(ids, capacity)
+        if summary is None:
+            summary = group_summary(ids, capacity)
+        self._used = summary.used
+        self._emit_order = summary.emit_order
         #: The ids that occur and their first rows, in emission order.
-        self.emit = used[order]
-        self.first_rows = first[order]
-        self._used = used
+        self.emit = summary.emit
+        self.first_rows = summary.first_rows
         #: Rows per emitted group.
-        self.counts = counts[self.emit]
+        self.counts = summary.counts
         self._sorted: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     def bincount(self, ids: np.ndarray, weights: Optional[np.ndarray] = None) -> np.ndarray:
@@ -387,7 +362,11 @@ def _grouped_encoded(
             sums = groups.bincount(ids, weights[codes[valid] - 1])
             non_null = groups.bincount(ids)
         else:
-            sums = groups.bincount(groups.ids, weights[codes])
+            row_weights = (None if column.derived is None
+                           else column.derived.float_weights(codes, reals))
+            if row_weights is None:
+                row_weights = weights[codes]
+            sums = groups.bincount(groups.ids, row_weights)
             non_null = groups.counts
         sums, non_null = sums.tolist(), non_null.tolist()
         if function is AggregateFunction.AVG:
@@ -486,10 +465,15 @@ class GroupedAggregation:
         order, exactly like the scalar accumulator loop, so all paths
         produce identical result lists.
         """
-        derived = self._derive_groups(group_key_columns, num_rows)
-        if derived is None:
+        keyed = self._derive_groups(group_key_columns, num_rows)
+        if keyed is None:
             return None
-        groups = _Groups(*derived)
+        derived = None
+        if len(group_key_columns) == 1 and aggregate_pushdown_enabled():
+            # A lone encoded key's group ids are its codes.
+            key = group_key_columns[0]
+            derived = key.derived if isinstance(key, EncodedColumn) else None
+        groups = _Groups(*keyed, derived)
         columns = [
             _key_values_at(column, groups.first_rows)
             for column in group_key_columns

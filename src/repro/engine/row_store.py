@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
+from functools import reduce
 from itertools import chain
 from operator import itemgetter
 from typing import (
@@ -42,7 +43,7 @@ from repro.engine.timing import CostAccountant
 from repro.engine.types import DataType, Store
 from repro.engine.zonemap import ColumnZone, next_zone_epoch, widen_zone
 from repro.query.predicates import Predicate
-from repro.query.ranges import ranges_of
+from repro.query.ranges import greatest, group_key, least, ranges_of
 
 
 #: Types whose values may be NaN.
@@ -783,16 +784,23 @@ class RowStoreTable:
             return index.num_keys
         array = self._column_array(column)
         if array.dtype != object:
-            return int(len(np.unique(array)))
-        return len(set(array.tolist()))
+            return int(len(np.unique(array)))  # one NaN, like the dictionary
+        values = array.tolist()
+        if self.schema.column(column).dtype in _NAN_TYPES:
+            values = map(group_key, values)
+        return len(set(values))
 
     def column_min_max(self, column: str) -> Tuple[Any, Any]:
+        """Smallest and largest non-NULL value in the one float order: NaN
+        is the maximum if present and the minimum only if nothing else is."""
         array = self._column_array(column)
         if array.dtype.kind in "iufb" and len(array):
-            return array.min().item(), array.max().item()
+            return np.fmin.reduce(array).item(), np.maximum.reduce(array).item()
         values = [value for value in array.tolist() if value is not None]
         if not values:
             return None, None
+        if self.schema.column(column).dtype in _NAN_TYPES:
+            return reduce(least, values), reduce(greatest, values)
         return min(values), max(values)
 
 

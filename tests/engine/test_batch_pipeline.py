@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.engine import compression as compression_module
 from repro.engine.batch import (
     ColumnBatch,
     EncodedColumn,
@@ -28,7 +29,6 @@ from repro.engine.batch import (
 from repro.engine.column_store import ColumnStoreTable
 from repro.engine.compression import ColumnDictionary, CompressedColumn
 from repro.engine.database import HybridDatabase
-from repro.engine.executor import aggregates as aggregates_module
 from repro.engine.executor.aggregates import (
     GroupedAggregation,
     aggregate_values,
@@ -438,7 +438,7 @@ class TestGroupedAggregationEquivalence:
         inputs = [amounts] * 5 + [None]
         # A short first prefix makes a few hundred rows walk every growth
         # step of the first-occurrence search.
-        with mock.patch.object(aggregates_module, "_FIRST_PREFIX", first_prefix):
+        with mock.patch.object(compression_module, "_FIRST_PREFIX", first_prefix):
             by_code = aggregation._run_grouped_vectorized(inputs, keys, num_rows)
             result = aggregation.run(inputs, keys, num_rows)
         scalar = aggregation._run_grouped_scalar(inputs, keys, num_rows)

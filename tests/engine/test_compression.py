@@ -315,11 +315,20 @@ class TestRowsById:
 
 
 def _indexed_column(values):
+    """A column with all of its derived state built."""
     column = CompressedColumn("c", DataType.INTEGER)
     column.bulk_load(values)
     column.build_position_index()
+    column.derived.group_summary(column.codes, len(column.dictionary))
+    column.derived.float_weights(column.codes, column.dictionary.values_array)
     assert column.has_position_index
+    assert column.derived.has_group_summary and column.derived.has_float_weights
     return column
+
+
+def _has_group_state(column):
+    derived = column.derived
+    return derived.has_group_summary or derived.has_float_weights
 
 
 def _assert_index_describes_codes(column):
@@ -338,7 +347,8 @@ def _assert_index_describes_codes(column):
 
 class TestPositionIndexLifetime:
     """The column's own mutators are the only writers of its codes, and
-    every one of them drops the index and restarts the served-scan count."""
+    every one of them drops the index and restarts the served-scan count —
+    and drops the group summary and float weights with it."""
 
     MUTATORS = {
         "append": lambda column: column.append(3),
@@ -360,6 +370,7 @@ class TestPositionIndexLifetime:
         self.MUTATORS[name](column)
         assert not column.has_position_index
         assert column.served_scans == 0
+        assert not _has_group_state(column)
         _assert_index_describes_codes(column)
 
     @pytest.mark.parametrize("name", sorted(MUTATORS))
@@ -376,7 +387,8 @@ class TestPositionIndexLifetime:
         column = _indexed_column([1, 2, 3, 2, 1])
         clone = column.clone()
         assert not clone.has_position_index and clone.served_scans == 0
-        assert column.has_position_index
+        assert not _has_group_state(clone)
+        assert column.has_position_index and _has_group_state(column)
 
     def test_empty_extend_changes_nothing(self):
         column = _indexed_column([1, 2, 3])
@@ -385,7 +397,7 @@ class TestPositionIndexLifetime:
 
     def test_order_is_stored_in_32_bits(self):
         column = _indexed_column([3, 1, 2, 1])
-        order, starts = column._position_index
+        order, starts = column.derived.position_index
         assert order.dtype == np.uint32 and starts.tolist() == [0, 2, 3, 4]
         assert order.tolist() == [1, 3, 2, 0]
 
@@ -398,6 +410,12 @@ class TestPositionIndexLifetime:
         column.codes[1] ^= 1 << 40
         column.build_position_index()
         assert not column.has_position_index
+        # Nor a group summary or float weights: the executor computes them
+        # as if the column had none.
+        derived, codes = column.derived, column.codes
+        assert derived.group_summary(codes, len(column.dictionary)) is None
+        assert derived.float_weights(codes, column.dictionary.values_array) is None
+        assert not _has_group_state(column)
 
 
 class TestPositionIndexRule:

@@ -24,6 +24,7 @@ from repro.engine.partitioning import (
 )
 from repro.engine.schema import Column
 from repro.engine.shard import shard_config, shutdown_worker_pool
+from repro.engine.statistics import compute_table_statistics
 from repro.query.builder import aggregate, insert, select
 from repro.query.predicates import eq, ge
 
@@ -124,6 +125,19 @@ def test_a_signed_zero_reads_back_as_the_one_zero(layout, loaded):
     groups = database.execute(aggregate("t").count().group_by("f").build()).rows
     assert answer(groups) == answer([{"f": 0.0, "count_star": 2},
                                      {"f": 2.0, "count_star": 1}])
+
+
+@pytest.mark.parametrize("layout", ["row", "column"])
+@pytest.mark.parametrize("floats", [[NAN, float("nan"), None, 1.0], [NAN, 1.0, 0.5]],
+                         ids=["nan-nan-null-one", "nan-one-half"])
+def test_catalog_statistics_follow_the_one_float_order(layout, floats):
+    """What the estimator prices plans from: one distinct NaN, NaN the
+    maximum and never the minimum while a number is present."""
+    database = build(layout, floats)
+    stats = compute_table_statistics(database.table_object("t")).column("f")
+    reals = [f for f in floats if f is not None and f == f]
+    assert stats.num_distinct == len(set(reals)) + 1 + (None in floats)
+    assert (bits(stats.min_value), bits(stats.max_value)) == (bits(min(reals)), bits(NAN))
 
 
 # -- the property -------------------------------------------------------------------

@@ -439,6 +439,34 @@ class TestJoinSides:
             counts[store] = database.execute(query).rows[0]["count_star"]
         assert counts[Store.ROW] == counts[Store.COLUMN] == 1
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_factorized_probe_matches_the_direct_search(self, seed, dtype):
+        """Needles that do not ascend are searched once per distinct key;
+        the answer is the direct search's and the scalar build's: the first
+        build occurrence wins, an absent key is -1, NaN matches nothing."""
+        from repro.engine.executor.join import _probe_positions
+
+        rng = np.random.default_rng(seed)
+        build = rng.integers(0, 400, 300).astype(dtype)
+        probe = rng.integers(-20, 450, 2_000).astype(dtype)
+        if dtype is np.float64:
+            build[rng.integers(0, 300, 5)] = np.nan
+            probe[rng.integers(0, 2_000, 40)] = np.nan
+        first = {}
+        for position, key in enumerate(build.tolist()):
+            if key == key:
+                first.setdefault(key, position)
+        distinct, first_position = np.unique(build, return_index=True)
+        for needles in (probe, np.sort(probe)):
+            slots = np.clip(np.searchsorted(distinct, needles), 0, len(distinct) - 1)
+            direct = np.where(distinct[slots] == needles, first_position[slots], -1)
+            positions = _probe_positions(build, needles)
+            assert positions.dtype == np.int64
+            assert positions.tolist() == direct.tolist() == [
+                first.get(key, -1) for key in needles.tolist()
+            ]
+
     def test_empty_probe_dictionary(self):
         from repro.engine.executor.join import _keyed_positions
 
