@@ -164,12 +164,21 @@ class DerivedState:
       dictionary without a NULL slot (:meth:`float_weights`): what a
       whole-column grouped ``SUM`` / ``AVG`` sums.
 
-    A whole-column :class:`~repro.engine.batch.EncodedColumn` carries the
-    state of the codes it holds and hands those codes in; a state that a
-    change has since replaced is then only reachable through that handle.
-    Cached arrays are read-only.  Codes outside the dictionary build nothing
-    (``None``: the caller computes its array as if there were no state), as
-    in :meth:`CompressedColumn.build_position_index`.
+    Both arrays are asked for through the whole-column
+    :class:`~repro.engine.batch.EncodedColumn` that carries this state
+    (``encoded.derived is self``) and are built from that column's codes and
+    dictionary, so they describe exactly the ids and values it holds; any
+    other column — a row selection, a stack of parts, a column carrying
+    another state — gets ``None`` and the caller computes its own array.  A
+    state that a change has since replaced is only reachable through such a
+    handle.  Cached arrays are read-only.  Codes outside the dictionary
+    build nothing (``None`` too), as in
+    :meth:`CompressedColumn.build_position_index`.
+
+    A pickled state (a checkpoint snapshot pickles its tables whole) keeps
+    the position index and the served-scan count but not the group summary
+    or the float weights: those are as large as the code array and cheap to
+    rebuild on the first ``GROUP BY`` after recovery.
     """
 
     __slots__ = ("position_index", "served_scans", "_summary", "_weights")
@@ -181,6 +190,13 @@ class DerivedState:
         self._summary: Optional[GroupSummary] = None
         self._weights: Optional[np.ndarray] = None
 
+    def __getstate__(self) -> Tuple[Any, int]:
+        return self.position_index, self.served_scans
+
+    def __setstate__(self, state: Tuple[Any, int]) -> None:
+        self.__init__()
+        self.position_index, self.served_scans = state
+
     @property
     def has_group_summary(self) -> bool:
         return self._summary is not None
@@ -189,17 +205,30 @@ class DerivedState:
     def has_float_weights(self) -> bool:
         return self._weights is not None
 
-    def group_summary(self, codes: np.ndarray, capacity: int) -> Optional[GroupSummary]:
-        """:func:`group_summary` of *codes*, built once."""
-        if self._summary is None and _codes_fit(codes, capacity):
-            self._summary = GroupSummary(*map(_frozen, group_summary(codes, capacity)))
+    def group_summary(self, encoded) -> Optional[GroupSummary]:
+        """:func:`group_summary` of *encoded*'s codes as group ids, built
+        once; ``None`` unless *encoded* carries this state."""
+        if encoded.derived is not self:
+            return None
+        if self._summary is None:
+            codes, capacity = encoded.codes, len(encoded.dictionary)
+            if _codes_fit(codes, capacity):
+                self._summary = GroupSummary(*map(_frozen, group_summary(codes, capacity)))
         return self._summary
 
-    def float_weights(self, codes: np.ndarray, reals: np.ndarray) -> Optional[np.ndarray]:
-        """``reals.astype(float64)[codes]``, built once — *reals* the
-        dictionary's entries, numeric and without a NULL slot."""
-        if self._weights is None and _codes_fit(codes, len(reals)):
-            self._weights = _frozen(reals.astype(np.float64, copy=False)[codes])
+    def float_weights(self, encoded) -> Optional[np.ndarray]:
+        """``entries.astype(float64)[codes]`` of *encoded*, built once;
+        ``None`` unless *encoded* carries this state and its dictionary is
+        numeric without a NULL slot."""
+        if encoded.derived is not self:
+            return None
+        if self._weights is None:
+            dictionary = encoded.dictionary
+            if dictionary.has_null:
+                return None
+            entries, codes = dictionary.values_array, encoded.codes
+            if entries.dtype.kind in "iufb" and _codes_fit(codes, len(entries)):
+                self._weights = _frozen(entries.astype(np.float64, copy=False)[codes])
         return self._weights
 
 

@@ -62,7 +62,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.engine.batch import EncodedColumn
-from repro.engine.compression import DerivedState, group_summary, rows_by_id
+from repro.engine.compression import GroupSummary, group_summary, rows_by_id
 from repro.engine.executor.agg_pushdown import aggregate_pushdown_enabled
 from repro.errors import ExecutionError
 from repro.query.ast import AggregateFunction, AggregateSpec
@@ -136,8 +136,8 @@ class _Groups:
     (a dictionary entry orphaned by DML or filtered out) costs nothing and
     is never looked at.  That count and order are the
     :func:`~repro.engine.compression.group_summary` of the ids; when the ids
-    are a whole column's codes, *derived* is that column's state and the
-    summary is built once per version of the codes, not once per statement.
+    are a whole column's codes, *summary* is the one that column's derived
+    state keeps, built once per version of the codes, not once per statement.
 
     The stable sort that brings the rows of each group together
     (:func:`~repro.engine.compression.rows_by_id`, the computation behind a
@@ -151,10 +151,9 @@ class _Groups:
                  "_emit_order", "_used", "_sorted")
 
     def __init__(self, ids: np.ndarray, capacity: int,
-                 derived: Optional[DerivedState] = None) -> None:
+                 summary: Optional[GroupSummary] = None) -> None:
         self.ids = ids
         self.capacity = capacity
-        summary = None if derived is None else derived.group_summary(ids, capacity)
         if summary is None:
             summary = group_summary(ids, capacity)
         self._used = summary.used
@@ -363,7 +362,7 @@ def _grouped_encoded(
             non_null = groups.bincount(ids)
         else:
             row_weights = (None if column.derived is None
-                           else column.derived.float_weights(codes, reals))
+                           else column.derived.float_weights(column))
             if row_weights is None:
                 row_weights = weights[codes]
             sums = groups.bincount(groups.ids, row_weights)
@@ -468,12 +467,13 @@ class GroupedAggregation:
         keyed = self._derive_groups(group_key_columns, num_rows)
         if keyed is None:
             return None
-        derived = None
+        summary = None
         if len(group_key_columns) == 1 and aggregate_pushdown_enabled():
             # A lone encoded key's group ids are its codes.
             key = group_key_columns[0]
-            derived = key.derived if isinstance(key, EncodedColumn) else None
-        groups = _Groups(*keyed, derived)
+            if isinstance(key, EncodedColumn) and key.derived is not None:
+                summary = key.derived.group_summary(key)
+        groups = _Groups(*keyed, summary)
         columns = [
             _key_values_at(column, groups.first_rows)
             for column in group_key_columns

@@ -1,9 +1,12 @@
 """Tests for dictionary compression, including property-based round trips."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.engine.batch import EncodedColumn
 from repro.engine.compression import (
     ColumnDictionary,
     CompressedColumn,
@@ -319,11 +322,17 @@ def _indexed_column(values):
     column = CompressedColumn("c", DataType.INTEGER)
     column.bulk_load(values)
     column.build_position_index()
-    column.derived.group_summary(column.codes, len(column.dictionary))
-    column.derived.float_weights(column.codes, column.dictionary.values_array)
+    whole = _whole(column)
+    column.derived.group_summary(whole)
+    column.derived.float_weights(whole)
     assert column.has_position_index
     assert column.derived.has_group_summary and column.derived.has_float_weights
     return column
+
+
+def _whole(column):
+    """The whole-column read that carries the column's derived state."""
+    return EncodedColumn(column.codes, column.dictionary, column.derived)
 
 
 def _has_group_state(column):
@@ -412,10 +421,35 @@ class TestPositionIndexLifetime:
         assert not column.has_position_index
         # Nor a group summary or float weights: the executor computes them
         # as if the column had none.
-        derived, codes = column.derived, column.codes
-        assert derived.group_summary(codes, len(column.dictionary)) is None
-        assert derived.float_weights(codes, column.dictionary.values_array) is None
+        whole = _whole(column)
+        assert column.derived.group_summary(whole) is None
+        assert column.derived.float_weights(whole) is None
         assert not _has_group_state(column)
+
+    def test_only_the_column_carrying_the_state_reads_it(self):
+        """The cached arrays describe the codes they were built from: a
+        row selection of the column, or a column carrying another state,
+        gets none of them."""
+        column = _indexed_column([i % 10 for i in range(50)])
+        other = _indexed_column([i % 3 for i in range(50)])
+        derived = column.derived
+        for foreign in (_whole(column).take(np.arange(0, 50, 2)), _whole(other)):
+            assert derived.group_summary(foreign) is None
+            assert derived.float_weights(foreign) is None
+        whole = _whole(column)
+        assert derived.group_summary(whole).counts.sum() == 50
+        assert derived.float_weights(whole).tolist() == column.values_array_at().tolist()
+
+    def test_a_pickled_state_keeps_only_the_position_index(self):
+        """A checkpoint snapshot pickles its columns whole; the group
+        summary and float weights are rebuilt on demand instead."""
+        column = _indexed_column([i % 10 for i in range(50)])
+        copy = pickle.loads(pickle.dumps(column))
+        assert copy.has_position_index and not _has_group_state(copy)
+        assert np.array_equal(copy.derived.position_index[0], column.derived.position_index[0])
+        whole = _whole(copy)
+        assert copy.derived.group_summary(whole).emit.tolist() == list(range(10))
+        assert copy.derived.float_weights(whole) is not None
 
 
 class TestPositionIndexRule:

@@ -442,8 +442,8 @@ class TestJoinSides:
     @pytest.mark.parametrize("dtype", [np.float64, np.int64])
     @pytest.mark.parametrize("seed", range(3))
     def test_factorized_probe_matches_the_direct_search(self, seed, dtype):
-        """Needles that do not ascend are searched once per distinct key;
-        the answer is the direct search's and the scalar build's: the first
+        """Needles are searched once per distinct key, in any arrival
+        order; the answer is the direct search's and the scalar build's: the first
         build occurrence wins, an absent key is -1, NaN matches nothing."""
         from repro.engine.executor.join import _probe_positions
 
