@@ -81,7 +81,12 @@
 #                "order-dependent" NaN deferral reappears under src/ — every
 #                aggregation tier keeps the one float order of
 #                query/ranges.py (`group_key`, `least`, `greatest`), so no
-#                NaN sends a query to another tier.
+#                NaN sends a query to another tier; and if the column store's
+#                union read comes back (`DeltaColumn`, `_union_values_array`,
+#                `_delta_compile_ok`, `_concat_values`, the `_logical_*`
+#                sizes, `record_delta_scan`) or the `delta_merge_threshold`
+#                knob does — no reader sees the write buffer: every read
+#                merges it first (`ColumnStoreTable._main`).
 #   fuzz       — the seeded differentials: every fast path vs its toggled
 #                reference, on rows, CostBreakdown totals and charge order.
 #   faults / resilience / integrity — crash points, process faults and
@@ -122,7 +127,7 @@ python -m pytest -m matview -q tests benchmarks
 echo "== shard: scatter/gather differential + projection gates =="
 python -m pytest -m shard -q tests benchmarks
 
-echo "== ledger: one home per charge, one prunable unit, one execution context, one executor, one statement path, no per-row group renumbering, one writer of the codes, one binder, one columnar load path, one leaf meaning, one log record at a time, one key rule, one code domain per table, one float order =="
+echo "== ledger: one home per charge, one prunable unit, one execution context, one executor, one statement path, no per-row group renumbering, one writer of the codes, one binder, one columnar load path, one leaf meaning, one log record at a time, one key rule, one code domain per table, one float order, one write buffer no reader sees =="
 deleted='compile_code_leaves|_DRY_MASK|charge_column_scan|_charge_pruned_main_update|_charge_main_positions|validate_assignments|_answers_from_index'
 if grep -rnE --include='*.py' "$deleted" src/; then
     echo "ledger: a deleted charge twin is back (see above)"; exit 1
@@ -215,6 +220,10 @@ if grep -rn --include='*.py' 'holds_null' src/ \
 fi
 if grep -rnE --include='*.py' '_minmax_is_order_dependent|_partial_merge_safe|order-dependent' src/; then
     echo "ledger: a NaN deferral is back (see above) — every aggregation tier keeps the one float order of query/ranges.py"; exit 1
+fi
+deleted='DeltaColumn|_union_values_array|_delta_compile_ok|_concat_values|_logical_(distinct|code_bytes|compressed_bytes)|record_delta_scan|delta_merge_threshold'
+if grep -rnE --include='*.py' "$deleted" src/; then
+    echo "ledger: the column store's union read or its merge knob is back (see above) — no reader sees the write buffer: every read merges it first (ColumnStoreTable._main)"; exit 1
 fi
 echo "ledger clean."
 

@@ -57,15 +57,6 @@ def render_plan(plan: PhysicalPlan, actual: Optional[QueryResult] = None) -> str
         for table in sorted(actual.scan_stats):
             scanned, skipped = actual.scan_stats[table]
             lines.append(f"    {table:<22}{scanned:>4} / {skipped}")
-    if actual is not None and actual.delta_scans:
-        # Delta/main telemetry: rows each scan read from the write-optimised
-        # delta vs the dictionary-encoded main.  Only rendered when a scan
-        # actually touched a delta, so merge pressure is visible without
-        # changing the EXPLAIN output of merged (or load-only) tables.
-        lines.append("  delta scan (main/delta rows):")
-        for table in sorted(actual.delta_scans):
-            main_rows, delta_rows = actual.delta_scans[table]
-            lines.append(f"    {table:<22}{main_rows:>4} / {delta_rows}")
     if actual is not None and actual.view_hits:
         # Materialized-view telemetry: the query was answered from the named
         # view — after re-executing it when the view had gone stale (stale
@@ -171,7 +162,7 @@ def _shard_lines(shards) -> List[str]:
     A sharded plan also prints its degradation ladder; a plan the gate
     declined prints the two predictions it compared, so "why serial?" is
     answered by the plan itself.  Structurally ineligible queries (row
-    store, pending delta, joins...) print nothing, as before.
+    store, joins...) print nothing, as before.
     """
     if shards is None or not (shards.sharded or shards.predicted_ms):
         return []

@@ -306,8 +306,6 @@ class Session:
         if integrity is not None:
             context["integrity"] = integrity
         self._scope = FixedScope(**context)
-        if durability is not None:
-            self.database.delta_merge_threshold = durability.delta_merge_threshold
         if wal_path is not None and self.database.wal is None:
             durability = durability or DurabilityConfig()
             self.database.attach_wal(
@@ -690,7 +688,11 @@ class Session:
         return self.database.snapshot(name)
 
     def merge_deltas(self, name: Optional[str] = None) -> int:
-        """Merge column-store delta rows into main (one table, or all)."""
+        """Encode buffered column-store inserts (one table, or all).
+
+        Reads merge by themselves; this does it ahead of them.  Returns the
+        number of rows merged.
+        """
         return self.database.merge_deltas(name)
 
     # -- integrity -----------------------------------------------------------------
@@ -852,8 +854,8 @@ def connect(
 
     With a *wal_path*, every DDL/DML statement is logged to a write-ahead
     log at that path so the database can be rebuilt with :func:`recover`
-    after a crash.  *durability* tunes the WAL sync mode and the delta
-    merge threshold (see :class:`~repro.config.DurabilityConfig`).
+    after a crash.  *durability* tunes the WAL sync mode and batch size
+    (see :class:`~repro.config.DurabilityConfig`).
     *resilience* tunes the resilient execution layer — shard retry budget,
     gather timeout, backoff (see :class:`~repro.config.ResilienceConfig`) —
     and *integrity* the checksum layer — scan-time and shard-attach

@@ -61,7 +61,7 @@ class DeviceModelConfig:
     #: Writing one value in place in the row store.
     row_update_value_ns: float = 25.0
     #: Inserting one value into a column-store column (dictionary lookup,
-    #: possible dictionary growth, appending the code to the delta buffer).
+    #: possible dictionary growth, appending the code).
     cs_insert_value_ns: float = 550.0
     #: Updating one cell of a column-store row.  Column stores implement
     #: updates as "invalidate + re-insert the full row version", so the engine
@@ -125,10 +125,9 @@ class AdvisorConfig:
 
 @dataclass(frozen=True)
 class DurabilityConfig:
-    """Durability knobs: write-ahead logging and the delta/main merge.
+    """Durability knobs: write-ahead logging.
 
-    Consumed by :func:`repro.api.connect` when a ``wal_path`` is given, and
-    by the engine's column-store backends for merge scheduling.
+    Consumed by :func:`repro.api.connect` when a ``wal_path`` is given.
     """
 
     #: When the WAL flushes to disk: ``"commit"`` after every statement,
@@ -137,8 +136,6 @@ class DurabilityConfig:
     wal_sync_mode: str = "commit"
     #: Records buffered between flushes in ``"batch"`` mode.
     wal_batch_size: int = 32
-    #: Delta size (rows) at which a column-store insert triggers a merge.
-    delta_merge_threshold: int = 65536
 
 
 @dataclass(frozen=True)

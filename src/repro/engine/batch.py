@@ -127,8 +127,8 @@ class EncodedColumn:
 
     ``derived`` is the column's
     :class:`~repro.engine.compression.DerivedState` when ``codes`` are a
-    column's whole code array, as the column store reads them with no delta
-    pending; the executor then takes its group summary and float weights
+    column's whole code array, as a whole-column read of the column store
+    returns them; the executor then takes its group summary and float weights
     from there instead of recomputing them.  Everything else — a row
     selection (:meth:`take`), a stack of several parts, shard slices,
     row-store and hot parts — carries ``None``.

@@ -40,24 +40,25 @@ row counts) are the only places a read is billed.  The readers bill through
 them and then fetch; a caller that already knows the answer — a zone proof,
 a shard gather — bills through the same two and skips the fetch.
 
-**Delta/main split** (the paper's write-optimised store): DML inserts append
-to an uncompressed per-column delta buffer (:class:`DeltaColumn`) — no
-dictionary re-sort, no code remap, no zone rebuild — while the dictionary-
-encoded *main* stays frozen between merges.  Scans union main and delta;
-:meth:`ColumnStoreTable.merge_delta` re-encodes the delta into main
-(explicitly, or when the delta reaches ``merge_threshold`` rows).  The merge
-is modelled as asynchronous reorganisation and is charge-free; every *read*
-charge and statistic is computed over the **logical** column (main rows plus
-delta rows, main dictionary plus the delta's new values), so the
-:class:`~repro.engine.timing.CostBreakdown` of any query is bit-identical to
-the inline-write reference reachable via ``delta_writes_disabled()`` — the
-delta is a wall-clock write optimisation, not a cost-model change.  Updates
-and deletes merge first and then mutate main exactly as the reference does.
+**Write buffer** (the paper's write-optimised store): DML inserts append
+their validated rows to a plain list — no dictionary probe, no re-sort, no
+code remap, no zone rebuild — and :meth:`ColumnStoreTable.merge_delta`
+extends every column by the buffered rows in one pass (explicitly, on the
+first read, or when the buffer reaches ``merge_threshold`` rows).  No
+reader ever sees the buffer: the table reads its columns through one
+accessor that merges pending rows first, so every scan, charge, statistic,
+zone synopsis, snapshot and integrity check sees only the encoded main.  A
+merge changes how rows are stored, not which rows exist, so it keeps the
+zone epoch (the insert already moved it) and is charge-free; since reads
+see the merged column, the :class:`~repro.engine.timing.CostBreakdown` of
+any query is bit-identical to the inline-write reference reachable via
+``delta_writes_disabled()``.  Updates and deletes merge first and then
+mutate main.
 
 **Snapshot visibility**: :meth:`ColumnStoreTable.snapshot` seals the table
 and returns a consistent read view; the next merge or in-place mutation
-copies-on-write, so readers opened before a merge keep seeing the table as
-of the snapshot while writers proceed.
+copies-on-write, so readers opened before it keep seeing the table as of
+the snapshot while writers proceed.
 """
 
 from __future__ import annotations
@@ -85,20 +86,15 @@ from repro.engine.batch import (
     EncodedColumn,
     decoded_array,
     evaluate_predicate_mask,
-    values_to_array,
 )
-from repro.engine.compression import (
-    CodeIntervals,
-    CompressedColumn,
-    code_width_bytes,
-)
+from repro.engine.compression import CodeIntervals, CompressedColumn
 from repro.engine.indexes import check_new_keys, check_new_rows
 from repro.engine.integrity import TableIntegrity, verify_on_scan_enabled
 from repro.engine.schema import TableSchema
 from repro.engine.timing import CostAccountant
 from repro.engine.toggle import Toggle
 from repro.engine.types import Store
-from repro.engine.zonemap import ColumnZone, is_nan, next_zone_epoch, widen_zone
+from repro.engine.zonemap import ColumnZone, next_zone_epoch
 from repro.testing import faults
 from repro.query.predicates import And, IsNull, Not, Or, Predicate, TruePredicate
 from repro.query.ranges import ValueRanges, is_singleton, ranges_of
@@ -124,12 +120,12 @@ def code_domain_disabled():
 
 _DELTA_WRITES = Toggle()
 
-#: Delta size (in rows) at which an insert triggers an automatic merge.
+#: Buffered rows at which an insert merges the write buffer by itself.
 DEFAULT_MERGE_THRESHOLD = 65536
 
 
 def delta_writes_enabled() -> bool:
-    """Whether DML inserts append to the delta (vs inline dictionary encoding)."""
+    """Whether DML inserts append to the write buffer (vs inline encoding)."""
     return _DELTA_WRITES.enabled
 
 
@@ -138,123 +134,37 @@ def delta_writes_disabled():
 
     The recovery and differential fuzzers run the reference executions under
     this toggle: results *and* ``CostBreakdown`` charges must be bit-identical
-    to the delta path.  (A delta already buffered keeps serving reads — the
-    toggle governs where new writes go, not how existing rows are read.)
+    to the buffered path.  An insert under it encodes its rows straight into
+    the columns, after merging whatever an earlier insert buffered.
     """
     return _DELTA_WRITES.disabled()
-
-
-class DeltaColumn:
-    """Uncompressed append buffer of one column — the write-optimised delta.
-
-    Appends are O(1): the value lands in a plain list, with no dictionary
-    re-sort and no code remap (the frozen main column is untouched).
-    Alongside the raw values the delta maintains exactly the aggregates the
-    logical statistics need:
-
-    * ``null_count`` and ``has_nan`` (zone synopses),
-    * ``new_values`` — the distinct values absent from the frozen main
-      dictionary (the logical distinct count is ``main + new``), and
-    * ``representative`` — one orderable value, used by the predicate
-      compiler to probe literal comparability so its fallback verdict matches
-      what the merged dictionary would have produced.
-    """
-
-    __slots__ = (
-        "values",
-        "null_count",
-        "has_nan",
-        "new_values",
-        "representative",
-        "_array",
-    )
-
-    def __init__(self) -> None:
-        self.values: List[Any] = []
-        self.null_count = 0
-        self.has_nan = False
-        self.new_values: set = set()
-        self.representative: Any = None
-        self._array: Optional[np.ndarray] = None
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def append(self, value: Any, main_dictionary) -> None:
-        self.values.append(value)
-        self._array = None
-        if value is None:
-            self.null_count += 1
-        elif is_nan(value):
-            self.has_nan = True
-        else:
-            self.representative = value
-            if (
-                value not in self.new_values
-                and main_dictionary.encode_existing(value) is None
-            ):
-                self.new_values.add(value)
-
-    def truncate(self, length: int, main_dictionary) -> None:
-        """Roll back to the first *length* values (aborted batch insert)."""
-        survivors = self.values[:length]
-        self.__init__()
-        for value in survivors:
-            self.append(value, main_dictionary)
-
-    def array(self) -> np.ndarray:
-        """The buffered values as a numpy array (cached until the next append)."""
-        if self._array is None:
-            self._array = values_to_array(list(self.values))
-        return self._array
 
 
 class ColumnStoreSnapshot:
     """Consistent read view of a column-store table at snapshot time.
 
-    Shares the (frozen) main column objects and copies the small delta
-    buffers; :meth:`ColumnStoreTable.snapshot` seals the table so any later
-    merge or in-place mutation swaps in fresh column objects (copy-on-write)
-    instead of touching the shared ones.
+    Shares the table's column objects; :meth:`ColumnStoreTable.snapshot`
+    merges pending rows first and seals the table, so any later merge or
+    in-place mutation swaps in fresh column objects (copy-on-write) instead
+    of touching the shared ones.
     """
 
-    __slots__ = ("schema", "_columns", "_delta_values", "num_rows")
+    __slots__ = ("schema", "_columns", "num_rows")
 
     def __init__(
-        self,
-        schema: TableSchema,
-        columns: Dict[str, CompressedColumn],
-        delta_values: Dict[str, Tuple[Any, ...]],
-        num_rows: int,
+        self, schema: TableSchema, columns: Dict[str, CompressedColumn], num_rows: int
     ) -> None:
         self.schema = schema
         self._columns = columns
-        self._delta_values = delta_values
         self.num_rows = num_rows
 
     def column_values(self, column: str) -> List[Any]:
-        main = self._columns[column].values_array_at(None).tolist()
-        return main + list(self._delta_values[column])
+        return self._columns[column].values_array_at(None).tolist()
 
     def rows(self) -> List[Dict[str, Any]]:
         names = self.schema.column_names
         lists = [self.column_values(name) for name in names]
         return [dict(zip(names, values)) for values in zip(*lists)] if lists else []
-
-
-def _concat_values(main: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Concatenate a main decode with a delta buffer, keeping object-ness.
-
-    ``np.concatenate`` of an object part with a native part would try to
-    coerce; building an object array preserves the exact values (NULLs
-    included) the way a merged-dictionary decode would.
-    """
-    if main.dtype == object or delta.dtype == object:
-        result = np.empty(len(main) + len(delta), dtype=object)
-        result[: len(main)] = main
-        result[len(main):] = delta
-        return result
-    return np.concatenate([main, delta])
 
 
 #: The *apply* half of a translated predicate: ``apply(num_rows)`` is the
@@ -510,8 +420,7 @@ class ColumnStoreTable:
 
     store = Store.COLUMN
 
-    #: Delta size at which an insert triggers an automatic merge (class-level
-    #: default; tests and sessions override per instance).
+    #: Buffered rows at which an insert merges the buffer by itself.
     merge_threshold = DEFAULT_MERGE_THRESHOLD
 
     def __init__(self, schema: TableSchema) -> None:
@@ -521,14 +430,11 @@ class ColumnStoreTable:
             for column in schema.columns
         }
         self._num_rows = 0
-        # Write-optimised delta: per-column uncompressed append buffers.
-        # ``_num_rows`` always counts main + delta; delta rows occupy the
-        # positions ``main_rows .. num_rows-1`` in append order, which merges
-        # preserve (the delta is re-encoded onto the end of main).
-        self._delta: Dict[str, DeltaColumn] = {
-            name: DeltaColumn() for name in self._columns
-        }
-        self._delta_len = 0
+        # Write buffer: validated rows not encoded yet.  ``_num_rows`` counts
+        # them; they take the positions ``main_rows .. num_rows-1`` in append
+        # order, which the merge keeps.  Only ``_main()`` and the mutators
+        # look at it.
+        self._pending: List[Mapping[str, Any]] = []
         # Snapshot support: a sealed table copies-on-write before any
         # in-place mutation of its main columns (see ``snapshot``).
         self._sealed = False
@@ -546,6 +452,15 @@ class ColumnStoreTable:
         # epoch, plus quarantine bookkeeping (see ``_integrity_check``).
         self.integrity = TableIntegrity(schema.name)
 
+    def _main(self) -> Dict[str, CompressedColumn]:
+        """The encoded columns — every read goes through here.
+
+        Buffered rows merge first, so a reader never sees two encodings.
+        """
+        if self._pending:
+            self.merge_delta()
+        return self._columns
+
     # -- basic properties --------------------------------------------------------
 
     @property
@@ -554,13 +469,13 @@ class ColumnStoreTable:
 
     @property
     def delta_rows(self) -> int:
-        """Rows buffered in the write-optimised delta (not yet merged)."""
-        return self._delta_len
+        """Rows buffered by inserts and not merged yet."""
+        return len(self._pending)
 
     @property
     def main_rows(self) -> int:
         """Rows in the dictionary-encoded main store."""
-        return self._num_rows - self._delta_len
+        return self._num_rows - len(self._pending)
 
     @property
     def row_width_bytes(self) -> int:
@@ -568,67 +483,29 @@ class ColumnStoreTable:
 
     @property
     def memory_bytes(self) -> float:
-        return sum(
-            self._logical_compressed_bytes(name) for name in self._columns
-        )
+        return sum(column.compressed_bytes for column in self._main().values())
 
     def compression_rate(self, column: Optional[str] = None) -> float:
-        """Compressed-to-raw size ratio for one column or the whole table.
-
-        Computed over the **logical** column (main plus delta) so the ratio —
-        and every estimate derived from it — is independent of merge timing.
-        """
+        """Compressed-to-raw size ratio for one column or the whole table."""
         if column is not None:
-            if self._num_rows == 0:
-                return 1.0
-            raw = self._num_rows * self.schema.column(column).dtype.width_bytes
-            return min(1.0, self._logical_compressed_bytes(column) / raw) if raw else 1.0
+            return self._main()[column].compression_rate
         if self._num_rows == 0:
             return 1.0
         raw = sum(
             self._num_rows * col.dtype.width_bytes for col in self.schema.columns
         )
-        compressed = sum(
-            self._logical_compressed_bytes(name) for name in self._columns
-        )
-        return min(1.0, compressed / raw) if raw else 1.0
+        return min(1.0, self.memory_bytes / raw) if raw else 1.0
 
     def has_index(self, column: str) -> bool:
         """Every column-store column has an implicit (dictionary) index."""
         return True
 
     def column_compressed_bytes(self, column: str) -> float:
-        return self._logical_compressed_bytes(column)
+        return self._main()[column].compressed_bytes
 
     def column_code_bytes(self, column: str) -> float:
         """Bytes a sequential scan of *column* reads (code array only)."""
-        return self._logical_code_bytes(column)
-
-    # -- logical statistics (main + delta) ---------------------------------------
-
-    def _logical_distinct(self, column: str) -> int:
-        """Distinct count of the merged column, without merging.
-
-        Main's dictionary size (NULL and NaN entries included) plus the
-        delta's genuinely new values, NULL and NaN counted once each.
-        """
-        compressed = self._columns[column]
-        delta = self._delta[column]
-        distinct = compressed.num_distinct + len(delta.new_values)
-        if delta.null_count and not compressed.dictionary.has_null:
-            distinct += 1
-        if delta.has_nan and compressed.dictionary.nan_code is None:
-            distinct += 1
-        return distinct
-
-    def _logical_code_bytes(self, column: str) -> float:
-        """Code-array bytes of the merged column: total rows at merged width."""
-        return self._num_rows * code_width_bytes(self._logical_distinct(column))
-
-    def _logical_compressed_bytes(self, column: str) -> float:
-        distinct = self._logical_distinct(column)
-        dict_bytes = distinct * self.schema.column(column).dtype.width_bytes
-        return self._num_rows * code_width_bytes(distinct) + dict_bytes
+        return self._main()[column].code_bytes
 
     # -- loading and modification ----------------------------------------------------
 
@@ -653,11 +530,12 @@ class ColumnStoreTable:
         """Append validated rows whose keys are new, returning their positions.
 
         Every cell pays the column-store insert penalty (dictionary lookup and
-        potential re-encoding, delta append); the primary key additionally
-        pays a uniqueness probe.  The *charges* are per row, but the physical
-        append is columnar — one :meth:`CompressedColumn.extend` per column,
-        so each dictionary merges the batch's new values in a single pass.  A
-        value a dictionary unexpectedly rejects aborts the whole batch
+        potential re-encoding); the primary key additionally pays a
+        uniqueness probe.  The rows go to the write buffer, or — under
+        ``delta_writes_disabled()`` — straight into the columns, one
+        :meth:`CompressedColumn.extend` per column, so each dictionary
+        merges the batch's new values in a single pass.  A value a
+        dictionary unexpectedly rejects there aborts the whole batch
         cleanly: nothing is inserted, no primary key is registered, and the
         error propagates.  NULL mixes freely with values — the dictionary
         reserves code 0 for it
@@ -673,8 +551,9 @@ class ColumnStoreTable:
         positions = []
         if rows:
             if _DELTA_WRITES.enabled:
-                self._extend_delta(rows)
+                self._pending.extend(rows)
             else:
+                self.merge_delta()
                 self._unseal_for_write()
                 self._extend_columns(rows)
             for row in rows:
@@ -684,7 +563,7 @@ class ColumnStoreTable:
                     accountant.charge_cs_value_inserts(self.schema.num_columns)
                 positions.append(self._num_rows)
                 self._num_rows += 1
-        if self._delta_len >= self.merge_threshold:
+        if len(self._pending) >= self.merge_threshold:
             self.merge_delta()
         return positions
 
@@ -705,65 +584,43 @@ class ColumnStoreTable:
                 column.truncate(old_size)
             raise
 
-    def _extend_delta(self, pending: Sequence[Mapping[str, Any]]) -> None:
-        """Delta-path twin of :meth:`_extend_columns`, with the same rollback.
-
-        If a column rejects one of its values mid-batch the already-extended
-        delta buffers are truncated back, so the buffers never end up with
-        misaligned lengths.
-        """
-        extended: List[Tuple[str, int]] = []
-        try:
-            for name, delta in self._delta.items():
-                extended.append((name, len(delta)))
-                dictionary = self._columns[name].dictionary
-                for row in pending:
-                    delta.append(row[name], dictionary)
-        except Exception:
-            for name, old_len in extended:
-                self._delta[name].truncate(old_len, self._columns[name].dictionary)
-            raise
-        self._delta_len += len(pending)
-
     def merge_delta(self) -> int:
-        """Re-encode the delta into main; returns the number of rows merged.
+        """Encode the buffered rows into main; returns the number merged.
 
         The merge builds aside and swaps: each main column is cloned, the
-        clone absorbs the delta values in one :meth:`CompressedColumn.extend`
+        clone absorbs the buffered values in one :meth:`CompressedColumn.extend`
         pass, and only then does the table switch over.  A crash at any of
         the ``merge.*`` fault points therefore leaves the table consistent
         (either entirely pre-merge or entirely post-merge), and snapshots
         keep reading the old column objects.  Dictionary accumulation is
         history-order independent, so the post-merge physical state is
         bit-identical to inline insertion — the basis of the
-        ``delta_writes_disabled()`` equivalence contract.  The merge itself
-        is charge-free: it models asynchronous reorganisation, and all read
-        charges are logical (main + delta) anyway.
+        ``delta_writes_disabled()`` equivalence contract.  The merge is
+        charge-free and keeps the zone epoch: the rows it encodes already
+        existed for every reader (the insert moved the epoch), so zone
+        caches, recorded decisions and view tokens stay valid.
         """
-        if self._delta_len == 0:
+        pending = self._pending
+        if not pending:
             return 0
         faults.fault_point("merge.before")
-        merged = self._delta_len
         rebuilt: Dict[str, CompressedColumn] = {}
         for name, column in self._columns.items():
             clone = column.clone()
-            clone.extend(list(self._delta[name].values))
+            clone.extend([row[name] for row in pending])
             rebuilt[name] = clone
         faults.fault_point("merge.after_build")
         self._columns = rebuilt
-        self._delta = {name: DeltaColumn() for name in self._columns}
-        self._delta_len = 0
+        self._pending = []
         self._sealed = False
-        self._bump_zone_epoch()
         faults.fault_point("merge.after_swap")
-        return merged
+        return len(pending)
 
     def _unseal_for_write(self) -> None:
         """Copy-on-write before an in-place mutation of the main columns.
 
         No-op unless a :meth:`snapshot` sealed the table; then every main
-        column is cloned so the snapshot keeps the originals.  (Delta appends
-        never need this — snapshots copy the delta values outright.)
+        column is cloned so the snapshot keeps the originals.
         """
         if self._sealed:
             self._columns = {
@@ -773,13 +630,9 @@ class ColumnStoreTable:
 
     def snapshot(self) -> ColumnStoreSnapshot:
         """A consistent read view of the table as of now (see module docs)."""
+        columns = self._main()
         self._sealed = True
-        return ColumnStoreSnapshot(
-            self.schema,
-            dict(self._columns),
-            {name: tuple(delta.values) for name, delta in self._delta.items()},
-            self._num_rows,
-        )
+        return ColumnStoreSnapshot(self.schema, dict(columns), self._num_rows)
 
     def check_load(self, columns: Mapping[str, Sequence[Any]]) -> Optional[set]:
         """Raise if loading *columns* would duplicate a primary key.
@@ -798,10 +651,9 @@ class ColumnStoreTable:
         Loads, store conversions and partition moves all come here, with
         values already coerced.  A load that would duplicate a primary key
         raises before anything changes.  An empty table builds each
-        dictionary in one bulk pass; a populated one merges its delta and
+        dictionary in one bulk pass; a populated one merges its buffer and
         extends every column in one pass — the physical state a DML insert
-        of the same rows reaches at its next merge (bulk loads are
-        synchronous reorganisation points and never leave a delta behind).
+        of the same rows reaches at its next merge.
         """
         if not num_rows:
             return
@@ -839,16 +691,15 @@ class ColumnStoreTable:
 
         Dictionary-compressed column stores cannot modify a row in place: an
         update invalidates the old row version and re-appends a complete new
-        version to the delta.  Accordingly every affected row is charged the
+        version.  Accordingly every affected row is charged the
         update penalty for *all* of the table's columns, which is the main
         reason updates favour the row store in the paper's cost model.
 
         The caller coerced the values and checked a key change
         (:func:`~repro.engine.table.checked_assignments`).  Updates merge the
-        delta first (charge-free, position-preserving) and then mutate main
-        exactly as the pre-delta pipeline did — *positions* computed over
-        the union before the merge stay valid.  An update of no rows is a
-        no-op: no merge, no copy-on-write, no zone-epoch bump.
+        write buffer first (charge-free, position-preserving) and then
+        mutate main.  An update of no rows is a no-op: no merge, no
+        copy-on-write, no zone-epoch bump.
         """
         if not assignments or len(positions) == 0:
             return 0
@@ -872,7 +723,7 @@ class ColumnStoreTable:
 
         The rebuild is columnar: each column masks its code array and shrinks
         its dictionary to the surviving codes — no row is ever reconstructed
-        as a dict.  Like updates, deletes merge the delta first.
+        as a dict.  Like updates, deletes merge the write buffer first.
         """
         if len(positions) == 0:
             return 0
@@ -906,20 +757,23 @@ class ColumnStoreTable:
         on every access; with scan verification enabled each unit is
         additionally checksum-verified at most once per (column, zone
         epoch) — a mutation bumps the epoch and records a fresh baseline,
-        so detection means the content changed *without* a mutation.
-        Verification charges zero simulated cost (no accountant involved);
-        only the current context's integrity counters move.
+        so detection means the content changed *without* a mutation.  The
+        check reads behind :meth:`_main`: a baseline is recorded after the
+        merge, which keeps the epoch.  Verification charges zero simulated
+        cost (no accountant involved); only the current context's integrity
+        counters move.
         """
         state = self.integrity
         for name in columns:
             state.check_quarantine(name)
         if not verify_on_scan_enabled():
             return
+        main = self._main()
         epoch = self._zone_epoch
         for name in columns:
             if not state.scan_pending(name, epoch):
                 continue
-            compressed = self._columns[name]
+            compressed = main[name]
             if not state.verify(
                 name, compressed.codes, compressed.dictionary, epoch
             ):
@@ -941,8 +795,7 @@ class ColumnStoreTable:
         position index, reading what the predicate selects, or **scanned**
         as vectorized integer comparisons over the code arrays.  The bill is
         the same either way — :meth:`charge_filter_scan` prices the scan the
-        lookup replaces, before anything is evaluated.  Delta rows are
-        evaluated in the value domain and appended.  Predicates the
+        lookup replaces, before anything is evaluated.  Predicates the
         translator cannot express fall back to decode-and-compare, which
         additionally pays per-value decode costs for the referenced columns.
         *proven_empty* carries a zone-map proof that no row matches: the
@@ -950,48 +803,29 @@ class ColumnStoreTable:
         """
         if predicate is None:
             return None
-        delta_len = self._delta_len
         if not proven_empty:
             self._integrity_check(
                 name for name in sorted(predicate.columns()) if name in self._columns
             )
-            if accountant is not None and delta_len:
-                accountant.record_delta_scan(
-                    self.schema.name, self._num_rows - delta_len, delta_len
-                )
         apply = self.charge_filter_scan(predicate, accountant)
         if proven_empty:
             return np.empty(0, dtype=np.int64)
         if apply is not None:
-            main_rows = self._num_rows - delta_len
-            positions = self._main_positions(apply, main_rows)
-            if delta_len:
-                # The delta portion is evaluated in the value domain —
-                # result-equivalent to the code domain (the differential
-                # fuzzer pins this) and charge-free: the scan charge already
-                # covers the full logical column.
-                arrays = {
-                    name: self._delta[name].array()
-                    for name in predicate.columns()
-                }
-                delta_mask = evaluate_predicate_mask(predicate, arrays, delta_len)
-                positions = np.concatenate(
-                    [positions, np.flatnonzero(delta_mask) + main_rows]
-                )
-            return positions
+            return self._main_positions(apply, self._num_rows)
         # Fallback: decode the referenced columns (vectorized gather) and
         # evaluate the predicate over the value arrays; predicates the
         # vectorized evaluator cannot express run the row-at-a-time loop.
+        main = self._main()
         arrays = {
-            name: self._union_values_array(name)
+            name: main[name].values_array_at(None)
             for name in sorted(predicate.columns())
         }
         mask = evaluate_predicate_mask(predicate, arrays, self._num_rows)
         return np.nonzero(mask)[0].astype(np.int64)
 
     @staticmethod
-    def _main_positions(apply: CodeMask, main_rows: int) -> np.ndarray:
-        """Ascending main positions matching the translated predicate.
+    def _main_positions(apply: CodeMask, num_rows: int) -> np.ndarray:
+        """Ascending positions matching the translated predicate.
 
         The conjuncts that are plain interval leaves can *drive*: with a
         position index on its column, the most selective of them picks its
@@ -1014,14 +848,14 @@ class ColumnStoreTable:
         ]
         if indexed:
             count, driver = min(indexed, key=_first)
-            if _lookup_pays(count, driver.intervals, main_rows):
+            if _lookup_pays(count, driver.intervals, num_rows):
                 context.current().counters.position_index_scans += 1
                 picked = driver.column.indexed_positions(driver.intervals)
                 for conjunct in conjuncts:
                     if conjunct is not driver:
                         picked = picked[conjunct(len(picked), picked)]
                 return picked
-        masks = [conjunct(main_rows) for conjunct in conjuncts]
+        masks = [conjunct(num_rows) for conjunct in conjuncts]
         unindexed = [
             (leaf, mask) for leaf, mask in zip(conjuncts, masks)
             if _can_drive(leaf) and not leaf.column.has_position_index
@@ -1039,7 +873,7 @@ class ColumnStoreTable:
             counted = [(len(positions), unindexed[0][0])]
         if counted:
             count, driver = min(counted, key=_first)
-            if _lookup_pays(count, driver.intervals, main_rows):
+            if _lookup_pays(count, driver.intervals, num_rows):
                 driver.column.note_served_scan()
         return positions
 
@@ -1053,12 +887,11 @@ class ColumnStoreTable:
         (``None`` = decode fallback) for a caller that goes on to evaluate;
         one that already holds the answer bills here and stops.
         """
+        main = self._main()
         apply: Optional[CodeMask] = None
         leaves: List[CodeLeaf] = []
-        if _CODE_DOMAIN.enabled and (
-            not self._delta_len or self._delta_compile_ok(predicate)
-        ):
-            translated = translate_code_predicate(predicate, self._columns)
+        if _CODE_DOMAIN.enabled:
+            translated = translate_code_predicate(predicate, main)
             if translated is not None:
                 apply, leaves = translated
         if accountant is None:
@@ -1068,52 +901,15 @@ class ColumnStoreTable:
                 if leaf.probed:
                     # Dictionary lookup of the literal(s).
                     accountant.charge_index_probe()
-                accountant.charge_sequential_read(
-                    "column_scan", self._logical_code_bytes(leaf.column.name)
-                )
+                accountant.charge_sequential_read("column_scan", leaf.column.code_bytes)
                 accountant.charge_vector_compares(self._num_rows)
             return apply
         referenced = sorted(predicate.columns())
         for name in referenced:
-            accountant.charge_sequential_read(
-                "column_scan", self._logical_code_bytes(name)
-            )
+            accountant.charge_sequential_read("column_scan", main[name].code_bytes)
         accountant.charge_dict_decodes(self._num_rows * len(referenced))
         accountant.charge_predicate_evals(self._num_rows)
         return None
-
-    def _delta_compile_ok(self, predicate: Predicate) -> bool:
-        """Whether code-domain compilation stays valid with a non-empty delta.
-
-        Compilation over the frozen main dictionary can only diverge from the
-        inline reference (which would have merged the delta's values into the
-        dictionary) in its *TypeError verdict*: an interval end bisects the
-        dictionary values, and a literal comparable with main's values may be
-        incomparable with the delta's (or vice versa — main empty, delta
-        populated).  Column values are dtype-coerced and therefore
-        homogeneous, so probing every finite end of a non-point interval
-        against one representative delta value reproduces the merged
-        dictionary's verdict exactly; points are looked up, never bisected.
-        """
-        if isinstance(predicate, (And, Or)):
-            return all(self._delta_compile_ok(child) for child in predicate.predicates)
-        if isinstance(predicate, Not):
-            return self._delta_compile_ok(predicate.predicate)
-        ranges = ranges_of(predicate)
-        if ranges is None or ranges.hole is not None:
-            return True
-        delta = self._delta.get(predicate.column)
-        if delta is None or delta.representative is None:
-            return True
-        try:
-            for interval in ranges.intervals:
-                if not is_singleton(interval):
-                    for end in interval[:2]:
-                        if end is not None:
-                            end < delta.representative  # noqa: B015 — probe for TypeError
-        except TypeError:
-            return False
-        return True
 
     def fetch_rows(
         self,
@@ -1139,8 +935,9 @@ class ColumnStoreTable:
             num_positions = len(gather)
         for name in selected:
             self.charge_column_read(name, num_positions, accountant)
+        main = self._main()
         batch = ColumnBatch(
-            {name: self._union_values_array(name, gather) for name in selected},
+            {name: main[name].values_array_at(gather) for name in selected},
             num_rows=num_positions,
         )
         return batch.to_rows()
@@ -1169,9 +966,7 @@ class ColumnStoreTable:
         elif num_positions <= self._num_rows * SCAN_MATERIALIZATION_THRESHOLD:
             accountant.charge_tuple_reconstructions(num_positions)
             return
-        accountant.charge_sequential_read(
-            "column_scan", self._logical_code_bytes(column)
-        )
+        accountant.charge_sequential_read("column_scan", self._main()[column].code_bytes)
         accountant.charge_dict_decodes(num_positions)
 
     def column_values(
@@ -1200,46 +995,9 @@ class ColumnStoreTable:
         """
         return decoded_array(self.column_encoded(column, positions, accountant))
 
-    def _union_values_array(
-        self, column: str, positions: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Decoded values across main and delta (all rows or a gather).
-
-        With an empty delta this is exactly the main column's decode.
-        Otherwise main positions decode through the dictionary and delta
-        positions index the raw value buffer; either part being an object
-        array (NULL present, or an empty dictionary) promotes the result to
-        object, mirroring what decoding the merged dictionary would yield.
-        """
-        compressed = self._columns[column]
-        delta = self._delta[column]
-        if not len(delta):
-            return compressed.values_array_at(positions)
-        main_size = len(compressed)
-        if positions is None:
-            return _concat_values(compressed.values_array_at(None), delta.array())
-        positions = np.asarray(positions, dtype=np.int64)
-        in_main = positions < main_size
-        if in_main.all():
-            return compressed.values_array_at(positions)
-        delta_array = delta.array()
-        if not in_main.any():
-            return delta_array[positions - main_size]
-        main_part = compressed.values_array_at(positions[in_main])
-        delta_part = delta_array[positions[~in_main] - main_size]
-        if main_part.dtype == object or delta_part.dtype == object:
-            result = np.empty(len(positions), dtype=object)
-        else:
-            result = np.empty(
-                len(positions), dtype=np.result_type(main_part, delta_part)
-            )
-        result[in_main] = main_part
-        result[~in_main] = delta_part
-        return result
-
     def compressed_column(self, column: str) -> CompressedColumn:
-        """The main store's compressed column (shard publication reads it)."""
-        return self._columns[column]
+        """The encoded column (shard publication and the scrubber read it)."""
+        return self._main()[column]
 
     def column_encoded(
         self,
@@ -1257,25 +1015,15 @@ class ColumnStoreTable:
         decodes each value it returns.  :meth:`column_array` is this read,
         decoded.
 
-        With a non-empty delta the requested rows span two encodings, so the
-        read degrades to a decoded value array (still a :data:`BatchColumn`;
-        every consumer handles both shapes).  Charges are unaffected — they
-        were always the decode charges.
-
-        A whole-column read (no *positions*, no delta) also carries the
-        column's derived state (:attr:`EncodedColumn.derived`), which is not
-        billed either.
+        A whole-column read (no *positions*) also carries the column's
+        derived state (:attr:`EncodedColumn.derived`), which is not billed
+        either.
         """
         self._integrity_check((column,))
         self.charge_column_read(
             column, None if positions is None else len(positions), accountant
         )
-        if self._delta_len:
-            return self._union_values_array(
-                column,
-                None if positions is None else np.asarray(positions, dtype=np.int64),
-            )
-        compressed = self._columns[column]
+        compressed = self._main()[column]
         return EncodedColumn(compressed.codes_at(positions), compressed.dictionary,
                              compressed.derived if positions is None else None)
 
@@ -1309,8 +1057,9 @@ class ColumnStoreTable:
         """Return every row as a dict, without cost accounting (for conversions)."""
         names = self.schema.column_names
         self._integrity_check(names)
+        main = self._main()
         batch = ColumnBatch(
-            {name: self._union_values_array(name, None) for name in names},
+            {name: main[name].values_array_at(None) for name in names},
             num_rows=self._num_rows,
         )
         return batch.to_rows()
@@ -1340,7 +1089,7 @@ class ColumnStoreTable:
         cached = self._zone_cache.get(column)
         if cached is not None and cached[0] == self._zone_epoch:
             return cached[1]
-        compressed = self._columns[column]
+        compressed = self._main()[column]
         dictionary = compressed.dictionary
         live = compressed.codes
         if dictionary.has_null:
@@ -1361,59 +1110,20 @@ class ColumnStoreTable:
             min_value=low,
             max_value=high,
             null_count=compressed.null_count,
-            num_rows=self._num_rows - self._delta_len,
+            num_rows=self._num_rows,
             has_nan=has_nan,
         )
-        delta = self._delta[column]
-        if len(delta):
-            # Fold the delta values into the main synopsis — exact bounds,
-            # exactly as if the delta had been merged.  ``widen_zone`` bails
-            # only on an unorderable mix; dtype coercion makes that next to
-            # impossible, but if it happens the merge makes it moot.
-            widened = widen_zone(zone, delta.values, len(delta))
-            if widened is None:
-                self.merge_delta()
-                return self.column_zone(column)
-            zone = widened
         self._zone_cache[column] = (self._zone_epoch, zone)
         return zone
 
     # -- statistics helpers -----------------------------------------------------------
 
     def column_distinct_count(self, column: str) -> int:
-        return self._logical_distinct(column)
+        return self._main()[column].num_distinct
 
     def column_min_max(self, column: str) -> Tuple[Any, Any]:
-        """Bounds of the merged dictionary's entries (NaN sorts last).
-
-        Mirrors reading ``dictionary.values[0]`` / ``values[-1]`` off the
-        merged dictionary: NULL is excluded, and a NaN entry — main's or one
-        the delta introduces — is the maximum because the sorted dictionary
-        places it last.
-        """
-        compressed = self._columns[column]
-        delta = self._delta[column]
-        dict_values = compressed.dictionary.real_values
-        if not len(delta):
-            if not dict_values:
-                return None, None
-            return dict_values[0], dict_values[-1]
-        nan_value = None
-        if dict_values and is_nan(dict_values[-1]):
-            nan_value = dict_values[-1]
-            dict_values = dict_values[:-1]
-        if delta.has_nan and nan_value is None:
-            nan_value = float("nan")
-        bounds: List[Any] = []
-        if dict_values:
-            bounds.extend((dict_values[0], dict_values[-1]))
-        if delta.new_values:
-            new_sorted = sorted(delta.new_values)
-            bounds.extend((new_sorted[0], new_sorted[-1]))
-        if not bounds:
-            if nan_value is not None:
-                return nan_value, nan_value
+        """Bounds of the dictionary's entries (NULL excluded, NaN sorts last)."""
+        dict_values = self._main()[column].dictionary.real_values
+        if not dict_values:
             return None, None
-        low = min(bounds)
-        high = max(bounds) if nan_value is None else nan_value
-        return low, high
+        return dict_values[0], dict_values[-1]

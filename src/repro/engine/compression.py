@@ -429,10 +429,16 @@ class ColumnDictionary:
         return position + offset, position + offset
 
     def clone(self) -> "ColumnDictionary":
-        """An independent copy (delta merges build aside and swap atomically)."""
+        """An independent copy (merges build aside and swap atomically).
+
+        The cached arrays are shared: nothing writes into them, and the
+        copy's first change drops its own references.
+        """
         copy = ColumnDictionary(self.dtype)
         copy._values = list(self._values)
         copy._has_null = self._has_null
+        copy._values_array = self._values_array
+        copy._reals_array = self._reals_array
         return copy
 
     def encode(self, value: Any) -> int:
@@ -554,9 +560,21 @@ class ColumnDictionary:
         return codes
 
     def bulk_codes(self, values: Sequence[Any]) -> np.ndarray:
-        """Codes for *values*, all of which must already be in the dictionary."""
+        """Codes for *values*, all of which must already be in the dictionary.
+
+        A few values against a cold cache (a merge of a handful of buffered
+        rows) are looked up one by one instead of rebuilding the whole
+        values array, as :meth:`decode_array` does for small gathers.
+        """
         from repro.engine.batch import values_to_array
 
+        if self._values_array is None and len(values) * 4 < len(self):
+            nan_code = self.nan_code
+            return np.fromiter(
+                (nan_code if _is_nan(value) else self.encode_existing(value)
+                 for value in values),
+                dtype=np.int64, count=len(values),
+            )
         if not self._has_null:
             array = self.values_array
             if array.dtype != object:
@@ -826,15 +844,17 @@ class CompressedColumn:
         self._recount_nulls()
 
     def clone(self) -> "CompressedColumn":
-        """An independent copy of the live region (dictionary included).
+        """An independent copy, dictionary included.
 
-        Delta merges extend a clone and swap it in atomically, and sealed
-        tables copy-on-write through this before an in-place mutation — the
-        original object keeps serving snapshot readers unchanged.
+        Write-buffer merges extend a clone and swap it in atomically (the
+        code buffer is copied with its spare capacity, so the rows a merge
+        appends usually fit), and sealed tables copy-on-write through this
+        before an in-place mutation — the original object keeps serving
+        snapshot readers unchanged.
         """
         copy = CompressedColumn(self.name, self.dtype)
         copy.dictionary = self.dictionary.clone()
-        copy._codes = self._codes[: self._size].copy()
+        copy._codes = self._codes.copy()
         copy._size = self._size
         copy._null_count = self._null_count
         return copy

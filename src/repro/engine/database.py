@@ -19,7 +19,6 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Union
 
 from repro.config import DeviceModelConfig
 from repro.engine.catalog import Catalog
-from repro.engine.column_store import ColumnStoreTable
 from repro.engine.executor.executor import QueryExecutor, QueryResult
 from repro.engine.matview import MaterializedView, RefreshResult
 from repro.engine.partitioning import PartitionedTable, TablePartitioning
@@ -102,10 +101,6 @@ class HybridDatabase:
         # every DDL operation, bulk load and DML statement is logged after it
         # takes effect, so the log is a redo log of committed statements.
         self.wal = None
-        # Delta merge threshold applied to column-store backends created by
-        # this database (None = the backend's class default).  Configured
-        # through DurabilityConfig at the session layer.
-        self.delta_merge_threshold: Optional[int] = None
         # Materialized-view state (definitions live in the catalog; the
         # materialized rows live here, next to the table objects).
         # Views are derived state and deliberately NOT WAL-logged: recovery
@@ -150,34 +145,15 @@ class HybridDatabase:
             self._tables[schema.name] = item["table"]
             self.refresh_statistics(schema.name)
 
-    def _apply_merge_threshold(self, name: str) -> None:
-        """Propagate the configured merge threshold to a table's backends."""
-        if self.delta_merge_threshold is None:
-            return
-        table = self._tables.get(name)
-        if table is None:
-            return
-        parts = table.all_parts if isinstance(table, PartitionedTable) else [table]
-        for part in parts:
-            if isinstance(part.backend, ColumnStoreTable):
-                part.backend.merge_threshold = self.delta_merge_threshold
-
     def merge_deltas(self, name: Optional[str] = None) -> int:
-        """Merge the column-store deltas of one table (or all tables).
+        """Encode the column-store write buffers of one table (or all tables).
 
-        A merge that moved rows changes the physical state plans and
-        estimates were costed against (code bytes, dictionary sizes, delta
-        length), so it bumps the table version like DDL does; a no-op merge
-        leaves cached plans valid.
+        Returns the number of rows merged.  Every read merges its table's
+        buffer by itself, and plans and statistics never saw the buffer, so
+        a merge leaves the table version — and cached plans — alone.
         """
         names = [name] if name is not None else self.table_names()
-        total = 0
-        for table_name in names:
-            merged = self.table_object(table_name).merge_delta()
-            if merged:
-                self._bump_version(table_name)
-            total += merged
-        return total
+        return sum(self.table_object(table_name).merge_delta() for table_name in names)
 
     def snapshot(self, name: str):
         """A consistent read view of *name* as of now (snapshot isolation)."""
@@ -191,7 +167,6 @@ class HybridDatabase:
         table = StoredTable(schema, store)
         self._tables[schema.name] = table
         entry.statistics = compute_table_statistics(table)
-        self._apply_merge_threshold(schema.name)
         self._bump_version(schema.name)
         if self.wal is not None:
             self.wal.log_create_table(schema, store)
@@ -234,7 +209,6 @@ class HybridDatabase:
         if name not in self._tables:
             raise CatalogError(f"unknown table {name!r}")
         self._tables[name] = table_object
-        self._apply_merge_threshold(name)
         self.refresh_statistics(name)
 
     def schema(self, name: str) -> TableSchema:
@@ -344,7 +318,6 @@ class HybridDatabase:
         else:
             table.convert_to(store, accountant)
             self.catalog.set_store(name, store)
-        self._apply_merge_threshold(name)
         self.refresh_statistics(name)
         if self.wal is not None:
             self.wal.log_move_table(name, store)
@@ -362,7 +335,6 @@ class HybridDatabase:
         partitioned = PartitionedTable.from_table(table, partitioning, accountant)
         self._tables[name] = partitioned
         self.catalog.set_partitioning(name, partitioning)
-        self._apply_merge_threshold(name)
         self.refresh_statistics(name)
         if self.wal is not None:
             self.wal.log_apply_partitioning(name, partitioning)
@@ -443,9 +415,9 @@ class HybridDatabase:
         """Monotonic layout/statistics version of one table.
 
         Bumped by DDL (create/drop), store moves, applying or removing a
-        partitioning, statistics refresh (which bulk loads trigger too),
-        and delta merges that moved rows (they change the physical state
-        estimates were priced against).  Unknown tables report version 0,
+        partitioning and statistics refresh (which bulk loads trigger too);
+        a merge of the column store's write buffer does not bump it (no
+        reader saw the buffer).  Unknown tables report version 0,
         which a subsequent ``CREATE`` necessarily replaces with a larger
         number.
         """

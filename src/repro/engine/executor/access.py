@@ -39,7 +39,7 @@ planner still records one for ``EXPLAIN``, which prints nothing for it) and
 the unit verdicts themselves (``PartitionScan(label, scan, reason)`` is a
 value, interned per path).  What depends on the statement — the zone
 verdict of its predicate, the aggregate tier, a plain column store's shard
-verdict with its gate, delta rows and toggles — stays per subject, under the
+verdict with its gate and toggles — stays per subject, under the
 one freshness rule.
 """
 

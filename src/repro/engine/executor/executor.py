@@ -46,8 +46,8 @@ class QueryResult:
     #: Per-table aggregate-pushdown strategy execution consumed — pinned by
     #: ``EXPLAIN ANALYZE`` against the plan's recorded strategy.
     agg_strategies: Dict[str, str] = field(default_factory=dict)
-    #: Per-table ``(main rows, delta rows)`` scanned — the delta/main split's
-    #: telemetry, reported by ``EXPLAIN ANALYZE`` when a scan read a delta.
+    #: Always empty: no read sees the column store's write buffer (every
+    #: read merges it first).  Kept for callers that still read the field.
     delta_scans: Dict[str, Tuple[int, int]] = field(default_factory=dict)
     #: Per-table ``(fan_out, ((rows scanned, rows matched), ...))`` of a
     #: shard-parallel execution — empty when the query ran serially.
@@ -158,7 +158,6 @@ class QueryExecutor:
             rows=rows, affected_rows=affected, cost=accountant.breakdown,
             scan_stats=accountant.scan_stats,
             agg_strategies=accountant.aggregate_strategies,
-            delta_scans=accountant.delta_scans,
             shard_stats=accountant.shard_stats,
             degradations=accountant.degradations,
             integrity={} if integrity_after == integrity_before else {

@@ -12,9 +12,10 @@ This module is the common core of the integrity layer:
   :class:`TableIntegrity` state each :class:`ColumnStoreTable` carries
   caches checksums per zone epoch, exactly like the zone-synopsis cache:
   a mutation bumps the epoch, the stale entry is discarded, and the next
-  read records a fresh baseline.  The delta buffer is not checksummed —
-  it is uncompressed, short-lived, and re-encoded (and re-checksummed)
-  by the next merge.
+  read records a fresh baseline.  Inserts buffered in the column store's
+  write buffer are not checksummed: every read — the checks included —
+  merges them into the codes first, and the merge keeps the epoch, so the
+  baseline of that epoch is taken over the merged unit.
 
 * **Lazy scan verification** — the column store calls
   :meth:`TableIntegrity.verify_on_read` from its read entry points: a

@@ -312,11 +312,11 @@ class PartitionedTable:
 
     @property
     def delta_rows(self) -> int:
-        """Rows buffered in the parts' column-store deltas."""
+        """Rows buffered in the parts' column-store write buffers."""
         return sum(part.delta_rows for part in self.all_parts)
 
     def merge_delta(self) -> int:
-        """Merge every part's column-store delta into its main."""
+        """Merge every part's column-store write buffer into its main."""
         return sum(part.merge_delta() for part in self.all_parts)
 
     def snapshot(self) -> "PartitionedSnapshot":
@@ -453,15 +453,19 @@ class PartitionedTable:
 
         This is the periodic data movement the paper describes ("in certain
         intervals, data is moved from the row-store partition to the
-        column-store partition"), akin to a delta merge.
+        column-store partition"), akin to a delta merge.  The hot part's
+        columns load into each main part as columns.
         """
         if self.hot is None or self.hot.num_rows == 0:
             return 0
-        rows = self.hot.all_rows()
+        moved = self.hot.num_rows
         if accountant is not None:
-            accountant.charge_layout_conversion(len(rows) * self.schema.num_columns)
-        self._insert_into_main(rows, accountant=None)
-        moved = len(rows)
+            accountant.charge_layout_conversion(moved * self.schema.num_columns)
+        columns = {name: self.hot.column_values(name) for name in self.schema.column_names}
+        for part in self.main_parts:
+            part.load_columns(
+                {name: columns[name] for name in part.schema.column_names}, moved
+            )
         self.hot = StoredTable(self.schema, self.partitioning.horizontal.hot_store)
         self._label_integrity()
         return moved

@@ -303,7 +303,7 @@ def structural_ineligibility(table, inner: bool = False) -> Optional[str]:
 def derive_shard_decision(path, query: Query) -> ShardDecision:
     """Derive the sharding verdict for *query* over *path*.
 
-    Only single-table queries against a delta-free column store are
+    Only single-table queries against a plain column store are
     eligible: the path's structural verdict (``path.never_shards``) first,
     then what moves per statement.  Aggregations must not already be
     answered zone-free; selections require a predicate (an unfiltered
@@ -327,8 +327,6 @@ def derive_shard_decision(path, query: Query) -> ShardDecision:
     if path.never_shards is not None:
         return verdict(False, path.never_shards)
     backend = table.backend
-    if table.delta_rows:
-        return verdict(False, "delta rows pending merge")
     num_rows = table.num_rows
     predicate = query.predicate
     if isinstance(query, AggregationQuery):

@@ -256,13 +256,13 @@ class StoredTable:
 
     @property
     def delta_rows(self) -> int:
-        """Rows buffered in a column-store delta (0 for the row store)."""
+        """Rows buffered in a column-store write buffer (0 for the row store)."""
         if isinstance(self._backend, ColumnStoreTable):
             return self._backend.delta_rows
         return 0
 
     def merge_delta(self) -> int:
-        """Merge a column-store delta into main (no-op for the row store)."""
+        """Merge a column-store write buffer into main (no-op for the row store)."""
         if isinstance(self._backend, ColumnStoreTable):
             return self._backend.merge_delta()
         return 0

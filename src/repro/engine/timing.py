@@ -152,11 +152,6 @@ class CostAccountant:
         #: Per-table aggregate-pushdown strategy the execution consumed,
         #: reported next to the plan's recorded strategy.
         self.aggregate_strategies: Dict[str, str] = {}
-        #: Per-table ``(main rows, delta rows)`` a scan read from the
-        #: dictionary-encoded main vs the write-optimised delta.  The charges
-        #: are logical (main + delta) and identical either way; these make
-        #: merge pressure visible.
-        self.delta_scans: Dict[str, Tuple[int, int]] = {}
         #: Per-table ``(fan_out, ((rows scanned, rows matched), ...))`` of a
         #: sharded scatter/gather execution.  Sharding bills the serial
         #: charges bit-identically.
@@ -250,11 +245,6 @@ class CostAccountant:
     def record_aggregate_strategy(self, table: str, description: str) -> None:
         """Record the aggregate-pushdown strategy consumed for *table*."""
         self.aggregate_strategies[table] = description
-
-    def record_delta_scan(self, table: str, main_rows: int, delta_rows: int) -> None:
-        """Record one scan of *table* spanning main and delta rows."""
-        main, delta = self.delta_scans.get(table, (0, 0))
-        self.delta_scans[table] = (main + main_rows, delta + delta_rows)
 
     def record_shard_execution(
         self, table: str, fan_out: int, shards: "tuple"

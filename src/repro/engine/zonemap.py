@@ -112,8 +112,8 @@ def widen_zone(
 ) -> Optional[ColumnZone]:
     """*zone* widened to additionally cover *values* (an appended batch).
 
-    The storage backends use this to maintain a fresh synopsis through
-    inserts without re-scanning the column.  Returns ``None`` when the
+    The row store uses this to maintain a fresh synopsis through inserts
+    without re-scanning the column.  Returns ``None`` when the
     values defeat the fold (unknown null count, unorderable mix) — the
     caller drops the cache entry and the next consult recomputes.
     """

@@ -164,21 +164,11 @@ class TestDurabilitySurface:
         assert len(recovered.sql("SELECT * FROM t").rows) == 7
         recovered.close()
 
-    def test_durability_config_reaches_the_backends(self):
-        session = populated_session(
-            durability=DurabilityConfig(delta_merge_threshold=4)
-        )
-        backend = session.database.table_object("t").backend
-        assert backend.merge_threshold == 4
-        for i in range(4):
-            session.sql(f"INSERT INTO t (id, v) VALUES ({20 + i}, 'd')")
-        assert backend.delta_rows == 0  # threshold crossed: merged
-
     def test_session_snapshot_and_merge(self):
         session = populated_session()
-        session.sql("INSERT INTO t (id, v) VALUES (10, 'ten')")
         snapshot = session.snapshot("t")
         before = snapshot.rows()
+        session.sql("INSERT INTO t (id, v) VALUES (10, 'ten')")
         assert session.merge_deltas("t") == 1
         session.sql("DELETE FROM t WHERE id >= 0")
         assert snapshot.rows() == before

@@ -181,7 +181,7 @@ class TestInsertsUpdates:
         assert table.all_rows() == [
             {"id": 0, "v": 1.0}, {"id": 1, "v": None}, {"id": 2, "v": 2.0}
         ]
-        table.merge_delta()  # inserts buffer in the delta; codes live in main
+        table.merge_delta()  # a no-op: the read above merged the buffer
         compressed = table._columns["v"]
         assert compressed.dictionary.has_null
         assert compressed.dictionary.encode_existing(None) == 0
@@ -528,11 +528,16 @@ class TestPositionIndex:
     def test_a_pending_delta_does_not_touch_mains_index(self):
         table = self._table()
         force_indexes(table)
+        indexed = table.compressed_column("q")
         table.insert_rows([{"id": 9_000, "v": 0.5, "q": 7}])
         assert table.delta_rows == 1
-        assert table.compressed_column("q").has_position_index
+        assert indexed.has_position_index  # buffering left main alone
         assert table.filter_positions(eq("q", 7)).tolist() == \
             list(range(7, 400, 40)) + [400]
+        # The read merged into a fresh column, which starts without an index.
+        assert table.delta_rows == 0
+        merged = table.compressed_column("q")
+        assert merged is not indexed and not merged.has_position_index
 
     def test_served_scans_build_the_index_and_lookups_are_counted(self):
         table = self._table()

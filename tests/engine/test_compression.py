@@ -294,6 +294,37 @@ class TestMixedNullDictionary:
         assert repr(column.all_values()) == repr([1.0, None, nan, 2.0, None, nan])
 
 
+class TestMergeOfAFewRows:
+    """A write-buffer merge of a handful of rows against a cold cache."""
+
+    @pytest.mark.parametrize("has_null", [False, True])
+    def test_a_few_codes_against_a_cold_cache_match_the_array_lookup(self, has_null):
+        nan = float("nan")
+        dictionary = ColumnDictionary(DataType.DOUBLE)
+        dictionary.bulk_build(
+            [float(i) for i in range(40)] + [nan] + ([None] if has_null else [])
+        )
+        few = [3.0, nan, 39.0, 0.0] + ([None] if has_null else [])
+        assert dictionary._values_array is None  # cold: looked up one by one
+        cold = dictionary.bulk_codes(few).tolist()
+        assert dictionary._values_array is None
+        dictionary.values_array  # warm: the whole-array lookup
+        assert dictionary.bulk_codes(few).tolist() == cold
+        offset = 1 if has_null else 0
+        assert cold == [3 + offset, dictionary.nan_code, 39 + offset, offset] + (
+            [0] if has_null else [])
+
+    def test_a_clone_shares_the_cached_arrays_until_it_changes(self):
+        dictionary = ColumnDictionary(DataType.INTEGER)
+        dictionary.bulk_build([3, 1, 2])
+        array = dictionary.values_array
+        copy = dictionary.clone()
+        assert copy.values_array is array
+        copy.encode(5)
+        assert copy.values_array.tolist() == [1, 2, 3, 5]
+        assert dictionary.values_array is array and array.tolist() == [1, 2, 3]
+
+
 class TestRowsById:
     @pytest.mark.parametrize("capacity", [1, 7, 300, 65_536, 65_537, 200_000])
     def test_matches_the_stable_sort(self, capacity):

@@ -1,37 +1,41 @@
-"""Delta/main split of the column store: buffering, merge, charge parity.
+"""The column store's write buffer: buffering, merge, charge parity.
 
-Column-store inserts append to an uncompressed per-column *delta* instead of
-rebuilding the dictionary-compressed *main* on every statement; scans read
-the union.  The contract pinned here:
+Column-store inserts append their validated rows to a *write buffer*
+instead of re-encoding the dictionary-compressed *main* on every
+statement; no reader sees the buffer, because every read merges it first.
+The contract pinned here:
 
 * results **and** simulated-cost charges are bit-identical to the inline
-  reference (``delta_writes_disabled()`` routes writes straight into main,
-  the pre-split behaviour) — the split is a wall-clock optimisation, never
-  a cost-model change;
-* :meth:`merge_delta` folds the delta into main and lands on the *exact*
+  reference (``delta_writes_disabled()`` routes writes straight into main)
+  — the buffer is a wall-clock optimisation, never a cost-model change;
+* :meth:`merge_delta` encodes the buffer into main and lands on the *exact*
   physical state (codes and dictionaries) the inline path would have built,
   because dictionary accumulation is history-order independent;
+* the first read merges, and the merge keeps the zone epoch;
 * inserts crossing ``merge_threshold`` merge automatically; updates and
   deletes merge first (positions address merged state);
-* a duplicate primary key anywhere in a batch inserts none of it — and a
-  column rejecting a value mid-append rolls back the already appended
-  column tails, in **both** write modes, so the table never ends up with
+* a duplicate primary key anywhere in a batch inserts none of it — and an
+  inline insert whose column rejects a value mid-append rolls back the
+  already appended column tails, so the table never ends up with
   misaligned columns or leaked primary keys.
 """
+
+import contextlib
 
 import pytest
 
 from repro.engine.column_store import (
     ColumnStoreTable,
-    DeltaColumn,
     delta_writes_disabled,
     delta_writes_enabled,
 )
+from repro.engine.database import HybridDatabase
 from repro.engine.schema import Column, TableSchema
 from repro.engine.table import load_rows
 from repro.engine.timing import CostAccountant
-from repro.engine.types import DataType
+from repro.engine.types import DataType, Store
 from repro.errors import ExecutionError
+from repro.query.builder import insert, select
 from repro.query.predicates import Between, IsNull, eq, ge, lt
 
 SCHEMA = TableSchema(
@@ -68,13 +72,39 @@ def twin_tables():
 
 
 class TestBuffering:
-    def test_inserts_buffer_in_the_delta(self):
+    def test_inserts_buffer_until_the_first_read(self):
         table = ColumnStoreTable(SCHEMA)
         table.insert_rows(make_rows(0, 5))
         assert table.delta_rows == 5
         assert table.main_rows == 0
         assert table.num_rows == 5
-        assert table.all_rows() == make_rows(0, 5) or len(table.all_rows()) == 5
+        epoch = table.zone_epoch
+        assert len(table.all_rows()) == 5
+        assert table.delta_rows == 0
+        assert table.main_rows == 5
+        assert table.zone_epoch == epoch
+
+    def test_one_select_merges_keeps_the_epoch_and_bills_as_inline(self):
+        databases = []
+        for reference in (False, True):
+            database = HybridDatabase()
+            database.create_table(SCHEMA, Store.COLUMN)
+            database.load_rows("d", make_rows(0, 10))
+            with delta_writes_disabled() if reference else contextlib.nullcontext():
+                database.execute(insert("d", make_rows(10, 5)))
+            databases.append(database)
+        buffered, inline = databases
+        backend = buffered.table_object("d").backend
+        assert backend.delta_rows == 5
+        epoch = backend.zone_epoch
+        query = select("d").where(ge("amount", 3.0)).build()
+        got = buffered.execute(query)
+        assert backend.delta_rows == 0
+        assert backend.zone_epoch == epoch
+        with delta_writes_disabled():
+            want = inline.execute(query)
+        assert got.rows == want.rows and len(got.rows) == 8
+        assert got.cost.components == want.cost.components
 
     def test_bulk_load_merges_immediately(self):
         table = ColumnStoreTable(SCHEMA)
@@ -126,24 +156,25 @@ class TestMergeEquivalence:
                 repr(v) for v in inline.dictionary.values
             ], name
 
-    def test_union_reads_match_inline_before_merge(self):
+    @pytest.mark.parametrize("predicate", [
+        eq("category", "cat_1"),
+        ge("amount", 5.0),
+        lt("id", 20),
+        Between("amount", 2.0, 9.0),
+        IsNull("amount"),
+    ], ids=["eq", "ge", "lt", "between", "is_null"])
+    def test_a_read_over_a_pending_buffer_matches_inline(self, predicate):
         delta_table, inline_table = twin_tables()
-        predicates = [
-            eq("category", "cat_1"),
-            ge("amount", 5.0),
-            lt("id", 20),
-            Between("amount", 2.0, 9.0),
-            IsNull("amount"),
-        ]
-        for predicate in predicates:
-            fast = CostAccountant()
-            slow = CostAccountant()
-            got = delta_table.filter_positions(predicate, fast).tolist()
-            want = inline_table.filter_positions(predicate, slow).tolist()
-            assert got == want, predicate
-            assert fast.snapshot() == slow.snapshot(), predicate
+        assert delta_table.delta_rows > 0
+        fast = CostAccountant()
+        slow = CostAccountant()
+        got = delta_table.filter_positions(predicate, fast).tolist()
+        want = inline_table.filter_positions(predicate, slow).tolist()
+        assert got == want
+        assert fast.snapshot() == slow.snapshot()
+        assert delta_table.delta_rows == 0
 
-    def test_logical_statistics_ignore_the_physical_split(self):
+    def test_statistics_over_a_pending_buffer_match_inline(self):
         delta_table, inline_table = twin_tables()
         assert delta_table.memory_bytes == inline_table.memory_bytes
         assert delta_table.compression_rate() == inline_table.compression_rate()
@@ -191,52 +222,36 @@ class TestMidBatchFailure:
         else:
             with delta_writes_disabled():
                 run()
-        ids = sorted(row["id"] for row in table.all_rows())
-        assert ids == [0, 1, 2, 3]  # no row of the batch committed
+        # No row of the batch committed: the buffer holds the seed alone.
         assert table.delta_rows == (4 if mode == "delta" else 0)
+        ids = sorted(row["id"] for row in table.all_rows())
+        assert ids == [0, 1, 2, 3]
+        assert table.delta_rows == 0
         # Every key of the failed batch but the duplicate is free.
         table.insert_rows(make_rows(10, 3))
         with pytest.raises(ExecutionError):
             table.insert_rows(make_rows(11, 1))
         assert sorted(row["id"] for row in table.all_rows()) == [0, 1, 2, 3, 10, 11, 12]
 
-    @pytest.mark.parametrize("mode", ["delta", "inline"])
-    def test_rejected_value_rolls_back_appended_tails(self, mode, monkeypatch):
-        """A column failing mid-append must truncate its siblings' tails."""
+    def test_rejected_value_rolls_back_appended_tails(self, monkeypatch):
+        """An inline insert's column failing mid-append truncates its siblings' tails."""
+        from repro.engine.compression import CompressedColumn
+
         table = ColumnStoreTable(SCHEMA)
         table.insert_rows(make_rows(0, 3))
-        if mode == "inline":
-            table.merge_delta()
-
+        table.merge_delta()
         calls = {"n": 0}
-        if mode == "delta":
-            original = DeltaColumn.append
+        original_extend = CompressedColumn.extend
 
-            def exploding_append(self, value, dictionary):
-                # Reject one *new* value only: by then the id and category
-                # columns are fully appended, and the rollback's survivor
-                # re-append (old values) must still pass through cleanly.
-                if value == 5.5:
-                    raise TypeError("synthetic dictionary rejection")
-                return original(self, value, dictionary)
+        def exploding_extend(self, values):
+            calls["n"] += 1
+            if calls["n"] > 1:  # first column extends, second explodes
+                raise TypeError("synthetic dictionary rejection")
+            return original_extend(self, values)
 
-            monkeypatch.setattr(DeltaColumn, "append", exploding_append)
-            with pytest.raises(TypeError):
-                table.insert_rows(make_rows(10, 3))  # row id=11 has amount 5.5
-        else:
-            from repro.engine.compression import CompressedColumn
-
-            original_extend = CompressedColumn.extend
-
-            def exploding_extend(self, values):
-                calls["n"] += 1
-                if calls["n"] > 1:  # first column extends, second explodes
-                    raise TypeError("synthetic dictionary rejection")
-                return original_extend(self, values)
-
-            monkeypatch.setattr(CompressedColumn, "extend", exploding_extend)
-            with delta_writes_disabled(), pytest.raises(TypeError):
-                table.insert_rows(make_rows(10, 3))
+        monkeypatch.setattr(CompressedColumn, "extend", exploding_extend)
+        with delta_writes_disabled(), pytest.raises(TypeError):
+            table.insert_rows(make_rows(10, 3))
         monkeypatch.undo()
 
         # Nothing of the failed batch survives: aligned columns, free keys.

@@ -484,10 +484,9 @@ def test_delta_writes_toggle_preserves_results_and_charges(seed):
     """Delta/main differential: buffered writes == inline writes, in full.
 
     Two databases per layout run the identical statement stream — one with
-    delta writes on and a small merge threshold (so scans constantly read
-    main+delta unions and merges fire mid-stream), one built and operated
-    entirely under ``delta_writes_disabled()`` (the inline pre-split
-    reference).  Every statement must agree on rows, affected counts *and*
+    buffered writes on (so every read after an insert merges first), one
+    built and operated entirely under ``delta_writes_disabled()`` (the
+    inline reference).  Every statement must agree on rows, affected counts *and*
     bit-identical :class:`CostBreakdown` components: the split is a
     wall-clock optimisation, never a semantics or cost-model change.  The
     stream includes duplicate-primary-key batches, which must fail whole,
@@ -507,8 +506,6 @@ def test_delta_writes_toggle_preserves_results_and_charges(seed):
         with guard:
             databases = {}
             database = HybridDatabase()
-            if not reference:
-                database.delta_merge_threshold = 16
             database.create_table(FACTS_SCHEMA, store=Store.COLUMN)
             database.create_table(DIM_SCHEMA, store=Store.COLUMN)
             database.load_rows("facts", rows)
@@ -516,8 +513,6 @@ def test_delta_writes_toggle_preserves_results_and_charges(seed):
             databases["column"] = database
 
             database = HybridDatabase()
-            if not reference:
-                database.delta_merge_threshold = 16
             database.create_table(FACTS_SCHEMA, store=Store.ROW)
             database.create_table(DIM_SCHEMA, store=Store.COLUMN)
             database.load_rows("facts", rows)
@@ -610,11 +605,10 @@ def test_shard_toggle_preserves_results_and_charges(seed, charge_trace):
     multisets and the :class:`CostBreakdown` components must agree on every
     layout: sharding is a wall-clock optimisation, never a cost-model or
     semantics change — the gather bills the same charges in the same order
-    as the serial scan.  DML pushes the column layout through the
-    delta-blocks-sharding window (the decision refuses until the merge);
-    merging re-arms it, and the suite asserts the sharded path *really*
-    executed — ``shard_stats`` non-empty — often enough that a silent
-    permanent fallback cannot pass.
+    as the serial scan.  DML leaves column-store inserts buffered, so the
+    next sharded read runs over a pending buffer (and merges it); the suite
+    asserts the sharded path *really* executed — ``shard_stats`` non-empty
+    — often enough that a silent permanent fallback cannot pass.
     """
     from repro.engine.shard import (
         shard_config,
@@ -635,9 +629,6 @@ def test_shard_toggle_preserves_results_and_charges(seed, charge_trace):
                     statement, next_id = random_dml(rng, next_id)
                     for database in layouts.values():
                         database.execute(statement)
-                    # Column-store DML lands in the delta, which blocks
-                    # sharding by design; merge to re-arm the sharded path.
-                    layouts["column"].merge_deltas()
                     continue
                 query = (
                     random_select(rng) if rng.random() < 0.4

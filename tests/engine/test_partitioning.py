@@ -10,6 +10,7 @@ from repro.engine.partitioning import (
 )
 from repro.engine.schema import TableSchema
 from repro.engine.table import StoredTable, load_rows
+from repro.engine.timing import CostAccountant
 from repro.engine.types import DataType, Store
 from repro.errors import PartitioningError
 from repro.query.predicates import ge
@@ -130,12 +131,35 @@ class TestPartitionedTable:
     def test_migrate_hot_to_main(self, schema, rows):
         base = StoredTable(schema, Store.ROW)
         load_rows(base, rows)
-        partitioned = PartitionedTable.from_table(base, both_partitioning())
-        moved = partitioned.migrate_hot_to_main()
-        assert moved == 20
+        tables = []
+        for _ in range(2):
+            table = PartitionedTable.from_table(base, both_partitioning())
+            table.insert_rows(
+                [{"id": 500, "amount": 0.25, "region": "zz", "status": "new"}]
+            )
+            tables.append(table)
+        partitioned, reference = tables
+        accountant = CostAccountant()
+        moved = partitioned.migrate_hot_to_main(accountant)
+        assert moved == 21
         assert partitioned.hot.num_rows == 0
-        assert partitioned.main_num_rows == 100
-        assert partitioned.num_rows == 100
+        assert partitioned.main_num_rows == 101
+        assert partitioned.num_rows == 101
+        expected = CostAccountant()
+        expected.charge_layout_conversion(21 * schema.num_columns)
+        assert accountant.snapshot() == expected.snapshot()
+        # The row-dict route — append the hot rows to every main part, then
+        # merge — reaches the same codes and dictionaries.
+        reference._insert_into_main(reference.hot.all_rows(), None)
+        reference.merge_delta()
+        for part, twin in zip(partitioned.main_parts, reference.main_parts):
+            assert part.all_rows() == twin.all_rows()
+            if part.store is Store.COLUMN:
+                for name in part.schema.column_names:
+                    got = part.backend.compressed_column(name)
+                    want = twin.backend.compressed_column(name)
+                    assert got.codes.tolist() == want.codes.tolist(), name
+                    assert list(got.dictionary.values) == list(want.dictionary.values)
 
     def test_to_stored_table_collapses_layout(self, schema, rows):
         base = StoredTable(schema, Store.ROW)

@@ -30,6 +30,7 @@ Runs in tier-1; the ``faultinject`` marker lets CI invoke it standalone
 
 import pytest
 
+from repro.engine.column_store import ColumnStoreTable
 from repro.engine.database import HybridDatabase
 from repro.engine.schema import Column, TableSchema
 from repro.engine.types import DataType, Store
@@ -52,6 +53,12 @@ SCHEMA = TableSchema(
 
 #: Small enough that the insert batches below trigger mid-statement merges.
 MERGE_THRESHOLD = 6
+
+
+@pytest.fixture(autouse=True)
+def small_merge_threshold(monkeypatch):
+    """Every column table of this module merges at MERGE_THRESHOLD buffered rows."""
+    monkeypatch.setattr(ColumnStoreTable, "merge_threshold", MERGE_THRESHOLD)
 
 CATEGORIES = ("alpha", "beta", "gamma")
 
@@ -113,7 +120,6 @@ def run_with_crash(path, crash_at, at_hit=1, torn_bytes=None):
     real crash would discard it.
     """
     database = HybridDatabase()
-    database.delta_merge_threshold = MERGE_THRESHOLD
     database.attach_wal(WriteAheadLog(path, sync_mode="commit"))
     plan = FaultPlan(crash_at=crash_at, at_hit=at_hit, torn_bytes=torn_bytes)
     crashed = False
@@ -232,7 +238,6 @@ def test_an_old_logs_failed_statement_replays_to_no_effect(tmp_path):
 
 def run_with_crash_without_checkpoint(path):
     database = HybridDatabase()
-    database.delta_merge_threshold = MERGE_THRESHOLD
     database.attach_wal(WriteAheadLog(path, sync_mode="commit"))
     plan = FaultPlan(crash_at=None)
     crashed = False

@@ -2,7 +2,7 @@
 
 The tentpole contracts pinned here:
 
-* :func:`derive_shard_decision` shards only delta-free plain column stores,
+* :func:`derive_shard_decision` shards only plain column stores,
   with aggregations (NaN included) and filtered selections, where the
   wall-clock gate predicts scatter/gather no slower than serial (or, under
   ``shard_config(min_rows=n)``, at or above the row floor); the recorded
@@ -150,18 +150,19 @@ class TestShardDecision:
         assert decision.bounds == shard_bounds(50, 4)
         assert "fan-out 4" in decision.describe()
 
-    def test_delta_rows_block_until_merge(self):
-        database = build_database(200)
-        table = database.table_object("metrics")
-        table.backend.merge_threshold = 1_000_000
-        database.execute(insert("metrics", make_rows(3, offset=NUM_ROWS)))
-        assert table.delta_rows > 0
-        path = access_path_for(table)
-        with shard_config(min_rows=1):
-            decision = derive_shard_decision(path, grouped_query())
-            assert not decision.sharded and "delta" in decision.reason
-            database.merge_deltas("metrics")
-            assert derive_shard_decision(path, grouped_query()).sharded
+    def test_a_sharded_read_over_pending_inserts_bills_as_serial(self):
+        sharded_db, serial_db = build_database(200), build_database(200)
+        for database in (sharded_db, serial_db):
+            database.execute(insert("metrics", make_rows(3, offset=NUM_ROWS)))
+            assert database.table_object("metrics").delta_rows == 3
+        with shard_config(fan_out=4, min_rows=1):
+            sharded = sharded_db.execute(grouped_query())
+        with shard_execution_disabled():
+            serial = serial_db.execute(grouped_query())
+        assert sharded.shard_stats["metrics"][0] == 4
+        assert_same_rows(sharded.rows, serial.rows)
+        assert sharded.cost.components == serial.cost.components
+        assert sharded_db.table_object("metrics").delta_rows == 0
 
     def test_select_requires_predicate_and_joins_reject(self):
         path = access_path_for(build_database(100).table_object("metrics"))
@@ -201,7 +202,7 @@ class TestShardDecision:
             # Config change: stale, re-derived with the new fan-out.
             with shard_config(fan_out=2):
                 assert path.shard_decision_for(query).fan_out == 2
-            # DML moves the zone epoch: stale, re-derived (delta blocks).
+            # DML moves the zone epoch: stale, re-derived.
             assert path.shard_decision_for(query) is path.shard_decision
             database.execute(insert("metrics", make_rows(1, offset=NUM_ROWS)))
             redecided = path.shard_decision_for(query)

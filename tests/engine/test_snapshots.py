@@ -2,14 +2,13 @@
 
 ``database.snapshot(name)`` (or ``table.snapshot()``) returns a read view
 pinned to the table's state at that instant.  The column store implements it
-copy-on-write: the snapshot shares the immutable main columns and copies
-only the (small) delta, and any later in-place write first clones the shared
-columns (``_unseal_for_write``) — so snapshots are cheap exactly when the
-write-optimised path is hot.  The row store materialises (its rows are
+copy-on-write: the snapshot merges the write buffer and shares the main
+columns, and any later merge or in-place write swaps in clones
+(``_unseal_for_write``) — so taking a snapshot copies nothing.  The row store materialises (its rows are
 mutable lists); partitioned tables snapshot every part.
 
 Pinned here: snapshots are stable under inserts, updates, deletes, *and*
-delta merges in all three layouts, and reflect delta rows that existed at
+merges in all three layouts, and reflect buffered rows that existed at
 snapshot time.
 """
 
@@ -85,9 +84,9 @@ class TestStoredTables:
 
     def test_snapshot_survives_a_merge(self):
         database = build(Store.COLUMN)
-        database.execute(insert("s", make_rows(30, 2)))
         before = database.table_object("s").all_rows()
         snapshot = database.snapshot("s")
+        database.execute(insert("s", make_rows(30, 2)))
         assert database.merge_deltas("s") == 2
         database.execute(update("s", {"amount": 0.0}, ge("id", 0)))
         assert snapshot.rows() == before
